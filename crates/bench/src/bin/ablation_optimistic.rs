@@ -6,13 +6,18 @@
 //! and disk journal.
 //!
 //! This repository implements an actual window-based optimistic engine
-//! (`aqs_cluster::optimistic`): nodes free-run, and any node whose inbound
-//! messages turn out different from what it executed with rolls back and
-//! re-executes. Because deliveries are always repaired to their exact
-//! times, the optimistic timeline equals the conservative ground truth's —
-//! optimism buys *perfect accuracy*. The question the paper answers in one
+//! (`EngineKind::ShardedOptimistic`; here on one shard, with a fixed
+//! quantum as the free-run window and a cascade bound the run never
+//! reaches): nodes free-run, and any node whose inbound messages turn out
+//! different from what it executed with rolls back and re-executes.
+//! Because deliveries are always repaired to their exact times, the
+//! optimistic timeline equals the conservative ground truth's — optimism
+//! buys *perfect accuracy*. The question the paper answers in one
 //! sentence, measured here: what does that accuracy cost on a full-system
-//! simulator whose checkpoints take 30 s?
+//! simulator whose checkpoints take 30 s? The engine supplies the counters
+//! (windows, re-executions per window); the bill is
+//! `ShardedOptimisticRunResult::modelled_host_time` on top of the
+//! deterministic engine's modelled execution time at the same window.
 //!
 //! Usage: `ablation_optimistic [tiny|mini]`.
 
@@ -21,7 +26,7 @@ use aqs_cluster::run_workload;
 use aqs_cluster::{EngineKind, Sim};
 use aqs_core::SyncConfig;
 use aqs_metrics::render_table;
-use aqs_time::{HostDuration, SimDuration};
+use aqs_time::HostDuration;
 use aqs_workloads::{NasBench, Scale, Workload};
 use std::time::Instant;
 
@@ -76,24 +81,30 @@ fn main() {
             HostDuration::from_secs(30),
         ),
     ] {
+        let window = SyncConfig::fixed_micros(window_us);
         let report = Sim::new(spec.programs.clone())
-            .engine(EngineKind::Optimistic)
+            .engine(EngineKind::ShardedOptimistic)
             .config(base.clone())
-            .window(SimDuration::from_micros(window_us))
-            .optimistic_costs(ckpt, rb)
+            .sync(window.clone())
+            .shards(1)
+            .cascade_bound(256)
             .run();
         let r = report
             .detail
-            .as_optimistic()
+            .as_sharded_optimistic()
             .expect("optimistic engine ran");
+        assert_eq!(r.degraded_windows, 0, "the cascade bound must never bind");
+        assert!(!r.traces_truncated, "the bill reads the full reexec trace");
         assert_eq!(r.sim_end, truth.sim_end, "optimism must be timing-exact");
+        let execution = run_workload(&spec, &base.clone().with_sync(window)).host_elapsed;
+        let host = r.modelled_host_time(ckpt, rb, execution);
         rows.push(vec![
             label.to_string(),
             format!("{window_us}"),
-            format!("{}", r.host_elapsed),
+            format!("{host}"),
             format!(
                 "{:.2}x",
-                truth.host_elapsed.as_secs_f64() / r.host_elapsed.as_secs_f64()
+                truth.host_elapsed.as_secs_f64() / host.as_secs_f64()
             ),
             format!("{}", r.windows),
             format!("{}", r.rollbacks),

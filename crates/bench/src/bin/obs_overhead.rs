@@ -2,8 +2,8 @@
 //!
 //! Two jobs share this binary:
 //!
-//! * **Timing** (full mode): runs the 16-node burst workload back to back
-//!   with the `NullRecorder` (recording compiled out) and with a full
+//! * **Timing** (full mode): runs the 16-node burst workload on the
+//!   sharded engine back to back with the `NullRecorder` (recording compiled out) and with a full
 //!   `FlightRecorder` attached, and compares min-of-N wall-clocks. The
 //!   observability subsystem's contract is that recording adds no lock to
 //!   the packet path and stays within a few percent of the null run.
@@ -193,7 +193,8 @@ fn main() {
     for (label, sync) in policies() {
         let base = || {
             Sim::new(spec.programs.clone())
-                .engine(EngineKind::Threaded)
+                .engine(EngineKind::Sharded)
+                .shards(GATE_WORKERS)
                 .sync(sync.clone())
                 .max_quanta(50_000_000)
         };

@@ -2,16 +2,13 @@
 //!
 //! Runs the burst workload (`host_work_per_op = 0`, so wall-clock is pure
 //! engine overhead) at 64, 256, and 1024 nodes on the sharded engine for
-//! every interesting worker count, with the thread-per-node engine measured
-//! back to back as the baseline wherever it is viable (≤ 256 nodes — past
-//! that, one OS thread per node is deep into the oversubscription cliff).
-//! Also measures the pooled packet path's allocation counter differentially
-//! to show that routing a packet allocates nothing in steady state, and
-//! runs the active-set tiers — an idle-heavy rpc-incast at 64k nodes with
-//! the wake wheel on vs the forced full sweep (≥3× gate), plus a 256k-node
-//! active-set-only tier with its own zero-allocation differential. Writes
-//! `BENCH_shard.json` at the repo root; the schema is documented in
-//! EXPERIMENTS.md.
+//! every interesting worker count. Also measures the pooled packet path's
+//! allocation counter differentially to show that routing a packet
+//! allocates nothing in steady state, and runs the active-set tiers — an
+//! idle-heavy rpc-incast at 64k nodes with the wake wheel on vs the forced
+//! full sweep (≥3× gate), plus a 256k-node active-set-only tier with its
+//! own zero-allocation differential. Writes `BENCH_shard.json` at the repo
+//! root; the schema is documented in EXPERIMENTS.md.
 //!
 //! Regenerate with:
 //!
@@ -19,10 +16,10 @@
 //! cargo run --release -p aqs-bench --bin shard_scaling
 //! ```
 //!
-//! `--smoke` runs a 64-node sweep with the results-match and allocation
-//! assertions only (no JSON written, no timing gate) — the CI entry point.
+//! `--smoke` runs a 64-node sweep with the worker-count-independence and
+//! allocation assertions only (no JSON written, no timing gate) — the CI
+//! entry point.
 
-use aqs_cluster::parallel::ParallelRunResult;
 use aqs_cluster::{
     EngineKind, HybridPolicy, ShardedOptimisticRunResult, ShardedRunResult, Sim, SimSwitch,
 };
@@ -40,10 +37,6 @@ const MAX_QUANTA: u64 = 50_000_000;
 /// compute that the adaptive policy has quiet stretches to grow into.
 const FABRIC_BYTES: u64 = 4096;
 const FABRIC_COMPUTE: u64 = 50_000;
-/// Threaded baseline ceiling: beyond this, thread-per-node is measured as
-/// unviable rather than slow (see EXPERIMENTS.md on the oversubscription
-/// cliff) and only the sharded engine runs.
-const THREADED_MAX_NODES: usize = 256;
 
 fn policies() -> Vec<(&'static str, SyncConfig)> {
     vec![
@@ -80,18 +73,6 @@ fn run_sharded(programs: Vec<Program>, sync: &SyncConfig, workers: usize) -> Sha
         .detail
         .as_sharded()
         .expect("sharded engine ran")
-        .clone()
-}
-
-fn run_threaded(programs: Vec<Program>, sync: &SyncConfig) -> ParallelRunResult {
-    Sim::new(programs)
-        .engine(EngineKind::Threaded)
-        .sync(sync.clone())
-        .max_quanta(MAX_QUANTA)
-        .run()
-        .detail
-        .as_threaded()
-        .expect("threaded engine ran")
         .clone()
 }
 
@@ -735,7 +716,6 @@ fn main() {
     let iterations: u32 = if smoke { 1 } else { 2 };
 
     let mut configs = Vec::new();
-    let mut headline = None;
     for &n in node_counts {
         let spec = Workload::Burst {
             compute: COMPUTE_OPS,
@@ -743,15 +723,6 @@ fn main() {
         }
         .build(n, 0);
         for (label, sync) in policies() {
-            let safe = label == "ground-truth";
-            let threaded = (n <= THREADED_MAX_NODES).then(|| {
-                let programs = spec.programs.clone();
-                measure(
-                    iterations,
-                    || run_threaded(programs.clone(), &sync),
-                    |r| r.wall.as_secs_f64(),
-                )
-            });
             let mut sharded_runs = Vec::new();
             for &m in &worker_counts {
                 let programs = spec.programs.clone();
@@ -776,39 +747,13 @@ fn main() {
                 );
             }
 
-            // Baseline differential, where the baseline exists. Under the
-            // safe quantum the engines must agree exactly; with larger
-            // quanta the threaded engine's straggler timing is
-            // race-dependent, so only the functional outcome must match.
-            let mut results_match = true;
-            if let Some((thr_wall, thr)) = &threaded {
-                let functional = base.total_packets == thr.total_packets
-                    && base.messages_received_total() == thr.messages_received_total();
-                results_match = functional && (!safe || base.sim_end == thr.sim_end);
-                assert!(
-                    results_match,
-                    "n={n} {label}: sharded disagrees with the threaded baseline"
-                );
-                let speedup = thr_wall / best_wall.max(1e-12);
-                if n == 256 && safe {
-                    headline = Some(speedup);
-                }
-                println!(
-                    "n={n:>4} {label:<13} sharded {best_wall:>9.4}s  threaded {thr_wall:>9.4}s  \
-                     speedup {speedup:>6.2}x  packets {p}  pool-allocs {a}",
-                    p = base.total_packets,
-                    a = base.pool_heap_allocs,
-                );
-            } else {
-                println!(
-                    "n={n:>4} {label:<13} sharded {best_wall:>9.4}s  threaded      (skipped)  \
-                     packets {p}  pool-allocs {a}",
-                    p = base.total_packets,
-                    a = base.pool_heap_allocs,
-                );
-            }
+            println!(
+                "n={n:>4} {label:<13} sharded {best_wall:>9.4}s  packets {p}  pool-allocs {a}",
+                p = base.total_packets,
+                a = base.pool_heap_allocs,
+            );
 
-            let mut entry = vec![
+            let entry = vec![
                 ("nodes".into(), Value::U64(n as u64)),
                 ("policy".into(), Value::Str(label.into())),
                 (
@@ -837,24 +782,7 @@ fn main() {
                     ),
                 ),
                 ("worker_counts_agree".into(), Value::Bool(true)),
-                ("results_match".into(), Value::Bool(results_match)),
             ];
-            if let Some((thr_wall, thr)) = &threaded {
-                entry.push((
-                    "threaded".into(),
-                    engine_obj(
-                        *thr_wall,
-                        thr.total_quanta,
-                        thr.total_packets,
-                        thr.stragglers.count(),
-                        thr.sim_end.as_nanos(),
-                    ),
-                ));
-                entry.push((
-                    "speedup_vs_threaded".into(),
-                    Value::F64(thr_wall / best_wall.max(1e-12)),
-                ));
-            }
             configs.push(Value::Object(entry));
         }
     }
@@ -888,8 +816,8 @@ fn main() {
 
     if smoke {
         println!(
-            "smoke sweep passed (results-match + allocation + active-set + fabric + hybrid \
-             assertions only)"
+            "smoke sweep passed (worker-count independence + allocation + active-set + \
+             fabric + hybrid assertions only)"
         );
         return;
     }
@@ -907,10 +835,6 @@ fn main() {
         ),
         ("iterations".into(), Value::U64(iterations as u64)),
         ("available_parallelism".into(), Value::U64(avail as u64)),
-        (
-            "threaded_max_nodes".into(),
-            Value::U64(THREADED_MAX_NODES as u64),
-        ),
         (
             "steady_state_allocs_per_packet".into(),
             Value::F64(extra_allocs as f64 / extra_packets as f64),
@@ -931,7 +855,5 @@ fn main() {
     ]);
     let json = serde_json::to_string_pretty(&doc).expect("render json");
     std::fs::write("BENCH_shard.json", json + "\n").expect("write BENCH_shard.json");
-    let speedup = headline.expect("256-node ground-truth config ran");
-    println!("\n256-node burst (ground truth) sharded speedup vs threaded: {speedup:.2}x");
-    println!("wrote BENCH_shard.json");
+    println!("\nwrote BENCH_shard.json");
 }

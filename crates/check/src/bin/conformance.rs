@@ -1,7 +1,7 @@
 //! `conformance` — run a differential conformance campaign from the shell.
 //!
 //! ```text
-//! conformance [--cases N] [--seed S] [--engines all|det|det,threaded]
+//! conformance [--cases N] [--seed S] [--engines all|det|det,sharded|sharded-optimistic,hybrid]
 //!             [--time-budget SECS] [--log FILE] [--artifacts DIR]
 //!             [--no-shrink]
 //! ```

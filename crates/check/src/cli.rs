@@ -6,7 +6,7 @@ use crate::runner::{run_conformance, ConformanceOpts};
 
 /// Flag summary for usage messages.
 pub const USAGE: &str = "[--cases N] [--seed S] \
-     [--engines all|det|det,threaded|det,sharded|sharded-optimistic,hybrid] \
+     [--engines all|det|det,sharded|sharded-optimistic,hybrid] \
      [--time-budget SECS] [--log FILE] [--artifacts DIR] [--no-shrink]";
 
 /// Parses `args`, runs the campaign, writes any requested artifacts, and
@@ -112,31 +112,38 @@ fn parse_seed(s: &str) -> Result<u64, String> {
 }
 
 /// `--engines` narrows the differential vote: the deterministic engine
-/// always runs (it anchors the ground truth); `threaded`, `optimistic`,
-/// `sharded`, `sharded-optimistic`, and `hybrid` are opt-outable.
+/// always runs (it anchors the ground truth); `sharded`,
+/// `sharded-optimistic`, and `hybrid` are opt-outable. The retired engine
+/// names are rejected with a pointer to their replacement.
 fn apply_engines(opts: &mut ConformanceOpts, spec: &str) -> Result<(), String> {
-    opts.check.threaded = false;
-    opts.check.optimistic = false;
     opts.check.sharded = false;
     opts.check.sharded_optimistic = false;
     opts.check.hybrid = false;
     for part in spec.split(',') {
         match part {
             "all" => {
-                opts.check.threaded = true;
-                opts.check.optimistic = true;
                 opts.check.sharded = true;
                 opts.check.sharded_optimistic = true;
                 opts.check.hybrid = true;
             }
             "det" | "deterministic" => {}
-            "threaded" => opts.check.threaded = true,
-            "optimistic" => opts.check.optimistic = true,
             "sharded" => opts.check.sharded = true,
             "sharded-optimistic" | "sharded_optimistic" => {
                 opts.check.sharded_optimistic = true;
             }
             "hybrid" => opts.check.hybrid = true,
+            "threaded" => {
+                return Err("the threaded engine was retired: use `sharded` (it also \
+                            runs one worker per node)"
+                    .to_string())
+            }
+            "optimistic" => {
+                return Err(
+                    "the optimistic engine was retired: use `sharded-optimistic` (it \
+                     also runs the single-shard fixed-window configuration)"
+                        .to_string(),
+                )
+            }
             other => return Err(format!("unknown engine: {other}")),
         }
     }
@@ -154,14 +161,14 @@ mod tests {
     #[test]
     fn parses_the_documented_flags() {
         let (opts, log, dir) = parse(&argv(
-            "--cases 7 --seed 0xA5 --engines det,threaded --time-budget 30 \
+            "--cases 7 --seed 0xA5 --engines det,hybrid --time-budget 30 \
              --log run.jsonl --artifacts out --no-shrink",
         ))
         .expect("parses");
         assert_eq!(opts.cases, 7);
         assert_eq!(opts.seed, 0xA5);
-        assert!(opts.check.threaded);
-        assert!(!opts.check.optimistic);
+        assert!(opts.check.hybrid);
+        assert!(!opts.check.sharded_optimistic);
         assert!(!opts.check.sharded);
         assert_eq!(opts.time_budget, Some(std::time::Duration::from_secs(30)));
         assert!(!opts.shrink_failures);
@@ -178,19 +185,33 @@ mod tests {
     }
 
     #[test]
+    fn retired_engine_names_point_at_their_replacement() {
+        let err = parse(&argv("--engines det,threaded")).unwrap_err();
+        assert!(
+            err.contains("retired") && err.contains("`sharded`"),
+            "{err}"
+        );
+        let err = parse(&argv("--engines optimistic")).unwrap_err();
+        assert!(
+            err.contains("retired") && err.contains("`sharded-optimistic`"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn sharded_is_selectable_and_part_of_all() {
         let (opts, ..) = parse(&argv("--engines det,sharded")).expect("parses");
         assert!(opts.check.sharded);
-        assert!(!opts.check.threaded);
+        assert!(!opts.check.sharded_optimistic && !opts.check.hybrid);
         let (opts, ..) = parse(&argv("--engines all")).expect("parses");
-        assert!(opts.check.sharded && opts.check.threaded && opts.check.optimistic);
+        assert!(opts.check.sharded);
     }
 
     #[test]
     fn rollback_engines_are_selectable_and_part_of_all() {
         let (opts, ..) = parse(&argv("--engines sharded-optimistic,hybrid")).expect("parses");
         assert!(opts.check.sharded_optimistic && opts.check.hybrid);
-        assert!(!opts.check.sharded && !opts.check.threaded && !opts.check.optimistic);
+        assert!(!opts.check.sharded);
         let (opts, ..) = parse(&argv("--engines all")).expect("parses");
         assert!(opts.check.sharded_optimistic && opts.check.hybrid);
     }

@@ -127,8 +127,8 @@ pub struct CaseSpec {
     /// Program phases, identical structure on every node.
     pub phases: Vec<PhaseSpec>,
     /// Uniform switch latency in nanoseconds; `0` selects the paper's
-    /// perfect switch (and enables the optimistic engine). Ignored when
-    /// [`fabric`](Self::fabric) is set (the generator keeps it `0` there).
+    /// perfect switch. Ignored when [`fabric`](Self::fabric) is set (the
+    /// generator keeps it `0` there).
     pub switch_latency_ns: u64,
     /// Route through a small two-nodes-per-rack fat-tree fabric instead of
     /// a uniform latency: per-link serialization, deterministic ECMP plane
@@ -157,8 +157,8 @@ impl CaseSpec {
                 bytes: rng.range_u64(1..16_000),
             })
             .collect();
-        // 60 % perfect switch so the optimistic engine joins the vote; the
-        // rest split between the latency-matrix and fat-tree fabric paths.
+        // 60 % perfect switch (the paper's evaluation switch); the rest
+        // split between the latency-matrix and fat-tree fabric paths.
         let (switch_latency_ns, fabric) = if rng.bernoulli(0.6) {
             (0, false)
         } else if rng.bernoulli(0.5) {
@@ -244,12 +244,6 @@ impl CaseSpec {
                 SimDuration::from_nanos(self.switch_latency_ns),
             ))
         }
-    }
-
-    /// Whether the optimistic engine can run this case (perfect switch
-    /// only).
-    pub fn optimistic_ok(&self) -> bool {
-        self.switch_latency_ns == 0 && !self.fabric
     }
 
     /// A compact human-readable tag for logs: `seed/index`.

@@ -1,9 +1,10 @@
 //! # aqs-check — differential conformance harness
 //!
-//! Golden-file-free testing for the three engines. The harness generates
+//! Golden-file-free testing for the four engines. The harness generates
 //! random but fully reproducible cases (program × topology × switch ×
-//! policy), runs each through the deterministic, threaded, and optimistic
-//! engines, and decides pass/fail from two kinds of evidence:
+//! policy), runs each through the deterministic, sharded,
+//! sharded-optimistic, and hybrid engines, and decides pass/fail from two
+//! kinds of evidence:
 //!
 //! * a **differential oracle**: under the safe 1 µs quantum every engine
 //!   must produce a bit-identical [`aqs_cluster::SimulatedOutcome`];
@@ -20,7 +21,7 @@
 //! *forwarding* features — plain builds compile none of it):
 //!
 //! * `schedule-fuzz` arms randomized mailbox drain order and jittered
-//!   barrier arrivals in the threaded engine (`check_case_fuzzed`);
+//!   barrier arrivals in the sharded engine (`check_case_fuzzed`);
 //! * `fault-inject` compiles deliberate, runtime-armed faults used by the
 //!   mutation tests to prove the oracles actually detect bugs.
 //!

@@ -23,7 +23,7 @@ use aqs_core::SyncConfig;
 use aqs_net::NicModel;
 use aqs_node::{Op, SendTarget};
 use aqs_obs::ObsConfig;
-use aqs_time::{HostDuration, SimDuration};
+use aqs_time::SimDuration;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Ring capacity for policy-run recording; large enough that realistic
@@ -34,15 +34,14 @@ const OBS_RING: usize = 16_384;
 /// Knobs for [`check_case_with`].
 #[derive(Clone, Debug)]
 pub struct CheckOpts {
-    /// Run the threaded engine (differential + invariants).
-    pub threaded: bool,
-    /// Run the optimistic engine on perfect-switch cases (differential).
-    pub optimistic: bool,
     /// Run the sharded engine (differential + invariants + cross-M
-    /// identity), once per entry of [`shard_counts`](Self::shard_counts).
+    /// identity), once per entry of
+    /// [`sharded_counts`](Self::sharded_counts).
     pub sharded: bool,
     /// Run the sharded-optimistic engine (differential + rollback-property
-    /// invariants), once per entry of [`shard_counts`](Self::shard_counts).
+    /// invariants), once per entry of [`shard_counts`](Self::shard_counts),
+    /// plus the classic single-shard fixed-window configuration, which must
+    /// be exact.
     pub sharded_optimistic: bool,
     /// Run the hybrid engine (differential + rollback-property invariants),
     /// once per entry of [`shard_counts`](Self::shard_counts).
@@ -54,7 +53,7 @@ pub struct CheckOpts {
     /// Cascade depth bound handed to the sharded-optimistic and hybrid
     /// engines; the rollback-depth oracle checks runs against it.
     pub cascade_bound: u32,
-    /// Override the threaded/sharded engines' quantum cap (deadlock guard).
+    /// Override the worker-pool engines' quantum cap (deadlock guard).
     /// The default is derived from the ground-truth run and generous;
     /// mutation tests lower it so injected deadlocks fail fast.
     pub quanta_cap: Option<u64>,
@@ -71,8 +70,6 @@ pub struct CheckOpts {
 impl Default for CheckOpts {
     fn default() -> Self {
         Self {
-            threaded: true,
-            optimistic: true,
             sharded: true,
             sharded_optimistic: true,
             hybrid: true,
@@ -81,6 +78,20 @@ impl Default for CheckOpts {
             quanta_cap: None,
             resume: true,
         }
+    }
+}
+
+impl CheckOpts {
+    /// Worker counts the conservative sharded engine runs an `n`-node case
+    /// with: [`shard_counts`](Self::shard_counts), plus one worker per node
+    /// (the paper's thread-per-node shape) when no configured count
+    /// reaches `n`.
+    pub fn sharded_counts(&self, n: usize) -> Vec<usize> {
+        let mut counts = self.shard_counts.clone();
+        if counts.iter().all(|&m| m < n) {
+            counts.push(n);
+        }
+        counts
     }
 }
 
@@ -112,28 +123,9 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         .quanta_cap
         .unwrap_or_else(|| default_quanta_cap(truth_end_ns, exp_packets, hi));
 
-    if opts.threaded {
-        let thr = run_guarded("threaded ground truth", || {
-            sim_for(case, SyncConfig::ground_truth())
-                .engine(EngineKind::Threaded)
-                .max_quanta(cap)
-                .run()
-        })?;
-        if thr.simulated_outcome() != truth {
-            return Err(format!(
-                "differential: threaded ground truth diverged from deterministic \
-                 (sim_end {} vs {}, packets {} vs {}, received {} vs {})",
-                thr.sim_end.as_nanos(),
-                truth_end_ns,
-                thr.total_packets,
-                truth.total_packets,
-                thr.messages_received,
-                truth.messages_received,
-            ));
-        }
-    }
+    let sharded_counts = opts.sharded_counts(case.n_nodes as usize);
     if opts.sharded {
-        for &m in &opts.shard_counts {
+        for &m in &sharded_counts {
             let sh = run_guarded("sharded ground truth", || {
                 sim_for(case, SyncConfig::ground_truth())
                     .engine(EngineKind::Sharded)
@@ -190,20 +182,28 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
             }
         }
     }
-    if opts.optimistic && case.optimistic_ok() {
-        let opt = run_guarded("optimistic ground truth", || {
-            sim_for(case, SyncConfig::ground_truth())
-                .engine(EngineKind::Optimistic)
-                .window(SimDuration::from_micros(20))
-                .optimistic_costs(HostDuration::ZERO, HostDuration::ZERO)
+    if opts.sharded_optimistic {
+        // The classic window-based optimistic engine: one shard, a fixed
+        // 20 µs free-run window (20× the safe bound, so in-window chains
+        // really roll back) and a cascade bound no 20-hop chain can reach.
+        // It never degrades, so it must be exact.
+        let label = "sharded-optimistic 20 µs windows (M=1)";
+        let opt = run_guarded(label, || {
+            sim_for(case, SyncConfig::fixed_micros(20))
+                .engine(EngineKind::ShardedOptimistic)
+                .shards(1)
+                .cascade_bound(256)
+                .max_quanta(cap)
                 .run()
         })?;
-        if opt.simulated_outcome() != truth {
+        let d = opt.detail.as_sharded_optimistic().expect("opt detail");
+        if d.degraded_windows != 0 || opt.simulated_outcome() != truth {
             return Err(format!(
-                "differential: optimistic diverged from deterministic \
-                 (sim_end {} vs {})",
+                "differential: {label} diverged from deterministic \
+                 (sim_end {} vs {}, {} degraded windows)",
                 opt.sim_end.as_nanos(),
                 truth_end_ns,
+                d.degraded_windows,
             ));
         }
     }
@@ -238,25 +238,13 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         ));
     }
 
-    if opts.threaded {
-        let thr_pol = run_guarded("threaded policy run", || {
-            sim_for(case, case.policy.sync_config())
-                .engine(EngineKind::Threaded)
-                .max_quanta(cap)
-                .record(ObsConfig::new().with_ring_capacity(OBS_RING))
-                .run()
-        })?;
-        check_policy_run("threaded policy run", &thr_pol, case, lo, hi)?;
-        conservation("threaded policy run", &thr_pol, exp_packets, exp_receives)?;
-    }
-
     if opts.sharded {
-        // Unlike the threaded engine, the sharded engine is deterministic
-        // for *every* policy (deliveries are fixed at the sender's quantum
-        // edge), so policy-run outcomes must be bit-identical across M too.
+        // The sharded engine is deterministic for *every* policy (deliveries
+        // are fixed at the sender's quantum edge), so policy-run outcomes
+        // must be bit-identical across M too.
         let mut baseline: Option<(usize, aqs_cluster::SimulatedOutcome)> = None;
         let mut active_exec: Option<u64> = None;
-        for &m in &opts.shard_counts {
+        for &m in &sharded_counts {
             let label = format!("sharded policy run (M={m})");
             let sh_pol = run_guarded(&label, || {
                 sim_for(case, case.policy.sync_config())
@@ -573,21 +561,19 @@ fn check_resume_truth(
     let det_res = resume_guarded("det ground-truth resume", || capture.resume(&snap))?;
     resume_differential("det ground-truth resume", &det_res, truth, cut)?;
 
-    let mut engines: Vec<(EngineKind, &[usize])> = Vec::new();
-    if opts.threaded {
-        // The threaded engine spawns one worker per node regardless of M.
-        engines.push((EngineKind::Threaded, &[1]));
-    }
-    for (enabled, kind) in [
-        (opts.sharded, EngineKind::Sharded),
-        (opts.sharded_optimistic, EngineKind::ShardedOptimistic),
-        (opts.hybrid, EngineKind::Hybrid),
+    let sharded_counts = opts.sharded_counts(case.n_nodes as usize);
+    for (enabled, kind, counts) in [
+        (opts.sharded, EngineKind::Sharded, &sharded_counts),
+        (
+            opts.sharded_optimistic,
+            EngineKind::ShardedOptimistic,
+            &opts.shard_counts,
+        ),
+        (opts.hybrid, EngineKind::Hybrid, &opts.shard_counts),
     ] {
-        if enabled {
-            engines.push((kind, &opts.shard_counts));
+        if !enabled {
+            continue;
         }
-    }
-    for (kind, counts) in engines {
         for &m in counts {
             let label = format!("{} ground-truth resume (M={m})", kind.name());
             let r = resume_guarded(&label, || {
@@ -675,12 +661,13 @@ fn resume_guarded(
         .map_err(|e| format!("{label}: {e}"))
 }
 
-/// Runs the threaded and sharded engines `rounds` times each under the
-/// ground-truth quantum with the schedule-fuzz hooks armed (randomized
-/// mailbox drain order, jittered barrier arrivals) and requires the outcome
-/// to stay bit-identical to the deterministic engine every time. Sharded
-/// rounds also rotate the worker count, so a schedule perturbation is
-/// compounded with a partition perturbation.
+/// Runs the sharded engine `2 × rounds` times under the ground-truth
+/// quantum with the schedule-fuzz hooks armed (randomized mailbox drain
+/// order, jittered barrier arrivals) and requires the outcome to stay
+/// bit-identical to the deterministic engine every time: `rounds` times
+/// with one worker per node (every barrier arrival and mailbox is its own
+/// thread), then `rounds` times rotating the worker count, so a schedule
+/// perturbation is compounded with a partition perturbation.
 #[cfg(feature = "schedule-fuzz")]
 pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result<(), String> {
     let truth = run_guarded("det ground truth", || {
@@ -693,28 +680,10 @@ pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result
         SimDuration::from_micros(1),
     );
     let truth = truth.simulated_outcome();
-    for round in 0..rounds {
-        aqs_sync::fuzz::arm(fuzz_seed.wrapping_add(round.wrapping_mul(0x9E37)));
-        let result = run_guarded("fuzzed threaded ground truth", || {
-            sim_for(case, SyncConfig::ground_truth())
-                .engine(EngineKind::Threaded)
-                .max_quanta(cap)
-                .run()
-        });
-        aqs_sync::fuzz::disarm();
-        let fuzzed = result?;
-        if fuzzed.simulated_outcome() != truth {
-            return Err(format!(
-                "schedule fuzz round {round}: threaded outcome diverged under \
-                 perturbed drain/arrival order (sim_end {} vs {})",
-                fuzzed.sim_end.as_nanos(),
-                truth.sim_end.as_nanos(),
-            ));
-        }
-    }
-    for round in 0..rounds {
-        let workers = 1 + (round as usize % 3);
-        aqs_sync::fuzz::arm(fuzz_seed.wrapping_add(round.wrapping_mul(0xB5297)));
+    let per_node = (0..rounds).map(|r| (case.n_nodes as usize, r.wrapping_mul(0x9E37)));
+    let rotating = (0..rounds).map(|r| (1 + r as usize % 3, r.wrapping_mul(0xB5297)));
+    for (round, (workers, salt)) in per_node.chain(rotating).enumerate() {
+        aqs_sync::fuzz::arm(fuzz_seed.wrapping_add(salt));
         let result = run_guarded("fuzzed sharded ground truth", || {
             sim_for(case, SyncConfig::ground_truth())
                 .engine(EngineKind::Sharded)
@@ -816,7 +785,7 @@ fn conservation(
     Ok(())
 }
 
-/// Generous quantum cap for threaded runs: enough for the ground-truth
+/// Generous quantum cap for worker-pool runs: enough for the ground-truth
 /// timeline plus worst-case per-packet dilation, so only a genuine deadlock
 /// (every quantum advancing with no progress) can hit it.
 fn default_quanta_cap(truth_end_ns: u64, exp_packets: u64, hi: SimDuration) -> u64 {

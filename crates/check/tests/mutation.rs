@@ -83,8 +83,6 @@ fn detect_and_shrink(name: &str, opts: &CheckOpts, scan_limit: u64) {
 /// are visible without paying for threads.
 fn det_only() -> CheckOpts {
     CheckOpts {
-        threaded: false,
-        optimistic: false,
         sharded: false,
         sharded_optimistic: false,
         hybrid: false,
@@ -93,11 +91,9 @@ fn det_only() -> CheckOpts {
 }
 
 /// Sharded-engine-only oracle runs, for faults that must be visible through
-/// the sharded packet path and leader without the threaded engine voting.
+/// the sharded packet path and leader alone.
 fn sharded_only() -> CheckOpts {
     CheckOpts {
-        threaded: false,
-        optimistic: false,
         sharded_optimistic: false,
         hybrid: false,
         ..CheckOpts::default()
@@ -109,8 +105,6 @@ fn sharded_only() -> CheckOpts {
 /// starve a receiver fail fast, and injected deadlocks stay cheap.
 fn rollback_only() -> CheckOpts {
     CheckOpts {
-        threaded: false,
-        optimistic: false,
         sharded: false,
         quanta_cap: Some(10_000),
         ..CheckOpts::default()
@@ -171,66 +165,27 @@ fn det_straggler_skip_is_detected_and_shrunk() {
 }
 
 #[test]
-fn leader_np_skip_is_detected_and_shrunk() {
-    let _w = window();
-    let _g = Armed;
-    // The threaded leader forgets node 0's packet count when advancing the
-    // policy; a quantum where node 0 was the only sender grows instead of
-    // shrinking, against the true count in the recorded trace.
-    aqs_cluster::fault::arm(aqs_cluster::fault::Fault::LeaderNpSkip);
-    let opts = CheckOpts {
-        threaded: true,
-        optimistic: false,
-        sharded: false,
-        quanta_cap: None,
-        ..CheckOpts::default()
-    };
-    detect_and_shrink("leader-np-skip", &opts, 200);
-}
-
-#[test]
 fn leader_np_skip_is_detected_in_the_sharded_engine() {
     let _w = window();
     let _g = Armed;
-    // Same fault, sharded leader: shard 0's packet count is forgotten when
-    // the tree-barrier leader advances the policy, so a quantum where only
-    // shard 0 sent grows instead of shrinking.
+    // Shard 0's packet count is forgotten when the tree-barrier leader
+    // advances the policy, so a quantum where only shard 0 sent grows
+    // instead of shrinking, against the true count in the recorded trace.
     aqs_cluster::fault::arm(aqs_cluster::fault::Fault::LeaderNpSkip);
     detect_and_shrink("leader-np-skip-sharded", &sharded_only(), 200);
-}
-
-#[test]
-fn mailbox_drop_is_detected_and_shrunk() {
-    let _w = window();
-    let _g = Armed;
-    // Every 5th mailbox push is dropped: a fragment vanishes, its receiver
-    // blocks forever, and the threaded engine spins quanta until the cap —
-    // caught as an engine panic (or, for tiny cases, as lost messages in
-    // the differential).
-    aqs_sync::fault::arm_mailbox_drop(5);
-    let opts = CheckOpts {
-        threaded: true,
-        optimistic: false,
-        sharded: false,
-        sharded_optimistic: false,
-        hybrid: false,
-        quanta_cap: Some(10_000),
-        ..CheckOpts::default()
-    };
-    detect_and_shrink("mailbox-drop", &opts, 50);
 }
 
 #[test]
 fn mailbox_drop_is_detected_in_the_sharded_engine() {
     let _w = window();
     let _g = Armed;
-    // The pooled push path must keep honoring the drop hook: a vanished
-    // fragment deadlocks the sharded run into its quantum cap (or shows up
-    // as lost messages in the differential).
+    // Every 5th mailbox push is dropped (the pooled push path must keep
+    // honoring the drop hook): a vanished fragment's receiver blocks
+    // forever and the sharded run spins quanta until the cap — caught as an
+    // engine panic (or, for tiny cases, as lost messages in the
+    // differential).
     aqs_sync::fault::arm_mailbox_drop(5);
     let opts = CheckOpts {
-        threaded: false,
-        optimistic: false,
         sharded_optimistic: false,
         hybrid: false,
         // Keep the injected deadlock cheap: the cap only needs to exceed

@@ -105,13 +105,13 @@ proptest! {
                 "case {}: det resume at quantum {} diverged", case.tag(), cut
             );
 
+            let counts = CheckOpts::default().sharded_counts(case.n_nodes as usize);
             for kind in [
-                EngineKind::Threaded,
                 EngineKind::Sharded,
                 EngineKind::ShardedOptimistic,
                 EngineKind::Hybrid,
             ] {
-                for &m in &CheckOpts::default().shard_counts {
+                for &m in &counts {
                     let r = spec
                         .clone()
                         .engine(kind)
@@ -127,10 +127,6 @@ proptest! {
                         "case {}: {} (M={}) resume at quantum {} diverged",
                         case.tag(), kind.name(), m, cut
                     );
-                    if kind == EngineKind::Threaded {
-                        // One worker per node regardless of M; once is enough.
-                        break;
-                    }
                 }
             }
         }

@@ -15,8 +15,6 @@ use aqs_check::{check_case_with, run_conformance, CaseSpec, CheckOpts, Conforman
 /// everything else is the new tier.
 fn rollback_opts() -> CheckOpts {
     CheckOpts {
-        threaded: false,
-        optimistic: false,
         sharded: false,
         ..CheckOpts::default()
     }

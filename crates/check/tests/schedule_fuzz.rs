@@ -1,10 +1,11 @@
-//! Schedule fuzzing: the threaded and sharded engines' functional outcomes
-//! must be independent of thread scheduling. The `schedule-fuzz` feature
+//! Schedule fuzzing: the sharded engine's functional outcomes must be
+//! independent of thread scheduling. The `schedule-fuzz` feature
 //! arms test-only perturbation hooks in `aqs-sync` — randomized mailbox
 //! drain order and jittered barrier arrivals — and the outcome under the
 //! safe quantum must stay bit-identical to the deterministic engine through
-//! every perturbed run. Sharded rounds additionally rotate the worker count,
-//! so the partition itself is perturbed along with the schedule.
+//! every perturbed run: first with one worker per node, then rotating the
+//! worker count, so the partition itself is perturbed along with the
+//! schedule.
 //!
 //! ```text
 //! cargo test -p aqs-check --features schedule-fuzz --test schedule_fuzz
@@ -16,8 +17,8 @@ use aqs_check::{check_case_fuzzed, CaseSpec};
 
 #[test]
 fn engine_outcomes_survive_perturbed_schedules() {
-    // A spread of generated cases, several perturbation rounds each on both
-    // real-thread engines (threaded, then sharded across worker counts).
+    // A spread of generated cases, several perturbation rounds each on the
+    // sharded engine (one worker per node, then across worker counts).
     // The fuzz hooks are armed per round inside `check_case_fuzzed`, so
     // runs never overlap an armed window.
     for index in 0..8 {

@@ -19,7 +19,7 @@ pub enum Fault {
     /// stragglers-vs-dilation invariant: a run that reports zero stragglers
     /// must reproduce the ground-truth `sim_end` exactly.
     DetStragglerSkip = 1,
-    /// The threaded engine's leader forgets node 0's packet count when
+    /// The sharded engine's leader forgets shard 0's packet count when
     /// summing `np` for the adaptive policy (the recorded trace still holds
     /// the true sum). Detected by the shrink-on-packet direction invariant
     /// on the recorded quanta.

@@ -1,7 +1,7 @@
 //! The cluster simulator: node simulators + network controller + quantum
 //! synchronization, exactly as assembled in the ISPASS 2008 paper.
 //!
-//! # Two engines
+//! # Four engines, two implementations
 //!
 //! * [`engine`] — the **deterministic meta-engine**. It is a discrete-event
 //!   simulation *of the parallel simulation itself*, running on a modelled
@@ -10,24 +10,21 @@
 //!   quantum barriers cost host time; stragglers are detected and delivered
 //!   late precisely as §3 of the paper describes. Because the host clock is
 //!   modelled, **speedup numbers are exactly reproducible** — same seed,
-//!   same figure.
-//! * [`parallel`] — the **threaded engine**: each node simulator runs on a
-//!   real OS thread, synchronizes through real barriers, and wall-clock is
-//!   measured with a real clock. It demonstrates that the technique works
-//!   as an actual parallel program; its timings are machine-dependent.
+//!   same figure. It is the paper (Algorithm 1) and the oracle.
 //! * [`sharded`] — the **sharded engine**: N node simulators partitioned
-//!   over M worker threads with a two-level tree barrier and a pooled,
-//!   allocation-free packet path. It is the cluster-scale engine (256–1024
-//!   nodes) and its functional results are bit-identical for every M.
+//!   over M real worker threads with a two-level tree barrier and a pooled,
+//!   allocation-free packet path; wall-clock is measured with a real clock.
+//!   With M = N it is the thread-per-node system the paper actually ran;
+//!   with M ≪ N it is the cluster-scale engine (256–262144 nodes). Its
+//!   functional results are bit-identical for every M.
+//! * [`sharded_optimistic`] — the checkpoint/rollback alternative of the
+//!   paper's §3 on the same worker pool: per-shard checkpoint rings,
+//!   barrier-leader GVT reduction, rollback confined to the offending shard
+//!   by a cascade bound. It serves two [`EngineKind`]s: `ShardedOptimistic`
+//!   and, with the adaptive conservative/optimistic [`HybridPolicy`],
+//!   `Hybrid`.
 //!
-//! There is also [`optimistic`], a checkpoint/rollback engine that trades
-//! conservative barriers for speculative re-execution, and
-//! [`sharded_optimistic`] — the optimistic mechanism rebuilt on the sharded
-//! substrate: per-shard checkpoint rings, barrier-leader GVT reduction,
-//! rollback confined to the offending shard by a cascade bound, and the
-//! adaptive conservative/optimistic [`HybridPolicy`].
-//!
-//! All six are driven through one entry point: the [`Sim`] builder.
+//! All four are driven through one entry point: the [`Sim`] builder.
 //!
 //! # Quick start
 //!
@@ -54,7 +51,7 @@
 //! assert_eq!(report.stragglers.count(), 0); // Q ≤ T is straggler-free
 //! ```
 //!
-//! Switch engines by changing one argument — `.engine(EngineKind::Threaded)`
+//! Switch engines by changing one argument — `.engine(EngineKind::Sharded)`
 //! runs the same workload on real threads. Attach a quantum-level flight
 //! recorder with [`Sim::record`]; see [`sim`] for details.
 
@@ -66,8 +63,7 @@ pub mod engine;
 mod experiment;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
-pub mod optimistic;
-pub mod parallel;
+mod pool;
 mod progress;
 mod result;
 pub mod sharded;
@@ -79,6 +75,7 @@ pub use config::{BarrierCostModel, ClusterConfig};
 pub use experiment::{
     app_metric, paper_sweep, run_workload, AppMetric, ConfigOutcome, Experiment, ExperimentResult,
 };
+pub use pool::ParallelNodeResult;
 pub use progress::ProgressRecorder;
 pub use result::{NodeResult, RunResult};
 pub use sharded::ShardedRunResult;

@@ -1,15 +1,14 @@
 //! The sharded parallel engine: N node simulators on M worker threads.
 //!
-//! The threaded engine ([`parallel`](crate::parallel)) inherits the paper's
-//! one-SimNow-per-core shape: one OS thread per simulated node. That stops
-//! scaling long before cluster sizes — at 256+ nodes the host drowns in
-//! oversubscription and scheduler churn instead of exercising Algorithm 1.
-//! This engine decouples logical processes from OS threads: the N node
-//! simulators are partitioned into M contiguous shards (M defaulting to the
-//! host's available parallelism), each worker advances its whole shard to
+//! The paper's system has a one-SimNow-per-core shape: one OS thread per
+//! simulated node. That stops scaling long before cluster sizes — at 256+
+//! nodes the host drowns in oversubscription and scheduler churn instead of
+//! exercising Algorithm 1. This engine decouples logical processes from OS
+//! threads: the N node simulators are partitioned into M contiguous shards
+//! (M defaulting to the host's available parallelism; `shards(n)` is the
+//! paper's thread-per-node shape), each worker advances its whole shard to
 //! the quantum edge, and the quantum handshake is a hierarchical two-level
-//! [`TreeBarrier`] whose root leader runs the `QuantumPolicy` exactly as the
-//! threaded engine's [`aqs_sync::LeaderBarrier`] leader does.
+//! [`TreeBarrier`] whose root leader runs the `QuantumPolicy`.
 //!
 //! Packets cross shards through one lock-free [`Mailbox`] per shard, with
 //! every hop allocation-free in steady state:
@@ -20,12 +19,11 @@
 //! * `LatencyMatrix` switch lookups go through a dense precomputed
 //!   nanosecond table (no bounds asserts, no enum dispatch per packet).
 //!
-//! **Delivery is quantum-edge-deterministic.** Unlike the threaded engine,
-//! which checks arrivals against the receiver's live published position (a
-//! benign race under unsafe quanta), this engine computes the effective
-//! delivery time at route time as `max(arrival, q_end)` of the sender's
-//! current quantum, and each shard drains its mailbox exactly once, at the
-//! quantum boundary. A packet that would arrive mid-quantum is a straggler
+//! **Delivery is quantum-edge-deterministic.** Instead of checking arrivals
+//! against the receiver's live position (a race under unsafe quanta), this
+//! engine computes the effective delivery time at route time as
+//! `max(arrival, q_end)` of the sender's current quantum, and each shard
+//! drains its mailbox exactly once, at the quantum boundary. A packet that would arrive mid-quantum is a straggler
 //! with delay `q_end − arrival` (always less than the quantum, hence within
 //! the policy's `maxQ` bound), deferred to the boundary. Consequences:
 //!
@@ -35,7 +33,7 @@
 //! * **Under the safe quantum (`Q ≤ T`) the timeline equals the
 //!   deterministic engine's bit for bit**: every arrival already lands at or
 //!   after the quantum edge, so `max(arrival, q_end) = arrival` and zero
-//!   stragglers occur — the same argument as for the threaded engine.
+//!   stragglers occur.
 //!
 //! # Examples
 //!
@@ -54,7 +52,7 @@
 //! assert_eq!(report.messages_received, 6);
 //! ```
 
-use crate::parallel::{
+use crate::pool::{
     busy_work, LeaderState, ParallelConfig, ParallelNodeResult, ParallelSwitch, Q_END_STOP,
 };
 use crate::sim::{EngineKind, SimError};
@@ -73,9 +71,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Outcome of a sharded run. Mirrors
-/// [`ParallelRunResult`](crate::parallel::ParallelRunResult) plus the worker
-/// count the run actually used.
+/// Outcome of a sharded run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShardedRunResult {
     /// Real wall-clock the run took.
@@ -960,10 +956,9 @@ fn worker_thread<R: Recorder>(
     )
 }
 
-/// Advances one node to the quantum edge — the same inner loop as the
-/// threaded engine's `node_thread`, minus mid-quantum drains (deliveries
-/// are never consumable before the boundary by construction) and minus
-/// position publication (nothing reads it).
+/// Advances one node to the quantum edge. There are no mid-quantum drains
+/// (deliveries are never consumable before the boundary by construction)
+/// and no position publication (nothing reads it).
 ///
 /// Returns `(lag_ns, wake_ns)`: the node's idle-tail lag for observability
 /// (0 when busy to the edge) and its next wake time — `q_end` when the node
@@ -1116,8 +1111,7 @@ fn next_quantum<R: Recorder>(
 
 /// The root leader's quantum-boundary work: record the observability sample
 /// (merging the per-shard slots into per-node lanes), then advance the
-/// policy and publish `(q_end, stop)` — the same step the threaded engine's
-/// leader runs, over per-shard instead of per-thread inputs.
+/// policy and publish `(q_end, stop)`.
 fn leader_step<R: Recorder>(
     shared: &SharedSharded<R>,
     leader: &mut LeaderState<R>,
@@ -1208,8 +1202,8 @@ fn leader_step<R: Recorder>(
         let mut policy_np = np;
         #[cfg(feature = "fault-inject")]
         if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
-            // Mirror the threaded engine's armable bug: the policy's view
-            // forgets shard 0's packets; the recorded trace keeps true np.
+            // Armable bug: the policy's view forgets shard 0's packets; the
+            // recorded trace keeps the true np.
             policy_np -= shared.np_slots[0].load(Ordering::Relaxed);
         }
         let next = leader.policy.next_quantum(policy_np);
@@ -1230,8 +1224,31 @@ mod tests {
     use aqs_obs::NullRecorder;
     use aqs_workloads::{burst, ping_pong};
 
+    /// Paper-default NIC/CPU models, the perfect switch, no busy-work.
     fn cfg(sync: SyncConfig) -> ParallelConfig {
-        ParallelConfig::new(sync).with_max_quanta(20_000_000)
+        ParallelConfig {
+            sync,
+            nic: NicModel::paper_default(),
+            cpu: aqs_node::CpuModel::default(),
+            switch: ParallelSwitch::Perfect,
+            host_work_per_op: 0.0,
+            max_quanta: 20_000_000,
+            full_sweep: false,
+        }
+    }
+
+    fn with_switch(sync: SyncConfig, switch: ParallelSwitch) -> ParallelConfig {
+        ParallelConfig {
+            switch,
+            ..cfg(sync)
+        }
+    }
+
+    fn full_sweep(sync: SyncConfig) -> ParallelConfig {
+        ParallelConfig {
+            full_sweep: true,
+            ..cfg(sync)
+        }
     }
 
     /// Unrecorded engine run with an owned result.
@@ -1314,11 +1331,7 @@ mod tests {
             (burst(5, 50_000, 1024).programs, SyncConfig::paper_dyn2()),
         ];
         for (programs, sync) in cases {
-            let full = run_sharded(
-                programs.clone(),
-                &cfg(sync.clone()).with_full_sweep(true),
-                Some(2),
-            );
+            let full = run_sharded(programs.clone(), &full_sweep(sync.clone()), Some(2));
             for m in 1..=4 {
                 let r = run_sharded(programs.clone(), &cfg(sync.clone()), Some(m));
                 assert_eq!(r.sim_end, full.sim_end, "workers={m}");
@@ -1350,7 +1363,7 @@ mod tests {
         let programs = mostly_idle(32);
         let full = run_sharded(
             programs.clone(),
-            &cfg(SyncConfig::ground_truth()).with_full_sweep(true),
+            &full_sweep(SyncConfig::ground_truth()),
             Some(2),
         );
         // The full sweep executes every node every quantum, by definition.
@@ -1397,6 +1410,34 @@ mod tests {
         assert_eq!(r.total_packets, 10);
         assert_eq!(r.workers, 2);
         assert!(r.sim_end > SimTime::ZERO);
+        assert!(r.per_node[0]
+            .regions
+            .iter()
+            .any(|reg| reg.region == aqs_node::RegionId::KERNEL));
+    }
+
+    #[test]
+    fn busy_work_slows_wall_clock() {
+        let spec = burst(2, 2_000_000, 512);
+        let fast = run_sharded(
+            spec.programs.clone(),
+            &cfg(SyncConfig::fixed_micros(1000)),
+            Some(2),
+        );
+        let slow = run_sharded(
+            spec.programs,
+            &ParallelConfig {
+                host_work_per_op: 50.0,
+                ..cfg(SyncConfig::fixed_micros(1000))
+            },
+            Some(2),
+        );
+        assert!(
+            slow.wall > fast.wall,
+            "busy work should cost wall time: {:?} vs {:?}",
+            slow.wall,
+            fast.wall
+        );
     }
 
     #[test]
@@ -1509,7 +1550,10 @@ mod tests {
             .run();
         let r = run_sharded(
             spec.programs,
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::LatencyMatrix(matrix)),
+            &with_switch(
+                SyncConfig::ground_truth(),
+                ParallelSwitch::LatencyMatrix(matrix),
+            ),
             Some(2),
         );
         assert_eq!(r.sim_end, det.sim_end);
@@ -1569,7 +1613,10 @@ mod tests {
             .run();
         let r = run_sharded(
             spec.programs,
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::Fabric(small_fabric(6))),
+            &with_switch(
+                SyncConfig::ground_truth(),
+                ParallelSwitch::Fabric(small_fabric(6)),
+            ),
             Some(3),
         );
         assert_eq!(r.sim_end, det.sim_end);
@@ -1583,7 +1630,10 @@ mod tests {
         // unsafe quanta (stragglers present) the outcome is M-independent.
         let spec = ping_pong(6, 25, 4096);
         let mk = || {
-            cfg(SyncConfig::fixed_micros(1000)).with_switch(ParallelSwitch::Fabric(small_fabric(6)))
+            with_switch(
+                SyncConfig::fixed_micros(1000),
+                ParallelSwitch::Fabric(small_fabric(6)),
+            )
         };
         let reference = run_sharded(spec.programs.clone(), &mk(), Some(1));
         assert!(reference.stragglers.count() > 0, "workload must straggle");
@@ -1612,8 +1662,10 @@ mod tests {
         let run = |m| {
             run_sharded_impl(
                 spec.programs.clone(),
-                &cfg(SyncConfig::ground_truth())
-                    .with_switch(ParallelSwitch::Fabric(fabric.clone())),
+                &with_switch(
+                    SyncConfig::ground_truth(),
+                    ParallelSwitch::Fabric(fabric.clone()),
+                ),
                 Some(m),
                 FlightRecorder::new(6, ObsConfig::new()),
                 None,
@@ -1634,7 +1686,10 @@ mod tests {
         // An unrecorded fabric run must not regress the pooled packet path.
         let null = run_sharded(
             spec.programs.clone(),
-            &cfg(SyncConfig::ground_truth()).with_switch(ParallelSwitch::Fabric(fabric.clone())),
+            &with_switch(
+                SyncConfig::ground_truth(),
+                ParallelSwitch::Fabric(fabric.clone()),
+            ),
             Some(3),
         );
         assert_eq!(null.sim_end, r3.sim_end);
@@ -1656,6 +1711,8 @@ mod tests {
         assert_eq!(fr.total_packets(), r.total_packets);
         assert_eq!(fr.total_quanta(), r.total_quanta);
         assert_eq!(fr.total_stragglers(), r.stragglers.count());
+        // Barrier waits are real time, one lane per node every quantum.
+        assert!(fr.barrier_wait_hist().count() > 0);
         let null = run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2));
         assert_eq!(null.sim_end, r.sim_end);
         assert_eq!(null.total_quanta, r.total_quanta);
@@ -1671,7 +1728,10 @@ mod tests {
         let p1 = ProgramBuilder::new(Rank::new(1)).compute(10).build();
         let _ = run_sharded(
             vec![p0, p1],
-            &ParallelConfig::new(SyncConfig::fixed_micros(1000)).with_max_quanta(500),
+            &ParallelConfig {
+                max_quanta: 500,
+                ..cfg(SyncConfig::fixed_micros(1000))
+            },
             Some(1),
         );
     }

@@ -57,7 +57,7 @@
 //! is bit-identical to the deterministic engine for every worker count and
 //! for both the pure and hybrid engines.
 
-use crate::parallel::{busy_work, ParallelConfig, ParallelNodeResult};
+use crate::pool::{busy_work, Inbound, ParallelConfig, ParallelNodeResult};
 use crate::sharded::{default_workers, partition, ArrivalTable};
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::ResumeSeed;
@@ -66,15 +66,13 @@ use aqs_net::StragglerStats;
 use aqs_node::{Action, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{GvtReduction, TreeBarrier};
-use aqs_time::{SimDuration, SimTime};
+use aqs_time::{HostDuration, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::optimistic::Inbound;
 
 /// Control word: stop the run.
 const CTRL_STOP: u64 = u64::MAX;
@@ -197,6 +195,34 @@ impl ShardedOptimisticRunResult {
     /// Total messages received across nodes.
     pub fn messages_received_total(&self) -> u64 {
         self.per_node.iter().map(|n| n.messages_received).sum()
+    }
+
+    /// What this run would cost on a full-system simulator whose node
+    /// checkpoints and restores are not free — the paper's §3 argument as
+    /// arithmetic on the run's counters.
+    ///
+    /// Nodes checkpoint in parallel at every window start (`checkpoint`
+    /// once per window) and restore in parallel when they roll back: a
+    /// window that re-executed `k` node-windows needed at least `⌈k / n⌉`
+    /// serial restore rounds (`rollback` each). `execution` is the host
+    /// time of actually simulating the workload — the deterministic
+    /// engine's modelled time at the same window length.
+    ///
+    /// Reads [`reexec_trace`](Self::reexec_trace), so the restore term is a
+    /// lower bound when [`traces_truncated`](Self::traces_truncated) is set.
+    pub fn modelled_host_time(
+        &self,
+        checkpoint: HostDuration,
+        rollback: HostDuration,
+        execution: HostDuration,
+    ) -> HostDuration {
+        let n = self.per_node.len() as u64;
+        let restore_rounds: u64 = self
+            .reexec_trace
+            .iter()
+            .map(|&k| u64::from(k).div_ceil(n))
+            .sum();
+        checkpoint * self.windows + rollback * restore_rounds + execution
     }
 }
 
@@ -1324,6 +1350,32 @@ mod tests {
             .sum();
         assert_eq!(d.wasted_sim.as_nanos(), replayed);
         assert_eq!(u64::from(d.reexec_trace.iter().sum::<u32>()), d.rollbacks);
+    }
+
+    #[test]
+    fn modelled_host_time_is_the_execution_term_plus_monotone_state_costs() {
+        // The classic §3 configuration: one shard, fixed windows, a bound
+        // the run never reaches.
+        let spec = ping_pong(4, 25, 4096);
+        let r = Sim::new(spec.programs)
+            .engine(EngineKind::ShardedOptimistic)
+            .sync(SyncConfig::fixed_micros(50))
+            .cascade_bound(256)
+            .shards(1)
+            .run();
+        let d = r.detail.as_sharded_optimistic().expect("opt detail");
+        assert!(d.rollbacks > 0 && !d.traces_truncated);
+        let exec = HostDuration::from_millis(7);
+        let bill = |c, r| {
+            d.modelled_host_time(HostDuration::from_secs(c), HostDuration::from_secs(r), exec)
+        };
+        assert_eq!(bill(0, 0), exec, "free state costs only the execution");
+        assert_eq!(bill(1, 0), exec + HostDuration::from_secs(1) * d.windows);
+        assert!(bill(0, 0) < bill(1, 0) && bill(1, 0) < bill(30, 0));
+        assert!(bill(0, 0) < bill(0, 1) && bill(0, 1) < bill(0, 30));
+        // Restores are charged per serial round, never more than one per
+        // node re-execution.
+        assert!(bill(0, 1) <= exec + HostDuration::from_secs(1) * d.rollbacks);
     }
 
     #[test]

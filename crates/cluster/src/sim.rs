@@ -1,13 +1,10 @@
-//! The unified engine API: one builder, six engines, one report.
+//! The unified engine API: one builder, four engines, one report.
 //!
-//! Historically each engine had its own free-function entry point
-//! (`run_cluster`, `run_cluster_with_switch`, `run_parallel`,
-//! `run_optimistic`) with its own config and result types, so every
-//! benchmark and test hard-wired one engine. [`Sim`] folds them behind a
-//! single builder: pick the engine with [`Sim::engine`], tune it with the
-//! shared [`ClusterConfig`] plus engine-specific knobs, optionally attach a
-//! quantum-level [`FlightRecorder`] with [`Sim::record`], and get back one
-//! [`RunReport`] whose common fields mean the same thing everywhere.
+//! [`Sim`] is the single entry point to every engine: pick the engine with
+//! [`Sim::engine`], tune it with the shared [`ClusterConfig`] plus
+//! engine-specific knobs, optionally attach a quantum-level
+//! [`FlightRecorder`] with [`Sim::record`], and get back one [`RunReport`]
+//! whose common fields mean the same thing everywhere.
 //!
 //! # Examples
 //!
@@ -31,8 +28,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{run_cluster_det, DetOutcome};
-use crate::optimistic::{run_optimistic_impl, OptimisticConfig, OptimisticRunResult};
-use crate::parallel::{run_parallel_impl, ParallelConfig, ParallelRunResult, ParallelSwitch};
+use crate::pool::{ParallelConfig, ParallelSwitch};
 use crate::result::RunResult;
 use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
@@ -46,7 +42,7 @@ use aqs_net::{
 };
 use aqs_node::Program;
 use aqs_obs::{FlightRecorder, NullRecorder, ObsConfig, Recorder};
-use aqs_time::{HostDuration, SimDuration, SimTime};
+use aqs_time::{HostDuration, SimTime};
 use std::fmt;
 use std::time::Duration;
 
@@ -57,21 +53,18 @@ pub enum EngineKind {
     /// modelled host clock. Exactly reproducible timing.
     #[default]
     Deterministic,
-    /// The threaded engine: one OS thread per node, real barriers, real
-    /// wall-clock. Machine-dependent timing, exact functional results under
-    /// the safe quantum.
-    Threaded,
-    /// The optimistic (checkpoint/rollback) engine: free-running windows
-    /// with fixed-point re-execution. Exact simulated timeline.
-    Optimistic,
     /// The sharded engine: N node simulators on M worker threads with
     /// quantum-edge-deterministic delivery. Real wall-clock; functional
-    /// results are bit-identical for every worker count.
+    /// results are bit-identical for every worker count. `shards(n)` is the
+    /// paper's one-thread-per-node system.
     Sharded,
-    /// The optimistic mechanism rebuilt on the sharded substrate: per-shard
-    /// checkpoint rings, GVT reduced by the tree-barrier leader, rollback
-    /// confined to the offending shard by a cascade bound (past the bound
-    /// the shard degrades to conservative execution for one window).
+    /// The optimistic (checkpoint/rollback) mechanism on the sharded
+    /// substrate: per-shard checkpoint rings, GVT reduced by the
+    /// tree-barrier leader, rollback confined to the offending shard by a
+    /// cascade bound (past the bound the shard degrades to conservative
+    /// execution for one window). With one shard, a fixed quantum as the
+    /// window and a bound the run never reaches, it is the classic
+    /// window-based optimistic engine of the paper's §3.
     ShardedOptimistic,
     /// The sharded-optimistic engine with the adaptive [`HybridPolicy`]:
     /// each shard independently switches between conservative and
@@ -82,13 +75,11 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Short lowercase name (`deterministic` / `threaded` / `optimistic` /
-    /// `sharded` / `sharded-optimistic` / `hybrid`).
+    /// Short lowercase name (`deterministic` / `sharded` /
+    /// `sharded-optimistic` / `hybrid`).
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Deterministic => "deterministic",
-            EngineKind::Threaded => "threaded",
-            EngineKind::Optimistic => "optimistic",
             EngineKind::Sharded => "sharded",
             EngineKind::ShardedOptimistic => "sharded-optimistic",
             EngineKind::Hybrid => "hybrid",
@@ -98,18 +89,17 @@ impl EngineKind {
 
 /// Switch timing model for a [`Sim`] run.
 ///
-/// Not every engine supports every switch: the threaded engine needs a
-/// stateless model (no shared mutable switch state between threads) and the
-/// optimistic engine routes with the NIC minimum latency only. [`Sim::run`]
-/// panics with a clear message on an unsupported combination rather than
-/// silently ignoring the model.
+/// Not every engine supports every switch: the worker-pool engines need a
+/// stateless model (no shared mutable switch state between threads).
+/// [`Sim::run`] panics with a clear message on an unsupported combination
+/// rather than silently ignoring the model.
 #[derive(Clone, Debug, Default)]
 pub enum SimSwitch {
     /// Infinite bandwidth, zero transit delay (the paper's evaluation
     /// switch). Supported by every engine.
     #[default]
     Perfect,
-    /// Fixed per-(src, dst) latency. Deterministic and threaded engines.
+    /// Fixed per-(src, dst) latency. Supported by every engine.
     LatencyMatrix(LatencyMatrixSwitch),
     /// Store-and-forward queueing with finite egress bandwidth.
     /// Deterministic engine only (stateful).
@@ -117,8 +107,8 @@ pub enum SimSwitch {
     /// A modeled multi-tier fat-tree fabric ([`FatTreeFabric`]): per-link
     /// bandwidth, epoch-keyed queue occupancy, deterministic ECMP hashing.
     /// Transit is a pure function of `(src, dst, bytes, departure)`, so it
-    /// is supported by the deterministic, threaded *and* sharded engines —
-    /// with bit-identical results for every worker count.
+    /// is supported by every engine — with bit-identical results for every
+    /// worker count.
     Fabric(FabricConfig),
 }
 
@@ -171,11 +161,9 @@ pub enum SimError {
     InvalidFabric(String),
     /// The chaos configuration failed [`ChaosConfig::validate`].
     InvalidChaos(String),
-    /// The selected engine does not support chaos injection.
-    UnsupportedChaos {
-        /// The engine that rejected the chaos overlay.
-        engine: EngineKind,
-    },
+    /// [`Sim::host_work_per_op`] was given a negative or non-finite factor
+    /// (carried as text).
+    InvalidHostWork(String),
     /// A scenario file could not be parsed (see the `aqs-scenario` crate).
     ScenarioParse {
         /// Path of the scenario file.
@@ -206,14 +194,6 @@ pub enum SimError {
         engine: EngineKind,
         /// The quantum cap that was exhausted.
         max_quanta: u64,
-    },
-    /// The optimistic engine's fixed-point iteration failed to converge
-    /// within its cap — the free-run window is too long for this traffic.
-    WindowNonConvergence {
-        /// Simulated start of the window that failed to converge.
-        window_start: SimTime,
-        /// The iteration cap that was exhausted ([`Sim::max_iterations`]).
-        max_iterations: u32,
     },
     /// An internal engine invariant failed. Always a bug, never a workload
     /// property — reported as an error (not a panic) so a resident server
@@ -259,11 +239,6 @@ pub enum SimError {
         /// Quanta the run actually completed.
         completed: u64,
     },
-    /// The engine does not support snapshot/resume.
-    SnapshotUnsupported {
-        /// The engine that cannot snapshot or resume.
-        engine: EngineKind,
-    },
 }
 
 impl SimError {
@@ -300,11 +275,9 @@ impl fmt::Display for SimError {
             SimError::InvalidChaos(reason) => {
                 write!(f, "invalid chaos configuration: {reason}")
             }
-            SimError::UnsupportedChaos { engine } => write!(
+            SimError::InvalidHostWork(factor) => write!(
                 f,
-                "the {} engine does not support chaos injection (it routes with the NIC \
-                 minimum latency only)",
-                engine.name()
+                "invalid host_work_per_op {factor}: the factor must be finite and >= 0"
             ),
             SimError::ScenarioParse {
                 file,
@@ -331,14 +304,6 @@ impl fmt::Display for SimError {
                 "quantum cap exceeded: the {} engine ran {max_quanta} quanta without \
                  finishing — workload deadlock?",
                 engine.name()
-            ),
-            SimError::WindowNonConvergence {
-                window_start,
-                max_iterations,
-            } => write!(
-                f,
-                "optimistic window at {window_start} failed to converge within \
-                 {max_iterations} iterations (window too long for this traffic?)"
             ),
             SimError::EngineInvariant { detail } => {
                 write!(f, "engine invariant violated: {detail}")
@@ -369,19 +334,14 @@ impl fmt::Display for SimError {
                 "cannot snapshot at quantum {requested}: the run finished \
                  after {completed} quanta"
             ),
-            SimError::SnapshotUnsupported { engine } => write!(
-                f,
-                "the {} engine does not support snapshot/resume",
-                engine.name()
-            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
-/// Wall-clock of a run — modelled host time (deterministic and optimistic
-/// engines) or real elapsed time (threaded engine).
+/// Wall-clock of a run — modelled host time (deterministic engine) or real
+/// elapsed time (worker-pool engines).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WallClock {
     /// Modelled host duration (exactly reproducible).
@@ -402,16 +362,12 @@ impl WallClock {
 
 /// Engine-specific result payload carried by a [`RunReport`].
 ///
-/// The deterministic and threaded results are boxed: they embed traces and
-/// straggler histograms and would otherwise dominate every report's size.
+/// The results are boxed: they embed traces and straggler histograms and
+/// would otherwise dominate every report's size.
 #[derive(Clone, Debug)]
 pub enum EngineDetail {
     /// Full deterministic-engine result.
     Deterministic(Box<RunResult>),
-    /// Full threaded-engine result.
-    Threaded(Box<ParallelRunResult>),
-    /// Full optimistic-engine result.
-    Optimistic(OptimisticRunResult),
     /// Full sharded-engine result.
     Sharded(Box<ShardedRunResult>),
     /// Full sharded-optimistic result (both the pure and hybrid kinds; the
@@ -424,22 +380,6 @@ impl EngineDetail {
     pub fn as_deterministic(&self) -> Option<&RunResult> {
         match self {
             EngineDetail::Deterministic(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The threaded result, if this run used that engine.
-    pub fn as_threaded(&self) -> Option<&ParallelRunResult> {
-        match self {
-            EngineDetail::Threaded(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The optimistic result, if this run used that engine.
-    pub fn as_optimistic(&self) -> Option<&OptimisticRunResult> {
-        match self {
-            EngineDetail::Optimistic(r) => Some(r),
             _ => None,
         }
     }
@@ -486,8 +426,7 @@ pub struct SimulatedOutcome {
 pub struct RunReport {
     /// Engine that produced this report.
     pub engine: EngineKind,
-    /// Label of the synchronization policy (the optimistic engine, which
-    /// has no quantum, reports `"optimistic"`).
+    /// Label of the synchronization policy.
     pub sync_label: String,
     /// Number of nodes.
     pub n_nodes: usize,
@@ -497,10 +436,10 @@ pub struct RunReport {
     pub total_packets: u64,
     /// Messages fully received, summed over nodes.
     pub messages_received: u64,
-    /// Straggler statistics (always zero for the optimistic engine, which
-    /// re-executes instead of delivering late).
+    /// Straggler statistics.
     pub stragglers: StragglerStats,
-    /// Quanta executed (windows, for the optimistic engine).
+    /// Quanta executed (committed windows, for the sharded-optimistic and
+    /// hybrid engines).
     pub total_quanta: u64,
     /// Wall-clock — modelled or real depending on the engine.
     pub wall_clock: WallClock,
@@ -527,16 +466,6 @@ impl RunReport {
     pub fn simulated_outcome(&self) -> SimulatedOutcome {
         let per_node = match &self.detail {
             EngineDetail::Deterministic(r) => r
-                .per_node
-                .iter()
-                .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
-                .collect(),
-            EngineDetail::Threaded(r) => r
-                .per_node
-                .iter()
-                .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
-                .collect(),
-            EngineDetail::Optimistic(r) => r
                 .per_node
                 .iter()
                 .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
@@ -579,11 +508,6 @@ pub struct Sim {
     switch: SimSwitch,
     host_work_per_op: f64,
     max_quanta: u64,
-    window: SimDuration,
-    checkpoint_cost: HostDuration,
-    rollback_cost: HostDuration,
-    gvt_cost: HostDuration,
-    max_iterations: u32,
     shards: Option<usize>,
     cascade_bound: u32,
     ring_depth: usize,
@@ -598,7 +522,6 @@ impl Sim {
     /// with the deterministic engine, the paper's ground-truth quantum, and
     /// no recording.
     pub fn new(programs: Vec<Program>) -> Self {
-        let defaults = OptimisticConfig::new(ClusterConfig::new(SyncConfig::ground_truth()));
         Self {
             programs,
             engine: EngineKind::Deterministic,
@@ -606,11 +529,6 @@ impl Sim {
             switch: SimSwitch::Perfect,
             host_work_per_op: 0.0,
             max_quanta: u64::MAX,
-            window: defaults.window,
-            checkpoint_cost: defaults.checkpoint_cost,
-            rollback_cost: defaults.rollback_cost,
-            gvt_cost: defaults.gvt_cost,
-            max_iterations: defaults.max_iterations,
             shards: None,
             cascade_bound: 8,
             ring_depth: 4,
@@ -643,7 +561,7 @@ impl Sim {
         self
     }
 
-    /// Sets the experiment seed (deterministic and optimistic engines).
+    /// Sets the experiment seed (deterministic engine).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -657,44 +575,25 @@ impl Sim {
         self
     }
 
-    /// Threaded engine: real host nanoseconds of busy-work per simulated
-    /// operation (see [`ParallelConfig::host_work_per_op`]).
+    /// Worker-pool engines: real host nanoseconds of busy-work burned per
+    /// simulated operation — emulates the execution cost of the node
+    /// simulator itself. Zero (the default) runs the functional simulation
+    /// at full speed. A negative or non-finite factor is rejected by
+    /// [`Sim::run`]/[`Sim::try_run`] with [`SimError::InvalidHostWork`].
     #[must_use]
     pub fn host_work_per_op(mut self, factor: f64) -> Self {
         self.host_work_per_op = factor;
         self
     }
 
-    /// Threaded engine: hard cap on quanta (deadlock guard).
+    /// Worker-pool engines: hard cap on quanta (deadlock guard).
     #[must_use]
     pub fn max_quanta(mut self, max: u64) -> Self {
         self.max_quanta = max;
         self
     }
 
-    /// Optimistic engine: free-run window length.
-    #[must_use]
-    pub fn window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Optimistic engine: per-checkpoint and per-rollback host costs.
-    #[must_use]
-    pub fn optimistic_costs(mut self, checkpoint: HostDuration, rollback: HostDuration) -> Self {
-        self.checkpoint_cost = checkpoint;
-        self.rollback_cost = rollback;
-        self
-    }
-
-    /// Optimistic engine: fixed-point iteration cap per window.
-    #[must_use]
-    pub fn max_iterations(mut self, cap: u32) -> Self {
-        self.max_iterations = cap;
-        self
-    }
-
-    /// Sharded engine: number of worker threads (shards). Defaults to the
+    /// Worker-pool engines: number of worker threads (shards). Defaults to the
     /// host's available parallelism; always clamped to the node count
     /// (`min(m, n)`), so over-asking is harmless. Functional results are
     /// identical for every value.
@@ -739,10 +638,7 @@ impl Sim {
     /// [`ChaosConfig`]) on top of the configured switch. The overlay's
     /// extra delay is a pure function of `(src, dst, bytes, departure)`
     /// keyed on `(seed, epoch)`, so the same faults replay bit-identically
-    /// on the deterministic, threaded, and sharded engines and for every
-    /// worker count. The optimistic engine routes with the NIC minimum
-    /// latency only and rejects chaos
-    /// ([`SimError::UnsupportedChaos`]).
+    /// on every engine and for every worker count.
     #[must_use]
     pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = Some(chaos);
@@ -781,9 +677,9 @@ impl Sim {
     ///
     /// Panics with a [`SimError`]'s message on any configuration error
     /// (fewer than two programs, program *i* not for rank *i*, zero shards,
-    /// an engine/switch/chaos combination the engine does not support), or
-    /// on the engine's own failure modes (deadlock, quantum-cap overflow,
-    /// window non-convergence).
+    /// an invalid host-work factor, an engine/switch combination the engine
+    /// does not support), or on the engine's own failure modes (deadlock,
+    /// quantum-cap overflow).
     pub fn run(self) -> RunReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -843,39 +739,23 @@ impl Sim {
         if self.shards == Some(0) {
             return Err(SimError::ZeroShards);
         }
-        match (self.engine, &self.switch) {
-            (
-                EngineKind::Threaded
-                | EngineKind::Sharded
-                | EngineKind::ShardedOptimistic
-                | EngineKind::Hybrid,
-                SimSwitch::StoreAndForward(_),
-            ) => {
-                return Err(SimError::UnsupportedSwitch {
-                    engine: self.engine,
-                    switch: self.switch.name(),
-                    reason: "stateful models would serialize the packet path",
-                });
-            }
-            (EngineKind::Optimistic, sw) if !matches!(sw, SimSwitch::Perfect) => {
-                return Err(SimError::UnsupportedSwitch {
-                    engine: self.engine,
-                    switch: self.switch.name(),
-                    reason: "it routes with the NIC minimum latency only",
-                });
-            }
-            _ => {}
+        if !(self.host_work_per_op.is_finite() && self.host_work_per_op >= 0.0) {
+            return Err(SimError::InvalidHostWork(self.host_work_per_op.to_string()));
+        }
+        if self.engine != EngineKind::Deterministic
+            && matches!(self.switch, SimSwitch::StoreAndForward(_))
+        {
+            return Err(SimError::UnsupportedSwitch {
+                engine: self.engine,
+                switch: self.switch.name(),
+                reason: "stateful models would serialize the packet path",
+            });
         }
         if let SimSwitch::Fabric(cfg) = &self.switch {
             cfg.validate().map_err(SimError::InvalidFabric)?;
         }
         if let Some(chaos) = &self.chaos {
             chaos.validate().map_err(SimError::InvalidChaos)?;
-            if self.engine == EngineKind::Optimistic {
-                return Err(SimError::UnsupportedChaos {
-                    engine: self.engine,
-                });
-            }
         }
         Ok(())
     }
@@ -892,11 +772,6 @@ impl Sim {
             switch,
             host_work_per_op,
             max_quanta,
-            window,
-            checkpoint_cost,
-            rollback_cost,
-            gvt_cost,
-            max_iterations,
             shards,
             cascade_bound,
             ring_depth,
@@ -906,193 +781,65 @@ impl Sim {
             full_sweep,
         } = self;
         let overlay = chaos.map(|c| ChaosOverlay::new(c).expect("chaos validated before dispatch"));
-        // The parallel engines resume from a routed seed (the cut's
+        if engine == EngineKind::Deterministic {
+            let (r, rec) = match run_det(programs, &config, switch, overlay, rec, resume, None)? {
+                DetOutcome::Finished(r, rec) => (*r, rec),
+                DetOutcome::Captured(_) => unreachable!("no capture was requested"),
+            };
+            return Ok((det_report(r), rec));
+        }
+        // The worker-pool engines resume from a routed seed (the cut's
         // in-flight fragments plus restored node states); the deterministic
-        // engine consumes the body directly.
-        let seed: Option<ResumeSeed> = match resume {
-            Some(body) if engine != EngineKind::Deterministic => Some(body.seed()?),
-            _ => None,
+        // engine above consumes the body directly.
+        let seed: Option<ResumeSeed> = resume.map(SnapshotBody::seed).transpose()?;
+        let n = programs.len();
+        let par_switch = match switch {
+            SimSwitch::Perfect => ParallelSwitch::Perfect,
+            SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
+            SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
+            SimSwitch::StoreAndForward(_) => {
+                unreachable!("rejected by Sim::validate before dispatch")
+            }
         };
-        Ok(match engine {
-            EngineKind::Deterministic => {
-                let (r, rec) = match run_det(programs, &config, switch, overlay, rec, resume, None)?
-                {
-                    DetOutcome::Finished(r, rec) => (*r, rec),
-                    DetOutcome::Captured(_) => unreachable!("no capture was requested"),
-                };
-                (det_report(r), rec)
-            }
-            EngineKind::Threaded => {
-                let n = programs.len();
-                let par_switch = match switch {
-                    SimSwitch::Perfect => ParallelSwitch::Perfect,
-                    SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-                    SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-                    SimSwitch::StoreAndForward(_) => {
-                        unreachable!("rejected by Sim::validate before dispatch")
-                    }
-                };
-                let par_switch = match overlay {
-                    Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                    None => par_switch,
-                };
-                let pcfg = ParallelConfig {
-                    sync: config.sync.clone(),
-                    nic: config.nic,
-                    cpu: config.cpu,
-                    switch: par_switch,
-                    host_work_per_op,
-                    max_quanta,
-                    full_sweep,
-                };
-                let sync_label = pcfg.sync.build().label();
-                let (r, rec) = run_parallel_impl(programs, &pcfg, rec, seed.as_ref())?;
-                let report = RunReport {
-                    engine,
-                    sync_label,
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: r.messages_received_total(),
-                    stragglers: r.stragglers,
-                    total_quanta: r.total_quanta,
-                    wall_clock: WallClock::Real(r.wall),
-                    detail: EngineDetail::Threaded(Box::new(r)),
-                    obs: None,
-                };
-                (report, rec)
-            }
+        let pcfg = ParallelConfig {
+            sync: config.sync,
+            nic: config.nic,
+            cpu: config.cpu,
+            switch: match overlay {
+                Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
+                None => par_switch,
+            },
+            host_work_per_op,
+            max_quanta,
+            full_sweep,
+        };
+        let sync_label = pcfg.sync.build().label();
+        let (detail, rec) = match engine {
+            EngineKind::Deterministic => unreachable!("returned above"),
             EngineKind::Sharded => {
-                let n = programs.len();
-                let par_switch = match switch {
-                    SimSwitch::Perfect => ParallelSwitch::Perfect,
-                    SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-                    SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-                    SimSwitch::StoreAndForward(_) => {
-                        unreachable!("rejected by Sim::validate before dispatch")
-                    }
-                };
-                let par_switch = match overlay {
-                    Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                    None => par_switch,
-                };
-                let pcfg = ParallelConfig {
-                    sync: config.sync.clone(),
-                    nic: config.nic,
-                    cpu: config.cpu,
-                    switch: par_switch,
-                    host_work_per_op,
-                    max_quanta,
-                    full_sweep,
-                };
-                let sync_label = pcfg.sync.build().label();
                 let (r, rec) = run_sharded_impl(programs, &pcfg, shards, rec, seed.as_ref())?;
-                let report = RunReport {
-                    engine,
-                    sync_label,
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: r.messages_received_total(),
-                    stragglers: r.stragglers,
-                    total_quanta: r.total_quanta,
-                    wall_clock: WallClock::Real(r.wall),
-                    detail: EngineDetail::Sharded(Box::new(r)),
-                    obs: None,
-                };
-                (report, rec)
+                (EngineDetail::Sharded(Box::new(r)), rec)
             }
             EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
-                let n = programs.len();
-                let par_switch = match switch {
-                    SimSwitch::Perfect => ParallelSwitch::Perfect,
-                    SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-                    SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-                    SimSwitch::StoreAndForward(_) => {
-                        unreachable!("rejected by Sim::validate before dispatch")
-                    }
-                };
-                let par_switch = match overlay {
-                    Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                    None => par_switch,
-                };
-                let pcfg = ParallelConfig {
-                    sync: config.sync.clone(),
-                    nic: config.nic,
-                    cpu: config.cpu,
-                    switch: par_switch,
-                    host_work_per_op,
-                    max_quanta,
-                    full_sweep,
-                };
                 let opts = ShardedOptimisticOpts {
                     cascade_bound,
                     ring_depth,
                     hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
                 };
-                let sync_label = pcfg.sync.build().label();
                 let (r, rec) =
                     run_sharded_optimistic_impl(programs, &pcfg, shards, opts, rec, seed.as_ref())?;
-                let report = RunReport {
-                    engine,
-                    sync_label,
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: r.messages_received_total(),
-                    stragglers: r.stragglers,
-                    total_quanta: r.windows,
-                    wall_clock: WallClock::Real(r.wall),
-                    detail: EngineDetail::ShardedOptimistic(Box::new(r)),
-                    obs: None,
-                };
-                (report, rec)
+                (EngineDetail::ShardedOptimistic(Box::new(r)), rec)
             }
-            EngineKind::Optimistic => {
-                debug_assert!(
-                    matches!(switch, SimSwitch::Perfect),
-                    "rejected by Sim::validate before dispatch"
-                );
-                if resume.is_some() {
-                    return Err(SimError::SnapshotUnsupported {
-                        engine: EngineKind::Optimistic,
-                    });
-                }
-                let ocfg = OptimisticConfig {
-                    base: config,
-                    window,
-                    checkpoint_cost,
-                    rollback_cost,
-                    gvt_cost,
-                    max_iterations,
-                    max_windows: max_quanta,
-                };
-                let (r, rec) = run_optimistic_impl(programs, &ocfg, rec)?;
-                let messages = r.per_node.iter().map(|p| p.messages_received).sum();
-                let report = RunReport {
-                    engine,
-                    sync_label: "optimistic".to_string(),
-                    n_nodes: r.per_node.len(),
-                    sim_end: r.sim_end,
-                    total_packets: r.total_packets,
-                    messages_received: messages,
-                    stragglers: StragglerStats::default(),
-                    total_quanta: r.windows,
-                    wall_clock: WallClock::Modelled(r.host_elapsed),
-                    detail: EngineDetail::Optimistic(r),
-                    obs: None,
-                };
-                (report, rec)
-            }
-        })
+        };
+        Ok((pool_report(engine, sync_label, detail), rec))
     }
 
     /// The spec fingerprint stamped into snapshots and compared at
     /// [`Sim::resume`]: a hash of everything that defines the *simulated
     /// world* — programs, base config, switch, host-work factor, quantum
     /// cap, and chaos plan. The engine choice, shard count, and
-    /// optimistic-engine tuning knobs are deliberately excluded so a
-    /// snapshot captured once resumes on any supporting engine.
+    /// rollback tuning knobs are deliberately excluded so a snapshot
+    /// captured once resumes on any engine.
     pub fn fingerprint(&self) -> u64 {
         let mut spec = String::from("aqs-spec-v1");
         for part in [
@@ -1114,22 +861,16 @@ impl Sim {
     ///
     /// The capture run executes the deterministic engine on a clone of this
     /// builder; at a quantum edge every engine agrees on the simulated
-    /// state, so the snapshot resumes on any engine that supports it. The
-    /// builder itself is untouched — capture is a read-only probe.
+    /// state, so the snapshot resumes on any engine. The builder itself is
+    /// untouched — capture is a read-only probe.
     ///
     /// # Errors
     ///
     /// Everything [`Sim::try_run`] rejects, plus
-    /// [`SimError::SnapshotUnsupported`] for the optimistic engine (it has
-    /// no quantum edges) and [`SimError::SnapshotQuantumUnreachable`] when
-    /// the run finishes before `quantum` quanta complete.
+    /// [`SimError::SnapshotQuantumUnreachable`] when the run finishes
+    /// before `quantum` quanta complete.
     pub fn snapshot_at(&self, quantum: u64) -> Result<SimSnapshot, SimError> {
         self.validate()?;
-        if self.engine == EngineKind::Optimistic {
-            return Err(SimError::SnapshotUnsupported {
-                engine: EngineKind::Optimistic,
-            });
-        }
         let fingerprint = self.fingerprint();
         let probe = self.clone();
         let overlay = probe
@@ -1168,15 +909,9 @@ impl Sim {
     ///
     /// Everything [`Sim::try_run`] rejects, plus
     /// [`SimError::SnapshotSpecMismatch`] when the snapshot's fingerprint
-    /// is not this builder's [`Sim::fingerprint`], and
-    /// [`SimError::SnapshotUnsupported`] for the optimistic engine.
+    /// is not this builder's [`Sim::fingerprint`].
     pub fn resume(&self, snapshot: &SimSnapshot) -> Result<RunReport, SimError> {
         self.validate()?;
-        if self.engine == EngineKind::Optimistic {
-            return Err(SimError::SnapshotUnsupported {
-                engine: EngineKind::Optimistic,
-            });
-        }
         let expected = self.fingerprint();
         if snapshot.body.fingerprint != expected {
             return Err(SimError::SnapshotSpecMismatch {
@@ -1312,6 +1047,42 @@ fn run_det<R: Recorder>(
     }
 }
 
+/// Folds a worker-pool engine's native result into the unified report.
+fn pool_report(engine: EngineKind, sync_label: String, detail: EngineDetail) -> RunReport {
+    let (sim_end, total_packets, stragglers, total_quanta, wall, per_node) = match &detail {
+        EngineDetail::Sharded(r) => (
+            r.sim_end,
+            r.total_packets,
+            r.stragglers,
+            r.total_quanta,
+            r.wall,
+            &r.per_node,
+        ),
+        EngineDetail::ShardedOptimistic(r) => (
+            r.sim_end,
+            r.total_packets,
+            r.stragglers,
+            r.windows,
+            r.wall,
+            &r.per_node,
+        ),
+        EngineDetail::Deterministic(_) => unreachable!("not a worker-pool result"),
+    };
+    RunReport {
+        engine,
+        sync_label,
+        n_nodes: per_node.len(),
+        sim_end,
+        total_packets,
+        messages_received: per_node.iter().map(|p| p.messages_received).sum(),
+        stragglers,
+        total_quanta,
+        wall_clock: WallClock::Real(wall),
+        detail,
+        obs: None,
+    }
+}
+
 /// Folds a deterministic-engine [`RunResult`] into the unified report.
 fn det_report(r: RunResult) -> RunReport {
     let messages = r.per_node.iter().map(|p| p.messages_received).sum();
@@ -1333,35 +1104,39 @@ fn det_report(r: RunResult) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqs_time::SimDuration;
     use aqs_workloads::{burst, ping_pong};
 
     #[test]
     fn four_engines_one_builder_agree_under_safe_quantum() {
         let spec = burst(4, 50_000, 1024);
-        let mk = |engine| {
+        let mk = |engine, m| {
             Sim::new(spec.programs.clone())
                 .engine(engine)
                 .sync(SyncConfig::ground_truth())
-                .window(SimDuration::from_micros(20))
-                .optimistic_costs(HostDuration::ZERO, HostDuration::ZERO)
-                .shards(2)
+                .shards(m)
                 .run()
         };
-        let det = mk(EngineKind::Deterministic);
-        let thr = mk(EngineKind::Threaded);
-        let opt = mk(EngineKind::Optimistic);
-        let shd = mk(EngineKind::Sharded);
-        assert_eq!(det.simulated_outcome(), thr.simulated_outcome());
-        assert_eq!(det.simulated_outcome(), opt.simulated_outcome());
-        assert_eq!(det.simulated_outcome(), shd.simulated_outcome());
+        let det = mk(EngineKind::Deterministic, 2);
+        let shd = mk(EngineKind::Sharded, 2);
+        // One worker per node: the paper's thread-per-node system.
+        let per_node = mk(EngineKind::Sharded, 4);
+        let opt = mk(EngineKind::ShardedOptimistic, 1);
+        let hyb = mk(EngineKind::Hybrid, 2);
+        for other in [&shd, &per_node, &opt, &hyb] {
+            assert_eq!(det.simulated_outcome(), other.simulated_outcome());
+            assert!(matches!(other.wall_clock, WallClock::Real(_)));
+            assert!(other.detail.as_deterministic().is_none());
+        }
         assert_eq!(shd.engine.name(), "sharded");
         assert_eq!(shd.detail.as_sharded().expect("sharded detail").workers, 2);
-        assert!(matches!(shd.wall_clock, WallClock::Real(_)));
+        assert_eq!(per_node.detail.as_sharded().expect("detail").workers, 4);
+        assert_eq!(opt.engine.name(), "sharded-optimistic");
+        assert!(opt.detail.as_sharded_optimistic().is_some());
         assert_eq!(det.engine.name(), "deterministic");
         assert!(matches!(det.wall_clock, WallClock::Modelled(_)));
-        assert!(matches!(thr.wall_clock, WallClock::Real(_)));
         assert!(det.detail.as_deterministic().is_some());
-        assert!(det.detail.as_threaded().is_none());
+        assert!(det.detail.as_sharded().is_none());
     }
 
     #[test]
@@ -1408,7 +1183,6 @@ mod tests {
             sim.run().simulated_outcome()
         };
         let det = mk(EngineKind::Deterministic, None);
-        assert_eq!(det, mk(EngineKind::Threaded, None));
         for m in [1, 2, 4] {
             assert_eq!(det, mk(EngineKind::Sharded, Some(m)), "sharded m={m}");
         }
@@ -1419,22 +1193,6 @@ mod tests {
             .simulated_outcome();
         assert!(det.sim_end > clean.sim_end, "faults must delay completion");
         assert_eq!(det.messages_received, clean.messages_received);
-    }
-
-    #[test]
-    fn optimistic_rejects_chaos() {
-        let spec = ping_pong(2, 1, 64);
-        let err = Sim::new(spec.programs)
-            .engine(EngineKind::Optimistic)
-            .chaos(ChaosConfig::new(1).with_jitter(SimDuration::from_micros(1)))
-            .try_run()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SimError::UnsupportedChaos {
-                engine: EngineKind::Optimistic
-            }
-        );
     }
 
     #[test]
@@ -1449,10 +1207,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not support the StoreAndForward switch")]
-    fn threaded_rejects_stateful_switch() {
+    fn worker_pool_engines_reject_stateful_switch() {
         let spec = ping_pong(2, 1, 64);
         let _ = Sim::new(spec.programs)
-            .engine(EngineKind::Threaded)
+            .engine(EngineKind::Sharded)
             .switch(SimSwitch::StoreAndForward(StoreAndForwardSwitch::new(
                 SimDuration::ZERO,
                 1_000_000_000,
@@ -1507,19 +1265,12 @@ mod tests {
             .snapshot_at(full_det.total_quanta / 2)
             .expect("capturable cut");
         for kind in [
-            EngineKind::Threaded,
             EngineKind::Sharded,
             EngineKind::ShardedOptimistic,
             EngineKind::Hybrid,
         ] {
             for m in [1, 2, 5] {
-                if kind == EngineKind::Threaded && m != 1 {
-                    continue; // the threaded engine has no shard knob
-                }
-                let mut sim = base.clone().engine(kind);
-                if kind != EngineKind::Threaded {
-                    sim = sim.shards(m);
-                }
+                let sim = base.clone().engine(kind).shards(m);
                 let full = sim.clone().run();
                 let resumed = sim.resume(&snap).expect("resume succeeds");
                 assert_eq!(
@@ -1576,7 +1327,6 @@ mod tests {
         assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");
         // The parallel engines hit their quantum cap instead.
         for kind in [
-            EngineKind::Threaded,
             EngineKind::Sharded,
             EngineKind::ShardedOptimistic,
             EngineKind::Hybrid,
@@ -1619,20 +1369,6 @@ mod tests {
         assert!(
             matches!(err, SimError::SnapshotSpecMismatch { .. }),
             "got {err:?}"
-        );
-        // The optimistic engine has no quantum edges to cut at.
-        let opt = sim.clone().engine(EngineKind::Optimistic);
-        assert_eq!(
-            opt.snapshot_at(1).unwrap_err(),
-            SimError::SnapshotUnsupported {
-                engine: EngineKind::Optimistic
-            }
-        );
-        assert_eq!(
-            opt.resume(&snap).unwrap_err(),
-            SimError::SnapshotUnsupported {
-                engine: EngineKind::Optimistic
-            }
         );
     }
 }

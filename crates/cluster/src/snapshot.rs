@@ -218,7 +218,7 @@ pub(crate) struct ResumeSeed {
 
 impl SnapshotBody {
     /// Folds the snapshot into the engine-agnostic resume seed used by the
-    /// threaded and sharded engines.
+    /// worker-pool engines.
     pub(crate) fn seed(&self) -> Result<ResumeSeed, SimError> {
         let mut frags: Vec<PendingFrag> = self
             .in_flight

@@ -18,8 +18,8 @@
 //! cluster is partitioned, and whether a load spike is in progress. Because
 //! nothing mutates per call, identical call *sets* produce identical delays
 //! regardless of call order, worker count, or engine: the same scenario
-//! file is bit-identical across the deterministic, threaded, and sharded
-//! engines and every shard count.
+//! file is bit-identical across the deterministic and sharded engines and
+//! every shard count.
 //!
 //! The fault vocabulary:
 //!

@@ -188,8 +188,8 @@ fn ser_nanos(bytes: u64, bw_bps: u64) -> u64 {
 /// no dense n×n tables — so the model stays a few hundred kilobytes even
 /// at 64k nodes. Transit is a pure function of
 /// `(src, dst, bytes, departure)`, which makes the model safe for *every* engine:
-/// deterministic, threaded, and sharded runs all produce bit-identical
-/// timelines, for every worker count.
+/// deterministic and sharded runs all produce bit-identical timelines, for
+/// every worker count.
 ///
 /// # Examples
 ///

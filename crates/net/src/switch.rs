@@ -18,7 +18,7 @@ use aqs_time::{SimDuration, SimTime};
 /// # Statefulness and parallel engines
 ///
 /// That sequence-determinism contract is only strong enough for the
-/// single-threaded deterministic engine. The threaded and sharded engines
+/// single-threaded deterministic engine. The worker-pool engines
 /// route packets in worker- and race-dependent *order*, so a model whose
 /// state mutates per call (like [`StoreAndForwardSwitch`]) would silently
 /// break the sharded engine's bit-identical-for-every-worker-count

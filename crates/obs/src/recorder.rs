@@ -10,7 +10,7 @@ use aqs_time::{SimDuration, SimTime};
 ///
 /// Units: `start`/`len`/`max_straggler_delay` are simulated time;
 /// `barrier_wait_ns` is host time (modelled host nanoseconds in the
-/// deterministic engine, real elapsed nanoseconds in the threaded one);
+/// deterministic engine, real elapsed nanoseconds in the sharded one);
 /// `vt_lag_ns` is simulated nanoseconds of idle tail — how far before the
 /// quantum boundary the node ran out of useful work.
 #[derive(Clone, Copy, Debug)]

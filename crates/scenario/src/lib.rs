@@ -26,8 +26,7 @@
 //! Chaos is deterministic middleware ([`aqs_net::ChaosOverlay`]): every
 //! fault draw is a pure function of `(seed, epoch, flow)`, so the same
 //! scenario file produces the same faults — and the same simulated outcome
-//! — on the deterministic, threaded, and sharded engines, for every worker
-//! count. See the schema in [`model`] and the corpus under `scenarios/`.
+//! — on every engine, for every worker count. See the schema in [`model`] and the corpus under `scenarios/`.
 //!
 //! # Examples
 //!

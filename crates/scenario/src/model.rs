@@ -8,8 +8,8 @@
 //! nodes   = 8                        # required, >= 2
 //! seed    = 42                       # default 42
 //! policy  = "truth"                  # truth | dyn1 | dyn2 | pred | fixed:<µs>
-//! engines = ["deterministic", "threaded", "sharded"]
-//! shards  = [1, 2, 4]                # worker counts for the sharded engine
+//! engines = ["deterministic", "sharded"]   # | sharded-optimistic | hybrid
+//! shards  = [1, 2, 4]                # worker counts for the sharded engines
 //!
 //! [topology]                         # optional; default perfect switch
 //! kind       = "fabric"              # perfect | latency-matrix | fabric
@@ -345,17 +345,26 @@ fn parse_policy(spec: &str, file: &str, line: usize) -> Result<SyncConfig, SimEr
 fn parse_engine(name: &str, file: &str, line: usize) -> Result<EngineKind, SimError> {
     match name {
         "deterministic" => Ok(EngineKind::Deterministic),
-        "threaded" => Ok(EngineKind::Threaded),
         "sharded" => Ok(EngineKind::Sharded),
-        "optimistic" => Ok(EngineKind::Optimistic),
         "sharded-optimistic" => Ok(EngineKind::ShardedOptimistic),
         "hybrid" => Ok(EngineKind::Hybrid),
+        "threaded" => Err(perr(
+            file,
+            line,
+            "the `threaded` engine was retired: use `sharded` with `shards = [<nodes>]` \
+             (one worker per node)",
+        )),
+        "optimistic" => Err(perr(
+            file,
+            line,
+            "the `optimistic` engine was retired: use `sharded-optimistic`",
+        )),
         other => Err(perr(
             file,
             line,
             format!(
-                "unknown engine `{other}` (deterministic | threaded | sharded | optimistic \
-                 | sharded-optimistic | hybrid)"
+                "unknown engine `{other}` (deterministic | sharded | sharded-optimistic \
+                 | hybrid)"
             ),
         )),
     }
@@ -537,11 +546,7 @@ impl Scenario {
                     .map(|n| parse_engine(n, file, line))
                     .collect::<Result<Vec<_>, _>>()?
             }
-            None => vec![
-                EngineKind::Deterministic,
-                EngineKind::Threaded,
-                EngineKind::Sharded,
-            ],
+            None => vec![EngineKind::Deterministic, EngineKind::Sharded],
         };
         let shards = root.usize_array("shards")?.unwrap_or_else(|| vec![1, 2, 4]);
         if shards.is_empty() || shards.contains(&0) {
@@ -576,13 +581,6 @@ impl Scenario {
         if let Some(c) = &chaos {
             c.validate()
                 .map_err(|reason| verr(file, format!("invalid chaos configuration: {reason}")))?;
-            if engines.contains(&EngineKind::Optimistic) {
-                return Err(verr(
-                    file,
-                    "the optimistic engine does not support chaos injection; \
-                     drop it from `engines` or remove [chaos]",
-                ));
-            }
         }
 
         let asserts = match doc.tables.get("asserts") {
@@ -854,7 +852,10 @@ workload = "burst"
         assert_eq!(sc.nodes, 4);
         assert_eq!(sc.seed, 42);
         assert_eq!(sc.policy, SyncConfig::ground_truth());
-        assert_eq!(sc.engines.len(), 3);
+        assert_eq!(
+            sc.engines,
+            vec![EngineKind::Deterministic, EngineKind::Sharded]
+        );
         assert_eq!(sc.shards, vec![1, 2, 4]);
         assert_eq!(sc.topology, Topology::Perfect);
         assert!(sc.chaos.is_none());
@@ -935,10 +936,8 @@ min_messages = 10
 
     #[test]
     fn rollback_engines_parse_and_accept_chaos() {
-        // The blanket chaos rejection is scoped to the plain optimistic
-        // engine (which routes with NIC minimum latency and bypasses the
-        // switch): the checkpointing engines route every packet through the
-        // chaos overlay like the conservative ones do.
+        // The checkpointing engines route every packet through the chaos
+        // overlay like the conservative ones do.
         let sc = Scenario::from_str(
             r#"
 name = "rollback"
@@ -980,11 +979,8 @@ retransmit_us = 100
             ("name = \"x\"\nnodes = 4\nbogus = 1\n[[phases]]\nworkload = \"burst\"", true, "unknown scenario key `bogus`"),
             ("name = \"x\"\nnodes = 4\n[typo]\n[[phases]]\nworkload = \"burst\"", true, "unknown table `[typo]`"),
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nloss = 1.5", false, "invalid chaos"),
-            (
-                "name = \"x\"\nnodes = 4\nengines = [\"optimistic\"]\n[[phases]]\nworkload = \"burst\"\n[chaos]\nloss = 0.1",
-                false,
-                "does not support chaos",
-            ),
+            ("name = \"x\"\nnodes = 4\nengines = [\"threaded\"]\n[[phases]]\nworkload = \"burst\"", true, "retired: use `sharded` with `shards = [<nodes>]`"),
+            ("name = \"x\"\nnodes = 4\nengines = [\"optimistic\"]\n[[phases]]\nworkload = \"burst\"", true, "retired: use `sharded-optimistic`"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"torus\"\n[[phases]]\nworkload = \"burst\"", true, "unknown topology"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"latency-matrix\"\n[[phases]]\nworkload = \"burst\"", false, "needs `latency_us`"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"perfect\"\nlatency_us = 2\n[[phases]]\nworkload = \"burst\"", true, "does not apply"),

@@ -179,7 +179,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
                     let phase = match &error {
                         SimError::Deadlock { .. }
                         | SimError::QuantumCapExceeded { .. }
-                        | SimError::WindowNonConvergence { .. }
                         | SimError::EngineInvariant { .. } => attribute_failing_phase(scenario),
                         _ => None,
                     };
@@ -344,8 +343,8 @@ rounds = 5
 "#,
         ))
         .expect("passes");
-        // deterministic + threaded + sharded m=1 + sharded m=2
-        assert_eq!(report.runs.len(), 4);
+        // deterministic + sharded m=1 + sharded m=2
+        assert_eq!(report.runs.len(), 3);
         assert_eq!(report.phases, 2);
         assert!(!report.chaos);
         assert!(report.checks.iter().any(|c| c.contains("cross_engine")));
@@ -406,17 +405,17 @@ max_sim_ms = 0
 
     #[test]
     fn failed_run_names_the_engine_combination() {
-        // The optimistic engine rejects a latency-matrix topology at run
-        // time; the error must say which run died, not just bubble the
-        // bare SimError.
+        // A zero rack size parses but is rejected by `Sim` at run time; the
+        // error must say which run died, not just bubble the bare SimError.
         let err = run_scenario(&scenario(
             r#"
 name = "bad-combo"
 nodes = 4
-engines = ["optimistic"]
+engines = ["sharded"]
+shards = [2]
 [topology]
-kind = "latency-matrix"
-latency_us = 5
+kind = "fabric"
+rack_size = 0
 [[phases]]
 workload = "pingpong"
 rounds = 2
@@ -431,17 +430,17 @@ rounds = 2
                 error,
             } => {
                 assert_eq!(scenario, "bad-combo");
-                assert_eq!(label, "optimistic");
+                assert_eq!(label, "sharded m=2");
                 assert_eq!(*phase, None, "a config rejection is not a phase's fault");
                 assert!(
-                    matches!(**error, SimError::UnsupportedSwitch { .. }),
+                    matches!(**error, SimError::InvalidFabric(_)),
                     "got {error:?}"
                 );
             }
             other => panic!("wrong error: {other}"),
         }
         let text = err.to_string();
-        assert!(text.contains("run `optimistic` failed"), "{text}");
+        assert!(text.contains("run `sharded m=2` failed"), "{text}");
     }
 
     #[test]

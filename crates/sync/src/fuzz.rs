@@ -1,6 +1,6 @@
 //! Test-only schedule perturbation hooks (`schedule-fuzz` feature).
 //!
-//! The threaded engine's functional results must be independent of two
+//! The worker-pool engines' functional results must be independent of two
 //! sources of OS-level nondeterminism: the order in which a mailbox batch is
 //! drained, and the order in which threads arrive at the quantum barrier.
 //! This module lets a test *amplify* both far beyond what a quiet CI machine
@@ -9,7 +9,7 @@
 //!
 //! * [`Mailbox::drain_into`](crate::Mailbox::drain_into) shuffles each newly
 //!   drained batch;
-//! * [`LeaderBarrier::arrive`](crate::LeaderBarrier::arrive) spins a
+//! * [`TreeBarrier::arrive`](crate::TreeBarrier::arrive) spins a
 //!   pseudo-random delay before arriving, perturbing arrival order and
 //!   leader election.
 //!

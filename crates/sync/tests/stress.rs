@@ -1,6 +1,6 @@
 //! Stress: N producers vs concurrent drains under thread churn.
 //!
-//! Replays the threaded engine's synchronization protocol in miniature and
+//! Replays the worker-pool engines' synchronization protocol in miniature and
 //! proves the two PR-1 primitives hold up in its known-thin spot — a thread
 //! that finishes its program mid-quantum but must keep meeting the barrier:
 //!
@@ -13,7 +13,7 @@
 //! * every message is accounted for at the end: exactly once, per-producer
 //!   FIFO, nothing dropped, nothing duplicated, no deadlock.
 
-use aqs_sync::{LeaderBarrier, Mailbox};
+use aqs_sync::{Mailbox, TreeBarrier};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
@@ -44,7 +44,7 @@ struct Ctrl {
     /// 1 once the leader decided to stop; published before the epoch bump,
     /// so the release of the round makes it visible to every participant.
     stop: AtomicU64,
-    barrier: LeaderBarrier<u64>,
+    barrier: TreeBarrier<u64>,
 }
 
 /// Per-receiver FIFO/exactly-once tracker. A producer's sequence numbers
@@ -101,7 +101,7 @@ fn churn_and_mid_quantum_finish_lose_nothing() {
         mailboxes: (0..N).map(|_| Mailbox::new()).collect(),
         done: AtomicU64::new(0),
         stop: AtomicU64::new(0),
-        barrier: LeaderBarrier::new(N, 0u64),
+        barrier: TreeBarrier::new(N, 0u64),
     };
 
     let receivers: Vec<Receiver> = thread::scope(|scope| {
@@ -132,7 +132,7 @@ fn churn_and_mid_quantum_finish_lose_nothing() {
                         }
                         round += 1;
                         assert!(round < ROUND_CAP, "stress deadlocked (round cap)");
-                        ctrl.barrier.arrive(|rounds| {
+                        ctrl.barrier.arrive(i, |rounds| {
                             *rounds += 1;
                             if ctrl.done.load(Ordering::Acquire) == N as u64 {
                                 ctrl.stop.store(1, Ordering::Relaxed);

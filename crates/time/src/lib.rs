@@ -541,8 +541,8 @@ instant_type! {
     /// An instant on the **host** timeline, in nanoseconds since the start of
     /// the simulation run.
     ///
-    /// The deterministic engine orders all events by `HostTime`; the threaded
-    /// engine measures it with a real clock.
+    /// The deterministic engine orders all events by `HostTime`; the
+    /// worker-pool engines measure it with a real clock.
     ///
     /// # Examples
     ///

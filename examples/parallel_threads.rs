@@ -1,5 +1,6 @@
-//! The threaded engine: node simulators on real OS threads, synchronized by
-//! real barriers, timed with a real clock.
+//! The system the paper actually ran: one node simulator per OS thread
+//! (the sharded engine with one worker per node), synchronized by real
+//! barriers, timed with a real clock.
 //!
 //! Each node burns actual CPU per simulated operation (emulating the cost
 //! of full-system simulation), so the adaptive quantum's savings show up as
@@ -23,7 +24,8 @@ fn main() {
     // on the default 2.6 GHz guest CPU model.
     let mk = |sync| {
         Sim::new(spec.programs.clone())
-            .engine(EngineKind::Threaded)
+            .engine(EngineKind::Sharded)
+            .shards(n)
             .sync(sync)
             .host_work_per_op(10.0)
             .run()

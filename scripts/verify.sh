@@ -60,10 +60,13 @@ echo "==> build bench binaries (not timed)"
 cargo build --release -p aqs-bench --bins
 cargo bench --workspace --no-run
 
-echo "==> shard_scaling smoke sweep (results-match + allocation + 4k-node fabric + hybrid asserts, no timing gate)"
+echo "==> shard_scaling smoke sweep (worker-count independence + allocation + 4k-node fabric + hybrid asserts, no timing gate)"
 cargo run --release -q -p aqs-bench --bin shard_scaling -- --smoke
 
 echo "==> obs_overhead counter gate (active-set scan + pool allocs vs checked-in baselines)"
 cargo run --release -q -p aqs-bench --bin obs_overhead -- --smoke
+
+echo "==> benchmark build gate: perf/ against ../crates/* (path deps + golden.json pins)"
+cargo test --offline -q --manifest-path perf/Cargo.toml
 
 echo "verify: OK"

@@ -23,7 +23,7 @@
 //! | [`core`] | `aqs-core` | **the synchronization policies** |
 //! | [`workloads`] | `aqs-workloads` | NAS/NAMD-like benchmarks, MPI builder |
 //! | [`cluster`] | `aqs-cluster` | the cluster simulation engines |
-//! | [`sync`] | `aqs-sync` | lock-free primitives for the threaded engine |
+//! | [`sync`] | `aqs-sync` | lock-free primitives for the worker-pool engines |
 //! | [`metrics`] | `aqs-metrics` | statistics, Pareto fronts, rendering |
 //!
 //! # Quick start

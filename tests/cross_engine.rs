@@ -1,7 +1,8 @@
-//! Deterministic vs. threaded vs. optimistic vs. sharded engine: under the
-//! safe quantum all four must agree exactly on the simulated timeline,
-//! because no thread interleaving can create a straggler. The sharded
-//! engine must additionally agree with itself for every worker count.
+//! Deterministic vs. sharded vs. sharded-optimistic engine: under the safe
+//! quantum all must agree exactly on the simulated timeline, because no
+//! thread interleaving can create a straggler. The sharded engine must
+//! additionally agree with itself for every worker count, up to one worker
+//! per node (the paper's thread-per-node system).
 
 use aqs::cluster::{EngineKind, RunReport, Sim};
 use aqs::core::SyncConfig;
@@ -17,39 +18,36 @@ fn run(programs: Vec<aqs::node::Program>, engine: EngineKind, sync: SyncConfig) 
         .run()
 }
 
+/// Worker counts worth running an `n`-node cluster with: 1, 2, 3 and one
+/// worker per node.
+fn worker_counts(n: usize) -> Vec<usize> {
+    (1..=n.min(3)).chain((n > 3).then_some(n)).collect()
+}
+
+/// The classic window-based optimistic engine: one shard, a fixed 20 µs
+/// free-run window (20× the safe bound) and a cascade bound no 20-hop
+/// in-window chain can reach — so it never degrades and must be exact.
+fn run_optimistic(programs: Vec<aqs::node::Program>) -> RunReport {
+    let r = Sim::new(programs)
+        .engine(EngineKind::ShardedOptimistic)
+        .shards(1)
+        .sync(SyncConfig::fixed_micros(20))
+        .cascade_bound(256)
+        .max_quanta(50_000_000)
+        .run();
+    let d = r.detail.as_sharded_optimistic().unwrap();
+    assert_eq!(d.degraded_windows, 0, "the cascade bound must never bind");
+    r
+}
+
 fn check_equivalence(spec: WorkloadSpec) {
     let det = run(
         spec.programs.clone(),
         EngineKind::Deterministic,
         SyncConfig::ground_truth(),
     );
-    let par = run(
-        spec.programs.clone(),
-        EngineKind::Threaded,
-        SyncConfig::ground_truth(),
-    );
-    assert_eq!(
-        par.simulated_outcome(),
-        det.simulated_outcome(),
-        "{}: simulated outcomes differ",
-        spec.name
-    );
-    assert_eq!(
-        par.stragglers.count(),
-        0,
-        "{}: safe quantum straggled",
-        spec.name
-    );
     let det_nodes = &det.detail.as_deterministic().unwrap().per_node;
-    let par_nodes = &par.detail.as_threaded().unwrap().per_node;
-    for (p, d) in par_nodes.iter().zip(det_nodes) {
-        assert_eq!(
-            p.regions, d.regions,
-            "{}: {} regions differ",
-            spec.name, p.rank
-        );
-    }
-    for workers in [1, 2, 3] {
+    for workers in worker_counts(spec.programs.len()) {
         let sh = Sim::new(spec.programs.clone())
             .engine(EngineKind::Sharded)
             .shards(workers)
@@ -61,6 +59,12 @@ fn check_equivalence(spec: WorkloadSpec) {
             sh.simulated_outcome(),
             det.simulated_outcome(),
             "{}: sharded (M={workers}) outcome differs",
+            spec.name
+        );
+        assert_eq!(
+            sh.stragglers.count(),
+            0,
+            "{}: safe quantum straggled (M={workers})",
             spec.name
         );
         let sh_nodes = &sh.detail.as_sharded().unwrap().per_node;
@@ -123,9 +127,10 @@ fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Progra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All four engines — deterministic, threaded, optimistic, sharded —
-    /// agree on `messages_received`, `total_packets`, and `sim_end` for
-    /// random programs under the safe quantum `Q <= T`.
+    /// Deterministic, sharded (every worker count up to one per node) and
+    /// single-shard optimistic agree on `messages_received`,
+    /// `total_packets`, and `sim_end` for random programs — the first two
+    /// under the safe quantum `Q <= T`, the last by rolling back.
     #[test]
     fn four_engines_agree_on_random_programs(
         n in prop::sample::select(vec![2usize, 3, 4]),
@@ -141,11 +146,8 @@ proptest! {
                 .run()
         };
         let det = mk(EngineKind::Deterministic);
-        let par = mk(EngineKind::Threaded);
-        let opt = mk(EngineKind::Optimistic);
-        // sim_end: all engines identical, sharded for every worker count.
-        prop_assert_eq!(par.sim_end, det.sim_end);
-        prop_assert_eq!(opt.sim_end, det.sim_end);
+        let opt = run_optimistic(programs.clone());
+        prop_assert_eq!(opt.simulated_outcome(), det.simulated_outcome());
         for workers in [1, 2, 4] {
             let sh = Sim::new(programs.clone())
                 .engine(EngineKind::Sharded)
@@ -157,26 +159,10 @@ proptest! {
             prop_assert_eq!(sh.simulated_outcome(), det.simulated_outcome());
             prop_assert_eq!(sh.stragglers.count(), 0);
         }
-        // total_packets: identical between engines.
-        prop_assert_eq!(par.total_packets, det.total_packets);
-        // messages_received: identical per node across all three (covered
-        // by the full outcome comparison, which also checks finish times).
-        prop_assert_eq!(par.simulated_outcome(), det.simulated_outcome());
-        for (o, d) in opt
-            .detail
-            .as_optimistic()
-            .unwrap()
-            .per_node
-            .iter()
-            .zip(&det.detail.as_deterministic().unwrap().per_node)
-        {
-            prop_assert_eq!(o.messages_received, d.messages_received);
-        }
-        prop_assert_eq!(par.stragglers.count(), 0);
     }
 }
 
-/// The threaded engine's lock-free mailbox must never drop or duplicate a
+/// The worker-pool engines' lock-free mailbox must never drop or duplicate a
 /// fragment, under concurrent producers racing a draining consumer.
 #[test]
 fn mailbox_stress_no_drop_no_duplicate() {
@@ -196,8 +182,8 @@ fn mailbox_stress_no_drop_no_duplicate() {
             })
         })
         .collect();
-    // Drain concurrently with production, like a node thread at its
-    // scheduling points.
+    // Drain concurrently with production, like a worker at its quantum
+    // boundary.
     let mut got: Vec<(u64, u64)> = Vec::new();
     while got.len() < (PRODUCERS * PER_PRODUCER) as usize {
         mb.drain_into(&mut got);
@@ -250,7 +236,7 @@ fn broadcast_workload(n: usize, rounds: usize, bytes: u64) -> Vec<aqs::node::Pro
 }
 
 /// `Destination::Broadcast` under every switch model: the fan-out must
-/// count one packet per fragment per receiver in all four engines, and the
+/// count one packet per fragment per receiver in every engine, and the
 /// per-destination transits must be independent (the perfect-switch count
 /// equals the non-perfect count; only timing changes).
 #[test]
@@ -270,19 +256,9 @@ fn broadcast_fan_out_counts_identically_across_engines() {
         SyncConfig::ground_truth(),
     );
     assert_eq!(det.total_packets, expected);
-    let par = run(
-        programs.clone(),
-        EngineKind::Threaded,
-        SyncConfig::ground_truth(),
-    );
-    let opt = run(
-        programs.clone(),
-        EngineKind::Optimistic,
-        SyncConfig::ground_truth(),
-    );
-    assert_eq!(par.simulated_outcome(), det.simulated_outcome());
+    let opt = run_optimistic(programs.clone());
     assert_eq!(opt.total_packets, expected);
-    for workers in [1, 2, 3] {
+    for workers in worker_counts(n) {
         let sh = Sim::new(programs.clone())
             .engine(EngineKind::Sharded)
             .shards(workers)
@@ -297,8 +273,9 @@ fn broadcast_fan_out_counts_identically_across_engines() {
 /// Broadcast under the two non-perfect switches: an asymmetric latency
 /// matrix and the fat-tree fabric. Each fan-out copy takes its own
 /// (src, dst)-keyed transit, so receivers see different arrival times — and
-/// the deterministic, threaded, and sharded (every M) engines must still
-/// agree bit for bit, safe quantum and unsafe quantum alike.
+/// the deterministic and sharded (every M, up to one worker per node)
+/// engines must still agree bit for bit under the safe quantum, and the
+/// sharded engine with itself under the unsafe one.
 #[test]
 fn broadcast_agrees_under_non_perfect_switches() {
     use aqs::cluster::SimSwitch;
@@ -330,7 +307,7 @@ fn broadcast_agrees_under_non_perfect_switches() {
                 sim.run()
             };
             let det = mk(EngineKind::Deterministic, None);
-            let sharded: Vec<RunReport> = [1, 2, 3]
+            let sharded: Vec<RunReport> = worker_counts(n)
                 .into_iter()
                 .map(|m| mk(EngineKind::Sharded, Some(m)))
                 .collect();
@@ -347,8 +324,6 @@ fn broadcast_agrees_under_non_perfect_switches() {
             // (boundary snapping) but functional delivery must match.
             if sync == SyncConfig::ground_truth() {
                 assert_eq!(sharded[0].simulated_outcome(), det.simulated_outcome());
-                let thr = mk(EngineKind::Threaded, None);
-                assert_eq!(thr.simulated_outcome(), det.simulated_outcome());
             } else {
                 assert_eq!(sharded[0].total_packets, det.total_packets);
                 assert_eq!(sharded[0].messages_received, det.messages_received);
@@ -357,8 +332,9 @@ fn broadcast_agrees_under_non_perfect_switches() {
     }
 }
 
-/// With a long quantum the threaded engine's stragglers depend on real
-/// races, but functional delivery must still be complete.
+/// With a long quantum the thread-per-node system straggles (and its
+/// timeline dilates differently from the modelled host's), but functional
+/// delivery must still be complete.
 #[test]
 fn long_quantum_keeps_functional_integrity() {
     let spec = burst(4, 100_000, 2048);
@@ -367,19 +343,21 @@ fn long_quantum_keeps_functional_integrity() {
         EngineKind::Deterministic,
         SyncConfig::fixed_micros(1000),
     );
-    let par = run(
-        spec.programs,
-        EngineKind::Threaded,
-        SyncConfig::fixed_micros(1000),
-    );
+    let par = Sim::new(spec.programs)
+        .engine(EngineKind::Sharded)
+        .shards(4)
+        .sync(SyncConfig::fixed_micros(1000))
+        .max_quanta(50_000_000)
+        .run();
+    assert!(par.stragglers.count() > 0, "expected an unsafe quantum");
     assert_eq!(par.messages_received, det.messages_received);
     assert_eq!(par.total_packets, det.total_packets);
 }
 
 /// With a long (unsafe) quantum the sharded engine snaps every straggler to
-/// the sender's quantum edge at route time, so — unlike the threaded
-/// engine — its dilated timeline is fully deterministic: bit-identical
-/// outcomes for every worker count, stragglers included.
+/// the sender's quantum edge at route time, so its dilated timeline is
+/// fully deterministic: bit-identical outcomes for every worker count,
+/// stragglers included.
 #[test]
 fn long_quantum_sharded_is_identical_for_every_worker_count() {
     let spec = burst(4, 100_000, 2048);

@@ -1,14 +1,14 @@
 //! Integration tests of engine features beyond the happy path: custom
-//! switch fabrics, heterogeneous hosts, sampling, and the optimistic
-//! engine's exactness on random workloads.
+//! switch fabrics, heterogeneous hosts, sampling, rejected builder values,
+//! and the optimistic engine's exactness on random workloads.
 
 use aqs::cluster::{
-    run_workload, BarrierCostModel, ClusterConfig, EngineKind, RunReport, Sim, SimSwitch,
+    run_workload, BarrierCostModel, ClusterConfig, EngineKind, RunReport, Sim, SimError, SimSwitch,
 };
 use aqs::core::SyncConfig;
 use aqs::net::{LatencyMatrixSwitch, StoreAndForwardSwitch};
 use aqs::node::{HostModel, SamplingModel};
-use aqs::time::{HostDuration, SimDuration};
+use aqs::time::SimDuration;
 use aqs::workloads::{burst, ping_pong, uniform_compute, MpiBuilder};
 use proptest::prelude::*;
 
@@ -125,6 +125,38 @@ fn sampling_composes_with_every_policy() {
     );
 }
 
+/// A host-work factor that is not a finite, non-negative number is a typed
+/// configuration error — before any worker can spin on it (`inf` would
+/// busy-wait for `u64::MAX` ns) or silently ignore it (negative, NaN).
+#[test]
+fn host_work_per_op_rejects_non_finite_and_negative_factors() {
+    let spec = ping_pong(2, 2, 64);
+    for engine in [EngineKind::Sharded, EngineKind::Hybrid] {
+        for bad in [f64::INFINITY, f64::NAN, -1.0] {
+            let err = Sim::new(spec.programs.clone())
+                .engine(engine)
+                .shards(2)
+                .host_work_per_op(bad)
+                .try_run()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::InvalidHostWork(bad.to_string()),
+                "{engine:?} factor {bad}"
+            );
+            assert!(err.to_string().contains("finite and >= 0"), "{err}");
+        }
+        // The boundary value is fine: zero means no busy-work at all.
+        let ok = Sim::new(spec.programs.clone())
+            .engine(engine)
+            .shards(2)
+            .host_work_per_op(0.0)
+            .try_run()
+            .expect("zero host work is valid");
+        assert_eq!(ok.messages_received, 4);
+    }
+}
+
 /// Same random-workload generator as `random_programs.rs`, reused here to
 /// pit the optimistic engine against the conservative ground truth.
 fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Program> {
@@ -158,12 +190,17 @@ proptest! {
     ) {
         let programs = random_workload(n, &phases);
         let conservative = det(programs.clone(), &base(7));
+        // One shard, a fixed 40 µs free-run window, and a cascade bound no
+        // 40-hop in-window chain can reach: the classic optimistic engine.
         let optimistic = Sim::new(programs)
-            .engine(EngineKind::Optimistic)
+            .engine(EngineKind::ShardedOptimistic)
             .config(base(7))
-            .window(SimDuration::from_micros(40))
-            .optimistic_costs(HostDuration::ZERO, HostDuration::ZERO)
+            .sync(SyncConfig::fixed_micros(40))
+            .shards(1)
+            .cascade_bound(256)
             .run();
+        let d = optimistic.detail.as_sharded_optimistic().expect("opt detail");
+        prop_assert_eq!(d.degraded_windows, 0);
         prop_assert_eq!(optimistic.simulated_outcome(), conservative.simulated_outcome());
     }
 }

@@ -6,24 +6,27 @@
 use aqs::cluster::{EngineKind, RunReport, Sim};
 use aqs::core::SyncConfig;
 use aqs::obs::ObsConfig;
-use aqs::time::{HostDuration, SimDuration};
 use aqs::workloads::{burst, nas, ping_pong, Scale, WorkloadSpec};
 
-const ENGINES: [EngineKind; 3] = [
+const ENGINES: [EngineKind; 4] = [
     EngineKind::Deterministic,
-    EngineKind::Threaded,
-    EngineKind::Optimistic,
+    EngineKind::Sharded,
+    EngineKind::ShardedOptimistic,
+    EngineKind::Hybrid,
 ];
 
-fn recorded(spec: &WorkloadSpec, engine: EngineKind, sync: SyncConfig) -> RunReport {
+/// The worker-pool engines run one worker per node: every node's barrier
+/// arrival and mailbox is its own thread, the widest recording fan-in.
+fn sim(spec: &WorkloadSpec, engine: EngineKind, sync: SyncConfig) -> Sim {
     Sim::new(spec.programs.clone())
         .engine(engine)
+        .shards(spec.programs.len())
         .sync(sync)
-        .window(SimDuration::from_micros(30))
-        .optimistic_costs(HostDuration::ZERO, HostDuration::ZERO)
         .max_quanta(50_000_000)
-        .record(ObsConfig::new())
-        .run()
+}
+
+fn recorded(spec: &WorkloadSpec, engine: EngineKind, sync: SyncConfig) -> RunReport {
+    sim(spec, engine, sync).record(ObsConfig::new()).run()
 }
 
 /// On every engine, the ring's per-quantum `packets` fields sum to the
@@ -46,17 +49,22 @@ fn per_quantum_packets_sum_to_controller_total_on_every_engine() {
 }
 
 /// Same check under an adaptive policy on a heavier workload, where quanta
-/// lengths vary and stragglers appear (deterministic engine — the threaded
-/// engine's straggler timing is race-dependent).
+/// lengths vary and stragglers appear.
 #[test]
 fn packet_accounting_survives_adaptive_quanta_and_stragglers() {
     let spec = nas::is(4, Scale::Tiny);
-    let report = recorded(&spec, EngineKind::Deterministic, SyncConfig::paper_dyn1());
-    let fr = report.obs.as_ref().expect("recording enabled");
-    assert_eq!(fr.dropped(), 0);
-    let ring_sum: u64 = fr.samples().map(|s| s.packets).sum();
-    assert_eq!(ring_sum, report.total_packets);
-    assert_eq!(fr.total_stragglers(), report.stragglers.count());
+    for engine in [EngineKind::Deterministic, EngineKind::Sharded] {
+        let report = recorded(&spec, engine, SyncConfig::paper_dyn1());
+        let fr = report.obs.as_ref().expect("recording enabled");
+        assert_eq!(fr.dropped(), 0, "{engine:?}");
+        let ring_sum: u64 = fr.samples().map(|s| s.packets).sum();
+        assert_eq!(ring_sum, report.total_packets, "{engine:?}");
+        assert_eq!(
+            fr.total_stragglers(),
+            report.stragglers.count(),
+            "{engine:?}"
+        );
+    }
 }
 
 /// A `NullRecorder` run is bit-identical to a recorded run: attaching the
@@ -65,13 +73,7 @@ fn packet_accounting_survives_adaptive_quanta_and_stragglers() {
 fn null_and_recorded_runs_are_bit_identical_on_every_engine() {
     let spec = burst(4, 100_000, 2048);
     for engine in ENGINES {
-        let plain = Sim::new(spec.programs.clone())
-            .engine(engine)
-            .sync(SyncConfig::ground_truth())
-            .window(SimDuration::from_micros(30))
-            .optimistic_costs(HostDuration::ZERO, HostDuration::ZERO)
-            .max_quanta(50_000_000)
-            .run();
+        let plain = sim(&spec, engine, SyncConfig::ground_truth()).run();
         let taped = recorded(&spec, engine, SyncConfig::ground_truth());
         assert_eq!(
             plain.simulated_outcome(),

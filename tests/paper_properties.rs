@@ -190,9 +190,10 @@ proptest! {
         let max = SimDuration::from_micros(min_us + span);
         let sync = SyncConfig::Adaptive(AdaptiveConfig::new(min, max, inc, dec));
         let spec = ping_pong(2, rounds, bytes);
-        for engine in [EngineKind::Deterministic, EngineKind::Threaded] {
+        for engine in [EngineKind::Deterministic, EngineKind::Sharded] {
             let report = Sim::new(spec.programs.clone())
                 .engine(engine)
+                .shards(2) // one worker per node
                 .config(ClusterConfig::new(sync.clone()).with_seed(31))
                 .max_quanta(50_000_000)
                 .record(ObsConfig::new().with_ring_capacity(16_384))

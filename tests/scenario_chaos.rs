@@ -33,10 +33,10 @@ fn allreduce_chaos_is_bit_identical_across_engines_and_worker_counts() {
         "the flagship scenario must inject link flaps and packet loss"
     );
     assert!(scenario.phases.len() >= 2, "must be multi-phase");
-    assert_eq!(scenario.shards, vec![1, 2, 4]);
+    assert_eq!(scenario.shards, vec![1, 2, 4, 8]);
 
     let report = run_scenario(&scenario).expect("scenario passes its assertions");
-    // deterministic + threaded + sharded {1,2,4}
+    // deterministic + sharded {1,2,4,8}
     assert_eq!(report.runs.len(), 5);
     let outcome = report.runs[0].report.simulated_outcome();
     for run in &report.runs[1..] {

@@ -1371,4 +1371,24 @@ mod tests {
             "got {err:?}"
         );
     }
+
+    #[test]
+    fn snapshot_bytes_do_not_depend_on_how_programs_are_stored() {
+        use aqs_workloads::{Scale, Workload};
+        // `cg 8 mini dyn1`, the job server's chunked case job, cut at its
+        // first 2000-quantum edge. The frame embeds the spec fingerprint
+        // (a hash over the programs' `Debug` form), so this pin — taken
+        // when `Program` still owned a `Vec<Op>` — moves if sharing the op
+        // stream ever becomes visible in snapshots or journals.
+        let spec = Workload::parse("cg")
+            .expect("cg is a workload")
+            .with_scale(Scale::Mini)
+            .build(8, 42);
+        let sim = Sim::new(spec.programs)
+            .sync(SyncConfig::paper_dyn1())
+            .seed(42);
+        let bytes = sim.snapshot_at(2_000).expect("capturable cut").to_bytes();
+        assert_eq!(bytes.len(), 2418);
+        assert_eq!(crate::snapshot::fnv1a(&bytes), 0xe7ec_0172_9bcd_89cb);
+    }
 }

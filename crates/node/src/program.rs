@@ -3,6 +3,7 @@
 use aqs_time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The application-level identity of a node (its MPI rank).
 ///
@@ -173,16 +174,23 @@ pub enum Op {
 /// assert_eq!(p.len(), 3);
 /// assert_eq!(p.rank(), Rank::new(1));
 /// ```
+///
+/// The op stream is immutable once built and shared: cloning a program (an
+/// engine's per-window checkpoint, a `Sim` input clone) copies a pointer,
+/// not the ops.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Program {
     rank: Rank,
-    ops: Vec<Op>,
+    ops: Arc<[Op]>,
 }
 
 impl Program {
     /// Creates a program directly from parts.
     pub fn new(rank: Rank, ops: Vec<Op>) -> Self {
-        Self { rank, ops }
+        Self {
+            rank,
+            ops: ops.into(),
+        }
     }
 
     /// The rank this program implements.
@@ -340,10 +348,7 @@ impl ProgramBuilder {
 
     /// Finishes the program.
     pub fn build(self) -> Program {
-        Program {
-            rank: self.rank,
-            ops: self.ops,
-        }
+        Program::new(self.rank, self.ops)
     }
 }
 
@@ -404,6 +409,35 @@ mod tests {
     fn send_target_from_rank() {
         let t: SendTarget = Rank::new(2).into();
         assert_eq!(t, SendTarget::Rank(Rank::new(2)));
+    }
+
+    #[test]
+    fn clone_shares_the_op_stream() {
+        let a = ProgramBuilder::new(Rank::new(0))
+            .compute(10)
+            .send(Rank::new(1), 64, Tag::new(0))
+            .build();
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(a.ops().as_ptr(), b.ops().as_ptr());
+    }
+
+    #[test]
+    fn serializes_exactly_as_a_vec_of_ops_would() {
+        let ops = vec![
+            Op::Compute { ops: 7 },
+            Op::Send {
+                dst: SendTarget::All,
+                bytes: 64,
+                tag: Tag::new(1),
+            },
+            Op::RegionEnd(RegionId::KERNEL),
+        ];
+        let p = Program::new(Rank::new(2), ops.clone());
+        let v = p.to_value();
+        assert_eq!(v.get("rank"), Some(&Rank::new(2).to_value()));
+        assert_eq!(v.get("ops"), Some(&ops.to_value()));
+        assert_eq!(Program::from_value(&v).unwrap(), p);
     }
 
     #[test]

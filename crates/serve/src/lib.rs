@@ -20,6 +20,13 @@
 //!   is bit-identical to an uninterrupted one, which the conformance
 //!   oracle in `aqs-check` proves for every engine.
 //!
+//! Every request is a connection of its own, so the accept path is on
+//! every `submit` and every `wait`: the accept thread blocks in `accept`
+//! (no poll interval), and `shutdown` wakes it by connecting once to the
+//! server's own address — loopback with the bound port when the listen
+//! address is a wildcard. [`Server::join`] and [`Server::stop`] return
+//! when every thread has been joined.
+//!
 //! See [`protocol`] for the wire format, [`journal`] for the on-disk
 //! record framing, and [`server`] for the fault envelope.
 //!

@@ -19,15 +19,22 @@
 //!   unfinished case jobs resume from their last intact snapshot
 //!   (bit-identical to an uninterrupted run), scenario jobs restart from
 //!   scratch (they are deterministic, so a restart is safe — just slower).
+//!
+//! The accept thread blocks in `accept`: a connection is handed to its
+//! handler the moment it arrives, with no poll interval between a
+//! client's `connect` and the server noticing it. Nothing else can wake a
+//! thread parked in `accept`, so shutdown raises the flag and then
+//! connects once to the server's own address; the accept loop re-checks
+//! the flag after every `accept`, drops that connection, and exits.
 
 use crate::jobs::{run_case, run_scenario_job, JobError, JobSpec};
 use crate::journal::{from_hex, to_hex, Journal};
 use crate::protocol::{get_str, get_u64, obj, ok, reject, RejectKind};
 use aqs_cluster::SimSnapshot;
 use serde_json::Value;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,26 +129,88 @@ struct Job {
 }
 
 struct State {
+    /// Every job ever accepted, in increasing id order (ids are assigned
+    /// under this lock), so lookup is a binary search.
     jobs: Vec<Job>,
     queue: VecDeque<u64>,
+    /// Ids of the jobs in `JobState::Running` — at most one per worker.
+    running: Vec<u64>,
+    /// Queued + running jobs per tenant; a tenant at zero has no entry.
+    in_flight: BTreeMap<String, usize>,
     next_id: u64,
     journal: Journal,
 }
 
 impl State {
+    fn new(journal: Journal) -> State {
+        State {
+            jobs: Vec::new(),
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            in_flight: BTreeMap::new(),
+            next_id: 1,
+            journal,
+        }
+    }
+
+    fn index(&self, id: u64) -> Option<usize> {
+        self.jobs.binary_search_by_key(&id, |j| j.id).ok()
+    }
+
     fn job(&self, id: u64) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.id == id)
+        self.index(id).map(|i| &self.jobs[i])
     }
 
     fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
-        self.jobs.iter_mut().find(|j| j.id == id)
+        self.index(id).map(|i| &mut self.jobs[i])
     }
 
     fn in_flight(&self, tenant: &str) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.tenant == tenant && !j.state.terminal())
-            .count()
+        self.in_flight.get(tenant).copied().unwrap_or(0)
+    }
+
+    /// Accepts a new job as `Queued`. `id` must exceed every id pushed
+    /// before it.
+    fn push_job(&mut self, id: u64, tenant: String, spec: JobSpec, deadline_ms: u64) {
+        debug_assert!(self.jobs.last().is_none_or(|j| j.id < id));
+        *self.in_flight.entry(tenant.clone()).or_insert(0) += 1;
+        self.jobs.push(Job {
+            id,
+            tenant,
+            spec,
+            deadline_ms,
+            state: JobState::Queued,
+            attempts: 0,
+            snapshot: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            started_at: None,
+        });
+        self.next_id = id + 1;
+    }
+
+    /// Moves job `id` to `state`, keeping `running` and `in_flight` in
+    /// step. A job that turns terminal also drops its last snapshot: only
+    /// a retry or a resume reads it, and a finished job gets neither.
+    fn set_state(&mut self, id: u64, state: JobState) {
+        let Some(i) = self.index(id) else { return };
+        let job = &mut self.jobs[i];
+        if matches!(job.state, JobState::Running) {
+            self.running.retain(|&r| r != id);
+        }
+        if matches!(state, JobState::Running) {
+            self.running.push(id);
+        }
+        if state.terminal() && !job.state.terminal() {
+            job.snapshot = None;
+            job.started_at = None;
+            if let Some(n) = self.in_flight.get_mut(&job.tenant) {
+                *n -= 1;
+                if *n == 0 {
+                    self.in_flight.remove(&job.tenant);
+                }
+            }
+        }
+        job.state = state;
     }
 }
 
@@ -151,6 +220,8 @@ struct Inner {
     work_cv: Condvar,
     done_cv: Condvar,
     shutdown: AtomicBool,
+    /// Where a connection reaches this server's own listener.
+    wake_addr: SocketAddr,
 }
 
 impl Inner {
@@ -162,17 +233,23 @@ impl Inner {
     }
 
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.shutdown.swap(true, Ordering::SeqCst);
         let st = self.lock();
         // Wake executors parked between chunks so they re-queue promptly.
-        for job in st.jobs.iter() {
-            if matches!(job.state, JobState::Running) {
-                job.cancel.store(true, Ordering::SeqCst);
-            }
+        for job in st.running.iter().filter_map(|&id| st.job(id)) {
+            job.cancel.store(true, Ordering::SeqCst);
         }
         drop(st);
         self.work_cv.notify_all();
         self.done_cv.notify_all();
+        if first {
+            // The accept thread is parked in `accept`, and a connection is
+            // the only thing that returns it; it re-checks `shutdown` first
+            // and drops this one. A connect that fails means the thread is
+            // not parked — the listener is gone, its backlog is full, or
+            // `accept` itself is failing — and it sees the flag on its own.
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 }
 
@@ -191,15 +268,16 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let (journal, records) = Journal::open(&cfg.journal)?;
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-
-        let mut state = State {
-            jobs: Vec::new(),
-            queue: VecDeque::new(),
-            next_id: 1,
-            journal,
+        // A wildcard bind (`0.0.0.0:7171`) is not connectable everywhere;
+        // loopback with the bound port always reaches it.
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
         };
+
+        let mut state = State::new(journal);
         recover(&mut state, &records);
 
         let inner = Arc::new(Inner {
@@ -208,6 +286,7 @@ impl Server {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            wake_addr: SocketAddr::new(wake_ip, addr.port()),
         });
 
         let mut threads = Vec::new();
@@ -247,11 +326,10 @@ impl Server {
         self.addr
     }
 
-    /// Blocks until a `shutdown` request arrives, then joins every thread.
+    /// Blocks until a `shutdown` request arrives and every thread has
+    /// exited: the workers, the watchdog and the accept loop all run until
+    /// shutdown, so joining them *is* the wait.
     pub fn join(self) {
-        while !self.inner.shutdown.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(25));
-        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -285,18 +363,17 @@ fn recover(state: &mut State, records: &[Value]) {
                 let Ok(spec) = JobSpec::from_value(spec_v) else {
                     continue;
                 };
-                state.jobs.push(Job {
+                // Ids only ever grow in a journal this server wrote; a
+                // record that breaks that is not one of ours.
+                if id < state.next_id {
+                    continue;
+                }
+                state.push_job(
                     id,
-                    tenant: get_str(rec, "tenant").unwrap_or("default").to_string(),
+                    get_str(rec, "tenant").unwrap_or("default").to_string(),
                     spec,
-                    deadline_ms: get_u64(rec, "deadline_ms").unwrap_or(0),
-                    state: JobState::Queued,
-                    attempts: 0,
-                    snapshot: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    started_at: None,
-                });
-                state.next_id = state.next_id.max(id + 1);
+                    get_u64(rec, "deadline_ms").unwrap_or(0),
+                );
             }
             "snapshot" => {
                 let bytes = get_str(rec, "bytes").and_then(from_hex);
@@ -312,15 +389,15 @@ fn recover(state: &mut State, records: &[Value]) {
                 }
             }
             "done" => {
-                if let Some(job) = get_u64(rec, "job").and_then(|id| state.job_mut(id)) {
+                if let Some(id) = get_u64(rec, "job") {
                     let outcome = rec.get("outcome").cloned().unwrap_or(Value::Null);
-                    job.state = JobState::Done(outcome);
+                    state.set_state(id, JobState::Done(outcome));
                 }
             }
             "failed" => {
-                if let Some(job) = get_u64(rec, "job").and_then(|id| state.job_mut(id)) {
+                if let Some(id) = get_u64(rec, "job") {
                     let error = rec.get("error").cloned().unwrap_or(Value::Null);
-                    job.state = JobState::Failed(error);
+                    state.set_state(id, JobState::Failed(error));
                 }
             }
             _ => {}
@@ -366,10 +443,10 @@ fn execute(inner: &Arc<Inner>, id: u64) {
     let from;
     {
         let mut st = inner.lock();
+        st.set_state(id, JobState::Running);
         let Some(job) = st.job_mut(id) else { return };
         job.attempts += 1;
         attempt = job.attempts;
-        job.state = JobState::Running;
         job.cancel.store(false, Ordering::SeqCst);
         job.started_at = Some(Instant::now());
         cancel = Arc::clone(&job.cancel);
@@ -394,18 +471,21 @@ fn execute(inner: &Arc<Inner>, id: u64) {
             deadline_ms,
             &|| cancel.load(Ordering::SeqCst),
             &mut |snap| {
-                let mut st = inner.lock();
+                // Encode before taking the lock, so `status`/`wait`/`submit`
+                // handlers never queue behind it.
+                let bytes = snap.to_bytes();
                 let rec = obj(vec![
                     ("ev", Value::Str("snapshot".to_string())),
                     ("job", Value::U64(id)),
                     ("quanta", Value::U64(snap.quanta())),
-                    ("bytes", Value::Str(to_hex(&snap.to_bytes()))),
+                    ("bytes", Value::Str(to_hex(&bytes))),
                 ]);
+                let mut st = inner.lock();
                 st.journal
                     .append(&rec)
                     .map_err(|e| format!("journal append: {e}"))?;
                 if let Some(job) = st.job_mut(id) {
-                    job.snapshot = Some(snap.to_bytes());
+                    job.snapshot = Some(bytes);
                 }
                 Ok(())
             },
@@ -426,10 +506,7 @@ fn execute(inner: &Arc<Inner>, id: u64) {
             // the job is not at fault. Leave it non-terminal with no
             // journal event, so the next start resumes it from its last
             // snapshot exactly as after a crash.
-            let mut st = inner.lock();
-            if let Some(job) = st.job_mut(id) {
-                job.state = JobState::Queued;
-            }
+            inner.lock().set_state(id, JobState::Queued);
         }
         Ok(Err(err)) => {
             // Typed errors are deterministic — retrying cannot change the
@@ -459,9 +536,7 @@ fn execute(inner: &Arc<Inner>, id: u64) {
                         ("detail", Value::Str(detail.clone())),
                     ]);
                     let _ = st.journal.append(&rec);
-                    if let Some(job) = st.job_mut(id) {
-                        job.state = JobState::Queued;
-                    }
+                    st.set_state(id, JobState::Queued);
                 }
                 thread::sleep(backoff);
                 let mut st = inner.lock();
@@ -494,10 +569,7 @@ fn finish(inner: &Arc<Inner>, id: u64, ev: &str, field: (&str, Value), state: Jo
         field,
     ]);
     let _ = st.journal.append(&rec);
-    if let Some(job) = st.job_mut(id) {
-        job.state = state;
-        job.started_at = None;
-    }
+    st.set_state(id, state);
     drop(st);
     inner.done_cv.notify_all();
 }
@@ -517,10 +589,8 @@ fn watchdog_loop(inner: &Arc<Inner>) {
     while !inner.shutdown.load(Ordering::SeqCst) {
         {
             let st = inner.lock();
-            for job in st.jobs.iter() {
-                if let (JobState::Running, Some(started), d) =
-                    (&job.state, job.started_at, job.deadline_ms)
-                {
+            for job in st.running.iter().filter_map(|&id| st.job(id)) {
+                if let (Some(started), d) = (job.started_at, job.deadline_ms) {
                     if d > 0 && started.elapsed() >= Duration::from_millis(d) {
                         job.cancel.store(true, Ordering::SeqCst);
                     }
@@ -532,19 +602,24 @@ fn watchdog_loop(inner: &Arc<Inner>) {
 }
 
 /// Accepts connections until shutdown; each connection gets its own
-/// handler thread (clients are few: CLIs and smoke scripts).
+/// handler thread (clients are few: CLIs and smoke scripts). The thread
+/// blocks in `accept`; [`Inner::begin_shutdown`] returns it with a
+/// connection of its own, which is dropped here unanswered.
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let inner = Arc::clone(inner);
                 let _ = thread::Builder::new()
                     .name("aqs-conn".to_string())
                     .spawn(move || handle_connection(&inner, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors, or the peer reset before we got to it:
+            // back off so a persistent error cannot spin this thread.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -653,18 +728,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> Value {
     if let Err(e) = st.journal.append(&rec) {
         return reject(RejectKind::BadRequest, format!("journal append: {e}"));
     }
-    st.next_id += 1;
-    st.jobs.push(Job {
-        id,
-        tenant,
-        spec,
-        deadline_ms,
-        state: JobState::Queued,
-        attempts: 0,
-        snapshot: None,
-        cancel: Arc::new(AtomicBool::new(false)),
-        started_at: None,
-    });
+    st.push_job(id, tenant, spec, deadline_ms);
     st.queue.push_back(id);
     drop(st);
     inner.work_cv.notify_one();
@@ -708,7 +772,6 @@ fn handle_wait(inner: &Arc<Inner>, req: &Value) -> Value {
 fn handle_stats(inner: &Arc<Inner>) -> Value {
     let st = inner.lock();
     let mut counts = [0u64; 4];
-    let mut tenants: Vec<(String, u64)> = Vec::new();
     for job in &st.jobs {
         let i = match job.state {
             JobState::Queued => 0,
@@ -717,12 +780,6 @@ fn handle_stats(inner: &Arc<Inner>) -> Value {
             JobState::Failed(_) => 3,
         };
         counts[i] += 1;
-        if !job.state.terminal() {
-            match tenants.iter_mut().find(|(t, _)| *t == job.tenant) {
-                Some((_, n)) => *n += 1,
-                None => tenants.push((job.tenant.clone(), 1)),
-            }
-        }
     }
     ok(vec![
         ("queued", Value::U64(counts[0])),
@@ -732,11 +789,118 @@ fn handle_stats(inner: &Arc<Inner>) -> Value {
         (
             "tenants",
             Value::Object(
-                tenants
-                    .into_iter()
-                    .map(|(t, n)| (t, Value::U64(n)))
+                st.in_flight
+                    .iter()
+                    .map(|(t, &n)| (t.clone(), Value::U64(n as u64)))
                     .collect(),
             ),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::CaseJob;
+
+    fn state(name: &str) -> (State, PathBuf) {
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "aqs-serve-state-{name}-{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let (journal, _) = Journal::open(&path).expect("journal opens");
+        (State::new(journal), path)
+    }
+
+    fn spec() -> JobSpec {
+        JobSpec::Case(CaseJob {
+            workload: "pingpong".to_string(),
+            nodes: 2,
+            policy: "dyn1".to_string(),
+            seed: 1,
+            scale: "tiny".to_string(),
+            inject_panic: false,
+        })
+    }
+
+    #[test]
+    fn a_terminal_job_releases_its_snapshot_quota_slot_and_running_entry() {
+        let (mut st, path) = state("terminal");
+        for id in [1, 2, 5] {
+            st.push_job(id, "a".to_string(), spec(), 0);
+        }
+        st.push_job(9, "b".to_string(), spec(), 0);
+        assert_eq!(st.next_id, 10);
+        assert_eq!((st.in_flight("a"), st.in_flight("b")), (3, 1));
+        assert!(st.job(3).is_none() && st.job(5).is_some());
+
+        st.set_state(5, JobState::Running);
+        st.set_state(9, JobState::Running);
+        st.job_mut(5).expect("job 5").snapshot = Some(vec![0xAB; 64]);
+        assert_eq!(st.running, vec![5, 9]);
+
+        // A retry re-queues: still in flight, snapshot kept for the resume.
+        st.set_state(5, JobState::Queued);
+        assert_eq!(st.running, vec![9]);
+        assert_eq!(st.in_flight("a"), 3);
+        assert!(st.job(5).expect("job 5").snapshot.is_some());
+
+        st.set_state(5, JobState::Running);
+        st.set_state(5, JobState::Done(Value::Null));
+        assert_eq!(st.running, vec![9]);
+        assert_eq!(st.in_flight("a"), 2);
+        assert!(st.job(5).expect("job 5").snapshot.is_none());
+
+        st.set_state(9, JobState::Failed(Value::Null));
+        assert!(st.running.is_empty());
+        assert_eq!(st.in_flight("b"), 0);
+        assert!(!st.in_flight.contains_key("b"), "zero entries are dropped");
+        // A duplicate terminal record (a replayed journal) must not
+        // release the slot twice.
+        st.set_state(5, JobState::Done(Value::Null));
+        assert_eq!(st.in_flight("a"), 2);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn recovery_keeps_snapshots_of_unfinished_jobs_only() {
+        let (mut st, path) = state("recover");
+        let submit = |id: u64| {
+            obj(vec![
+                ("ev", Value::Str("submit".to_string())),
+                ("job", Value::U64(id)),
+                ("tenant", Value::Str("t".to_string())),
+                ("spec", spec().to_value()),
+            ])
+        };
+        let snapshot = |id: u64| {
+            obj(vec![
+                ("ev", Value::Str("snapshot".to_string())),
+                ("job", Value::U64(id)),
+                ("bytes", Value::Str(to_hex(&[1, 2, 3]))),
+            ])
+        };
+        let records = vec![
+            submit(1),
+            submit(2),
+            snapshot(1),
+            snapshot(2),
+            obj(vec![
+                ("ev", Value::Str("done".to_string())),
+                ("job", Value::U64(1)),
+                ("outcome", Value::U64(7)),
+            ]),
+            // Not a record this server could have written: ids only grow.
+            submit(2),
+        ];
+        recover(&mut st, &records);
+        assert_eq!(st.jobs.len(), 2);
+        assert!(st.job(1).expect("job 1").snapshot.is_none());
+        assert_eq!(st.job(2).expect("job 2").snapshot, Some(vec![1, 2, 3]));
+        assert_eq!(st.queue, VecDeque::from([2]));
+        assert_eq!(st.in_flight("t"), 1);
+        let _ = std::fs::remove_file(path);
+    }
 }

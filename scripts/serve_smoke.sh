@@ -7,7 +7,11 @@
 #   4. an over-quota burst is shed with typed quota/overload rejections;
 #   5. the server is SIGKILLed mid-job and the restarted server resumes
 #      the job from its journaled snapshot, bit-identical to an
-#      uninterrupted run.
+#      uninterrupted run;
+#   6. that restarted server listens on 0.0.0.0:<port>, and `aqs job
+#      shutdown` must end the process within 2 s: the accept thread blocks
+#      in accept(2), and shutdown wakes it by connecting to the server's
+#      own address — over loopback when the bind address is a wildcard.
 #
 # Artifacts (server logs + journal) land in $ARTIFACTS on failure.
 #
@@ -17,6 +21,7 @@ cd "$(dirname "$0")/.."
 
 BIN=./target/release/aqs
 ADDR="${1:-127.0.0.1:17171}"
+BIND="$ADDR" # what the server listens on; clients always use $ADDR
 ARTIFACTS="${2:-serve-smoke-artifacts}"
 rm -rf "$ARTIFACTS"
 mkdir -p "$ARTIFACTS"
@@ -37,7 +42,7 @@ trap cleanup EXIT
 
 start_server() { # args: log-file, extra flags...
     local log="$1"; shift
-    "$BIN" serve --addr "$ADDR" --journal "$JOURNAL" "$@" >"$log" 2>&1 &
+    "$BIN" serve --addr "$BIND" --journal "$JOURNAL" "$@" >"$log" 2>&1 &
     SERVER_PID=$!
     for _ in $(seq 1 100); do
         if "$BIN" job stats --addr "$ADDR" >/dev/null 2>&1; then
@@ -49,8 +54,16 @@ start_server() { # args: log-file, extra flags...
     fail "server at $ADDR never became reachable (see $log)"
 }
 
-stop_server() {
+stop_server() { # args: [max seconds from `job shutdown` to process exit]
     "$BIN" job shutdown --addr "$ADDR" >/dev/null 2>&1 || true
+    if [ -n "${1:-}" ]; then
+        local deadline=$(( $(date +%s%N) + $1 * 1000000000 ))
+        while kill -0 "$SERVER_PID" 2>/dev/null; do
+            [ "$(date +%s%N)" -lt "$deadline" ] ||
+                fail "server on $BIND still running $1 s after \`job shutdown\`"
+            sleep 0.05
+        done
+    fi
     wait "$SERVER_PID" 2>/dev/null || true
     SERVER_PID=""
 }
@@ -122,6 +135,7 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 [ -s "$JOURNAL" ] || fail "journal is empty after SIGKILL"
 
+BIND="0.0.0.0:${ADDR##*:}"
 start_server "$ARTIFACTS/server-3.log" --workers 1 --chunk-quanta 20000
 OUT=$("$BIN" job wait --addr "$ADDR" --id "$JOB")
 expect "resumed job" '"state":"done"' "$OUT"
@@ -134,7 +148,8 @@ BASELINE=$(outcome_of "$OUT")
 if [ "$RESUMED" != "$BASELINE" ]; then
     fail "resumed outcome diverged: resumed=$RESUMED baseline=$BASELINE"
 fi
-stop_server
+# 6. Idle server on a wildcard bind: shutdown → exit is prompt.
+stop_server 2
 
 rm -rf "$ARTIFACTS"
 echo "serve_smoke: OK"

@@ -221,6 +221,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+/// A shared slice renders exactly as the `Vec` it was built from, so a type
+/// can switch between the two without changing any serialized byte.
+impl<T: Serialize> Serialize for std::sync::Arc<[T]> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::from_value(v).map(Self::from)
+    }
+}
+
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -308,5 +322,23 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn shared_slice_round_trips_as_the_vec_it_came_from() {
+        let vec: Vec<u64> = vec![3, 1, 4, 1, 5];
+        let shared: Arc<[u64]> = Arc::from(vec.clone());
+        assert_eq!(shared.to_value(), vec.to_value());
+        let back = Arc::<[u64]>::from_value(&vec.to_value()).unwrap();
+        assert_eq!(&*back, vec.as_slice());
+        let empty = Arc::<[u64]>::from_value(&Value::Array(vec![])).unwrap();
+        assert!(empty.is_empty());
+        assert!(Arc::<[u64]>::from_value(&Value::U64(1)).is_err());
     }
 }

@@ -1,8 +1,7 @@
 //! The deterministic meta-engine.
 //!
 //! This is a discrete-event simulation of the *parallel simulation*: the
-//! outer clock is modelled **host time**, on which three kinds of events
-//! live:
+//! outer clock is modelled **host time**, on which three things happen:
 //!
 //! * `NodeYield` — a node simulator finishes its current execution segment
 //!   (a slice of compute/idle guest time, capped at the quantum boundary);
@@ -11,6 +10,19 @@
 //! * `BarrierDone` — the last node reached the quantum boundary and the
 //!   barrier's host cost has elapsed; the quantum policy chooses the next
 //!   quantum and all nodes resume.
+//!
+//! They are events on the queue only while their order can matter. A
+//! fragment always is one. Yields are queued unless the quantum is *quiet*:
+//! nothing is in flight when it starts, nothing departs in it, and every
+//! node's first segment runs straight to the quantum edge. Then no fragment
+//! can reach the controller before the barrier and no idle traversal can be
+//! interrupted, so the yields commute: each node enters the barrier at its
+//! computed host time through the same handler, in rank order, and nothing
+//! is queued. A barrier completion is queued only while fragments are in
+//! flight (one of them may land first); otherwise it is the next thing to
+//! happen and runs directly, so a stretch of quiet quanta never touches the
+//! heap. The modelled clock, the recorder's lanes and the snapshot cut are
+//! the same either way.
 //!
 //! Simulated time is derived: each node's position advances linearly within
 //! its active segment at its current (jittered) simulation speed. Straggler
@@ -104,7 +116,7 @@ struct Node {
 #[derive(Debug)]
 enum Ev {
     NodeYield { node: usize, gen: u64 },
-    FragAtController(Box<OutFrag>, NodeId),
+    FragAtController(OutFrag, NodeId),
     BarrierDone,
 }
 
@@ -113,6 +125,13 @@ struct Engine<'a, S, R> {
     nodes: Vec<Node>,
     net: NetworkController<FragInfo, S>,
     queue: EventQueue<HostTime, Ev>,
+    /// Events the current handler produced, in the order it produced them;
+    /// not yet queued. The run loop flushes them after every handler; a
+    /// quiet quantum delivers its yields from the nodes and drops them.
+    staged: Vec<(HostTime, Ev)>,
+    /// The barrier completed with nothing in flight: its completion at this
+    /// host time is the next thing to happen and needs no queue entry.
+    barrier_due: Option<HostTime>,
     policy: Box<dyn QuantumPolicy>,
     q_len: SimDuration,
     q_start: SimTime,
@@ -247,6 +266,8 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             nodes,
             net,
             queue: EventQueue::new(),
+            staged: Vec::with_capacity(n),
+            barrier_due: None,
             policy,
             q_len,
             q_start: SimTime::ZERO,
@@ -341,6 +362,8 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             nodes,
             net,
             queue: EventQueue::new(),
+            staged: Vec::with_capacity(n),
+            barrier_due: None,
             policy,
             q_len: body.q_len,
             q_start: body.q_start,
@@ -379,7 +402,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             engine.in_flight_frags += 1;
             engine.queue.schedule(
                 f.due_host,
-                Ev::FragAtController(Box::new(frag_from_snap(&f.frag)), NodeId::new(f.src)),
+                Ev::FragAtController(frag_from_snap(&f.frag), NodeId::new(f.src)),
             );
         }
         Ok(engine)
@@ -391,13 +414,12 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
                 node.speed.resample();
             }
         }
-        for i in 0..self.nodes.len() {
-            if self.finished {
-                break;
-            }
-            self.advance_node(i);
-        }
+        self.start_quantum();
         while !self.finished && self.captured.is_none() {
+            if let Some(now) = self.barrier_due.take() {
+                self.on_barrier_done(now)?;
+                continue;
+            }
             let Some((time, ev)) = self.queue.pop() else {
                 return Err(SimError::EngineInvariant {
                     detail: format!(
@@ -409,15 +431,54 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             };
             match ev {
                 Ev::NodeYield { node, gen } => self.on_node_yield(node, gen, time),
-                Ev::FragAtController(frag, src) => self.on_frag(*frag, src, time),
+                Ev::FragAtController(frag, src) => self.on_frag(frag, src, time),
                 Ev::BarrierDone => self.on_barrier_done(time)?,
             }
+            self.flush_staged();
         }
         if let Some(body) = self.captured.take() {
             return Ok(DetOutcome::Captured(Box::new(body)));
         }
         let (result, rec) = self.into_result();
         Ok(DetOutcome::Finished(Box::new(result), rec))
+    }
+
+    /// Starts the quantum `[q_start, q_end)`: every node leaves the edge, and
+    /// the events that produces are queued — unless the quantum is quiet
+    /// (see the module docs), in which case each node's yield is delivered
+    /// here, at its computed host time, and nothing is queued.
+    fn start_quantum(&mut self) {
+        for i in 0..self.nodes.len() {
+            self.advance_node(i);
+            if self.finished {
+                return;
+            }
+        }
+        let q_end = self.q_end;
+        let quiet = self.in_flight_frags == 0
+            && self
+                .nodes
+                .iter()
+                .all(|n| n.seg.is_some_and(|seg| seg.end_sim == q_end));
+        if !quiet {
+            self.flush_staged();
+            return;
+        }
+        self.staged.clear();
+        for i in 0..self.nodes.len() {
+            let node = &self.nodes[i];
+            let seg = node.seg.expect("every node left the edge in a segment");
+            self.on_node_yield(i, node.gen, seg.end_host);
+        }
+    }
+
+    /// Queues the staged events in the order they were produced, which is
+    /// what keeps sequence numbers — the FIFO tie-break — a function of the
+    /// simulated history alone.
+    fn flush_staged(&mut self) {
+        for (at, ev) in self.staged.drain(..) {
+            self.queue.schedule(at, ev);
+        }
     }
 
     /// Drives node `i` forward from its anchored position until a segment
@@ -528,7 +589,8 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
     }
 
     /// Schedules the next execution segment for node `i` (which must be
-    /// anchored) and hands off any fragments departing within it.
+    /// anchored) and hands off any fragments departing within it: stages
+    /// the segment's yield, then its departures.
     fn schedule_segment(&mut self, i: usize, kind: SegKind, len: SimDuration, idle: bool) {
         debug_assert!(!len.is_zero(), "zero-length segment scheduled");
         let hop = self.cfg.controller_hop;
@@ -561,25 +623,18 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             end_sim,
             end_host,
         });
-        // Collect the departures first: queue and node are both fields of
-        // self, so the handoff happens after the node borrow ends.
-        let mut departures: Vec<(HostTime, OutFrag)> = Vec::new();
+        self.staged.push((end_host, Ev::NodeYield { node: i, gen }));
         while let Some(front) = node.outgoing.front() {
             if front.departure > end_sim {
                 break;
             }
             let frag = node.outgoing.pop_front().expect("front vanished");
             let dep_host = start_host + node.speed.host_cost(frag.departure - start_sim, idle);
-            departures.push((dep_host + hop, frag));
-        }
-        self.queue
-            .schedule(end_host, Ev::NodeYield { node: i, gen });
-        for (at, frag) in departures {
             self.in_flight_frags += 1;
-            self.queue.schedule(
-                at,
-                Ev::FragAtController(Box::new(frag), NodeId::new(i as u32)),
-            );
+            self.staged.push((
+                dep_host + hop,
+                Ev::FragAtController(frag, NodeId::new(i as u32)),
+            ));
         }
     }
 
@@ -614,9 +669,14 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
         self.barrier_arrived += 1;
         self.barrier_latest = self.barrier_latest.max(node_host);
         if self.barrier_arrived == self.nodes.len() {
-            let cost = self.cfg.barrier.cost(self.nodes.len());
-            self.queue
-                .schedule(self.barrier_latest + cost, Ev::BarrierDone);
+            // Every node is parked, so only a fragment in flight can still
+            // happen before the barrier completes.
+            let due = self.barrier_latest + self.cfg.barrier.cost(self.nodes.len());
+            if self.in_flight_frags == 0 {
+                self.barrier_due = Some(due);
+            } else {
+                self.staged.push((due, Ev::BarrierDone));
+            }
         }
     }
 
@@ -667,18 +727,13 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
         // The cut point: every node sits exactly at the quantum edge
         // (`sim == q_start`), the policy has already chosen the next
         // quantum, and host speeds are freshly resampled. Capturing here
-        // and never running the advance loop leaves the run resumable
-        // with zero divergence.
+        // and never starting the quantum leaves the run resumable with
+        // zero divergence.
         if self.capture_at == Some(self.quanta.total_quanta()) {
             self.captured = Some(self.capture(now));
             return Ok(());
         }
-        for i in 0..self.nodes.len() {
-            if self.finished {
-                return Ok(());
-            }
-            self.advance_node(i);
-        }
+        self.start_quantum();
         Ok(())
     }
 
@@ -1292,6 +1347,110 @@ mod tests {
         assert_eq!(null.sim_end, result.sim_end);
         assert_eq!(null.host_elapsed, result.host_elapsed);
         assert_eq!(null.total_quanta, result.total_quanta);
+    }
+
+    /// A ring that alternates long computes (stretches of quiet quanta)
+    /// with small and multi-fragment sends and blocking receives; compute
+    /// lengths are skewed by rank so early finishers idle to the edge.
+    fn quiet_busy_ring(n: u32, rounds: u32) -> Vec<Program> {
+        (0..n)
+            .map(|r| {
+                let mut b = ProgramBuilder::new(Rank::new(r));
+                for k in 0..rounds {
+                    let bytes = if k % 2 == 0 { 64 } else { 25_000 };
+                    b = b
+                        .compute(260_000 + 26_000 * u64::from((r + k) % 4))
+                        .send(Rank::new((r + 1) % n), bytes, Tag::new(k))
+                        .recv(Some(Rank::new((r + n - 1) % n)), Tag::new(k));
+                }
+                b.compute(130_000).build()
+            })
+            .collect()
+    }
+
+    /// `step_snapshot(cursor, 1)` over every quantum edge — cuts inside
+    /// quiet stretches and cuts with fragments in flight — reaches the
+    /// uninterrupted run, at n = 2 and n = 64 (the quiet test is O(n)).
+    #[test]
+    fn single_quantum_chunks_through_quiet_and_busy_quanta_resume_exactly() {
+        use crate::sim::{Sim, SnapshotStep};
+        // The `host_elapsed` literals are the all-events engine's (parent
+        // commit), so the uninterrupted run is pinned too, not only its
+        // agreement with the chunked one.
+        for (n, host_ns) in [(2, 146_241_059), (64, 1_089_407_528)] {
+            // A controller hop of several quanta of host time keeps
+            // fragments in flight across barriers.
+            let mut cfg = ClusterConfig::new(SyncConfig::fixed_micros(10)).with_seed(17);
+            cfg.controller_hop = aqs_time::HostDuration::from_millis(20);
+            let sim = Sim::new(quiet_busy_ring(n, 4)).config(cfg.clone());
+            let whole = run_cluster(quiet_busy_ring(n, 4), &cfg);
+            let (mut cursor, mut quiet_cuts, mut busy_cuts) = (None, 0u32, 0u32);
+            let chunked = loop {
+                match sim.step_snapshot(cursor.as_ref(), 1).expect("chunk runs") {
+                    SnapshotStep::Snapshot(s) => {
+                        if s.body.in_flight.is_empty() {
+                            quiet_cuts += 1;
+                        } else {
+                            busy_cuts += 1;
+                        }
+                        cursor = Some(s);
+                    }
+                    SnapshotStep::Finished(report) => break report,
+                }
+            };
+            assert!(
+                quiet_cuts > 20 && busy_cuts > 0,
+                "n={n}: {quiet_cuts} quiet, {busy_cuts} busy"
+            );
+            let chunked = chunked.detail.as_deterministic().expect("det detail");
+            assert_eq!(whole.host_elapsed.as_nanos(), host_ns, "n={n}");
+            assert_eq!(chunked.sim_end, whole.sim_end, "n={n}");
+            assert_eq!(chunked.host_elapsed, whole.host_elapsed, "n={n}");
+            assert_eq!(chunked.total_quanta, whole.total_quanta, "n={n}");
+            assert_eq!(chunked.total_packets, whole.total_packets, "n={n}");
+            assert_eq!(chunked.stragglers, whole.stragglers, "n={n}");
+            for (c, w) in chunked.per_node.iter().zip(&whole.per_node) {
+                assert_eq!(
+                    (c.finish_sim, c.finish_host),
+                    (w.finish_sim, w.finish_host),
+                    "n={n}"
+                );
+            }
+        }
+    }
+
+    /// The modelled host clock of runs that are quiet from end to end is
+    /// pinned to the values the all-events engine produced (parent commit):
+    /// a compute-only pair, and a run whose last program finishes at the
+    /// start of a quiet quantum, while the quantum's segments are still
+    /// being collected.
+    #[test]
+    fn quiet_runs_keep_their_host_clock() {
+        let pair = |a, b| {
+            vec![
+                ProgramBuilder::new(Rank::new(0)).compute(a).build(),
+                ProgramBuilder::new(Rank::new(1)).compute(b).build(),
+            ]
+        };
+        let uneven = run_cluster(
+            pair(500_000, 900_000),
+            &quick_config(SyncConfig::ground_truth()),
+        );
+        assert_eq!(uneven.host_elapsed.as_nanos(), 287_943_443);
+        assert_eq!(uneven.sim_end, SimTime::from_nanos(346_154));
+        assert_eq!(uneven.total_quanta, 346);
+        // 26 000 ops = exactly 10 quanta of 1 µs: both programs finish on a
+        // quantum edge, node 1 last, inside the collect pass.
+        let edge = run_cluster(
+            pair(26_000, 26_000),
+            &quick_config(SyncConfig::ground_truth()),
+        );
+        assert_eq!(edge.host_elapsed.as_nanos(), 8_341_212);
+        assert_eq!(edge.sim_end, SimTime::from_micros(10));
+        assert_eq!(edge.total_quanta, 10);
+        for node in &edge.per_node {
+            assert_eq!(node.finish_host, HostTime::from_nanos(8_341_212));
+        }
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! 1. **Total determinism** — events with equal timestamps are delivered in
 //!    schedule order (FIFO), so a run is a pure function of its inputs.
-//! 2. **O(log n) cancellation** — an event can be invalidated after being
-//!    scheduled (lazy deletion), which the engine uses when an incoming
-//!    packet wakes a node that had already scheduled its quantum-boundary
-//!    event.
+//! 2. **Nothing but the heap on the hot path** — `schedule` and `pop` are
+//!    one binary-heap push and pop; there is no per-event set or map.
+//!
+//! The cluster engine never cancels: it invalidates a superseded event by
+//! bumping a per-node generation counter and ignoring the stale delivery.
+//! [`EventQueue::cancel`] exists for callers that cannot do that, and they
+//! pay for it: a cancel scans the pending events, O(n), and every `pop` and
+//! `peek_time` consults the set of cancelled events until the last of them
+//! has been reached and dropped.
 //!
 //! The queue is generic over the time axis (`SimTime`, `HostTime`, or any
 //! `Ord + Copy` instant), because the cluster engine runs its outer loop on
@@ -90,10 +95,10 @@ impl<T: Ord, E> Ord for Entry<T, E> {
 /// See the [crate docs](crate) for the motivating design notes.
 pub struct EventQueue<T, E> {
     heap: BinaryHeap<Entry<T, E>>,
-    /// Sequence numbers of events that are scheduled and not yet delivered
-    /// or cancelled. Cancellation removes from this set; `pop` skips heap
-    /// entries whose seq is absent (lazy deletion).
-    live: HashSet<u64>,
+    /// Sequence numbers of cancelled events whose heap slot has not been
+    /// reached yet (lazy deletion). Empty unless `cancel` is in use, and
+    /// `pop` / `peek_time` look at it only when it is not.
+    cancelled: HashSet<u64>,
     next_seq: u64,
     scheduled_total: u64,
 }
@@ -109,7 +114,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
+            cancelled: HashSet::new(),
             next_seq: 0,
             scheduled_total: 0,
         }
@@ -119,7 +124,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(n),
-            live: HashSet::with_capacity(n),
+            cancelled: HashSet::new(),
             next_seq: 0,
             scheduled_total: 0,
         }
@@ -132,7 +137,6 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.live.insert(seq);
         self.heap.push(Entry { time, seq, payload });
         EventId(seq)
     }
@@ -143,15 +147,23 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     /// never to be delivered), `false` if it had already been delivered or
     /// cancelled. Cancellation is lazy: the heap slot is dropped when `pop`
     /// reaches it.
+    ///
+    /// Costs a scan of the pending events, O(n): the queue keeps no index
+    /// from id to heap slot, so that `schedule` and `pop` stay a bare heap
+    /// push and pop for callers that never cancel.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.live.remove(&id.0)
+        let pending = !self.cancelled.contains(&id.0) && self.heap.iter().any(|e| e.seq == id.0);
+        if pending {
+            self.cancelled.insert(id.0);
+        }
+        pending
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(T, E)> {
         while let Some(entry) = self.heap.pop() {
-            if !self.live.remove(&entry.seq) {
-                continue; // cancelled
+            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
+                continue;
             }
             return Some((entry.time, entry.payload));
         }
@@ -163,7 +175,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     pub fn peek_time(&mut self) -> Option<T> {
         // Drop cancelled heads so the answer reflects a live event.
         while let Some(entry) = self.heap.peek() {
-            if !self.live.contains(&entry.seq) {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
                 self.heap.pop();
                 continue;
             }
@@ -174,12 +186,12 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
 
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len() - self.cancelled.len()
     }
 
     /// Returns `true` if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -190,7 +202,7 @@ impl<T: Ord + Copy, E> EventQueue<T, E> {
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.live.clear();
+        self.cancelled.clear();
     }
 }
 
@@ -203,165 +215,10 @@ impl<T: Ord + Copy + fmt::Debug, E> fmt::Debug for EventQueue<T, E> {
     }
 }
 
-/// A self-contained sequential DES driver around [`EventQueue`].
-///
-/// `Simulation` owns the clock and hands each event to a handler that may
-/// schedule further events through [`Context`]. It is the conventional
-/// "event loop in a box" for models that don't need the cluster engine's
-/// bespoke outer loop, and it powers several of this repository's unit
-/// models and examples.
-///
-/// # Examples
-///
-/// A one-shot ping-pong between two logical processes:
-///
-/// ```
-/// use aqs_des::Simulation;
-/// use aqs_time::{SimDuration, SimTime};
-///
-/// #[derive(Debug)]
-/// enum Ev { Ping(u32), Pong(u32) }
-///
-/// let mut sim = Simulation::new();
-/// sim.schedule(SimTime::ZERO, Ev::Ping(3));
-/// let mut pongs = 0;
-/// sim.run(|ctx, ev| match ev {
-///     Ev::Ping(n) if n > 0 => {
-///         ctx.schedule_in(SimDuration::from_micros(1), Ev::Pong(n));
-///     }
-///     Ev::Pong(n) => {
-///         pongs += 1;
-///         ctx.schedule_in(SimDuration::from_micros(1), Ev::Ping(n - 1));
-///     }
-///     Ev::Ping(_) => {}
-/// });
-/// assert_eq!(pongs, 3);
-/// ```
-pub struct Simulation<E> {
-    queue: EventQueue<aqs_time::SimTime, E>,
-    now: aqs_time::SimTime,
-    processed: u64,
-}
-
-/// Scheduling surface handed to [`Simulation`] handlers.
-pub struct Context<'a, E> {
-    queue: &'a mut EventQueue<aqs_time::SimTime, E>,
-    now: aqs_time::SimTime,
-}
-
-impl<E> Context<'_, E> {
-    /// Current simulated time.
-    pub fn now(&self) -> aqs_time::SimTime {
-        self.now
-    }
-
-    /// Schedules an event at an absolute time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is in the past — conservative DES never rewinds.
-    pub fn schedule(&mut self, time: aqs_time::SimTime, event: E) -> EventId {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past ({time} < {})",
-            self.now
-        );
-        self.queue.schedule(time, event)
-    }
-
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: aqs_time::SimDuration, event: E) -> EventId {
-        self.queue.schedule(self.now + delay, event)
-    }
-
-    /// Cancels a pending event. See [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-}
-
-impl<E> Default for Simulation<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Simulation<E> {
-    /// Creates an empty simulation at time zero.
-    pub fn new() -> Self {
-        Self {
-            queue: EventQueue::new(),
-            now: aqs_time::SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// Schedules an initial event (before or between runs).
-    pub fn schedule(&mut self, time: aqs_time::SimTime, event: E) -> EventId {
-        self.queue.schedule(time, event)
-    }
-
-    /// Current simulated time (time of the last delivered event).
-    pub fn now(&self) -> aqs_time::SimTime {
-        self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Runs until the event queue is empty.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Context<'_, E>, E)) {
-        while let Some((time, event)) = self.queue.pop() {
-            debug_assert!(time >= self.now, "event queue went backwards");
-            self.now = time;
-            self.processed += 1;
-            let mut ctx = Context {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(&mut ctx, event);
-        }
-    }
-
-    /// Runs until the queue is empty or the next event is later than
-    /// `horizon`; events beyond the horizon remain pending.
-    pub fn run_until(
-        &mut self,
-        horizon: aqs_time::SimTime,
-        mut handler: impl FnMut(&mut Context<'_, E>, E),
-    ) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (time, event) = self.queue.pop().expect("peeked event vanished");
-            self.now = time;
-            self.processed += 1;
-            let mut ctx = Context {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(&mut ctx, event);
-        }
-    }
-}
-
-impl<E> fmt::Debug for Simulation<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("processed", &self.processed)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqs_time::{HostTime, SimDuration, SimTime};
+    use aqs_time::HostTime;
     use proptest::prelude::*;
 
     #[test]
@@ -429,6 +286,105 @@ mod tests {
     }
 
     #[test]
+    fn cancel_of_a_cleared_event_returns_false() {
+        let mut q: EventQueue<HostTime, u8> = EventQueue::new();
+        let gone = q.schedule(HostTime::from_nanos(1), 1);
+        let cancelled = q.schedule(HostTime::from_nanos(2), 2);
+        assert!(q.cancel(cancelled));
+        q.clear();
+        assert!(!q.cancel(gone), "clear dropped the event");
+        assert!(!q.cancel(cancelled));
+        assert_eq!(q.len(), 0);
+        // Ids are not reused, so the stale handles stay dead.
+        let fresh = q.schedule(HostTime::from_nanos(3), 3);
+        assert!(!q.cancel(gone));
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(fresh));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn len_and_peek_track_interleaved_schedule_cancel_pop() {
+        let t = HostTime::from_nanos;
+        let mut q: EventQueue<HostTime, u8> = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        let a = q.schedule(t(10), 1);
+        let b = q.schedule(t(20), 2);
+        let c = q.schedule(t(20), 3);
+        assert_eq!((q.len(), q.peek_time()), (3, Some(t(10))));
+        assert!(q.cancel(a));
+        assert_eq!((q.len(), q.peek_time()), (2, Some(t(20))));
+        // The cancelled head is gone; a new, earlier event becomes the head.
+        q.schedule(t(5), 4);
+        assert_eq!((q.len(), q.peek_time()), (3, Some(t(5))));
+        assert_eq!(q.pop(), Some((t(5), 4)));
+        assert!(q.cancel(b));
+        assert_eq!((q.len(), q.peek_time()), (1, Some(t(20))));
+        assert_eq!(q.pop(), Some((t(20), 3)));
+        assert!(!q.cancel(c), "already delivered");
+        assert!(q.is_empty());
+        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
+        // A cancelled tail leaves nothing to peek at or pop.
+        let d = q.schedule(t(30), 5);
+        assert!(q.cancel(d));
+        assert!(q.is_empty());
+        assert_eq!((q.peek_time(), q.pop()), (None, None));
+        assert_eq!(q.scheduled_total(), 5);
+    }
+
+    /// 10 000 seeded operations against a sorted `Vec` of `(time, schedule
+    /// order)`: every `pop`, `peek_time`, `len` and `cancel` return value
+    /// must agree, so the bookkeeping cannot drift from the contract the
+    /// engine's determinism rests on.
+    #[test]
+    fn differential_against_sorted_vec_model() {
+        let mut rng = aqs_rng::Rng::seed_from_u64(0x0DE5);
+        let mut q: EventQueue<HostTime, u64> = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new(); // (time, seq), kept sorted
+        let mut ids: Vec<(EventId, u64)> = Vec::new(); // every id ever issued
+        for op in 0..10_000u32 {
+            match rng.range_u64(0..10) {
+                0..=3 => {
+                    // Few distinct times, so ties are the common case.
+                    let time = rng.range_u64(0..64);
+                    let seq = ids.len() as u64;
+                    ids.push((q.schedule(HostTime::from_nanos(time), seq), seq));
+                    model.push((time, seq));
+                    model.sort_unstable();
+                }
+                4..=6 => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    let got = q.pop().map(|(t, seq)| (t.as_nanos(), seq));
+                    assert_eq!(got, want, "op {op}: pop");
+                }
+                7..=8 if !ids.is_empty() => {
+                    // Any id ever issued: pending, delivered or cancelled.
+                    let (id, seq) = ids[rng.index(ids.len())];
+                    let at = model.iter().position(|&(_, s)| s == seq);
+                    if let Some(at) = at {
+                        model.remove(at);
+                    }
+                    assert_eq!(q.cancel(id), at.is_some(), "op {op}: cancel {id}");
+                }
+                9 if rng.range_u64(0..50) == 0 => {
+                    q.clear();
+                    model.clear();
+                }
+                _ => {}
+            }
+            assert_eq!(q.len(), model.len(), "op {op}: len");
+            assert_eq!(q.is_empty(), model.is_empty(), "op {op}: is_empty");
+            assert_eq!(
+                q.peek_time().map(|t| t.as_nanos()),
+                model.first().map(|&(t, _)| t),
+                "op {op}: peek_time"
+            );
+        }
+        assert_eq!(q.scheduled_total(), ids.len() as u64);
+    }
+
+    #[test]
     fn peek_time_skips_cancelled() {
         let mut q: EventQueue<HostTime, u8> = EventQueue::new();
         let id = q.schedule(HostTime::from_nanos(1), 1);
@@ -468,51 +424,11 @@ mod tests {
     }
 
     #[test]
-    fn simulation_runs_cascade() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule(SimTime::ZERO, 4);
-        let mut seen = Vec::new();
-        sim.run(|ctx, n| {
-            seen.push((ctx.now(), n));
-            if n > 0 {
-                ctx.schedule_in(SimDuration::from_nanos(10), n - 1);
-            }
-        });
-        assert_eq!(seen.len(), 5);
-        assert_eq!(sim.now(), SimTime::from_nanos(40));
-        assert_eq!(sim.processed(), 5);
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule(SimTime::from_nanos(10), 1);
-        sim.schedule(SimTime::from_nanos(50), 2);
-        let mut seen = Vec::new();
-        sim.run_until(SimTime::from_nanos(20), |_, n| seen.push(n));
-        assert_eq!(seen, vec![1]);
-        sim.run_until(SimTime::from_nanos(100), |_, n| seen.push(n));
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn scheduling_into_past_panics() {
-        let mut sim: Simulation<u8> = Simulation::new();
-        sim.schedule(SimTime::from_nanos(100), 0);
-        sim.run(|ctx, _| {
-            ctx.schedule(SimTime::from_nanos(1), 1);
-        });
-    }
-
-    #[test]
     fn debug_is_informative() {
         let mut q: EventQueue<HostTime, u8> = EventQueue::new();
         q.schedule(HostTime::from_nanos(1), 1);
         let s = format!("{q:?}");
         assert!(s.contains("pending"));
-        let sim: Simulation<u8> = Simulation::new();
-        assert!(format!("{sim:?}").contains("Simulation"));
     }
 
     proptest! {

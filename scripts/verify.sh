@@ -60,6 +60,9 @@ echo "==> build bench binaries (not timed)"
 cargo build --release -p aqs-bench --bins
 cargo bench --workspace --no-run
 
+echo "==> reproduction pin: regenerated figure data vs checked-in results/*.tsv"
+./scripts/check_results.sh
+
 echo "==> shard_scaling smoke sweep (worker-count independence + allocation + 4k-node fabric + hybrid asserts, no timing gate)"
 cargo run --release -q -p aqs-bench --bin shard_scaling -- --smoke
 

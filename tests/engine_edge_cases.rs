@@ -204,3 +204,88 @@ proptest! {
         prop_assert_eq!(optimistic.simulated_outcome(), conservative.simulated_outcome());
     }
 }
+
+/// A ring that alternates long computes (stretches of quiet quanta) with
+/// small and multi-fragment sends and blocking receives; compute lengths
+/// are skewed by rank, so early finishers idle whole quanta at the receive.
+fn quiet_busy_ring(n: u32, rounds: u32) -> Vec<aqs::node::Program> {
+    use aqs::node::{ProgramBuilder, Rank, Tag};
+    (0..n)
+        .map(|r| {
+            let mut b = ProgramBuilder::new(Rank::new(r));
+            for k in 0..rounds {
+                let bytes = if k % 2 == 0 { 64 } else { 25_000 };
+                b = b
+                    .compute(260_000 + 26_000 * u64::from((r + k) % 4))
+                    .send(Rank::new((r + 1) % n), bytes, Tag::new(k))
+                    .recv(Some(Rank::new((r + n - 1) % n)), Tag::new(k));
+            }
+            b.compute(130_000).build()
+        })
+        .collect()
+}
+
+/// FNV-1a over every recorded sample: scalars and both per-node lanes.
+fn lane_digest(fr: &aqs::obs::FlightRecorder) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for s in fr.samples() {
+        eat(s.index);
+        eat(s.start.as_nanos());
+        eat(s.len.as_nanos());
+        eat(s.packets);
+        eat(s.stragglers);
+        eat(s.max_straggler_delay.as_nanos());
+        s.barrier_wait_ns.iter().for_each(|&w| eat(w));
+        s.vt_lag_ns.iter().for_each(|&l| eat(l));
+    }
+    h
+}
+
+/// Recording a run that mixes quiet and busy quanta changes nothing, and
+/// the recorded lanes are the ones the all-events engine produced (values
+/// captured on the parent commit) — including a node that idles a whole
+/// quiet quantum away at a blocking receive.
+#[test]
+fn recorded_lanes_survive_quiet_quanta() {
+    use aqs::obs::ObsConfig;
+    for (n, host_ns, digest) in [
+        (2u32, 69_628_301u64, 0x8f6e_105e_b735_cea2u64),
+        (64, 1_022_311_676, 0x8d8c_be3e_72a9_1fe6),
+    ] {
+        let cfg = ClusterConfig::new(SyncConfig::fixed_micros(10)).with_seed(17);
+        let plain = det(quiet_busy_ring(n, 4), &cfg);
+        let recorded = Sim::new(quiet_busy_ring(n, 4))
+            .config(cfg)
+            .record(ObsConfig::new())
+            .run();
+        assert_eq!(recorded.simulated_outcome(), plain.simulated_outcome());
+        let (r, p) = (
+            recorded.detail.as_deterministic().unwrap(),
+            plain.detail.as_deterministic().unwrap(),
+        );
+        assert_eq!(r.host_elapsed, p.host_elapsed, "n={n}");
+        assert_eq!(r.total_quanta, p.total_quanta, "n={n}");
+        assert_eq!(p.host_elapsed.as_nanos(), host_ns, "n={n}");
+        let fr = recorded.obs.as_ref().expect("recorder attached");
+        assert_eq!(fr.dropped(), 0);
+        assert_eq!(lane_digest(fr), digest, "n={n}");
+        if n == 2 {
+            // Quantum 51: node 0 computes, node 1 sits at its receive from
+            // edge to edge with nothing in flight.
+            let s = fr.samples().nth(51).expect("quantum 51 recorded");
+            assert_eq!((s.index, s.packets), (51, 0));
+            assert_eq!(s.barrier_wait_ns, [0, 398_023]);
+            assert_eq!(s.vt_lag_ns, [0, 10_000]);
+            // Quantum 25: a delivery lands while node 0 idles to the edge.
+            let s = fr.samples().nth(25).expect("quantum 25 recorded");
+            assert_eq!(s.packets, 1);
+            assert_eq!(s.barrier_wait_ns, [319_510, 0]);
+            assert_eq!(s.vt_lag_ns, [10_000, 0]);
+        }
+    }
+}

@@ -56,11 +56,11 @@ use crate::pool::{
     busy_work, LeaderState, ParallelConfig, ParallelNodeResult, ParallelSwitch, Q_END_STOP,
 };
 use crate::sim::{EngineKind, SimError};
-use crate::snapshot::ResumeSeed;
+use crate::snapshot::{ResumeNode, ResumeSeed};
 use aqs_net::{
     ChaosOverlay, Destination, FatTreeFabric, LinkLoad, NicModel, NodeId, StragglerStats,
 };
-use aqs_node::{Action, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
+use aqs_node::{Action, CpuModel, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, Mailbox, MailboxPool, PoolDepot, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
@@ -280,12 +280,63 @@ struct ShardNodes {
     done_reported: Vec<bool>,
 }
 
+impl ShardNodes {
+    /// Builds the shard whose first node is global node `base`, straight
+    /// into the lanes and on the worker that will run and drop them: fresh
+    /// executors at sim time zero, or — with `resume`, this shard's slice of
+    /// the snapshot's nodes — restored ones at the cut `q_start`. A node
+    /// state that fails validation is reported as `"node i: …"`.
+    fn build(
+        base: usize,
+        programs: Vec<Program>,
+        resume: Option<(&[ResumeNode], SimTime)>,
+        cpu: CpuModel,
+    ) -> Result<Self, String> {
+        let len = programs.len();
+        let Some((states, q_start)) = resume else {
+            return Ok(Self {
+                base,
+                execs: programs
+                    .into_iter()
+                    .map(|p| NodeExecutor::new(p, cpu))
+                    .collect(),
+                sim: vec![SimTime::ZERO; len],
+                msg_seq: vec![0; len],
+                pending_ns: vec![0; len],
+                done_reported: vec![false; len],
+            });
+        };
+        let execs = programs
+            .into_iter()
+            .zip(states)
+            .enumerate()
+            .map(|(l, (p, ns))| {
+                NodeExecutor::from_state(p, cpu, ns.exec.clone())
+                    .map_err(|e| format!("node {}: {e}", base + l))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            base,
+            execs,
+            sim: vec![q_start; len],
+            msg_seq: states.iter().map(|ns| ns.msg_seq).collect(),
+            pending_ns: states
+                .iter()
+                .map(|ns| ns.pending.map_or(0, |d| d.as_nanos()))
+                .collect(),
+            done_reported: states.iter().map(|ns| ns.done).collect(),
+        })
+    }
+}
+
 /// Per-shard wake wheel: which locals run in the current quantum, and when
 /// parked-with-a-deadline locals become due. Entirely worker-private.
 struct WakeWheel {
     /// Bitmap over local indices: bit set ⇒ the node executes this quantum.
     /// Stable during the scan — same-quantum sends land in mailboxes that
-    /// drain at the *next* boundary, so executing a node never arms another.
+    /// drain at the *next* boundary, so executing a node never arms another;
+    /// a node that must run again next quantum re-arms its own bit, in a
+    /// word the scan has already taken.
     ready_words: Vec<u64>,
     /// Scheduled polls as `(wake_ns, local)` min-entries. Every entry arms
     /// exactly one poll, in the first quantum whose edge lies beyond
@@ -332,7 +383,9 @@ struct SharedSharded<R> {
     np_slots: Vec<CachePadded<AtomicU64>>,
     /// Per-shard straggler deltas for the quantum (observability only).
     shard_obs: Vec<CachePadded<ShardObsSlot>>,
-    /// Per-node idle-tail (vt lag) for the quantum, in sim ns.
+    /// Per-node idle-tail (vt lag) for the quantum, in sim ns. Empty unless
+    /// the recorder is enabled: nothing else reads it, and at a cache line
+    /// per node it is the largest allocation of a big unrecorded run.
     lag_slots: Vec<CachePadded<AtomicU64>>,
     /// Per-worker fabric link-load slices, sized `m × n_links`. Empty (and
     /// the recording path compiled out) unless the switch is a fabric *and*
@@ -344,6 +397,9 @@ struct SharedSharded<R> {
     done: AtomicU64,
     /// Deadlock-guard flag (checked after join, where panicking is safe).
     overflow: AtomicBool,
+    /// Set by a worker whose slice of a snapshot failed to restore; read by
+    /// every worker after the restore round, before the first quantum.
+    restore_failed: AtomicBool,
     barrier: TreeBarrier<LeaderState<R>>,
 }
 
@@ -502,17 +558,6 @@ pub(crate) fn partition_weighted(weights: &[u64], m: usize) -> Vec<std::ops::Ran
     ranges
 }
 
-/// Initial state of one node simulator inside a shard: a fresh executor at
-/// sim time zero, or a restored executor at the snapshot's cut point.
-struct ShardNodeInit {
-    global: usize,
-    exec: NodeExecutor,
-    sim: SimTime,
-    msg_seq: u64,
-    pending: Option<SimDuration>,
-    done: bool,
-}
-
 /// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
 /// quantum. The effective delivery time is `max(arrival, q_start)` — the
 /// *same* rule the uninterrupted run applied at route time, because every
@@ -598,7 +643,7 @@ fn route_seed_frags(
 /// rank *i*. A quantum-cap overflow (deadlock guard) is a typed
 /// [`SimError::QuantumCapExceeded`], not a panic.
 pub(crate) fn run_sharded_impl<R: Recorder>(
-    programs: Vec<Program>,
+    mut programs: Vec<Program>,
     config: &ParallelConfig,
     workers: Option<usize>,
     recorder: R,
@@ -640,35 +685,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         Some(s) => route_seed_frags(s, &config.nic, &arrivals, &shard_of, m)?,
         None => (Vec::new(), 0, StragglerStats::default()),
     };
-    let mut inits: Vec<Option<ShardNodeInit>> = Vec::with_capacity(n);
-    let mut n_done = 0u64;
-    for (i, program) in programs.into_iter().enumerate() {
-        inits.push(Some(match resume {
-            Some(s) => {
-                let ns = &s.nodes[i];
-                if ns.done {
-                    n_done += 1;
-                }
-                ShardNodeInit {
-                    global: i,
-                    exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
-                        .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
-                    sim: s.q_start,
-                    msg_seq: ns.msg_seq,
-                    pending: ns.pending,
-                    done: ns.done,
-                }
-            }
-            None => ShardNodeInit {
-                global: i,
-                exec: NodeExecutor::new(program, config.cpu),
-                sim: SimTime::ZERO,
-                msg_seq: 0,
-                pending: None,
-                done: false,
-            },
-        }));
-    }
+    let n_done = resume.map_or(0, |s| s.nodes.iter().filter(|ns| ns.done).count() as u64);
     // Fabric link-load slices exist only when there is something to record
     // them into; otherwise the whole path is a dead (compiled-out) branch.
     let n_links = match &config.switch {
@@ -683,8 +700,8 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         q_end_nanos: q_end0,
         max_quanta: config.max_quanta,
         rec: recorder,
-        waits: Vec::with_capacity(n),
-        lags: Vec::with_capacity(n),
+        waits: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
+        lags: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
         link_load: LinkLoad::new(n_links),
         shard_actives: Vec::with_capacity(m),
     };
@@ -707,7 +724,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         // swaps the sentinel back in each quantum and substitutes the full
         // quantum length for skipped nodes — exactly the lag the full sweep
         // computes for a node it re-polls while parked.
-        lag_slots: (0..n)
+        lag_slots: (0..if R::ENABLED { n } else { 0 })
             .map(|_| CachePadded::new(AtomicU64::new(u64::MAX)))
             .collect(),
         fabric_slots: if n_links > 0 {
@@ -718,6 +735,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         q_end: AtomicU64::new(q_end0),
         done: AtomicU64::new(n_done),
         overflow: AtomicBool::new(false),
+        restore_failed: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
     };
     let mut inject_pool = MailboxPool::new();
@@ -726,25 +744,34 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             shared.mailboxes[s].push_pooled(f, &mut inject_pool);
         }
     }
-    type WorkerOutput = (Vec<ParallelNodeResult>, StragglerStats, u64, u64);
-    let joined: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
+    // Each worker owns its contiguous run of programs: peel the shards off
+    // the tail (one flat copy per shard), so that no per-node work is left
+    // on this thread and every executor is built by the worker that runs it.
+    let mut shards: Vec<Vec<Program>> = ranges[1..]
+        .iter()
+        .rev()
+        .map(|range| programs.split_off(range.start))
+        .collect();
+    shards.push(programs);
+    shards.reverse();
+    let joined: Result<Vec<WorkerOutput>, String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .into_iter()
+            .zip(&ranges)
             .enumerate()
-            .map(|(w, range)| {
-                let shard: Vec<ShardNodeInit> = range
-                    .clone()
-                    .map(|i| inits[i].take().expect("each node init taken once"))
-                    .collect();
+            .map(|(w, (shard, range))| {
                 let shared = &shared;
-                scope.spawn(move || worker_thread(w, shard, config, shared))
+                let restore = resume.map(|s| (&s.nodes[range.clone()], s.q_start));
+                scope.spawn(move || worker_thread(w, range.start, shard, restore, config, shared))
             })
             .collect();
+        // Shard order, so the error kept is the lowest failing node's.
         handles
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
     });
+    let joined = joined.map_err(SimError::snapshot_format)?;
     if shared.overflow.load(Ordering::Acquire) {
         return Err(SimError::QuantumCapExceeded {
             engine: EngineKind::Sharded,
@@ -785,9 +812,13 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     Ok((result, leader.rec))
 }
 
-/// Runs one shard to completion; returns its nodes' results (in rank
-/// order), the worker's run-total straggler tally, its packet pool's
-/// heap-allocation count, and the number of node executions it performed.
+/// What a worker returns: its nodes' results (in rank order), its
+/// run-total straggler tally, its packet pool's heap-allocation count, and
+/// the number of node executions it performed.
+type WorkerOutput = (Vec<ParallelNodeResult>, StragglerStats, u64, u64);
+
+/// Builds one shard (see [`ShardNodes::build`]) and runs it to completion.
+/// `Err` is this shard's lowest node that failed to restore from `restore`.
 ///
 /// The active-set scheduler (the default) executes only nodes with a
 /// scheduled wake inside the quantum; a quantum where the whole shard is
@@ -797,30 +828,31 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 /// baseline the active set must match bit for bit.
 fn worker_thread<R: Recorder>(
     w: usize,
-    shard: Vec<ShardNodeInit>,
+    base: usize,
+    programs: Vec<Program>,
+    restore: Option<(&[ResumeNode], SimTime)>,
     config: &ParallelConfig,
     shared: &SharedSharded<R>,
-) -> (Vec<ParallelNodeResult>, StragglerStats, u64, u64) {
-    let base = shard.first().map(|init| init.global).unwrap_or(0);
-    let len = shard.len();
-    let q_start0 = shard.first().map(|init| init.sim).unwrap_or(SimTime::ZERO);
-    let mut nodes = ShardNodes {
-        base,
-        execs: Vec::with_capacity(len),
-        sim: Vec::with_capacity(len),
-        msg_seq: Vec::with_capacity(len),
-        pending_ns: Vec::with_capacity(len),
-        done_reported: Vec::with_capacity(len),
-    };
-    for init in shard {
-        nodes.execs.push(init.exec);
-        nodes.sim.push(init.sim);
-        nodes.msg_seq.push(init.msg_seq);
-        nodes
-            .pending_ns
-            .push(init.pending.map_or(0, |d| d.as_nanos()));
-        nodes.done_reported.push(init.done);
+) -> Result<WorkerOutput, String> {
+    let len = programs.len();
+    let q_start0 = restore.map_or(SimTime::ZERO, |(_, q_start)| q_start);
+    let built = ShardNodes::build(base, programs, restore, config.cpu);
+    if restore.is_some() {
+        // Only a snapshot can fail to build, and any worker's slice of it
+        // may: meet once so that either every worker enters the quantum
+        // loop or none does (a worker that left alone would strand its
+        // peers at the first quantum's barrier). Relaxed suffices: the
+        // round orders each worker's store before every worker's load.
+        if built.is_err() {
+            shared.restore_failed.store(true, Ordering::Relaxed);
+        }
+        shared.barrier.arrive(w, |_| {});
+        if shared.restore_failed.load(Ordering::Relaxed) {
+            // The caller keeps the first `Err` and discards every `Ok`.
+            return built.map(|_| WorkerOutput::default());
+        }
     }
+    let mut nodes = built?;
     let mut ctx = WorkerCtx {
         w,
         stragglers: StragglerStats::default(),
@@ -909,13 +941,28 @@ fn worker_thread<R: Recorder>(
             // Execute the active set in ascending local order (bit order =
             // rank order within the shard, matching the full sweep).
             for wi in 0..wheel.ready_words.len() {
-                let mut word = std::mem::take(&mut wheel.ready_words[wi]);
+                let mut word = wheel.ready_words[wi];
+                if word == 0 {
+                    // Nearly every word of a sparse shard, every quantum:
+                    // read it, write nothing.
+                    continue;
+                }
+                wheel.ready_words[wi] = 0;
                 while word != 0 {
                     let l = (wi << 6) + word.trailing_zeros() as usize;
                     word &= word - 1;
                     let (lag_ns, wake) =
                         advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
-                    if wake != u64::MAX {
+                    if wake == q_end_ns {
+                        // Runs again next quantum — the common case for a
+                        // node mid-compute. An entry `(q_end, l)` would be
+                        // popped by the next promote whatever the next edge
+                        // is, so arm the bit now and spare the heap a push
+                        // and a pop per active node per quantum. The stored
+                        // word was cleared before its bits were walked, so
+                        // the next quantum's scan is the first to see it.
+                        wheel.arm_now(l);
+                    } else if wake != u64::MAX {
                         wheel.heap.push(Reverse((wake, l as u32)));
                     }
                     if R::ENABLED {
@@ -945,15 +992,15 @@ fn worker_thread<R: Recorder>(
             }),
             ops: nodes.execs[l].ops_executed(),
             messages_received: nodes.execs[l].messages_received(),
-            regions: nodes.execs[l].regions().to_vec(),
+            regions: nodes.execs[l].take_regions(),
         })
         .collect();
-    (
+    Ok((
         results,
         ctx.run_stragglers,
         ctx.pool.heap_allocs(),
         nodes_executed,
-    )
+    ))
 }
 
 /// Advances one node to the quantum edge. There are no mid-quantum drains
@@ -1717,6 +1764,97 @@ mod tests {
         assert_eq!(null.sim_end, r.sim_end);
         assert_eq!(null.total_quanta, r.total_quanta);
         assert_eq!(null.total_packets, r.total_packets);
+    }
+
+    /// Everything a sharded run reports about the simulation, per node and
+    /// in total; `nodes_executed` last, because a resumed run re-polls every
+    /// node once and so counts differently from a fresh one.
+    type Observed = (
+        Vec<(Rank, SimTime, u64, u64, Vec<aqs_node::RegionRecord>)>,
+        (u64, SimDuration),
+        (SimTime, u64, u64),
+        u64,
+    );
+
+    fn observed(r: &ShardedRunResult) -> Observed {
+        (
+            r.per_node
+                .iter()
+                .map(|p| {
+                    (
+                        p.rank,
+                        p.finish_sim,
+                        p.ops,
+                        p.messages_received,
+                        p.regions.clone(),
+                    )
+                })
+                .collect(),
+            (r.stragglers.count(), r.stragglers.total_delay()),
+            (r.sim_end, r.total_quanta, r.total_packets),
+            r.nodes_executed,
+        )
+    }
+
+    #[test]
+    fn incast_fresh_and_resumed_runs_agree_for_every_worker_count() {
+        use aqs_obs::ObsConfig;
+        // Every worker builds its own slice of the nodes, fresh or from a
+        // snapshot: neither the slicing nor who builds may show. 64 nodes,
+        // 4 fronts; the 16 KiB responses are two fragments each, so cuts
+        // fall while fronts hold half-assembled messages.
+        let spec = aqs_workloads::rpc_incast(64, 4, 3, 8, 2_048, 16_384, 20_000, 7);
+        let base = Sim::new(spec.programs)
+            .engine(crate::sim::EngineKind::Sharded)
+            .sync(SyncConfig::ground_truth());
+        let sharded = |report: crate::sim::RunReport| {
+            observed(report.detail.as_sharded().expect("the sharded engine ran"))
+        };
+        let fresh = sharded(base.clone().shards(1).run());
+        assert!(fresh.0.iter().all(|node| !node.4.is_empty()), "regions");
+        for m in 2..=4 {
+            assert_eq!(sharded(base.clone().shards(m).run()), fresh, "fresh m={m}");
+        }
+        let total_quanta = fresh.2 .1;
+        assert!(total_quanta > 50, "need several cuts, got {total_quanta}");
+        let mut partial_at_a_cut = false;
+        for cut in (10..total_quanta).step_by(10) {
+            let snap = base.snapshot_at(cut).expect("capturable cut");
+            partial_at_a_cut |= snap
+                .body
+                .nodes
+                .iter()
+                .any(|n| !n.exec.mailbox.assembling.is_empty());
+            let resume = |m| sharded(base.clone().shards(m).resume(&snap).expect("resumes"));
+            let one = resume(1);
+            assert_eq!((&one.0, &one.1, &one.2), (&fresh.0, &fresh.1, &fresh.2));
+            for m in 2..=4 {
+                assert_eq!(resume(m), one, "cut={cut} m={m}");
+            }
+        }
+        assert!(partial_at_a_cut, "no cut caught a half-assembled message");
+        // Recording allocates the per-node lag lanes an unrecorded run no
+        // longer has; it must still only observe.
+        let recorded = base.clone().shards(2).record(ObsConfig::new()).run();
+        let fr = recorded.obs.as_ref().expect("recorder attached");
+        assert_eq!(fr.total_active_nodes(), fresh.3);
+        assert!(fr.vt_lag_hist().count() > 0, "lag lanes were recorded");
+        assert_eq!(sharded(recorded), fresh);
+    }
+
+    #[test]
+    fn unsafe_quantum_incast_is_identical_for_every_worker_count() {
+        // The same program under a quantum far above the safe bound, where
+        // stragglers occur: totals and per-node results still cannot depend
+        // on how the nodes were sliced over workers.
+        let spec = aqs_workloads::rpc_incast(64, 4, 3, 8, 2_048, 16_384, 20_000, 7);
+        let config = cfg(SyncConfig::fixed_micros(50));
+        let reference = observed(&run_sharded(spec.programs.clone(), &config, Some(1)));
+        assert!(reference.1 .0 > 0, "workload must straggle");
+        for m in 2..=4 {
+            let r = run_sharded(spec.programs.clone(), &config, Some(m));
+            assert_eq!(observed(&r), reference, "workers={m}");
+        }
     }
 
     #[test]

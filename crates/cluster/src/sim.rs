@@ -1289,6 +1289,94 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_node_state_fails_a_sharded_resume_typed_on_every_worker_count() {
+        use aqs_node::{AssemblingState, MessageId, MessageMeta, Rank, Tag};
+        use std::time::Duration;
+        // The sharded engine restores each node on the worker that owns it,
+        // so a node that fails to restore is found by one worker while its
+        // peers are already building: the error must still come back typed,
+        // naming the lowest bad node, with nobody left at the barrier.
+        let spec = burst(6, 2_000, 1024);
+        let base = Sim::new(spec.programs.clone()).sync(SyncConfig::ground_truth());
+        let mid = base.clone().run().total_quanta / 2;
+        let good = base.snapshot_at(mid).expect("capturable cut");
+        let past_the_end = |snap: &mut SimSnapshot, i: usize| {
+            snap.body.nodes[i].exec.pc = 9_999;
+        };
+        let short_mask = |snap: &mut SimSnapshot, i: usize| {
+            snap.body.nodes[i]
+                .exec
+                .mailbox
+                .assembling
+                .push(AssemblingState {
+                    meta: MessageMeta {
+                        id: MessageId {
+                            src: Rank::new(0),
+                            seq: 77,
+                        },
+                        tag: Tag::new(0),
+                        bytes: 27_000,
+                        frag_count: 3,
+                    },
+                    received_mask: vec![true],
+                    latest_arrival: SimTime::ZERO,
+                });
+        };
+        type Corrupt<'a> = &'a dyn Fn(&mut SimSnapshot, usize);
+        let cases: [(Corrupt, &[usize], &str); 3] = [
+            (&past_the_end, &[5], "node 5: pc 9999 beyond program length"),
+            (
+                &short_mask,
+                &[3],
+                "node 3: message rank0#77: mask length 1 != frag_count 3",
+            ),
+            // Two shards fail at once for M = 2 and 4: the lowest wins.
+            (
+                &past_the_end,
+                &[4, 1],
+                "node 1: pc 9999 beyond program length",
+            ),
+        ];
+        for (corrupt, nodes, expected) in cases {
+            let mut bad = good.clone();
+            for &i in nodes {
+                corrupt(&mut bad, i);
+            }
+            for m in [1, 2, 4] {
+                let sim = base.clone().engine(EngineKind::Sharded).shards(m);
+                let snap = bad.clone();
+                // A hang is the failure this guards against: bound it.
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    // The receiver is gone only if the wait below timed out.
+                    let _ = tx.send(sim.resume(&snap).err());
+                });
+                let err = rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .unwrap_or_else(|_| panic!("resume hung: nodes={nodes:?} m={m}"))
+                    .expect("a corrupt node must not resume");
+                match err {
+                    SimError::SnapshotFormat { detail } => assert!(
+                        detail.starts_with(expected),
+                        "nodes={nodes:?} m={m}: {detail}"
+                    ),
+                    other => panic!("nodes={nodes:?} m={m}: {other:?}"),
+                }
+            }
+        }
+        // The uncorrupted snapshot still resumes, on the same worker counts.
+        for m in [1, 2, 4] {
+            let sim = base.clone().engine(EngineKind::Sharded).shards(m);
+            let resumed = sim.resume(&good).expect("resume succeeds");
+            assert_eq!(
+                resumed.simulated_outcome(),
+                sim.run().simulated_outcome(),
+                "m={m}"
+            );
+        }
+    }
+
+    #[test]
     fn step_snapshot_chunks_reach_the_uninterrupted_outcome() {
         let spec = ping_pong(2, 20, 2048);
         let sim = Sim::new(spec.programs.clone()).sync(SyncConfig::paper_dyn1());

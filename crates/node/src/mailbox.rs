@@ -5,6 +5,7 @@ use aqs_time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Globally unique message identity: sender rank + per-sender sequence
 /// number (assigned in send order, which encodes MPI's non-overtaking rule).
@@ -35,10 +36,80 @@ pub struct MessageMeta {
     pub frag_count: u32,
 }
 
+/// Hasher for the partial-message map. Its keys are [`MessageId`]s the
+/// simulation itself assigns (a rank and a per-sender counter), so nothing
+/// needs SipHash's resistance to crafted collisions; a rotate-multiply fold
+/// of the two words spreads them over both the bucket and the control bits
+/// of the table.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Which fragments of a partial message have arrived: one inline word for
+/// messages of up to 64 fragments, a heap bitmap above that.
+#[derive(Clone, Debug)]
+enum FragMask {
+    Inline(u64),
+    Spill(Box<[u64]>),
+}
+
+impl FragMask {
+    fn new(frag_count: u32) -> Self {
+        if frag_count <= 64 {
+            FragMask::Inline(0)
+        } else {
+            FragMask::Spill(vec![0; (frag_count as usize).div_ceil(64)].into())
+        }
+    }
+
+    /// Sets bit `i`; returns `false` if it was already set.
+    #[inline]
+    fn insert(&mut self, i: u32) -> bool {
+        let word = match self {
+            FragMask::Inline(w) => w,
+            FragMask::Spill(words) => &mut words[(i >> 6) as usize],
+        };
+        let bit = 1u64 << (i & 63);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    fn contains(&self, i: u32) -> bool {
+        let word = match self {
+            FragMask::Inline(w) => *w,
+            FragMask::Spill(words) => words[(i >> 6) as usize],
+        };
+        word & (1u64 << (i & 63)) != 0
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Assembling {
     meta: MessageMeta,
-    received_mask: Vec<bool>,
+    received_mask: FragMask,
     received: u32,
     latest_arrival: SimTime,
 }
@@ -88,7 +159,8 @@ pub enum MatchOutcome {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Mailbox {
-    assembling: HashMap<MessageId, Assembling>,
+    /// Messages of two or more fragments that are still missing some.
+    assembling: HashMap<MessageId, Assembling, BuildHasherDefault<IdHasher>>,
     ready: Vec<Ready>,
     completed_total: u64,
 }
@@ -121,32 +193,39 @@ impl Mailbox {
             frag_index < meta.frag_count,
             "fragment index {frag_index} out of range"
         );
-        let slot = self.assembling.entry(meta.id).or_insert(Assembling {
-            meta,
-            received_mask: vec![false; meta.frag_count as usize],
-            received: 0,
-            latest_arrival: SimTime::ZERO,
-        });
-        assert_eq!(slot.meta, meta, "conflicting metadata for {}", meta.id);
-        assert!(
-            !slot.received_mask[frag_index as usize],
-            "duplicate fragment {frag_index} for {}",
-            meta.id
-        );
-        slot.received_mask[frag_index as usize] = true;
-        slot.received += 1;
-        slot.latest_arrival = slot.latest_arrival.max(arrival);
-        if slot.received == meta.frag_count {
-            let done = self.assembling.remove(&meta.id).expect("slot vanished");
-            self.completed_total += 1;
-            self.ready.push(Ready {
-                meta: done.meta,
-                ready_at: done.latest_arrival,
-            });
-            Some(done.latest_arrival)
+        let ready_at = if meta.frag_count == 1 {
+            // Complete on arrival: nothing to reassemble, so the map is only
+            // consulted for a partial message wrongly sharing this id.
+            assert!(
+                !self.assembling.contains_key(&meta.id),
+                "conflicting metadata for {}",
+                meta.id
+            );
+            arrival
         } else {
-            None
-        }
+            let slot = self.assembling.entry(meta.id).or_insert(Assembling {
+                meta,
+                received_mask: FragMask::new(meta.frag_count),
+                received: 0,
+                latest_arrival: SimTime::ZERO,
+            });
+            assert_eq!(slot.meta, meta, "conflicting metadata for {}", meta.id);
+            assert!(
+                slot.received_mask.insert(frag_index),
+                "duplicate fragment {frag_index} for {}",
+                meta.id
+            );
+            slot.received += 1;
+            slot.latest_arrival = slot.latest_arrival.max(arrival);
+            if slot.received < meta.frag_count {
+                return None;
+            }
+            let done = self.assembling.remove(&meta.id).expect("slot vanished");
+            done.latest_arrival
+        };
+        self.completed_total += 1;
+        self.ready.push(Ready { meta, ready_at });
+        Some(ready_at)
     }
 
     /// Attempts to match a receive posted at simulated time `now`.
@@ -221,7 +300,9 @@ impl Mailbox {
             .values()
             .map(|a| AssemblingState {
                 meta: a.meta,
-                received_mask: a.received_mask.clone(),
+                received_mask: (0..a.meta.frag_count)
+                    .map(|i| a.received_mask.contains(i))
+                    .collect(),
                 latest_arrival: a.latest_arrival,
             })
             .collect();
@@ -243,7 +324,8 @@ impl Mailbox {
     /// Rebuilds a mailbox captured by [`Self::export_state`], validating the
     /// structural invariants a corrupt snapshot could violate.
     pub fn from_state(state: MailboxState) -> Result<Self, String> {
-        let mut assembling = HashMap::with_capacity(state.assembling.len());
+        let mut assembling =
+            HashMap::with_capacity_and_hasher(state.assembling.len(), Default::default());
         for a in state.assembling {
             if a.received_mask.len() != a.meta.frag_count as usize {
                 return Err(format!(
@@ -253,7 +335,12 @@ impl Mailbox {
                     a.meta.frag_count
                 ));
             }
-            let received = a.received_mask.iter().filter(|&&b| b).count() as u32;
+            let mut received_mask = FragMask::new(a.meta.frag_count);
+            let mut received = 0u32;
+            for (i, _) in a.received_mask.iter().enumerate().filter(|(_, &b)| b) {
+                received_mask.insert(i as u32);
+                received += 1;
+            }
             if received == 0 || received >= a.meta.frag_count {
                 return Err(format!(
                     "message {}: {} of {} fragments is not a partial assembly",
@@ -265,7 +352,7 @@ impl Mailbox {
                     a.meta.id,
                     Assembling {
                         meta: a.meta,
-                        received_mask: a.received_mask,
+                        received_mask,
                         received,
                         latest_arrival: a.latest_arrival,
                     },
@@ -473,6 +560,240 @@ mod tests {
             completed_total: 0,
         };
         assert!(Mailbox::from_state(complete_marked_partial).is_err());
+    }
+
+    /// The receive path as it was before the single-fragment short cut and
+    /// the bitmap: every message, one fragment or seventy, goes through a
+    /// SipHash map of `Vec<bool>` masks. Matching is that version's single
+    /// pass over `ready`, kept as it was: which message a wildcard receive
+    /// takes depends on the order of `ready` (a later, lower sequence number
+    /// displaces its channel's candidate without revisiting the sources
+    /// already passed), and pinned run digests depend on that.
+    #[derive(Default)]
+    struct ModelMailbox {
+        assembling: std::collections::HashMap<MessageId, AssemblingState>,
+        ready: Vec<ReadyState>,
+        completed_total: u64,
+    }
+
+    impl ModelMailbox {
+        fn deliver_fragment(
+            &mut self,
+            meta: MessageMeta,
+            frag_index: u32,
+            arrival: SimTime,
+        ) -> Option<SimTime> {
+            assert!(frag_index < meta.frag_count, "fragment index out of range");
+            let slot = self.assembling.entry(meta.id).or_insert(AssemblingState {
+                meta,
+                received_mask: vec![false; meta.frag_count as usize],
+                latest_arrival: SimTime::ZERO,
+            });
+            assert_eq!(slot.meta, meta, "conflicting metadata");
+            assert!(!slot.received_mask[frag_index as usize], "duplicate");
+            slot.received_mask[frag_index as usize] = true;
+            slot.latest_arrival = slot.latest_arrival.max(arrival);
+            if slot.received_mask.iter().all(|&b| b) {
+                let done = self.assembling.remove(&meta.id).expect("present");
+                self.completed_total += 1;
+                self.ready.push(ReadyState {
+                    meta,
+                    ready_at: done.latest_arrival,
+                });
+                Some(done.latest_arrival)
+            } else {
+                None
+            }
+        }
+
+        fn match_recv(&mut self, src: Option<Rank>, tag: Tag, now: SimTime) -> MatchOutcome {
+            let mut best: Option<(usize, ReadyState)> = None;
+            for (i, r) in self.ready.iter().enumerate() {
+                if r.meta.tag != tag || src.is_some_and(|want| r.meta.id.src != want) {
+                    continue;
+                }
+                let replace = best.is_none_or(|(_, b)| {
+                    if r.meta.id.src == b.meta.id.src {
+                        r.meta.id.seq < b.meta.id.seq
+                    } else {
+                        (r.ready_at, r.meta.id.src, r.meta.id.seq)
+                            < (b.ready_at, b.meta.id.src, b.meta.id.seq)
+                    }
+                });
+                if replace {
+                    best = Some((i, *r));
+                }
+            }
+            match best {
+                None => MatchOutcome::NoMatch,
+                Some((i, r)) if r.ready_at <= now => {
+                    self.ready.swap_remove(i);
+                    MatchOutcome::Matched(r.meta, r.ready_at)
+                }
+                Some((_, r)) => MatchOutcome::ReadyAt(r.ready_at),
+            }
+        }
+
+        fn export_state(&self) -> MailboxState {
+            let mut assembling: Vec<AssemblingState> = self.assembling.values().cloned().collect();
+            assembling.sort_by_key(|a| a.meta.id);
+            MailboxState {
+                assembling,
+                ready: self.ready.clone(),
+                completed_total: self.completed_total,
+            }
+        }
+    }
+
+    /// 10 000 seeded operations — new messages of 1, 2, 11 and 70 fragments
+    /// (the last spills the inline bitmap), fragments delivered in shuffled
+    /// order and interleaved across messages, sourced and wildcard receives
+    /// at times before and after availability — against [`ModelMailbox`]:
+    /// every return value and the exported state must agree after every
+    /// operation, and a restored copy must export the same state again.
+    #[test]
+    fn differential_against_hashmap_and_vec_bool_model() {
+        let mut rng = aqs_rng::Rng::seed_from_u64(0x4D41_494C);
+        let mut mb = Mailbox::new();
+        let mut model = ModelMailbox::default();
+        let mut next_seq = [0u64; 6];
+        // Messages with fragments still to deliver, each with the shuffled
+        // order its remaining fragments will arrive in.
+        let mut in_flight: Vec<(MessageMeta, Vec<u32>)> = Vec::new();
+        let (mut matched, mut spilled) = (0u32, 0u32);
+        for op in 0..10_000u32 {
+            match rng.range_u64(0..10) {
+                0..=1 if in_flight.len() < 40 => {
+                    let src = rng.index(next_seq.len());
+                    let frags = *rng.pick(&[1u32, 1, 2, 2, 11, 70]);
+                    let m = meta(src as u32, next_seq[src], rng.range_u64(0..3) as u32, frags);
+                    next_seq[src] += 1;
+                    let mut order: Vec<u32> = (0..frags).collect();
+                    rng.shuffle(&mut order);
+                    spilled += u32::from(frags > 64);
+                    in_flight.push((m, order));
+                }
+                2..=6 if !in_flight.is_empty() => {
+                    let at = rng.index(in_flight.len());
+                    let m = in_flight[at].0;
+                    let frag = in_flight[at].1.pop().expect("no empty entries are kept");
+                    if in_flight[at].1.is_empty() {
+                        in_flight.swap_remove(at);
+                    }
+                    // Few distinct times, so equal ready times are common.
+                    let arrival = SimTime::from_nanos(rng.range_u64(0..48));
+                    assert_eq!(
+                        mb.deliver_fragment(m, frag, arrival),
+                        model.deliver_fragment(m, frag, arrival),
+                        "op {op}: deliver {} fragment {frag}",
+                        m.id
+                    );
+                }
+                7..=9 => {
+                    let src =
+                        (rng.range_u64(0..3) > 0).then(|| Rank::new(rng.range_u64(0..6) as u32));
+                    let tag = Tag::new(rng.range_u64(0..3) as u32);
+                    let now = SimTime::from_nanos(rng.range_u64(0..64));
+                    let got = mb.match_recv(src, tag, now);
+                    assert_eq!(got, model.match_recv(src, tag, now), "op {op}: match_recv");
+                    matched += u32::from(matches!(got, MatchOutcome::Matched(..)));
+                }
+                _ => {}
+            }
+            let state = mb.export_state();
+            assert_eq!(state, model.export_state(), "op {op}: export_state");
+            assert_eq!(mb.ready_len(), model.ready.len(), "op {op}");
+            assert_eq!(mb.assembling_len(), model.assembling.len(), "op {op}");
+            assert_eq!(mb.completed_total(), model.completed_total, "op {op}");
+            if op % 64 == 0 {
+                let restored = Mailbox::from_state(state.clone()).expect("own state is valid");
+                assert_eq!(restored.export_state(), state, "op {op}: round trip");
+            }
+        }
+        // The stream must have exercised what it claims to.
+        assert!(
+            matched > 200 && spilled > 20,
+            "{matched} matched, {spilled} spilled"
+        );
+        assert!(mb.assembling_len() > 0, "partial messages at the end");
+    }
+
+    /// 4096 eleven-fragment messages from 1024 senders, all partial at once
+    /// (every message's fragment k before any message's fragment k + 1):
+    /// what a 1024-node all-to-all of multi-fragment messages puts in one
+    /// node's mailbox. Results must equal the model's, and the ids must
+    /// spread over the table: the map is only O(1) if the hasher does not
+    /// pile these keys onto a few buckets, so count the collisions the way
+    /// the table sees them (bucket index from the low bits, control byte
+    /// from the top seven).
+    #[test]
+    fn four_thousand_concurrent_partials_agree_and_do_not_collide() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let metas: Vec<MessageMeta> = (0..4096u32)
+            .map(|i| meta(i % 1024, u64::from(i / 1024) + 7, i % 3, 11))
+            .collect();
+        let mut mb = Mailbox::new();
+        let mut model = ModelMailbox::default();
+        for frag in 0..11u32 {
+            for (i, m) in metas.iter().enumerate() {
+                let arrival = SimTime::from_nanos(u64::from(frag) * 5000 + (i as u64 * 7) % 4999);
+                assert_eq!(
+                    mb.deliver_fragment(*m, frag, arrival),
+                    model.deliver_fragment(*m, frag, arrival),
+                    "message {i} fragment {frag}"
+                );
+            }
+            assert_eq!(mb.assembling_len(), if frag < 10 { 4096 } else { 0 });
+            assert_eq!(mb.export_state(), model.export_state(), "fragment {frag}");
+        }
+        assert_eq!(mb.completed_total(), 4096);
+        for _ in 0..4096 {
+            let got = mb.match_recv(None, Tag::new(1), SimTime::MAX);
+            assert_eq!(got, model.match_recv(None, Tag::new(1), SimTime::MAX));
+        }
+        assert_eq!(mb.export_state(), model.export_state());
+
+        // 4096 keys in the 8192 buckets a table at 50 % load would have:
+        // a uniform hash leaves about 3200 distinct buckets and no bucket
+        // with more than a handful of keys.
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        let mut per_bucket = vec![0u32; 8192];
+        let mut control = std::collections::HashSet::new();
+        for m in &metas {
+            let h = hasher.hash_one(m.id);
+            per_bucket[(h & 8191) as usize] += 1;
+            control.insert(h >> 57);
+        }
+        let used = per_bucket.iter().filter(|&&c| c > 0).count();
+        let worst = per_bucket.iter().max().copied().unwrap_or(0);
+        assert!(used >= 2800, "only {used} of 8192 buckets used");
+        assert!(worst <= 8, "{worst} ids share one bucket");
+        assert!(control.len() >= 64, "only {} control bytes", control.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting metadata")]
+    fn conflicting_metadata_panics() {
+        let mut mb = Mailbox::new();
+        mb.deliver_fragment(meta(1, 0, 0, 2), 0, SimTime::ZERO);
+        mb.deliver_fragment(meta(1, 0, 9, 2), 1, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting metadata")]
+    fn single_fragment_under_a_partial_messages_id_panics() {
+        let mut mb = Mailbox::new();
+        mb.deliver_fragment(meta(1, 0, 0, 2), 0, SimTime::ZERO);
+        mb.deliver_fragment(meta(1, 0, 0, 1), 0, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate fragment 69")]
+    fn duplicate_fragment_in_a_spilled_mask_panics() {
+        let mut mb = Mailbox::new();
+        let m = meta(1, 0, 0, 70);
+        mb.deliver_fragment(m, 69, SimTime::ZERO);
+        mb.deliver_fragment(m, 69, SimTime::ZERO);
     }
 
     #[test]

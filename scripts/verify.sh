@@ -22,6 +22,9 @@ cargo test -q
 
 echo "==> workspace tests"
 cargo test --workspace -q
+# The footprint gate by name: per-node allocation and byte bounds of a
+# 16k-node sharded run, counted by a test-only allocator.
+cargo test -p aqs-cluster --test footprint -q
 
 echo "==> conformance harness: mutation + schedule-fuzz tiers"
 cargo test -p aqs-check --features fault-inject -q

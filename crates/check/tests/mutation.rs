@@ -219,10 +219,10 @@ fn wake_rearm_skip_is_detected_and_shrunk() {
 fn stale_checkpoint_restore_is_detected_and_shrunk() {
     let _w = window();
     let _g = Armed;
-    // A rollback restores the second-newest ring entry: the node replays a
-    // whole committed window on top of itself. The exactness oracle (an
-    // undegraded, snap-free run must land on the ground-truth timeline) or
-    // conservation fires.
+    // Every other window keeps the previous window's checkpoint: a rollback
+    // there replays a whole committed window on top of the node. The
+    // exactness oracle (an undegraded, snap-free run must land on the
+    // ground-truth timeline) or conservation fires.
     aqs_cluster::fault::arm(aqs_cluster::fault::Fault::StaleCheckpointRestore);
     detect_and_shrink("stale-checkpoint-restore", &rollback_only(), 200);
 }

@@ -172,9 +172,7 @@ pub(crate) enum DetOutcome<R> {
 }
 
 /// Engine entry point with an explicit [`Recorder`]: the unified `Sim`
-/// builder dispatches here. This is the deterministic engine's only entry —
-/// the historical `run_cluster`/`run_cluster_with_switch` free functions
-/// were deleted after five PRs of deprecation.
+/// builder dispatches here.
 pub(crate) fn run_cluster_impl<S: SwitchModel, R: Recorder>(
     programs: Vec<Program>,
     config: &ClusterConfig,

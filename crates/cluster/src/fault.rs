@@ -24,11 +24,11 @@ pub enum Fault {
     /// the true sum). Detected by the shrink-on-packet direction invariant
     /// on the recorded quanta.
     LeaderNpSkip = 2,
-    /// The sharded optimistic engine restores a rollback from the
-    /// second-newest checkpoint ring entry instead of the newest — node
-    /// state jumps back one extra window, replaying (and double-counting)
-    /// work that was already committed. Detected by the ground-truth
-    /// differential and conservation oracles.
+    /// The sharded optimistic engine skips every other window-start
+    /// checkpoint, so a rollback in such a window restores the previous
+    /// window's — node state jumps back one extra window, replaying (and
+    /// double-counting) work that was already committed. Detected by the
+    /// ground-truth differential and conservation oracles.
     StaleCheckpointRestore = 3,
     /// The sharded optimistic leader computes GVT from shard 0's LVT alone
     /// instead of reducing the minimum across shards — windows commit while

@@ -18,7 +18,7 @@
 //!   with M ≪ N it is the cluster-scale engine (256–262144 nodes). Its
 //!   functional results are bit-identical for every M.
 //! * [`sharded_optimistic`] — the checkpoint/rollback alternative of the
-//!   paper's §3 on the same worker pool: per-shard checkpoint rings,
+//!   paper's §3 on the same worker pool: per-shard window-start checkpoints,
 //!   barrier-leader GVT reduction, rollback confined to the offending shard
 //!   by a cascade bound. It serves two [`EngineKind`]s: `ShardedOptimistic`
 //!   and, with the adaptive conservative/optimistic [`HybridPolicy`],

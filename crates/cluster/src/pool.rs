@@ -1,15 +1,21 @@
 //! What the worker-pool engines ([`sharded`](crate::sharded) and
 //! [`sharded_optimistic`](crate::sharded_optimistic)) share: the pure switch
 //! models, the run configuration [`Sim`](crate::Sim) hands them, the
-//! barrier-leader state, and the canonical inbound-fragment record.
+//! barrier-leader state, the canonical inbound-fragment record, and the
+//! routing of a snapshot's cut-in-flight fragments.
 //!
 //! Crate-private except [`ParallelNodeResult`], which both engines' public
 //! results expose per node.
 
+use crate::sharded::ArrivalTable;
+use crate::sim::SimError;
+use crate::snapshot::{FragSnap, ResumeSeed};
 use aqs_core::{QuantumPolicy, SyncConfig};
-use aqs_net::{ChaosOverlay, FatTreeFabric, LatencyMatrixSwitch, LinkLoad, NicModel};
+use aqs_net::{
+    ChaosOverlay, FatTreeFabric, LatencyMatrixSwitch, LinkLoad, NicModel, StragglerStats,
+};
 use aqs_node::{CpuModel, MessageId, MessageMeta, Rank, RegionRecord};
-use aqs_time::SimTime;
+use aqs_time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -173,4 +179,61 @@ impl MessageMetaOrd {
             frag_count: self.frag_count,
         }
     }
+}
+
+/// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
+/// quantum: every fan-out copy goes to `sink(dst, effective_arrival,
+/// fragment)`; returns how many copies were routed and the stragglers among
+/// them. The effective delivery time is `max(arrival, q_start)` — the *same*
+/// rule the uninterrupted run applied at route time, because every captured
+/// fragment departed during the quantum that ended at the cut, so the
+/// sender's `q_end` then equals the resumed run's `q_start` now. The
+/// straggler records this snapping produces are therefore bit-identical to
+/// the uninterrupted run's, for any policy.
+pub(crate) fn route_seed_frags(
+    seed: &ResumeSeed,
+    nic: &NicModel,
+    arrivals: &ArrivalTable,
+    n: usize,
+    mut sink: impl FnMut(usize, SimTime, &FragSnap),
+) -> Result<(u64, StragglerStats), SimError> {
+    let mut count = 0u64;
+    let mut stragglers = StragglerStats::default();
+    for pf in &seed.frags {
+        let src = pf.src as usize;
+        if src >= n {
+            return Err(SimError::snapshot_format(format!(
+                "in-flight fragment from node {src}, but the cluster has {n} nodes"
+            )));
+        }
+        let targets = match pf.frag.dst {
+            Some(r) if (r as usize) < n => r as usize..r as usize + 1,
+            Some(t) => {
+                return Err(SimError::snapshot_format(format!(
+                    "in-flight fragment for node {t}, but the cluster has {n} nodes"
+                )));
+            }
+            None => 0..n,
+        };
+        let base = nic.earliest_arrival(pf.frag.departure);
+        // A broadcast reaches everyone but its sender.
+        for t in targets.filter(|&t| pf.frag.dst.is_some() || t != src) {
+            let arrival = base
+                + SimDuration::from_nanos(arrivals.transit_nanos(
+                    src,
+                    t,
+                    pf.frag.bytes,
+                    pf.frag.departure,
+                ));
+            let eff = if arrival < seed.q_start {
+                stragglers.record(seed.q_start - arrival);
+                seed.q_start
+            } else {
+                arrival
+            };
+            sink(t, eff, &pf.frag);
+            count += 1;
+        }
+    }
+    Ok((count, stragglers))
 }

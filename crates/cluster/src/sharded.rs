@@ -53,7 +53,8 @@
 //! ```
 
 use crate::pool::{
-    busy_work, LeaderState, ParallelConfig, ParallelNodeResult, ParallelSwitch, Q_END_STOP,
+    busy_work, route_seed_frags, LeaderState, ParallelConfig, ParallelNodeResult, ParallelSwitch,
+    Q_END_STOP,
 };
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{ResumeNode, ResumeSeed};
@@ -558,76 +559,6 @@ pub(crate) fn partition_weighted(weights: &[u64], m: usize) -> Vec<std::ops::Ran
     ranges
 }
 
-/// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
-/// quantum. The effective delivery time is `max(arrival, q_start)` — the
-/// *same* rule the uninterrupted run applied at route time, because every
-/// captured fragment departed during the quantum that ended at the cut, so
-/// the sender's `q_end` then equals the resumed run's `q_start` now. The
-/// straggler records this snapping produces are therefore bit-identical to
-/// the uninterrupted run's, for any policy.
-fn route_seed_frags(
-    seed: &ResumeSeed,
-    nic: &NicModel,
-    arrivals: &ArrivalTable,
-    shard_of: &[u32],
-    m: usize,
-) -> Result<(Vec<Vec<ShardInFlight>>, u64, StragglerStats), SimError> {
-    let n = shard_of.len();
-    let mut injected: Vec<Vec<ShardInFlight>> = (0..m).map(|_| Vec::new()).collect();
-    let mut count = 0u64;
-    let mut stragglers = StragglerStats::default();
-    for pf in &seed.frags {
-        let src = pf.src as usize;
-        if src >= n {
-            return Err(SimError::snapshot_format(format!(
-                "in-flight fragment from node {src}, but the cluster has {n} nodes"
-            )));
-        }
-        let base = nic.earliest_arrival(pf.frag.departure);
-        let deliver_to =
-            |t: usize, injected: &mut Vec<Vec<ShardInFlight>>, stragglers: &mut StragglerStats| {
-                let arrival = base
-                    + SimDuration::from_nanos(arrivals.transit_nanos(
-                        src,
-                        t,
-                        pf.frag.bytes,
-                        pf.frag.departure,
-                    ));
-                let eff = if arrival < seed.q_start {
-                    stragglers.record(seed.q_start - arrival);
-                    seed.q_start
-                } else {
-                    arrival
-                };
-                injected[shard_of[t] as usize].push(ShardInFlight {
-                    dst: t as u32,
-                    meta: pf.frag.meta,
-                    frag_index: pf.frag.frag_index,
-                    arrival: eff,
-                });
-            };
-        match pf.frag.dst {
-            Some(r) => {
-                let t = r as usize;
-                if t >= n {
-                    return Err(SimError::snapshot_format(format!(
-                        "in-flight fragment for node {t}, but the cluster has {n} nodes"
-                    )));
-                }
-                deliver_to(t, &mut injected, &mut stragglers);
-                count += 1;
-            }
-            None => {
-                for t in (0..n).filter(|&t| t != src) {
-                    deliver_to(t, &mut injected, &mut stragglers);
-                    count += 1;
-                }
-            }
-        }
-    }
-    Ok((injected, count, stragglers))
-}
-
 /// Sharded engine entry point with an explicit [`Recorder`]; the unified
 /// `Sim` builder dispatches here. `workers` of `None` uses the host's
 /// available parallelism; the count is clamped to `[1, n]`.
@@ -681,9 +612,21 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     let q_start = resume.map_or(SimTime::ZERO, |s| s.q_start);
     let q_end0 = resume.map_or(q0.as_nanos(), |s| (s.q_start + s.q_len).as_nanos());
     let arrivals = ArrivalTable::build(&config.switch, n);
-    let (injected, inject_count, inject_stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &config.nic, &arrivals, &shard_of, m)?,
-        None => (Vec::new(), 0, StragglerStats::default()),
+    let mailboxes: Vec<Mailbox<ShardInFlight>> = (0..m).map(|_| Mailbox::new()).collect();
+    let mut inject_pool = MailboxPool::new();
+    let (inject_count, inject_stragglers) = match resume {
+        Some(s) => route_seed_frags(s, &config.nic, &arrivals, n, |t, arrival, frag| {
+            mailboxes[shard_of[t] as usize].push_pooled(
+                ShardInFlight {
+                    dst: t as u32,
+                    meta: frag.meta,
+                    frag_index: frag.frag_index,
+                    arrival,
+                },
+                &mut inject_pool,
+            );
+        })?,
+        None => (0, StragglerStats::default()),
     };
     let n_done = resume.map_or(0, |s| s.nodes.iter().filter(|ns| ns.done).count() as u64);
     // Fabric link-load slices exist only when there is something to record
@@ -711,7 +654,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         arrivals,
         start,
         shard_of,
-        mailboxes: (0..m).map(|_| Mailbox::new()).collect(),
+        mailboxes,
         depot: Arc::new(PoolDepot::new()),
         np_slots: (0..m)
             .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -738,12 +681,6 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         restore_failed: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
     };
-    let mut inject_pool = MailboxPool::new();
-    for (s, frags) in injected.into_iter().enumerate() {
-        for f in frags {
-            shared.mailboxes[s].push_pooled(f, &mut inject_pool);
-        }
-    }
     // Each worker owns its contiguous run of programs: peel the shards off
     // the tail (one flat copy per shard), so that no per-node work is left
     // on this thread and every executor is built by the worker that runs it.
@@ -1269,7 +1206,7 @@ mod tests {
     use aqs_net::LatencyMatrixSwitch;
     use aqs_node::{ProgramBuilder, Rank, Tag};
     use aqs_obs::NullRecorder;
-    use aqs_workloads::{burst, ping_pong};
+    use aqs_workloads::{burst, ping_pong, MpiBuilder};
 
     /// Paper-default NIC/CPU models, the perfect switch, no busy-work.
     fn cfg(sync: SyncConfig) -> ParallelConfig {
@@ -1501,6 +1438,81 @@ mod tests {
         assert_eq!(long.total_packets, 400);
         assert_eq!(long.pool_heap_allocs, short.pool_heap_allocs);
         assert!(long.pool_heap_allocs < long.total_packets / 10);
+        // The same through the fat-tree fabric, transit math included: a
+        // ring exchange over 128 racks crosses every uplink plane in both
+        // directions. Worker scheduling decides each worker's pool
+        // high-water mark, so 4× the rounds may add one warm-up allocation
+        // per worker; a per-packet regression would add thousands.
+        let fabric_run = |rounds| {
+            let n = 4096;
+            let mut ring = MpiBuilder::new(n);
+            for _ in 0..rounds {
+                ring.compute_all(50_000);
+                ring.neighbor_exchange(&[1], 4096);
+            }
+            let fabric = FatTreeFabric::new(aqs_net::FabricConfig::fat_tree(), n);
+            run_sharded(
+                ring.build(),
+                &with_switch(SyncConfig::paper_dyn2(), ParallelSwitch::Fabric(fabric)),
+                Some(2),
+            )
+        };
+        let short = fabric_run(1);
+        let long = fabric_run(4);
+        assert_eq!(short.total_packets, 2 * 4096);
+        assert_eq!(long.total_packets, 4 * short.total_packets);
+        let extra = long.pool_heap_allocs.saturating_sub(short.pool_heap_allocs);
+        assert!(
+            extra <= 2,
+            "steady-state fabric routing allocates: +{extra} pool allocations over +{} packets",
+            long.total_packets - short.total_packets
+        );
+    }
+
+    #[test]
+    fn incast_scan_count_and_pool_footprint_are_pinned() {
+        // A mostly idle incast: 8 fronts × 64 backends hot out of 1 024
+        // nodes, `waves` serialized request waves per front, so peak
+        // in-flight traffic does not grow with `waves`.
+        let run = |waves| {
+            let spec = aqs_workloads::rpc_incast(1024, 8, waves, 64, 2_048, 16_384, 50_000, 11);
+            run_sharded(spec.programs, &cfg(SyncConfig::fixed_micros(5)), Some(2))
+        };
+        let short = run(4);
+        // The executed-node count is a pure function of the simulated
+        // history (identical for every M), so it pins the wake wheel's
+        // arming rules exactly: change the number only for an intentional
+        // scheduler change.
+        assert_eq!(short.nodes_executed, 26_742);
+        // ...and the active set must be active: a silent fall-back to full
+        // sweeps would survive a re-pinned count, not this bound.
+        let swept = 1024 * short.total_quanta;
+        assert!(
+            short.nodes_executed < swept / 4,
+            "{} of {swept} sweep slots executed",
+            short.nodes_executed
+        );
+        // Warm-up tracks the peak in-flight working set, which drain timing
+        // moves by a few batches (524 when pinned, so 2× headroom); a
+        // per-packet regression overshoots by orders of magnitude.
+        assert!(
+            short.pool_heap_allocs <= 1_048,
+            "pool warm-up footprint regressed: {} allocations",
+            short.pool_heap_allocs
+        );
+        // Incast is directional — every drained node lands in the
+        // receiver's pool — so only the depot's recirculation keeps the
+        // senders off the heap: 3× the waves re-route the same shape and
+        // may add drain-timing jitter (a constant per worker), never
+        // allocations in proportion to the packets.
+        let long = run(12);
+        assert!(long.total_packets > short.total_packets);
+        let extra = long.pool_heap_allocs.saturating_sub(short.pool_heap_allocs);
+        assert!(
+            extra <= 128 * 2,
+            "steady-state incast routing allocates: +{extra} pool allocations over +{} packets",
+            long.total_packets - short.total_packets
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Optimistic execution rebuilt on the sharded substrate (§5 direction):
-//! N node simulators over M worker shards, per-shard checkpoint rings,
-//! bounded cascade rollback, and the adaptive conservative/optimistic
+//! N node simulators over M worker shards, one window-start checkpoint per
+//! shard, bounded cascade rollback, and the adaptive conservative/optimistic
 //! hybrid policy.
 //!
 //! # Shape
@@ -24,7 +24,7 @@
 //!    time into the [`GvtReduction`]; the leader overrides dirty shards
 //!    with their earliest violated arrival and reduces the minimum to GVT.
 //!    `GVT ≥ window_end` commits the window; otherwise only the dirty
-//!    shards restore from their newest checkpoint and re-execute.
+//!    shards restore from their window-start checkpoint and re-execute.
 //!
 //! # Bounded cascade, degrade-to-conservative
 //!
@@ -57,7 +57,7 @@
 //! is bit-identical to the deterministic engine for every worker count and
 //! for both the pure and hybrid engines.
 
-use crate::pool::{busy_work, Inbound, ParallelConfig, ParallelNodeResult};
+use crate::pool::{busy_work, route_seed_frags, Inbound, ParallelConfig, ParallelNodeResult};
 use crate::sharded::{default_workers, partition, ArrivalTable};
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::ResumeSeed;
@@ -68,7 +68,7 @@ use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{GvtReduction, TreeBarrier};
 use aqs_time::{HostDuration, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -110,8 +110,6 @@ pub(crate) struct ShardedOptimisticOpts {
     /// Maximum re-executions of one window per shard before it freezes and
     /// degrades to conservative execution for the next window.
     pub(crate) cascade_bound: u32,
-    /// Checkpoint ring depth (window-start snapshots retained per shard).
-    pub(crate) ring_depth: usize,
     /// `Some` turns on per-shard adaptive mode switching (the hybrid
     /// engine); `None` is the pure optimistic engine, which only degrades
     /// a shard for the single window after a cascade-bound hit.
@@ -122,7 +120,6 @@ impl Default for ShardedOptimisticOpts {
     fn default() -> Self {
         Self {
             cascade_bound: 8,
-            ring_depth: 4,
             hybrid: None,
         }
     }
@@ -154,8 +151,8 @@ pub struct ShardedOptimisticRunResult {
     pub total_packets: u64,
     /// Node-state checkpoints taken (conservative-mode shards skip them).
     pub checkpoints: u64,
-    /// Node re-executions (each restores one node from its shard's newest
-    /// checkpoint and replays the window).
+    /// Node re-executions (each restores one node from its shard's
+    /// window-start checkpoint and replays the window).
     pub rollbacks: u64,
     /// Re-executed simulated time: one window length per rollback.
     pub wasted_sim: SimDuration,
@@ -375,72 +372,6 @@ fn divergence_nanos(a: &[Inbound], b: &[Inbound]) -> u64 {
     }
 }
 
-/// Routes the snapshot's cut-in-flight fragments into per-node [`Inbound`]
-/// sets ahead of the first resumed window. Arrivals before the cut are
-/// snapped to it (the conservative straggler rule, recorded); the caller
-/// partitions the sets by the first window edge exactly like
-/// `commit_window`'s open-next-window path.
-fn route_seed_frags(
-    seed: &ResumeSeed,
-    nic: &aqs_net::NicModel,
-    arrivals: &ArrivalTable,
-    n: usize,
-) -> Result<(Vec<Vec<Inbound>>, u64, StragglerStats), SimError> {
-    let mut injected: Vec<Vec<Inbound>> = vec![Vec::new(); n];
-    let mut count = 0u64;
-    let mut stragglers = StragglerStats::default();
-    for pf in &seed.frags {
-        let src = pf.src as usize;
-        if src >= n {
-            return Err(SimError::snapshot_format(format!(
-                "in-flight fragment from node {src}, but the cluster has {n} nodes"
-            )));
-        }
-        let base = nic.earliest_arrival(pf.frag.departure);
-        let deliver_to =
-            |t: usize, injected: &mut Vec<Vec<Inbound>>, stragglers: &mut StragglerStats| {
-                let arrival = base
-                    + SimDuration::from_nanos(arrivals.transit_nanos(
-                        src,
-                        t,
-                        pf.frag.bytes,
-                        pf.frag.departure,
-                    ));
-                let eff = if arrival < seed.q_start {
-                    stragglers.record(seed.q_start - arrival);
-                    seed.q_start
-                } else {
-                    arrival
-                };
-                injected[t].push(Inbound {
-                    arrival: eff,
-                    meta_id: pf.frag.meta.id,
-                    frag_index: pf.frag.frag_index,
-                    meta: pf.frag.meta.into(),
-                });
-            };
-        match pf.frag.dst {
-            Some(r) => {
-                let t = r as usize;
-                if t >= n {
-                    return Err(SimError::snapshot_format(format!(
-                        "in-flight fragment for node {t}, but the cluster has {n} nodes"
-                    )));
-                }
-                deliver_to(t, &mut injected, &mut stragglers);
-                count += 1;
-            }
-            None => {
-                for t in (0..n).filter(|&t| t != src) {
-                    deliver_to(t, &mut injected, &mut stragglers);
-                    count += 1;
-                }
-            }
-        }
-    }
-    Ok((injected, count, stragglers))
-}
-
 /// Sharded-optimistic engine entry point with an explicit [`Recorder`];
 /// the unified `Sim` builder dispatches here. `workers` of `None` uses the
 /// host's available parallelism; the count is clamped to `[1, n]`.
@@ -496,9 +427,17 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     };
     let cascade_bound = opts.cascade_bound;
     let arrivals = ArrivalTable::build(&config.switch, n);
-    let (injected, inject_count, inject_stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &config.nic, &arrivals, n)?,
-        None => (vec![Vec::new(); n], 0, StragglerStats::default()),
+    let mut injected: Vec<Vec<Inbound>> = vec![Vec::new(); n];
+    let (inject_count, inject_stragglers) = match resume {
+        Some(s) => route_seed_frags(s, &config.nic, &arrivals, n, |t, arrival, frag| {
+            injected[t].push(Inbound {
+                arrival,
+                meta_id: frag.meta.id,
+                frag_index: frag.frag_index,
+                meta: frag.meta.into(),
+            });
+        })?,
+        None => (0, StragglerStats::default()),
     };
     let mut states_init: Vec<Option<OptNodeState>> = Vec::with_capacity(n);
     for (i, program) in programs.into_iter().enumerate() {
@@ -680,7 +619,12 @@ fn worker_thread<R: Recorder>(
     shared: &SharedOpt<R>,
 ) -> Vec<ParallelNodeResult> {
     let mut states: Vec<OptNodeState> = shard;
-    let mut ring: VecDeque<Vec<OptNodeState>> = VecDeque::new();
+    // The shard at the start of its latest optimistic window. One slot is
+    // enough: a window commits before the next one opens, so a rollback
+    // only ever returns to the start of the window in progress.
+    let mut checkpoint: Vec<OptNodeState> = Vec::new();
+    #[cfg(feature = "fault-inject")]
+    let mut skip_next_refresh = false;
     let mut window_start = SimTime::ZERO;
     let mut window_end = SimTime::ZERO;
     // Per local node: next sim time the node can act on its own
@@ -708,9 +652,18 @@ fn worker_thread<R: Recorder>(
                     // checkpoint accounting and the rollback restore path
                     // both assume every optimistic window snapshots the
                     // whole shard.
-                    ring.push_back(states.clone());
-                    while ring.len() > shared.opts.ring_depth.max(1) {
-                        ring.pop_front();
+                    #[allow(unused_mut)]
+                    let mut refresh = true;
+                    #[cfg(feature = "fault-inject")]
+                    if crate::fault::armed(crate::fault::Fault::StaleCheckpointRestore) {
+                        // Armable bug: every other window keeps the previous
+                        // window's checkpoint, so a rollback there jumps the
+                        // node back one extra window.
+                        refresh = !skip_next_refresh;
+                        skip_next_refresh = refresh;
+                    }
+                    if refresh {
+                        checkpoint.clone_from(&states);
                     }
                 }
             }
@@ -734,17 +687,7 @@ fn worker_thread<R: Recorder>(
                     continue;
                 }
                 if repeat {
-                    #[allow(unused_mut)]
-                    let mut idx = ring.len() - 1;
-                    #[cfg(feature = "fault-inject")]
-                    if crate::fault::armed(crate::fault::Fault::StaleCheckpointRestore)
-                        && ring.len() >= 2
-                    {
-                        // Armable bug: restore from the second-newest ring
-                        // entry, jumping the node back one extra window.
-                        idx = ring.len() - 2;
-                    }
-                    states[l] = ring[idx][l].clone();
+                    states[l] = checkpoint[l].clone();
                 }
                 // Fast-forward a node that slept through earlier windows
                 // (or was restored from a checkpoint cloned while it
@@ -783,12 +726,12 @@ fn worker_thread<R: Recorder>(
     }
     states
         .into_iter()
-        .map(|s| ParallelNodeResult {
+        .map(|mut s| ParallelNodeResult {
             rank: s.exec.rank(),
             finish_sim: s.exec.finish_time().unwrap_or(s.sim),
             ops: s.exec.ops_executed(),
             messages_received: s.exec.messages_received(),
-            regions: s.exec.regions().to_vec(),
+            regions: s.exec.take_regions(),
         })
         .collect()
 }

@@ -59,7 +59,7 @@ pub enum EngineKind {
     /// paper's one-thread-per-node system.
     Sharded,
     /// The optimistic (checkpoint/rollback) mechanism on the sharded
-    /// substrate: per-shard checkpoint rings, GVT reduced by the
+    /// substrate: per-shard window-start checkpoints, GVT reduced by the
     /// tree-barrier leader, rollback confined to the offending shard by a
     /// cascade bound (past the bound the shard degrades to conservative
     /// execution for one window). With one shard, a fixed quantum as the
@@ -510,7 +510,6 @@ pub struct Sim {
     max_quanta: u64,
     shards: Option<usize>,
     cascade_bound: u32,
-    ring_depth: usize,
     hybrid_policy: HybridPolicy,
     obs: Option<ObsConfig>,
     chaos: Option<ChaosConfig>,
@@ -531,7 +530,6 @@ impl Sim {
             max_quanta: u64::MAX,
             shards: None,
             cascade_bound: 8,
-            ring_depth: 4,
             hybrid_policy: HybridPolicy::default(),
             obs: None,
             chaos: None,
@@ -614,14 +612,6 @@ impl Sim {
     #[must_use]
     pub fn cascade_bound(mut self, bound: u32) -> Self {
         self.cascade_bound = bound;
-        self
-    }
-
-    /// Sharded-optimistic engines: checkpoint ring depth per shard (how
-    /// many window-start snapshots are retained). Clamped to at least 1.
-    #[must_use]
-    pub fn checkpoint_ring(mut self, depth: usize) -> Self {
-        self.ring_depth = depth;
         self
     }
 
@@ -774,7 +764,6 @@ impl Sim {
             max_quanta,
             shards,
             cascade_bound,
-            ring_depth,
             hybrid_policy,
             obs: _,
             chaos,
@@ -823,7 +812,6 @@ impl Sim {
             EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
                 let opts = ShardedOptimisticOpts {
                     cascade_bound,
-                    ring_depth,
                     hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
                 };
                 let (r, rec) =

@@ -1,8 +1,7 @@
 //! The central network controller: functional switch + timing + accounting.
 
-use crate::bridge::{BridgeDecision, LearningBridge};
 use crate::nic::NicModel;
-use crate::packet::{Destination, MacAddr, NodeId, Packet, PacketId};
+use crate::packet::{Destination, NodeId, Packet, PacketId};
 use crate::stats::{StragglerStats, TrafficTrace};
 use crate::switch::SwitchModel;
 use aqs_time::{SimDuration, SimTime};
@@ -55,7 +54,6 @@ pub struct NetworkController<P, S> {
     total_packets: u64,
     stragglers: StragglerStats,
     trace: TrafficTrace,
-    bridge: LearningBridge,
     _payload: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -97,7 +95,6 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
             total_packets: 0,
             stragglers: StragglerStats::default(),
             trace: TrafficTrace::disabled(),
-            bridge: LearningBridge::new(n_nodes),
             _payload: std::marker::PhantomData,
         })
     }
@@ -200,48 +197,6 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
             });
         }
         out
-    }
-
-    /// Routes one raw link-layer frame by MAC address, through the
-    /// controller's learning bridge: known unicast destinations forward to
-    /// one port, unknown destinations and broadcasts flood (and frames the
-    /// bridge maps back to their ingress port are filtered, yielding no
-    /// deliveries).
-    ///
-    /// This is the entry point a packet-level frontend (an emulator's NIC
-    /// tap) would use; [`route`](Self::route) is the id-addressed fast path
-    /// the cluster engine uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ingress` is out of range.
-    pub fn route_frame(
-        &mut self,
-        ingress: NodeId,
-        src: MacAddr,
-        dst: MacAddr,
-        bytes: u32,
-        departure: SimTime,
-        payload: P,
-    ) -> Vec<Delivery<P>> {
-        match self.bridge.decide(ingress, src, dst) {
-            BridgeDecision::Forward(port) if port == ingress => Vec::new(), // filtered
-            BridgeDecision::Forward(port) => self.route(
-                ingress,
-                Destination::Unicast(port),
-                bytes,
-                departure,
-                payload,
-            ),
-            BridgeDecision::Flood => {
-                self.route(ingress, Destination::Broadcast, bytes, departure, payload)
-            }
-        }
-    }
-
-    /// The controller's learning bridge (diagnostics).
-    pub fn bridge(&self) -> &LearningBridge {
-        &self.bridge
     }
 
     /// Packets routed since the last [`end_quantum`](Self::end_quantum).
@@ -444,56 +399,6 @@ mod tests {
             b[0].arrival > a[0].arrival,
             "second frame must queue behind the first"
         );
-    }
-
-    #[test]
-    fn route_frame_floods_then_forwards() {
-        let mut net = ctl(4);
-        let a = NodeId::new(0);
-        let b = NodeId::new(2);
-        // Unknown destination: flood to 3 ports.
-        let first = net.route_frame(a, a.mac(), b.mac(), 64, SimTime::ZERO, 0);
-        assert_eq!(first.len(), 3);
-        // Reply teaches the bridge; now both directions unicast.
-        let reply = net.route_frame(b, b.mac(), a.mac(), 64, SimTime::ZERO, 0);
-        assert_eq!(reply.len(), 1);
-        assert_eq!(reply[0].packet.dst, a);
-        let second = net.route_frame(a, a.mac(), b.mac(), 64, SimTime::ZERO, 0);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].packet.dst, b);
-        assert_eq!(net.bridge().table_len(), 2);
-    }
-
-    #[test]
-    fn route_frame_broadcast_floods() {
-        let mut net = ctl(3);
-        let out = net.route_frame(
-            NodeId::new(1),
-            NodeId::new(1).mac(),
-            crate::packet::MacAddr::BROADCAST,
-            64,
-            SimTime::ZERO,
-            0,
-        );
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn route_frame_filters_hairpin() {
-        let mut net = ctl(2);
-        let a = NodeId::new(0);
-        // Teach the bridge that a's MAC is on port 0, then address a frame
-        // to it from its own port: a real switch filters it.
-        net.route_frame(
-            a,
-            a.mac(),
-            crate::packet::MacAddr::BROADCAST,
-            64,
-            SimTime::ZERO,
-            0,
-        );
-        let out = net.route_frame(a, a.mac(), a.mac(), 64, SimTime::ZERO, 0);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bridge;
 mod chaos;
 mod controller;
 mod fabric;
@@ -47,11 +46,10 @@ mod packet;
 mod stats;
 mod switch;
 
-pub use bridge::{BridgeDecision, LearningBridge};
 pub use chaos::{ChaosConfig, ChaosOverlay, ChaosSwitch};
 pub use controller::{Delivery, NetworkController};
 pub use fabric::{FabricConfig, FatTreeFabric, LinkLoad, LinkPath, MAX_PATH_LINKS};
 pub use nic::NicModel;
-pub use packet::{Destination, MacAddr, NodeId, Packet, PacketId};
+pub use packet::{Destination, NodeId, Packet, PacketId};
 pub use stats::{StragglerStats, TraceEntry, TrafficTrace};
 pub use switch::{LatencyMatrixSwitch, PerfectSwitch, StoreAndForwardSwitch, SwitchModel};

@@ -1,4 +1,4 @@
-//! Packet, address and destination types.
+//! Packet, node-id and destination types.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -40,13 +40,6 @@ impl NodeId {
     pub const fn as_u32(self) -> u32 {
         self.0
     }
-
-    /// The link-layer address of this node's NIC, derived deterministically
-    /// from the id (locally-administered unicast OUI).
-    pub const fn mac(self) -> MacAddr {
-        let b = self.0.to_be_bytes();
-        MacAddr([0x02, 0xAC, b[0], b[1], b[2], b[3]])
-    }
 }
 
 impl From<u32> for NodeId {
@@ -58,48 +51,6 @@ impl From<u32> for NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
-    }
-}
-
-/// A 48-bit link-layer (MAC) address.
-///
-/// The controller is a MAC-to-MAC switch; node ids map to addresses via
-/// [`NodeId::mac`] and back via [`MacAddr::node`].
-///
-/// # Examples
-///
-/// ```
-/// use aqs_net::{MacAddr, NodeId};
-/// let mac = NodeId::new(7).mac();
-/// assert_eq!(mac.node(), Some(NodeId::new(7)));
-/// assert_eq!(mac.to_string(), "02:ac:00:00:00:07");
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub struct MacAddr(pub [u8; 6]);
-
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: Self = Self([0xFF; 6]);
-
-    /// Returns `true` for the broadcast address.
-    #[inline]
-    pub const fn is_broadcast(self) -> bool {
-        matches!(self.0, [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF])
-    }
-
-    /// Recovers the node id if this address was minted by [`NodeId::mac`].
-    pub const fn node(self) -> Option<NodeId> {
-        match self.0 {
-            [0x02, 0xAC, a, b, c, d] => Some(NodeId(u32::from_be_bytes([a, b, c, d]))),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for MacAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let [a, b, c, d, e, g] = self.0;
-        write!(f, "{a:02x}:{b:02x}:{c:02x}:{d:02x}:{e:02x}:{g:02x}")
     }
 }
 
@@ -169,35 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn mac_roundtrip_all_ids() {
-        for i in [0u32, 1, 7, 63, 255, 65_535, u32::MAX] {
-            let n = NodeId::new(i);
-            assert_eq!(n.mac().node(), Some(n));
-        }
-    }
-
-    #[test]
-    fn broadcast_mac_is_not_a_node() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert_eq!(MacAddr::BROADCAST.node(), None);
-        assert!(!NodeId::new(0).mac().is_broadcast());
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(NodeId::new(5).to_string(), "n5");
         assert_eq!(Destination::Unicast(NodeId::new(5)).to_string(), "n5");
         assert_eq!(Destination::Broadcast.to_string(), "broadcast");
         assert_eq!(PacketId(9).to_string(), "pkt#9");
-        assert_eq!(MacAddr::BROADCAST.to_string(), "ff:ff:ff:ff:ff:ff");
-    }
-
-    #[test]
-    fn macs_are_unique_per_node() {
-        let macs: Vec<MacAddr> = (0..1000).map(|i| NodeId::new(i).mac()).collect();
-        let mut dedup = macs.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), macs.len());
     }
 }

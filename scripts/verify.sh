@@ -2,8 +2,6 @@
 # Full local verification — the same gates CI runs.
 #
 #   ./scripts/verify.sh
-#
-# Benches are built (so they keep compiling) but never timed here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,18 +57,9 @@ done
 echo "==> job-server smoke gate: panic/deadline/quota envelope + SIGKILL resume"
 ./scripts/serve_smoke.sh
 
-echo "==> build bench binaries (not timed)"
-cargo build --release -p aqs-bench --bins
-cargo bench --workspace --no-run
-
 echo "==> reproduction pin: regenerated figure data vs checked-in results/*.tsv"
+cargo build --release -p aqs-bench --bins
 ./scripts/check_results.sh
-
-echo "==> shard_scaling smoke sweep (worker-count independence + allocation + 4k-node fabric + hybrid asserts, no timing gate)"
-cargo run --release -q -p aqs-bench --bin shard_scaling -- --smoke
-
-echo "==> obs_overhead counter gate (active-set scan + pool allocs vs checked-in baselines)"
-cargo run --release -q -p aqs-bench --bin obs_overhead -- --smoke
 
 echo "==> benchmark build gate: perf/ against ../crates/* (path deps + golden.json pins)"
 cargo test --offline -q --manifest-path perf/Cargo.toml

@@ -77,7 +77,7 @@ pub(crate) fn shuffle_tail<T>(out: &mut [T], from: usize) {
 
 /// Spins for a pseudo-random short delay (0–few µs) to perturb barrier
 /// arrival order. No-op when disarmed.
-pub(crate) fn jitter() {
+pub fn jitter() {
     let Some(r) = next() else { return };
     let spins = r % 4096;
     for _ in 0..spins {

@@ -289,3 +289,32 @@ fn recorded_lanes_survive_quiet_quanta() {
         }
     }
 }
+
+/// `cascade_bound(u32::MAX)` is the natural way to ask for "never freeze".
+/// The leader's repeat-round guard is computed from the bound; it used to
+/// overflow there — a panic inside the barrier leader (peers spin forever)
+/// in debug, a wrapped guard and a spurious quantum-cap error in release.
+#[test]
+fn huge_cascade_bound_neither_hangs_nor_trips_the_cap() {
+    let spec = ping_pong(4, 25, 4096);
+    let truth = det(spec.programs.clone(), &base(1));
+    for bound in [u32::MAX, u32::MAX - 1, 1 << 31] {
+        for m in [1, 2, 4] {
+            let r = Sim::new(spec.programs.clone())
+                .engine(EngineKind::ShardedOptimistic)
+                .sync(SyncConfig::fixed_micros(1000))
+                .cascade_bound(bound)
+                .shards(m)
+                .try_run()
+                .unwrap_or_else(|e| panic!("bound={bound} workers={m}: {e}"));
+            let d = r.detail.as_sharded_optimistic().expect("opt detail");
+            assert!(d.rollbacks > 0, "the unsafe quantum must force rollbacks");
+            assert_eq!(d.degraded_windows, 0, "bound={bound} workers={m}");
+            assert_eq!(
+                r.simulated_outcome(),
+                truth.simulated_outcome(),
+                "bound={bound} workers={m}"
+            );
+        }
+    }
+}

@@ -29,10 +29,7 @@ fn speedups(base: ClusterConfig, spec: &aqs_workloads::WorkloadSpec) -> (RunResu
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     println!("=== barrier-cost ablation — EP, fixed quanta of 10/100/1000 µs ===\n");
 

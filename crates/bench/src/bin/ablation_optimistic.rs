@@ -31,10 +31,7 @@ use aqs_workloads::{NasBench, Scale, Workload};
 use std::time::Instant;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     // CG at 4 nodes: periodic communication, so windows converge quickly.
     let spec = with_housekeeping(

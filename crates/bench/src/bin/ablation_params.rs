@@ -18,10 +18,7 @@ use aqs_workloads::{Scale, Workload};
 use std::time::Instant;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     let spec = Workload::Namd { scale }.build(8, 0);
 

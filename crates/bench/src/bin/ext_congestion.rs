@@ -54,10 +54,7 @@ fn sweep(name: &str, spec: &WorkloadSpec, switch: SimSwitch) -> Vec<Vec<String>>
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     let spec = with_housekeeping(
         Workload::Nas {

@@ -34,10 +34,7 @@ fn row(label: &str, r: &RunResult, truth: &RunResult, spec: &WorkloadSpec) -> Ve
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     let spec = with_housekeeping(
         Workload::Nas {

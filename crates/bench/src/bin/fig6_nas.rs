@@ -16,10 +16,7 @@ use aqs_workloads::Scale;
 use std::time::Instant;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     let node_counts = [2usize, 4, 8];
     let aggregates: Vec<_> = node_counts

@@ -26,10 +26,7 @@ fn near_front(p: &ParetoPoint, family: &[ParetoPoint]) -> bool {
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Mini,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Mini);
     let t0 = Instant::now();
     let nas = nas_aggregate(8, scale, 42, paper_sweep());
     let namd = run_sweep(Workload::Namd { scale }.build(8, 42), 42, paper_sweep());

@@ -166,10 +166,7 @@ fn scaleout(
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Full,
-    };
+    let scale = aqs_bench::scale_arg(Scale::Full);
     let n = 64;
 
     // EP: accuracy = MOPS error.

@@ -2,7 +2,7 @@
 //! table of the paper plus this repository's ablations — by spawning the
 //! sibling binaries. Output is the concatenation of all their reports.
 //!
-//! Usage: `repro_all [tiny]` (tiny = smoke scale everywhere).
+//! Usage: `repro_all [tiny | mini | full]` (tiny = smoke scale everywhere).
 
 use std::process::Command;
 
@@ -46,8 +46,7 @@ fn main() {
         println!("{}\n", "=".repeat(78));
         let mut cmd = Command::new(dir.join(bin));
         if let Some(scale) = &scale_arg {
-            // sync_overhead takes no scale argument; passing one is ignored
-            // by the others' parsers, so only forward where meaningful.
+            // sync_overhead takes no scale argument.
             if bin != "sync_overhead" {
                 cmd.arg(scale);
             }

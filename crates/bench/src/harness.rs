@@ -5,7 +5,19 @@ use aqs_core::SyncConfig;
 use aqs_metrics::{harmonic_mean, render_table};
 use aqs_node::CpuModel;
 use aqs_time::{HostTime, SimDuration, SimTime};
-use aqs_workloads::{with_background_traffic, WorkloadSpec};
+use aqs_workloads::{with_background_traffic, Scale, WorkloadSpec};
+
+/// The scale a figure binary runs at: its first argument
+/// (`tiny | mini | full`), or `default` without one. Anything else is a
+/// usage error (exit 2).
+pub fn scale_arg(default: Scale) -> Scale {
+    std::env::args().nth(1).map_or(default, |name| {
+        name.parse().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    })
+}
 
 /// One row of a figure's underlying data: a configuration's accuracy error
 /// and speedup.

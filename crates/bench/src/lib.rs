@@ -10,6 +10,6 @@
 pub mod harness;
 
 pub use harness::{
-    experiment_table, nas_aggregate, print_experiment, render_log_series, run_sweep,
+    experiment_table, nas_aggregate, print_experiment, render_log_series, run_sweep, scale_arg,
     speedup_over_time, standard_config, with_housekeeping, write_tsv, FigureRow, NasAggregate,
 };

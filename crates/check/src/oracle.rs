@@ -752,7 +752,7 @@ fn expected_counts(case: &CaseSpec) -> (u64, u64) {
                         SendTarget::Rank(_) => 1,
                         SendTarget::All => n - 1,
                     };
-                    packets += receivers * nic.fragment_sizes(*bytes).len() as u64;
+                    packets += receivers * u64::from(nic.fragment_count(*bytes));
                 }
                 Op::Recv { .. } => receives += 1,
                 _ => {}

@@ -39,19 +39,12 @@ use crate::sim::SimError;
 use crate::snapshot::{FragSnap, InFlightSnap, NodeSnap, SnapshotBody, StragglerSnap};
 use aqs_core::{QuantumPolicy, QuantumTrace};
 use aqs_des::EventQueue;
-use aqs_net::{Destination, NetworkController, NodeId, StragglerStats, SwitchModel};
-use aqs_node::{Action, HostSpeed, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
+use aqs_net::{NetworkController, SimSwitch, StragglerStats};
+use aqs_node::{Action, HostSpeed, MessageId, NodeExecutor, Program, SendTarget};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_rng::Rng;
 use aqs_time::{HostTime, SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// Payload attached to every routed fragment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct FragInfo {
-    meta: MessageMeta,
-    frag_index: u32,
-}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SegKind {
@@ -78,15 +71,6 @@ struct Pending {
     idle: bool,
 }
 
-#[derive(Clone, Debug)]
-struct OutFrag {
-    departure: SimTime,
-    dst: Destination,
-    bytes: u32,
-    meta: MessageMeta,
-    frag_index: u32,
-}
-
 struct Node {
     exec: NodeExecutor,
     speed: HostSpeed,
@@ -102,7 +86,7 @@ struct Node {
     /// Generation counter: a scheduled `NodeYield` is valid only if its
     /// generation matches (interrupts bump the generation).
     gen: u64,
-    outgoing: VecDeque<OutFrag>,
+    outgoing: VecDeque<FragSnap>,
     msg_seq: u64,
     done: bool,
     finish_host: Option<HostTime>,
@@ -116,14 +100,18 @@ struct Node {
 #[derive(Debug)]
 enum Ev {
     NodeYield { node: usize, gen: u64 },
-    FragAtController(OutFrag, NodeId),
+    // The fragment, and the node that sent it.
+    FragAtController(FragSnap, usize),
     BarrierDone,
 }
 
-struct Engine<'a, S, R> {
+struct Engine<'a, R> {
     cfg: &'a ClusterConfig,
     nodes: Vec<Node>,
-    net: NetworkController<FragInfo, S>,
+    net: NetworkController,
+    /// The `(receiver, arrival)` copies of the fragment being routed; reused
+    /// across fragments.
+    fan_out: Vec<(usize, SimTime)>,
     queue: EventQueue<HostTime, Ev>,
     /// Events the current handler produced, in the order it produced them;
     /// not yet queued. The run loop flushes them after every handler; a
@@ -171,26 +159,31 @@ pub(crate) enum DetOutcome<R> {
     Captured(Box<SnapshotBody>),
 }
 
-/// Engine entry point with an explicit [`Recorder`]: the unified `Sim`
-/// builder dispatches here.
-pub(crate) fn run_cluster_impl<S: SwitchModel, R: Recorder>(
+/// A whole run on the paper's perfect switch, with an explicit [`Recorder`].
+///
+/// # Panics
+///
+/// Panics if fewer than two programs are given.
+pub(crate) fn run_cluster_impl<R: Recorder>(
     programs: Vec<Program>,
     config: &ClusterConfig,
-    switch: S,
     recorder: R,
 ) -> Result<(RunResult, R), SimError> {
-    match run_cluster_det(programs, config, switch, recorder, None, None)? {
+    let net = NetworkController::new(programs.len(), config.nic, &SimSwitch::Perfect, None)
+        .unwrap_or_else(|e| panic!("{e}"));
+    match run_cluster_det(programs, config, net, recorder, None, None)? {
         DetOutcome::Finished(r, rec) => Ok((*r, rec)),
         DetOutcome::Captured(_) => unreachable!("no capture was requested"),
     }
 }
 
-/// The full deterministic entry: optionally seed the engine from a snapshot
-/// body, optionally stop-and-capture after `capture_at` completed quanta.
-pub(crate) fn run_cluster_det<S: SwitchModel, R: Recorder>(
+/// The full deterministic entry, which the unified `Sim` builder dispatches
+/// to: optionally seed the engine from a snapshot body, optionally
+/// stop-and-capture after `capture_at` completed quanta.
+pub(crate) fn run_cluster_det<R: Recorder>(
     programs: Vec<Program>,
     config: &ClusterConfig,
-    switch: S,
+    net: NetworkController,
     recorder: R,
     resume: Option<&SnapshotBody>,
     capture_at: Option<u64>,
@@ -199,44 +192,18 @@ pub(crate) fn run_cluster_det<S: SwitchModel, R: Recorder>(
     for (i, p) in programs.iter().enumerate() {
         assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
     }
+    let net = net.with_trace(config.record_traffic);
     let mut engine = match resume {
-        None => Engine::new(programs, config, switch, recorder),
-        Some(body) => Engine::resumed(programs, config, switch, recorder, body)?,
+        None => Engine::new(programs, config, net, recorder),
+        Some(body) => Engine::resumed(programs, config, net, recorder, body)?,
     };
     engine.capture_at = capture_at;
     engine.run()
 }
 
-fn frag_to_snap(f: &OutFrag) -> FragSnap {
-    FragSnap {
-        departure: f.departure,
-        dst: match f.dst {
-            Destination::Unicast(id) => Some(id.index() as u32),
-            Destination::Broadcast => None,
-        },
-        bytes: f.bytes,
-        meta: f.meta,
-        frag_index: f.frag_index,
-    }
-}
-
-fn frag_from_snap(f: &FragSnap) -> OutFrag {
-    OutFrag {
-        departure: f.departure,
-        dst: match f.dst {
-            Some(r) => Destination::Unicast(NodeId::new(r)),
-            None => Destination::Broadcast,
-        },
-        bytes: f.bytes,
-        meta: f.meta,
-        frag_index: f.frag_index,
-    }
-}
-
-impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
-    fn new(programs: Vec<Program>, cfg: &'a ClusterConfig, switch: S, rec: R) -> Self {
+impl<'a, R: Recorder> Engine<'a, R> {
+    fn new(programs: Vec<Program>, cfg: &'a ClusterConfig, net: NetworkController, rec: R) -> Self {
         let n = programs.len();
-        let net = NetworkController::new(n, cfg.nic, switch).with_trace(cfg.record_traffic);
         let nodes = programs
             .into_iter()
             .enumerate()
@@ -263,6 +230,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             cfg,
             nodes,
             net,
+            fan_out: Vec::new(),
             queue: EventQueue::new(),
             staged: Vec::with_capacity(n),
             barrier_due: None,
@@ -305,7 +273,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
     fn resumed(
         programs: Vec<Program>,
         cfg: &'a ClusterConfig,
-        switch: S,
+        mut net: NetworkController,
         rec: R,
         body: &SnapshotBody,
     ) -> Result<Self, SimError> {
@@ -316,7 +284,6 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
                 body.nodes.len()
             )));
         }
-        let mut net = NetworkController::new(n, cfg.nic, switch).with_trace(cfg.record_traffic);
         net.restore_counters(
             body.next_packet_id,
             body.total_packets,
@@ -348,7 +315,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
                 at_barrier: false,
                 blocked_no_candidate: ns.blocked_no_candidate,
                 gen: 0,
-                outgoing: ns.outgoing.iter().map(frag_from_snap).collect(),
+                outgoing: ns.outgoing.iter().cloned().collect(),
                 msg_seq: ns.msg_seq,
                 done: ns.done,
                 finish_host: ns.finish_host,
@@ -359,6 +326,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             cfg,
             nodes,
             net,
+            fan_out: Vec::new(),
             queue: EventQueue::new(),
             staged: Vec::with_capacity(n),
             barrier_due: None,
@@ -400,7 +368,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             engine.in_flight_frags += 1;
             engine.queue.schedule(
                 f.due_host,
-                Ev::FragAtController(frag_from_snap(&f.frag), NodeId::new(f.src)),
+                Ev::FragAtController(f.frag.clone(), f.src as usize),
             );
         }
         Ok(engine)
@@ -549,39 +517,19 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
     /// Queues the fragments of one message and charges the sender's NIC
     /// serialization time as a pending (non-interruptible) advance.
     fn start_send(&mut self, i: usize, dst: SendTarget, bytes: u64, tag: aqs_node::Tag) {
-        let dst = match dst {
-            SendTarget::Rank(r) => Destination::Unicast(NodeId::new(r.as_u32())),
-            SendTarget::All => Destination::Broadcast,
-        };
-        let nic = self.cfg.nic;
-        let sizes = nic.fragment_sizes(bytes);
         let node = &mut self.nodes[i];
-        let meta = MessageMeta {
-            id: MessageId {
-                src: node.exec.rank(),
-                seq: node.msg_seq,
-            },
-            tag,
-            bytes,
-            frag_count: sizes.len() as u32,
+        let id = MessageId {
+            src: node.exec.rank(),
+            seq: node.msg_seq,
         };
         node.msg_seq += 1;
-        let mut t = node.sim;
-        let mut total = SimDuration::ZERO;
-        for (k, sz) in sizes.into_iter().enumerate() {
-            let ser = nic.serialization_delay(sz);
-            t += ser;
-            total += ser;
-            node.outgoing.push_back(OutFrag {
-                departure: t,
-                dst,
-                bytes: sz,
-                meta,
-                frag_index: k as u32,
-            });
-        }
+        let outgoing = &mut node.outgoing;
+        let message = (dst, bytes, tag);
+        let sent = FragSnap::serialize(&self.cfg.nic, id, message, node.sim, |frag| {
+            outgoing.push_back(frag)
+        });
         node.pending = Some(Pending {
-            remaining: total,
+            remaining: sent - node.sim,
             idle: false,
         });
     }
@@ -629,10 +577,8 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             let frag = node.outgoing.pop_front().expect("front vanished");
             let dep_host = start_host + node.speed.host_cost(frag.departure - start_sim, idle);
             self.in_flight_frags += 1;
-            self.staged.push((
-                dep_host + hop,
-                Ev::FragAtController(frag, NodeId::new(i as u32)),
-            ));
+            self.staged
+                .push((dep_host + hop, Ev::FragAtController(frag, i)));
         }
     }
 
@@ -750,8 +696,8 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
             if let Ev::FragAtController(frag, src) = ev {
                 in_flight.push(InFlightSnap {
                     due_host: time,
-                    src: src.index() as u32,
-                    frag: frag_to_snap(&frag),
+                    src: src as u32,
+                    frag,
                 });
             }
         }
@@ -772,7 +718,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
                     rng_probe,
                     msg_seq: n.msg_seq,
                     pending: n.pending.as_ref().map(|p| (p.remaining, p.idle)),
-                    outgoing: n.outgoing.iter().map(frag_to_snap).collect(),
+                    outgoing: n.outgoing.iter().cloned().collect(),
                     done: n.done,
                     finish_host: n.finish_host,
                     blocked_no_candidate: n.blocked_no_candidate,
@@ -840,40 +786,37 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
         }
     }
 
-    fn on_frag(&mut self, frag: OutFrag, src: NodeId, now: HostTime) {
+    /// What this engine does with an arrival: compares it with where the
+    /// receiver is at this host instant.
+    fn on_frag(&mut self, frag: FragSnap, src: usize, now: HostTime) {
         self.in_flight_frags -= 1;
-        let payload = FragInfo {
-            meta: frag.meta,
-            frag_index: frag.frag_index,
-        };
-        let deliveries = self
-            .net
-            .route(src, frag.dst, frag.bytes, frag.departure, payload);
-        for d in deliveries {
-            let j = d.packet.dst.index();
+        let mut copies = std::mem::take(&mut self.fan_out);
+        self.net
+            .route(src, frag.dst, frag.bytes, frag.departure, |j, arrival| {
+                copies.push((j, arrival))
+            });
+        for (j, arrival) in copies.drain(..) {
             let pos = self.node_sim_pos(j, now);
             // Straggler rule (§3): a packet cannot be delivered in the
             // receiver's past. If the receiver finished its quantum, `pos`
             // is the quantum end, i.e. the next quantum's start — the
             // Figure 3(d) "latency snaps to next quantum" case.
-            let eff = d.arrival.max(pos);
-            if eff > d.arrival {
+            let eff = arrival.max(pos);
+            if eff > arrival {
                 #[cfg(feature = "fault-inject")]
                 let skip = crate::fault::armed(crate::fault::Fault::DetStragglerSkip);
                 #[cfg(not(feature = "fault-inject"))]
                 let skip = false;
                 if !skip {
-                    self.net.record_straggler(eff - d.arrival);
+                    self.net.record_straggler(eff - arrival);
                     if R::ENABLED {
-                        self.q_stragglers.record(eff - d.arrival);
+                        self.q_stragglers.record(eff - arrival);
                     }
                 }
             }
-            let completed = self.nodes[j].exec.deliver_fragment(
-                d.packet.payload.meta,
-                d.packet.payload.frag_index,
-                eff,
-            );
+            let completed = self.nodes[j]
+                .exec
+                .deliver_fragment(frag.meta, frag.frag_index, eff);
             if completed.is_some() && !self.nodes[j].done && !self.nodes[j].at_barrier {
                 let interrupt = matches!(
                     self.nodes[j].seg,
@@ -892,6 +835,7 @@ impl<'a, S: SwitchModel, R: Recorder> Engine<'a, S, R> {
                 }
             }
         }
+        self.fan_out = copies;
     }
 
     fn into_result(mut self) -> (RunResult, R) {
@@ -962,13 +906,12 @@ mod tests {
     use super::*;
     use crate::config::BarrierCostModel;
     use aqs_core::SyncConfig;
-    use aqs_net::PerfectSwitch;
     use aqs_node::{HostModel, ProgramBuilder, Rank, RegionId, Tag};
     use aqs_obs::NullRecorder;
 
     /// Test shorthand for an unrecorded perfect-switch run.
     fn run_cluster(programs: Vec<Program>, config: &ClusterConfig) -> RunResult {
-        match run_cluster_impl(programs, config, PerfectSwitch::new(), NullRecorder) {
+        match run_cluster_impl(programs, config, NullRecorder) {
             Ok((result, _)) => result,
             Err(e) => panic!("{e}"),
         }
@@ -1328,7 +1271,6 @@ mod tests {
         let (result, fr) = run_cluster_impl(
             ping_pong_programs(5),
             &cfg,
-            PerfectSwitch::new(),
             FlightRecorder::new(2, ObsConfig::new()),
         )
         .expect("run succeeds");

@@ -16,7 +16,6 @@ use crate::config::ClusterConfig;
 use crate::engine::run_cluster_impl;
 use crate::result::RunResult;
 use aqs_core::SyncConfig;
-use aqs_net::PerfectSwitch;
 use aqs_node::RegionId;
 use aqs_obs::NullRecorder;
 use aqs_time::SimDuration;
@@ -91,12 +90,7 @@ pub fn app_metric(result: &RunResult, kind: MetricKind) -> AppMetric {
 ///
 /// Panics if the engine reports an error (deadlocked workload).
 pub fn run_workload(spec: &WorkloadSpec, config: &ClusterConfig) -> RunResult {
-    match run_cluster_impl(
-        spec.programs.clone(),
-        config,
-        PerfectSwitch::new(),
-        NullRecorder,
-    ) {
+    match run_cluster_impl(spec.programs.clone(), config, NullRecorder) {
         Ok((r, _)) => r,
         Err(e) => panic!("{e}"),
     }

@@ -24,7 +24,14 @@
 //!   and, with the adaptive conservative/optimistic [`HybridPolicy`],
 //!   `Hybrid`.
 //!
-//! All four are driven through one entry point: the [`Sim`] builder.
+//! All four are driven through one entry point, the [`Sim`] builder, and all
+//! four compute an arrival through one routing core, the
+//! [`aqs_net::Router`] of the run's [`aqs_net::NetworkController`] — built
+//! once, with every network configuration check, by `Sim`'s validation. An
+//! engine owns only what it *does* with an arrival: compare it with the
+//! receiver's position (deterministic), snap it to the quantum edge and
+//! mail it to the owning shard (sharded), sort it into the window's inbound
+//! or future set (the rollback leader).
 //!
 //! # Quick start
 //!

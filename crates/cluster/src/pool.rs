@@ -1,63 +1,37 @@
 //! What the worker-pool engines ([`sharded`](crate::sharded) and
-//! [`sharded_optimistic`](crate::sharded_optimistic)) share: the pure switch
-//! models, the run configuration [`Sim`](crate::Sim) hands them, the
-//! barrier-leader state, the canonical inbound-fragment record, and the
-//! routing of a snapshot's cut-in-flight fragments.
+//! [`sharded_optimistic`](crate::sharded_optimistic)) share, and only that:
+//! the run configuration [`Sim`](crate::Sim) hands them, how a run starts
+//! (fresh or at a snapshot's cut) and ends, the leader's quantum clock, the
+//! step that runs one node to a quantum edge, and the routing of a
+//! snapshot's cut-in-flight fragments.
+//!
+//! The two kernels differ by design everywhere else — static SoA shards with
+//! a wake wheel and workers that route into mailboxes, against per-node
+//! slots claimed from a run list and a leader whose full re-route *is* the
+//! anti-message — each shape carrying a measured gain on its own workload
+//! (ROADMAP item 1).
 //!
 //! Crate-private except [`ParallelNodeResult`], which both engines' public
 //! results expose per node.
 
-use crate::sharded::ArrivalTable;
-use crate::sim::SimError;
+use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, ResumeSeed};
 use aqs_core::{QuantumPolicy, SyncConfig};
-use aqs_net::{
-    ChaosOverlay, FatTreeFabric, LatencyMatrixSwitch, LinkLoad, NicModel, StragglerStats,
-};
-use aqs_node::{CpuModel, MessageId, MessageMeta, Rank, RegionRecord};
+use aqs_net::{Destination, NicModel, Router, StragglerStats};
+use aqs_node::{Action, CpuModel, MessageId, NodeExecutor, Program, Rank, RegionRecord};
 use aqs_time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Switch models available to the worker-pool engines.
-///
-/// Only pure models are offered: their transit delay is a function of
-/// `(src, dst, bytes, departure)` alone, so workers can compute arrivals
-/// without sharing mutable switch state — and call order cannot change any
-/// result. [`aqs_net::StoreAndForwardSwitch`] is deliberately absent — its
-/// per-egress queue would re-serialize every route call behind a lock, and
-/// its result would depend on thread timing.
-#[derive(Clone, Debug, Default)]
-pub(crate) enum ParallelSwitch {
-    /// Infinite bandwidth, zero transit delay (the paper's evaluation
-    /// switch).
-    #[default]
-    Perfect,
-    /// Fixed per-(src, dst) latency, as in the deterministic engine's
-    /// [`LatencyMatrixSwitch`].
-    LatencyMatrix(LatencyMatrixSwitch),
-    /// The modeled fat-tree fabric: pure epoch-keyed transit (see
-    /// [`FatTreeFabric`]), safe under any routing order.
-    Fabric(FatTreeFabric),
-    /// Chaos middleware over another pure model: the wrapped switch computes
-    /// the base transit and the [`ChaosOverlay`] adds its seeded fault delay
-    /// on top. The overlay is itself a pure function of
-    /// `(src, dst, bytes, departure)`, so the determinism guarantee holds.
-    Chaos(ChaosOverlay, Box<ParallelSwitch>),
-}
-
 /// Configuration of a worker-pool run, assembled by `Sim::dispatch` from
-/// values `Sim::validate` has already checked.
+/// values `Sim::validate` has already checked. The network — NIC, switch,
+/// chaos — arrives separately, as the [`Router`] the workers share.
 #[derive(Clone, Debug)]
 pub(crate) struct ParallelConfig {
     /// Synchronization policy.
     pub(crate) sync: SyncConfig,
-    /// NIC timing model.
-    pub(crate) nic: NicModel,
     /// CPU timing model.
     pub(crate) cpu: CpuModel,
-    /// Switch timing model.
-    pub(crate) switch: ParallelSwitch,
     /// Real host nanoseconds of busy-work burned per simulated operation —
     /// emulates the execution cost of the node simulator itself. Zero runs
     /// the functional simulation at full speed. Finite and non-negative.
@@ -88,34 +62,235 @@ pub struct ParallelNodeResult {
     pub regions: Vec<RegionRecord>,
 }
 
-/// Stop sentinel published through `q_end`.
-pub(crate) const Q_END_STOP: u64 = u64::MAX;
+impl ParallelNodeResult {
+    /// Folds a node into its result once the run is over. A program that
+    /// never finished (quantum cap) reports `parked_at`, where the engine
+    /// left the node.
+    pub(crate) fn collect(exec: &mut NodeExecutor, parked_at: SimTime) -> Self {
+        Self {
+            rank: exec.rank(),
+            finish_sim: exec.finish_time().unwrap_or(parked_at),
+            ops: exec.ops_executed(),
+            messages_received: exec.messages_received(),
+            regions: exec.take_regions(),
+        }
+    }
+}
 
-/// State only the barrier leader touches, via `TreeBarrier::arrive` — no
-/// mutex: exclusivity comes from the barrier protocol itself.
-pub(crate) struct LeaderState<R> {
+/// The shared epilogue: a run that exhausted its quantum cap is a typed
+/// error (the leader could only flag it — panicking inside the barrier would
+/// strand its peers); any other run ends when its last node does.
+pub(crate) fn finish_run(
+    overflowed: bool,
+    engine: EngineKind,
+    config: &ParallelConfig,
+    per_node: &[ParallelNodeResult],
+) -> Result<SimTime, SimError> {
+    if overflowed {
+        return Err(SimError::QuantumCapExceeded {
+            engine,
+            max_quanta: config.max_quanta,
+        });
+    }
+    let finishes = per_node.iter().map(|r| r.finish_sim);
+    Ok(finishes.max().expect("at least two nodes"))
+}
+
+/// The barrier leader's view of simulated time: the policy, the quantum in
+/// progress, and how many have completed.
+pub(crate) struct QuantumClock {
     pub(crate) policy: Box<dyn QuantumPolicy>,
     /// Quanta completed (including the stop round).
     pub(crate) quanta: u64,
-    /// Packets routed over the whole run (sum of the per-shard slots).
-    pub(crate) total_packets: u64,
     /// Start of the current quantum in sim ns (the previous `q_end_nanos`).
     pub(crate) q_start_nanos: u64,
-    /// Current quantum end in sim ns, mirrored into the shared `q_end`.
+    /// End of the current quantum in sim ns.
     pub(crate) q_end_nanos: u64,
-    pub(crate) max_quanta: u64,
-    /// Observability recorder. Leader-exclusive like the rest of this
-    /// struct, so recording needs no lock and stays off the packet path.
-    pub(crate) rec: R,
-    /// Scratch lanes for sample assembly, reused across quanta.
-    pub(crate) waits: Vec<u64>,
-    pub(crate) lags: Vec<u64>,
-    /// Per-link load merge scratch (fabric switch with recording enabled;
-    /// empty — and untouched — otherwise).
-    pub(crate) link_load: LinkLoad,
-    /// Per-shard active-node merge scratch (recording enabled; empty — and
-    /// untouched — otherwise).
-    pub(crate) shard_actives: Vec<u64>,
+    max_quanta: u64,
+}
+
+/// What the leader publishes after closing a quantum.
+pub(crate) enum Advance {
+    /// Every program finished.
+    Stop,
+    /// The quantum cap is exhausted: flag the overflow and stop.
+    CapExceeded,
+    /// The next quantum is open; the clock's `q_end_nanos` is its edge.
+    Next,
+}
+
+impl QuantumClock {
+    /// Closes the quantum in progress and, unless the run is over, lets the
+    /// policy choose the next one from `np`, the packets it routed.
+    pub(crate) fn advance(&mut self, all_done: bool, np: u64) -> Advance {
+        self.quanta += 1;
+        if all_done {
+            return Advance::Stop;
+        }
+        if self.quanta > self.max_quanta {
+            return Advance::CapExceeded;
+        }
+        let next = self.policy.next_quantum(np);
+        self.q_start_nanos = self.q_end_nanos;
+        self.q_end_nanos += next.as_nanos();
+        Advance::Next
+    }
+}
+
+/// The shared prologue: checks the programs against the snapshot (when
+/// resuming), clamps the worker count to `[1, n]` (`None` = the host's
+/// available parallelism) and starts the clock — at time zero with the
+/// policy's initial quantum, or at the cut with the quantum the policy had
+/// already chosen there.
+///
+/// # Panics
+///
+/// Panics if fewer than two programs are given or program *i* is not for
+/// rank *i* (`Sim::validate` reports both as typed errors first).
+pub(crate) fn start_run(
+    programs: &[Program],
+    config: &ParallelConfig,
+    workers: Option<usize>,
+    resume: Option<&ResumeSeed>,
+) -> Result<(usize, QuantumClock), SimError> {
+    assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
+    for (i, p) in programs.iter().enumerate() {
+        assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
+    }
+    let n = programs.len();
+    let policy = config.sync.build();
+    let mut clock = QuantumClock {
+        quanta: 0,
+        q_start_nanos: 0,
+        q_end_nanos: policy.initial_quantum().as_nanos(),
+        max_quanta: config.max_quanta,
+        policy,
+    };
+    if let Some(s) = resume {
+        if s.nodes.len() != n {
+            return Err(SimError::snapshot_format(format!(
+                "snapshot has {} nodes, simulation has {n}",
+                s.nodes.len()
+            )));
+        }
+        let loaded = clock.policy.load_state(&s.policy_state);
+        loaded.map_err(SimError::snapshot_format)?;
+        clock.quanta = s.quanta;
+        clock.q_start_nanos = s.q_start.as_nanos();
+        clock.q_end_nanos = (s.q_start + s.q_len).as_nanos();
+    }
+    let host = || std::thread::available_parallelism().map_or(1, |p| p.get());
+    Ok((workers.unwrap_or_else(host).clamp(1, n), clock))
+}
+
+/// One node's mutable lanes, wherever its engine keeps them (dense per-shard
+/// vectors, or the fields of a claimed slot).
+pub(crate) struct Lanes<'a> {
+    pub(crate) exec: &'a mut NodeExecutor,
+    /// Simulated position.
+    pub(crate) sim: &'a mut SimTime,
+    /// Send sequence counter.
+    pub(crate) msg_seq: &'a mut u64,
+    /// Remainder (ns) of an op that did not fit in the previous quantum;
+    /// 0 means none ([`Action::Advance`] durations are never zero — the
+    /// executor consumes zero-cost ops internally).
+    pub(crate) pending_ns: &'a mut u64,
+}
+
+/// What one execution of a node reports back.
+#[derive(Default)]
+pub(crate) struct Stepped {
+    /// The node's idle tail, for observability: sim ns from where it parked
+    /// to the edge (0 when busy to the edge).
+    pub(crate) lag_ns: u64,
+    /// Next sim ns the node can act on its own: the edge when it must run
+    /// again next quantum (mid-op remainder, or more program to poll), the
+    /// wait deadline of a timed sleeper, or `u64::MAX` to park it until a
+    /// delivery re-arms it (blocked or finished).
+    pub(crate) wake: u64,
+    /// Operations the execution started — what it cost the host.
+    pub(crate) ops: u64,
+    /// The program has finished (now or in an earlier execution).
+    pub(crate) finished: bool,
+}
+
+/// Runs one node from `q_start` to the quantum edge `q_end`, handing every
+/// fragment it sends to `send` (route it now, or capture it for the leader).
+/// Sends complete atomically, ops pend across edges. There are no
+/// mid-quantum drains (deliveries are never consumable before the boundary
+/// by construction) and no position publication (nothing reads it).
+#[inline]
+pub(crate) fn step_node(
+    node: Lanes<'_>,
+    (q_start, q_end): (SimTime, SimTime),
+    nic: &NicModel,
+    host_work_per_op: f64,
+    mut send: impl FnMut(FragSnap),
+) -> Stepped {
+    let Lanes {
+        exec,
+        sim,
+        msg_seq,
+        pending_ns,
+    } = node;
+    // Fast-forward a woken sleeper: a full sweep would have dragged `sim` to
+    // every intervening quantum edge (`sim = max(sim, q_end)` below);
+    // skipping those quanta and taking one `max` against the current quantum
+    // start lands in the identical state, because a parked node's re-polls
+    // are side-effect-free and skipped time is idle by construction.
+    if *sim < q_start {
+        *sim = q_start;
+    }
+    let mut out = Stepped {
+        wake: q_end.as_nanos(),
+        ..Stepped::default()
+    };
+    while *sim < q_end {
+        if *pending_ns != 0 {
+            let remaining = SimDuration::from_nanos(*pending_ns);
+            let step = remaining.min(q_end - *sim);
+            *sim += step;
+            *pending_ns = (remaining - step).as_nanos();
+            if *pending_ns != 0 {
+                break; // quantum boundary reached mid-op
+            }
+            continue;
+        }
+        match exec.next_action(*sim) {
+            Action::Advance { dur, ops, idle } => {
+                if !idle {
+                    out.ops += ops;
+                    if host_work_per_op > 0.0 && ops > 0 {
+                        busy_work(ops as f64 * host_work_per_op);
+                    }
+                }
+                *pending_ns = dur.as_nanos();
+            }
+            Action::Send { dst, bytes, tag } => {
+                let id = MessageId {
+                    src: exec.rank(),
+                    seq: *msg_seq,
+                };
+                *msg_seq += 1;
+                *sim = FragSnap::serialize(nic, id, (dst, bytes, tag), *sim, &mut send);
+            }
+            Action::WaitUntil(t) if t < q_end => *sim = t,
+            // Idle to the edge: a timer beyond it, a receive nothing
+            // satisfies yet, or the end of the program.
+            parked => {
+                out.wake = match parked {
+                    Action::WaitUntil(t) => t.as_nanos(),
+                    _ => u64::MAX,
+                };
+                out.lag_ns = (q_end - *sim).as_nanos();
+                *sim = q_end;
+                break;
+            }
+        }
+    }
+    *sim = (*sim).max(q_end);
+    out.finished = exec.finished();
+    out
 }
 
 /// Burns approximately `ns` nanoseconds of real CPU time.
@@ -136,51 +311,6 @@ pub(crate) fn busy_work(ns: f64) {
     }
 }
 
-/// One fragment known to be heading to a node.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Inbound {
-    pub(crate) arrival: SimTime,
-    pub(crate) meta_id: MessageId,
-    pub(crate) frag_index: u32,
-    pub(crate) meta: MessageMetaOrd,
-}
-
-/// `MessageMeta` with a total order (for canonical inbound-set comparison).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct MessageMetaOrd {
-    pub(crate) src: u32,
-    pub(crate) seq: u64,
-    pub(crate) tag: u32,
-    pub(crate) bytes: u64,
-    pub(crate) frag_count: u32,
-}
-
-impl From<MessageMeta> for MessageMetaOrd {
-    fn from(m: MessageMeta) -> Self {
-        Self {
-            src: m.id.src.as_u32(),
-            seq: m.id.seq,
-            tag: m.tag.as_u32(),
-            bytes: m.bytes,
-            frag_count: m.frag_count,
-        }
-    }
-}
-
-impl MessageMetaOrd {
-    pub(crate) fn to_meta(self) -> MessageMeta {
-        MessageMeta {
-            id: MessageId {
-                src: Rank::new(self.src),
-                seq: self.seq,
-            },
-            tag: aqs_node::Tag::new(self.tag),
-            bytes: self.bytes,
-            frag_count: self.frag_count,
-        }
-    }
-}
-
 /// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
 /// quantum: every fan-out copy goes to `sink(dst, effective_arrival,
 /// fragment)`; returns how many copies were routed and the stragglers among
@@ -192,11 +322,10 @@ impl MessageMetaOrd {
 /// the uninterrupted run's, for any policy.
 pub(crate) fn route_seed_frags(
     seed: &ResumeSeed,
-    nic: &NicModel,
-    arrivals: &ArrivalTable,
-    n: usize,
+    net: &Router,
     mut sink: impl FnMut(usize, SimTime, &FragSnap),
 ) -> Result<(u64, StragglerStats), SimError> {
+    let n = net.n_nodes();
     let mut count = 0u64;
     let mut stragglers = StragglerStats::default();
     for pf in &seed.frags {
@@ -206,34 +335,25 @@ pub(crate) fn route_seed_frags(
                 "in-flight fragment from node {src}, but the cluster has {n} nodes"
             )));
         }
-        let targets = match pf.frag.dst {
-            Some(r) if (r as usize) < n => r as usize..r as usize + 1,
-            Some(t) => {
+        if let Destination::Unicast(t) = pf.frag.dst {
+            if t.index() >= n {
                 return Err(SimError::snapshot_format(format!(
-                    "in-flight fragment for node {t}, but the cluster has {n} nodes"
+                    "in-flight fragment for node {}, but the cluster has {n} nodes",
+                    t.index()
                 )));
             }
-            None => 0..n,
-        };
-        let base = nic.earliest_arrival(pf.frag.departure);
-        // A broadcast reaches everyone but its sender.
-        for t in targets.filter(|&t| pf.frag.dst.is_some() || t != src) {
-            let arrival = base
-                + SimDuration::from_nanos(arrivals.transit_nanos(
-                    src,
-                    t,
-                    pf.frag.bytes,
-                    pf.frag.departure,
-                ));
+        }
+        let frag = &pf.frag;
+        net.fan_out(src, frag.dst, frag.bytes, frag.departure, |t, arrival| {
             let eff = if arrival < seed.q_start {
                 stragglers.record(seed.q_start - arrival);
                 seed.q_start
             } else {
                 arrival
             };
-            sink(t, eff, &pf.frag);
+            sink(t, eff, frag);
             count += 1;
-        }
+        });
     }
     Ok((count, stragglers))
 }

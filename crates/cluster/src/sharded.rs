@@ -16,8 +16,9 @@
 //! * pushes recycle nodes from the sending worker's [`MailboxPool`]; drains
 //!   recycle them into the receiving worker's pool;
 //! * the per-worker inbox scratch buffer keeps its capacity across quanta;
-//! * `LatencyMatrix` switch lookups go through a dense precomputed
-//!   nanosecond table (no bounds asserts, no enum dispatch per packet).
+//! * arrivals come from the shared [`Router`]: a `LatencyMatrix` lookup is
+//!   one indexed load from a dense nanosecond table, with no lock, no
+//!   trait object and no allocation per packet.
 //!
 //! **Delivery is quantum-edge-deterministic.** Instead of checking arrivals
 //! against the receiver's live position (a race under unsafe quanta), this
@@ -53,15 +54,13 @@
 //! ```
 
 use crate::pool::{
-    busy_work, route_seed_frags, LeaderState, ParallelConfig, ParallelNodeResult, ParallelSwitch,
-    Q_END_STOP,
+    finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
+    ParallelNodeResult, QuantumClock, Stepped,
 };
 use crate::sim::{EngineKind, SimError};
-use crate::snapshot::{ResumeNode, ResumeSeed};
-use aqs_net::{
-    ChaosOverlay, Destination, FatTreeFabric, LinkLoad, NicModel, NodeId, StragglerStats,
-};
-use aqs_node::{Action, CpuModel, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
+use crate::snapshot::{FragSnap, ResumeNode, ResumeSeed};
+use aqs_net::{LinkLoad, Router, StragglerStats};
+use aqs_node::{CpuModel, MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, Mailbox, MailboxPool, PoolDepot, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
@@ -110,13 +109,6 @@ impl ShardedRunResult {
     }
 }
 
-/// Default worker count: the host's available parallelism.
-pub(crate) fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// A fragment in flight to one receiver, addressed by global node index.
 /// `arrival` is already the effective (boundary-deferred) delivery time.
 #[derive(Clone, Copy, Debug)]
@@ -127,83 +119,27 @@ struct ShardInFlight {
     arrival: SimTime,
 }
 
-/// Precomputed switch transit: the per-packet lookup is one indexed load of
-/// a nanosecond count (dense matrix) or a pure SoA computation (fabric) —
-/// no enum dispatch over trait objects, no bounds assert, no allocation.
-pub(crate) enum ArrivalTable {
-    /// Perfect switch: zero transit, nothing to look up.
-    Perfect,
-    /// Dense `n × n` row-major transit nanoseconds.
-    Dense { n: usize, nanos: Vec<u64> },
-    /// The fat-tree fabric: transit is a pure function of
-    /// `(src, dst, bytes, departure)`, so per-worker slices can route their
-    /// own racks' traffic in any order with bit-identical results.
-    Fabric(FatTreeFabric),
-    /// Chaos middleware over another table: the inner table computes the
-    /// base transit and the overlay adds its seeded fault delay — pure, so
-    /// cross-M identity survives fault injection. The overlay cannot be
-    /// folded into a dense matrix: its delay depends on `bytes` and
-    /// `departure`, not just `(src, dst)`.
-    Chaos(ChaosOverlay, Box<ArrivalTable>),
-}
+/// Stop sentinel published through `q_end`.
+const Q_END_STOP: u64 = u64::MAX;
 
-impl ArrivalTable {
-    pub(crate) fn build(switch: &ParallelSwitch, n: usize) -> Self {
-        match switch {
-            ParallelSwitch::Perfect => ArrivalTable::Perfect,
-            ParallelSwitch::LatencyMatrix(m) => {
-                assert!(
-                    m.ports() >= n,
-                    "latency matrix has {} ports for {} nodes",
-                    m.ports(),
-                    n
-                );
-                let mut nanos = Vec::with_capacity(n * n);
-                for src in 0..n {
-                    for dst in 0..n {
-                        nanos.push(
-                            m.latency(NodeId::new(src as u32), NodeId::new(dst as u32))
-                                .as_nanos(),
-                        );
-                    }
-                }
-                ArrivalTable::Dense { n, nanos }
-            }
-            ParallelSwitch::Fabric(f) => {
-                assert!(
-                    f.n_nodes() >= n,
-                    "fabric was built for {} nodes, cluster has {}",
-                    f.n_nodes(),
-                    n
-                );
-                ArrivalTable::Fabric(f.clone())
-            }
-            ParallelSwitch::Chaos(overlay, inner) => {
-                ArrivalTable::Chaos(overlay.clone(), Box::new(Self::build(inner, n)))
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn transit_nanos(
-        &self,
-        src: usize,
-        dst: usize,
-        bytes: u32,
-        departure: SimTime,
-    ) -> u64 {
-        match self {
-            ArrivalTable::Perfect => 0,
-            ArrivalTable::Dense { n, nanos } => nanos[src * n + dst],
-            ArrivalTable::Fabric(f) => {
-                f.transit_nanos(src as u32, dst as u32, bytes, departure.as_nanos())
-            }
-            ArrivalTable::Chaos(overlay, inner) => {
-                inner.transit_nanos(src, dst, bytes, departure)
-                    + overlay.extra_nanos(src as u32, dst as u32, bytes, departure.as_nanos())
-            }
-        }
-    }
+/// State only the barrier leader touches, via `TreeBarrier::arrive` — no
+/// mutex: exclusivity comes from the barrier protocol itself.
+struct LeaderState<R> {
+    clock: QuantumClock,
+    /// Packets routed over the whole run (sum of the per-shard slots).
+    total_packets: u64,
+    /// Observability recorder. Leader-exclusive like the rest of this
+    /// struct, so recording needs no lock and stays off the packet path.
+    rec: R,
+    /// Scratch lanes for sample assembly, reused across quanta.
+    waits: Vec<u64>,
+    lags: Vec<u64>,
+    /// Per-link load merge scratch (fabric switch with recording enabled;
+    /// empty — and untouched — otherwise).
+    link_load: LinkLoad,
+    /// Per-shard active-node merge scratch (recording enabled; empty — and
+    /// untouched — otherwise).
+    shard_actives: Vec<u64>,
 }
 
 /// One worker's (= one fabric slice's) per-link load accumulator. Each
@@ -274,9 +210,7 @@ struct ShardNodes {
     sim: Vec<SimTime>,
     /// Per-node send sequence counter.
     msg_seq: Vec<u64>,
-    /// Remainder (ns) of an op that did not fit in the previous quantum;
-    /// 0 means none ([`Action::Advance`] durations are never zero — the
-    /// executor consumes zero-cost ops internally).
+    /// Remainder (ns) of an op that did not fit in the previous quantum.
     pending_ns: Vec<u64>,
     done_reported: Vec<bool>,
 }
@@ -366,8 +300,8 @@ impl WakeWheel {
 
 /// Shared state across worker threads.
 struct SharedSharded<R> {
-    nic: NicModel,
-    arrivals: ArrivalTable,
+    /// The run's one routing core, shared read-only by every worker.
+    net: Router,
     /// Wall-clock origin for barrier-wait timestamps.
     start: Instant,
     /// Shard (= worker) owning each global node index.
@@ -405,94 +339,45 @@ struct SharedSharded<R> {
 }
 
 impl<R: Recorder> SharedSharded<R> {
-    /// Routes one fragment of `bytes` bytes from global node `src` departing
-    /// at `departure`, with `q_end` the sender's current quantum edge. The
-    /// effective delivery time is `max(arrival, q_end)` — fully
-    /// deterministic, no reads of receiver state: transit is a pure function
-    /// of `(src, dst, bytes, departure)` for every supported switch, so
-    /// neither worker count nor routing order can change an arrival.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &self,
-        ctx: &mut WorkerCtx,
-        src: usize,
-        dst: Destination,
-        bytes: u32,
-        departure: SimTime,
-        q_end: SimTime,
-        meta: MessageMeta,
-        frag_index: u32,
-    ) {
-        let base = self.nic.earliest_arrival(departure);
-        match dst {
-            Destination::Unicast(d) => self.deliver(
-                ctx,
-                src,
-                d.index(),
-                bytes,
-                departure,
-                base,
-                q_end,
-                meta,
-                frag_index,
-            ),
-            Destination::Broadcast => {
-                // Per-destination transit is independent: each fan-out copy
-                // gets its own path and its own (src, dst)-keyed delay.
-                for t in 0..self.shard_of.len() {
-                    if t != src {
-                        self.deliver(ctx, src, t, bytes, departure, base, q_end, meta, frag_index);
-                    }
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Routes one fragment sent by global node `src`, with `q_end` the
+    /// sender's current quantum edge. What this engine does with an arrival:
+    /// the effective delivery time is `max(arrival, q_end)` — fully
+    /// deterministic, no reads of receiver state, and the router is a pure
+    /// function, so neither worker count nor routing order can change it —
+    /// and the copy goes into the mailbox of the shard that owns its
+    /// receiver.
     #[inline]
-    fn deliver(
-        &self,
-        ctx: &mut WorkerCtx,
-        src: usize,
-        t: usize,
-        bytes: u32,
-        departure: SimTime,
-        base: SimTime,
-        q_end: SimTime,
-        meta: MessageMeta,
-        frag_index: u32,
-    ) {
-        ctx.quantum_packets += 1;
-        let arrival =
-            base + SimDuration::from_nanos(self.arrivals.transit_nanos(src, t, bytes, departure));
-        if R::ENABLED && !self.fabric_slots.is_empty() {
-            if let ArrivalTable::Fabric(f) = &self.arrivals {
+    fn route(&self, ctx: &mut WorkerCtx, src: usize, frag: &FragSnap, q_end: SimTime) {
+        let net = &self.net;
+        net.fan_out(src, frag.dst, frag.bytes, frag.departure, |t, arrival| {
+            ctx.quantum_packets += 1;
+            let slot = self.fabric_slots.get(ctx.w);
+            if let (true, Some(slot), Some(fabric)) = (R::ENABLED, slot, net.fabric()) {
                 // Observation only (never feeds timing): bump this slice's
                 // counters along the packet's path. Relaxed is enough — the
                 // slot is written by this worker alone during the quantum
                 // and drained by the leader inside the barrier.
-                let slot = &self.fabric_slots[ctx.w];
-                for &link in f.path(src as u32, t as u32).links() {
-                    slot.bytes[link as usize].fetch_add(bytes as u64, Ordering::Relaxed);
+                for &link in fabric.path(src as u32, t as u32).links() {
+                    slot.bytes[link as usize].fetch_add(frag.bytes as u64, Ordering::Relaxed);
                     slot.packets[link as usize].fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-        let eff = if arrival < q_end {
-            ctx.stragglers.record(q_end - arrival);
-            q_end
-        } else {
-            arrival
-        };
-        self.mailboxes[self.shard_of[t] as usize].push_pooled(
-            ShardInFlight {
-                dst: t as u32,
-                meta,
-                frag_index,
-                arrival: eff,
-            },
-            &mut ctx.pool,
-        );
+            let eff = if arrival < q_end {
+                ctx.stragglers.record(q_end - arrival);
+                q_end
+            } else {
+                arrival
+            };
+            self.mailboxes[self.shard_of[t] as usize].push_pooled(
+                ShardInFlight {
+                    dst: t as u32,
+                    meta: frag.meta,
+                    frag_index: frag.frag_index,
+                    arrival: eff,
+                },
+                &mut ctx.pool,
+            );
+        });
     }
 }
 
@@ -570,30 +455,18 @@ pub(crate) fn partition_weighted(weights: &[u64], m: usize) -> Vec<std::ops::Ran
 ///
 /// # Panics
 ///
-/// Panics if fewer than two programs are given or program *i* is not for
-/// rank *i*. A quantum-cap overflow (deadlock guard) is a typed
+/// As [`start_run`]. A quantum-cap overflow (deadlock guard) is a typed
 /// [`SimError::QuantumCapExceeded`], not a panic.
 pub(crate) fn run_sharded_impl<R: Recorder>(
     mut programs: Vec<Program>,
     config: &ParallelConfig,
+    net: Router,
     workers: Option<usize>,
     recorder: R,
     resume: Option<&ResumeSeed>,
 ) -> Result<(ShardedRunResult, R), SimError> {
-    assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
-    for (i, p) in programs.iter().enumerate() {
-        assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
-    }
+    let (m, clock) = start_run(&programs, config, workers, resume)?;
     let n = programs.len();
-    if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-    }
-    let m = workers.unwrap_or_else(default_workers).clamp(1, n);
     let weights: Vec<u64> = programs.iter().map(|p| p.ops().len() as u64).collect();
     let ranges = partition_weighted(&weights, m);
     let mut shard_of = vec![0u32; n];
@@ -602,20 +475,11 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             *slot = s as u32;
         }
     }
-    let mut policy = config.sync.build();
-    let q0 = policy.initial_quantum();
-    if let Some(s) = resume {
-        policy
-            .load_state(&s.policy_state)
-            .map_err(SimError::snapshot_format)?;
-    }
-    let q_start = resume.map_or(SimTime::ZERO, |s| s.q_start);
-    let q_end0 = resume.map_or(q0.as_nanos(), |s| (s.q_start + s.q_len).as_nanos());
-    let arrivals = ArrivalTable::build(&config.switch, n);
+    let q_end0 = clock.q_end_nanos;
     let mailboxes: Vec<Mailbox<ShardInFlight>> = (0..m).map(|_| Mailbox::new()).collect();
     let mut inject_pool = MailboxPool::new();
     let (inject_count, inject_stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &config.nic, &arrivals, n, |t, arrival, frag| {
+        Some(s) => route_seed_frags(s, &net, |t, arrival, frag| {
             mailboxes[shard_of[t] as usize].push_pooled(
                 ShardInFlight {
                     dst: t as u32,
@@ -631,17 +495,13 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     let n_done = resume.map_or(0, |s| s.nodes.iter().filter(|ns| ns.done).count() as u64);
     // Fabric link-load slices exist only when there is something to record
     // them into; otherwise the whole path is a dead (compiled-out) branch.
-    let n_links = match &config.switch {
-        ParallelSwitch::Fabric(f) if R::ENABLED => f.n_links(),
+    let n_links = match net.fabric() {
+        Some(f) if R::ENABLED => f.n_links(),
         _ => 0,
     };
     let leader = LeaderState {
-        policy,
-        quanta: resume.map_or(0, |s| s.quanta),
+        clock,
         total_packets: resume.map_or(0, |s| s.total_packets) + inject_count,
-        q_start_nanos: q_start.as_nanos(),
-        q_end_nanos: q_end0,
-        max_quanta: config.max_quanta,
         rec: recorder,
         waits: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
         lags: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
@@ -650,8 +510,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     };
     let start = Instant::now();
     let shared = SharedSharded {
-        nic: config.nic,
-        arrivals,
+        net,
         start,
         shard_of,
         mailboxes,
@@ -709,12 +568,6 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             .collect()
     });
     let joined = joined.map_err(SimError::snapshot_format)?;
-    if shared.overflow.load(Ordering::Acquire) {
-        return Err(SimError::QuantumCapExceeded {
-            engine: EngineKind::Sharded,
-            max_quanta: config.max_quanta,
-        });
-    }
     let wall = start.elapsed();
     // Shards are contiguous and joined in shard order, so flattening yields
     // rank order; the straggler merge is deterministic for the same reason.
@@ -729,16 +582,13 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         pool_heap_allocs += worker_allocs;
         nodes_executed += worker_executed;
     }
-    let sim_end = per_node
-        .iter()
-        .map(|r| r.finish_sim)
-        .max()
-        .expect("at least two nodes");
+    let overflowed = shared.overflow.load(Ordering::Acquire);
+    let sim_end = finish_run(overflowed, EngineKind::Sharded, config, &per_node)?;
     let leader = shared.barrier.into_state();
     let result = ShardedRunResult {
         wall,
         sim_end,
-        total_quanta: leader.quanta,
+        total_quanta: leader.clock.quanta,
         total_packets: leader.total_packets,
         stragglers,
         per_node,
@@ -855,10 +705,9 @@ fn worker_thread<R: Recorder>(
         let mut active = 0u64;
         if full_sweep {
             for l in 0..len {
-                let (lag_ns, _wake) =
-                    advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
+                let ran = advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
                 if R::ENABLED {
-                    shared.lag_slots[base + l].store(lag_ns, Ordering::Relaxed);
+                    shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
                 }
             }
             active = len as u64;
@@ -888,9 +737,8 @@ fn worker_thread<R: Recorder>(
                 while word != 0 {
                     let l = (wi << 6) + word.trailing_zeros() as usize;
                     word &= word - 1;
-                    let (lag_ns, wake) =
-                        advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
-                    if wake == q_end_ns {
+                    let ran = advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
+                    if ran.wake == q_end_ns {
                         // Runs again next quantum — the common case for a
                         // node mid-compute. An entry `(q_end, l)` would be
                         // popped by the next promote whatever the next edge
@@ -899,11 +747,11 @@ fn worker_thread<R: Recorder>(
                         // word was cleared before its bits were walked, so
                         // the next quantum's scan is the first to see it.
                         wheel.arm_now(l);
-                    } else if wake != u64::MAX {
-                        wheel.heap.push(Reverse((wake, l as u32)));
+                    } else if ran.wake != u64::MAX {
+                        wheel.heap.push(Reverse((ran.wake, l as u32)));
                     }
                     if R::ENABLED {
-                        shared.lag_slots[base + l].store(lag_ns, Ordering::Relaxed);
+                        shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
                     }
                     active += 1;
                 }
@@ -918,19 +766,11 @@ fn worker_thread<R: Recorder>(
             None => break,
         }
     }
+    // A parked node's `sim` lane may lag the last quantum edge
+    // (fast-forwarding is lazy); the full sweep would have dragged it to the
+    // edge every quantum.
     let results = (0..len)
-        .map(|l| ParallelNodeResult {
-            rank: nodes.execs[l].rank(),
-            finish_sim: nodes.execs[l].finish_time().unwrap_or_else(|| {
-                // A parked node's `sim` lane may lag the last quantum edge
-                // (fast-forwarding is lazy); the full sweep would have
-                // dragged it to the edge every quantum.
-                nodes.sim[l].max(q_end)
-            }),
-            ops: nodes.execs[l].ops_executed(),
-            messages_received: nodes.execs[l].messages_received(),
-            regions: nodes.execs[l].take_regions(),
-        })
+        .map(|l| ParallelNodeResult::collect(&mut nodes.execs[l], nodes.sim[l].max(q_end)))
         .collect();
     Ok((
         results,
@@ -940,15 +780,10 @@ fn worker_thread<R: Recorder>(
     ))
 }
 
-/// Advances one node to the quantum edge. There are no mid-quantum drains
-/// (deliveries are never consumable before the boundary by construction)
-/// and no position publication (nothing reads it).
-///
-/// Returns `(lag_ns, wake_ns)`: the node's idle-tail lag for observability
-/// (0 when busy to the edge) and its next wake time — `q_end` when the node
-/// must run again next quantum (mid-op remainder, or more program to poll),
-/// the wait deadline for a timed sleeper, or `u64::MAX` to park it until a
-/// delivery re-arms it (blocked or finished).
+/// Advances one node to the quantum edge with the shared [`step_node`],
+/// routing every fragment it sends right away, and reports the program's end
+/// to the run's done count the first time it is seen.
+#[inline]
 fn advance_node<R: Recorder>(
     nodes: &mut ShardNodes,
     l: usize,
@@ -957,93 +792,23 @@ fn advance_node<R: Recorder>(
     ctx: &mut WorkerCtx,
     q_start: SimTime,
     q_end: SimTime,
-) -> (u64, u64) {
-    // Fast-forward a woken sleeper: the full sweep dragged `sim` to every
-    // intervening quantum edge (`sim = max(sim, q_end)` below); skipping
-    // those quanta and taking one `max` against the current quantum start
-    // lands in the identical state, because a parked node's re-polls are
-    // side-effect-free.
-    if nodes.sim[l] < q_start {
-        nodes.sim[l] = q_start;
+) -> Stepped {
+    let src = nodes.base + l;
+    let lanes = Lanes {
+        exec: &mut nodes.execs[l],
+        sim: &mut nodes.sim[l],
+        msg_seq: &mut nodes.msg_seq[l],
+        pending_ns: &mut nodes.pending_ns[l],
+    };
+    let work = config.host_work_per_op;
+    let ran = step_node(lanes, (q_start, q_end), shared.net.nic(), work, |frag| {
+        shared.route(ctx, src, &frag, q_end)
+    });
+    if ran.finished && !nodes.done_reported[l] {
+        nodes.done_reported[l] = true;
+        shared.done.fetch_add(1, Ordering::AcqRel);
     }
-    let mut lag_ns = 0u64;
-    let mut wake = q_end.as_nanos();
-    while nodes.sim[l] < q_end {
-        if nodes.pending_ns[l] != 0 {
-            let remaining = SimDuration::from_nanos(nodes.pending_ns[l]);
-            let step = remaining.min(q_end - nodes.sim[l]);
-            nodes.sim[l] += step;
-            if step < remaining {
-                nodes.pending_ns[l] = (remaining - step).as_nanos();
-                break; // quantum boundary reached mid-op
-            }
-            nodes.pending_ns[l] = 0;
-            continue;
-        }
-        match nodes.execs[l].next_action(nodes.sim[l]) {
-            Action::Advance { dur, ops, idle } => {
-                if !idle && config.host_work_per_op > 0.0 && ops > 0 {
-                    busy_work(ops as f64 * config.host_work_per_op);
-                }
-                nodes.pending_ns[l] = dur.as_nanos();
-            }
-            Action::Send { dst, bytes, tag } => {
-                let dest = match dst {
-                    SendTarget::Rank(r) => Destination::Unicast(NodeId::new(r.as_u32())),
-                    SendTarget::All => Destination::Broadcast,
-                };
-                let frag_count = shared.nic.fragment_count(bytes);
-                let meta = MessageMeta {
-                    id: MessageId {
-                        src: nodes.execs[l].rank(),
-                        seq: nodes.msg_seq[l],
-                    },
-                    tag,
-                    bytes,
-                    frag_count,
-                };
-                nodes.msg_seq[l] += 1;
-                for k in 0..frag_count {
-                    let sz = shared.nic.fragment_size(bytes, k);
-                    nodes.sim[l] += shared.nic.serialization_delay(sz);
-                    shared.route(ctx, nodes.base + l, dest, sz, nodes.sim[l], q_end, meta, k);
-                }
-            }
-            Action::WaitUntil(t) => {
-                if t >= q_end {
-                    if R::ENABLED {
-                        lag_ns = (q_end - nodes.sim[l]).as_nanos();
-                    }
-                    wake = t.as_nanos();
-                    nodes.sim[l] = q_end;
-                    break;
-                }
-                nodes.sim[l] = t;
-            }
-            Action::Blocked => {
-                if R::ENABLED {
-                    lag_ns = (q_end - nodes.sim[l]).as_nanos();
-                }
-                wake = u64::MAX;
-                nodes.sim[l] = q_end;
-                break;
-            }
-            Action::Finished => {
-                if !nodes.done_reported[l] {
-                    nodes.done_reported[l] = true;
-                    shared.done.fetch_add(1, Ordering::AcqRel);
-                }
-                if R::ENABLED {
-                    lag_ns = (q_end - nodes.sim[l]).as_nanos();
-                }
-                wake = u64::MAX;
-                nodes.sim[l] = q_end;
-                break;
-            }
-        }
-    }
-    nodes.sim[l] = nodes.sim[l].max(q_end);
-    (lag_ns, wake)
+    ran
 }
 
 /// Meets the tree barrier; the root leader advances the policy and publishes
@@ -1112,7 +877,7 @@ fn leader_step<R: Recorder>(
         // shard shares its worker's barrier wait) so the flight recorder's
         // per-node layout holds for any M.
         let latest = (0..ts.len()).map(|k| ts.get(k)).max().unwrap_or(0);
-        let q_len_nanos = leader.q_end_nanos - leader.q_start_nanos;
+        let q_len_nanos = leader.clock.q_end_nanos - leader.clock.q_start_nanos;
         leader.waits.clear();
         leader.lags.clear();
         for (node, &shard) in shared.shard_of.iter().enumerate() {
@@ -1140,9 +905,9 @@ fn leader_step<R: Recorder>(
             leader.shard_actives.push(a);
         }
         leader.rec.record_quantum(&QuantumObs {
-            index: leader.quanta,
-            start: SimTime::from_nanos(leader.q_start_nanos),
-            len: SimDuration::from_nanos(leader.q_end_nanos - leader.q_start_nanos),
+            index: leader.clock.quanta,
+            start: SimTime::from_nanos(leader.clock.q_start_nanos),
+            len: SimDuration::from_nanos(q_len_nanos),
             packets: np,
             active_nodes: active_total,
             stragglers: s_count,
@@ -1172,29 +937,25 @@ fn leader_step<R: Recorder>(
                 .record_link_load(leader.link_load.bytes(), leader.link_load.packets());
         }
     }
-    leader.quanta += 1;
     leader.total_packets += np;
     let all_done = shared.done.load(Ordering::Acquire) as usize == shared.shard_of.len();
-    if all_done {
-        shared.q_end.store(Q_END_STOP, Ordering::Relaxed);
-    } else if leader.quanta > leader.max_quanta {
-        // Cannot panic while peers wait on the barrier — flag and stop.
-        shared.overflow.store(true, Ordering::Relaxed);
-        shared.q_end.store(Q_END_STOP, Ordering::Relaxed);
-    } else {
-        #[allow(unused_mut)]
-        let mut policy_np = np;
-        #[cfg(feature = "fault-inject")]
-        if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
-            // Armable bug: the policy's view forgets shard 0's packets; the
-            // recorded trace keeps the true np.
-            policy_np -= shared.np_slots[0].load(Ordering::Relaxed);
-        }
-        let next = leader.policy.next_quantum(policy_np);
-        leader.q_start_nanos = leader.q_end_nanos;
-        leader.q_end_nanos += next.as_nanos();
-        shared.q_end.store(leader.q_end_nanos, Ordering::Relaxed);
+    #[allow(unused_mut)]
+    let mut policy_np = np;
+    #[cfg(feature = "fault-inject")]
+    if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
+        // Armable bug: the policy's view forgets shard 0's packets; the
+        // recorded trace keeps the true np.
+        policy_np -= shared.np_slots[0].load(Ordering::Relaxed);
     }
+    let q_end = match leader.clock.advance(all_done, policy_np) {
+        Advance::Next => leader.clock.q_end_nanos,
+        Advance::Stop => Q_END_STOP,
+        Advance::CapExceeded => {
+            shared.overflow.store(true, Ordering::Relaxed);
+            Q_END_STOP
+        }
+    };
+    shared.q_end.store(q_end, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -1203,29 +964,28 @@ mod tests {
     use crate::config::ClusterConfig;
     use crate::sim::Sim;
     use aqs_core::SyncConfig;
-    use aqs_net::LatencyMatrixSwitch;
+    use aqs_net::{FabricConfig, LatencyMatrixSwitch, NetworkController, NicModel, SimSwitch};
     use aqs_node::{ProgramBuilder, Rank, Tag};
     use aqs_obs::NullRecorder;
     use aqs_workloads::{burst, ping_pong, MpiBuilder};
 
-    /// Paper-default NIC/CPU models, the perfect switch, no busy-work.
+    /// The paper-default CPU model, no busy-work.
     fn cfg(sync: SyncConfig) -> ParallelConfig {
         ParallelConfig {
             sync,
-            nic: NicModel::paper_default(),
             cpu: aqs_node::CpuModel::default(),
-            switch: ParallelSwitch::Perfect,
             host_work_per_op: 0.0,
             max_quanta: 20_000_000,
             full_sweep: false,
         }
     }
 
-    fn with_switch(sync: SyncConfig, switch: ParallelSwitch) -> ParallelConfig {
-        ParallelConfig {
-            switch,
-            ..cfg(sync)
-        }
+    /// The shared routing core for `n` paper-default NICs behind `switch`.
+    fn router(n: usize, switch: &SimSwitch) -> Router {
+        NetworkController::new(n, NicModel::paper_default(), switch, None)
+            .expect("valid network")
+            .into_router()
+            .expect("a pure switch")
     }
 
     fn full_sweep(sync: SyncConfig) -> ParallelConfig {
@@ -1235,13 +995,23 @@ mod tests {
         }
     }
 
-    /// Unrecorded engine run with an owned result.
+    /// Unrecorded engine run on the perfect switch with an owned result.
     fn run_sharded(
         programs: Vec<Program>,
         config: &ParallelConfig,
         workers: Option<usize>,
     ) -> ShardedRunResult {
-        match run_sharded_impl(programs, config, workers, NullRecorder, None) {
+        run_sharded_on(programs, config, &SimSwitch::Perfect, workers)
+    }
+
+    fn run_sharded_on(
+        programs: Vec<Program>,
+        config: &ParallelConfig,
+        switch: &SimSwitch,
+        workers: Option<usize>,
+    ) -> ShardedRunResult {
+        let net = router(programs.len(), switch);
+        match run_sharded_impl(programs, config, net, workers, NullRecorder, None) {
             Ok((r, _)) => r,
             Err(e) => panic!("{e}"),
         }
@@ -1374,6 +1144,7 @@ mod tests {
         let (r, fr) = run_sharded_impl(
             programs,
             &cfg(SyncConfig::ground_truth()),
+            router(8, &SimSwitch::Perfect),
             Some(2),
             FlightRecorder::new(8, ObsConfig::new()),
             None,
@@ -1450,10 +1221,10 @@ mod tests {
                 ring.compute_all(50_000);
                 ring.neighbor_exchange(&[1], 4096);
             }
-            let fabric = FatTreeFabric::new(aqs_net::FabricConfig::fat_tree(), n);
-            run_sharded(
+            run_sharded_on(
                 ring.build(),
-                &with_switch(SyncConfig::paper_dyn2(), ParallelSwitch::Fabric(fabric)),
+                &cfg(SyncConfig::paper_dyn2()),
+                &SimSwitch::Fabric(FabricConfig::fat_tree()),
                 Some(2),
             )
         };
@@ -1600,21 +1371,15 @@ mod tests {
 
     #[test]
     fn latency_matrix_switch_matches_deterministic_engine() {
-        use crate::sim::SimSwitch;
         let spec = ping_pong(2, 20, 4096);
-        let matrix = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3));
+        let matrix =
+            SimSwitch::LatencyMatrix(LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3)));
         let det = Sim::new(spec.programs.clone())
             .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(7))
-            .switch(SimSwitch::LatencyMatrix(matrix.clone()))
+            .switch(matrix.clone())
             .run();
-        let r = run_sharded(
-            spec.programs,
-            &with_switch(
-                SyncConfig::ground_truth(),
-                ParallelSwitch::LatencyMatrix(matrix),
-            ),
-            Some(2),
-        );
+        let config = cfg(SyncConfig::ground_truth());
+        let r = run_sharded_on(spec.programs, &config, &matrix, Some(2));
         assert_eq!(r.sim_end, det.sim_end);
         assert_eq!(r.total_packets, det.total_packets);
         assert_eq!(r.stragglers.count(), 0);
@@ -1650,34 +1415,24 @@ mod tests {
         assert!(err.to_string().contains("at least one worker"));
     }
 
-    /// A small two-rack fabric: 6 nodes, 2 per rack, 2 uplink planes.
-    fn small_fabric(n: usize) -> FatTreeFabric {
-        let cfg = aqs_net::FabricConfig::fat_tree()
-            .with_rack_size(2)
-            .with_uplinks_per_rack(2);
-        FatTreeFabric::new(cfg, n)
+    /// A small fabric: 2 nodes per rack, 2 uplink planes.
+    fn small_fabric() -> SimSwitch {
+        SimSwitch::Fabric(
+            FabricConfig::fat_tree()
+                .with_rack_size(2)
+                .with_uplinks_per_rack(2),
+        )
     }
 
     #[test]
     fn fabric_switch_matches_deterministic_engine() {
-        use crate::sim::SimSwitch;
         let spec = ping_pong(6, 12, 4096);
         let det = Sim::new(spec.programs.clone())
             .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(11))
-            .switch(SimSwitch::Fabric(
-                aqs_net::FabricConfig::fat_tree()
-                    .with_rack_size(2)
-                    .with_uplinks_per_rack(2),
-            ))
+            .switch(small_fabric())
             .run();
-        let r = run_sharded(
-            spec.programs,
-            &with_switch(
-                SyncConfig::ground_truth(),
-                ParallelSwitch::Fabric(small_fabric(6)),
-            ),
-            Some(3),
-        );
+        let config = cfg(SyncConfig::ground_truth());
+        let r = run_sharded_on(spec.programs, &config, &small_fabric(), Some(3));
         assert_eq!(r.sim_end, det.sim_end);
         assert_eq!(r.total_packets, det.total_packets);
         assert_eq!(r.stragglers.count(), 0, "safe quantum must be race-free");
@@ -1688,16 +1443,12 @@ mod tests {
         // The stateful-looking fabric is epoch-keyed pure, so even under
         // unsafe quanta (stragglers present) the outcome is M-independent.
         let spec = ping_pong(6, 25, 4096);
-        let mk = || {
-            with_switch(
-                SyncConfig::fixed_micros(1000),
-                ParallelSwitch::Fabric(small_fabric(6)),
-            )
-        };
-        let reference = run_sharded(spec.programs.clone(), &mk(), Some(1));
+        let config = cfg(SyncConfig::fixed_micros(1000));
+        let run = |m| run_sharded_on(spec.programs.clone(), &config, &small_fabric(), Some(m));
+        let reference = run(1);
         assert!(reference.stragglers.count() > 0, "workload must straggle");
         for m in 2..=6 {
-            let r = run_sharded(spec.programs.clone(), &mk(), Some(m));
+            let r = run(m);
             assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
             assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
             assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
@@ -1715,16 +1466,14 @@ mod tests {
     #[test]
     fn fabric_link_load_is_recorded_and_m_independent() {
         use aqs_obs::{FlightRecorder, ObsConfig};
-        let fabric = small_fabric(6);
-        let n_links = fabric.n_links();
+        let net = router(6, &small_fabric());
+        let n_links = net.fabric().expect("a fabric switch").n_links();
         let spec = burst(6, 50_000, 4096);
         let run = |m| {
             run_sharded_impl(
                 spec.programs.clone(),
-                &with_switch(
-                    SyncConfig::ground_truth(),
-                    ParallelSwitch::Fabric(fabric.clone()),
-                ),
+                &cfg(SyncConfig::ground_truth()),
+                net.clone(),
                 Some(m),
                 FlightRecorder::new(6, ObsConfig::new()),
                 None,
@@ -1743,12 +1492,10 @@ mod tests {
         let (hot, hot_bytes) = l1.hottest().expect("some link is hottest");
         assert!(hot < n_links && hot_bytes > 0);
         // An unrecorded fabric run must not regress the pooled packet path.
-        let null = run_sharded(
+        let null = run_sharded_on(
             spec.programs.clone(),
-            &with_switch(
-                SyncConfig::ground_truth(),
-                ParallelSwitch::Fabric(fabric.clone()),
-            ),
+            &cfg(SyncConfig::ground_truth()),
+            &small_fabric(),
             Some(3),
         );
         assert_eq!(null.sim_end, r3.sim_end);
@@ -1762,6 +1509,7 @@ mod tests {
         let (r, fr) = run_sharded_impl(
             spec.programs.clone(),
             &cfg(SyncConfig::ground_truth()),
+            router(4, &SimSwitch::Perfect),
             Some(2),
             FlightRecorder::new(4, ObsConfig::new()),
             None,

@@ -5,7 +5,7 @@
 //!
 //! # Shape
 //!
-//! Windows are quanta: the same [`QuantumPolicy`] that drives the
+//! Windows are quanta: the same [`aqs_core::QuantumPolicy`] that drives the
 //! conservative engines picks each window's length from the routed-packet
 //! signal, and the [`TreeBarrier`] leader advances it exactly like the
 //! sharded engine's leader. Within a window the engine runs a
@@ -19,16 +19,16 @@
 //!    delivering the inbound fragment set the leader handed it and
 //!    capturing every send into the node's slot.
 //! 2. **Reduce** — the barrier leader (inside the barrier's exclusive
-//!    section) re-routes *all* current-window sends through the shared
-//!    arrival table and rebuilds each node's canonical sorted inbound
-//!    set. Rebuilding from the full send set is an implicit anti-message:
+//!    section) re-routes *all* current-window sends through the run's
+//!    [`Router`] and rebuilds each node's canonical sorted inbound set.
+//!    Rebuilding from the full send set is an implicit anti-message:
 //!    fragments from rolled-back executions vanish because they are simply
 //!    not in the rebuilt set.
 //! 3. **Commit or roll back** — the leader sets every shard's local virtual
-//!    time in the [`GvtReduction`] — the window edge, or a dirty shard's
-//!    earliest violated arrival — and reduces the minimum to GVT.
-//!    `GVT ≥ window_end` commits the window; otherwise only the dirty
-//!    shards restore from their window-start checkpoint and re-execute.
+//!    time — the window edge, or a dirty shard's earliest violated arrival —
+//!    and takes the minimum as GVT. `GVT ≥ window_end` commits the window;
+//!    otherwise only the dirty shards restore from their window-start
+//!    checkpoint and re-execute.
 //!
 //! # Bounded cascade, degrade-to-conservative
 //!
@@ -75,15 +75,17 @@
 //! is bit-identical to the deterministic engine for every worker count and
 //! for both the pure and hybrid engines.
 
-use crate::pool::{busy_work, route_seed_frags, Inbound, ParallelConfig, ParallelNodeResult};
-use crate::sharded::{default_workers, partition, ArrivalTable};
+use crate::pool::{
+    finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
+    ParallelNodeResult, QuantumClock, Stepped,
+};
+use crate::sharded::partition;
 use crate::sim::{EngineKind, SimError};
-use crate::snapshot::ResumeSeed;
-use aqs_core::QuantumPolicy;
-use aqs_net::StragglerStats;
-use aqs_node::{Action, MessageId, MessageMeta, NodeExecutor, Program, SendTarget};
+use crate::snapshot::{FragSnap, ResumeSeed};
+use aqs_net::{NicModel, Router, StragglerStats};
+use aqs_node::{MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
-use aqs_sync::{GvtReduction, TreeBarrier};
+use aqs_sync::TreeBarrier;
 use aqs_time::{HostDuration, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -232,17 +234,14 @@ impl ShardedOptimisticRunResult {
     }
 }
 
-/// A fragment captured at send time, before routing. `departure` already
-/// includes the per-fragment serialization delay; routing it through the
-/// [`ArrivalTable`] is a pure function, so the leader can re-route the full
-/// send set every round with bit-identical results.
-#[derive(Clone, Debug)]
-struct WindowSend {
-    dst: SendTarget,
-    departure: SimTime,
+/// One fragment known to be heading to a node. The derived order — arrival,
+/// then message identity, then fragment — is the canonical order of an
+/// inbound set: what the leader compares and what a node is delivered in.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Inbound {
+    arrival: SimTime,
     meta: MessageMeta,
     frag_index: u32,
-    frag_bytes: u32,
 }
 
 /// Persistent per-node execution state — exactly what a checkpoint clones.
@@ -250,8 +249,8 @@ struct WindowSend {
 struct OptNodeState {
     exec: NodeExecutor,
     sim: SimTime,
-    /// Remainder of an op that did not fit in the previous window.
-    pending: Option<SimDuration>,
+    /// Remainder (ns) of an op that did not fit in the previous window.
+    pending_ns: u64,
     msg_seq: u64,
 }
 
@@ -269,25 +268,27 @@ struct NodeSlot {
     /// Mode of the node's shard this window (the leader rewrites it when the
     /// shard switches). Conservative nodes skip the checkpoint clone.
     conservative: bool,
-    /// Next sim time the node can act on its own (`u64::MAX` = parked until
-    /// a delivery, 0 = run unconditionally). The first window runs everyone.
-    wake: u64,
     /// Leader → claimant: the full inbound set to deliver before executing.
     inbound: Vec<Inbound>,
     /// Claimant → leader: the latest claim executed the node; the active-set
-    /// skip clears it and leaves the three fields below untouched.
+    /// skip clears it and leaves the two fields below untouched.
     executed: bool,
-    /// Sends captured by the latest execution.
-    sends: Vec<WindowSend>,
-    done: bool,
-    /// Operations the latest execution started: the run list's sort key.
-    last_ops: u64,
+    /// Fragments the latest execution sent, captured before routing
+    /// (`departure` already includes the serialization delay): the router is
+    /// a pure function, so the leader can re-route the full send set every
+    /// round with bit-identical results.
+    sends: Vec<FragSnap>,
+    /// What the latest execution reported. Its `wake` gates the active-set
+    /// skip (a wake at the edge of the window last run is below every later
+    /// edge; it starts at 0, so the first window runs everyone), its `ops`
+    /// are the run list's sort key.
+    ran: Stepped,
 }
 
 /// Shared state across worker threads.
 struct SharedOpt<R> {
-    nic: aqs_net::NicModel,
-    arrivals: ArrivalTable,
+    /// The run's one routing core; only the leader routes through it.
+    net: Router,
     opts: ShardedOptimisticOpts,
     ranges: Vec<Range<usize>>,
     slots: Vec<Mutex<NodeSlot>>,
@@ -297,8 +298,6 @@ struct SharedOpt<R> {
     /// Next unclaimed position of `run`. Relaxed: it only hands out indices;
     /// the barrier publishes the list, each slot's mutex the node behind it.
     cursor: AtomicUsize,
-    /// The leader's per-shard LVTs + the monotone GVT cell it reduces.
-    gvt: GvtReduction,
     /// Next action: a window-end in sim ns, [`CTRL_REPEAT`], or
     /// [`CTRL_STOP`]. Written by the leader inside the barrier's exclusive
     /// section, ordered for workers by the epoch handshake.
@@ -311,21 +310,19 @@ struct SharedOpt<R> {
 /// The barrier leader's state: all cross-shard bookkeeping lives here and
 /// is only ever touched inside the barrier's exclusive section.
 struct OptLeader<R> {
-    policy: Box<dyn QuantumPolicy>,
+    /// The window in progress; its `quanta` are the committed windows.
+    clock: QuantumClock,
     rec: R,
     /// The run's counters and traces, accumulated in place; `wall`,
-    /// `sim_end` and `per_node` are filled in after the join.
+    /// `sim_end`, `windows` and `per_node` are filled in after the join.
     out: ShardedOptimisticRunResult,
-    q_start_nanos: u64,
-    q_end_nanos: u64,
-    max_quanta: u64,
     /// Per global node: round-0 inbound set of the current window (carried
     /// fragments landing inside it). Fixed for the window's duration.
     base: Vec<Vec<Inbound>>,
     /// Per global node: the inbound set its latest execution delivered.
     used: Vec<Vec<Inbound>>,
     /// Per global node: sends of its latest execution this window.
-    sends: Vec<Vec<WindowSend>>,
+    sends: Vec<Vec<FragSnap>>,
     /// Per global node: fragments committed in earlier windows that have
     /// not yet been delivered (arrival at or past the current window end).
     carried: Vec<Vec<Inbound>>,
@@ -343,6 +340,8 @@ struct OptLeader<R> {
     dirty: Vec<(usize, Range<usize>)>,
     /// Snap path: one node's delivered set as sorted `(key, arrival)`.
     used_at: Vec<((u32, u64, u32), u64)>,
+    /// Per shard: local virtual time this round.
+    lvts: Vec<u64>,
     // Per-shard, current window:
     reexecs: Vec<u32>,
     frozen: Vec<bool>,
@@ -396,47 +395,26 @@ fn order_longest_first(run: &mut [u32], last_ops: &[u64]) {
 ///
 /// # Panics
 ///
-/// Panics if fewer than two programs are given or program *i* is not for
-/// rank *i*. A window-cap overflow (deadlock guard) is a typed
+/// As [`start_run`]. A window-cap overflow (deadlock guard) is a typed
 /// [`SimError::QuantumCapExceeded`], not a panic.
 pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     programs: Vec<Program>,
     config: &ParallelConfig,
+    net: Router,
     workers: Option<usize>,
     opts: ShardedOptimisticOpts,
     recorder: R,
     resume: Option<&ResumeSeed>,
 ) -> Result<(ShardedOptimisticRunResult, R), SimError> {
-    assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
-    for (i, p) in programs.iter().enumerate() {
-        assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
-    }
+    let (m, clock) = start_run(&programs, config, workers, resume)?;
     let n = programs.len();
-    if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-    }
-    let m = workers.unwrap_or_else(default_workers).clamp(1, n);
     let ranges = partition(n, m);
-    let mut policy = config.sync.build();
-    let q0 = policy.initial_quantum();
-    if let Some(s) = resume {
-        policy
-            .load_state(&s.policy_state)
-            .map_err(SimError::snapshot_format)?;
-    }
-    let q_end0 = resume.map_or(q0.as_nanos(), |s| (s.q_start + s.q_len).as_nanos());
+    let q_end0 = clock.q_end_nanos;
     let hybrid = opts.hybrid.is_some();
-    let arrivals = ArrivalTable::build(&config.switch, n);
     let mut leader = OptLeader {
-        policy,
+        clock,
         rec: recorder,
         out: ShardedOptimisticRunResult {
-            windows: resume.map_or(0, |s| s.quanta),
             total_packets: resume.map_or(0, |s| s.total_packets),
             cascade_bound: opts.cascade_bound,
             stragglers: resume.map_or_else(StragglerStats::default, |s| s.stragglers),
@@ -444,9 +422,6 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             hybrid,
             ..Default::default()
         },
-        q_start_nanos: resume.map_or(0, |s| s.q_start.as_nanos()),
-        q_end_nanos: q_end0,
-        max_quanta: config.max_quanta,
         base: vec![Vec::new(); n],
         used: vec![Vec::new(); n],
         sends: vec![Vec::new(); n],
@@ -461,6 +436,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         changed: Vec::new(),
         dirty: Vec::new(),
         used_at: Vec::new(),
+        lvts: Vec::with_capacity(m),
         reexecs: vec![0; m],
         frozen: vec![false; m],
         conservative: vec![false; m],
@@ -474,15 +450,13 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         repeat_rounds: 0,
     };
     if let Some(s) = resume {
-        let (count, stragglers) =
-            route_seed_frags(s, &config.nic, &arrivals, n, |t, arrival, frag| {
-                leader.carried[t].push(Inbound {
-                    arrival,
-                    meta_id: frag.meta.id,
-                    frag_index: frag.frag_index,
-                    meta: frag.meta.into(),
-                });
-            })?;
+        let (count, stragglers) = route_seed_frags(s, &net, |t, arrival, frag| {
+            leader.carried[t].push(Inbound {
+                arrival,
+                meta: frag.meta,
+                frag_index: frag.frag_index,
+            });
+        })?;
         leader.out.total_packets += count;
         leader.out.stragglers.merge(&stragglers);
     }
@@ -499,14 +473,14 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
                     exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
                         .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
                     sim: s.q_start,
-                    pending: ns.pending,
+                    pending_ns: ns.pending.map_or(0, |d| d.as_nanos()),
                     msg_seq: ns.msg_seq,
                 }
             }
             None => OptNodeState {
                 exec: NodeExecutor::new(program, config.cpu),
                 sim: SimTime::ZERO,
-                pending: None,
+                pending_ns: 0,
                 msg_seq: 0,
             },
         };
@@ -517,25 +491,21 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             #[cfg(feature = "fault-inject")]
             skip_next_refresh: false,
             conservative: false,
-            wake: 0,
             inbound: leader.used[i].clone(),
             executed: false,
             sends: Vec::new(),
-            done: false,
-            last_ops: 0,
+            ran: Stepped::default(),
         }));
     }
     let start = Instant::now();
     let shared = SharedOpt {
-        nic: config.nic,
-        arrivals,
+        net,
         opts,
         ranges,
         slots,
         // Nothing has executed yet: the first round runs in rank order.
         run: RwLock::new((0..n as u32).collect()),
         cursor: AtomicUsize::new(0),
-        gvt: GvtReduction::new(m),
         control: AtomicU64::new(q_end0),
         overflow: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
@@ -546,39 +516,25 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             scope.spawn(move || worker_thread(w, config, shared));
         }
     });
-    if shared.overflow.load(Ordering::Acquire) {
-        return Err(SimError::QuantumCapExceeded {
-            engine: if hybrid {
-                EngineKind::Hybrid
-            } else {
-                EngineKind::ShardedOptimistic
-            },
-            max_quanta: config.max_quanta,
-        });
-    }
     let leader = shared.barrier.into_state();
     let mut result = leader.out;
     result.wall = start.elapsed();
+    result.windows = leader.clock.quanta;
     result.per_node = shared
         .slots
         .into_iter()
         .map(|slot| {
             let mut s = slot.into_inner().expect("node slot poisoned").state;
-            ParallelNodeResult {
-                rank: s.exec.rank(),
-                finish_sim: s.exec.finish_time().unwrap_or(s.sim),
-                ops: s.exec.ops_executed(),
-                messages_received: s.exec.messages_received(),
-                regions: s.exec.take_regions(),
-            }
+            ParallelNodeResult::collect(&mut s.exec, s.sim)
         })
         .collect();
-    result.sim_end = result
-        .per_node
-        .iter()
-        .map(|r| r.finish_sim)
-        .max()
-        .expect("at least two nodes");
+    let overflowed = shared.overflow.load(Ordering::Acquire);
+    let engine = if hybrid {
+        EngineKind::Hybrid
+    } else {
+        EngineKind::ShardedOptimistic
+    };
+    result.sim_end = finish_run(overflowed, engine, config, &result.per_node)?;
     Ok((result, leader.rec))
 }
 
@@ -607,7 +563,8 @@ fn worker_thread<R: Recorder>(w: usize, config: &ParallelConfig, shared: &Shared
             };
             while let Some(&g) = claim() {
                 let mut slot = shared.slots[g as usize].lock().expect("node slot poisoned");
-                run_claimed(&mut slot, repeat, window_start..window_end, config);
+                let window = window_start..window_end;
+                run_claimed(&mut slot, repeat, window, config, shared.net.nic());
             }
         }
         shared
@@ -618,7 +575,13 @@ fn worker_thread<R: Recorder>(w: usize, config: &ParallelConfig, shared: &Shared
 
 /// What a claim obliges its worker to do with the node: checkpoint it at a
 /// window's round 0, restore it on a repeat, and run it to the window edge.
-fn run_claimed(slot: &mut NodeSlot, repeat: bool, window: Range<SimTime>, config: &ParallelConfig) {
+fn run_claimed(
+    slot: &mut NodeSlot,
+    repeat: bool,
+    window: Range<SimTime>,
+    config: &ParallelConfig,
+    nic: &NicModel,
+) {
     if repeat {
         let checkpoint = slot.checkpoint.clone();
         slot.state = checkpoint.expect("only checkpointed nodes roll back");
@@ -651,116 +614,35 @@ fn run_claimed(slot: &mut NodeSlot, repeat: bool, window: Range<SimTime>, config
         // leader assumes of an unexecuted node. Repeat rounds never skip: a
         // dirty node's rebuilt inbound set may legitimately be empty.
         slot.executed =
-            config.full_sweep || !slot.inbound.is_empty() || slot.wake < window.end.as_nanos();
+            config.full_sweep || !slot.inbound.is_empty() || slot.ran.wake < window.end.as_nanos();
         if !slot.executed {
             return;
         }
     }
-    // Fast-forward a node that slept through earlier windows (or was
-    // restored from a checkpoint cloned while it slept): its sim still sits
-    // at the edge of its last executed window, where a full sweep would
-    // have dragged it to every edge since. Skipped time is idle by
-    // construction, so the jump is exact.
-    slot.state.sim = slot.state.sim.max(window.start);
     for f in slot.inbound.drain(..) {
         let exec = &mut slot.state.exec;
-        exec.deliver_fragment(f.meta.to_meta(), f.frag_index, f.arrival);
+        exec.deliver_fragment(f.meta, f.frag_index, f.arrival);
     }
-    run_node_window(slot, window.end, &config.nic, config.host_work_per_op);
-    slot.done = slot.state.exec.finished();
-}
-
-/// Advances one node to the window edge — the sharded engine's inner loop
-/// (sends complete atomically, ops pend across edges), except that sends
-/// are captured in the slot for the leader to route instead of being routed
-/// in place.
-///
-/// Leaves the node's next wake time in `slot.wake` — `u64::MAX` for a node
-/// that can only proceed on a delivery (blocked or finished), the wait
-/// target for a timer parked past the window edge, and 0 (run
-/// unconditionally) otherwise — and the operations it started, which is
-/// what the execution cost the host, in `slot.last_ops`.
-fn run_node_window(
-    slot: &mut NodeSlot,
-    window_end: SimTime,
-    nic: &aqs_net::NicModel,
-    host_work_per_op: f64,
-) {
-    let state = &mut slot.state;
-    slot.sends.clear();
-    slot.wake = 0;
-    slot.last_ops = 0;
-    while state.sim < window_end {
-        if let Some(remaining) = state.pending.take() {
-            let step = remaining.min(window_end - state.sim);
-            state.sim += step;
-            if step < remaining {
-                state.pending = Some(remaining - step);
-                break; // window boundary reached mid-op
-            }
-            continue;
-        }
-        match state.exec.next_action(state.sim) {
-            Action::Advance { dur, ops, idle } => {
-                if !idle {
-                    slot.last_ops += ops;
-                    if host_work_per_op > 0.0 && ops > 0 {
-                        busy_work(ops as f64 * host_work_per_op);
-                    }
-                }
-                state.pending = Some(dur);
-            }
-            Action::Send { dst, bytes, tag } => {
-                let frag_count = nic.fragment_count(bytes);
-                let meta = MessageMeta {
-                    id: MessageId {
-                        src: state.exec.rank(),
-                        seq: state.msg_seq,
-                    },
-                    tag,
-                    bytes,
-                    frag_count,
-                };
-                state.msg_seq += 1;
-                for k in 0..frag_count {
-                    let sz = nic.fragment_size(bytes, k);
-                    state.sim += nic.serialization_delay(sz);
-                    slot.sends.push(WindowSend {
-                        dst,
-                        departure: state.sim,
-                        meta,
-                        frag_index: k,
-                        frag_bytes: sz,
-                    });
-                }
-            }
-            Action::WaitUntil(t) => {
-                state.sim = t.min(window_end);
-                if t >= window_end {
-                    slot.wake = t.as_nanos();
-                    break;
-                }
-            }
-            Action::Blocked | Action::Finished => {
-                state.sim = window_end;
-                slot.wake = u64::MAX;
-                break;
-            }
-        }
-    }
-    state.sim = state.sim.max(window_end);
-}
-
-/// Fan-out targets of one send (unicast or broadcast-to-all-but-self).
-fn for_each_target(dst: SendTarget, src: usize, n: usize, mut f: impl FnMut(usize)) {
-    match dst {
-        SendTarget::Rank(r) => f(r.as_u32() as usize),
-        SendTarget::All => (0..n).filter(|&t| t != src).for_each(f),
-    }
+    // The shared step, capturing sends for the leader to route instead of
+    // routing them in place. It first fast-forwards a node that slept
+    // through earlier windows — or was just restored from a checkpoint
+    // cloned while it slept — to this window's start.
+    let NodeSlot { state, sends, .. } = slot;
+    sends.clear();
+    let lanes = Lanes {
+        exec: &mut state.exec,
+        sim: &mut state.sim,
+        msg_seq: &mut state.msg_seq,
+        pending_ns: &mut state.pending_ns,
+    };
+    let work = config.host_work_per_op;
+    slot.ran = step_node(lanes, (window.start, window.end), nic, work, |frag| {
+        sends.push(frag)
+    });
 }
 
 fn inbound_key(e: &Inbound) -> (u32, u64, u32) {
-    (e.meta_id.src.as_u32(), e.meta_id.seq, e.frag_index)
+    (e.meta.id.src.as_u32(), e.meta.id.seq, e.frag_index)
 }
 
 impl<R: Recorder> OptLeader<R> {
@@ -804,7 +686,7 @@ impl<R: Recorder> OptLeader<R> {
 fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     let n = shared.slots.len();
     let m = shared.ranges.len();
-    let window_end = leader.q_end_nanos;
+    let window_end = leader.clock.q_end_nanos;
     let mut run = shared.run.write().expect("run list poisoned");
     // 1. Pull sends and done flags of every node that ran this round. A
     // node the active-set skip left alone sent nothing and keeps its flag.
@@ -816,44 +698,37 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
             continue;
         }
         std::mem::swap(&mut leader.sends[g], &mut slot.sends);
-        leader.done[g] = slot.done;
-        leader.last_ops[g] = slot.last_ops;
+        leader.done[g] = slot.ran.finished;
+        leader.last_ops[g] = slot.ran.ops;
         if R::ENABLED {
             // Charged to the node's shard, whoever claimed it.
             leader.shard_actives[shared.ranges.partition_point(|r| r.end <= g)] += 1;
         }
     }
     // 2. Re-route every current-window send and rebuild the canonical
-    // sorted inbound sets (base ∪ in-window arrivals); fragments landing at
-    // or past the edge go to the future list for the commit path.
+    // sorted inbound sets (base ∪ in-window arrivals) — what this engine
+    // does with an arrival; fragments landing at or past the edge go to the
+    // future list for the commit path.
     for i in 0..n {
         leader.new_sets[i].clone_from(&leader.base[i]);
         leader.future[i].clear();
     }
     let mut routed: u64 = 0;
+    let net = &shared.net;
     for src in 0..n {
         for f in &leader.sends[src] {
-            for_each_target(f.dst, src, n, |t| {
-                let base = shared.nic.earliest_arrival(f.departure);
-                let arrival = base
-                    + SimDuration::from_nanos(shared.arrivals.transit_nanos(
-                        src,
-                        t,
-                        f.frag_bytes,
-                        f.departure,
-                    ));
+            net.fan_out(src, f.dst, f.bytes, f.departure, |t, arrival| {
                 routed += 1;
-                let inb = Inbound {
-                    arrival,
-                    meta_id: f.meta.id,
-                    frag_index: f.frag_index,
-                    meta: f.meta.into(),
-                };
-                if arrival.as_nanos() < window_end {
-                    leader.new_sets[t].push(inb);
+                let set = if arrival.as_nanos() < window_end {
+                    &mut leader.new_sets[t]
                 } else {
-                    leader.future[t].push(inb);
-                }
+                    &mut leader.future[t]
+                };
+                set.push(Inbound {
+                    arrival,
+                    meta: f.meta,
+                    frag_index: f.frag_index,
+                });
             });
         }
     }
@@ -888,9 +763,8 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     // 4. GVT: a shard whose nodes all ran to the edge has LVT = window_end,
     // a dirty shard its earliest violated arrival. The window commits only
     // once the minimum reaches its edge.
-    for s in 0..m {
-        shared.gvt.publish_lvt(s, window_end);
-    }
+    leader.lvts.clear();
+    leader.lvts.resize(m, window_end);
     for (s, span) in &leader.dirty {
         let lvt = leader.changed[span.clone()]
             .iter()
@@ -898,16 +772,19 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
             .min()
             .unwrap_or(u64::MAX)
             .min(window_end);
-        shared.gvt.publish_lvt(*s, lvt);
+        leader.lvts[*s] = lvt;
     }
     #[allow(unused_mut)]
-    let mut gvt_val = shared.gvt.reduce();
+    let mut gvt_val = leader
+        .lvts
+        .iter()
+        .fold(window_end, |gvt, &lvt| gvt.min(lvt));
     #[cfg(feature = "fault-inject")]
     if crate::fault::armed(crate::fault::Fault::GvtFromOneShard) {
         // Armable bug: GVT from shard 0's LVT alone — windows commit while
         // another shard still holds a violation, silently dropping its
         // scheduled re-execution.
-        gvt_val = shared.gvt.lvt(0);
+        gvt_val = leader.lvts[0];
     }
     if gvt_val >= window_end {
         commit_window(shared, leader, &mut run, routed, gvt_val);
@@ -915,7 +792,7 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     }
     // 5. Roll back: the changed nodes of the offending shards restore and
     // re-execute — they are the next round's whole run list.
-    let window_len = SimDuration::from_nanos(window_end - leader.q_start_nanos);
+    let window_len = SimDuration::from_nanos(window_end - leader.clock.q_start_nanos);
     run.clear();
     for (s, span) in &leader.dirty {
         leader.reexecs[*s] += 1;
@@ -968,8 +845,8 @@ fn commit_window<R: Recorder>(
     gvt_val: u64,
 ) {
     let n = shared.slots.len();
-    let window_end = leader.q_end_nanos;
-    let window_len = window_end - leader.q_start_nanos;
+    let window_end = leader.clock.q_end_nanos;
+    let window_len = window_end - leader.clock.q_start_nanos;
     let edge = SimTime::from_nanos(window_end);
     // Late fragments into conservative or frozen shards are snapped to the
     // window edge — the conservative engine's straggler rule. Fragments
@@ -1017,8 +894,8 @@ fn commit_window<R: Recorder>(
     leader.out.total_packets += routed;
     if R::ENABLED {
         leader.rec.record_quantum(&QuantumObs {
-            index: leader.out.windows,
-            start: SimTime::from_nanos(leader.q_start_nanos),
+            index: leader.clock.quanta,
+            start: SimTime::from_nanos(leader.clock.q_start_nanos),
             len: SimDuration::from_nanos(window_len),
             packets: routed,
             // Node executions charged to this window, re-execution rounds
@@ -1071,7 +948,7 @@ fn commit_window<R: Recorder>(
         };
         if next != was {
             let event = ModeEvent {
-                window: out.windows,
+                window: leader.clock.quanta,
                 shard: s as u32,
                 conservative: next,
             };
@@ -1092,29 +969,26 @@ fn commit_window<R: Recorder>(
         leader.reexecs[s] = 0;
         leader.frozen[s] = false;
     }
-    out.windows += 1;
     leader.window_reexec_nodes = 0;
     leader.repeat_rounds = 0;
-    if leader.done.iter().all(|&d| d) {
-        shared.control.store(CTRL_STOP, Ordering::Relaxed);
-        return;
-    }
-    if out.windows > leader.max_quanta {
-        // Cannot panic while peers wait on the barrier — flag and stop.
-        shared.overflow.store(true, Ordering::Relaxed);
-        shared.control.store(CTRL_STOP, Ordering::Relaxed);
-        return;
-    }
     // Open the next window: advance the policy on the routed-packet signal
     // (the same np the conservative engines feed it), hand every node its
     // round-0 inbound set — the carried fragments landing inside; a slot's
     // own set is empty by now, drained by its last execution — and put
     // every node on the run list.
-    let next_len = leader.policy.next_quantum(routed);
-    leader.q_start_nanos = leader.q_end_nanos;
-    leader.q_end_nanos = leader.q_start_nanos + next_len.as_nanos();
+    let all_done = leader.done.iter().all(|&d| d);
+    match leader.clock.advance(all_done, routed) {
+        Advance::Next => {}
+        stop => {
+            // Cannot panic while peers wait on the barrier — flag and stop.
+            let overflowed = matches!(stop, Advance::CapExceeded);
+            shared.overflow.store(overflowed, Ordering::Relaxed);
+            shared.control.store(CTRL_STOP, Ordering::Relaxed);
+            return;
+        }
+    }
     for i in 0..n {
-        leader.open_node(i, leader.q_end_nanos);
+        leader.open_node(i, leader.clock.q_end_nanos);
         if !leader.used[i].is_empty() {
             let mut slot = shared.slots[i].lock().expect("node slot poisoned");
             slot.inbound.clone_from(&leader.used[i]);
@@ -1128,7 +1002,9 @@ fn commit_window<R: Recorder>(
     }
     order_longest_first(run, &leader.last_ops);
     shared.cursor.store(0, Ordering::Relaxed);
-    shared.control.store(leader.q_end_nanos, Ordering::Relaxed);
+    shared
+        .control
+        .store(leader.clock.q_end_nanos, Ordering::Relaxed);
 }
 
 #[cfg(test)]

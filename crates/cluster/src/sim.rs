@@ -28,7 +28,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{run_cluster_det, DetOutcome};
-use crate::pool::{ParallelConfig, ParallelSwitch};
+use crate::pool::ParallelConfig;
 use crate::result::RunResult;
 use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
@@ -36,10 +36,8 @@ use crate::sharded_optimistic::{
 };
 use crate::snapshot::{ResumeSeed, SimSnapshot, SnapshotBody};
 use aqs_core::SyncConfig;
-use aqs_net::{
-    ChaosConfig, ChaosOverlay, ChaosSwitch, FabricConfig, FatTreeFabric, LatencyMatrixSwitch,
-    PerfectSwitch, StoreAndForwardSwitch, StragglerStats,
-};
+pub use aqs_net::SimSwitch;
+use aqs_net::{ChaosConfig, ChaosOverlay, NetError, NetworkController, StragglerStats};
 use aqs_node::Program;
 use aqs_obs::{FlightRecorder, NullRecorder, ObsConfig, Recorder};
 use aqs_time::{HostDuration, SimTime};
@@ -87,44 +85,6 @@ impl EngineKind {
     }
 }
 
-/// Switch timing model for a [`Sim`] run.
-///
-/// Not every engine supports every switch: the worker-pool engines need a
-/// stateless model (no shared mutable switch state between threads).
-/// [`Sim::run`] panics with a clear message on an unsupported combination
-/// rather than silently ignoring the model.
-#[derive(Clone, Debug, Default)]
-pub enum SimSwitch {
-    /// Infinite bandwidth, zero transit delay (the paper's evaluation
-    /// switch). Supported by every engine.
-    #[default]
-    Perfect,
-    /// Fixed per-(src, dst) latency. Supported by every engine.
-    LatencyMatrix(LatencyMatrixSwitch),
-    /// Store-and-forward queueing with finite egress bandwidth.
-    /// Deterministic engine only (stateful).
-    StoreAndForward(StoreAndForwardSwitch),
-    /// A modeled multi-tier fat-tree fabric ([`FatTreeFabric`]): per-link
-    /// bandwidth, epoch-keyed queue occupancy, deterministic ECMP hashing.
-    /// Transit is a pure function of `(src, dst, bytes, departure)`, so it
-    /// is supported by every engine — with bit-identical results for every
-    /// worker count.
-    Fabric(FabricConfig),
-}
-
-impl SimSwitch {
-    /// Short variant name
-    /// (`Perfect` / `LatencyMatrix` / `StoreAndForward` / `Fabric`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimSwitch::Perfect => "Perfect",
-            SimSwitch::LatencyMatrix(_) => "LatencyMatrix",
-            SimSwitch::StoreAndForward(_) => "StoreAndForward",
-            SimSwitch::Fabric(_) => "Fabric",
-        }
-    }
-}
-
 /// A configuration error detected by [`Sim::try_run`] before any engine
 /// starts: the builder accepted the value (setters only store), but the
 /// combination cannot describe a runnable simulation.
@@ -157,7 +117,16 @@ pub enum SimError {
         /// Why the combination is unsupported.
         reason: &'static str,
     },
-    /// The fabric configuration failed [`FabricConfig::validate`].
+    /// A [`SimSwitch::LatencyMatrix`] describes fewer ports than the cluster
+    /// has nodes.
+    TooFewSwitchPorts {
+        /// Ports the matrix describes.
+        ports: usize,
+        /// Nodes the cluster has.
+        nodes: usize,
+    },
+    /// The fabric configuration failed
+    /// [`FabricConfig::validate`](aqs_net::FabricConfig::validate).
     InvalidFabric(String),
     /// The chaos configuration failed [`ChaosConfig::validate`].
     InvalidChaos(String),
@@ -239,6 +208,14 @@ pub enum SimError {
         /// Quanta the run actually completed.
         completed: u64,
     },
+    /// [`Sim::snapshot_at`], [`Sim::step_snapshot`] or [`Sim::resume`] on a
+    /// switch that keeps state between frames: a snapshot does not carry the
+    /// switch's queues, so the resumed run would silently restart them
+    /// empty.
+    SnapshotStatefulSwitch {
+        /// The switch's name (as in [`SimSwitch`]).
+        switch: &'static str,
+    },
 }
 
 impl SimError {
@@ -246,6 +223,16 @@ impl SimError {
     pub(crate) fn snapshot_format(detail: impl Into<String>) -> Self {
         SimError::SnapshotFormat {
             detail: detail.into(),
+        }
+    }
+}
+
+impl From<NetError> for SimError {
+    fn from(e: NetError) -> Self {
+        match e {
+            NetError::TooFewNodes { n } => SimError::TooFewNodes { n },
+            NetError::TooFewPorts { ports, nodes } => SimError::TooFewSwitchPorts { ports, nodes },
+            NetError::InvalidFabric(reason) => SimError::InvalidFabric(reason),
         }
     }
 }
@@ -269,6 +256,9 @@ impl fmt::Display for SimError {
                 "the {} engine does not support the {switch} switch ({reason})",
                 engine.name()
             ),
+            SimError::TooFewSwitchPorts { ports, nodes } => {
+                write!(f, "latency matrix has {ports} ports for {nodes} nodes")
+            }
             SimError::InvalidFabric(reason) => {
                 write!(f, "invalid fabric configuration: {reason}")
             }
@@ -333,6 +323,11 @@ impl fmt::Display for SimError {
                 f,
                 "cannot snapshot at quantum {requested}: the run finished \
                  after {completed} quanta"
+            ),
+            SimError::SnapshotStatefulSwitch { switch } => write!(
+                f,
+                "cannot snapshot or resume a run on the {switch} switch: a snapshot does \
+                 not carry the switch's queues"
             ),
         }
     }
@@ -691,33 +686,34 @@ impl Sim {
     /// assert_eq!(err, SimError::TooFewNodes { n: 0 });
     /// ```
     pub fn try_run(self) -> Result<RunReport, SimError> {
-        self.validate()?;
-        self.run_with(None)
+        let net = self.validate()?;
+        self.run_with(net, None)
     }
 
     /// Shared tail of [`Sim::try_run`] and [`Sim::resume`]: wires up the
     /// recorder and dispatches, optionally seeding the engine from a
-    /// snapshot body. The caller has already validated.
-    fn run_with(self, resume: Option<&SnapshotBody>) -> Result<RunReport, SimError> {
+    /// snapshot body. `net` is what the caller's validation built.
+    fn run_with(
+        self,
+        net: NetworkController,
+        resume: Option<&SnapshotBody>,
+    ) -> Result<RunReport, SimError> {
         let n = self.programs.len();
         Ok(match self.obs {
             Some(oc) => {
                 let rec = FlightRecorder::new(n, oc);
-                let (mut report, rec) = self.dispatch(rec, resume)?;
+                let (mut report, rec) = self.dispatch(net, rec, resume)?;
                 report.obs = Some(rec);
                 report
             }
-            None => self.dispatch(NullRecorder, resume)?.0,
+            None => self.dispatch(net, NullRecorder, resume)?.0,
         })
     }
 
-    /// Checks everything that can be rejected before an engine starts.
-    fn validate(&self) -> Result<(), SimError> {
-        if self.programs.len() < 2 {
-            return Err(SimError::TooFewNodes {
-                n: self.programs.len(),
-            });
-        }
+    /// Checks everything that can be rejected before an engine starts, and
+    /// returns what the network half of the checks builds anyway: the run's
+    /// one [`NetworkController`].
+    fn validate(&self) -> Result<NetworkController, SimError> {
         for (i, p) in self.programs.iter().enumerate() {
             if p.rank().index() != i {
                 return Err(SimError::RankMismatch {
@@ -732,26 +728,29 @@ impl Sim {
         if !(self.host_work_per_op.is_finite() && self.host_work_per_op >= 0.0) {
             return Err(SimError::InvalidHostWork(self.host_work_per_op.to_string()));
         }
-        if self.engine != EngineKind::Deterministic
-            && matches!(self.switch, SimSwitch::StoreAndForward(_))
-        {
-            return Err(SimError::UnsupportedSwitch {
-                engine: self.engine,
+        let chaos = self.chaos.map(ChaosOverlay::new).transpose();
+        let chaos = chaos.map_err(SimError::InvalidChaos)?;
+        let (n, nic) = (self.programs.len(), self.config.nic);
+        Ok(NetworkController::new(n, nic, &self.switch, chaos)?)
+    }
+
+    /// [`Sim::validate`] for the snapshot entry points, which a stateful
+    /// switch cannot use: its queues are not part of a snapshot (and the
+    /// format is pinned by every journal already written), so a resumed run
+    /// would restart them empty and finish early without a word.
+    fn validate_snapshottable(&self) -> Result<NetworkController, SimError> {
+        let net = self.validate()?;
+        if net.is_stateful() {
+            return Err(SimError::SnapshotStatefulSwitch {
                 switch: self.switch.name(),
-                reason: "stateful models would serialize the packet path",
             });
         }
-        if let SimSwitch::Fabric(cfg) = &self.switch {
-            cfg.validate().map_err(SimError::InvalidFabric)?;
-        }
-        if let Some(chaos) = &self.chaos {
-            chaos.validate().map_err(SimError::InvalidChaos)?;
-        }
-        Ok(())
+        Ok(net)
     }
 
     fn dispatch<R: Recorder>(
         self,
+        net: NetworkController,
         rec: R,
         resume: Option<&SnapshotBody>,
     ) -> Result<(RunReport, R), SimError> {
@@ -766,38 +765,32 @@ impl Sim {
             cascade_bound,
             hybrid_policy,
             obs: _,
-            chaos,
+            chaos: _,
             full_sweep,
         } = self;
-        let overlay = chaos.map(|c| ChaosOverlay::new(c).expect("chaos validated before dispatch"));
         if engine == EngineKind::Deterministic {
-            let (r, rec) = match run_det(programs, &config, switch, overlay, rec, resume, None)? {
+            let (r, rec) = match run_cluster_det(programs, &config, net, rec, resume, None)? {
                 DetOutcome::Finished(r, rec) => (*r, rec),
                 DetOutcome::Captured(_) => unreachable!("no capture was requested"),
             };
             return Ok((det_report(r), rec));
         }
+        // A worker pool shares the network between its threads, and only the
+        // pure routing core can be shared.
+        let Some(net) = net.into_router() else {
+            return Err(SimError::UnsupportedSwitch {
+                engine,
+                switch: switch.name(),
+                reason: "stateful models would serialize the packet path",
+            });
+        };
         // The worker-pool engines resume from a routed seed (the cut's
         // in-flight fragments plus restored node states); the deterministic
         // engine above consumes the body directly.
         let seed: Option<ResumeSeed> = resume.map(SnapshotBody::seed).transpose()?;
-        let n = programs.len();
-        let par_switch = match switch {
-            SimSwitch::Perfect => ParallelSwitch::Perfect,
-            SimSwitch::LatencyMatrix(m) => ParallelSwitch::LatencyMatrix(m),
-            SimSwitch::Fabric(cfg) => ParallelSwitch::Fabric(FatTreeFabric::new(cfg, n)),
-            SimSwitch::StoreAndForward(_) => {
-                unreachable!("rejected by Sim::validate before dispatch")
-            }
-        };
         let pcfg = ParallelConfig {
             sync: config.sync,
-            nic: config.nic,
             cpu: config.cpu,
-            switch: match overlay {
-                Some(o) => ParallelSwitch::Chaos(o, Box::new(par_switch)),
-                None => par_switch,
-            },
             host_work_per_op,
             max_quanta,
             full_sweep,
@@ -806,7 +799,7 @@ impl Sim {
         let (detail, rec) = match engine {
             EngineKind::Deterministic => unreachable!("returned above"),
             EngineKind::Sharded => {
-                let (r, rec) = run_sharded_impl(programs, &pcfg, shards, rec, seed.as_ref())?;
+                let (r, rec) = run_sharded_impl(programs, &pcfg, net, shards, rec, seed.as_ref())?;
                 (EngineDetail::Sharded(Box::new(r)), rec)
             }
             EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
@@ -814,8 +807,15 @@ impl Sim {
                     cascade_bound,
                     hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
                 };
-                let (r, rec) =
-                    run_sharded_optimistic_impl(programs, &pcfg, shards, opts, rec, seed.as_ref())?;
+                let (r, rec) = run_sharded_optimistic_impl(
+                    programs,
+                    &pcfg,
+                    net,
+                    shards,
+                    opts,
+                    rec,
+                    seed.as_ref(),
+                )?;
                 (EngineDetail::ShardedOptimistic(Box::new(r)), rec)
             }
         };
@@ -856,19 +856,15 @@ impl Sim {
     ///
     /// Everything [`Sim::try_run`] rejects, plus
     /// [`SimError::SnapshotQuantumUnreachable`] when the run finishes
-    /// before `quantum` quanta complete.
+    /// before `quantum` quanta complete and
+    /// [`SimError::SnapshotStatefulSwitch`] on a stateful switch.
     pub fn snapshot_at(&self, quantum: u64) -> Result<SimSnapshot, SimError> {
-        self.validate()?;
+        let net = self.validate_snapshottable()?;
         let fingerprint = self.fingerprint();
-        let probe = self.clone();
-        let overlay = probe
-            .chaos
-            .map(|c| ChaosOverlay::new(c).expect("chaos validated above"));
-        match run_det(
-            probe.programs,
-            &probe.config,
-            probe.switch,
-            overlay,
+        match run_cluster_det(
+            self.programs.clone(),
+            &self.config,
+            net,
             NullRecorder,
             None,
             Some(quantum),
@@ -897,9 +893,10 @@ impl Sim {
     ///
     /// Everything [`Sim::try_run`] rejects, plus
     /// [`SimError::SnapshotSpecMismatch`] when the snapshot's fingerprint
-    /// is not this builder's [`Sim::fingerprint`].
+    /// is not this builder's [`Sim::fingerprint`] and
+    /// [`SimError::SnapshotStatefulSwitch`] on a stateful switch.
     pub fn resume(&self, snapshot: &SimSnapshot) -> Result<RunReport, SimError> {
-        self.validate()?;
+        let net = self.validate_snapshottable()?;
         let expected = self.fingerprint();
         if snapshot.body.fingerprint != expected {
             return Err(SimError::SnapshotSpecMismatch {
@@ -907,7 +904,7 @@ impl Sim {
                 sim: expected,
             });
         }
-        self.clone().run_with(Some(&snapshot.body))
+        self.clone().run_with(net, Some(&snapshot.body))
     }
 
     /// Advances the simulation by at most `quanta` more quanta on the
@@ -927,7 +924,7 @@ impl Sim {
         from: Option<&SimSnapshot>,
         quanta: u64,
     ) -> Result<SnapshotStep, SimError> {
-        self.validate()?;
+        let net = self.validate_snapshottable()?;
         if quanta == 0 {
             return Err(SimError::snapshot_format(
                 "step_snapshot needs a positive quantum budget",
@@ -943,15 +940,10 @@ impl Sim {
             }
         }
         let capture_at = from.map_or(0, |s| s.body.quanta) + quanta;
-        let probe = self.clone();
-        let overlay = probe
-            .chaos
-            .map(|c| ChaosOverlay::new(c).expect("chaos validated above"));
-        match run_det(
-            probe.programs,
-            &probe.config,
-            probe.switch,
-            overlay,
+        match run_cluster_det(
+            self.programs.clone(),
+            &self.config,
+            net,
             NullRecorder,
             from.map(|s| &s.body),
             Some(capture_at),
@@ -972,67 +964,6 @@ pub enum SnapshotStep {
     Snapshot(SimSnapshot),
     /// The run finished inside the chunk.
     Finished(Box<RunReport>),
-}
-
-/// The deterministic engine's switch/overlay dispatch: instantiates the
-/// statically-typed switch model and hands everything to
-/// [`run_cluster_det`].
-fn run_det<R: Recorder>(
-    programs: Vec<Program>,
-    config: &ClusterConfig,
-    switch: SimSwitch,
-    overlay: Option<ChaosOverlay>,
-    rec: R,
-    resume: Option<&SnapshotBody>,
-    capture_at: Option<u64>,
-) -> Result<DetOutcome<R>, SimError> {
-    let n = programs.len();
-    match (switch, overlay) {
-        (SimSwitch::Perfect, None) => run_cluster_det(
-            programs,
-            config,
-            PerfectSwitch::new(),
-            rec,
-            resume,
-            capture_at,
-        ),
-        (SimSwitch::Perfect, Some(o)) => {
-            let sw = ChaosSwitch::new(o, PerfectSwitch::new());
-            run_cluster_det(programs, config, sw, rec, resume, capture_at)
-        }
-        (SimSwitch::LatencyMatrix(m), None) => {
-            run_cluster_det(programs, config, m, rec, resume, capture_at)
-        }
-        (SimSwitch::LatencyMatrix(m), Some(o)) => run_cluster_det(
-            programs,
-            config,
-            ChaosSwitch::new(o, m),
-            rec,
-            resume,
-            capture_at,
-        ),
-        (SimSwitch::StoreAndForward(s), None) => {
-            run_cluster_det(programs, config, s, rec, resume, capture_at)
-        }
-        (SimSwitch::StoreAndForward(s), Some(o)) => run_cluster_det(
-            programs,
-            config,
-            ChaosSwitch::new(o, s),
-            rec,
-            resume,
-            capture_at,
-        ),
-        (SimSwitch::Fabric(cfg), o) => {
-            let fabric = FatTreeFabric::new(cfg, n);
-            match o {
-                None => run_cluster_det(programs, config, fabric, rec, resume, capture_at),
-                Some(o) => {
-                    let sw = ChaosSwitch::new(o, fabric);
-                    run_cluster_det(programs, config, sw, rec, resume, capture_at)
-                }
-            }
-        }
-    }
 }
 
 /// Folds a worker-pool engine's native result into the unified report.
@@ -1092,6 +1023,7 @@ fn det_report(r: RunResult) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqs_net::StoreAndForwardSwitch;
     use aqs_time::SimDuration;
     use aqs_workloads::{burst, ping_pong};
 

@@ -24,10 +24,10 @@
 //! streams even when the bytes themselves are plausible.
 
 use crate::sim::SimError;
-use aqs_net::StragglerStats;
+use aqs_net::{Destination, NicModel, NodeId, StragglerStats};
 use aqs_node::{
     AssemblingState, ExecutorState, HostSpeedState, MailboxState, MessageId, MessageMeta, Rank,
-    ReadyState, RegionId, Tag,
+    ReadyState, RegionId, SendTarget, Tag,
 };
 use aqs_obs::{Log2Histogram, LOG2_BUCKETS};
 use aqs_rng::{Rng, RngState};
@@ -55,14 +55,50 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 pub(crate) struct FragSnap {
     /// Simulated departure time from the sending NIC.
     pub departure: SimTime,
-    /// Destination: `Some(rank)` for unicast, `None` for broadcast.
-    pub dst: Option<u32>,
+    /// Destination port, or broadcast.
+    pub dst: Destination,
     /// Fragment size in bytes.
     pub bytes: u32,
     /// Message metadata (identity, tag, total size, fragment count).
     pub meta: MessageMeta,
     /// Fragment index within the message.
     pub frag_index: u32,
+}
+
+impl FragSnap {
+    /// NIC-serializes message `id` into its fragments, the first bit leaving
+    /// at `start`: hands each to `emit` stamped with its departure (the
+    /// instant its last bit left) and returns the last one's — when the
+    /// sender's NIC is free again. Frames leave back to back.
+    #[inline]
+    pub(crate) fn serialize(
+        nic: &NicModel,
+        id: MessageId,
+        (dst, bytes, tag): (SendTarget, u64, Tag),
+        start: SimTime,
+        mut emit: impl FnMut(FragSnap),
+    ) -> SimTime {
+        let frag_count = nic.fragment_count(bytes);
+        let meta = MessageMeta {
+            id,
+            tag,
+            bytes,
+            frag_count,
+        };
+        let mut departure = start;
+        for frag_index in 0..frag_count {
+            let size = nic.fragment_size(bytes, frag_index);
+            departure += nic.serialization_delay(size);
+            emit(FragSnap {
+                departure,
+                dst: dst.into(),
+                bytes: size,
+                meta,
+                frag_index,
+            });
+        }
+        departure
+    }
 }
 
 /// A fragment in host flight between a sending simulator and the central
@@ -505,10 +541,10 @@ fn dec_meta(d: &mut Dec) -> Result<MessageMeta, SimError> {
 fn enc_frag(e: &mut Enc, f: &FragSnap) {
     e.u64(f.departure.as_nanos());
     match f.dst {
-        None => e.u8(0),
-        Some(r) => {
+        Destination::Broadcast => e.u8(0),
+        Destination::Unicast(r) => {
             e.u8(1);
-            e.u32(r);
+            e.u32(r.as_u32());
         }
     }
     e.u32(f.bytes);
@@ -520,8 +556,8 @@ fn dec_frag(d: &mut Dec) -> Result<FragSnap, SimError> {
     Ok(FragSnap {
         departure: SimTime::from_nanos(d.u64()?),
         dst: match d.u8()? {
-            0 => None,
-            1 => Some(d.u32()?),
+            0 => Destination::Broadcast,
+            1 => Destination::Unicast(NodeId::new(d.u32()?)),
             v => return Err(SimError::snapshot_format(format!("bad dst tag {v}"))),
         },
         bytes: d.u32()?,
@@ -863,7 +899,7 @@ mod tests {
                 pending: Some((SimDuration::from_nanos(77), false)),
                 outgoing: vec![FragSnap {
                     departure: SimTime::from_micros(4),
-                    dst: Some(1),
+                    dst: Destination::Unicast(NodeId::new(1)),
                     bytes: 1500,
                     meta: MessageMeta {
                         id: MessageId {
@@ -885,7 +921,7 @@ mod tests {
                 src: 0,
                 frag: FragSnap {
                     departure: SimTime::from_micros(2),
-                    dst: None,
+                    dst: Destination::Broadcast,
                     bytes: 64,
                     meta: MessageMeta {
                         id: MessageId {

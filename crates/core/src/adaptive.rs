@@ -42,25 +42,38 @@ impl AdaptiveConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `min_quantum` is zero or exceeds `max_quantum`, if
-    /// `inc ≤ 1`, or if `dec` is outside `(0, 1)`.
+    /// Panics where [`Self::try_new`] reports an error.
     pub fn new(min_quantum: SimDuration, max_quantum: SimDuration, inc: f64, dec: f64) -> Self {
-        assert!(!min_quantum.is_zero(), "min_quantum must be positive");
-        assert!(
-            min_quantum <= max_quantum,
-            "min_quantum must not exceed max_quantum"
-        );
-        assert!(inc.is_finite() && inc > 1.0, "inc must be > 1, got {inc}");
-        assert!(
-            dec.is_finite() && dec > 0.0 && dec < 1.0,
-            "dec must be in (0,1), got {dec}"
-        );
-        Self {
+        Self::try_new(min_quantum, max_quantum, inc, dec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a configuration, or says what is wrong with it: a zero
+    /// `min_quantum` or one above `max_quantum`, `inc ≤ 1`, or `dec` outside
+    /// `(0, 1)`.
+    pub fn try_new(
+        min_quantum: SimDuration,
+        max_quantum: SimDuration,
+        inc: f64,
+        dec: f64,
+    ) -> Result<Self, String> {
+        if min_quantum.is_zero() {
+            return Err("min_quantum must be positive".into());
+        }
+        if min_quantum > max_quantum {
+            return Err("min_quantum must not exceed max_quantum".into());
+        }
+        if !(inc.is_finite() && inc > 1.0) {
+            return Err(format!("inc must be > 1, got {inc}"));
+        }
+        if !(dec.is_finite() && dec > 0.0 && dec < 1.0) {
+            return Err(format!("dec must be in (0,1), got {dec}"));
+        }
+        Ok(Self {
             min_quantum,
             max_quantum,
             inc,
             dec,
-        }
+        })
     }
 
     /// The paper's `dyn 1`: 1–1000 µs, +3 % growth, ×0.02 shrink.

@@ -7,6 +7,7 @@ use crate::predictive::{PredictiveConfig, PredictiveQuantum};
 use aqs_time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::str::FromStr;
 
 /// Decides the length of each synchronization quantum.
 ///
@@ -140,6 +141,61 @@ impl SyncConfig {
     }
 }
 
+/// The one grammar for a policy string, shared by the CLI, scenario files
+/// and the job server:
+/// `truth | fixed:<µs> | dyn1 | dyn2 | dyn:<min_µs>:<max_µs>:<inc>:<dec> | pred`.
+/// A zero quantum, one that overflows the nanosecond clock and adaptive
+/// factors out of range are errors here, so no caller can reach the
+/// constructors' panics with user input.
+///
+/// # Examples
+///
+/// ```
+/// use aqs_core::SyncConfig;
+///
+/// assert_eq!("fixed:10".parse(), Ok(SyncConfig::fixed_micros(10)));
+/// assert_eq!("dyn:1:1000:1.03:0.02".parse(), Ok(SyncConfig::paper_dyn1()));
+/// assert!("fixed:0".parse::<SyncConfig>().unwrap_err().contains("nonzero"));
+/// ```
+impl FromStr for SyncConfig {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        fn micros(what: &str, text: &str) -> Result<SimDuration, String> {
+            let us: u64 = text
+                .parse()
+                .map_err(|_| format!("bad {what} `{text}` (whole microseconds)"))?;
+            match us.checked_mul(1_000) {
+                Some(0) => Err(format!("the {what} must be nonzero")),
+                Some(ns) => Ok(SimDuration::from_nanos(ns)),
+                None => Err(format!("{what} `{text}` µs overflows the nanosecond clock")),
+            }
+        }
+        fn factor(what: &str, text: &str) -> Result<f64, String> {
+            text.parse()
+                .map_err(|_| format!("bad {what} factor `{text}`"))
+        }
+        match *spec.split(':').collect::<Vec<_>>() {
+            ["truth"] => Ok(SyncConfig::ground_truth()),
+            ["dyn1"] => Ok(SyncConfig::paper_dyn1()),
+            ["dyn2"] => Ok(SyncConfig::paper_dyn2()),
+            ["pred"] => Ok(SyncConfig::Predictive(PredictiveConfig::default_1_1000())),
+            ["fixed", us] => Ok(SyncConfig::Fixed(micros("fixed quantum", us)?)),
+            ["dyn", min, max, inc, dec] => AdaptiveConfig::try_new(
+                micros("minimum quantum", min)?,
+                micros("maximum quantum", max)?,
+                factor("inc", inc)?,
+                factor("dec", dec)?,
+            )
+            .map(SyncConfig::Adaptive),
+            _ => Err(format!(
+                "unknown policy `{spec}` (expected truth | fixed:<µs> | dyn1 | dyn2 | \
+                 dyn:<min_µs>:<max_µs>:<inc>:<dec> | pred)"
+            )),
+        }
+    }
+}
+
 impl fmt::Display for SyncConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.label())
@@ -149,6 +205,73 @@ impl fmt::Display for SyncConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_grammar_accepts_and_rejects() {
+        let dyn1 = SyncConfig::paper_dyn1();
+        let accepted = [
+            ("truth", SyncConfig::ground_truth()),
+            ("fixed:1", SyncConfig::ground_truth()),
+            ("fixed:1000", SyncConfig::fixed_micros(1000)),
+            // The largest quantum the nanosecond clock can hold.
+            (
+                "fixed:18446744073709551",
+                SyncConfig::fixed_micros(18_446_744_073_709_551),
+            ),
+            ("dyn1", dyn1.clone()),
+            ("dyn2", SyncConfig::paper_dyn2()),
+            ("dyn:1:1000:1.03:0.02", dyn1),
+            (
+                "dyn:5:5:2:0.5",
+                SyncConfig::Adaptive(AdaptiveConfig::new(
+                    SimDuration::from_micros(5),
+                    SimDuration::from_micros(5),
+                    2.0,
+                    0.5,
+                )),
+            ),
+            (
+                "pred",
+                SyncConfig::Predictive(PredictiveConfig::default_1_1000()),
+            ),
+        ];
+        for (text, want) in accepted {
+            let parsed: SyncConfig = text.parse().expect(text);
+            assert_eq!(parsed, want, "{text}");
+            // Whatever parses also builds: no constructor panic is reachable.
+            assert!(!parsed.build().initial_quantum().is_zero(), "{text}");
+        }
+        let rejected = [
+            ("", "unknown policy"),
+            ("Truth", "unknown policy"),
+            ("dyn3", "unknown policy"),
+            ("pred:1", "unknown policy"),
+            ("fixed", "unknown policy"),
+            ("fixed:10:20", "unknown policy"),
+            ("dyn:1:1000:1.03", "unknown policy"),
+            ("fixed:", "bad fixed quantum"),
+            ("fixed:-3", "bad fixed quantum"),
+            ("fixed:1.5", "bad fixed quantum"),
+            ("fixed:0", "fixed quantum must be nonzero"),
+            ("fixed:18446744073709552", "overflows"),
+            ("fixed:18446744073709551615", "overflows"),
+            ("fixed:18446744073709551616", "bad fixed quantum"),
+            ("dyn:0:1000:1.03:0.02", "minimum quantum must be nonzero"),
+            ("dyn:1:0:1.03:0.02", "maximum quantum must be nonzero"),
+            ("dyn:1:18446744073709551615:1.03:0.02", "overflows"),
+            ("dyn:10:5:1.03:0.02", "must not exceed"),
+            ("dyn:1:1000:1.0:0.02", "inc must be > 1"),
+            ("dyn:1:1000:inf:0.02", "inc must be > 1"),
+            ("dyn:1:1000:x:0.02", "bad inc factor"),
+            ("dyn:1:1000:1.03:1", "dec must be in (0,1)"),
+            ("dyn:1:1000:1.03:NaN", "dec must be in (0,1)"),
+            ("dyn:1:1000:1.03:", "bad dec factor"),
+        ];
+        for (text, reason) in rejected {
+            let err = text.parse::<SyncConfig>().expect_err(text);
+            assert!(err.contains(reason), "{text}: {err}");
+        }
+    }
 
     #[test]
     fn build_fixed() {

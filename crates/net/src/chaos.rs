@@ -1,4 +1,4 @@
-//! Deterministic chaos middleware: fault injection as a switch wrapper.
+//! Deterministic chaos middleware: fault injection as a delay overlay.
 //!
 //! Production clusters do not run on quiet, perfect fabrics: links flap,
 //! switches partition, packets drop and retransmit, nodes stall for
@@ -47,7 +47,7 @@
 //! # Examples
 //!
 //! ```
-//! use aqs_net::{ChaosConfig, ChaosOverlay, ChaosSwitch, NodeId, PerfectSwitch, SwitchModel};
+//! use aqs_net::{ChaosConfig, ChaosOverlay, NetworkController, NicModel, SimSwitch};
 //! use aqs_time::{SimDuration, SimTime};
 //!
 //! let cfg = ChaosConfig::new(7)
@@ -58,14 +58,16 @@
 //! let a = overlay.extra_nanos(0, 1, 1024, 5_000);
 //! assert_eq!(a, overlay.extra_nanos(0, 1, 1024, 5_000));
 //!
-//! let mut sw = ChaosSwitch::new(overlay, PerfectSwitch::new());
-//! let d = sw.transit_delay(NodeId::new(0), NodeId::new(1), 1024, SimTime::from_nanos(5_000));
-//! assert_eq!(d, SimDuration::from_nanos(a));
+//! // The controller layers it on whatever the switch itself costs:
+//! let nic = NicModel::paper_default();
+//! let net = NetworkController::new(2, nic, &SimSwitch::Perfect, Some(overlay)).unwrap();
+//! let router = net.into_router().expect("chaos keeps a pure switch pure");
+//! let t = SimTime::from_nanos(5_000);
+//! let arrival = router.arrival(0, 1, 1024, t);
+//! assert_eq!(arrival, t + nic.min_latency() + SimDuration::from_nanos(a));
 //! ```
 
-use crate::packet::NodeId;
-use crate::switch::SwitchModel;
-use aqs_time::{SimDuration, SimTime};
+use aqs_time::SimDuration;
 
 /// splitmix64 finalizer (same mixer the fabric uses): fast, well mixed,
 /// pure — every chaos draw is one or two of these.
@@ -378,78 +380,11 @@ impl ChaosOverlay {
         }
         extra
     }
-
-    /// [`Self::extra_nanos`] as a [`SimDuration`].
-    #[inline]
-    pub fn extra_delay(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-        departure: SimTime,
-    ) -> SimDuration {
-        SimDuration::from_nanos(self.extra_nanos(
-            src.as_u32(),
-            dst.as_u32(),
-            bytes,
-            departure.as_nanos(),
-        ))
-    }
-}
-
-/// Chaos middleware over any [`SwitchModel`]: the wrapped model computes
-/// the base transit, the overlay adds its fault delay on top. Pure exactly
-/// when the inner model is pure, so wrapping [`PerfectSwitch`],
-/// [`LatencyMatrixSwitch`] or [`FatTreeFabric`] keeps every engine's
-/// determinism guarantee intact.
-///
-/// [`PerfectSwitch`]: crate::PerfectSwitch
-/// [`LatencyMatrixSwitch`]: crate::LatencyMatrixSwitch
-/// [`FatTreeFabric`]: crate::FatTreeFabric
-#[derive(Clone, Debug)]
-pub struct ChaosSwitch<S> {
-    overlay: ChaosOverlay,
-    inner: S,
-}
-
-impl<S> ChaosSwitch<S> {
-    /// Wraps `inner` with the overlay.
-    pub fn new(overlay: ChaosOverlay, inner: S) -> Self {
-        Self { overlay, inner }
-    }
-
-    /// The overlay in use.
-    pub fn overlay(&self) -> &ChaosOverlay {
-        &self.overlay
-    }
-
-    /// The wrapped model.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: SwitchModel> SwitchModel for ChaosSwitch<S> {
-    fn transit_delay(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-        ingress: SimTime,
-    ) -> SimDuration {
-        self.inner.transit_delay(src, dst, bytes, ingress)
-            + self.overlay.extra_delay(src, dst, bytes, ingress)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::switch::PerfectSwitch;
 
     fn overlay(cfg: ChaosConfig) -> ChaosOverlay {
         ChaosOverlay::new(cfg).expect("valid config")
@@ -565,18 +500,6 @@ mod tests {
             top = top.max(extra);
         }
         assert!(top > max.as_nanos() / 2, "draws must spread over the range");
-    }
-
-    #[test]
-    fn chaos_switch_composes_with_the_inner_model() {
-        let o = overlay(ChaosConfig::new(17).with_jitter(SimDuration::from_micros(9)));
-        let mut plain = ChaosSwitch::new(o.clone(), PerfectSwitch::new());
-        let t = SimTime::from_micros(3);
-        let d = plain.transit_delay(NodeId::new(0), NodeId::new(1), 777, t);
-        assert_eq!(d, o.extra_delay(NodeId::new(0), NodeId::new(1), 777, t));
-        plain.reset(); // must not disturb the overlay
-        let again = plain.transit_delay(NodeId::new(0), NodeId::new(1), 777, t);
-        assert_eq!(d, again);
     }
 
     #[test]

@@ -1,108 +1,120 @@
-//! The central network controller: functional switch + timing + accounting.
+//! The central network controller: the one place an arrival is computed.
+//!
+//! Every engine asks the network the same two questions — *when does this
+//! copy arrive* and *who gets a copy of this fragment* — and [`Router`]
+//! answers both: an arrival is
+//! `nic.earliest_arrival(departure) + switch transit + chaos delay`, and a
+//! fragment fans out to its unicast destination or to everyone but its
+//! sender. A router is a pure function of its arguments (`&self`,
+//! `Send + Sync`), so the worker pools share one and call order cannot
+//! change a result. What an engine then *does* with an arrival — compare it
+//! with the receiver's position, snap it to a quantum edge, sort it into a
+//! rollback window — is the engine's business and lives there.
+//!
+//! [`NetworkController`] is what a run builds, once, from its description
+//! ([`SimSwitch`], [`NicModel`], optional [`ChaosOverlay`]) — every
+//! configuration check lives in [`NetworkController::new`]. It owns the
+//! router plus the only mutable network state there is: the
+//! store-and-forward egress queues, the per-quantum packet counter driving
+//! the adaptive algorithm, straggler statistics and the traffic trace
+//! (Figure 9's left-hand charts). The deterministic engine keeps the
+//! controller whole; a worker-pool engine takes the router out of it with
+//! [`NetworkController::into_router`], which a stateful switch refuses.
 
+use crate::chaos::ChaosOverlay;
+use crate::fabric::FatTreeFabric;
 use crate::nic::NicModel;
-use crate::packet::{Destination, NodeId, Packet, PacketId};
+use crate::packet::{Destination, NodeId};
 use crate::stats::{StragglerStats, TrafficTrace};
-use crate::switch::SwitchModel;
+use crate::switch::{SimSwitch, StoreAndForwardSwitch};
 use aqs_time::{SimDuration, SimTime};
+use std::fmt;
 
-/// A packet routed to a concrete destination, with its computed arrival
-/// simulated time.
-///
-/// Whether the arrival can actually be honoured is the synchronizer's
-/// problem: if the receiver has already simulated past `arrival`, the packet
-/// becomes a straggler (reported back via
-/// [`NetworkController::record_straggler`]).
+/// Why a [`NetworkController`] cannot be built from its description.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Delivery<P> {
-    /// The routed frame.
-    pub packet: Packet<P>,
-    /// Ideal arrival time at the destination node.
-    pub arrival: SimTime,
+pub enum NetError {
+    /// A cluster needs at least two nodes.
+    TooFewNodes {
+        /// The number of nodes asked for.
+        n: usize,
+    },
+    /// The latency matrix has fewer ports than the cluster has nodes.
+    TooFewPorts {
+        /// Ports the matrix describes.
+        ports: usize,
+        /// Nodes the cluster has.
+        nodes: usize,
+    },
+    /// The fabric configuration failed
+    /// [`FabricConfig::validate`](crate::FabricConfig::validate).
+    InvalidFabric(String),
 }
 
-/// The cluster's central network controller.
+impl fmt::Display for NetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetError::TooFewNodes { n } => {
+                write!(f, "a cluster needs at least 2 nodes, got {n}")
+            }
+            NetError::TooFewPorts { ports, nodes } => {
+                write!(f, "latency matrix has {ports} ports for {nodes} nodes")
+            }
+            NetError::InvalidFabric(reason) => {
+                write!(f, "invalid fabric configuration: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for NetError {}
+
+/// Time a frame spends inside the switch, for the models that are pure
+/// functions of `(src, dst, bytes, departure)`.
+#[derive(Clone, Debug)]
+enum Transit {
+    /// Zero. Also the pure part of a store-and-forward switch, whose queues
+    /// the controller owns.
+    Perfect,
+    /// Dense `n × n` row-major nanoseconds: one indexed load per packet.
+    Dense(Vec<u64>),
+    /// The fat-tree fabric, a pure SoA computation.
+    Fabric(FatTreeFabric),
+}
+
+/// The pure routing core: arrival times and fan-out, nothing mutable.
 ///
-/// Functionally it is a perfect MAC-to-MAC switch: every frame handed in by
-/// a node NIC is routed to its destination port(s). On top of the functional
-/// path it computes arrival *times* (NIC minimum latency + switch transit),
-/// counts packets per synchronization quantum (the signal driving the
-/// adaptive quantum algorithm), and accumulates straggler statistics and an
-/// optional traffic trace.
+/// Obtained from [`NetworkController::into_router`]; there is no router for
+/// a stateful switch.
 ///
 /// # Examples
 ///
 /// ```
-/// use aqs_net::{Destination, NetworkController, NicModel, NodeId, PerfectSwitch};
+/// use aqs_net::{Destination, NetworkController, NicModel, SimSwitch};
 /// use aqs_time::SimTime;
 ///
-/// let mut net: NetworkController<&str, PerfectSwitch> =
-///     NetworkController::new(3, NicModel::paper_default(), PerfectSwitch::new());
-/// let out = net.route(NodeId::new(0), Destination::Broadcast, 64, SimTime::ZERO, "arp");
-/// // Broadcast reaches everyone but the sender.
-/// assert_eq!(out.len(), 2);
-/// assert_eq!(net.end_quantum(), 2); // counter resets per quantum
-/// assert_eq!(net.packets_this_quantum(), 0);
+/// let net = NetworkController::new(3, NicModel::paper_default(), &SimSwitch::Perfect, None)
+///     .unwrap()
+///     .into_router()
+///     .expect("the perfect switch is stateless");
+/// // 1 µs minimum NIC latency on top of the departure time:
+/// assert_eq!(net.arrival(0, 2, 9000, SimTime::from_micros(5)), SimTime::from_micros(6));
+/// let mut ports = Vec::new();
+/// net.fan_out(1, Destination::Broadcast, 64, SimTime::ZERO, |dst, _| ports.push(dst));
+/// assert_eq!(ports, [0, 2]); // everyone but the sender
 /// ```
 #[derive(Clone, Debug)]
-pub struct NetworkController<P, S> {
-    n_nodes: usize,
+pub struct Router {
+    n: usize,
     nic: NicModel,
-    switch: S,
-    next_packet_id: u64,
-    packets_this_quantum: u64,
-    total_packets: u64,
-    stragglers: StragglerStats,
-    trace: TrafficTrace,
-    _payload: std::marker::PhantomData<fn() -> P>,
+    transit: Transit,
+    chaos: Option<ChaosOverlay>,
 }
 
-impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
-    /// Creates a controller for `n_nodes` ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_nodes < 2` — a cluster needs at least two nodes. Callers
-    /// that must not crash on a bad request (a job server validating client
-    /// configs) should use [`try_new`](Self::try_new) instead.
-    pub fn new(n_nodes: usize, nic: NicModel, switch: S) -> Self {
-        Self::try_new(n_nodes, nic, switch).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a controller for `n_nodes` ports, returning a human-readable
-    /// configuration error instead of panicking when `n_nodes < 2`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use aqs_net::{NetworkController, NicModel, PerfectSwitch};
-    ///
-    /// let err = NetworkController::<(), _>::try_new(
-    ///     1, NicModel::paper_default(), PerfectSwitch::new(),
-    /// ).unwrap_err();
-    /// assert!(err.contains("at least 2 nodes"));
-    /// ```
-    pub fn try_new(n_nodes: usize, nic: NicModel, switch: S) -> Result<Self, String> {
-        if n_nodes < 2 {
-            return Err(format!("a cluster needs at least 2 nodes, got {n_nodes}"));
-        }
-        Ok(Self {
-            n_nodes,
-            nic,
-            switch,
-            next_packet_id: 0,
-            packets_this_quantum: 0,
-            total_packets: 0,
-            stragglers: StragglerStats::default(),
-            trace: TrafficTrace::disabled(),
-            _payload: std::marker::PhantomData,
-        })
-    }
-
+impl Router {
     /// Number of ports (nodes).
     #[inline]
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.n
     }
 
     /// The NIC model shared by all ports.
@@ -111,10 +123,161 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
         &self.nic
     }
 
-    /// Minimum end-to-end network latency `T` — the paper's safe quantum
-    /// bound (`Q <= T` guarantees zero stragglers).
-    pub fn min_latency(&self) -> SimDuration {
-        self.nic.min_latency()
+    /// The fabric behind [`SimSwitch::Fabric`], for observing which links a
+    /// packet crosses ([`FatTreeFabric::path`]); `None` for other switches.
+    #[inline]
+    pub fn fabric(&self) -> Option<&FatTreeFabric> {
+        match &self.transit {
+            Transit::Fabric(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// Ideal arrival at `dst` of a frame of `bytes` that left `src`'s NIC at
+    /// `departure`: NIC minimum latency, switch transit and chaos delay.
+    ///
+    /// Whether the arrival can be honoured is the synchronizer's problem: a
+    /// receiver already past it makes the packet a straggler.
+    #[inline]
+    pub fn arrival(&self, src: usize, dst: usize, bytes: u32, departure: SimTime) -> SimTime {
+        let (s, d, at) = (src as u32, dst as u32, departure.as_nanos());
+        let transit = match &self.transit {
+            Transit::Perfect => 0,
+            Transit::Dense(nanos) => nanos[src * self.n + dst],
+            Transit::Fabric(f) => f.transit_nanos(s, d, bytes, at),
+        };
+        let extra = match &self.chaos {
+            Some(overlay) => overlay.extra_nanos(s, d, bytes, at),
+            None => 0,
+        };
+        self.nic.earliest_arrival(departure) + SimDuration::from_nanos(transit + extra)
+    }
+
+    /// Hands `sink` the `(destination, arrival)` of every copy of one
+    /// fragment: one for unicast, everyone but `src` in port order for
+    /// broadcast. Each copy gets its own path and its own delay.
+    #[inline]
+    pub fn fan_out(
+        &self,
+        src: usize,
+        dst: Destination,
+        bytes: u32,
+        departure: SimTime,
+        mut sink: impl FnMut(usize, SimTime),
+    ) {
+        match dst {
+            Destination::Unicast(d) => {
+                sink(d.index(), self.arrival(src, d.index(), bytes, departure));
+            }
+            Destination::Broadcast => {
+                for t in (0..self.n).filter(|&t| t != src) {
+                    sink(t, self.arrival(src, t, bytes, departure));
+                }
+            }
+        }
+    }
+}
+
+/// The cluster's central network controller.
+///
+/// Functionally it is a perfect MAC-to-MAC switch: every frame handed in by
+/// a node NIC is routed to its destination port(s). On top of the functional
+/// path it computes arrival *times* (through its [`Router`], plus egress
+/// queueing when the switch is store-and-forward), counts packets per
+/// synchronization quantum (the signal driving the adaptive quantum
+/// algorithm), and accumulates straggler statistics and an optional traffic
+/// trace.
+///
+/// # Examples
+///
+/// ```
+/// use aqs_net::{Destination, NetworkController, NicModel, SimSwitch};
+/// use aqs_time::SimTime;
+///
+/// let mut net =
+///     NetworkController::new(3, NicModel::paper_default(), &SimSwitch::Perfect, None).unwrap();
+/// let mut copies = 0;
+/// net.route(0, Destination::Broadcast, 64, SimTime::ZERO, |_dst, _arrival| copies += 1);
+/// // Broadcast reaches everyone but the sender.
+/// assert_eq!(copies, 2);
+/// assert_eq!(net.end_quantum(), 2); // `np`, reset for the next quantum
+/// assert_eq!(net.end_quantum(), 0);
+/// ```
+#[derive(Clone, Debug)]
+pub struct NetworkController {
+    router: Router,
+    /// Egress queues of a store-and-forward switch: the one switch model
+    /// whose delay depends on the frames routed before.
+    egress: Option<StoreAndForwardSwitch>,
+    next_packet_id: u64,
+    packets_this_quantum: u64,
+    total_packets: u64,
+    stragglers: StragglerStats,
+    trace: TrafficTrace,
+}
+
+impl NetworkController {
+    /// Builds the controller for `n_nodes` ports behind `switch`, with
+    /// `chaos` layered on top. Callers that must not crash on a bad request
+    /// (a job server validating client configs) get every configuration
+    /// problem as a [`NetError`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aqs_net::{LatencyMatrixSwitch, NetError, NetworkController, NicModel, SimSwitch};
+    /// use aqs_time::SimDuration;
+    ///
+    /// let small = SimSwitch::LatencyMatrix(LatencyMatrixSwitch::uniform(2, SimDuration::ZERO));
+    /// let err = NetworkController::new(4, NicModel::paper_default(), &small, None).unwrap_err();
+    /// assert_eq!(err, NetError::TooFewPorts { ports: 2, nodes: 4 });
+    /// ```
+    pub fn new(
+        n_nodes: usize,
+        nic: NicModel,
+        switch: &SimSwitch,
+        chaos: Option<ChaosOverlay>,
+    ) -> Result<Self, NetError> {
+        if n_nodes < 2 {
+            return Err(NetError::TooFewNodes { n: n_nodes });
+        }
+        let mut egress = None;
+        let transit = match switch {
+            SimSwitch::Perfect => Transit::Perfect,
+            SimSwitch::LatencyMatrix(m) => {
+                if m.ports() < n_nodes {
+                    return Err(NetError::TooFewPorts {
+                        ports: m.ports(),
+                        nodes: n_nodes,
+                    });
+                }
+                let ids = || (0..n_nodes as u32).map(NodeId::new);
+                let row = |src| ids().map(move |dst| m.latency(src, dst).as_nanos());
+                Transit::Dense(ids().flat_map(row).collect())
+            }
+            SimSwitch::StoreAndForward(queues) => {
+                egress = Some(queues.clone());
+                Transit::Perfect
+            }
+            SimSwitch::Fabric(cfg) => {
+                cfg.validate().map_err(NetError::InvalidFabric)?;
+                Transit::Fabric(FatTreeFabric::new(*cfg, n_nodes))
+            }
+        };
+        Ok(Self {
+            router: Router {
+                n: n_nodes,
+                nic,
+                transit,
+                chaos,
+            },
+            egress,
+            next_packet_id: 0,
+            packets_this_quantum: 0,
+            total_packets: 0,
+            stragglers: StragglerStats::default(),
+            trace: TrafficTrace::disabled(),
+        })
     }
 
     /// Sets whether the traffic trace stores per-packet entries (Figure 9
@@ -123,17 +286,6 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
     /// Trace storage is a construction-time decision: flipping it mid-run
     /// would leave the entry log covering an unknowable suffix of the
     /// traffic while the totals cover all of it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use aqs_net::{NetworkController, NicModel, PerfectSwitch};
-    ///
-    /// let net: NetworkController<(), PerfectSwitch> =
-    ///     NetworkController::new(2, NicModel::paper_default(), PerfectSwitch::new())
-    ///         .with_trace(true);
-    /// assert!(net.trace().is_enabled());
-    /// ```
     #[must_use]
     pub fn with_trace(mut self, enabled: bool) -> Self {
         self.trace = if enabled {
@@ -144,11 +296,26 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
         self
     }
 
-    /// Routes one frame and returns the resulting deliveries (one for
-    /// unicast, `n - 1` for broadcast).
+    /// True when the switch keeps state between frames (store-and-forward):
+    /// results then depend on routing order, and a snapshot of the run would
+    /// have to carry the queues.
+    #[inline]
+    pub fn is_stateful(&self) -> bool {
+        self.egress.is_some()
+    }
+
+    /// The pure routing core, for engines that share it between threads —
+    /// or `None` when the switch is stateful, so a stateful model cannot
+    /// reach a worker pool.
+    pub fn into_router(self) -> Option<Router> {
+        (!self.is_stateful()).then_some(self.router)
+    }
+
+    /// Routes one frame: `sink` gets `(destination, arrival)` for each copy
+    /// (one for unicast, `n - 1` for broadcast), and every copy is counted
+    /// and traced.
     ///
-    /// `departure` is the simulated time the last bit left the sender's NIC;
-    /// arrival adds the NIC minimum latency and the switch transit delay.
+    /// `departure` is the simulated time the last bit left the sender's NIC.
     ///
     /// # Panics
     ///
@@ -157,57 +324,35 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
     /// frame back to its ingress port.
     pub fn route(
         &mut self,
-        src: NodeId,
+        src: usize,
         dst: Destination,
         bytes: u32,
         departure: SimTime,
-        payload: P,
-    ) -> Vec<Delivery<P>> {
-        assert!(src.index() < self.n_nodes, "source {src} out of range");
-        let targets: Vec<NodeId> = match dst {
-            Destination::Unicast(d) => {
-                assert!(d.index() < self.n_nodes, "destination {d} out of range");
-                assert!(d != src, "node {src} sent a frame to itself");
-                vec![d]
-            }
-            Destination::Broadcast => (0..self.n_nodes as u32)
-                .map(NodeId::new)
-                .filter(|&n| n != src)
-                .collect(),
-        };
-        let mut out = Vec::with_capacity(targets.len());
-        for target in targets {
-            let id = PacketId(self.next_packet_id);
-            self.next_packet_id += 1;
-            self.packets_this_quantum += 1;
-            self.total_packets += 1;
-            let transit = self.switch.transit_delay(src, target, bytes, departure);
-            let arrival = self.nic.earliest_arrival(departure) + transit;
-            self.trace.record(departure, src, target, bytes);
-            out.push(Delivery {
-                packet: Packet {
-                    id,
-                    src,
-                    dst: target,
-                    bytes,
-                    departure,
-                    payload: payload.clone(),
-                },
-                arrival,
-            });
+        mut sink: impl FnMut(usize, SimTime),
+    ) {
+        let from = NodeId::new(src as u32);
+        assert!(src < self.router.n, "source {from} out of range");
+        if let Destination::Unicast(d) = dst {
+            assert!(d.index() < self.router.n, "destination {d} out of range");
+            assert!(d != from, "node {from} sent a frame to itself");
         }
-        out
+        self.router
+            .fan_out(src, dst, bytes, departure, |t, arrival| {
+                let to = NodeId::new(t as u32);
+                let queued = match &mut self.egress {
+                    Some(queues) => queues.transit_delay(to, bytes, departure),
+                    None => SimDuration::ZERO,
+                };
+                self.next_packet_id += 1;
+                self.packets_this_quantum += 1;
+                self.total_packets += 1;
+                self.trace.record(departure, from, to, bytes);
+                sink(t, arrival + queued);
+            });
     }
 
-    /// Packets routed since the last [`end_quantum`](Self::end_quantum).
-    ///
-    /// This is `np` in the paper's Algorithm 1.
-    #[inline]
-    pub fn packets_this_quantum(&self) -> u64 {
-        self.packets_this_quantum
-    }
-
-    /// Ends the current quantum: returns `np` and resets the counter.
+    /// Ends the current quantum: returns the packets routed in it — `np` in
+    /// the paper's Algorithm 1 — and resets the counter.
     pub fn end_quantum(&mut self) -> u64 {
         std::mem::take(&mut self.packets_this_quantum)
     }
@@ -229,13 +374,8 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
         &self.stragglers
     }
 
-    /// The traffic trace (counters always valid; entries only when enabled).
-    #[inline]
-    pub fn trace(&self) -> &TrafficTrace {
-        &self.trace
-    }
-
-    /// Consumes the controller, returning the trace (for result assembly).
+    /// Consumes the controller, returning the traffic trace for result
+    /// assembly (counters always valid; entries only when enabled).
     pub fn into_trace(self) -> TrafficTrace {
         self.trace
     }
@@ -266,170 +406,233 @@ impl<P: Clone, S: SwitchModel> NetworkController<P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::switch::{LatencyMatrixSwitch, PerfectSwitch, StoreAndForwardSwitch};
+    use crate::chaos::ChaosConfig;
+    use crate::fabric::FabricConfig;
+    use crate::switch::LatencyMatrixSwitch;
 
-    fn ctl(n: usize) -> NetworkController<u32, PerfectSwitch> {
-        NetworkController::new(n, NicModel::paper_default(), PerfectSwitch::new())
+    const N: usize = 6;
+
+    fn nic() -> NicModel {
+        NicModel::paper_default()
+    }
+
+    fn ctl(n: usize) -> NetworkController {
+        NetworkController::new(n, nic(), &SimSwitch::Perfect, None).expect("valid cluster")
+    }
+
+    /// Routes one frame and collects its copies.
+    fn copies(
+        net: &mut NetworkController,
+        src: usize,
+        dst: Destination,
+        bytes: u32,
+        departure: SimTime,
+    ) -> Vec<(usize, SimTime)> {
+        let mut out = Vec::new();
+        net.route(src, dst, bytes, departure, |t, at| out.push((t, at)));
+        out
+    }
+
+    fn unicast(dst: u32) -> Destination {
+        Destination::Unicast(NodeId::new(dst))
+    }
+
+    fn matrix() -> LatencyMatrixSwitch {
+        // Asymmetric, so a transposed lookup cannot pass.
+        LatencyMatrixSwitch::from_fn(N, |a, b| {
+            SimDuration::from_nanos(100 * a.index() as u64 + 7 * b.index() as u64)
+        })
+    }
+
+    fn fabric_cfg() -> FabricConfig {
+        FabricConfig::fat_tree()
+            .with_rack_size(2)
+            .with_uplinks_per_rack(2)
+    }
+
+    fn queues() -> StoreAndForwardSwitch {
+        StoreAndForwardSwitch::new(SimDuration::from_nanos(500), 1_000_000_000)
+    }
+
+    fn overlay() -> ChaosOverlay {
+        let cfg = ChaosConfig::new(17)
+            .with_link_flap(0.2)
+            .with_loss(0.3, SimDuration::from_micros(100))
+            .with_jitter(SimDuration::from_micros(9));
+        ChaosOverlay::new(cfg).expect("valid chaos")
+    }
+
+    /// Every switch kind with its leaf transit function: what the router
+    /// must add to the NIC's earliest arrival, copy by copy in call order.
+    type Leaf = Box<dyn FnMut(u32, u32, u32, SimTime) -> u64>;
+    fn kinds() -> Vec<(SimSwitch, Leaf)> {
+        let (m, f, mut q) = (matrix(), FatTreeFabric::new(fabric_cfg(), N), queues());
+        vec![
+            (SimSwitch::Perfect, Box::new(|_, _, _, _| 0)),
+            (
+                SimSwitch::LatencyMatrix(m.clone()),
+                Box::new(move |s, d, _, _| m.latency(NodeId::new(s), NodeId::new(d)).as_nanos()),
+            ),
+            (
+                SimSwitch::Fabric(fabric_cfg()),
+                Box::new(move |s, d, b, at| f.transit_nanos(s, d, b, at.as_nanos())),
+            ),
+            (
+                SimSwitch::StoreAndForward(queues()),
+                Box::new(move |_, d, b, at| q.transit_delay(NodeId::new(d), b, at).as_nanos()),
+            ),
+        ]
     }
 
     #[test]
-    fn unicast_arrival_is_departure_plus_min_latency() {
-        let mut net = ctl(2);
-        let out = net.route(
-            NodeId::new(0),
-            Destination::Unicast(NodeId::new(1)),
-            9000,
-            SimTime::from_micros(10),
-            7,
+    fn arrival_is_nic_plus_transit_plus_chaos_for_every_switch_and_fan_out() {
+        let frames = [
+            (0, unicast(5), 9000, 0),
+            (3, unicast(2), 64, 12_345),
+            (1, Destination::Broadcast, 1500, 40_000),
+            // Same port again, same instant: a store-and-forward queue grows.
+            (4, unicast(2), 9000, 12_345),
+            (5, Destination::Broadcast, 777, 1_000_003),
+        ];
+        for chaos in [None, Some(overlay())] {
+            for (switch, mut leaf) in kinds() {
+                let name = switch.name();
+                let mut net = NetworkController::new(N, nic(), &switch, chaos.clone())
+                    .expect("valid description");
+                let pure = net.clone().into_router();
+                assert_eq!(pure.is_none(), name == "StoreAndForward");
+                let mut routed = 0;
+                for (src, dst, bytes, at) in frames {
+                    let departure = SimTime::from_nanos(at);
+                    let got = copies(&mut net, src, dst, bytes, departure);
+                    let targets: Vec<usize> = match dst {
+                        Destination::Unicast(d) => vec![d.index()],
+                        Destination::Broadcast => (0..N).filter(|&t| t != src).collect(),
+                    };
+                    // Broadcast: n − 1 ports in order, never the sender.
+                    assert_eq!(
+                        got.iter().map(|c| c.0).collect::<Vec<_>>(),
+                        targets,
+                        "{name}"
+                    );
+                    for (t, arrival) in got {
+                        let (s, d) = (src as u32, t as u32);
+                        let extra = chaos.as_ref().map_or(0, |o| o.extra_nanos(s, d, bytes, at));
+                        let want = nic().earliest_arrival(departure)
+                            + SimDuration::from_nanos(leaf(s, d, bytes, departure) + extra);
+                        assert_eq!(arrival, want, "{name} {src}->{t} chaos={}", chaos.is_some());
+                        if let Some(router) = &pure {
+                            assert_eq!(router.arrival(src, t, bytes, departure), want, "{name}");
+                        }
+                        routed += 1;
+                    }
+                }
+                assert_eq!(net.total_packets(), routed, "{name}");
+                assert_eq!(net.next_packet_id(), routed, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_pure_form_is_shareable_and_a_stateful_switch_has_none() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Router>();
+        let stateful = SimSwitch::StoreAndForward(queues());
+        let net = NetworkController::new(N, nic(), &stateful, Some(overlay())).unwrap();
+        assert!(net.is_stateful());
+        assert!(net.into_router().is_none());
+        let router = ctl(N).into_router().expect("perfect is stateless");
+        assert_eq!(router.n_nodes(), N);
+        assert_eq!(router.nic(), &nic());
+        assert!(router.fabric().is_none());
+        let fabric = NetworkController::new(N, nic(), &SimSwitch::Fabric(fabric_cfg()), None)
+            .unwrap()
+            .into_router()
+            .expect("the fabric is pure");
+        assert_eq!(fabric.fabric().expect("fabric switch").n_racks(), 3);
+    }
+
+    #[test]
+    fn bad_descriptions_are_typed_errors() {
+        let build = |n, switch: &SimSwitch| NetworkController::new(n, nic(), switch, None);
+        assert_eq!(
+            build(1, &SimSwitch::Perfect).unwrap_err(),
+            NetError::TooFewNodes { n: 1 }
         );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].arrival, SimTime::from_micros(11));
-        assert_eq!(out[0].packet.src, NodeId::new(0));
-        assert_eq!(out[0].packet.dst, NodeId::new(1));
-        assert_eq!(out[0].packet.payload, 7);
+        let small = SimSwitch::LatencyMatrix(LatencyMatrixSwitch::uniform(2, SimDuration::ZERO));
+        let err = build(4, &small).unwrap_err();
+        assert_eq!(err, NetError::TooFewPorts { ports: 2, nodes: 4 });
+        assert_eq!(err.to_string(), "latency matrix has 2 ports for 4 nodes");
+        // A matrix with ports to spare is fine.
+        assert!(build(N - 1, &SimSwitch::LatencyMatrix(matrix())).is_ok());
+        let err = build(4, &SimSwitch::Fabric(fabric_cfg().with_rack_size(0))).unwrap_err();
+        assert!(matches!(err, NetError::InvalidFabric(_)), "{err}");
     }
 
     #[test]
-    fn broadcast_reaches_all_but_sender() {
-        let mut net = ctl(5);
-        let out = net.route(NodeId::new(2), Destination::Broadcast, 64, SimTime::ZERO, 0);
-        let dsts: Vec<usize> = out.iter().map(|d| d.packet.dst.index()).collect();
-        assert_eq!(dsts, vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn packet_ids_are_unique_and_monotone() {
-        let mut net = ctl(3);
-        let a = net.route(NodeId::new(0), Destination::Broadcast, 64, SimTime::ZERO, 0);
-        let b = net.route(
-            NodeId::new(1),
-            Destination::Unicast(NodeId::new(0)),
-            64,
-            SimTime::ZERO,
-            0,
-        );
-        let ids: Vec<u64> = a.iter().chain(b.iter()).map(|d| d.packet.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn quantum_counter_counts_deliveries() {
+    fn quantum_counter_counts_copies() {
         let mut net = ctl(4);
-        net.route(NodeId::new(0), Destination::Broadcast, 64, SimTime::ZERO, 0);
-        net.route(
-            NodeId::new(1),
-            Destination::Unicast(NodeId::new(2)),
-            64,
-            SimTime::ZERO,
-            0,
-        );
-        assert_eq!(net.packets_this_quantum(), 4);
+        copies(&mut net, 0, Destination::Broadcast, 64, SimTime::ZERO);
+        copies(&mut net, 1, unicast(2), 64, SimTime::ZERO);
         assert_eq!(net.end_quantum(), 4);
-        assert_eq!(net.packets_this_quantum(), 0);
+        assert_eq!(net.end_quantum(), 0);
         assert_eq!(net.total_packets(), 4);
     }
 
     #[test]
     #[should_panic(expected = "sent a frame to itself")]
     fn self_send_rejected() {
-        let mut net = ctl(2);
-        net.route(
-            NodeId::new(1),
-            Destination::Unicast(NodeId::new(1)),
-            64,
-            SimTime::ZERO,
-            0,
-        );
+        copies(&mut ctl(2), 1, unicast(1), 64, SimTime::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "destination n9 out of range")]
     fn bad_destination_rejected() {
-        let mut net = ctl(2);
-        net.route(
-            NodeId::new(0),
-            Destination::Unicast(NodeId::new(9)),
-            64,
-            SimTime::ZERO,
-            0,
-        );
+        copies(&mut ctl(2), 0, unicast(9), 64, SimTime::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 nodes")]
-    fn single_node_cluster_rejected() {
-        let _ = ctl(1);
+    #[should_panic(expected = "source n2 out of range")]
+    fn bad_source_rejected() {
+        copies(&mut ctl(2), 2, Destination::Broadcast, 64, SimTime::ZERO);
     }
 
     #[test]
-    fn switch_delay_is_added() {
-        let sw = LatencyMatrixSwitch::uniform(2, SimDuration::from_micros(3));
-        let mut net: NetworkController<(), _> =
-            NetworkController::new(2, NicModel::paper_default(), sw);
-        let out = net.route(
-            NodeId::new(0),
-            Destination::Unicast(NodeId::new(1)),
-            64,
-            SimTime::ZERO,
-            (),
-        );
-        assert_eq!(out[0].arrival, SimTime::from_micros(4)); // 1 µs NIC + 3 µs switch
+    fn store_and_forward_serializes_two_frames_to_one_port() {
+        let sw = SimSwitch::StoreAndForward(StoreAndForwardSwitch::new(
+            SimDuration::ZERO,
+            10_000_000_000,
+        ));
+        let mut net = NetworkController::new(3, nic(), &sw, None).unwrap();
+        let a = copies(&mut net, 0, unicast(2), 9000, SimTime::ZERO);
+        let b = copies(&mut net, 1, unicast(2), 9000, SimTime::ZERO);
+        // 1 µs NIC + 7.2 µs egress serialization, then 7.2 µs more behind it.
+        assert_eq!(a[0].1, SimTime::from_nanos(8_200));
+        assert_eq!(b[0].1, SimTime::from_nanos(15_400));
     }
 
     #[test]
-    fn store_and_forward_congestion_visible_through_controller() {
-        let sw = StoreAndForwardSwitch::new(SimDuration::ZERO, 10_000_000_000);
-        let mut net: NetworkController<(), _> =
-            NetworkController::new(3, NicModel::paper_default(), sw);
-        let a = net.route(
-            NodeId::new(0),
-            Destination::Unicast(NodeId::new(2)),
-            9000,
-            SimTime::ZERO,
-            (),
-        );
-        let b = net.route(
-            NodeId::new(1),
-            Destination::Unicast(NodeId::new(2)),
-            9000,
-            SimTime::ZERO,
-            (),
-        );
-        assert!(
-            b[0].arrival > a[0].arrival,
-            "second frame must queue behind the first"
-        );
-    }
-
-    #[test]
-    fn straggler_recording_flows_to_stats() {
+    fn straggler_recording_flows_to_stats_and_counters_restore() {
         let mut net = ctl(2);
         net.record_straggler(SimDuration::from_micros(5));
         assert_eq!(net.stragglers().count(), 1);
         assert_eq!(net.stragglers().total_delay(), SimDuration::from_micros(5));
+        let mut resumed = ctl(2);
+        resumed.restore_counters(7, 7, *net.stragglers());
+        copies(&mut resumed, 0, unicast(1), 64, SimTime::ZERO);
+        assert_eq!((resumed.next_packet_id(), resumed.total_packets()), (8, 8));
+        assert_eq!(resumed.end_quantum(), 1);
+        assert_eq!(resumed.stragglers().count(), 1);
     }
 
     #[test]
     fn trace_disabled_by_default_enabled_at_construction() {
-        let mut net = ctl(2);
-        net.route(
-            NodeId::new(0),
-            Destination::Unicast(NodeId::new(1)),
-            64,
-            SimTime::ZERO,
-            0,
-        );
-        assert!(net.trace().entries().is_empty());
-        assert_eq!(net.trace().total_packets(), 1);
-
-        let mut net = ctl(2).with_trace(true);
-        net.route(
-            NodeId::new(0),
-            Destination::Unicast(NodeId::new(1)),
-            64,
-            SimTime::ZERO,
-            0,
-        );
-        assert_eq!(net.trace().entries().len(), 1);
+        for (enabled, entries) in [(false, 0), (true, 1)] {
+            let mut net = ctl(2).with_trace(enabled);
+            copies(&mut net, 0, unicast(1), 64, SimTime::ZERO);
+            let trace = net.into_trace();
+            assert_eq!(trace.entries().len(), entries);
+            assert_eq!(trace.total_packets(), 1);
+        }
     }
 }

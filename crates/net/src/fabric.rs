@@ -4,11 +4,11 @@
 //! switch: a single shared latency, no structure, no contention. That is
 //! the right baseline for validating the synchronization policies, but it
 //! hides the property that actually gates quantum-barrier scaling on real
-//! clusters: *topology*. This module adds the first structured
-//! [`SwitchModel`](crate::SwitchModel) — a two-tier fat-tree with per-link
-//! bandwidth, background queue occupancy, and deterministic ECMP-style
-//! uplink hashing — sized struct-of-arrays so 64k-node clusters fit in
-//! memory.
+//! clusters: *topology*. This module adds the first structured switch
+//! ([`SimSwitch::Fabric`](crate::SimSwitch::Fabric)) — a two-tier fat-tree
+//! with per-link bandwidth, background queue occupancy, and deterministic
+//! ECMP-style uplink hashing — sized struct-of-arrays so 64k-node clusters
+//! fit in memory.
 //!
 //! # Topology
 //!
@@ -39,9 +39,7 @@
 //! Observed per-link load ([`LinkLoad`]) is commutative-sum bookkeeping
 //! only and never feeds back into timing.
 
-use crate::packet::NodeId;
-use crate::switch::SwitchModel;
-use aqs_time::{SimDuration, SimTime};
+use aqs_time::SimDuration;
 
 /// Configuration of a [`FatTreeFabric`].
 ///
@@ -182,7 +180,7 @@ fn ser_nanos(bytes: u64, bw_bps: u64) -> u64 {
     bits.div_ceil(bw_bps as u128) as u64
 }
 
-/// A two-tier fat-tree fabric: the first structured [`SwitchModel`].
+/// A two-tier fat-tree fabric: the first structured switch model.
 ///
 /// Per-node state is packed struct-of-arrays — one `u32` rack id per node,
 /// no dense n×n tables — so the model stays a few hundred kilobytes even
@@ -365,33 +363,6 @@ impl FatTreeFabric {
                 cfg.uplink_bw_bps,
             )
     }
-
-    /// Transit delay as a [`SimDuration`] (see [`Self::transit_nanos`]).
-    #[inline]
-    pub fn transit(&self, src: NodeId, dst: NodeId, bytes: u32, departure: SimTime) -> SimDuration {
-        SimDuration::from_nanos(self.transit_nanos(
-            src.as_u32(),
-            dst.as_u32(),
-            bytes,
-            departure.as_nanos(),
-        ))
-    }
-}
-
-impl SwitchModel for FatTreeFabric {
-    /// Pure — ignores no arguments, mutates nothing. Safe under any call
-    /// order, which is what lets the parallel engines share one fabric.
-    fn transit_delay(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-        ingress: SimTime,
-    ) -> SimDuration {
-        FatTreeFabric::transit(self, src, dst, bytes, ingress)
-    }
-
-    fn reset(&mut self) {}
 }
 
 /// Per-slice accumulation of observed link load: bytes and packets per
@@ -523,7 +494,7 @@ mod tests {
     #[test]
     fn transit_is_pure_and_flow_pinned() {
         let f = small();
-        let t = SimTime::from_micros(7).as_nanos();
+        let t = 7_000;
         assert_eq!(
             f.transit_nanos(0, 5, 1024, t),
             f.transit_nanos(0, 5, 1024, t)
@@ -562,15 +533,6 @@ mod tests {
             f.transit_nanos(0, 40, 512, 0),
             f.transit_nanos(0, 40, 512, 9 * e)
         );
-    }
-
-    #[test]
-    fn switch_model_impl_matches_the_pure_form() {
-        let mut f = small();
-        let t = SimTime::from_micros(3);
-        let pure = f.transit(NodeId::new(2), NodeId::new(8), 900, t);
-        let via_trait = f.transit_delay(NodeId::new(2), NodeId::new(8), 900, t);
-        assert_eq!(pure, via_trait);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Packet, node-id and destination types.
+//! Node-id and destination types.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -54,19 +54,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Unique identifier of a packet within one controller instance.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
-pub struct PacketId(pub u64);
-
-impl fmt::Display for PacketId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pkt#{}", self.0)
-    }
-}
-
 /// Where a packet is headed: one port or all ports (broadcast/multicast are
 /// delivered to every node except the sender, as a link-layer switch would).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -86,27 +73,6 @@ impl fmt::Display for Destination {
     }
 }
 
-/// A link-layer frame in flight, generic over the payload the upper layer
-/// attaches (the cluster engine uses message-fragment descriptors).
-///
-/// `Packet` is a passive record: timing lives in [`crate::NicModel`] /
-/// [`crate::SwitchModel`], bookkeeping in [`crate::NetworkController`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Packet<P> {
-    /// Controller-assigned id.
-    pub id: PacketId,
-    /// Sending node.
-    pub src: NodeId,
-    /// Receiving node (after broadcast expansion).
-    pub dst: NodeId,
-    /// Frame size in bytes (headers included).
-    pub bytes: u32,
-    /// Simulated time at which the last bit left the sender's NIC.
-    pub departure: aqs_time::SimTime,
-    /// Upper-layer payload descriptor.
-    pub payload: P,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +90,5 @@ mod tests {
         assert_eq!(NodeId::new(5).to_string(), "n5");
         assert_eq!(Destination::Unicast(NodeId::new(5)).to_string(), "n5");
         assert_eq!(Destination::Broadcast.to_string(), "broadcast");
-        assert_eq!(PacketId(9).to_string(), "pkt#9");
     }
 }

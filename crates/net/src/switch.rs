@@ -1,73 +1,58 @@
-//! Switch timing models.
+//! Switch descriptions.
 //!
-//! The network controller delegates "how long does this frame spend inside
-//! the fabric" to a [`SwitchModel`]. The paper evaluates against a perfect
-//! switch (zero latency, infinite bandwidth) to maximize straggler pressure;
-//! the other models exist for the richer topologies the paper lists as
-//! future work.
+//! A [`SimSwitch`] says which switching fabric sits between the NICs; the
+//! [`NetworkController`](crate::NetworkController) is built from one and is
+//! the only thing that turns it into arrival times. The paper evaluates
+//! against a perfect switch (zero latency, infinite bandwidth) to maximize
+//! straggler pressure; the other models exist for the richer topologies the
+//! paper lists as future work.
+//!
+//! # Statefulness and parallel engines
+//!
+//! The worker-pool engines route packets in worker- and race-dependent
+//! *order*, so a model whose state mutates per frame would silently break
+//! their bit-identical-for-every-worker-count guarantee. A model is safe for
+//! every engine only when its transit is a **pure function of
+//! `(src, dst, bytes, departure)`**: the perfect switch, the
+//! [`LatencyMatrixSwitch`] and the epoch-keyed
+//! [`FatTreeFabric`](crate::FatTreeFabric) are; [`StoreAndForwardSwitch`]
+//! keeps per-port queues, so a controller built from it has no shareable
+//! [`Router`](crate::Router) and only the deterministic engine can run it.
 
+use crate::fabric::FabricConfig;
 use crate::packet::NodeId;
 use aqs_time::{SimDuration, SimTime};
 
-/// Timing model of the switching fabric between NICs.
-///
-/// Implementations may keep state (e.g. per-egress-port busy times), which is
-/// why `transit_delay` takes `&mut self`. Models must be deterministic:
-/// identical call sequences must produce identical delays.
-///
-/// # Statefulness and parallel engines
-///
-/// That sequence-determinism contract is only strong enough for the
-/// single-threaded deterministic engine. The worker-pool engines
-/// route packets in worker- and race-dependent *order*, so a model whose
-/// state mutates per call (like [`StoreAndForwardSwitch`]) would silently
-/// break the sharded engine's bit-identical-for-every-worker-count
-/// guarantee; those engines reject stateful models at configuration time.
-/// A model is safe for every engine only when `transit_delay` is a **pure
-/// function of its arguments** — no influence from call order. The
-/// stateless models here ([`PerfectSwitch`], [`LatencyMatrixSwitch`]) and
-/// the epoch-keyed [`FatTreeFabric`](crate::FatTreeFabric) satisfy that
-/// stronger contract.
-pub trait SwitchModel {
-    /// Extra delay (beyond NIC latency) for a frame of `bytes` from `src` to
-    /// `dst` entering the fabric at `ingress`.
-    fn transit_delay(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-        ingress: SimTime,
-    ) -> SimDuration;
-
-    /// Resets any internal state (egress queues etc.) to the initial state.
-    fn reset(&mut self) {}
+/// Which switch a simulation runs on.
+#[derive(Clone, Debug, Default)]
+pub enum SimSwitch {
+    /// Infinite bandwidth, zero transit delay (the paper's evaluation
+    /// switch). Supported by every engine.
+    #[default]
+    Perfect,
+    /// Fixed per-(src, dst) latency. Supported by every engine.
+    LatencyMatrix(LatencyMatrixSwitch),
+    /// Store-and-forward queueing with finite egress bandwidth.
+    /// Deterministic engine only (stateful).
+    StoreAndForward(StoreAndForwardSwitch),
+    /// A modeled multi-tier fat-tree fabric
+    /// ([`FatTreeFabric`](crate::FatTreeFabric)): per-link bandwidth,
+    /// epoch-keyed queue occupancy, deterministic ECMP hashing. Transit is a
+    /// pure function of `(src, dst, bytes, departure)`, so it is supported
+    /// by every engine — with bit-identical results for every worker count.
+    Fabric(FabricConfig),
 }
 
-/// The paper's evaluation switch: infinite bandwidth, zero latency.
-///
-/// # Examples
-///
-/// ```
-/// use aqs_net::{NodeId, PerfectSwitch, SwitchModel};
-/// use aqs_time::{SimDuration, SimTime};
-///
-/// let mut sw = PerfectSwitch::new();
-/// let d = sw.transit_delay(NodeId::new(0), NodeId::new(1), 9000, SimTime::ZERO);
-/// assert_eq!(d, SimDuration::ZERO);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PerfectSwitch;
-
-impl PerfectSwitch {
-    /// Creates the perfect switch.
-    pub const fn new() -> Self {
-        Self
-    }
-}
-
-impl SwitchModel for PerfectSwitch {
-    fn transit_delay(&mut self, _: NodeId, _: NodeId, _: u32, _: SimTime) -> SimDuration {
-        SimDuration::ZERO
+impl SimSwitch {
+    /// Short variant name
+    /// (`Perfect` / `LatencyMatrix` / `StoreAndForward` / `Fabric`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            SimSwitch::Perfect => "Perfect",
+            SimSwitch::LatencyMatrix(_) => "LatencyMatrix",
+            SimSwitch::StoreAndForward(_) => "StoreAndForward",
+            SimSwitch::Fabric(_) => "Fabric",
+        }
     }
 }
 
@@ -80,13 +65,13 @@ impl SwitchModel for PerfectSwitch {
 /// # Examples
 ///
 /// ```
-/// use aqs_net::{NodeId, StoreAndForwardSwitch, SwitchModel};
+/// use aqs_net::{NodeId, StoreAndForwardSwitch};
 /// use aqs_time::{SimDuration, SimTime};
 ///
 /// let mut sw = StoreAndForwardSwitch::new(SimDuration::from_nanos(500), 10_000_000_000);
-/// let a = sw.transit_delay(NodeId::new(0), NodeId::new(2), 9000, SimTime::ZERO);
+/// let a = sw.transit_delay(NodeId::new(2), 9000, SimTime::ZERO);
 /// // Second frame to the same port queues behind the first:
-/// let b = sw.transit_delay(NodeId::new(1), NodeId::new(2), 9000, SimTime::ZERO);
+/// let b = sw.transit_delay(NodeId::new(2), 9000, SimTime::ZERO);
 /// assert!(b > a);
 /// ```
 #[derive(Clone, Debug)]
@@ -121,16 +106,12 @@ impl StoreAndForwardSwitch {
         let nanos = (bits * 1_000_000_000).div_ceil(self.port_bandwidth_bps as u128);
         SimDuration::from_nanos(nanos as u64)
     }
-}
 
-impl SwitchModel for StoreAndForwardSwitch {
-    fn transit_delay(
-        &mut self,
-        _src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-        ingress: SimTime,
-    ) -> SimDuration {
+    /// Delay (beyond NIC latency) of a frame of `bytes` for port `dst`
+    /// entering the switch at `ingress`, queued behind every frame the port
+    /// accepted before it. Deterministic in the call *sequence*, which is
+    /// why only the single-threaded engine may use it.
+    pub fn transit_delay(&mut self, dst: NodeId, bytes: u32, ingress: SimTime) -> SimDuration {
         let ser = self.egress_serialization(bytes);
         let ready = ingress + self.latency;
         let free = self.egress_free.get(&dst).copied().unwrap_or(SimTime::ZERO);
@@ -138,10 +119,6 @@ impl SwitchModel for StoreAndForwardSwitch {
         let done = start + ser;
         self.egress_free.insert(dst, done);
         done - ingress
-    }
-
-    fn reset(&mut self) {
-        self.egress_free.clear();
     }
 }
 
@@ -151,21 +128,18 @@ impl SwitchModel for StoreAndForwardSwitch {
 /// # Examples
 ///
 /// ```
-/// use aqs_net::{LatencyMatrixSwitch, NodeId, SwitchModel};
-/// use aqs_time::{SimDuration, SimTime};
+/// use aqs_net::{LatencyMatrixSwitch, NodeId};
+/// use aqs_time::SimDuration;
 ///
 /// // 2 racks of 2: crossing the aggregation layer costs 2 µs extra.
-/// let mut sw = LatencyMatrixSwitch::from_fn(4, |a, b| {
+/// let sw = LatencyMatrixSwitch::from_fn(4, |a, b| {
 ///     if a.index() / 2 == b.index() / 2 {
 ///         SimDuration::ZERO
 ///     } else {
 ///         SimDuration::from_micros(2)
 ///     }
 /// });
-/// assert_eq!(
-///     sw.transit_delay(NodeId::new(0), NodeId::new(3), 100, SimTime::ZERO),
-///     SimDuration::from_micros(2)
-/// );
+/// assert_eq!(sw.latency(NodeId::new(0), NodeId::new(3)), SimDuration::from_micros(2));
 /// ```
 #[derive(Clone, Debug)]
 pub struct LatencyMatrixSwitch {
@@ -209,43 +183,21 @@ impl LatencyMatrixSwitch {
     }
 }
 
-impl SwitchModel for LatencyMatrixSwitch {
-    fn transit_delay(&mut self, src: NodeId, dst: NodeId, _: u32, _: SimTime) -> SimDuration {
-        self.latency(src, dst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perfect_switch_is_free() {
-        let mut sw = PerfectSwitch::new();
-        for i in 0..10u32 {
-            assert_eq!(
-                sw.transit_delay(
-                    NodeId::new(i),
-                    NodeId::new(i + 1),
-                    9000,
-                    SimTime::from_nanos(i as u64)
-                ),
-                SimDuration::ZERO
-            );
-        }
-    }
 
     #[test]
     fn store_and_forward_serializes_same_port() {
         let mut sw = StoreAndForwardSwitch::new(SimDuration::from_nanos(100), 10_000_000_000);
         let t0 = SimTime::ZERO;
         // 9000 B = 7.2 µs egress serialization.
-        let first = sw.transit_delay(NodeId::new(0), NodeId::new(5), 9000, t0);
+        let first = sw.transit_delay(NodeId::new(5), 9000, t0);
         assert_eq!(first, SimDuration::from_nanos(100 + 7200));
-        let second = sw.transit_delay(NodeId::new(1), NodeId::new(5), 9000, t0);
+        let second = sw.transit_delay(NodeId::new(5), 9000, t0);
         assert_eq!(second, SimDuration::from_nanos(100 + 7200 + 7200));
         // A different port is independent.
-        let other = sw.transit_delay(NodeId::new(1), NodeId::new(6), 9000, t0);
+        let other = sw.transit_delay(NodeId::new(6), 9000, t0);
         assert_eq!(other, first);
     }
 
@@ -253,25 +205,11 @@ mod tests {
     fn store_and_forward_port_frees_up() {
         let mut sw = StoreAndForwardSwitch::new(SimDuration::ZERO, 8_000_000_000);
         // 1000 B at 8 Gb/s = 1 µs.
-        let a = sw.transit_delay(NodeId::new(0), NodeId::new(1), 1000, SimTime::ZERO);
+        let a = sw.transit_delay(NodeId::new(1), 1000, SimTime::ZERO);
         assert_eq!(a, SimDuration::from_micros(1));
         // Arriving after the port drained: no queueing.
-        let b = sw.transit_delay(
-            NodeId::new(0),
-            NodeId::new(1),
-            1000,
-            SimTime::from_micros(10),
-        );
+        let b = sw.transit_delay(NodeId::new(1), 1000, SimTime::from_micros(10));
         assert_eq!(b, SimDuration::from_micros(1));
-    }
-
-    #[test]
-    fn store_and_forward_reset_clears_queues() {
-        let mut sw = StoreAndForwardSwitch::new(SimDuration::ZERO, 8_000_000_000);
-        let a = sw.transit_delay(NodeId::new(0), NodeId::new(1), 1000, SimTime::ZERO);
-        sw.reset();
-        let b = sw.transit_delay(NodeId::new(0), NodeId::new(1), 1000, SimTime::ZERO);
-        assert_eq!(a, b);
     }
 
     #[test]

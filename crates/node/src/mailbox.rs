@@ -23,8 +23,9 @@ impl fmt::Display for MessageId {
     }
 }
 
-/// Message-level metadata carried by every fragment.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+/// Message-level metadata carried by every fragment. Ordered by identity
+/// first, so sets of fragments sort canonically.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct MessageMeta {
     /// Identity.
     pub id: MessageId,

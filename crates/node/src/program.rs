@@ -117,6 +117,17 @@ impl From<Rank> for SendTarget {
     }
 }
 
+/// Rank *i* runs on node *i*: the one place a program's target becomes a
+/// switch destination.
+impl From<SendTarget> for aqs_net::Destination {
+    fn from(t: SendTarget) -> Self {
+        match t {
+            SendTarget::Rank(r) => aqs_net::Destination::Unicast(aqs_net::NodeId::new(r.as_u32())),
+            SendTarget::All => aqs_net::Destination::Broadcast,
+        }
+    }
+}
+
 /// One operation of a node program.
 ///
 /// Programs are flat op sequences: workload generators unroll their loops,
@@ -409,6 +420,9 @@ mod tests {
     fn send_target_from_rank() {
         let t: SendTarget = Rank::new(2).into();
         assert_eq!(t, SendTarget::Rank(Rank::new(2)));
+        use aqs_net::{Destination, NodeId};
+        assert_eq!(Destination::from(t), Destination::Unicast(NodeId::new(2)));
+        assert_eq!(Destination::from(SendTarget::All), Destination::Broadcast);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! name    = "allreduce-chaos"       # required
 //! nodes   = 8                        # required, >= 2
 //! seed    = 42                       # default 42
-//! policy  = "truth"                  # truth | dyn1 | dyn2 | pred | fixed:<µs>
+//! policy  = "truth"                  # truth | dyn1 | dyn2 | pred | fixed:<µs> | dyn:…
 //! engines = ["deterministic", "sharded"]   # | sharded-optimistic | hybrid
 //! shards  = [1, 2, 4]                # worker counts for the sharded engines
 //!
@@ -44,7 +44,7 @@ use aqs_core::SyncConfig;
 use aqs_net::{ChaosConfig, FabricConfig, LatencyMatrixSwitch};
 use aqs_node::{Op, Program, Tag};
 use aqs_time::SimDuration;
-use aqs_workloads::{Scale, Workload};
+use aqs_workloads::Workload;
 use std::path::Path;
 
 /// Tags of one phase must stay below this bound so phases can be remapped
@@ -315,33 +315,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn parse_policy(spec: &str, file: &str, line: usize) -> Result<SyncConfig, SimError> {
-    match spec {
-        "truth" => Ok(SyncConfig::ground_truth()),
-        "dyn1" => Ok(SyncConfig::paper_dyn1()),
-        "dyn2" => Ok(SyncConfig::paper_dyn2()),
-        "pred" => Ok(SyncConfig::Predictive(
-            aqs_core::PredictiveConfig::default_1_1000(),
-        )),
-        other => {
-            if let Some(us) = other.strip_prefix("fixed:") {
-                let us: u64 = us
-                    .parse()
-                    .map_err(|_| perr(file, line, format!("bad fixed policy `{other}`")))?;
-                if us == 0 {
-                    return Err(perr(file, line, "a fixed quantum must be nonzero"));
-                }
-                return Ok(SyncConfig::fixed_micros(us));
-            }
-            Err(perr(
-                file,
-                line,
-                format!("unknown policy `{other}` (truth | dyn1 | dyn2 | pred | fixed:<µs>)"),
-            ))
-        }
-    }
-}
-
 fn parse_engine(name: &str, file: &str, line: usize) -> Result<EngineKind, SimError> {
     match name {
         "deterministic" => Ok(EngineKind::Deterministic),
@@ -366,19 +339,6 @@ fn parse_engine(name: &str, file: &str, line: usize) -> Result<EngineKind, SimEr
                 "unknown engine `{other}` (deterministic | sharded | sharded-optimistic \
                  | hybrid)"
             ),
-        )),
-    }
-}
-
-fn parse_scale(name: &str, file: &str, line: usize) -> Result<Scale, SimError> {
-    match name {
-        "tiny" => Ok(Scale::Tiny),
-        "mini" => Ok(Scale::Mini),
-        "full" => Ok(Scale::Full),
-        other => Err(perr(
-            file,
-            line,
-            format!("unknown scale `{other}` (tiny | mini | full)"),
         )),
     }
 }
@@ -530,7 +490,7 @@ impl Scenario {
         let policy = match root.str("policy")? {
             Some(spec) => {
                 let line = root.item("policy").expect("policy just read").line;
-                parse_policy(spec, file, line)?
+                spec.parse().map_err(|e: String| perr(file, line, e))?
             }
             None => SyncConfig::ground_truth(),
         };
@@ -675,7 +635,8 @@ impl Scenario {
         };
         if let Some(scale) = r.str("scale")? {
             let line = r.item("scale").expect("scale just read").line;
-            workload = workload.with_scale(parse_scale(scale, file, line)?);
+            let scale = scale.parse().map_err(|e: String| perr(file, line, e))?;
+            workload = workload.with_scale(scale);
         }
         for (key, item) in &t.entries {
             if key == "workload" || key == "scale" {
@@ -964,6 +925,20 @@ retransmit_us = 100
     }
 
     #[test]
+    fn a_policy_string_means_what_it_means_to_the_cli_and_the_job_server() {
+        let policy = |text: &str| {
+            let src = format!(
+                "name = \"x\"\nnodes = 4\npolicy = \"{text}\"\n[[phases]]\nworkload = \"burst\""
+            );
+            Scenario::from_str(&src, "<test>").expect(text).policy
+        };
+        for text in ["truth", "fixed:7", "dyn2", "pred", "dyn:1:1000:1.03:0.02"] {
+            assert_eq!(Ok(policy(text)), text.parse(), "{text}");
+        }
+        assert_eq!(policy("dyn:1:1000:1.03:0.02"), SyncConfig::paper_dyn1());
+    }
+
+    #[test]
     fn rejection_suite() {
         // (source, expect_parse_error, fragment)
         let cases: &[(&str, bool, &str)] = &[
@@ -974,6 +949,8 @@ retransmit_us = 100
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"no-such\"", true, "unknown workload"),
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\nrounds = 3", true, "no parameter `rounds`"),
             ("name = \"x\"\nnodes = 4\npolicy = \"warp\"\n[[phases]]\nworkload = \"burst\"", true, "unknown policy"),
+            ("name = \"x\"\nnodes = 4\npolicy = \"fixed:0\"\n[[phases]]\nworkload = \"burst\"", true, "fixed quantum must be nonzero"),
+            ("name = \"x\"\nnodes = 4\npolicy = \"fixed:18446744073709551615\"\n[[phases]]\nworkload = \"burst\"", true, "overflows"),
             ("name = \"x\"\nnodes = 4\nengines = [\"quantum\"]\n[[phases]]\nworkload = \"burst\"", true, "unknown engine"),
             ("name = \"x\"\nnodes = 4\nshards = [0]\n[[phases]]\nworkload = \"burst\"", false, "at least 1"),
             ("name = \"x\"\nnodes = 4\nbogus = 1\n[[phases]]\nworkload = \"burst\"", true, "unknown scenario key `bogus`"),

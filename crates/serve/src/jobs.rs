@@ -26,7 +26,7 @@ pub struct CaseJob {
     pub workload: String,
     /// Cluster size.
     pub nodes: usize,
-    /// Synchronization policy string (`truth`, `fixed:<µs>`, `dyn1`, `dyn2`).
+    /// Synchronization policy string, in the grammar of `SyncConfig: FromStr`.
     pub policy: String,
     /// Base RNG seed.
     pub seed: u64,
@@ -192,40 +192,17 @@ impl JobError {
     }
 }
 
-/// Parses a policy string: `truth`, `fixed:<µs>`, `dyn1`, `dyn2`.
-pub fn parse_policy(s: &str) -> Result<SyncConfig, String> {
-    match s {
-        "truth" => Ok(SyncConfig::ground_truth()),
-        "dyn1" => Ok(SyncConfig::paper_dyn1()),
-        "dyn2" => Ok(SyncConfig::paper_dyn2()),
-        other => match other.strip_prefix("fixed:") {
-            Some(us) => us
-                .parse::<u64>()
-                .map(SyncConfig::fixed_micros)
-                .map_err(|_| format!("bad fixed quantum `{us}`")),
-            None => Err(format!(
-                "unknown policy `{other}` (expected truth | fixed:<µs> | dyn1 | dyn2)"
-            )),
-        },
-    }
-}
-
 /// Builds the simulation for a case job. Every attempt and every recovery
 /// builds the same `Sim`, so the spec fingerprint embedded in journaled
 /// snapshots always matches.
 pub fn build_sim(job: &CaseJob) -> Result<Sim, String> {
     let workload = Workload::parse(&job.workload)
         .ok_or_else(|| format!("unknown workload `{}`", job.workload))?;
-    let scale = match job.scale.as_str() {
-        "tiny" => Scale::Tiny,
-        "mini" => Scale::Mini,
-        "full" => Scale::Full,
-        other => return Err(format!("unknown scale `{other}`")),
-    };
+    let scale: Scale = job.scale.parse()?;
     if job.nodes == 0 {
         return Err("a case job needs at least one node".to_string());
     }
-    let policy = parse_policy(&job.policy)?;
+    let policy: SyncConfig = job.policy.parse()?;
     let spec = workload.with_scale(scale).build(job.nodes, job.seed);
     Ok(Sim::new(spec.programs).sync(policy).seed(job.seed))
 }

@@ -360,6 +360,59 @@ fn unknown_jobs_and_malformed_requests_get_typed_rejections() {
 }
 
 #[test]
+fn a_policy_no_engine_can_run_is_rejected_at_submit_on_a_connection_that_lives_on() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, addr, journal) = start("badpolicy", |_| {});
+    // One connection for everything: a zero quantum used to be accepted and
+    // then panic on every attempt; the overflowing one panicked right here,
+    // inside submit, and took the connection thread with it.
+    let stream = TcpStream::connect(&addr).expect("connects");
+    let mut writer = stream.try_clone().expect("clones");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |req: Value| -> Value {
+        let mut text = serde_json::to_string(&req).expect("serializes");
+        text.push('\n');
+        writer.write_all(text.as_bytes()).expect("request sent");
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("reply read") > 0,
+            "closed"
+        );
+        serde_json::from_str(&line).expect("reply is JSON")
+    };
+    let policy = |p: &str| {
+        obj(vec![
+            ("op", Value::Str("submit".to_string())),
+            ("workload", Value::Str("pingpong".to_string())),
+            ("nodes", Value::U64(2)),
+            ("policy", Value::Str(p.to_string())),
+        ])
+    };
+    for (bad, why) in [
+        ("fixed:0", "nonzero"),
+        ("fixed:18446744073709551615", "overflows"),
+        ("dyn:1:1000:0.5:0.02", "inc must be > 1"),
+    ] {
+        let r = exchange(policy(bad));
+        assert_eq!(get_bool(&r, "ok"), Some(false), "{bad}: {r:?}");
+        let err = r.get("error").expect("typed rejection");
+        assert_eq!(get_str(err, "kind"), Some("bad_request"), "{bad}");
+        let detail = get_str(err, "detail").expect("says why");
+        assert!(detail.contains(why), "{bad}: {detail}");
+    }
+    // The same connection still answers, and the grammar is the CLI's and
+    // the scenario reader's: `pred` and the long `dyn:` form run here too.
+    for good in ["pred", "dyn:1:1000:1.03:0.02"] {
+        let r = exchange(policy(good));
+        assert_eq!(get_bool(&r, "ok"), Some(true), "{good}: {r:?}");
+        let record = wait_for(&addr, get_u64(&r, "job").expect("job id"));
+        assert_eq!(get_str(&record, "state"), Some("done"), "{good}");
+    }
+    server.stop();
+    let _ = std::fs::remove_file(journal);
+}
+
+#[test]
 fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
     let journal = tmp_journal("recover");
     let case = aqs_serve::CaseJob {

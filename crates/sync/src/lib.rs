@@ -20,9 +20,6 @@
 //!   (e.g. the quantum policy), and publishes the next epoch with a single
 //!   release store that doubles as the handshake for whatever the leader
 //!   wrote.
-//! * [`GvtReduction`] — per-shard local-virtual-time slots plus a monotone
-//!   global-virtual-time cell, reduced by the barrier leader inside its
-//!   exclusive closure (the sharded optimistic engine's commit handshake).
 //! * [`CachePadded`] — pads per-thread hot counters to their own cache line.
 //!
 //! Barrier waiters spin briefly before yielding; the spin budget is tunable via
@@ -38,9 +35,6 @@ use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-pub mod gvt;
-pub use gvt::GvtReduction;
 
 #[cfg(feature = "schedule-fuzz")]
 pub mod fuzz;

@@ -33,6 +33,20 @@ pub enum Scale {
     Full,
 }
 
+/// The one place a scale name is matched: `tiny | mini | full`.
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "tiny" => Ok(Scale::Tiny),
+            "mini" => Ok(Scale::Mini),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale `{other}` (tiny | mini | full)")),
+        }
+    }
+}
+
 impl Scale {
     /// Multiplier applied to iteration counts.
     pub fn iters(self, base: usize) -> usize {
@@ -107,6 +121,15 @@ mod tests {
         assert_eq!(Scale::Tiny.ops(1600), 100);
         assert_eq!(Scale::Full.ops(100), 400);
         assert_eq!(Scale::Tiny.ops(4), 1);
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!("tiny".parse(), Ok(Scale::Tiny));
+        assert_eq!("mini".parse(), Ok(Scale::Mini));
+        assert_eq!("full".parse(), Ok(Scale::Full));
+        let err = "Mini".parse::<Scale>().unwrap_err();
+        assert_eq!(err, "unknown scale `Mini` (tiny | mini | full)");
     }
 
     #[test]

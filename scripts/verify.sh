@@ -5,8 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> bash -n scripts/perf_pairs.sh"
+echo "==> bash -n scripts/perf_pairs.sh scripts/loc.sh"
 bash -n scripts/perf_pairs.sh
+bash -n scripts/loc.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -17,9 +17,9 @@
 use aqs::cluster::{
     app_metric, paper_sweep, run_workload, ClusterConfig, EngineKind, Experiment, Sim,
 };
-use aqs::core::{PredictiveConfig, SyncConfig};
+use aqs::core::SyncConfig;
 use aqs::metrics::render_table;
-use aqs::time::{HostDuration, SimDuration};
+use aqs::time::HostDuration;
 use aqs::workloads::{Scale, Workload, WorkloadSpec};
 use std::collections::HashMap;
 use std::process::exit;
@@ -65,16 +65,16 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// A flag value parsed by its type's own grammar; a bad one is a usage error.
+fn parsed<T: std::str::FromStr<Err = String>>(text: &str) -> T {
+    text.parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    })
+}
+
 fn parse_scale(flags: &HashMap<String, String>) -> Scale {
-    match flags.get("scale").map(String::as_str) {
-        None | Some("mini") => Scale::Mini,
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("unknown scale: {other}");
-            usage();
-        }
-    }
+    flags.get("scale").map_or(Scale::Mini, |name| parsed(name))
 }
 
 fn parse_workload(
@@ -94,40 +94,6 @@ fn parse_workload(
     workload.with_scale(scale).build(n, seed)
 }
 
-fn parse_policy(spec: &str) -> SyncConfig {
-    match spec {
-        "truth" => SyncConfig::ground_truth(),
-        "dyn1" => SyncConfig::paper_dyn1(),
-        "dyn2" => SyncConfig::paper_dyn2(),
-        "pred" => SyncConfig::Predictive(PredictiveConfig::default_1_1000()),
-        other => {
-            let parts: Vec<&str> = other.split(':').collect();
-            match parts.as_slice() {
-                ["fixed", us] => {
-                    let us: u64 = us.parse().unwrap_or_else(|_| usage());
-                    SyncConfig::fixed_micros(us)
-                }
-                ["dyn", min, max, inc, dec] => {
-                    let min: u64 = min.parse().unwrap_or_else(|_| usage());
-                    let max: u64 = max.parse().unwrap_or_else(|_| usage());
-                    let inc: f64 = inc.parse().unwrap_or_else(|_| usage());
-                    let dec: f64 = dec.parse().unwrap_or_else(|_| usage());
-                    SyncConfig::Adaptive(aqs::core::AdaptiveConfig::new(
-                        SimDuration::from_micros(min),
-                        SimDuration::from_micros(max),
-                        inc,
-                        dec,
-                    ))
-                }
-                _ => {
-                    eprintln!("unknown policy: {other}");
-                    usage();
-                }
-            }
-        }
-    }
-}
-
 fn nodes_and_seed(flags: &HashMap<String, String>) -> (usize, u64) {
     let n: usize = flags
         .get("nodes")
@@ -144,7 +110,7 @@ fn cmd_run(flags: HashMap<String, String>) {
     let (n, seed) = nodes_and_seed(&flags);
     let scale = parse_scale(&flags);
     let spec = parse_workload(&flags, n, scale, seed);
-    let policy = parse_policy(flags.get("policy").map(String::as_str).unwrap_or("dyn1"));
+    let policy: SyncConfig = parsed(flags.get("policy").map_or("dyn1", String::as_str));
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed);
     let truth = run_workload(&spec, &base);
     let run = run_workload(&spec, &base.clone().with_sync(policy));
@@ -291,7 +257,7 @@ fn cmd_run_spec(flags: HashMap<String, String>) {
         exit(1);
     });
     let (_, seed) = nodes_and_seed(&flags);
-    let policy = parse_policy(flags.get("policy").map(String::as_str).unwrap_or("dyn1"));
+    let policy: SyncConfig = parsed(flags.get("policy").map_or("dyn1", String::as_str));
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed);
     let truth = run_workload(&spec, &base);
     let run = run_workload(&spec, &base.clone().with_sync(policy));

@@ -3,9 +3,9 @@
 //! For each benchmark this regenerates:
 //!
 //! * the **left panel**: packet traffic over time (node on y, time on x),
-//!   from the ground-truth run's packet trace;
+//!   from the ground-truth run's packet log ([`TrafficLog`]);
 //! * the **right panel**: speedup over the 1 µs baseline across the run
-//!   (log y), for the benchmark's adaptive configuration;
+//!   (log y), from each run's [`ProgressSeries`];
 //! * the **§6 table**: acceleration and accuracy/dilation for fixed 100 µs,
 //!   fixed 10 µs and the paper's per-benchmark adaptive configuration
 //!   (dyn 1:100 for EP/IS, dyn 2:100 for NAMD), with the paper's published
@@ -15,10 +15,12 @@
 
 use aqs_bench::{
     render_log_series, speedup_over_time, standard_config, with_housekeeping, write_tsv,
+    ProgressSeries, TrafficLog,
 };
-use aqs_cluster::{app_metric, run_workload, ClusterConfig, RunResult};
+use aqs_cluster::{app_metric, ClusterConfig, EngineDetail, RunResult, Sim};
 use aqs_core::{AdaptiveConfig, SyncConfig};
 use aqs_metrics::{render_table, render_traffic_density};
+use aqs_obs::Recorder;
 use aqs_time::SimDuration;
 use aqs_workloads::{MetricKind, NasBench, Scale, Workload, WorkloadSpec};
 use std::time::Instant;
@@ -38,8 +40,16 @@ fn dyn_config(min_us: u64, max_us: u64, inc: f64) -> SyncConfig {
     ))
 }
 
-fn run(spec: &WorkloadSpec, cfg: &ClusterConfig) -> RunResult {
-    run_workload(spec, cfg)
+/// One deterministic run reporting to `rec`.
+fn run<R: Recorder>(spec: &WorkloadSpec, cfg: &ClusterConfig, rec: R) -> (RunResult, R) {
+    let (report, rec) = Sim::new(spec.programs.clone())
+        .config(cfg.clone())
+        .run_with_recorder(rec)
+        .unwrap_or_else(|e| panic!("{e}"));
+    match report.detail {
+        EngineDetail::Deterministic(r) => (*r, rec),
+        _ => unreachable!("the builder's default engine is the deterministic one"),
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -53,31 +63,23 @@ fn scaleout(
     let name = spec.name.clone();
     let metric_kind = spec.metric;
     let spec = with_housekeeping(spec);
-    let base_cfg = standard_config(42)
-        .with_traffic_trace(true)
-        .with_progress(true);
+    let cfg = standard_config(42);
+    let progress = || ProgressSeries::new(4096);
     let t0 = Instant::now();
-    let baseline = run(&spec, &base_cfg);
-    let quiet = standard_config(42).with_progress(true);
-    let f100 = run(
-        &spec,
-        &quiet.clone().with_sync(SyncConfig::fixed_micros(100)),
-    );
-    let f10 = run(
-        &spec,
-        &quiet.clone().with_sync(SyncConfig::fixed_micros(10)),
-    );
-    let fdyn = run(&spec, &quiet.with_sync(dyn_cfg));
+    let (baseline, base_log) = run(&spec, &cfg, TrafficLog::new(progress()));
+    let with_sync = |sync| run(&spec, &cfg.clone().with_sync(sync), progress());
+    let f100 = with_sync(SyncConfig::fixed_micros(100));
+    let f10 = with_sync(SyncConfig::fixed_micros(10));
+    let fdyn = with_sync(dyn_cfg);
 
     println!("\n###### {name} — 64 nodes ######\n");
 
     // Left panel: packet traffic over time (ground truth).
     let end = baseline.sim_end.as_nanos().max(1) as f64;
-    let events: Vec<(f64, usize)> = baseline
-        .traffic
-        .entries()
+    let events: Vec<(f64, usize)> = base_log
+        .packets
         .iter()
-        .map(|e| ((e.time.as_nanos() as f64 / end).min(1.0), e.src.index()))
+        .map(|&(time, src, _, _)| ((time.as_nanos() as f64 / end).min(1.0), src))
         .collect();
     println!("--- traffic over time (nodes × time, ground truth) ---");
     println!("{}", render_traffic_density(&events, 64, 96, 16));
@@ -85,8 +87,8 @@ fn scaleout(
     // Right panels: speedup over time, one per configuration (the paper
     // plots the fixed quanta alongside the adaptive one).
     let mut tsv_rows: Vec<Vec<String>> = Vec::new();
-    for (label, run_ref) in [("Q=100µs", &f100), ("Q=10µs", &f10), (dyn_label, &fdyn)] {
-        let series = speedup_over_time(&baseline.progress, &run_ref.progress, 72);
+    for (label, (_, progress)) in [("Q=100µs", &f100), ("Q=10µs", &f10), (dyn_label, &fdyn)] {
+        let series = speedup_over_time(base_log.progress.points(), progress.points(), 72);
         println!(
             "{}",
             render_log_series(
@@ -108,16 +110,15 @@ fn scaleout(
         &["config", "time_fraction", "speedup"],
         &tsv_rows,
     );
-    let traffic_rows: Vec<Vec<String>> = baseline
-        .traffic
-        .entries()
+    let traffic_rows: Vec<Vec<String>> = base_log
+        .packets
         .iter()
-        .map(|e| {
+        .map(|&(time, src, dst, bytes)| {
             vec![
-                format!("{:.9}", e.time.as_secs_f64()),
-                e.src.index().to_string(),
-                e.dst.index().to_string(),
-                e.bytes.to_string(),
+                format!("{:.9}", time.as_secs_f64()),
+                src.to_string(),
+                dst.to_string(),
+                bytes.to_string(),
             ]
         })
         .collect();
@@ -130,9 +131,9 @@ fn scaleout(
     // §6 table with the paper's numbers alongside.
     let _ = metric_kind; // per-benchmark accuracy handled by accuracy_fn
     let rows: Vec<(String, &RunResult)> = vec![
-        ("100".into(), &f100),
-        ("10".into(), &f10),
-        (dyn_label.to_string(), &fdyn),
+        ("100".into(), &f100.0),
+        ("10".into(), &f10.0),
+        (dyn_label.to_string(), &fdyn.0),
     ];
     let table: Vec<Vec<String>> = rows
         .iter()

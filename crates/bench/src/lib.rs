@@ -8,8 +8,10 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+mod record;
 
 pub use harness::{
     experiment_table, nas_aggregate, print_experiment, render_log_series, run_sweep, scale_arg,
     speedup_over_time, standard_config, with_housekeeping, write_tsv, FigureRow, NasAggregate,
 };
+pub use record::{ProgressSeries, TrafficLog};

@@ -3,6 +3,7 @@
 
 use crate::oracle::policy_run_jsonl;
 use crate::runner::{run_conformance, ConformanceOpts};
+use aqs_cluster::EngineKind;
 
 /// Flag summary for usage messages.
 pub const USAGE: &str = "[--cases N] [--seed S] \
@@ -111,40 +112,23 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad --seed: {s}"))
 }
 
-/// `--engines` narrows the differential vote: the deterministic engine
-/// always runs (it anchors the ground truth); `sharded`,
-/// `sharded-optimistic`, and `hybrid` are opt-outable. The retired engine
-/// names are rejected with a pointer to their replacement.
+/// `--engines` narrows the differential vote: a comma-separated list of
+/// engine names (the grammar is [`EngineKind`]'s) or `all`. The
+/// deterministic engine always runs (it anchors the ground truth); `sharded`,
+/// `sharded-optimistic`, and `hybrid` are opt-outable.
 fn apply_engines(opts: &mut ConformanceOpts, spec: &str) -> Result<(), String> {
-    opts.check.sharded = false;
-    opts.check.sharded_optimistic = false;
-    opts.check.hybrid = false;
+    let check = &mut opts.check;
+    (check.sharded, check.sharded_optimistic, check.hybrid) = (false, false, false);
     for part in spec.split(',') {
-        match part {
-            "all" => {
-                opts.check.sharded = true;
-                opts.check.sharded_optimistic = true;
-                opts.check.hybrid = true;
-            }
-            "det" | "deterministic" => {}
-            "sharded" => opts.check.sharded = true,
-            "sharded-optimistic" | "sharded_optimistic" => {
-                opts.check.sharded_optimistic = true;
-            }
-            "hybrid" => opts.check.hybrid = true,
-            "threaded" => {
-                return Err("the threaded engine was retired: use `sharded` (it also \
-                            runs one worker per node)"
-                    .to_string())
-            }
-            "optimistic" => {
-                return Err(
-                    "the optimistic engine was retired: use `sharded-optimistic` (it \
-                     also runs the single-shard fixed-window configuration)"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown engine: {other}")),
+        if part == "all" {
+            (check.sharded, check.sharded_optimistic, check.hybrid) = (true, true, true);
+            continue;
+        }
+        match part.parse()? {
+            EngineKind::Deterministic => {}
+            EngineKind::Sharded => check.sharded = true,
+            EngineKind::ShardedOptimistic => check.sharded_optimistic = true,
+            EngineKind::Hybrid => check.hybrid = true,
         }
     }
     Ok(())

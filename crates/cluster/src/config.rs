@@ -4,7 +4,6 @@ use aqs_core::SyncConfig;
 use aqs_net::NicModel;
 use aqs_node::{CpuModel, HostModel, SamplingModel};
 use aqs_time::HostDuration;
-use serde::{Deserialize, Serialize};
 
 /// Host-time cost of one quantum barrier across `n` node simulators.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let b = BarrierCostModel::default();
 /// assert!(b.cost(64) > b.cost(8));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BarrierCostModel {
     /// Fixed cost per barrier.
     pub base: HostDuration,
@@ -68,12 +67,10 @@ impl Default for BarrierCostModel {
 /// use aqs_cluster::ClusterConfig;
 /// use aqs_core::SyncConfig;
 ///
-/// let cfg = ClusterConfig::new(SyncConfig::paper_dyn1())
-///     .with_seed(7)
-///     .with_traffic_trace(true);
+/// let cfg = ClusterConfig::new(SyncConfig::paper_dyn1()).with_seed(7);
 /// assert_eq!(cfg.seed, 7);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Experiment seed; node RNG substreams derive from it.
     pub seed: u64,
@@ -91,12 +88,6 @@ pub struct ClusterConfig {
     /// socket hop; packets become visible to the controller this much host
     /// time after leaving the sending simulator).
     pub controller_hop: HostDuration,
-    /// Record every routed packet (Figure 9 traffic charts). Costs memory.
-    pub record_traffic: bool,
-    /// Record every quantum (length + packet count).
-    pub record_quanta: bool,
-    /// Record (host, sim) progress checkpoints for speedup-over-time series.
-    pub record_progress: bool,
     /// Per-node host-model overrides (heterogeneous host cores): entry `i`,
     /// when present, replaces [`Self::host`] for node `i`. Used e.g. to
     /// stage the paper's Figure 3 fast-node/slow-node scenarios.
@@ -120,9 +111,6 @@ impl ClusterConfig {
             host: HostModel::default(),
             barrier: BarrierCostModel::default(),
             controller_hop: HostDuration::from_micros(2),
-            record_traffic: false,
-            record_quanta: false,
-            record_progress: false,
             host_overrides: Vec::new(),
             sampling: None,
         }
@@ -162,24 +150,6 @@ impl ClusterConfig {
     /// Replaces the barrier cost model.
     pub fn with_barrier(mut self, barrier: BarrierCostModel) -> Self {
         self.barrier = barrier;
-        self
-    }
-
-    /// Enables/disables the traffic trace.
-    pub fn with_traffic_trace(mut self, on: bool) -> Self {
-        self.record_traffic = on;
-        self
-    }
-
-    /// Enables/disables the quantum trace.
-    pub fn with_quantum_trace(mut self, on: bool) -> Self {
-        self.record_quanta = on;
-        self
-    }
-
-    /// Enables/disables progress checkpoints.
-    pub fn with_progress(mut self, on: bool) -> Self {
-        self.record_progress = on;
         self
     }
 
@@ -232,12 +202,10 @@ mod tests {
     fn builder_chain() {
         let cfg = ClusterConfig::new(SyncConfig::fixed_micros(10))
             .with_seed(3)
-            .with_quantum_trace(true)
-            .with_progress(true);
+            .with_barrier(BarrierCostModel::free());
         assert_eq!(cfg.seed, 3);
-        assert!(cfg.record_quanta);
-        assert!(cfg.record_progress);
-        assert!(!cfg.record_traffic);
+        assert_eq!(cfg.barrier, BarrierCostModel::free());
+        assert_eq!(cfg.sync, SyncConfig::fixed_micros(10));
     }
 
     #[test]

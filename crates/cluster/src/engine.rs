@@ -33,11 +33,10 @@
 //! (Figure 3(d)).
 
 use crate::config::ClusterConfig;
-use crate::progress::ProgressRecorder;
 use crate::result::{NodeResult, RunResult};
 use crate::sim::SimError;
 use crate::snapshot::{FragSnap, InFlightSnap, NodeSnap, SnapshotBody, StragglerSnap};
-use aqs_core::{QuantumPolicy, QuantumTrace};
+use aqs_core::QuantumPolicy;
 use aqs_des::EventQueue;
 use aqs_net::{NetworkController, SimSwitch, StragglerStats};
 use aqs_node::{Action, HostSpeed, MessageId, NodeExecutor, Program, SendTarget};
@@ -126,15 +125,14 @@ struct Engine<'a, R> {
     q_end: SimTime,
     barrier_arrived: usize,
     barrier_latest: HostTime,
-    quanta: QuantumTrace,
-    progress: ProgressRecorder,
+    /// Quanta completed since simulated time zero (a resumed run continues
+    /// the count); also the index of the next recorded sample.
+    quanta: u64,
     in_flight_frags: usize,
     n_finished: usize,
     finished: bool,
     final_host: HostTime,
     rec: R,
-    /// Index of the next observability sample (counts recorded quanta).
-    q_index: u64,
     /// Stragglers seen during the current quantum (whole-run totals live in
     /// the network controller).
     q_stragglers: StragglerStats,
@@ -192,7 +190,6 @@ pub(crate) fn run_cluster_det<R: Recorder>(
     for (i, p) in programs.iter().enumerate() {
         assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
     }
-    let net = net.with_trace(config.record_traffic);
     let mut engine = match resume {
         None => Engine::new(programs, config, net, recorder),
         Some(body) => Engine::resumed(programs, config, net, recorder, body)?,
@@ -240,22 +237,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
             q_end: SimTime::ZERO + q_len,
             barrier_arrived: 0,
             barrier_latest: HostTime::ZERO,
-            quanta: if cfg.record_quanta {
-                QuantumTrace::enabled()
-            } else {
-                QuantumTrace::disabled()
-            },
-            progress: if cfg.record_progress {
-                ProgressRecorder::new(4096)
-            } else {
-                ProgressRecorder::disabled()
-            },
+            quanta: 0,
             in_flight_frags: 0,
             n_finished: 0,
             finished: false,
             final_host: HostTime::ZERO,
             rec,
-            q_index: 0,
             q_stragglers: StragglerStats::default(),
             scratch_waits: Vec::with_capacity(n),
             scratch_lags: Vec::with_capacity(n),
@@ -284,11 +271,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 body.nodes.len()
             )));
         }
-        net.restore_counters(
-            body.next_packet_id,
-            body.total_packets,
-            body.stragglers.restore()?,
-        );
+        net.restore_counters(body.total_packets, body.stragglers.restore()?);
         let mut policy = cfg.sync.build();
         policy
             .load_state(&body.policy_state)
@@ -336,18 +319,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
             q_end: body.q_start + body.q_len,
             barrier_arrived: 0,
             barrier_latest: HostTime::ZERO,
-            quanta: QuantumTrace::resumed(cfg.record_quanta, body.quanta, body.quanta_total_length),
-            progress: if cfg.record_progress {
-                ProgressRecorder::new(4096)
-            } else {
-                ProgressRecorder::disabled()
-            },
+            quanta: body.quanta,
             in_flight_frags: 0,
             n_finished,
             finished: false,
             final_host: HostTime::ZERO,
             rec,
-            q_index: body.q_index,
             q_stragglers: StragglerStats::default(),
             scratch_waits: Vec::with_capacity(n),
             scratch_lags: Vec::with_capacity(n),
@@ -626,8 +603,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
 
     fn on_barrier_done(&mut self, now: HostTime) -> Result<(), SimError> {
         let np = self.net.end_quantum();
-        self.quanta.record(self.q_start, self.q_len, np);
-        self.progress.record(now, self.q_end);
         if R::ENABLED {
             self.scratch_waits.clear();
             self.scratch_lags.clear();
@@ -642,9 +617,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 );
             }
             self.rec.record_quantum(&QuantumObs {
-                index: self.q_index,
+                index: self.quanta,
                 start: self.q_start,
                 len: self.q_len,
+                host_ns: now.as_nanos(),
                 packets: np,
                 active_nodes: self.nodes.len() as u64,
                 stragglers: self.q_stragglers.count(),
@@ -652,9 +628,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 barrier_wait_ns: &self.scratch_waits,
                 vt_lag_ns: &self.scratch_lags,
             });
-            self.q_index += 1;
             self.q_stragglers = StragglerStats::default();
         }
+        self.quanta += 1;
         self.check_deadlock(np)?;
         self.q_len = self.policy.next_quantum(np);
         self.q_start = self.q_end;
@@ -673,7 +649,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         // quantum, and host speeds are freshly resampled. Capturing here
         // and never starting the quantum leaves the run resumable with
         // zero divergence.
-        if self.capture_at == Some(self.quanta.total_quanta()) {
+        if self.capture_at == Some(self.quanta) {
             self.captured = Some(self.capture(now));
             return Ok(());
         }
@@ -727,14 +703,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
             .collect();
         SnapshotBody {
             fingerprint: 0, // stamped by the caller in sim.rs
-            quanta: self.quanta.total_quanta(),
+            quanta: self.quanta,
             now_host: now,
             q_start: self.q_start,
             q_len: self.q_len,
             policy_state: self.policy.save_state(),
-            quanta_total_length: self.quanta.total_length(),
-            q_index: self.q_index,
-            next_packet_id: self.net.next_packet_id(),
             total_packets: self.net.total_packets(),
             stragglers: StragglerSnap::capture(self.net.stragglers()),
             nodes,
@@ -793,6 +766,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let mut copies = std::mem::take(&mut self.fan_out);
         self.net
             .route(src, frag.dst, frag.bytes, frag.departure, |j, arrival| {
+                if R::ENABLED {
+                    self.rec.record_packet(frag.departure, src, j, frag.bytes);
+                }
                 copies.push((j, arrival))
             });
         for (j, arrival) in copies.drain(..) {
@@ -871,9 +847,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 SimDuration::ZERO
             };
             self.rec.record_quantum(&QuantumObs {
-                index: self.q_index,
+                index: self.quanta,
                 start: self.q_start,
                 len,
+                host_ns: final_host.as_nanos(),
                 packets: np,
                 active_nodes: per_node.len() as u64,
                 stragglers: self.q_stragglers.count(),
@@ -892,10 +869,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             per_node,
             stragglers: *self.net.stragglers(),
             total_packets: self.net.total_packets(),
-            total_quanta: self.quanta.total_quanta(),
-            quanta: self.quanta,
-            traffic: self.net.into_trace(),
-            progress: self.progress.points().to_vec(),
+            total_quanta: self.quanta,
         };
         (result, self.rec)
     }
@@ -932,9 +906,7 @@ mod tests {
     }
 
     fn quick_config(sync: SyncConfig) -> ClusterConfig {
-        ClusterConfig::new(sync)
-            .with_seed(11)
-            .with_quantum_trace(true)
+        ClusterConfig::new(sync).with_seed(11)
     }
 
     #[test]
@@ -1024,22 +996,26 @@ mod tests {
             }
             b.compute(3_000_000).build()
         };
+        use aqs_obs::{FlightRecorder, ObsConfig};
         let cfg = quick_config(SyncConfig::paper_dyn1());
-        let result = run_cluster(vec![mk(0, 1), mk(1, 0)], &cfg);
-        let records = result.quanta.records();
-        assert!(!records.is_empty());
-        let max_q = records.iter().map(|r| r.length).max().unwrap();
+        let rec = FlightRecorder::new(2, ObsConfig::new());
+        let (_, rec) = run_cluster_impl(vec![mk(0, 1), mk(1, 0)], &cfg, rec).expect("run succeeds");
+        assert_eq!(rec.dropped(), 0, "the ring must hold the whole run");
+        // All but the closing partial sample: the quanta the policy chose.
+        let quanta: Vec<_> = rec.samples().take(rec.ring_len() - 1).collect();
+        assert!(!quanta.is_empty());
+        let max_q = quanta.iter().map(|q| q.len).max().unwrap();
         assert!(
             max_q > SimDuration::from_micros(5),
             "quantum should have grown during compute, max was {max_q}"
         );
         // Find the quantum that saw the packet: the next one must shrink.
-        let busy = records
+        let busy = quanta
             .iter()
-            .position(|r| r.packets > 0)
+            .position(|q| q.packets > 0)
             .expect("packet quantum");
-        if busy + 1 < records.len() {
-            assert!(records[busy + 1].length < records[busy].length);
+        if busy + 1 < quanta.len() {
+            assert!(quanta[busy + 1].len < quanta[busy].len);
         }
     }
 

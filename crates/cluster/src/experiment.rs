@@ -20,11 +20,10 @@ use aqs_node::RegionId;
 use aqs_obs::NullRecorder;
 use aqs_time::SimDuration;
 use aqs_workloads::{MetricKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A workload's self-reported performance number.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AppMetric {
     /// Millions of operations per second over the timed kernel (NAS).
     Mops(f64),
@@ -97,7 +96,7 @@ pub fn run_workload(spec: &WorkloadSpec, config: &ClusterConfig) -> RunResult {
 }
 
 /// One non-baseline configuration's outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConfigOutcome {
     /// The configuration.
     pub sync: SyncConfig,
@@ -130,7 +129,7 @@ pub struct Experiment {
 }
 
 /// Results of an [`Experiment`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentResult {
     /// Workload name.
     pub name: String,

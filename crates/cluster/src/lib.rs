@@ -71,7 +71,6 @@ mod experiment;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod pool;
-mod progress;
 mod result;
 pub mod sharded;
 pub mod sharded_optimistic;
@@ -83,7 +82,6 @@ pub use experiment::{
     app_metric, paper_sweep, run_workload, AppMetric, ConfigOutcome, Experiment, ExperimentResult,
 };
 pub use pool::ParallelNodeResult;
-pub use progress::ProgressRecorder;
 pub use result::{NodeResult, RunResult};
 pub use sharded::ShardedRunResult;
 pub use sharded_optimistic::{HybridPolicy, ModeEvent, ShardedOptimisticRunResult};

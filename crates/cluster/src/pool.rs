@@ -20,7 +20,6 @@ use aqs_core::{QuantumPolicy, SyncConfig};
 use aqs_net::{Destination, NicModel, Router, StragglerStats};
 use aqs_node::{Action, CpuModel, MessageId, NodeExecutor, Program, Rank, RegionRecord};
 use aqs_time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration of a worker-pool run, assembled by `Sim::dispatch` from
@@ -47,7 +46,7 @@ pub(crate) struct ParallelConfig {
 }
 
 /// Per-node outcome of a worker-pool run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParallelNodeResult {
     /// Rank.
     pub rank: Rank,
@@ -58,7 +57,6 @@ pub struct ParallelNodeResult {
     /// Messages fully received.
     pub messages_received: u64,
     /// Closed timed regions.
-    #[serde(skip)]
     pub regions: Vec<RegionRecord>,
 }
 

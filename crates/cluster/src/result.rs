@@ -1,13 +1,11 @@
 //! Run results.
 
-use aqs_core::QuantumTrace;
-use aqs_net::{StragglerStats, TrafficTrace};
+use aqs_net::StragglerStats;
 use aqs_node::{Rank, RegionId, RegionRecord};
 use aqs_time::{HostDuration, HostTime, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-node outcome of a run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NodeResult {
     /// The rank this node ran.
     pub rank: Rank,
@@ -20,7 +18,6 @@ pub struct NodeResult {
     /// Messages it fully received.
     pub messages_received: u64,
     /// Closed timed-region instances.
-    #[serde(skip)]
     pub regions: Vec<RegionRecord>,
 }
 
@@ -36,7 +33,7 @@ impl NodeResult {
 }
 
 /// The complete outcome of one cluster simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     /// Label of the synchronization policy that produced this run.
     pub sync_label: String,
@@ -55,12 +52,6 @@ pub struct RunResult {
     pub total_packets: u64,
     /// Number of quanta executed.
     pub total_quanta: u64,
-    /// Quantum-by-quantum trace (records only when enabled).
-    pub quanta: QuantumTrace,
-    /// Packet trace (records only when enabled).
-    pub traffic: TrafficTrace,
-    /// (host, sim) progress checkpoints (empty unless enabled).
-    pub progress: Vec<(HostTime, SimTime)>,
 }
 
 impl RunResult {
@@ -114,7 +105,6 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqs_net::StragglerStats;
 
     fn node(rank: u32, regions: Vec<RegionRecord>) -> NodeResult {
         NodeResult {
@@ -137,9 +127,6 @@ mod tests {
             stragglers: StragglerStats::default(),
             total_packets: 0,
             total_quanta: 1,
-            quanta: QuantumTrace::disabled(),
-            traffic: TrafficTrace::disabled(),
-            progress: Vec::new(),
         }
     }
 

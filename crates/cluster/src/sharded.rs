@@ -64,7 +64,6 @@ use aqs_node::{CpuModel, MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, Mailbox, MailboxPool, PoolDepot, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,7 +71,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of a sharded run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ShardedRunResult {
     /// Real wall-clock the run took.
     pub wall: Duration,
@@ -908,6 +907,8 @@ fn leader_step<R: Recorder>(
             index: leader.clock.quanta,
             start: SimTime::from_nanos(leader.clock.q_start_nanos),
             len: SimDuration::from_nanos(q_len_nanos),
+            // The last worker's arrival stamp is when the barrier completed.
+            host_ns: latest,
             packets: np,
             active_nodes: active_total,
             stragglers: s_count,

@@ -87,7 +87,6 @@ use aqs_node::{MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::TreeBarrier;
 use aqs_time::{HostDuration, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -105,7 +104,7 @@ const TRACE_CAP: usize = 1 << 20;
 /// Per-shard adaptive mode switching between conservative quantum sync and
 /// optimistic checkpoint/rollback — the paper's adaptive idea applied to
 /// the *mechanism* instead of only the quantum length.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HybridPolicy {
     /// A shard that re-executes a window this many times (or hits the
     /// cascade bound) switches to conservative execution.
@@ -137,7 +136,7 @@ pub(crate) struct ShardedOptimisticOpts {
 }
 
 /// One per-shard mode transition, in commit order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModeEvent {
     /// Committed window index after which the switch took effect.
     pub window: u64,
@@ -149,7 +148,7 @@ pub struct ModeEvent {
 }
 
 /// Outcome of a sharded-optimistic (or hybrid) run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardedOptimisticRunResult {
     /// Real wall-clock the run took.
     pub wall: Duration,
@@ -304,6 +303,9 @@ struct SharedOpt<R> {
     control: AtomicU64,
     /// Deadlock/divergence guard, checked after the join.
     overflow: AtomicBool,
+    /// When the workers were started: the origin of `wall` and of a recorded
+    /// window's `host_ns`.
+    start: Instant,
     barrier: TreeBarrier<OptLeader<R>>,
 }
 
@@ -497,7 +499,6 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             ran: Stepped::default(),
         }));
     }
-    let start = Instant::now();
     let shared = SharedOpt {
         net,
         opts,
@@ -508,6 +509,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         cursor: AtomicUsize::new(0),
         control: AtomicU64::new(q_end0),
         overflow: AtomicBool::new(false),
+        start: Instant::now(),
         barrier: TreeBarrier::new(m, leader),
     };
     std::thread::scope(|scope| {
@@ -518,7 +520,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     });
     let leader = shared.barrier.into_state();
     let mut result = leader.out;
-    result.wall = start.elapsed();
+    result.wall = shared.start.elapsed();
     result.windows = leader.clock.quanta;
     result.per_node = shared
         .slots
@@ -897,6 +899,7 @@ fn commit_window<R: Recorder>(
             index: leader.clock.quanta,
             start: SimTime::from_nanos(leader.clock.q_start_nanos),
             len: SimDuration::from_nanos(window_len),
+            host_ns: shared.start.elapsed().as_nanos() as u64,
             packets: routed,
             // Node executions charged to this window, re-execution rounds
             // included — can exceed the node count under rollback.

@@ -6,6 +6,43 @@
 //! [`FlightRecorder`] with [`Sim::record`], and get back one [`RunReport`]
 //! whose common fields mean the same thing everywhere.
 //!
+//! Every engine is generic over one [`Recorder`] and reports to nothing
+//! else; [`Sim::run_with_recorder`] is that generic run, and
+//! [`Sim::record`] is sugar for passing it a [`FlightRecorder`]. A recorder
+//! of your own sees every quantum (and, on the deterministic engine, every
+//! routed packet) and comes back with the report:
+//!
+//! ```
+//! use aqs_cluster::Sim;
+//! use aqs_core::SyncConfig;
+//! use aqs_obs::{QuantumObs, Recorder};
+//! use aqs_workloads::ping_pong;
+//!
+//! /// The run's longest quantum, and the host time its barrier completed.
+//! #[derive(Default)]
+//! struct Longest {
+//!     len_ns: u64,
+//!     host_ns: u64,
+//! }
+//!
+//! impl Recorder for Longest {
+//!     const ENABLED: bool = true;
+//!
+//!     fn record_quantum(&mut self, obs: &QuantumObs<'_>) {
+//!         if obs.len.as_nanos() > self.len_ns {
+//!             (self.len_ns, self.host_ns) = (obs.len.as_nanos(), obs.host_ns);
+//!         }
+//!     }
+//! }
+//!
+//! let (report, longest) = Sim::new(ping_pong(2, 3, 64).programs)
+//!     .sync(SyncConfig::paper_dyn1())
+//!     .run_with_recorder(Longest::default())
+//!     .expect("a valid configuration");
+//! assert!(longest.len_ns > 1_000, "the quantum grew past its 1 µs floor");
+//! assert!(longest.host_ns as f64 <= report.wall_clock.as_secs_f64() * 1e9);
+//! ```
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +79,7 @@ use aqs_node::Program;
 use aqs_obs::{FlightRecorder, NullRecorder, ObsConfig, Recorder};
 use aqs_time::{HostDuration, SimTime};
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Which engine executes the simulation.
@@ -74,13 +112,39 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Short lowercase name (`deterministic` / `sharded` /
-    /// `sharded-optimistic` / `hybrid`).
+    /// `sharded-optimistic` / `hybrid`); [`FromStr`] is its inverse.
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Deterministic => "deterministic",
             EngineKind::Sharded => "sharded",
             EngineKind::ShardedOptimistic => "sharded-optimistic",
             EngineKind::Hybrid => "hybrid",
+        }
+    }
+}
+
+/// The one grammar for an engine name — scenario files and
+/// `conformance --engines` both parse through it: the four
+/// [`EngineKind::name`]s plus the spellings `det` and `sharded_optimistic`.
+/// The two retired engines are rejected with their replacement.
+impl FromStr for EngineKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "deterministic" | "det" => Ok(EngineKind::Deterministic),
+            "sharded" => Ok(EngineKind::Sharded),
+            "sharded-optimistic" | "sharded_optimistic" => Ok(EngineKind::ShardedOptimistic),
+            "hybrid" => Ok(EngineKind::Hybrid),
+            "threaded" => Err("the `threaded` engine was retired: use `sharded` with one \
+                               worker per node"
+                .to_string()),
+            "optimistic" => Err("the `optimistic` engine was retired: use \
+                                 `sharded-optimistic` on one shard"
+                .to_string()),
+            other => Err(format!(
+                "unknown engine `{other}` (deterministic | sharded | sharded-optimistic | hybrid)"
+            )),
         }
     }
 }
@@ -357,8 +421,8 @@ impl WallClock {
 
 /// Engine-specific result payload carried by a [`RunReport`].
 ///
-/// The results are boxed: they embed traces and straggler histograms and
-/// would otherwise dominate every report's size.
+/// The results are boxed: they embed per-node results and straggler
+/// histograms and would otherwise dominate every report's size.
 #[derive(Clone, Debug)]
 pub enum EngineDetail {
     /// Full deterministic-engine result.
@@ -539,7 +603,7 @@ impl Sim {
         self
     }
 
-    /// Replaces the whole base [`ClusterConfig`] (models, seed, traces).
+    /// Replaces the whole base [`ClusterConfig`] (models, seed, policy).
     /// Call before [`Sim::sync`]/[`Sim::seed`], which modify this config.
     #[must_use]
     pub fn config(mut self, config: ClusterConfig) -> Self {
@@ -690,6 +754,22 @@ impl Sim {
         self.run_with(net, None)
     }
 
+    /// Runs the simulation reporting to `recorder` — any [`Recorder`], on
+    /// any engine — and hands it back beside the report. This is the run
+    /// every other entry goes through: [`Sim::try_run`] passes a
+    /// [`NullRecorder`], or after [`Sim::record`] a [`FlightRecorder`] that
+    /// it then stores in [`RunReport::obs`] (here `obs` stays `None`, and a
+    /// [`Sim::record`] setting is not used). See the [module docs](self) for
+    /// a custom recorder.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Sim::try_run`] rejects.
+    pub fn run_with_recorder<R: Recorder>(self, recorder: R) -> Result<(RunReport, R), SimError> {
+        let net = self.validate()?;
+        self.dispatch(net, recorder, None)
+    }
+
     /// Shared tail of [`Sim::try_run`] and [`Sim::resume`]: wires up the
     /// recorder and dispatches, optionally seeding the engine from a
     /// snapshot body. `net` is what the caller's validation built.
@@ -829,7 +909,7 @@ impl Sim {
     /// rollback tuning knobs are deliberately excluded so a snapshot
     /// captured once resumes on any engine.
     pub fn fingerprint(&self) -> u64 {
-        let mut spec = String::from("aqs-spec-v1");
+        let mut spec = String::from("aqs-spec-v2");
         for part in [
             format!("{:?}", self.programs),
             format!("{:?}", self.config),
@@ -886,8 +966,8 @@ impl Sim {
     /// The report is bit-identical in its [`RunReport::simulated_outcome`]
     /// to an uninterrupted run of the same builder; counters that describe
     /// the whole run (packets, quanta, stragglers) continue from the
-    /// snapshot, while recorded traces ([`Sim::record`]) cover only the
-    /// resumed suffix.
+    /// snapshot, while the recorded samples ([`Sim::record`]) cover only the
+    /// resumed suffix — numbered from the cut, not from zero.
     ///
     /// # Errors
     ///
@@ -1057,6 +1137,26 @@ mod tests {
         assert!(matches!(det.wall_clock, WallClock::Modelled(_)));
         assert!(det.detail.as_deterministic().is_some());
         assert!(det.detail.as_sharded().is_none());
+    }
+
+    #[test]
+    fn engine_names_parse_as_the_inverse_of_name_with_retired_ones_rejected() {
+        use EngineKind::*;
+        for kind in [Deterministic, Sharded, ShardedOptimistic, Hybrid] {
+            assert_eq!(kind.name().parse(), Ok(kind));
+        }
+        assert_eq!("det".parse(), Ok(Deterministic));
+        assert_eq!("sharded_optimistic".parse(), Ok(ShardedOptimistic));
+        for (name, fragment) in [
+            ("threaded", "retired: use `sharded` with one worker"),
+            ("optimistic", "retired: use `sharded-optimistic` on one"),
+            ("warp", "unknown engine `warp` (deterministic | sharded |"),
+            ("Sharded", "unknown engine `Sharded`"),
+            ("", "unknown engine ``"),
+        ] {
+            let err = name.parse::<EngineKind>().unwrap_err();
+            assert!(err.contains(fragment), "{name:?}: {err}");
+        }
     }
 
     #[test]
@@ -1385,9 +1485,9 @@ mod tests {
         use aqs_workloads::{Scale, Workload};
         // `cg 8 mini dyn1`, the job server's chunked case job, cut at its
         // first 2000-quantum edge. The frame embeds the spec fingerprint
-        // (a hash over the programs' `Debug` form), so this pin — taken
-        // when `Program` still owned a `Vec<Op>` — moves if sharing the op
-        // stream ever becomes visible in snapshots or journals.
+        // (a hash over the programs' `Debug` form), so this pin — of a
+        // version-2 frame — moves if how `Program` stores its op stream ever
+        // becomes visible in snapshots or journals.
         let spec = Workload::parse("cg")
             .expect("cg is a workload")
             .with_scale(Scale::Mini)
@@ -1396,7 +1496,7 @@ mod tests {
             .sync(SyncConfig::paper_dyn1())
             .seed(42);
         let bytes = sim.snapshot_at(2_000).expect("capturable cut").to_bytes();
-        assert_eq!(bytes.len(), 2418);
-        assert_eq!(crate::snapshot::fnv1a(&bytes), 0xe7ec_0172_9bcd_89cb);
+        assert_eq!(bytes.len(), 2394);
+        assert_eq!(crate::snapshot::fnv1a(&bytes), 0xdc7f_8aa5_1af0_2029);
     }
 }

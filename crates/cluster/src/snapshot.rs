@@ -36,7 +36,15 @@ use aqs_time::{HostTime, SimDuration, SimTime};
 /// Wire-format magic, first 8 bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AQSSNAP1";
 /// Wire-format version this build writes and the only one it accepts.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// Version 1 carried three more payload slots — the accumulated quantum
+/// length, the next sample index and the next packet id — each equal to a
+/// slot that stays (`q_start`, `quanta`, `total_packets`). A version-1 frame
+/// is rejected at decode with [`SimError::SnapshotFormat`], which the job
+/// server answers by restarting the job from quantum 0; it could not have
+/// seeded a run anyway, since every
+/// [`Sim::fingerprint`](crate::Sim::fingerprint) changed with the version.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash (used for both the payload checksum and the spec
 /// fingerprint).
@@ -187,12 +195,6 @@ pub(crate) struct SnapshotBody {
     pub q_len: SimDuration,
     /// The quantum policy's mutable state.
     pub policy_state: Vec<u64>,
-    /// Accumulated quantum length at capture.
-    pub quanta_total_length: SimDuration,
-    /// Next observability sample index.
-    pub q_index: u64,
-    /// The controller's next packet id.
-    pub next_packet_id: u64,
     /// Packets routed so far.
     pub total_packets: u64,
     /// Whole-run straggler statistics so far.
@@ -711,9 +713,6 @@ impl SnapshotBody {
         for &w in &self.policy_state {
             e.u64(w);
         }
-        e.u64(self.quanta_total_length.as_nanos());
-        e.u64(self.q_index);
-        e.u64(self.next_packet_id);
         e.u64(self.total_packets);
         e.u64(self.stragglers.count);
         e.u64(self.stragglers.total.as_nanos());
@@ -765,9 +764,6 @@ impl SnapshotBody {
         for _ in 0..n_pol {
             policy_state.push(d.u64()?);
         }
-        let quanta_total_length = SimDuration::from_nanos(d.u64()?);
-        let q_index = d.u64()?;
-        let next_packet_id = d.u64()?;
         let total_packets = d.u64()?;
         let s_count = d.u64()?;
         let s_total = SimDuration::from_nanos(d.u64()?);
@@ -829,9 +825,6 @@ impl SnapshotBody {
             q_start,
             q_len,
             policy_state,
-            quanta_total_length,
-            q_index,
-            next_packet_id,
             total_packets,
             stragglers: StragglerSnap {
                 count: s_count,
@@ -866,9 +859,6 @@ mod tests {
             q_start: SimTime::from_micros(3),
             q_len: SimDuration::from_micros(1),
             policy_state: vec![1, 2, 3],
-            quanta_total_length: SimDuration::from_micros(3),
-            q_index: 3,
-            next_packet_id: 9,
             total_packets: 9,
             stragglers: StragglerSnap {
                 count: 0,
@@ -978,14 +968,19 @@ mod tests {
             SimSnapshot::from_bytes(&bad_magic).unwrap_err(),
             SimError::SnapshotFormat { .. }
         ));
-        let mut bad_version = good;
-        bad_version[8] = 99;
         // Version is inside the header, not the payload: format error, not
-        // checksum.
-        assert!(matches!(
-            SimSnapshot::from_bytes(&bad_version).unwrap_err(),
-            SimError::SnapshotFormat { .. }
-        ));
+        // checksum. 1 is the format journals written before the three
+        // redundant slots were dropped carry.
+        for version in [1, 99] {
+            let mut bad_version = good.clone();
+            bad_version[8] = version;
+            match SimSnapshot::from_bytes(&bad_version).unwrap_err() {
+                SimError::SnapshotFormat { detail } => {
+                    assert_eq!(detail, format!("unsupported version {version}"));
+                }
+                other => panic!("version {version}: {other:?}"),
+            }
+        }
     }
 
     #[test]

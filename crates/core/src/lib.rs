@@ -53,11 +53,9 @@ pub mod fault;
 mod fixed;
 mod policy;
 mod predictive;
-mod trace;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveQuantum};
 pub use ext::{EwmaAdaptive, ThresholdAdaptive};
 pub use fixed::FixedQuantum;
 pub use policy::{QuantumPolicy, SyncConfig};
 pub use predictive::{PredictiveConfig, PredictiveQuantum};
-pub use trace::{QuantumRecord, QuantumTrace};

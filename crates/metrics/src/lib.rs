@@ -23,7 +23,6 @@
 
 mod pareto;
 mod render;
-mod series;
 mod stats;
 
 pub use pareto::{pareto_front, ParetoPoint};
@@ -31,5 +30,4 @@ pub use render::{
     render_bar_chart, render_histogram, render_scatter_log_y, render_series_log_y, render_table,
     render_traffic_density,
 };
-pub use series::TimeSeries;
-pub use stats::{geometric_mean, harmonic_mean, mean, relative_error, Summary};
+pub use stats::{harmonic_mean, relative_error};

@@ -1,23 +1,5 @@
 //! Scalar statistics.
 
-use serde::{Deserialize, Serialize};
-
-/// Arithmetic mean, or `None` for an empty slice.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(aqs_metrics::mean(&[1.0, 3.0]), Some(2.0));
-/// assert_eq!(aqs_metrics::mean(&[]), None);
-/// ```
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
 /// Harmonic mean — the aggregation the NAS suite (and the paper) uses for
 /// MOPS across benchmarks.
 ///
@@ -45,29 +27,6 @@ pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
     Some(values.len() as f64 / values.iter().map(|v| 1.0 / v).sum::<f64>())
 }
 
-/// Geometric mean, or `None` for an empty slice.
-///
-/// # Panics
-///
-/// Panics if any value is not strictly positive.
-///
-/// # Examples
-///
-/// ```
-/// let g = aqs_metrics::geometric_mean(&[1.0, 4.0]).unwrap();
-/// assert!((g - 2.0).abs() < 1e-12);
-/// ```
-pub fn geometric_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    assert!(
-        values.iter().all(|&v| v.is_finite() && v > 0.0),
-        "geometric mean requires strictly positive values"
-    );
-    Some((values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp())
-}
-
 /// Relative error `|value − baseline| / baseline`, the paper's accuracy
 /// metric ("accuracy error vs. 1 µs").
 ///
@@ -91,77 +50,16 @@ pub fn relative_error(value: f64, baseline: f64) -> f64 {
     (value - baseline).abs() / baseline.abs()
 }
 
-/// Five-number summary of a sample.
-///
-/// # Examples
-///
-/// ```
-/// use aqs_metrics::Summary;
-/// let s = Summary::from_values(&[3.0, 1.0, 2.0]).unwrap();
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.max, 3.0);
-/// assert_eq!(s.median, 2.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Smallest value.
-    pub min: f64,
-    /// Largest value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (lower-middle for even counts).
-    pub median: f64,
-    /// Sample count.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Builds a summary, or `None` for an empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any value is NaN.
-    pub fn from_values(values: &[f64]) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
-        assert!(
-            values.iter().all(|v| !v.is_nan()),
-            "summary of NaN is meaningless"
-        );
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN ruled out above"));
-        Some(Self {
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            mean: mean(values).expect("non-empty"),
-            median: sorted[(sorted.len() - 1) / 2],
-            count: values.len(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     #[test]
-    fn harmonic_le_geometric_le_arithmetic() {
-        let v = [1.0, 2.0, 3.0, 10.0];
-        let h = harmonic_mean(&v).unwrap();
-        let g = geometric_mean(&v).unwrap();
-        let a = mean(&v).unwrap();
-        assert!(h <= g && g <= a);
-    }
-
-    #[test]
-    fn empty_inputs_give_none() {
-        assert_eq!(mean(&[]), None);
+    fn harmonic_mean_is_dominated_by_the_slowest_rate() {
+        let h = harmonic_mean(&[1.0, 2.0, 3.0, 10.0]).unwrap();
+        assert!(h > 1.0 && h < 4.0, "got {h}");
         assert_eq!(harmonic_mean(&[]), None);
-        assert_eq!(geometric_mean(&[]), None);
-        assert_eq!(Summary::from_values(&[]), None);
     }
 
     #[test]
@@ -182,29 +80,11 @@ mod tests {
         let _ = relative_error(1.0, 0.0);
     }
 
-    #[test]
-    fn summary_of_single_value() {
-        let s = Summary::from_values(&[5.0]).unwrap();
-        assert_eq!(s.min, 5.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 5.0);
-        assert_eq!(s.count, 1);
-    }
-
     proptest! {
         #[test]
-        fn mean_within_min_max(v in prop::collection::vec(-1e6f64..1e6, 1..100)) {
-            let s = Summary::from_values(&v).unwrap();
-            prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
-            prop_assert!(s.median >= s.min && s.median <= s.max);
-        }
-
-        #[test]
-        fn identical_values_fix_all_means(x in 0.001f64..1e6, n in 1usize..50) {
+        fn identical_values_fix_the_harmonic_mean(x in 0.001f64..1e6, n in 1usize..50) {
             let v = vec![x; n];
             prop_assert!((harmonic_mean(&v).unwrap() - x).abs() / x < 1e-9);
-            prop_assert!((geometric_mean(&v).unwrap() - x).abs() / x < 1e-9);
-            prop_assert!((mean(&v).unwrap() - x).abs() / x < 1e-9);
         }
 
         #[test]

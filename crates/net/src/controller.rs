@@ -16,16 +16,16 @@
 //! configuration check lives in [`NetworkController::new`]. It owns the
 //! router plus the only mutable network state there is: the
 //! store-and-forward egress queues, the per-quantum packet counter driving
-//! the adaptive algorithm, straggler statistics and the traffic trace
-//! (Figure 9's left-hand charts). The deterministic engine keeps the
-//! controller whole; a worker-pool engine takes the router out of it with
-//! [`NetworkController::into_router`], which a stateful switch refuses.
+//! the adaptive algorithm, the run's packet total and straggler statistics.
+//! The deterministic engine keeps the controller whole; a worker-pool engine
+//! takes the router out of it with [`NetworkController::into_router`], which
+//! a stateful switch refuses.
 
 use crate::chaos::ChaosOverlay;
 use crate::fabric::FatTreeFabric;
 use crate::nic::NicModel;
 use crate::packet::{Destination, NodeId};
-use crate::stats::{StragglerStats, TrafficTrace};
+use crate::stats::StragglerStats;
 use crate::switch::{SimSwitch, StoreAndForwardSwitch};
 use aqs_time::{SimDuration, SimTime};
 use std::fmt;
@@ -185,8 +185,7 @@ impl Router {
 /// path it computes arrival *times* (through its [`Router`], plus egress
 /// queueing when the switch is store-and-forward), counts packets per
 /// synchronization quantum (the signal driving the adaptive quantum
-/// algorithm), and accumulates straggler statistics and an optional traffic
-/// trace.
+/// algorithm) and over the run, and accumulates straggler statistics.
 ///
 /// # Examples
 ///
@@ -209,11 +208,9 @@ pub struct NetworkController {
     /// Egress queues of a store-and-forward switch: the one switch model
     /// whose delay depends on the frames routed before.
     egress: Option<StoreAndForwardSwitch>,
-    next_packet_id: u64,
     packets_this_quantum: u64,
     total_packets: u64,
     stragglers: StragglerStats,
-    trace: TrafficTrace,
 }
 
 impl NetworkController {
@@ -272,28 +269,10 @@ impl NetworkController {
                 chaos,
             },
             egress,
-            next_packet_id: 0,
             packets_this_quantum: 0,
             total_packets: 0,
             stragglers: StragglerStats::default(),
-            trace: TrafficTrace::disabled(),
         })
-    }
-
-    /// Sets whether the traffic trace stores per-packet entries (Figure 9
-    /// charts), consuming and returning the controller builder-style.
-    ///
-    /// Trace storage is a construction-time decision: flipping it mid-run
-    /// would leave the entry log covering an unknowable suffix of the
-    /// traffic while the totals cover all of it.
-    #[must_use]
-    pub fn with_trace(mut self, enabled: bool) -> Self {
-        self.trace = if enabled {
-            TrafficTrace::enabled()
-        } else {
-            TrafficTrace::disabled()
-        };
-        self
     }
 
     /// True when the switch keeps state between frames (store-and-forward):
@@ -312,8 +291,7 @@ impl NetworkController {
     }
 
     /// Routes one frame: `sink` gets `(destination, arrival)` for each copy
-    /// (one for unicast, `n - 1` for broadcast), and every copy is counted
-    /// and traced.
+    /// (one for unicast, `n - 1` for broadcast), and every copy is counted.
     ///
     /// `departure` is the simulated time the last bit left the sender's NIC.
     ///
@@ -338,15 +316,12 @@ impl NetworkController {
         }
         self.router
             .fan_out(src, dst, bytes, departure, |t, arrival| {
-                let to = NodeId::new(t as u32);
                 let queued = match &mut self.egress {
-                    Some(queues) => queues.transit_delay(to, bytes, departure),
+                    Some(queues) => queues.transit_delay(NodeId::new(t as u32), bytes, departure),
                     None => SimDuration::ZERO,
                 };
-                self.next_packet_id += 1;
                 self.packets_this_quantum += 1;
                 self.total_packets += 1;
-                self.trace.record(departure, from, to, bytes);
                 sink(t, arrival + queued);
             });
     }
@@ -374,29 +349,11 @@ impl NetworkController {
         &self.stragglers
     }
 
-    /// Consumes the controller, returning the traffic trace for result
-    /// assembly (counters always valid; entries only when enabled).
-    pub fn into_trace(self) -> TrafficTrace {
-        self.trace
-    }
-
-    /// Next packet id to be assigned (snapshot capture).
-    #[inline]
-    pub fn next_packet_id(&self) -> u64 {
-        self.next_packet_id
-    }
-
-    /// Restores run-cumulative counters from a quantum-edge snapshot: packet
-    /// id stream position, lifetime packet total, and straggler statistics.
-    /// The per-quantum counter restarts at zero — a snapshot is always taken
-    /// at a quantum edge, right after [`Self::end_quantum`].
-    pub fn restore_counters(
-        &mut self,
-        next_packet_id: u64,
-        total_packets: u64,
-        stragglers: StragglerStats,
-    ) {
-        self.next_packet_id = next_packet_id;
+    /// Restores run-cumulative counters from a quantum-edge snapshot: the
+    /// lifetime packet total and straggler statistics. The per-quantum
+    /// counter restarts at zero — a snapshot is always taken at a quantum
+    /// edge, right after [`Self::end_quantum`].
+    pub fn restore_counters(&mut self, total_packets: u64, stragglers: StragglerStats) {
         self.total_packets = total_packets;
         self.packets_this_quantum = 0;
         self.stragglers = stragglers;
@@ -528,7 +485,6 @@ mod tests {
                     }
                 }
                 assert_eq!(net.total_packets(), routed, "{name}");
-                assert_eq!(net.next_packet_id(), routed, "{name}");
             }
         }
     }
@@ -618,21 +574,10 @@ mod tests {
         assert_eq!(net.stragglers().count(), 1);
         assert_eq!(net.stragglers().total_delay(), SimDuration::from_micros(5));
         let mut resumed = ctl(2);
-        resumed.restore_counters(7, 7, *net.stragglers());
+        resumed.restore_counters(7, *net.stragglers());
         copies(&mut resumed, 0, unicast(1), 64, SimTime::ZERO);
-        assert_eq!((resumed.next_packet_id(), resumed.total_packets()), (8, 8));
+        assert_eq!(resumed.total_packets(), 8);
         assert_eq!(resumed.end_quantum(), 1);
         assert_eq!(resumed.stragglers().count(), 1);
-    }
-
-    #[test]
-    fn trace_disabled_by_default_enabled_at_construction() {
-        for (enabled, entries) in [(false, 0), (true, 1)] {
-            let mut net = ctl(2).with_trace(enabled);
-            copies(&mut net, 0, unicast(1), 64, SimTime::ZERO);
-            let trace = net.into_trace();
-            assert_eq!(trace.entries().len(), entries);
-            assert_eq!(trace.total_packets(), 1);
-        }
     }
 }

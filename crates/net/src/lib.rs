@@ -21,8 +21,8 @@
 //!   and the snapshot-resume path call — the arrival of one copy, the
 //!   fan-out of one fragment — and what the worker pools share; the
 //!   controller adds the only mutable state (store-and-forward queues,
-//!   packet counters, straggler statistics, traffic trace), which the
-//!   deterministic engine alone holds.
+//!   packet counters, straggler statistics), which the deterministic engine
+//!   alone holds.
 //!
 //! # Examples
 //!
@@ -56,5 +56,5 @@ pub use controller::{NetError, NetworkController, Router};
 pub use fabric::{FabricConfig, FatTreeFabric, LinkLoad, LinkPath, MAX_PATH_LINKS};
 pub use nic::NicModel;
 pub use packet::{Destination, NodeId};
-pub use stats::{StragglerStats, TraceEntry, TrafficTrace};
+pub use stats::StragglerStats;
 pub use switch::{LatencyMatrixSwitch, SimSwitch, StoreAndForwardSwitch};

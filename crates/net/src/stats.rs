@@ -1,8 +1,7 @@
-//! Straggler accounting and traffic traces.
+//! Straggler accounting.
 
-use crate::packet::NodeId;
 use aqs_obs::Log2Histogram;
-use aqs_time::{SimDuration, SimTime};
+use aqs_time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Accumulated straggler statistics.
@@ -108,104 +107,6 @@ impl StragglerStats {
     }
 }
 
-/// One routed packet, as recorded for the Figure 9 traffic charts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEntry {
-    /// Departure simulated time.
-    pub time: SimTime,
-    /// Sending node.
-    pub src: NodeId,
-    /// Receiving node (after broadcast expansion).
-    pub dst: NodeId,
-    /// Frame size in bytes.
-    pub bytes: u32,
-}
-
-/// An append-only record of routed packets.
-///
-/// Recording is optional (it costs memory on long runs); the controller
-/// only appends when the trace is enabled.
-///
-/// # Examples
-///
-/// ```
-/// use aqs_net::{NodeId, TrafficTrace};
-/// use aqs_time::SimTime;
-///
-/// let mut trace = TrafficTrace::enabled();
-/// trace.record(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 9000);
-/// assert_eq!(trace.entries().len(), 1);
-/// assert_eq!(trace.total_bytes(), 9000);
-/// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct TrafficTrace {
-    enabled: bool,
-    entries: Vec<TraceEntry>,
-    total_packets: u64,
-    total_bytes: u64,
-    bytes_hist: Log2Histogram,
-}
-
-impl TrafficTrace {
-    /// Creates a disabled trace: counters tick, entries are not stored.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Creates an enabled trace that stores every entry.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Returns `true` if entries are being stored.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one routed packet.
-    pub fn record(&mut self, time: SimTime, src: NodeId, dst: NodeId, bytes: u32) {
-        self.total_packets += 1;
-        self.total_bytes += bytes as u64;
-        self.bytes_hist.record(bytes as u64);
-        if self.enabled {
-            self.entries.push(TraceEntry {
-                time,
-                src,
-                dst,
-                bytes,
-            });
-        }
-    }
-
-    /// Stored entries (empty when disabled).
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
-    /// Total packets routed (counted even when disabled).
-    #[inline]
-    pub fn total_packets(&self) -> u64 {
-        self.total_packets
-    }
-
-    /// Total bytes routed (counted even when disabled).
-    #[inline]
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Base-2 histogram of frame sizes in bytes (counted even when
-    /// disabled — it is fixed-size, unlike the entry log).
-    #[inline]
-    pub fn bytes_hist(&self) -> &Log2Histogram {
-        &self.bytes_hist
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,36 +154,5 @@ mod tests {
             2,
             "both 3 ns delays land in the same bucket"
         );
-    }
-
-    #[test]
-    fn trace_bytes_histogram_counts_even_when_disabled() {
-        let mut t = TrafficTrace::disabled();
-        t.record(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 64);
-        t.record(SimTime::ZERO, NodeId::new(1), NodeId::new(0), 9000);
-        assert_eq!(t.bytes_hist().count(), 2);
-        assert_eq!(t.bytes_hist().sum(), 9064);
-        assert_eq!(t.bytes_hist().max(), 9000);
-    }
-
-    #[test]
-    fn disabled_trace_counts_without_storing() {
-        let mut t = TrafficTrace::disabled();
-        t.record(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 100);
-        assert!(!t.is_enabled());
-        assert_eq!(t.total_packets(), 1);
-        assert_eq!(t.total_bytes(), 100);
-        assert!(t.entries().is_empty());
-    }
-
-    #[test]
-    fn enabled_trace_stores_entries_in_order() {
-        let mut t = TrafficTrace::enabled();
-        t.record(SimTime::from_nanos(10), NodeId::new(0), NodeId::new(1), 100);
-        t.record(SimTime::from_nanos(20), NodeId::new(1), NodeId::new(0), 200);
-        let e = t.entries();
-        assert_eq!(e.len(), 2);
-        assert_eq!(e[0].time, SimTime::from_nanos(10));
-        assert_eq!(e[1].bytes, 200);
     }
 }

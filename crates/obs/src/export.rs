@@ -12,6 +12,7 @@ fn sample_value(s: &crate::QuantumObs<'_>) -> Value {
         ("index".into(), Value::U64(s.index)),
         ("start_ns".into(), Value::U64(s.start.as_nanos())),
         ("len_ns".into(), Value::U64(s.len.as_nanos())),
+        ("host_ns".into(), Value::U64(s.host_ns)),
         ("packets".into(), Value::U64(s.packets)),
         ("active_nodes".into(), Value::U64(s.active_nodes)),
         ("stragglers".into(), Value::U64(s.stragglers)),
@@ -68,7 +69,7 @@ impl FlightRecorder {
     /// mean (full per-node detail is in the JSONL export).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "index,start_ns,len_ns,packets,active_nodes,stragglers,max_straggler_delay_ns,\
+            "index,start_ns,len_ns,host_ns,packets,active_nodes,stragglers,max_straggler_delay_ns,\
              max_barrier_wait_ns,mean_barrier_wait_ns,max_vt_lag_ns,mean_vt_lag_ns\n",
         );
         let reduce = |lane: &[u64]| -> (u64, f64) {
@@ -85,10 +86,11 @@ impl FlightRecorder {
             let (lmax, lmean) = reduce(s.vt_lag_ns);
             writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{:.1},{},{:.1}",
+                "{},{},{},{},{},{},{},{},{},{:.1},{},{:.1}",
                 s.index,
                 s.start.as_nanos(),
                 s.len.as_nanos(),
+                s.host_ns,
                 s.packets,
                 s.active_nodes,
                 s.stragglers,
@@ -115,6 +117,7 @@ mod tests {
             index: 0,
             start: SimTime::ZERO,
             len: SimDuration::from_micros(1),
+            host_ns: 550_000,
             packets: 7,
             active_nodes: 2,
             stragglers: 1,
@@ -143,6 +146,7 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(get("packets"), serde_json::Value::U64(7));
+        assert_eq!(get("host_ns"), serde_json::Value::U64(550_000));
         assert_eq!(
             get("vt_lag_ns"),
             serde_json::Value::Array(vec![serde_json::Value::U64(0), serde_json::Value::U64(900)])
@@ -187,7 +191,8 @@ mod tests {
         let csv = fr.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("index,start_ns"));
+        assert!(lines[0].starts_with("index,start_ns,len_ns,host_ns,packets"));
+        assert!(lines[1].starts_with("0,0,1000,550000,7,"));
         assert!(lines[1].contains(",40,20.0,900,450.0"));
     }
 }

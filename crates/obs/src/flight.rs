@@ -44,6 +44,7 @@ struct SampleFixed {
     index: u64,
     start_ns: u64,
     len_ns: u64,
+    host_ns: u64,
     packets: u64,
     active_nodes: u64,
     stragglers: u64,
@@ -69,6 +70,7 @@ struct SampleFixed {
 ///     index: 0,
 ///     start: SimTime::ZERO,
 ///     len: SimDuration::from_micros(1),
+///     host_ns: 5_000,
 ///     packets: 3,
 ///     active_nodes: 2,
 ///     stragglers: 0,
@@ -355,6 +357,7 @@ impl FlightRecorder {
                 index: f.index,
                 start: SimTime::from_nanos(f.start_ns),
                 len: SimDuration::from_nanos(f.len_ns),
+                host_ns: f.host_ns,
                 packets: f.packets,
                 active_nodes: f.active_nodes,
                 stragglers: f.stragglers,
@@ -383,6 +386,7 @@ impl Recorder for FlightRecorder {
             index: obs.index,
             start_ns: obs.start.as_nanos(),
             len_ns: obs.len.as_nanos(),
+            host_ns: obs.host_ns,
             packets: obs.packets,
             active_nodes: obs.active_nodes,
             stragglers: obs.stragglers,
@@ -496,6 +500,7 @@ mod tests {
             index,
             start: SimTime::from_nanos(index * 1000),
             len: SimDuration::from_nanos(1000),
+            host_ns: (index + 1) * 50_000,
             packets,
             active_nodes: 2,
             stragglers: 0,
@@ -541,6 +546,7 @@ mod tests {
             index: 0,
             start: SimTime::ZERO,
             len: SimDuration::from_micros(1),
+            host_ns: 0,
             packets: 2,
             active_nodes: 1,
             stragglers: 3,

@@ -28,6 +28,7 @@
 //!     index: 0,
 //!     start: SimTime::ZERO,
 //!     len: SimDuration::from_micros(1),
+//!     host_ns: 550_000,
 //!     packets: 4,
 //!     active_nodes: 2,
 //!     stragglers: 1,

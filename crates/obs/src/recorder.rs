@@ -1,26 +1,51 @@
 //! The engine-facing recording interface.
+//!
+//! [`Recorder`] is the only thing an engine reports to. Which engine calls
+//! which hook:
+//!
+//! | hook | `Deterministic` | `Sharded` | `ShardedOptimistic` / `Hybrid` |
+//! |---|---|---|---|
+//! | [`record_quantum`](Recorder::record_quantum) | each barrier, then one closing partial sample | each barrier | each committed window |
+//! | [`record_packet`](Recorder::record_packet) | each routed copy | – | – |
+//! | [`record_shard_activity`](Recorder::record_shard_activity) | – | each barrier | each committed window |
+//! | [`record_link_load`](Recorder::record_link_load) | – | each barrier of a fabric run | – |
+//! | [`record_checkpoints`](Recorder::record_checkpoints) | – | – | each window that takes any |
+//! | [`record_rollback`](Recorder::record_rollback) | – | – | each rolled-back node |
+//! | [`record_shard_rollbacks`](Recorder::record_shard_rollbacks) | – | – | each committed window |
+//!
+//! Every call is behind [`Recorder::ENABLED`], so what a hook costs when
+//! nobody listens is nothing.
 
 use aqs_time::{SimDuration, SimTime};
 
 /// Everything an engine knows about one completed quantum.
 ///
-/// The per-node slices are indexed by rank and always have the cluster's
-/// node count as length (engines may pass empty slices for quanta where the
-/// per-node signals are undefined, e.g. a final partial quantum).
+/// The per-node slices are indexed by rank and have the cluster's node count
+/// as length, or are empty where the per-node signals are undefined: the
+/// deterministic engine's closing partial quantum (the run ends before its
+/// barrier) and every window of the rollback engines.
 ///
-/// Units: `start`/`len`/`max_straggler_delay` are simulated time;
-/// `barrier_wait_ns` is host time (modelled host nanoseconds in the
-/// deterministic engine, real elapsed nanoseconds in the sharded one);
+/// Units: `start`/`len`/`max_straggler_delay` are simulated time; `host_ns`
+/// and `barrier_wait_ns` are host time (modelled host nanoseconds in the
+/// deterministic engine, real elapsed nanoseconds in the worker-pool ones);
 /// `vt_lag_ns` is simulated nanoseconds of idle tail — how far before the
 /// quantum boundary the node ran out of useful work.
 #[derive(Clone, Copy, Debug)]
 pub struct QuantumObs<'a> {
-    /// Zero-based quantum index.
+    /// The run-absolute quantum number on every engine: quanta completed
+    /// before this one since simulated time zero. A run resumed from a
+    /// snapshot taken after `k` quanta reports its first sample as `k`.
     pub index: u64,
     /// Simulated start of the quantum.
     pub start: SimTime,
     /// Quantum length.
     pub len: SimDuration,
+    /// Host nanoseconds since the run began at which the quantum's barrier
+    /// completed. The deterministic engine reports its modelled clock (so a
+    /// resumed run continues the interrupted one's; the closing partial
+    /// sample carries the run's final host time); a worker-pool engine
+    /// reports real time since its own start, taken only when recording.
+    pub host_ns: u64,
     /// Packets routed during the quantum (the policy's `np` signal).
     pub packets: u64,
     /// Nodes that actually executed during the quantum (the active set).
@@ -50,6 +75,15 @@ pub trait Recorder: Send + 'static {
 
     /// Called once per completed quantum (or optimistic window).
     fn record_quantum(&mut self, obs: &QuantumObs<'_>);
+
+    /// Called by the deterministic engine for each copy the network
+    /// controller routes — one per unicast fragment, `n - 1` per broadcast
+    /// fragment, in fan-out order — with the simulated time the fragment left
+    /// `src`'s NIC. The calls of one quantum precede its
+    /// [`record_quantum`](Self::record_quantum), whose `packets` counts them.
+    fn record_packet(&mut self, departure: SimTime, src: usize, dst: usize, bytes: u32) {
+        let _ = (departure, src, dst, bytes);
+    }
 
     /// Called by checkpointing engines when `n` checkpoints are taken.
     fn record_checkpoints(&mut self, n: u64) {

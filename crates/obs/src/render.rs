@@ -116,6 +116,7 @@ mod tests {
                 index: i,
                 start: SimTime::from_nanos(i * 1000),
                 len: SimDuration::from_nanos(1000 + i * 100),
+                host_ns: i * 40_000,
                 packets: i % 3,
                 active_nodes: 2,
                 stragglers: u64::from(i % 5 == 0),
@@ -138,6 +139,7 @@ mod tests {
             index: 0,
             start: SimTime::ZERO,
             len: SimDuration::from_micros(1),
+            host_ns: 0,
             packets: 0,
             active_nodes: 0,
             stragglers: 0,

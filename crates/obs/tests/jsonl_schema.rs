@@ -23,6 +23,7 @@ fn fixed_recorder() -> FlightRecorder {
         index: 0,
         start: SimTime::ZERO,
         len: SimDuration::from_micros(1),
+        host_ns: 550_000,
         packets: 0,
         active_nodes: 0,
         stragglers: 0,
@@ -34,6 +35,7 @@ fn fixed_recorder() -> FlightRecorder {
         index: 1,
         start: SimTime::ZERO + SimDuration::from_micros(1),
         len: SimDuration::from_nanos(1_200),
+        host_ns: 1_130_000,
         packets: 7,
         active_nodes: 2,
         stragglers: 2,
@@ -45,6 +47,7 @@ fn fixed_recorder() -> FlightRecorder {
         index: 2,
         start: SimTime::ZERO + SimDuration::from_nanos(2_200),
         len: SimDuration::from_micros(1),
+        host_ns: 1_690_000,
         packets: 1,
         active_nodes: 1,
         stragglers: 0,
@@ -79,6 +82,7 @@ fn golden_file_is_valid_jsonl_with_documented_fields() {
         "index",
         "start_ns",
         "len_ns",
+        "host_ns",
         "packets",
         "active_nodes",
         "stragglers",

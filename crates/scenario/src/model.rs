@@ -315,34 +315,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn parse_engine(name: &str, file: &str, line: usize) -> Result<EngineKind, SimError> {
-    match name {
-        "deterministic" => Ok(EngineKind::Deterministic),
-        "sharded" => Ok(EngineKind::Sharded),
-        "sharded-optimistic" => Ok(EngineKind::ShardedOptimistic),
-        "hybrid" => Ok(EngineKind::Hybrid),
-        "threaded" => Err(perr(
-            file,
-            line,
-            "the `threaded` engine was retired: use `sharded` with `shards = [<nodes>]` \
-             (one worker per node)",
-        )),
-        "optimistic" => Err(perr(
-            file,
-            line,
-            "the `optimistic` engine was retired: use `sharded-optimistic`",
-        )),
-        other => Err(perr(
-            file,
-            line,
-            format!(
-                "unknown engine `{other}` (deterministic | sharded | sharded-optimistic \
-                 | hybrid)"
-            ),
-        )),
-    }
-}
-
 /// Overrides one workload parameter. Returns an error message when the
 /// workload has no such parameter or the value has the wrong shape.
 fn apply_param(w: &mut Workload, key: &str, r: &Reader<'_>) -> Result<bool, SimError> {
@@ -503,8 +475,8 @@ impl Scenario {
                 }
                 names
                     .iter()
-                    .map(|n| parse_engine(n, file, line))
-                    .collect::<Result<Vec<_>, _>>()?
+                    .map(|n| n.parse().map_err(|e: String| perr(file, line, e)))
+                    .collect::<Result<Vec<EngineKind>, _>>()?
             }
             None => vec![EngineKind::Deterministic, EngineKind::Sharded],
         };
@@ -956,7 +928,7 @@ retransmit_us = 100
             ("name = \"x\"\nnodes = 4\nbogus = 1\n[[phases]]\nworkload = \"burst\"", true, "unknown scenario key `bogus`"),
             ("name = \"x\"\nnodes = 4\n[typo]\n[[phases]]\nworkload = \"burst\"", true, "unknown table `[typo]`"),
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nloss = 1.5", false, "invalid chaos"),
-            ("name = \"x\"\nnodes = 4\nengines = [\"threaded\"]\n[[phases]]\nworkload = \"burst\"", true, "retired: use `sharded` with `shards = [<nodes>]`"),
+            ("name = \"x\"\nnodes = 4\nengines = [\"threaded\"]\n[[phases]]\nworkload = \"burst\"", true, "retired: use `sharded` with one worker per node"),
             ("name = \"x\"\nnodes = 4\nengines = [\"optimistic\"]\n[[phases]]\nworkload = \"burst\"", true, "retired: use `sharded-optimistic`"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"torus\"\n[[phases]]\nworkload = \"burst\"", true, "unknown topology"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"latency-matrix\"\n[[phases]]\nworkload = \"burst\"", false, "needs `latency_us`"),

@@ -6,7 +6,7 @@ use aqs_serve::protocol::{get_bool, get_str, get_u64, obj};
 use aqs_serve::{ServeConfig, Server};
 use serde_json::Value;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -412,48 +412,50 @@ fn a_policy_no_engine_can_run_is_rejected_at_submit_on_a_connection_that_lives_o
     let _ = std::fs::remove_file(journal);
 }
 
-#[test]
-fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
-    let journal = tmp_journal("recover");
-    let case = aqs_serve::CaseJob {
+fn recovery_case() -> aqs_serve::CaseJob {
+    aqs_serve::CaseJob {
         workload: "cg".to_string(),
         nodes: 4,
         policy: "dyn1".to_string(),
         seed: 11,
         scale: "mini".to_string(),
         inject_panic: false,
-    };
+    }
+}
 
-    // Forge the journal a crashed server would leave behind: a submitted
-    // job plus one mid-run snapshot, and no terminal record. Using the
-    // journal API directly stands in for `kill -9` — nothing after the
-    // snapshot ever reached disk.
+/// Forges the journal a crashed server would leave behind: job 1 submitted
+/// plus one mid-run snapshot record carrying `frame`, and no terminal
+/// record. Using the journal API directly stands in for `kill -9` — nothing
+/// after the snapshot ever reached disk.
+fn forge_crashed_journal(journal: &Path, case: &aqs_serve::CaseJob, quanta: u64, frame: &[u8]) {
+    let (mut j, initial) = aqs_serve::Journal::open(journal).unwrap();
+    assert!(initial.is_empty());
+    j.append(&obj(vec![
+        ("ev", Value::Str("submit".to_string())),
+        ("job", Value::U64(1)),
+        ("tenant", Value::Str("default".to_string())),
+        ("deadline_ms", Value::U64(0)),
+        ("spec", aqs_serve::JobSpec::Case(case.clone()).to_value()),
+    ]))
+    .unwrap();
+    j.append(&obj(vec![
+        ("ev", Value::Str("snapshot".to_string())),
+        ("job", Value::U64(1)),
+        ("quanta", Value::U64(quanta)),
+        ("bytes", Value::Str(aqs_serve::journal::to_hex(frame))),
+    ]))
+    .unwrap();
+}
+
+#[test]
+fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
+    let journal = tmp_journal("recover");
+    let case = recovery_case();
     let snap = aqs_serve::jobs::build_sim(&case)
         .unwrap()
         .snapshot_at(40)
         .unwrap();
-    {
-        let (mut j, initial) = aqs_serve::Journal::open(&journal).unwrap();
-        assert!(initial.is_empty());
-        j.append(&obj(vec![
-            ("ev", Value::Str("submit".to_string())),
-            ("job", Value::U64(1)),
-            ("tenant", Value::Str("default".to_string())),
-            ("deadline_ms", Value::U64(0)),
-            ("spec", aqs_serve::JobSpec::Case(case.clone()).to_value()),
-        ]))
-        .unwrap();
-        j.append(&obj(vec![
-            ("ev", Value::Str("snapshot".to_string())),
-            ("job", Value::U64(1)),
-            ("quanta", Value::U64(snap.quanta())),
-            (
-                "bytes",
-                Value::Str(aqs_serve::journal::to_hex(&snap.to_bytes())),
-            ),
-        ]))
-        .unwrap();
-    }
+    forge_crashed_journal(&journal, &case, snap.quanta(), &snap.to_bytes());
     // Torn tail on top: the crash hit mid-append.
     {
         use std::io::Write;
@@ -501,6 +503,55 @@ fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
     assert_eq!(get_str(record, "state"), Some("done"));
     assert_eq!(record.get("outcome"), Some(&outcome));
     server.stop();
+    let _ = std::fs::remove_file(journal);
+}
+
+/// A journal written before the snapshot frame lost its three redundant
+/// slots carries version-1 frames. Such a frame is refused at decode, and the
+/// server answers that by running the job again from quantum 0 — it must not
+/// fail the job, and it must not resume from the cut.
+#[test]
+fn a_journaled_snapshot_of_the_previous_format_restarts_the_job_from_quantum_zero() {
+    let journal = tmp_journal("old-frame");
+    let case = recovery_case();
+    let sim = aqs_serve::jobs::build_sim(&case).unwrap();
+    // Only the header is forged: the version check comes before anything
+    // reads the payload.
+    let mut frame = sim.snapshot_at(40).unwrap().to_bytes();
+    frame[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        aqs_cluster::SimSnapshot::from_bytes(&frame),
+        Err(aqs_cluster::SimError::SnapshotFormat { .. })
+    ));
+    forge_crashed_journal(&journal, &case, 40, &frame);
+
+    let chunk = 1_000;
+    let cfg = ServeConfig {
+        journal: journal.clone(),
+        chunk_quanta: chunk,
+        ..Default::default()
+    };
+    let server = Server::start(cfg).expect("recovery tolerates the old frame");
+    let record = wait_for(&server.addr().to_string(), 1);
+    assert_eq!(get_str(&record, "state"), Some("done"), "{record:?}");
+    let direct = sim.run();
+    assert!(direct.total_quanta > chunk, "the run outlasts one chunk");
+    assert_eq!(
+        record.get("outcome"),
+        Some(&aqs_serve::jobs::outcome_value(&direct)),
+        "restarted run diverged from an uninterrupted one"
+    );
+    server.stop();
+
+    // Restarted, not resumed: the first cut the new server journaled is one
+    // chunk from quantum 0, not one chunk past the forged cut.
+    let (_, records) = aqs_serve::Journal::open(&journal).unwrap();
+    let cuts: Vec<u64> = records
+        .iter()
+        .filter(|r| get_str(r, "ev") == Some("snapshot"))
+        .filter_map(|r| get_u64(r, "quanta"))
+        .collect();
+    assert_eq!(cuts[..2], [40, chunk], "{cuts:?}");
     let _ = std::fs::remove_file(journal);
 }
 

@@ -3,23 +3,20 @@
 //!
 //! Run with: `cargo run --release --example adaptive_tuning`
 
-use aqs::cluster::{run_workload, ClusterConfig};
+use aqs::cluster::{run_workload, ClusterConfig, Sim};
 use aqs::core::{AdaptiveConfig, SyncConfig};
+use aqs::obs::{ObsConfig, QuantumObs};
 use aqs::time::SimDuration;
 use aqs::workloads::burst;
 
 /// Renders quantum length over time (log scale) as ASCII.
-fn quantum_chart(records: &[aqs::core::QuantumRecord], cols: usize, rows: usize) -> String {
-    let end = records.last().map(|r| r.end().as_nanos()).unwrap_or(1) as f64;
-    let max_q = records
-        .iter()
-        .map(|r| r.length.as_nanos())
-        .max()
-        .unwrap_or(1) as f64;
+fn quantum_chart(records: &[QuantumObs<'_>], cols: usize, rows: usize) -> String {
+    let end = records.last().map_or(1, |r| (r.start + r.len).as_nanos()) as f64;
+    let max_q = records.iter().map(|r| r.len.as_nanos()).max().unwrap_or(1) as f64;
     let mut grid = vec![vec![' '; cols]; rows];
     for r in records {
         let c = ((r.start.as_nanos() as f64 / end) * (cols - 1) as f64) as usize;
-        let level = (r.length.as_nanos() as f64).ln() / max_q.ln();
+        let level = (r.len.as_nanos() as f64).ln() / max_q.ln();
         let y = ((rows - 1) as f64 * level).round() as usize;
         let row = rows - 1 - y.min(rows - 1);
         grid[row][c] = if r.packets > 0 { '!' } else { '▪' };
@@ -41,11 +38,16 @@ fn main() {
 
     println!("=== quantum length over time, dyn 1.05:0.02 ===");
     println!("(watch it climb through the compute phases and crash at the burst)\n");
-    let cfg = ClusterConfig::new(SyncConfig::paper_dyn2())
-        .with_seed(5)
-        .with_quantum_trace(true);
-    let run = run_workload(&spec, &cfg);
-    println!("{}", quantum_chart(run.quanta.records(), 76, 12));
+    let cfg = ClusterConfig::new(SyncConfig::paper_dyn2()).with_seed(5);
+    let run = Sim::new(spec.programs.clone())
+        .config(cfg)
+        .record(ObsConfig::new())
+        .run();
+    let obs = run.obs.expect("the run was recorded");
+    // The last sample is the stretch from the final barrier to the end of
+    // the run, not a quantum the policy chose.
+    let quanta: Vec<_> = obs.samples().take(obs.ring_len() - 1).collect();
+    println!("{}", quantum_chart(&quanta, 76, 12));
 
     println!("=== inc/dec sweep (same workload) ===\n");
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(5);

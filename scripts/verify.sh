@@ -1,10 +1,16 @@
 #!/usr/bin/env bash
-# Full local verification — the same gates CI runs.
+# Full local verification — the gate list. CI runs this script and nothing
+# else, so a new gate is added here, once. `set -e` stops at the first
+# failing gate and leaves what it wrote (`conformance.log.jsonl`,
+# `rollback.log.jsonl`, the `*-artifacts/` directories) for CI to upload.
 #
 #   ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The paired-comparison script every performance PR's evidence comes from (it
+# needs two built benchmarks to run, so the gate only parses it) and the line
+# counter every simplicity PR's claims come from.
 echo "==> bash -n scripts/perf_pairs.sh scripts/loc.sh"
 bash -n scripts/perf_pairs.sh
 bash -n scripts/loc.sh
@@ -28,10 +34,17 @@ cargo test --workspace -q
 # 16k-node sharded run, counted by a test-only allocator.
 cargo test -p aqs-cluster --test footprint -q
 
+# The mutation tier (fault-inject) arms seeded faults — including the four
+# rollback-substrate faults: stale checkpoint restore, GVT from one shard,
+# skipped mailbox unwind, lossy hybrid mode switch — and proves each is
+# detected and shrunk.
 echo "==> conformance harness: mutation + schedule-fuzz tiers"
 cargo test -p aqs-check --features fault-inject -q
 cargo test -p aqs-check --features schedule-fuzz -q
 
+# Differential smoke gate: 200 seeded cases through every engine with
+# invariant oracles, hard wall-clock budget. Failures are shrunk to minimal
+# reproducers and left beside the JSONL run log.
 echo "==> conformance smoke gate: 200 cases x every engine"
 cargo run --release -q -p aqs-check --bin conformance -- \
     --cases 200 --seed 0xA5 --time-budget 300 \
@@ -39,6 +52,10 @@ cargo run --release -q -p aqs-check --bin conformance -- \
 rm -f conformance.log.jsonl
 rm -rf conformance-artifacts
 
+# The same generator pointed at the sharded-optimistic and hybrid engines
+# only, with the rollback oracles armed (GVT monotone + commit safety, cascade
+# depth within bound, wasted-sim ≡ re-executed quanta, recorder parity,
+# exactness of undegraded runs) across every configured shard count.
 echo "==> rollback-property smoke gate: 200 cases, sharded-optimistic + hybrid"
 cargo run --release -q -p aqs-check --bin conformance -- \
     --cases 200 --seed 0xB0117 --engines sharded-optimistic,hybrid \
@@ -47,6 +64,9 @@ cargo run --release -q -p aqs-check --bin conformance -- \
 rm -f rollback.log.jsonl
 rm -rf rollback-artifacts
 
+# The scenario corpus, chaos enabled: every scenario must pass its own
+# assertions (bit-identity across engines × worker counts, packet
+# conservation), every malformed file must be rejected nonzero.
 echo "==> scenario gate: corpus with chaos on, bit-identical across engines"
 for f in scenarios/*.toml; do
     cargo run --release -q --bin aqs -- scenario run "$f"
@@ -58,13 +78,26 @@ for f in scenarios/malformed/*.toml; do
     fi
 done
 
+# The resident job server's fault envelope over real TCP: a healthy job
+# completes; a panicking job is retried then fails typed while the server
+# survives; a deadline-blowing job fails typed; an over-quota burst is shed
+# with typed rejections; and a SIGKILL mid-job is resumed from the write-ahead
+# snapshot journal, bit-identical to an uninterrupted run. The second argument
+# is the directory CI uploads when this gate fails.
 echo "==> job-server smoke gate: panic/deadline/quota envelope + SIGKILL resume"
-./scripts/serve_smoke.sh
+./scripts/serve_smoke.sh 127.0.0.1:17171 serve-smoke-artifacts
 
+# The four figure binaries regenerate results/*.tsv in a temporary directory;
+# every checked-in file must come back byte for byte (the modelled host clock
+# is deterministic, so any difference is a change in simulated behaviour, not
+# noise).
 echo "==> reproduction pin: regenerated figure data vs checked-in results/*.tsv"
 cargo build --release -p aqs-bench --bins
 ./scripts/check_results.sh
 
+# The benchmark (perf/, its own workspace) builds against ../crates/* and pins
+# seed-42 counters in perf/golden.json: a public-API removal or a changed
+# counter fails here, before the PR is measured.
 echo "==> benchmark build gate: perf/ against ../crates/* (path deps + golden.json pins)"
 cargo test --offline -q --manifest-path perf/Cargo.toml
 

@@ -1,11 +1,15 @@
 //! The observability subsystem, observed: recording must be complete (the
 //! flight recorder's per-quantum packet counts account for every routed
-//! packet on every engine) and invisible (a recorded run and a
-//! `NullRecorder` run produce bit-identical simulated results).
+//! packet on every engine, and a recorder of one's own sees each of them),
+//! invisible (a recorded run and a `NullRecorder` run produce bit-identical
+//! simulated results) and the same across a snapshot cut (a resumed run's
+//! samples continue the interrupted run's numbering).
 
 use aqs::cluster::{EngineKind, RunReport, Sim};
 use aqs::core::SyncConfig;
-use aqs::obs::ObsConfig;
+use aqs::node::{ProgramBuilder, Rank, Tag};
+use aqs::obs::{FlightRecorder, ObsConfig, QuantumObs, Recorder};
+use aqs::time::SimTime;
 use aqs::workloads::{burst, nas, ping_pong, Scale, WorkloadSpec};
 
 const ENGINES: [EngineKind; 4] = [
@@ -102,4 +106,114 @@ fn exports_cover_the_ring() {
     assert_eq!(csv.lines().count(), fr.ring_len() + 1, "header + rows");
     let summary = fr.render_summary();
     assert!(summary.contains(&fr.total_quanta().to_string()));
+}
+
+/// Counts what the engine reports, hook by hook.
+#[derive(Default)]
+struct Counting {
+    quantum_packets: u64,
+    /// `(departure, src, dst)` per `record_packet` call, in call order.
+    packets: Vec<(SimTime, usize, usize)>,
+}
+
+impl Recorder for Counting {
+    const ENABLED: bool = true;
+
+    fn record_quantum(&mut self, obs: &QuantumObs<'_>) {
+        self.quantum_packets += obs.packets;
+    }
+
+    fn record_packet(&mut self, departure: SimTime, src: usize, dst: usize, _bytes: u32) {
+        self.packets.push((departure, src, dst));
+    }
+}
+
+/// A recorder handed to `Sim::run_with_recorder` sees every routed copy
+/// exactly once — unicast fragments and each leg of a broadcast — so the
+/// three counts of "packets" (the hook's calls, the report's total, the
+/// per-quantum samples' sum) are one number.
+#[test]
+fn record_packet_sees_every_routed_copy_once() {
+    let n = 4u32;
+    // Rank 0 broadcasts three fragments' worth, everyone answers unicast.
+    let programs = (0..n)
+        .map(|r| {
+            let b = ProgramBuilder::new(Rank::new(r));
+            let tag = Tag::new(0);
+            if r == 0 {
+                (1..n).fold(b.send_all(20_000, tag), |b, peer| {
+                    b.recv(Some(Rank::new(peer)), tag)
+                })
+            } else {
+                b.recv(Some(Rank::new(0)), tag).send(Rank::new(0), 8, tag)
+            }
+            .build()
+        })
+        .collect();
+    let (report, seen) = Sim::new(programs)
+        .sync(SyncConfig::paper_dyn1())
+        .run_with_recorder(Counting::default())
+        .expect("a valid configuration");
+    assert!(report.obs.is_none(), "the caller holds the recorder");
+    assert!(report.total_packets > u64::from(n), "broadcast fanned out");
+    assert_eq!(seen.packets.len() as u64, report.total_packets);
+    assert_eq!(seen.quantum_packets, report.total_packets);
+    let mut last_departure = vec![SimTime::ZERO; n as usize];
+    for &(departure, src, dst) in &seen.packets {
+        assert_ne!(src, dst, "a node never routes to itself");
+        assert!(departure >= last_departure[src], "sender {src} went back");
+        last_departure[src] = departure;
+    }
+}
+
+/// `host_ns` only moves forward on every engine, and on the oracle the
+/// closing sample carries the run's final modelled host time.
+#[test]
+fn host_ns_is_monotone_on_every_engine_and_ends_at_the_oracles_host_elapsed() {
+    let spec = burst(4, 100_000, 2048);
+    for engine in ENGINES {
+        let report = recorded(&spec, engine, SyncConfig::ground_truth());
+        let fr = report.obs.as_ref().expect("recording enabled");
+        let host: Vec<u64> = fr.samples().map(|s| s.host_ns).collect();
+        assert!(host.len() > 1, "{engine:?}");
+        assert!(
+            host.windows(2).all(|w| w[0] <= w[1]),
+            "{engine:?}: {host:?}"
+        );
+        assert!(*host.last().unwrap() > 0, "{engine:?}");
+        if let Some(det) = report.detail.as_deterministic() {
+            assert_eq!(*host.last().unwrap(), det.host_elapsed.as_nanos());
+        }
+    }
+}
+
+fn quanta(fr: &FlightRecorder) -> Vec<(u64, SimTime, u64, u64)> {
+    fr.samples()
+        .map(|s| (s.index, s.start, s.len.as_nanos(), s.packets))
+        .collect()
+}
+
+/// `QuantumObs::index` is the run-absolute quantum number: a run resumed
+/// from a cut after five quanta starts its samples at 5 on every engine, and
+/// on the oracle the resumed samples are the uninterrupted run's tail.
+#[test]
+fn resumed_samples_are_run_absolute_on_every_engine() {
+    let spec = ping_pong(4, 50, 64);
+    let whole = recorded(&spec, EngineKind::Deterministic, SyncConfig::ground_truth());
+    let whole = quanta(whole.obs.as_ref().expect("recording enabled"));
+    for engine in ENGINES {
+        let sim = sim(&spec, engine, SyncConfig::ground_truth());
+        let snap = sim.snapshot_at(5).expect("the run outlasts five quanta");
+        let resumed = sim.record(ObsConfig::new()).resume(&snap).expect("resumes");
+        let resumed = quanta(resumed.obs.as_ref().expect("recording enabled"));
+        assert_eq!(resumed[0].0, 5, "{engine:?}");
+        assert_eq!(resumed[0].1, snap.sim_time(), "{engine:?}");
+        assert!(
+            resumed.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+            "{engine:?}: indices are consecutive"
+        );
+        if engine == EngineKind::Deterministic {
+            assert_eq!(resumed, whole[5..]);
+        }
+    }
 }

@@ -117,20 +117,30 @@ fn functional_behaviour_is_policy_independent() {
     }
 }
 
-/// Identical configuration + seed ⇒ identical run, including host timing.
+/// Identical configuration + seed ⇒ identical run, including host timing
+/// and the quantum-by-quantum record.
 #[test]
 fn runs_are_bit_reproducible() {
     let spec = namd::namd(4, Scale::Tiny);
-    let cfg = base(17)
-        .with_sync(SyncConfig::paper_dyn2())
-        .with_quantum_trace(true);
-    let a = run_workload(&spec, &cfg);
-    let b = run_workload(&spec, &cfg);
-    assert_eq!(a.host_elapsed, b.host_elapsed);
+    let run = || {
+        Sim::new(spec.programs.clone())
+            .config(base(17).with_sync(SyncConfig::paper_dyn2()))
+            .record(ObsConfig::new())
+            .run()
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.wall_clock, b.wall_clock);
     assert_eq!(a.sim_end, b.sim_end);
     assert_eq!(a.total_packets, b.total_packets);
     assert_eq!(a.stragglers, b.stragglers);
-    assert_eq!(a.quanta.records(), b.quanta.records());
+    let quanta = |r: &aqs::cluster::RunReport| -> Vec<_> {
+        let obs = r.obs.as_ref().expect("the run was recorded");
+        obs.samples()
+            .map(|q| (q.index, q.start, q.len, q.host_ns, q.packets))
+            .collect()
+    };
+    assert!(!quanta(&a).is_empty());
+    assert_eq!(quanta(&a), quanta(&b));
 }
 
 /// The adaptive quantum respects its configured bounds over a whole run.
@@ -140,12 +150,20 @@ fn adaptive_quantum_stays_in_bounds() {
     let max = SimDuration::from_micros(50);
     let sync = SyncConfig::Adaptive(AdaptiveConfig::new(min, max, 1.10, 0.1));
     let spec = burst(4, 500_000, 1024);
-    let r = run_workload(&spec, &base(19).with_sync(sync).with_quantum_trace(true));
-    for q in r.quanta.records() {
+    let report = Sim::new(spec.programs)
+        .config(base(19).with_sync(sync))
+        .record(ObsConfig::new())
+        .run();
+    let obs = report.obs.expect("the run was recorded");
+    // Every sample but the last is a quantum the policy chose; the last is
+    // the stretch from the final barrier to the end of the run.
+    let chosen = obs.ring_len() - 1;
+    assert!(chosen > 0);
+    for q in obs.samples().take(chosen) {
         assert!(
-            q.length >= min && q.length <= max,
+            q.len >= min && q.len <= max,
             "quantum {} out of bounds",
-            q.length
+            q.len
         );
     }
 }

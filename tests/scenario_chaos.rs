@@ -114,3 +114,39 @@ fn every_malformed_scenario_is_rejected_with_a_typed_error() {
         }
     }
 }
+
+/// An engine name means the same thing in a scenario file and after
+/// `conformance --engines`: both parse it through `EngineKind`'s `FromStr`,
+/// so they accept the same spellings and reject the rest with one message.
+#[test]
+fn engine_names_mean_the_same_in_a_scenario_file_and_on_the_conformance_command_line() {
+    for (name, accepted) in [
+        ("deterministic", true),
+        ("det", true),
+        ("sharded", true),
+        ("sharded-optimistic", true),
+        ("sharded_optimistic", true),
+        ("hybrid", true),
+        ("threaded", false),
+        ("optimistic", false),
+        ("Sharded", false),
+        ("warp", false),
+    ] {
+        let toml = format!(
+            "name = \"x\"\nnodes = 4\nengines = [\"{name}\"]\n[[phases]]\nworkload = \"burst\""
+        );
+        let file = Scenario::from_str(&toml, "x.toml").map(|s| s.engines);
+        let argv = ["--cases", "0", "--engines", name].map(String::from);
+        let flag = aqs::check::cli::run(&argv);
+        match (file, flag) {
+            (Ok(engines), Ok(0)) if accepted => {
+                assert_eq!(engines, [name.parse().expect("accepted by the grammar")])
+            }
+            (Err(SimError::ScenarioParse { line, message, .. }), Err(usage)) if !accepted => {
+                assert_eq!(line, 3, "{name}");
+                assert_eq!(message, usage, "{name}");
+            }
+            other => panic!("{name}: the two call sites disagree: {other:?}"),
+        }
+    }
+}

@@ -91,7 +91,6 @@ fn main() {
             .as_sharded_optimistic()
             .expect("optimistic engine ran");
         assert_eq!(r.degraded_windows, 0, "the cascade bound must never bind");
-        assert!(!r.traces_truncated, "the bill reads the full reexec trace");
         assert_eq!(r.sim_end, truth.sim_end, "optimism must be timing-exact");
         let execution = run_workload(&spec, &base.clone().with_sync(window)).host_elapsed;
         let host = r.modelled_host_time(ckpt, rb, execution);

@@ -37,6 +37,6 @@ pub mod shrink;
 pub use gen::{CaseSpec, PhaseKind, PhaseSpec, PolicySpec};
 #[cfg(feature = "schedule-fuzz")]
 pub use oracle::check_case_fuzzed;
-pub use oracle::{check_case, check_case_with, CheckOpts};
+pub use oracle::{check_case, check_case_with, CheckOpts, WindowLog};
 pub use runner::{run_conformance, CaseFailure, ConformanceOpts, ConformanceReport};
 pub use shrink::{case_json, regression_snippet, shrink, ShrinkResult};

@@ -22,8 +22,8 @@ use aqs_cluster::{ClusterConfig, EngineKind, RunReport, Sim, SimError, SimSnapsh
 use aqs_core::SyncConfig;
 use aqs_net::NicModel;
 use aqs_node::{Op, SendTarget};
-use aqs_obs::ObsConfig;
-use aqs_time::SimDuration;
+use aqs_obs::{FlightRecorder, ObsConfig, QuantumObs, Recorder};
+use aqs_time::{SimDuration, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Ring capacity for policy-run recording; large enough that realistic
@@ -341,11 +341,11 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
     // Phase C: rollback-property tier. The sharded-optimistic and hybrid
     // engines run the case's own policy, where windows above the safe bound
     // legitimately roll back; the run must still obey the rollback
-    // invariants (GVT monotone and committing exactly at window edges,
-    // depth within the cascade bound, wasted-sim equal to the re-executed
-    // quanta, recorder parity) and — when it never degraded a shard — land
-    // on the ground-truth timeline exactly. Outcomes are *not* compared
-    // across M here: which shard degrades depends on the partition.
+    // invariants (depth within the cascade bound, recorded windows tiling
+    // the run, shard lanes summing to the totals) and — when it never
+    // degraded a shard — land on the ground-truth timeline exactly.
+    // Outcomes are *not* compared across M here: which shard degrades
+    // depends on the partition.
     for (enabled, kind) in [
         (opts.sharded_optimistic, EngineKind::ShardedOptimistic),
         (opts.hybrid, EngineKind::Hybrid),
@@ -403,14 +403,10 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
 
 /// The rollback-property oracles on one sharded-optimistic or hybrid run:
 ///
-/// * GVT is monotonically non-decreasing and every window commits with GVT
-///   exactly at its edge — so no committed event is ever rolled back, and
-///   the committed horizon covers `sim_end`;
 /// * rollback depth never exceeds the configured cascade bound;
-/// * `wasted_sim` equals the re-executed quanta (Σ window length × nodes
-///   re-executed, straight from the run's traces);
-/// * the flight recorder's rollback counters agree with the result, per
-///   shard and in total;
+/// * the recorded windows tile the run ([`check_window_tiling`]);
+/// * the recorder's per-shard rollback lanes sum to the result's
+///   checkpoint, rollback and wasted-sim totals;
 /// * a run that never degraded a shard and never snapped a packet must
 ///   reproduce the ground-truth timeline exactly.
 fn check_rollback_run(
@@ -423,94 +419,30 @@ fn check_rollback_run(
         .detail
         .as_sharded_optimistic()
         .ok_or_else(|| format!("{label}: report carries no sharded-optimistic detail"))?;
-    if d.cascade_bound != cascade_bound {
-        return Err(format!(
-            "{label}: configured cascade bound {cascade_bound} but the run reports {}",
-            d.cascade_bound
-        ));
-    }
     if d.max_rollback_depth > cascade_bound {
         return Err(format!(
             "{label}: rollback depth {} exceeds the cascade bound {cascade_bound}",
             d.max_rollback_depth
         ));
     }
-    if !d.traces_truncated {
-        if d.gvt_trace.len() as u64 != d.windows {
-            return Err(format!(
-                "{label}: {} windows committed but the GVT trace has {} entries",
-                d.windows,
-                d.gvt_trace.len()
-            ));
-        }
-        let mut edge = 0u64;
-        let mut prev = 0u64;
-        for (k, (&gvt, &len)) in d.gvt_trace.iter().zip(&d.window_len_trace).enumerate() {
-            edge += len;
-            if gvt < prev {
-                return Err(format!(
-                    "{label}: GVT retreated from {prev} to {gvt} at window #{k}"
-                ));
-            }
-            prev = gvt;
-            if gvt != edge {
-                return Err(format!(
-                    "{label}: window #{k} committed with GVT {gvt} ns, not its \
-                     edge {edge} ns — a committed event could still roll back"
-                ));
-            }
-        }
-        if edge < report.sim_end.as_nanos() {
-            return Err(format!(
-                "{label}: committed GVT stopped at {edge} ns, short of sim_end {} ns",
-                report.sim_end.as_nanos()
-            ));
-        }
-        let replayed: u64 = d
-            .window_len_trace
-            .iter()
-            .zip(&d.reexec_trace)
-            .map(|(&len, &k)| len * u64::from(k))
-            .sum();
-        if d.wasted_sim.as_nanos() != replayed {
-            return Err(format!(
-                "{label}: wasted_sim {} ns but the traces re-executed {replayed} ns",
-                d.wasted_sim.as_nanos()
-            ));
-        }
-        let reexec_nodes: u64 = d.reexec_trace.iter().map(|&k| u64::from(k)).sum();
-        if reexec_nodes != d.rollbacks {
-            return Err(format!(
-                "{label}: {} rollbacks counted but the traces re-executed {reexec_nodes} nodes",
-                d.rollbacks
-            ));
-        }
-    }
     if let Some(fr) = &report.obs {
-        if fr.rollbacks() != d.rollbacks
-            || fr.checkpoints() != d.checkpoints
-            || fr.wasted_sim() != d.wasted_sim
-        {
-            return Err(format!(
-                "{label}: flight recorder disagrees with the result \
-                 (rollbacks {} vs {}, checkpoints {} vs {}, wasted {} vs {} ns)",
-                fr.rollbacks(),
-                d.rollbacks,
-                fr.checkpoints(),
-                d.checkpoints,
-                fr.wasted_sim().as_nanos(),
-                d.wasted_sim.as_nanos(),
-            ));
-        }
-        let shard = fr
+        check_window_tiling(fr, d.windows, report.sim_end.as_nanos())
+            .map_err(|e| format!("{label}: {e}"))?;
+        let st = fr
             .shard_rollback_stats()
             .ok_or_else(|| format!("{label}: recorder holds no per-shard rollback lanes"))?;
-        if shard.rollbacks.iter().sum::<u64>() != d.rollbacks
-            || shard.checkpoints.iter().sum::<u64>() != d.checkpoints
-            || shard.wasted_ns.iter().sum::<u64>() != d.wasted_sim.as_nanos()
-        {
+        let lanes = (
+            st.total_checkpoints(),
+            st.total_rollbacks(),
+            st.total_wasted_ns(),
+        );
+        if lanes != (d.checkpoints, d.rollbacks, d.wasted_sim.as_nanos()) {
             return Err(format!(
-                "{label}: per-shard rollback lanes do not sum to the run totals"
+                "{label}: per-shard lanes sum to (checkpoints, rollbacks, wasted ns) \
+                 {lanes:?}, the result says ({}, {}, {})",
+                d.checkpoints,
+                d.rollbacks,
+                d.wasted_sim.as_nanos(),
             ));
         }
     }
@@ -527,6 +459,78 @@ fn check_rollback_run(
         ));
     }
     Ok(())
+}
+
+/// The window-tiling oracle on a rollback run's recording: `windows`
+/// samples, one per committed window, numbered consecutively, each starting
+/// where the previous one ended (the first at time zero unless the ring
+/// dropped it), the last ending at or after `sim_end_ns`. A window commits
+/// only once GVT reaches its edge and never reopens, so a gap, an overlap or
+/// a repeat on this record is a committed window that was not final.
+fn check_window_tiling(fr: &FlightRecorder, windows: u64, sim_end_ns: u64) -> Result<(), String> {
+    if fr.total_quanta() != windows {
+        return Err(format!(
+            "{windows} windows committed but {} recorded",
+            fr.total_quanta()
+        ));
+    }
+    // (index, end) of the previous sample.
+    let mut prev: Option<(u64, u64)> = None;
+    for w in fr.samples() {
+        let start = w.start.as_nanos();
+        match prev {
+            None if fr.dropped() == 0 && start != 0 => {
+                return Err(format!("the first window starts at {start} ns, not 0"));
+            }
+            Some((index, _)) if w.index != index + 1 => {
+                return Err(format!("window #{} follows window #{index}", w.index));
+            }
+            Some((_, end)) if start != end => {
+                return Err(format!(
+                    "window #{} starts at {start} ns, its predecessor ended at {end} ns",
+                    w.index
+                ));
+            }
+            _ => {}
+        }
+        prev = Some((w.index, start + w.len.as_nanos()));
+    }
+    let end = prev.map_or(0, |(_, end)| end);
+    if end < sim_end_ns {
+        return Err(format!(
+            "the recorded windows end at {end} ns, short of sim_end {sim_end_ns} ns"
+        ));
+    }
+    Ok(())
+}
+
+/// A [`Recorder`] that keeps every committed window of a rollback run: its
+/// `(index, start, len, packets, stragglers, active_nodes)` and its
+/// checkpoint, rollback and wasted-ns shard lanes (a zero checkpoint lane is
+/// a shard that ran the window conservatively). It reads no clock, so two
+/// runs' logs are equal exactly when their trajectories are. Pass it to
+/// [`Sim::run_with_recorder`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WindowLog {
+    /// Per committed window, in commit order: the sample's fields above.
+    pub windows: Vec<(u64, SimTime, SimDuration, u64, u64, u64)>,
+    /// Per committed window: its checkpoint, rollback and wasted-ns lanes.
+    pub lanes: Vec<[Vec<u64>; 3]>,
+}
+
+impl Recorder for WindowLog {
+    const ENABLED: bool = true;
+
+    fn record_quantum(&mut self, w: &QuantumObs<'_>) {
+        let (packets, stragglers, active) = (w.packets, w.stragglers, w.active_nodes);
+        self.windows
+            .push((w.index, w.start, w.len, packets, stragglers, active));
+    }
+
+    fn record_shard_rollbacks(&mut self, checkpoints: &[u64], rollbacks: &[u64], wasted: &[u64]) {
+        self.lanes
+            .push([checkpoints, rollbacks, wasted].map(<[u64]>::to_vec));
+    }
 }
 
 /// The crash/resume oracle on the ground-truth run: capture a snapshot at
@@ -649,16 +653,7 @@ fn resume_guarded(
     label: &str,
     f: impl FnOnce() -> Result<RunReport, SimError>,
 ) -> Result<RunReport, String> {
-    catch_unwind(AssertUnwindSafe(f))
-        .map_err(|p| {
-            let msg = p
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| p.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            format!("{label}: engine panicked: {msg}")
-        })?
-        .map_err(|e| format!("{label}: {e}"))
+    run_guarded(label, f)?.map_err(|e| format!("{label}: {e}"))
 }
 
 /// Runs the sharded engine `2 × rounds` times under the ground-truth
@@ -727,7 +722,7 @@ fn sim_for(case: &CaseSpec, sync: SyncConfig) -> Sim {
 }
 
 /// Runs `f`, converting an engine panic into an `Err` naming the run.
-fn run_guarded(label: &str, f: impl FnOnce() -> RunReport) -> Result<RunReport, String> {
+fn run_guarded<T>(label: &str, f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
         let msg = p
             .downcast_ref::<String>()
@@ -871,4 +866,54 @@ fn check_policy_run(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A recorder holding one sample per `(index, start_ns, len_ns)`.
+    fn recorded(windows: &[(u64, u64, u64)]) -> FlightRecorder {
+        let mut fr = FlightRecorder::new(2, ObsConfig::new());
+        for &(index, start, len) in windows {
+            fr.record_quantum(&QuantumObs {
+                index,
+                start: SimTime::from_nanos(start),
+                len: SimDuration::from_nanos(len),
+                host_ns: 0,
+                packets: 0,
+                active_nodes: 2,
+                stragglers: 0,
+                max_straggler_delay: SimDuration::ZERO,
+                barrier_wait_ns: &[],
+                vt_lag_ns: &[],
+            });
+        }
+        fr
+    }
+
+    #[test]
+    fn window_tiling_rejects_gaps_overlaps_repeats_and_short_horizons() {
+        let clean = [(0, 0, 100), (1, 100, 50), (2, 150, 100)];
+        assert_eq!(check_window_tiling(&recorded(&clean), 3, 250), Ok(()));
+        // A run may end inside its last window.
+        assert_eq!(check_window_tiling(&recorded(&clean), 3, 180), Ok(()));
+        for (windows, sim_end, why) in [
+            (&[(0, 0, 100), (1, 120, 50)][..], 170, "starts at 120 ns"),
+            (&[(0, 0, 100), (1, 90, 50)][..], 140, "starts at 90 ns"),
+            (&[(0, 0, 100), (0, 100, 50)][..], 150, "window #0 follows"),
+            (&[(0, 0, 100), (1, 100, 50)][..], 151, "short of sim_end"),
+            (
+                &[(0, 10, 100), (1, 110, 50)][..],
+                160,
+                "first window starts",
+            ),
+        ] {
+            let fr = recorded(windows);
+            let err = check_window_tiling(&fr, 2, sim_end).unwrap_err();
+            assert!(err.contains(why), "{windows:?}: {err}");
+        }
+        let err = check_window_tiling(&recorded(&clean), 4, 250).unwrap_err();
+        assert!(err.contains("4 windows committed but 3 recorded"), "{err}");
+    }
 }

@@ -15,7 +15,7 @@
 
 #![cfg(feature = "schedule-fuzz")]
 
-use aqs_check::{check_case_fuzzed, CaseSpec};
+use aqs_check::{check_case_fuzzed, CaseSpec, WindowLog};
 use aqs_cluster::{EngineKind, HybridPolicy, RunReport, ShardedOptimisticRunResult, Sim};
 use aqs_core::SyncConfig;
 use aqs_node::Program;
@@ -83,8 +83,8 @@ fn scalars(d: &ShardedOptimisticRunResult) -> impl PartialEq + std::fmt::Debug {
     (
         (d.sim_end, d.windows, d.total_packets, d.checkpoints),
         (d.rollbacks, d.wasted_sim, d.max_rollback_depth),
-        (d.cascade_bound, d.degraded_windows, d.conservative_windows),
-        (d.stragglers, d.traces_truncated, d.workers, d.hybrid),
+        (d.degraded_windows, d.conservative_windows, d.restore_rounds),
+        (d.stragglers, d.workers),
     )
 }
 
@@ -98,7 +98,7 @@ fn rollback_rounds_do_not_depend_on_who_claims_which_node() {
     for (name, programs, window_us) in &cases {
         for kind in [EngineKind::ShardedOptimistic, EngineKind::Hybrid] {
             for m in [2, 3, 4] {
-                let run = || -> RunReport {
+                let run = || -> (RunReport, WindowLog) {
                     Sim::new(programs.clone())
                         .engine(kind)
                         .sync(SyncConfig::fixed_micros(*window_us))
@@ -107,9 +107,10 @@ fn rollback_rounds_do_not_depend_on_who_claims_which_node() {
                             recover_after: 4,
                         })
                         .shards(m)
-                        .run()
+                        .run_with_recorder(WindowLog::default())
+                        .expect("a valid configuration")
                 };
-                let plain = run();
+                let (plain, plain_log) = run();
                 let p = plain.detail.as_sharded_optimistic().expect("opt detail");
                 assert!(
                     p.rollbacks > 0,
@@ -117,7 +118,7 @@ fn rollback_rounds_do_not_depend_on_who_claims_which_node() {
                 );
                 for seed in 0..20u64 {
                     aqs_sync::fuzz::arm(0xC1A1_4000 + seed);
-                    let fuzzed = run();
+                    let (fuzzed, fuzzed_log) = run();
                     aqs_sync::fuzz::disarm();
                     let f = fuzzed.detail.as_sharded_optimistic().expect("opt detail");
                     let ctx = format!("{name} {kind:?} M={m} fuzz seed {seed}");
@@ -127,10 +128,7 @@ fn rollback_rounds_do_not_depend_on_who_claims_which_node() {
                         "{ctx}"
                     );
                     assert_eq!(scalars(f), scalars(p), "{ctx}");
-                    assert_eq!(f.gvt_trace, p.gvt_trace, "{ctx}");
-                    assert_eq!(f.window_len_trace, p.window_len_trace, "{ctx}");
-                    assert_eq!(f.reexec_trace, p.reexec_trace, "{ctx}");
-                    assert_eq!(f.mode_events, p.mode_events, "{ctx}");
+                    assert_eq!(fuzzed_log, plain_log, "{ctx}");
                 }
             }
         }

@@ -129,18 +129,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the NIC model.
-    pub fn with_nic(mut self, nic: NicModel) -> Self {
-        self.nic = nic;
-        self
-    }
-
-    /// Replaces the CPU model.
-    pub fn with_cpu(mut self, cpu: CpuModel) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
     /// Replaces the host cost model.
     pub fn with_host(mut self, host: HostModel) -> Self {
         self.host = host;

@@ -38,7 +38,7 @@ use crate::sim::SimError;
 use crate::snapshot::{FragSnap, InFlightSnap, NodeSnap, SnapshotBody, StragglerSnap};
 use aqs_core::QuantumPolicy;
 use aqs_des::EventQueue;
-use aqs_net::{NetworkController, SimSwitch, StragglerStats};
+use aqs_net::{NetworkController, StragglerStats};
 use aqs_node::{Action, HostSpeed, MessageId, NodeExecutor, Program, SendTarget};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_rng::Rng;
@@ -88,7 +88,6 @@ struct Node {
     outgoing: VecDeque<FragSnap>,
     msg_seq: u64,
     done: bool,
-    finish_host: Option<HostTime>,
     /// Simulated position where the node last began idling straight to the
     /// quantum boundary (`None` while it still has work before the edge).
     /// The observability sample's per-node virtual-time lag is
@@ -157,26 +156,8 @@ pub(crate) enum DetOutcome<R> {
     Captured(Box<SnapshotBody>),
 }
 
-/// A whole run on the paper's perfect switch, with an explicit [`Recorder`].
-///
-/// # Panics
-///
-/// Panics if fewer than two programs are given.
-pub(crate) fn run_cluster_impl<R: Recorder>(
-    programs: Vec<Program>,
-    config: &ClusterConfig,
-    recorder: R,
-) -> Result<(RunResult, R), SimError> {
-    let net = NetworkController::new(programs.len(), config.nic, &SimSwitch::Perfect, None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    match run_cluster_det(programs, config, net, recorder, None, None)? {
-        DetOutcome::Finished(r, rec) => Ok((*r, rec)),
-        DetOutcome::Captured(_) => unreachable!("no capture was requested"),
-    }
-}
-
-/// The full deterministic entry, which the unified `Sim` builder dispatches
-/// to: optionally seed the engine from a snapshot body, optionally
+/// The deterministic engine's entry, which the unified `Sim` builder
+/// dispatches to: optionally seed the engine from a snapshot body, optionally
 /// stop-and-capture after `capture_at` completed quanta.
 pub(crate) fn run_cluster_det<R: Recorder>(
     programs: Vec<Program>,
@@ -217,7 +198,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 outgoing: VecDeque::new(),
                 msg_seq: 0,
                 done: false,
-                finish_host: None,
                 idle_from: None,
             })
             .collect();
@@ -301,7 +281,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 outgoing: ns.outgoing.iter().cloned().collect(),
                 msg_seq: ns.msg_seq,
                 done: ns.done,
-                finish_host: ns.finish_host,
                 idle_from: None,
             });
         }
@@ -474,7 +453,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 Action::Finished => {
                     if !self.nodes[i].done {
                         self.nodes[i].done = true;
-                        self.nodes[i].finish_host = Some(self.nodes[i].host);
                         self.n_finished += 1;
                         if self.n_finished == self.nodes.len() {
                             self.finished = true;
@@ -696,7 +674,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     pending: n.pending.as_ref().map(|p| (p.remaining, p.idle)),
                     outgoing: n.outgoing.iter().cloned().collect(),
                     done: n.done,
-                    finish_host: n.finish_host,
                     blocked_no_candidate: n.blocked_no_candidate,
                 }
             })
@@ -818,18 +795,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let final_host = self.final_host;
         let per_node: Vec<NodeResult> = self
             .nodes
-            .iter()
-            .map(|n| NodeResult {
-                rank: n.exec.rank(),
-                finish_sim: n
-                    .exec
-                    .finish_time()
-                    .expect("run finished with unfinished node"),
-                finish_host: n.finish_host.expect("done node without finish host"),
-                ops: n.exec.ops_executed(),
-                messages_received: n.exec.messages_received(),
-                regions: n.exec.regions().to_vec(),
-            })
+            .iter_mut()
+            .map(|n| NodeResult::collect(&mut n.exec, n.sim))
             .collect();
         let sim_end = per_node
             .iter()
@@ -879,16 +846,19 @@ impl<'a, R: Recorder> Engine<'a, R> {
 mod tests {
     use super::*;
     use crate::config::BarrierCostModel;
+    use crate::sim::Sim;
     use aqs_core::SyncConfig;
     use aqs_node::{HostModel, ProgramBuilder, Rank, RegionId, Tag};
-    use aqs_obs::NullRecorder;
+    use aqs_obs::{FlightRecorder, ObsConfig};
 
-    /// Test shorthand for an unrecorded perfect-switch run.
+    /// Test shorthand for an unrecorded deterministic run through `Sim`.
     fn run_cluster(programs: Vec<Program>, config: &ClusterConfig) -> RunResult {
-        match run_cluster_impl(programs, config, NullRecorder) {
-            Ok((result, _)) => result,
-            Err(e) => panic!("{e}"),
-        }
+        let report = Sim::new(programs).config(config.clone()).run();
+        report
+            .detail
+            .as_deterministic()
+            .expect("det detail")
+            .clone()
     }
 
     fn ping_pong_programs(rounds: usize) -> Vec<Program> {
@@ -996,10 +966,9 @@ mod tests {
             }
             b.compute(3_000_000).build()
         };
-        use aqs_obs::{FlightRecorder, ObsConfig};
-        let cfg = quick_config(SyncConfig::paper_dyn1());
+        let sim = Sim::new(vec![mk(0, 1), mk(1, 0)]).config(quick_config(SyncConfig::paper_dyn1()));
         let rec = FlightRecorder::new(2, ObsConfig::new());
-        let (_, rec) = run_cluster_impl(vec![mk(0, 1), mk(1, 0)], &cfg, rec).expect("run succeeds");
+        let (_, rec) = sim.run_with_recorder(rec).expect("run succeeds");
         assert_eq!(rec.dropped(), 0, "the ring must hold the whole run");
         // All but the closing partial sample: the quanta the policy chose.
         let quanta: Vec<_> = rec.samples().take(rec.ring_len() - 1).collect();
@@ -1064,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "program 1 is for rank0")]
+    #[should_panic(expected = "program 1 is for rank 0, want rank 1")]
     fn mismatched_ranks_rejected() {
         let p = ProgramBuilder::new(Rank::new(0)).compute(1).build();
         let _ = run_cluster(
@@ -1242,14 +1211,12 @@ mod tests {
 
     #[test]
     fn flight_recorder_packet_sum_matches_total_and_run_is_unperturbed() {
-        use aqs_obs::{FlightRecorder, ObsConfig};
         let cfg = quick_config(SyncConfig::paper_dyn1());
-        let (result, fr) = run_cluster_impl(
-            ping_pong_programs(5),
-            &cfg,
-            FlightRecorder::new(2, ObsConfig::new()),
-        )
-        .expect("run succeeds");
+        let (report, fr) = Sim::new(ping_pong_programs(5))
+            .config(cfg.clone())
+            .run_with_recorder(FlightRecorder::new(2, ObsConfig::new()))
+            .expect("run succeeds");
+        let result = report.detail.as_deterministic().expect("det detail");
         assert_eq!(
             fr.total_packets(),
             result.total_packets,
@@ -1289,7 +1256,7 @@ mod tests {
     /// uninterrupted run, at n = 2 and n = 64 (the quiet test is O(n)).
     #[test]
     fn single_quantum_chunks_through_quiet_and_busy_quanta_resume_exactly() {
-        use crate::sim::{Sim, SnapshotStep};
+        use crate::sim::SnapshotStep;
         // The `host_elapsed` literals are the all-events engine's (parent
         // commit), so the uninterrupted run is pinned too, not only its
         // agreement with the chunked one.
@@ -1326,11 +1293,7 @@ mod tests {
             assert_eq!(chunked.total_packets, whole.total_packets, "n={n}");
             assert_eq!(chunked.stragglers, whole.stragglers, "n={n}");
             for (c, w) in chunked.per_node.iter().zip(&whole.per_node) {
-                assert_eq!(
-                    (c.finish_sim, c.finish_host),
-                    (w.finish_sim, w.finish_host),
-                    "n={n}"
-                );
+                assert_eq!(c.finish_sim, w.finish_sim, "n={n}");
             }
         }
     }
@@ -1364,9 +1327,6 @@ mod tests {
         assert_eq!(edge.host_elapsed.as_nanos(), 8_341_212);
         assert_eq!(edge.sim_end, SimTime::from_micros(10));
         assert_eq!(edge.total_quanta, 10);
-        for node in &edge.per_node {
-            assert_eq!(node.finish_host, HostTime::from_nanos(8_341_212));
-        }
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //!   configuration.
 
 use crate::config::ClusterConfig;
-use crate::engine::run_cluster_impl;
 use crate::result::RunResult;
+use crate::sim::{EngineDetail, Sim};
 use aqs_core::SyncConfig;
 use aqs_node::RegionId;
-use aqs_obs::NullRecorder;
 use aqs_time::SimDuration;
 use aqs_workloads::{MetricKind, WorkloadSpec};
 use std::fmt;
@@ -83,15 +82,18 @@ pub fn app_metric(result: &RunResult, kind: MetricKind) -> AppMetric {
     }
 }
 
-/// Runs one workload under one configuration.
+/// Runs one workload under one configuration on the deterministic engine
+/// (through [`Sim`], on its default perfect switch).
 ///
 /// # Panics
 ///
-/// Panics if the engine reports an error (deadlocked workload).
+/// As [`Sim::run`]: on an invalid program set or an engine error
+/// (deadlocked workload).
 pub fn run_workload(spec: &WorkloadSpec, config: &ClusterConfig) -> RunResult {
-    match run_cluster_impl(spec.programs.clone(), config, NullRecorder) {
-        Ok((r, _)) => r,
-        Err(e) => panic!("{e}"),
+    let report = Sim::new(spec.programs.clone()).config(config.clone()).run();
+    match report.detail {
+        EngineDetail::Deterministic(r) => *r,
+        _ => unreachable!("`Sim` runs the deterministic engine by default"),
     }
 }
 

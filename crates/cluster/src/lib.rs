@@ -81,10 +81,9 @@ pub use config::{BarrierCostModel, ClusterConfig};
 pub use experiment::{
     app_metric, paper_sweep, run_workload, AppMetric, ConfigOutcome, Experiment, ExperimentResult,
 };
-pub use pool::ParallelNodeResult;
 pub use result::{NodeResult, RunResult};
 pub use sharded::ShardedRunResult;
-pub use sharded_optimistic::{HybridPolicy, ModeEvent, ShardedOptimisticRunResult};
+pub use sharded_optimistic::{HybridPolicy, ShardedOptimisticRunResult};
 pub use sim::{
     EngineDetail, EngineKind, RunReport, Sim, SimError, SimSwitch, SimulatedOutcome, SnapshotStep,
     WallClock,

@@ -11,14 +11,15 @@
 //! anti-message — each shape carrying a measured gain on its own workload
 //! (ROADMAP item 1).
 //!
-//! Crate-private except [`ParallelNodeResult`], which both engines' public
-//! results expose per node.
+//! Crate-private: per node, both engines report the
+//! [`NodeResult`](crate::NodeResult) every engine does.
 
+use crate::result::NodeResult;
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, ResumeSeed};
 use aqs_core::{QuantumPolicy, SyncConfig};
 use aqs_net::{Destination, NicModel, Router, StragglerStats};
-use aqs_node::{Action, CpuModel, MessageId, NodeExecutor, Program, Rank, RegionRecord};
+use aqs_node::{Action, CpuModel, MessageId, NodeExecutor, Program};
 use aqs_time::{SimDuration, SimTime};
 use std::time::{Duration, Instant};
 
@@ -45,36 +46,6 @@ pub(crate) struct ParallelConfig {
     pub(crate) full_sweep: bool,
 }
 
-/// Per-node outcome of a worker-pool run.
-#[derive(Clone, Debug)]
-pub struct ParallelNodeResult {
-    /// Rank.
-    pub rank: Rank,
-    /// Simulated completion time.
-    pub finish_sim: SimTime,
-    /// Operations retired.
-    pub ops: u64,
-    /// Messages fully received.
-    pub messages_received: u64,
-    /// Closed timed regions.
-    pub regions: Vec<RegionRecord>,
-}
-
-impl ParallelNodeResult {
-    /// Folds a node into its result once the run is over. A program that
-    /// never finished (quantum cap) reports `parked_at`, where the engine
-    /// left the node.
-    pub(crate) fn collect(exec: &mut NodeExecutor, parked_at: SimTime) -> Self {
-        Self {
-            rank: exec.rank(),
-            finish_sim: exec.finish_time().unwrap_or(parked_at),
-            ops: exec.ops_executed(),
-            messages_received: exec.messages_received(),
-            regions: exec.take_regions(),
-        }
-    }
-}
-
 /// The shared epilogue: a run that exhausted its quantum cap is a typed
 /// error (the leader could only flag it — panicking inside the barrier would
 /// strand its peers); any other run ends when its last node does.
@@ -82,7 +53,7 @@ pub(crate) fn finish_run(
     overflowed: bool,
     engine: EngineKind,
     config: &ParallelConfig,
-    per_node: &[ParallelNodeResult],
+    per_node: &[NodeResult],
 ) -> Result<SimTime, SimError> {
     if overflowed {
         return Err(SimError::QuantumCapExceeded {

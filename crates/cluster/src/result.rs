@@ -1,18 +1,16 @@
 //! Run results.
 
 use aqs_net::StragglerStats;
-use aqs_node::{Rank, RegionId, RegionRecord};
-use aqs_time::{HostDuration, HostTime, SimDuration, SimTime};
+use aqs_node::{NodeExecutor, Rank, RegionId, RegionRecord};
+use aqs_time::{HostDuration, SimDuration, SimTime};
 
-/// Per-node outcome of a run.
+/// Per-node outcome of a run, on every engine.
 #[derive(Clone, Debug)]
 pub struct NodeResult {
     /// The rank this node ran.
     pub rank: Rank,
     /// Simulated time at which its program completed.
     pub finish_sim: SimTime,
-    /// Host time at which its program completed.
-    pub finish_host: HostTime,
     /// Abstract operations it retired.
     pub ops: u64,
     /// Messages it fully received.
@@ -22,6 +20,19 @@ pub struct NodeResult {
 }
 
 impl NodeResult {
+    /// Folds a node into its result once the run is over. A program that
+    /// never finished (a worker-pool engine's quantum cap) reports
+    /// `parked_at`, where the engine left the node.
+    pub(crate) fn collect(exec: &mut NodeExecutor, parked_at: SimTime) -> Self {
+        Self {
+            rank: exec.rank(),
+            finish_sim: exec.finish_time().unwrap_or(parked_at),
+            ops: exec.ops_executed(),
+            messages_received: exec.messages_received(),
+            regions: exec.take_regions(),
+        }
+    }
+
     /// Total duration of all instances of `region` on this node.
     pub fn region_duration(&self, region: RegionId) -> SimDuration {
         self.regions
@@ -110,7 +121,6 @@ mod tests {
         NodeResult {
             rank: Rank::new(rank),
             finish_sim: SimTime::from_micros(100),
-            finish_host: HostTime::from_micros(100),
             ops: 1000,
             messages_received: 2,
             regions,

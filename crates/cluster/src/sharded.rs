@@ -55,8 +55,9 @@
 
 use crate::pool::{
     finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
-    ParallelNodeResult, QuantumClock, Stepped,
+    QuantumClock, Stepped,
 };
+use crate::result::NodeResult;
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, ResumeNode, ResumeSeed};
 use aqs_net::{LinkLoad, Router, StragglerStats};
@@ -84,7 +85,7 @@ pub struct ShardedRunResult {
     /// Straggler statistics (boundary-deferred arrivals).
     pub stragglers: StragglerStats,
     /// Per-node results, in rank order.
-    pub per_node: Vec<ParallelNodeResult>,
+    pub per_node: Vec<NodeResult>,
     /// Worker threads the run used (after clamping to the node count).
     pub workers: usize,
     /// Heap allocations the pooled packet path performed, summed over
@@ -99,13 +100,6 @@ pub struct ShardedRunResult {
     /// win on idle-heavy workloads. Deterministic: independent of the worker
     /// count and of thread scheduling.
     pub nodes_executed: u64,
-}
-
-impl ShardedRunResult {
-    /// Total messages received across nodes.
-    pub fn messages_received_total(&self) -> u64 {
-        self.per_node.iter().map(|n| n.messages_received).sum()
-    }
 }
 
 /// A fragment in flight to one receiver, addressed by global node index.
@@ -601,7 +595,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 /// What a worker returns: its nodes' results (in rank order), its
 /// run-total straggler tally, its packet pool's heap-allocation count, and
 /// the number of node executions it performed.
-type WorkerOutput = (Vec<ParallelNodeResult>, StragglerStats, u64, u64);
+type WorkerOutput = (Vec<NodeResult>, StragglerStats, u64, u64);
 
 /// Builds one shard (see [`ShardNodes::build`]) and runs it to completion.
 /// `Err` is this shard's lowest node that failed to restore from `restore`.
@@ -769,7 +763,7 @@ fn worker_thread<R: Recorder>(
     // (fast-forwarding is lazy); the full sweep would have dragged it to the
     // edge every quantum.
     let results = (0..len)
-        .map(|l| ParallelNodeResult::collect(&mut nodes.execs[l], nodes.sim[l].max(q_end)))
+        .map(|l| NodeResult::collect(&mut nodes.execs[l], nodes.sim[l].max(q_end)))
         .collect();
     Ok((
         results,
@@ -1161,7 +1155,8 @@ mod tests {
     fn ping_pong_completes() {
         let spec = ping_pong(2, 5, 64);
         let r = run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2));
-        assert_eq!(r.messages_received_total(), 10);
+        let received: Vec<u64> = r.per_node.iter().map(|n| n.messages_received).collect();
+        assert_eq!(received, [5, 5]);
         assert_eq!(r.stragglers.count(), 0, "safe quantum must be race-free");
         assert_eq!(r.total_packets, 10);
         assert_eq!(r.workers, 2);

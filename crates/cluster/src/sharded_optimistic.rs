@@ -74,11 +74,24 @@
 //! zero snaps, every delivery at its exact arrival — the committed timeline
 //! is bit-identical to the deterministic engine for every worker count and
 //! for both the pure and hybrid engines.
+//!
+//! # What a run reports
+//!
+//! The [`ShardedOptimisticRunResult`] holds whole-run totals only — windows,
+//! checkpoints, rollbacks, wasted simulated time, the deepest cascade,
+//! degraded and conservative shard-windows, restore rounds — and the per-node
+//! outcomes. The trajectory goes to the run's [`Recorder`], once per
+//! committed window: `record_quantum` (start, length, packets, stragglers,
+//! node executions) and then `record_shard_rollbacks` (each shard's
+//! checkpoints, rollbacks and wasted time). A shard's checkpoint lane is zero
+//! exactly in the windows it ran conservatively, so the lanes also show every
+//! mode switch.
 
 use crate::pool::{
     finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
-    ParallelNodeResult, QuantumClock, Stepped,
+    QuantumClock, Stepped,
 };
+use crate::result::NodeResult;
 use crate::sharded::partition;
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, ResumeSeed};
@@ -97,9 +110,6 @@ use std::time::{Duration, Instant};
 const CTRL_STOP: u64 = u64::MAX;
 /// Control word: repeat the current window (dirty shards re-execute).
 const CTRL_REPEAT: u64 = u64::MAX - 1;
-/// Cap on per-window trace vectors; past it the traces stop growing and
-/// [`ShardedOptimisticRunResult::traces_truncated`] is set.
-const TRACE_CAP: usize = 1 << 20;
 
 /// Per-shard adaptive mode switching between conservative quantum sync and
 /// optimistic checkpoint/rollback — the paper's adaptive idea applied to
@@ -135,19 +145,9 @@ pub(crate) struct ShardedOptimisticOpts {
     pub(crate) hybrid: Option<HybridPolicy>,
 }
 
-/// One per-shard mode transition, in commit order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ModeEvent {
-    /// Committed window index after which the switch took effect.
-    pub window: u64,
-    /// The shard that switched.
-    pub shard: u32,
-    /// `true` when the shard entered conservative mode, `false` when it
-    /// recovered to optimistic mode.
-    pub conservative: bool,
-}
-
-/// Outcome of a sharded-optimistic (or hybrid) run.
+/// Outcome of a sharded-optimistic (or hybrid) run: its totals. The
+/// per-window trajectory is reported to the run's [`Recorder`] (see the
+/// [module docs](self)).
 #[derive(Clone, Debug, Default)]
 pub struct ShardedOptimisticRunResult {
     /// Real wall-clock the run took.
@@ -168,8 +168,6 @@ pub struct ShardedOptimisticRunResult {
     pub wasted_sim: SimDuration,
     /// Deepest per-shard cascade observed in any single window.
     pub max_rollback_depth: u32,
-    /// The configured cascade bound.
-    pub cascade_bound: u32,
     /// Shard-windows that hit the cascade bound and froze (snapping late
     /// fragments instead of unwinding further).
     pub degraded_windows: u64,
@@ -178,32 +176,16 @@ pub struct ShardedOptimisticRunResult {
     /// Boundary-snapped stragglers (late fragments deferred to the window
     /// edge of a frozen or conservative shard).
     pub stragglers: StragglerStats,
-    /// GVT after each committed window, in sim nanoseconds. Monotonically
-    /// non-decreasing by construction: committed windows are final.
-    pub gvt_trace: Vec<u64>,
-    /// Each committed window's length in sim nanoseconds.
-    pub window_len_trace: Vec<u64>,
-    /// Node re-executions charged to each committed window.
-    pub reexec_trace: Vec<u32>,
-    /// `true` when the traces (and mode events) hit their cap and stopped
-    /// growing; the scalar counters above are always exact.
-    pub traces_truncated: bool,
-    /// Per-shard mode transitions, in commit order.
-    pub mode_events: Vec<ModeEvent>,
+    /// Serial restore rounds: over the committed windows, the sum of
+    /// `⌈node re-executions / n⌉` (nodes restore in parallel).
+    pub restore_rounds: u64,
     /// Per-node outcomes, in rank order.
-    pub per_node: Vec<ParallelNodeResult>,
+    pub per_node: Vec<NodeResult>,
     /// Worker (= shard) count the run actually used.
     pub workers: usize,
-    /// Whether the hybrid policy was active.
-    pub hybrid: bool,
 }
 
 impl ShardedOptimisticRunResult {
-    /// Total messages received across nodes.
-    pub fn messages_received_total(&self) -> u64 {
-        self.per_node.iter().map(|n| n.messages_received).sum()
-    }
-
     /// What this run would cost on a full-system simulator whose node
     /// checkpoints and restores are not free — the paper's §3 argument as
     /// arithmetic on the run's counters.
@@ -211,25 +193,17 @@ impl ShardedOptimisticRunResult {
     /// Nodes checkpoint in parallel at every window start (`checkpoint`
     /// once per window) and restore in parallel when they roll back: a
     /// window that re-executed `k` node-windows needed at least `⌈k / n⌉`
-    /// serial restore rounds (`rollback` each). `execution` is the host
+    /// serial restore rounds (`rollback` each), summed in
+    /// [`restore_rounds`](Self::restore_rounds). `execution` is the host
     /// time of actually simulating the workload — the deterministic
     /// engine's modelled time at the same window length.
-    ///
-    /// Reads [`reexec_trace`](Self::reexec_trace), so the restore term is a
-    /// lower bound when [`traces_truncated`](Self::traces_truncated) is set.
     pub fn modelled_host_time(
         &self,
         checkpoint: HostDuration,
         rollback: HostDuration,
         execution: HostDuration,
     ) -> HostDuration {
-        let n = self.per_node.len() as u64;
-        let restore_rounds: u64 = self
-            .reexec_trace
-            .iter()
-            .map(|&k| u64::from(k).div_ceil(n))
-            .sum();
-        checkpoint * self.windows + rollback * restore_rounds + execution
+        checkpoint * self.windows + rollback * self.restore_rounds + execution
     }
 }
 
@@ -315,7 +289,7 @@ struct OptLeader<R> {
     /// The window in progress; its `quanta` are the committed windows.
     clock: QuantumClock,
     rec: R,
-    /// The run's counters and traces, accumulated in place; `wall`,
+    /// The run's counters, accumulated in place; `wall`,
     /// `sim_end`, `windows` and `per_node` are filled in after the join.
     out: ShardedOptimisticRunResult,
     /// Per global node: round-0 inbound set of the current window (carried
@@ -357,16 +331,8 @@ struct OptLeader<R> {
     shard_waste: Vec<u64>,
     /// Node executions per shard this window; only kept when recording.
     shard_actives: Vec<u64>,
-    window_reexec_nodes: u32,
+    window_reexec_nodes: u64,
     repeat_rounds: u64,
-}
-
-fn push_capped<T>(v: &mut Vec<T>, x: T, truncated: &mut bool) {
-    if v.len() < TRACE_CAP {
-        v.push(x);
-    } else {
-        *truncated = true;
-    }
 }
 
 /// Earliest arrival involved in the first divergence between two sorted
@@ -412,16 +378,18 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     let n = programs.len();
     let ranges = partition(n, m);
     let q_end0 = clock.q_end_nanos;
-    let hybrid = opts.hybrid.is_some();
+    let engine = if opts.hybrid.is_some() {
+        EngineKind::Hybrid
+    } else {
+        EngineKind::ShardedOptimistic
+    };
     let mut leader = OptLeader {
         clock,
         rec: recorder,
         out: ShardedOptimisticRunResult {
             total_packets: resume.map_or(0, |s| s.total_packets),
-            cascade_bound: opts.cascade_bound,
             stragglers: resume.map_or_else(StragglerStats::default, |s| s.stragglers),
             workers: m,
-            hybrid,
             ..Default::default()
         },
         base: vec![Vec::new(); n],
@@ -527,15 +495,10 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         .into_iter()
         .map(|slot| {
             let mut s = slot.into_inner().expect("node slot poisoned").state;
-            ParallelNodeResult::collect(&mut s.exec, s.sim)
+            NodeResult::collect(&mut s.exec, s.sim)
         })
         .collect();
     let overflowed = shared.overflow.load(Ordering::Acquire);
-    let engine = if hybrid {
-        EngineKind::Hybrid
-    } else {
-        EngineKind::ShardedOptimistic
-    };
     result.sim_end = finish_run(overflowed, engine, config, &result.per_node)?;
     Ok((result, leader.rec))
 }
@@ -668,16 +631,11 @@ impl<R: Recorder> OptLeader<R> {
     /// Charges the opening window's checkpoints: one per node of every
     /// optimistic shard, cloned by whoever claims the node at round 0.
     fn charge_checkpoints(&mut self, ranges: &[Range<usize>]) {
-        let mut total = 0u64;
         for (s, range) in ranges.iter().enumerate() {
             if !self.conservative[s] {
                 self.shard_ckpt[s] = range.len() as u64;
-                total += range.len() as u64;
+                self.out.checkpoints += range.len() as u64;
             }
-        }
-        self.out.checkpoints += total;
-        if R::ENABLED && total > 0 {
-            self.rec.record_checkpoints(total);
         }
     }
 }
@@ -789,7 +747,7 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
         gvt_val = leader.lvts[0];
     }
     if gvt_val >= window_end {
-        commit_window(shared, leader, &mut run, routed, gvt_val);
+        commit_window(shared, leader, &mut run, routed);
         return;
     }
     // 5. Roll back: the changed nodes of the offending shards restore and
@@ -815,9 +773,6 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
             leader.shard_rb[*s] += 1;
             leader.shard_waste[*s] += window_len.as_nanos();
             leader.window_reexec_nodes += 1;
-            if R::ENABLED {
-                leader.rec.record_rollback(window_len);
-            }
         }
     }
     order_longest_first(&mut run, &leader.last_ops);
@@ -844,7 +799,6 @@ fn commit_window<R: Recorder>(
     leader: &mut OptLeader<R>,
     run: &mut Vec<u32>,
     routed: u64,
-    gvt_val: u64,
 ) {
     let n = shared.slots.len();
     let window_end = leader.clock.q_end_nanos;
@@ -926,10 +880,7 @@ fn commit_window<R: Recorder>(
     leader.shard_rb.fill(0);
     leader.shard_waste.fill(0);
     let out = &mut leader.out;
-    let capped = &mut out.traces_truncated;
-    push_capped(&mut out.gvt_trace, gvt_val, capped);
-    push_capped(&mut out.window_len_trace, window_len, capped);
-    push_capped(&mut out.reexec_trace, leader.window_reexec_nodes, capped);
+    out.restore_rounds += leader.window_reexec_nodes.div_ceil(n as u64);
     // Mode transitions for the next window.
     for (s, range) in shared.ranges.iter().enumerate() {
         let was = leader.conservative[s];
@@ -950,12 +901,6 @@ fn commit_window<R: Recorder>(
             None => leader.frozen[s],
         };
         if next != was {
-            let event = ModeEvent {
-                window: leader.clock.quanta,
-                shard: s as u32,
-                conservative: next,
-            };
-            push_capped(&mut out.mode_events, event, &mut out.traces_truncated);
             leader.conservative[s] = next;
             for i in range.clone() {
                 #[cfg(feature = "fault-inject")]
@@ -1049,7 +994,6 @@ mod tests {
                 // Every window checkpoints every node (all shards stay
                 // optimistic when nothing ever rolls back).
                 assert_eq!(d.checkpoints, 5 * d.windows, "workers={m}");
-                assert_eq!(d.hybrid, kind == EngineKind::Hybrid);
             }
         }
     }
@@ -1085,8 +1029,7 @@ mod tests {
             .run();
         let d = r.detail.as_sharded_optimistic().expect("opt detail");
         assert!(d.degraded_windows > 0, "deep chains must hit the bound");
-        assert!(d.max_rollback_depth <= d.cascade_bound);
-        assert_eq!(d.cascade_bound, 8);
+        assert!(d.max_rollback_depth <= 8, "the default cascade bound is 8");
         assert!(
             d.conservative_windows > 0,
             "a bound hit forces a conservative window"
@@ -1094,17 +1037,9 @@ mod tests {
         assert!(r.stragglers.count() > 0, "degraded windows snap packets");
         // Conservation: nothing is lost across freeze/degrade transitions
         // (ping_pong only engages ranks 0 and 1, 25 rounds each way).
-        assert_eq!(d.messages_received_total(), 50);
-        // wasted_sim is exactly the re-executed quanta in the traces.
-        assert!(!d.traces_truncated);
-        let replayed: u64 = d
-            .window_len_trace
-            .iter()
-            .zip(&d.reexec_trace)
-            .map(|(&len, &k)| len * u64::from(k))
-            .sum();
-        assert_eq!(d.wasted_sim.as_nanos(), replayed);
-        assert_eq!(u64::from(d.reexec_trace.iter().sum::<u32>()), d.rollbacks);
+        assert_eq!(r.messages_received, 50);
+        // Every window is 1 ms long, so each re-execution wastes exactly 1 ms.
+        assert_eq!(d.wasted_sim, SimDuration::from_millis(1) * d.rollbacks);
     }
 
     #[test]
@@ -1119,7 +1054,7 @@ mod tests {
             .shards(1)
             .run();
         let d = r.detail.as_sharded_optimistic().expect("opt detail");
-        assert!(d.rollbacks > 0 && !d.traces_truncated);
+        assert!(d.rollbacks > 0);
         let exec = HostDuration::from_millis(7);
         let bill = |c, r| {
             d.modelled_host_time(HostDuration::from_secs(c), HostDuration::from_secs(r), exec)
@@ -1145,41 +1080,43 @@ mod tests {
                     recover_after: 2,
                 })
                 .shards(4)
+                .record(ObsConfig::new())
                 .run()
+        };
+        // The recorded trajectory without its wall-clock stamps.
+        let windows = |r: &crate::sim::RunReport| {
+            let fr = r.obs.as_ref().expect("recording was enabled");
+            let st = fr.shard_rollback_stats().expect("rollback run");
+            let lanes = [st.checkpoints, st.rollbacks, st.wasted_ns].map(<[u64]>::to_vec);
+            let samples: Vec<_> = fr
+                .samples()
+                .map(|w| {
+                    (
+                        w.index,
+                        w.start,
+                        w.len,
+                        w.packets,
+                        w.stragglers,
+                        w.active_nodes,
+                    )
+                })
+                .collect();
+            (samples, lanes)
         };
         let a = run();
         let da = a.detail.as_sharded_optimistic().expect("opt detail");
-        assert!(da.hybrid);
         assert!(
-            !da.mode_events.is_empty(),
+            da.conservative_windows > 0,
             "stragglers must force mode switches"
         );
-        assert!(da.mode_events.iter().any(|e| e.conservative));
-        assert_eq!(da.messages_received_total(), 50);
+        assert_eq!(a.messages_received, 50);
         // The whole adaptive trajectory is deterministic: a second run lands
-        // on the same outcome, the same switches, the same GVT trace.
+        // on the same outcome and records the same windows and shard lanes.
         let b = run();
         let db = b.detail.as_sharded_optimistic().expect("opt detail");
         assert_eq!(a.simulated_outcome(), b.simulated_outcome());
-        assert_eq!(da.mode_events, db.mode_events);
-        assert_eq!(da.gvt_trace, db.gvt_trace);
+        assert_eq!(windows(&a), windows(&b));
         assert_eq!(da.conservative_windows, db.conservative_windows);
-    }
-
-    #[test]
-    fn gvt_trace_is_monotone_and_covers_the_run() {
-        let spec = ping_pong(4, 25, 4096);
-        let r = Sim::new(spec.programs.clone())
-            .engine(EngineKind::ShardedOptimistic)
-            .sync(SyncConfig::fixed_micros(1000))
-            .shards(2)
-            .run();
-        let d = r.detail.as_sharded_optimistic().expect("opt detail");
-        assert_eq!(d.gvt_trace.len() as u64, d.windows);
-        for w in d.gvt_trace.windows(2) {
-            assert!(w[0] <= w[1], "GVT must never retreat");
-        }
-        assert!(*d.gvt_trace.last().expect("nonempty") >= d.sim_end.as_nanos());
     }
 
     #[test]
@@ -1200,14 +1137,12 @@ mod tests {
         assert_eq!(plain.simulated_outcome(), rec.simulated_outcome());
         let d = rec.detail.as_sharded_optimistic().expect("opt detail");
         let fr = rec.obs.as_ref().expect("recording was enabled");
-        assert_eq!(fr.rollbacks(), d.rollbacks);
-        assert_eq!(fr.checkpoints(), d.checkpoints);
-        assert_eq!(fr.wasted_sim(), d.wasted_sim);
+        assert_eq!(fr.total_quanta(), d.windows);
         assert_eq!(fr.total_packets(), d.total_packets);
         let shard = fr.shard_rollback_stats().expect("sharded optimistic run");
-        assert_eq!(shard.rollbacks.iter().sum::<u64>(), d.rollbacks);
-        assert_eq!(shard.checkpoints.iter().sum::<u64>(), d.checkpoints);
-        assert_eq!(shard.wasted_ns.iter().sum::<u64>(), d.wasted_sim.as_nanos());
+        assert_eq!(shard.total_rollbacks(), d.rollbacks);
+        assert_eq!(shard.total_checkpoints(), d.checkpoints);
+        assert_eq!(shard.total_wasted_ns(), d.wasted_sim.as_nanos());
     }
 
     #[test]

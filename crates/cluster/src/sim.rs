@@ -66,7 +66,7 @@
 use crate::config::ClusterConfig;
 use crate::engine::{run_cluster_det, DetOutcome};
 use crate::pool::ParallelConfig;
-use crate::result::RunResult;
+use crate::result::{NodeResult, RunResult};
 use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
     run_sharded_optimistic_impl, HybridPolicy, ShardedOptimisticOpts, ShardedOptimisticRunResult,
@@ -429,12 +429,21 @@ pub enum EngineDetail {
     Deterministic(Box<RunResult>),
     /// Full sharded-engine result.
     Sharded(Box<ShardedRunResult>),
-    /// Full sharded-optimistic result (both the pure and hybrid kinds; the
-    /// result's `hybrid` flag tells them apart).
+    /// Full sharded-optimistic result, for both the pure and the hybrid
+    /// kind ([`RunReport::engine`] tells them apart).
     ShardedOptimistic(Box<ShardedOptimisticRunResult>),
 }
 
 impl EngineDetail {
+    /// Per-node outcomes, in rank order, whichever engine ran.
+    pub fn per_node(&self) -> &[NodeResult] {
+        match self {
+            EngineDetail::Deterministic(r) => &r.per_node,
+            EngineDetail::Sharded(r) => &r.per_node,
+            EngineDetail::ShardedOptimistic(r) => &r.per_node,
+        }
+    }
+
     /// The deterministic result, if this run used that engine.
     pub fn as_deterministic(&self) -> Option<&RunResult> {
         match self {
@@ -523,23 +532,10 @@ impl RunReport {
 
     /// The engine-independent functional outcome (see [`SimulatedOutcome`]).
     pub fn simulated_outcome(&self) -> SimulatedOutcome {
-        let per_node = match &self.detail {
-            EngineDetail::Deterministic(r) => r
-                .per_node
-                .iter()
-                .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
-                .collect(),
-            EngineDetail::Sharded(r) => r
-                .per_node
-                .iter()
-                .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
-                .collect(),
-            EngineDetail::ShardedOptimistic(r) => r
-                .per_node
-                .iter()
-                .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
-                .collect(),
-        };
+        let per_node = self.detail.per_node().iter();
+        let per_node = per_node
+            .map(|n| (n.rank.as_u32(), n.finish_sim, n.ops, n.messages_received))
+            .collect();
         SimulatedOutcome {
             sim_end: self.sim_end,
             total_packets: self.total_packets,
@@ -1048,25 +1044,20 @@ pub enum SnapshotStep {
 
 /// Folds a worker-pool engine's native result into the unified report.
 fn pool_report(engine: EngineKind, sync_label: String, detail: EngineDetail) -> RunReport {
-    let (sim_end, total_packets, stragglers, total_quanta, wall, per_node) = match &detail {
+    let (sim_end, total_packets, stragglers, total_quanta, wall) = match &detail {
         EngineDetail::Sharded(r) => (
             r.sim_end,
             r.total_packets,
             r.stragglers,
             r.total_quanta,
             r.wall,
-            &r.per_node,
         ),
-        EngineDetail::ShardedOptimistic(r) => (
-            r.sim_end,
-            r.total_packets,
-            r.stragglers,
-            r.windows,
-            r.wall,
-            &r.per_node,
-        ),
+        EngineDetail::ShardedOptimistic(r) => {
+            (r.sim_end, r.total_packets, r.stragglers, r.windows, r.wall)
+        }
         EngineDetail::Deterministic(_) => unreachable!("not a worker-pool result"),
     };
+    let per_node = detail.per_node();
     RunReport {
         engine,
         sync_label,
@@ -1486,7 +1477,7 @@ mod tests {
         // `cg 8 mini dyn1`, the job server's chunked case job, cut at its
         // first 2000-quantum edge. The frame embeds the spec fingerprint
         // (a hash over the programs' `Debug` form), so this pin — of a
-        // version-2 frame — moves if how `Program` stores its op stream ever
+        // version-3 frame — moves if how `Program` stores its op stream ever
         // becomes visible in snapshots or journals.
         let spec = Workload::parse("cg")
             .expect("cg is a workload")
@@ -1496,7 +1487,7 @@ mod tests {
             .sync(SyncConfig::paper_dyn1())
             .seed(42);
         let bytes = sim.snapshot_at(2_000).expect("capturable cut").to_bytes();
-        assert_eq!(bytes.len(), 2394);
-        assert_eq!(crate::snapshot::fnv1a(&bytes), 0xdc7f_8aa5_1af0_2029);
+        assert_eq!(bytes.len(), 2386);
+        assert_eq!(crate::snapshot::fnv1a(&bytes), 0x8372_f761_2995_21bd);
     }
 }

@@ -39,12 +39,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AQSSNAP1";
 ///
 /// Version 1 carried three more payload slots — the accumulated quantum
 /// length, the next sample index and the next packet id — each equal to a
-/// slot that stays (`q_start`, `quanta`, `total_packets`). A version-1 frame
-/// is rejected at decode with [`SimError::SnapshotFormat`], which the job
-/// server answers by restarting the job from quantum 0; it could not have
-/// seeded a run anyway, since every
-/// [`Sim::fingerprint`](crate::Sim::fingerprint) changed with the version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// slot that stays (`q_start`, `quanta`, `total_packets`). Version 2 carried
+/// one more per node: the host time its program finished at (an optional
+/// `u64`), which no result reports any more. An older frame is rejected at
+/// decode with [`SimError::SnapshotFormat`], which the job server answers by
+/// restarting the job from quantum 0.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit hash (used for both the payload checksum and the spec
 /// fingerprint).
@@ -174,8 +174,6 @@ pub(crate) struct NodeSnap {
     pub outgoing: Vec<FragSnap>,
     /// The program already finished.
     pub done: bool,
-    /// Host time the program finished at, if it did.
-    pub finish_host: Option<HostTime>,
     /// Last poll returned `Blocked` with no candidate message.
     pub blocked_no_candidate: bool,
 }
@@ -742,7 +740,6 @@ impl SnapshotBody {
                 enc_frag(e, f);
             }
             e.boolean(n.done);
-            e.opt_u64(n.finish_host.map(|h| h.as_nanos()));
             e.boolean(n.blocked_no_candidate);
         }
         e.len(self.in_flight.len());
@@ -805,7 +802,6 @@ impl SnapshotBody {
                 pending,
                 outgoing,
                 done: d.boolean()?,
-                finish_host: d.opt_u64()?.map(HostTime::from_nanos),
                 blocked_no_candidate: d.boolean()?,
             });
         }
@@ -903,7 +899,6 @@ mod tests {
                     frag_index: 0,
                 }],
                 done: false,
-                finish_host: None,
                 blocked_no_candidate: false,
             }],
             in_flight: vec![InFlightSnap {
@@ -969,9 +964,8 @@ mod tests {
             SimError::SnapshotFormat { .. }
         ));
         // Version is inside the header, not the payload: format error, not
-        // checksum. 1 is the format journals written before the three
-        // redundant slots were dropped carry.
-        for version in [1, 99] {
+        // checksum. 1 and 2 are the formats older journals carry.
+        for version in [1, 2, 99] {
             let mut bad_version = good.clone();
             bad_version[8] = version;
             match SimSnapshot::from_bytes(&bad_version).unwrap_err() {

@@ -183,12 +183,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Returns the config with per-epoch node pauses of probability `p`.
-    pub fn with_pause(mut self, p: f64) -> Self {
-        self.pause = p;
-        self
-    }
-
     /// Returns the config with per-epoch partitions of probability `p`
     /// into `groups` static groups.
     pub fn with_partition(mut self, p: f64, groups: u32) -> Self {

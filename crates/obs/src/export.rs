@@ -35,8 +35,8 @@ impl FlightRecorder {
     /// Renders the ring as JSON Lines: one object per retained quantum,
     /// oldest first. A run that used a rollback-capable engine (the shard
     /// rollback lanes are populated) appends one trailing
-    /// `"event":"rollbacks"` object with the run's cumulative checkpoint,
-    /// rollback, and wasted-sim counters plus their per-shard attribution.
+    /// `"event":"rollbacks"` object: the run's checkpoint, rollback, and
+    /// wasted-sim totals — the sums of the per-shard lanes — and the lanes.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in self.samples() {
@@ -48,12 +48,9 @@ impl FlightRecorder {
             let lane = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::U64(x)).collect());
             let summary = Value::Object(vec![
                 ("event".into(), Value::Str("rollbacks".into())),
-                ("checkpoints".into(), Value::U64(self.checkpoints())),
-                ("rollbacks".into(), Value::U64(self.rollbacks())),
-                (
-                    "wasted_sim_ns".into(),
-                    Value::U64(self.wasted_sim().as_nanos()),
-                ),
+                ("checkpoints".into(), Value::U64(stats.total_checkpoints())),
+                ("rollbacks".into(), Value::U64(stats.total_rollbacks())),
+                ("wasted_sim_ns".into(), Value::U64(stats.total_wasted_ns())),
                 ("shard_checkpoints".into(), lane(stats.checkpoints)),
                 ("shard_rollbacks".into(), lane(stats.rollbacks)),
                 ("shard_wasted_ns".into(), lane(stats.wasted_ns)),
@@ -159,8 +156,6 @@ mod tests {
         assert_eq!(recorded().to_jsonl().lines().count(), 1);
 
         let mut fr = recorded();
-        fr.record_checkpoints(1);
-        fr.record_rollback(SimDuration::from_micros(3));
         fr.record_shard_rollbacks(&[1, 0], &[1, 0], &[3_000, 0]);
         let jsonl = fr.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();

@@ -102,9 +102,6 @@ pub struct FlightRecorder {
     straggler_delay: Log2Histogram,
     barrier_wait: Log2Histogram,
     vt_lag: Log2Histogram,
-    checkpoints: u64,
-    rollbacks: u64,
-    wasted_ns: u64,
     /// Per-fabric-link aggregates, lazily sized on the first
     /// [`Recorder::record_link_load`] call (empty when the run had no
     /// modeled fabric): cumulative bytes, cumulative packets, and the peak
@@ -112,10 +109,10 @@ pub struct FlightRecorder {
     link_bytes: Vec<u64>,
     link_packets: Vec<u64>,
     link_peak_bytes: Vec<u64>,
-    /// Per-shard rollback attribution, lazily sized on the first
+    /// Per-shard rollback lanes, lazily sized on the first
     /// [`Recorder::record_shard_rollbacks`] call (empty when the run had no
-    /// sharded optimistic engine): cumulative checkpoints, rollbacks, and
-    /// wasted simulated nanoseconds per shard.
+    /// rollback engine): cumulative checkpoints, rollbacks, and wasted
+    /// simulated nanoseconds per shard. The run's totals are their sums.
     shard_checkpoints: Vec<u64>,
     shard_rollbacks: Vec<u64>,
     shard_wasted_ns: Vec<u64>,
@@ -184,15 +181,6 @@ impl ShardRollbackStats<'_> {
     pub fn total_wasted_ns(&self) -> u64 {
         self.wasted_ns.iter().sum()
     }
-
-    /// The shard that rolled back most: `(shard id, rollbacks)`.
-    pub fn worst_shard(&self) -> Option<(usize, u64)> {
-        self.rollbacks
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(_, r)| r)
-    }
 }
 
 impl FlightRecorder {
@@ -220,9 +208,6 @@ impl FlightRecorder {
             straggler_delay: Log2Histogram::new(),
             barrier_wait: Log2Histogram::new(),
             vt_lag: Log2Histogram::new(),
-            checkpoints: 0,
-            rollbacks: 0,
-            wasted_ns: 0,
             link_bytes: Vec::new(),
             link_packets: Vec::new(),
             link_peak_bytes: Vec::new(),
@@ -305,21 +290,6 @@ impl FlightRecorder {
         &self.vt_lag
     }
 
-    /// Checkpoints reported by the engine (optimistic only).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
-    }
-
-    /// Rollbacks reported by the engine (optimistic only).
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
-    }
-
-    /// Simulated time re-executed due to rollbacks.
-    pub fn wasted_sim(&self) -> SimDuration {
-        SimDuration::from_nanos(self.wasted_ns)
-    }
-
     /// Per-link load aggregates, when the run routed through a modeled
     /// fabric (`None` otherwise).
     pub fn link_load(&self) -> Option<LinkLoadStats<'_>> {
@@ -333,8 +303,10 @@ impl FlightRecorder {
         })
     }
 
-    /// Per-shard rollback attribution, when the run used a sharded
-    /// optimistic engine (`None` otherwise).
+    /// Per-shard rollback lanes, when the run used a rollback engine
+    /// (`None` otherwise). The run's checkpoint, rollback and wasted-sim
+    /// totals — in [`render_summary`](Self::render_summary) and the JSONL
+    /// summary line — are their sums.
     pub fn shard_rollback_stats(&self) -> Option<ShardRollbackStats<'_>> {
         if self.shard_rollbacks.is_empty() {
             return None;
@@ -423,10 +395,6 @@ impl Recorder for FlightRecorder {
         }
     }
 
-    fn record_checkpoints(&mut self, n: u64) {
-        self.checkpoints += n;
-    }
-
     fn record_shard_activity(&mut self, active: &[u64]) {
         if self.shard_active_nodes.is_empty() {
             self.shard_active_nodes = vec![0; active.len()];
@@ -454,11 +422,6 @@ impl Recorder for FlightRecorder {
             self.link_packets[i] += p;
             self.link_peak_bytes[i] = self.link_peak_bytes[i].max(b);
         }
-    }
-
-    fn record_rollback(&mut self, wasted: SimDuration) {
-        self.rollbacks += 1;
-        self.wasted_ns = self.wasted_ns.saturating_add(wasted.as_nanos());
     }
 
     fn record_shard_rollbacks(
@@ -540,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn straggler_and_rollback_accounting() {
+    fn straggler_accounting() {
         let mut fr = FlightRecorder::new(2, ObsConfig::new());
         fr.record_quantum(&QuantumObs {
             index: 0,
@@ -554,16 +517,11 @@ mod tests {
             barrier_wait_ns: &[5, 9],
             vt_lag_ns: &[100, 0],
         });
-        fr.record_checkpoints(4);
-        fr.record_rollback(SimDuration::from_micros(2));
         assert_eq!(fr.total_stragglers(), 3);
         assert_eq!(fr.straggler_delay_hist().count(), 1);
         assert_eq!(fr.straggler_delay_hist().max(), 700);
         assert_eq!(fr.barrier_wait_hist().count(), 2);
         assert_eq!(fr.vt_lag_hist().sum(), 100);
-        assert_eq!(fr.checkpoints(), 4);
-        assert_eq!(fr.rollbacks(), 1);
-        assert_eq!(fr.wasted_sim(), SimDuration::from_micros(2));
     }
 
     #[test]
@@ -596,7 +554,6 @@ mod tests {
         assert_eq!(st.total_checkpoints(), 8);
         assert_eq!(st.total_rollbacks(), 4);
         assert_eq!(st.total_wasted_ns(), 1400);
-        assert_eq!(st.worst_shard(), Some((1, 3)));
     }
 
     #[test]

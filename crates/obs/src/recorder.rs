@@ -9,9 +9,12 @@
 //! | [`record_packet`](Recorder::record_packet) | each routed copy | – | – |
 //! | [`record_shard_activity`](Recorder::record_shard_activity) | – | each barrier | each committed window |
 //! | [`record_link_load`](Recorder::record_link_load) | – | each barrier of a fabric run | – |
-//! | [`record_checkpoints`](Recorder::record_checkpoints) | – | – | each window that takes any |
-//! | [`record_rollback`](Recorder::record_rollback) | – | – | each rolled-back node |
 //! | [`record_shard_rollbacks`](Recorder::record_shard_rollbacks) | – | – | each committed window |
+//!
+//! A rollback run's trajectory is `record_quantum` plus
+//! `record_shard_rollbacks`, window by window; its result carries only the
+//! whole-run totals. A shard's checkpoint lane is zero exactly in the
+//! windows it ran conservatively, which is how a mode switch is observed.
 //!
 //! Every call is behind [`Recorder::ENABLED`], so what a hook costs when
 //! nobody listens is nothing.
@@ -85,24 +88,14 @@ pub trait Recorder: Send + 'static {
         let _ = (departure, src, dst, bytes);
     }
 
-    /// Called by checkpointing engines when `n` checkpoints are taken.
-    fn record_checkpoints(&mut self, n: u64) {
-        let _ = n;
-    }
-
-    /// Called by optimistic engines on each rollback, with the simulated
-    /// time that must be re-executed.
-    fn record_rollback(&mut self, wasted: SimDuration) {
-        let _ = wasted;
-    }
-
-    /// Called by sharded optimistic engines once per committed window with
-    /// that window's per-shard checkpoint, rollback, and wasted-sim tallies,
-    /// indexed by shard. The slices always share the worker count as length.
-    /// Aggregate totals still flow through
-    /// [`record_checkpoints`](Self::record_checkpoints) and
-    /// [`record_rollback`](Self::record_rollback); this hook only attributes
-    /// them to shards.
+    /// Called by the rollback engines once per committed window, right after
+    /// that window's [`record_quantum`](Self::record_quantum), with its
+    /// per-shard checkpoint, rollback (node re-execution) and wasted-sim
+    /// tallies, indexed by shard. The slices always share the worker count as
+    /// length. This is the only rollback hook: summed over shards and
+    /// windows, the lanes are the result's `checkpoints`, `rollbacks` and
+    /// `wasted_sim`. A shard's checkpoint lane is zero exactly in the windows
+    /// it ran conservatively (an optimistic shard checkpoints every node).
     fn record_shard_rollbacks(
         &mut self,
         checkpoints: &[u64],

@@ -3,6 +3,7 @@
 use crate::flight::FlightRecorder;
 use crate::hist::Log2Histogram;
 use aqs_metrics::{render_histogram, render_series_log_y, render_table};
+use aqs_time::SimDuration;
 
 /// Formats nanoseconds with a human unit.
 fn fmt_ns(ns: u64) -> String {
@@ -74,10 +75,11 @@ impl FlightRecorder {
                 ),
             ),
         ];
-        if self.checkpoints() > 0 || self.rollbacks() > 0 {
-            rows.push(row("checkpoints", self.checkpoints().to_string()));
-            rows.push(row("rollbacks", self.rollbacks().to_string()));
-            rows.push(row("wasted sim", self.wasted_sim().to_string()));
+        if let Some(st) = self.shard_rollback_stats() {
+            let wasted = SimDuration::from_nanos(st.total_wasted_ns());
+            rows.push(row("checkpoints", st.total_checkpoints().to_string()));
+            rows.push(row("rollbacks", st.total_rollbacks().to_string()));
+            rows.push(row("wasted sim", wasted.to_string()));
         }
         out.push_str(&render_table(&["metric", "value"], &rows));
         out.push_str("\nquantum length over time (log y, ring window)\n");
@@ -98,7 +100,7 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::{ObsConfig, QuantumObs, Recorder};
-    use aqs_time::{SimDuration, SimTime};
+    use aqs_time::SimTime;
 
     #[test]
     fn fmt_ns_picks_units() {

@@ -13,6 +13,9 @@ use aqs_obs::{FlightRecorder, ObsConfig, QuantumObs, Recorder};
 use aqs_time::{SimDuration, SimTime};
 
 const GOLDEN_PATH: &str = "tests/golden/flight_jsonl.golden";
+/// The same ring plus per-shard rollback lanes: the three sample lines and
+/// the trailing `"event":"rollbacks"` summary line.
+const ROLLBACK_GOLDEN_PATH: &str = "tests/golden/flight_jsonl_rollbacks.golden";
 
 /// A recorder filled with fixed, hand-picked values: two nodes, three
 /// quanta covering the interesting shapes (quiet, busy-with-stragglers,
@@ -58,19 +61,43 @@ fn fixed_recorder() -> FlightRecorder {
     fr
 }
 
-#[test]
-fn jsonl_schema_matches_golden_file() {
-    let got = fixed_recorder().to_jsonl();
+/// [`fixed_recorder`] as a two-shard rollback run leaves it: one window's
+/// per-shard checkpoint, rollback and wasted-sim lanes per quantum. Shard 1
+/// ran the last window conservatively, so its checkpoint lane is zero there.
+fn rollback_recorder() -> FlightRecorder {
+    let mut fr = fixed_recorder();
+    fr.record_shard_rollbacks(&[1, 1], &[0, 0], &[0, 0]);
+    fr.record_shard_rollbacks(&[1, 1], &[2, 1], &[2_400, 1_200]);
+    fr.record_shard_rollbacks(&[1, 0], &[0, 0], &[0, 0]);
+    fr
+}
+
+/// Compares `got` with the committed golden file at `path`, or rewrites it
+/// under `UPDATE_GOLDEN`.
+fn assert_golden(path: &str, got: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &got).expect("write golden");
+        std::fs::write(path, got).expect("write golden");
         return;
     }
-    let want = std::fs::read_to_string(GOLDEN_PATH).expect("golden file exists and is committed");
+    let want = std::fs::read_to_string(path).expect("golden file exists and is committed");
     assert_eq!(
         got, want,
-        "flight-recorder JSONL schema drifted from {GOLDEN_PATH}; if intentional, \
+        "flight-recorder JSONL schema drifted from {path}; if intentional, \
          rerun with UPDATE_GOLDEN=1, update EXPERIMENTS.md, and commit both"
     );
+}
+
+#[test]
+fn jsonl_schema_matches_golden_file() {
+    assert_golden(GOLDEN_PATH, &fixed_recorder().to_jsonl());
+}
+
+#[test]
+fn rollback_summary_line_matches_golden_file() {
+    let got = rollback_recorder().to_jsonl();
+    let summary = got.lines().last().unwrap_or_default();
+    assert!(summary.contains(r#""event":"rollbacks""#), "{summary}");
+    assert_golden(ROLLBACK_GOLDEN_PATH, &got);
 }
 
 #[test]

@@ -506,10 +506,10 @@ fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
     let _ = std::fs::remove_file(journal);
 }
 
-/// A journal written before the snapshot frame lost its three redundant
-/// slots carries version-1 frames. Such a frame is refused at decode, and the
-/// server answers that by running the job again from quantum 0 — it must not
-/// fail the job, and it must not resume from the cut.
+/// A journal written by the previous build carries frames of the previous
+/// snapshot format. Such a frame is refused at decode, and the server
+/// answers that by running the job again from quantum 0 — it must not fail
+/// the job, and it must not resume from the cut.
 #[test]
 fn a_journaled_snapshot_of_the_previous_format_restarts_the_job_from_quantum_zero() {
     let journal = tmp_journal("old-frame");
@@ -518,7 +518,8 @@ fn a_journaled_snapshot_of_the_previous_format_restarts_the_job_from_quantum_zer
     // Only the header is forged: the version check comes before anything
     // reads the payload.
     let mut frame = sim.snapshot_at(40).unwrap().to_bytes();
-    frame[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let previous = aqs_cluster::snapshot::SNAPSHOT_VERSION - 1;
+    frame[8..12].copy_from_slice(&previous.to_le_bytes());
     assert!(matches!(
         aqs_cluster::SimSnapshot::from_bytes(&frame),
         Err(aqs_cluster::SimError::SnapshotFormat { .. })

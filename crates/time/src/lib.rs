@@ -150,12 +150,6 @@ macro_rules! duration_type {
                 self.0 as f64 / 1e3
             }
 
-            /// Returns the duration as fractional milliseconds.
-            #[inline]
-            pub fn as_millis_f64(self) -> f64 {
-                self.0 as f64 / 1e6
-            }
-
             /// Returns the duration as fractional seconds.
             #[inline]
             pub fn as_secs_f64(self) -> f64 {

@@ -2,7 +2,6 @@
 
 use aqs_node::{Op, Program, Rank, RegionId, SendTarget, Tag};
 use aqs_rng::SplitMix64;
-use aqs_time::SimDuration;
 
 /// Builds one program per rank, with MPI collectives implemented out of
 /// point-to-point messages (LAM/MPI-style binomial trees, recursive
@@ -95,13 +94,6 @@ impl MpiBuilder {
             let unit = (h.next_u64() >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
             let factor = 1.0 + spread * (2.0 * unit - 1.0);
             self.compute(r, (base as f64 * factor).round() as u64);
-        }
-    }
-
-    /// Appends idle (sleep) time to every rank.
-    pub fn idle_all(&mut self, dur: SimDuration) {
-        for r in 0..self.n {
-            self.push(r, Op::Idle { dur });
         }
     }
 

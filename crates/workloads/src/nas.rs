@@ -194,13 +194,6 @@ pub fn all(n: usize, scale: Scale) -> Vec<WorkloadSpec> {
     ]
 }
 
-/// All six generators (the paper's five plus FT).
-pub fn all_extended(n: usize, scale: Scale) -> Vec<WorkloadSpec> {
-    let mut v = all(n, scale);
-    v.push(ft(n, scale));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,7 +269,6 @@ mod tests {
             bytes_of(&ft) > 2 * bytes_of(&is),
             "FT must be bandwidth-bound relative to IS"
         );
-        assert_eq!(all_extended(8, Scale::Tiny).len(), 6);
     }
 
     #[test]

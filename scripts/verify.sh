@@ -8,12 +8,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The paired-comparison script every performance PR's evidence comes from (it
-# needs two built benchmarks to run, so the gate only parses it) and the line
-# counter every simplicity PR's claims come from.
-echo "==> bash -n scripts/perf_pairs.sh scripts/loc.sh"
-bash -n scripts/perf_pairs.sh
-bash -n scripts/loc.sh
+# Every script parses before anything runs: serve_smoke.sh and
+# check_results.sh would otherwise first be parsed minutes in, by the gates
+# that execute them, and perf_pairs.sh / loc.sh are never executed here.
+echo "==> bash -n scripts/*.sh"
+for f in scripts/*.sh; do bash -n "$f"; done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -53,9 +52,9 @@ rm -f conformance.log.jsonl
 rm -rf conformance-artifacts
 
 # The same generator pointed at the sharded-optimistic and hybrid engines
-# only, with the rollback oracles armed (GVT monotone + commit safety, cascade
-# depth within bound, wasted-sim ≡ re-executed quanta, recorder parity,
-# exactness of undegraded runs) across every configured shard count.
+# only, with the rollback oracles armed (cascade depth within bound, recorded
+# windows tiling the run, shard lanes summing to the totals, exactness of
+# undegraded runs) across every configured shard count.
 echo "==> rollback-property smoke gate: 200 cases, sharded-optimistic + hybrid"
 cargo run --release -q -p aqs-check --bin conformance -- \
     --cases 200 --seed 0xB0117 --engines sharded-optimistic,hybrid \

@@ -4,11 +4,15 @@
 //!   to the deterministic engine for every shard count — the adaptive
 //!   policy must be invisible when nothing can straggle;
 //! * under an unsafe quantum with injected stragglers, the whole adaptive
-//!   trajectory — per-shard mode switches, GVT trace, outcome — is
-//!   **reproducible from the seed**, run after run;
+//!   trajectory — every recorded window with its per-shard checkpoint,
+//!   rollback and wasted-time lanes, and the outcome — is **reproducible
+//!   from the seed**, run after run;
+//! * a shard's checkpoint lane is zero in exactly the windows it ran
+//!   conservatively, which is how mode switches are observed;
 //! * a run that never degrades a shard reproduces the ground-truth timeline
 //!   exactly, rollbacks notwithstanding.
 
+use aqs::check::WindowLog;
 use aqs::cluster::{EngineKind, HybridPolicy, RunReport, Sim};
 use aqs::core::SyncConfig;
 use aqs::workloads::MpiBuilder;
@@ -36,7 +40,7 @@ fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Progra
     m.build()
 }
 
-fn hybrid(programs: Vec<aqs::node::Program>, sync: SyncConfig, shards: usize) -> RunReport {
+fn hybrid_sim(programs: Vec<aqs::node::Program>, sync: SyncConfig, shards: usize) -> Sim {
     Sim::new(programs)
         .engine(EngineKind::Hybrid)
         .sync(sync)
@@ -46,7 +50,12 @@ fn hybrid(programs: Vec<aqs::node::Program>, sync: SyncConfig, shards: usize) ->
             recover_after: 2,
         })
         .max_quanta(2_000_000)
-        .run()
+}
+
+/// A run of `sim` with every committed window logged.
+fn logged(sim: Sim) -> (RunReport, WindowLog) {
+    sim.run_with_recorder(WindowLog::default())
+        .expect("a valid configuration")
 }
 
 proptest! {
@@ -66,17 +75,17 @@ proptest! {
             .run();
         let truth = det.simulated_outcome();
         for m in 1..=4usize {
-            let h = hybrid(programs.clone(), SyncConfig::ground_truth(), m);
+            let h = hybrid_sim(programs.clone(), SyncConfig::ground_truth(), m).run();
             prop_assert_eq!(h.simulated_outcome(), truth.clone(), "shards={}", m);
             let d = h.detail.as_sharded_optimistic().expect("hybrid detail");
             prop_assert_eq!(d.rollbacks, 0);
-            prop_assert_eq!(d.mode_events.len(), 0);
+            prop_assert_eq!(d.conservative_windows, 0);
         }
     }
 
     /// Q > T: stragglers force rollbacks and mode switches, but the whole
-    /// trajectory replays bit-identically — the switches are a pure
-    /// function of the (seeded) workload, not of thread scheduling.
+    /// trajectory replays bit-identically — every window and shard lane is a
+    /// pure function of the (seeded) workload, not of thread scheduling.
     #[test]
     fn mode_switches_replay_bit_identically_under_unsafe_quantum(
         n in prop::sample::select(vec![3usize, 4, 6]),
@@ -85,13 +94,14 @@ proptest! {
         shards in prop::sample::select(vec![1usize, 2, 3, 4]),
     ) {
         let programs = random_workload(n, &phases);
-        let a = hybrid(programs.clone(), SyncConfig::fixed_micros(q_us), shards);
-        let b = hybrid(programs, SyncConfig::fixed_micros(q_us), shards);
+        let sync = SyncConfig::fixed_micros(q_us);
+        let (a, log_a) = logged(hybrid_sim(programs.clone(), sync.clone(), shards));
+        let (b, log_b) = logged(hybrid_sim(programs, sync, shards));
         prop_assert_eq!(a.simulated_outcome(), b.simulated_outcome());
         let da = a.detail.as_sharded_optimistic().expect("hybrid detail");
         let db = b.detail.as_sharded_optimistic().expect("hybrid detail");
-        prop_assert_eq!(&da.mode_events, &db.mode_events);
-        prop_assert_eq!(&da.gvt_trace, &db.gvt_trace);
+        prop_assert_eq!(log_a.windows.len() as u64, da.windows);
+        prop_assert_eq!(&log_a, &log_b);
         prop_assert_eq!(da.rollbacks, db.rollbacks);
         prop_assert_eq!(da.conservative_windows, db.conservative_windows);
     }
@@ -129,20 +139,53 @@ proptest! {
 #[test]
 fn deep_dependency_chains_force_recorded_mode_switches() {
     let spec = aqs::workloads::ping_pong(4, 25, 4096);
-    let r = Sim::new(spec.programs)
-        .engine(EngineKind::Hybrid)
-        .sync(SyncConfig::fixed_micros(1000))
-        .hybrid_policy(HybridPolicy {
-            degrade_after: 1,
-            recover_after: 2,
-        })
-        .shards(4)
-        .run();
+    let (r, log) = logged(
+        Sim::new(spec.programs)
+            .engine(EngineKind::Hybrid)
+            .sync(SyncConfig::fixed_micros(1000))
+            .hybrid_policy(HybridPolicy {
+                degrade_after: 1,
+                recover_after: 2,
+            })
+            .shards(4),
+    );
     let d = r.detail.as_sharded_optimistic().expect("hybrid detail");
     assert!(d.rollbacks > 0, "the chain must straggle");
     assert!(
-        d.mode_events.iter().any(|e| e.conservative),
+        log.lanes
+            .iter()
+            .any(|[checkpoints, ..]| checkpoints.contains(&0)),
         "at least one shard must degrade to conservative execution"
     );
     assert!(d.conservative_windows > 0);
+}
+
+/// The mode-switch rule, exactly, on both rollback engines and several
+/// shard counts: the (window, shard) pairs with a zero checkpoint lane are
+/// the result's `conservative_windows`, and under `Q ≤ T` no lane is zero.
+#[test]
+fn zero_checkpoint_lanes_are_exactly_the_conservative_shard_windows() {
+    let spec = aqs::workloads::ping_pong(4, 25, 4096);
+    let zero_lanes = |log: &WindowLog| -> u64 {
+        let checkpoints = log.lanes.iter().flat_map(|[checkpoints, ..]| checkpoints);
+        checkpoints.filter(|&&c| c == 0).count() as u64
+    };
+    for kind in [EngineKind::ShardedOptimistic, EngineKind::Hybrid] {
+        for m in [1, 2, 3, 4] {
+            let sim = |sync| {
+                let policy = HybridPolicy {
+                    degrade_after: 1,
+                    recover_after: 2,
+                };
+                let sim = Sim::new(spec.programs.clone()).engine(kind).sync(sync);
+                sim.hybrid_policy(policy).shards(m)
+            };
+            let (r, log) = logged(sim(SyncConfig::fixed_micros(1000)));
+            let d = r.detail.as_sharded_optimistic().expect("rollback detail");
+            assert!(d.conservative_windows > 0, "{kind:?} M={m}: no mode switch");
+            assert_eq!(zero_lanes(&log), d.conservative_windows, "{kind:?} M={m}");
+            let (_, safe) = logged(sim(SyncConfig::ground_truth()));
+            assert_eq!(zero_lanes(&safe), 0, "{kind:?} M={m} under Q ≤ T");
+        }
+    }
 }

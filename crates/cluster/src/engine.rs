@@ -12,17 +12,20 @@
 //!   quantum and all nodes resume.
 //!
 //! They are events on the queue only while their order can matter. A
-//! fragment always is one. Yields are queued unless the quantum is *quiet*:
-//! nothing is in flight when it starts, nothing departs in it, and every
-//! node's first segment runs straight to the quantum edge. Then no fragment
-//! can reach the controller before the barrier and no idle traversal can be
-//! interrupted, so the yields commute: each node enters the barrier at its
-//! computed host time through the same handler, in rank order, and nothing
-//! is queued. A barrier completion is queued only while fragments are in
-//! flight (one of them may land first); otherwise it is the next thing to
-//! happen and runs directly, so a stretch of quiet quanta never touches the
-//! heap. The modelled clock, the recorder's lanes and the snapshot cut are
-//! the same either way.
+//! fragment always is one. A quantum is *quiet* when nothing is in flight and
+//! every node is mid-op with a quantum of it left and nothing departing by
+//! the edge, finished, or parked — its last poll answered `Blocked` or
+//! `WaitUntil` a time past the edge, its mailbox completed nothing since,
+//! and nothing is queued. That is decided before any node moves, from state
+//! the engine holds, and one pass then gives each node the host time its
+//! segment would end at and its barrier arrival: no fragment can reach the
+//! controller before the barrier and no idle traversal be interrupted. The
+//! parked answer is derived state a snapshot does not carry: a resumed run
+//! takes the event path into its first quantum. A barrier completion is
+//! queued only while fragments are in flight (one may land first); otherwise
+//! it runs directly, so a stretch of quiet quanta never touches the heap.
+//! The modelled clock, the recorder's lanes and the snapshot cut are the
+//! same either way.
 //!
 //! Simulated time is derived: each node's position advances linearly within
 //! its active segment at its current (jittered) simulation speed. Straggler
@@ -82,6 +85,10 @@ struct Node {
     at_barrier: bool,
     /// Last poll returned `Blocked` with no candidate message.
     blocked_no_candidate: bool,
+    /// The last poll's parked answer — `Blocked` as `SimTime::MAX`, or
+    /// `WaitUntil(t)` — and the mailbox's completed-message count at that
+    /// poll; `None` after any other answer. Derived, so not snapshotted.
+    parked: Option<(SimTime, u64)>,
     /// Generation counter: a scheduled `NodeYield` is valid only if its
     /// generation matches (interrupts bump the generation).
     gen: u64,
@@ -94,6 +101,33 @@ struct Node {
     /// `q_end - idle_from`.
     idle_from: Option<SimTime>,
 }
+
+impl Node {
+    /// Whether this node, anchored at the edge of a quantum of `q_len` that
+    /// ends at `q_end`, runs straight to `q_end` with nothing to hand off
+    /// and nothing that can interrupt it: mid-op, finished or parked (the
+    /// quiet states in the module docs).
+    fn quiet_to(&self, q_len: SimDuration, q_end: SimTime) -> bool {
+        let quiet = match self.pending {
+            Some(p) => {
+                p.remaining >= q_len && self.outgoing.front().is_none_or(|f| f.departure > q_end)
+            }
+            None => {
+                self.outgoing.is_empty()
+                    && (self.done
+                        || self.parked.is_some_and(|(t, completed)| {
+                            t >= q_end && completed == self.exec.mailbox().completed_total()
+                        }))
+            }
+        };
+        #[cfg(test)]
+        tests::note_quiet_check(self, q_end, quiet);
+        quiet
+    }
+}
+
+/// What a step of the engine returns: nothing, or the error ending the run.
+type Step = Result<(), SimError>;
 
 #[derive(Debug)]
 enum Ev {
@@ -110,11 +144,9 @@ struct Engine<'a, R> {
     /// The `(receiver, arrival)` copies of the fragment being routed; reused
     /// across fragments.
     fan_out: Vec<(usize, SimTime)>,
+    /// Events in host-time order; equal times pop in the order they were
+    /// scheduled, which is a function of the simulated history alone.
     queue: EventQueue<HostTime, Ev>,
-    /// Events the current handler produced, in the order it produced them;
-    /// not yet queued. The run loop flushes them after every handler; a
-    /// quiet quantum delivers its yields from the nodes and drops them.
-    staged: Vec<(HostTime, Ev)>,
     /// The barrier completed with nothing in flight: its completion at this
     /// host time is the next thing to happen and needs no queue entry.
     barrier_due: Option<HostTime>,
@@ -194,6 +226,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 pending: None,
                 at_barrier: false,
                 blocked_no_candidate: false,
+                parked: None,
                 gen: 0,
                 outgoing: VecDeque::new(),
                 msg_seq: 0,
@@ -209,7 +242,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             net,
             fan_out: Vec::new(),
             queue: EventQueue::new(),
-            staged: Vec::with_capacity(n),
             barrier_due: None,
             policy,
             q_len,
@@ -277,6 +309,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     .map(|(remaining, idle)| Pending { remaining, idle }),
                 at_barrier: false,
                 blocked_no_candidate: ns.blocked_no_candidate,
+                parked: None,
                 gen: 0,
                 outgoing: ns.outgoing.iter().cloned().collect(),
                 msg_seq: ns.msg_seq,
@@ -290,7 +323,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             net,
             fan_out: Vec::new(),
             queue: EventQueue::new(),
-            staged: Vec::with_capacity(n),
             barrier_due: None,
             policy,
             q_len: body.q_len,
@@ -336,7 +368,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 node.speed.resample();
             }
         }
-        self.start_quantum();
+        self.start_quantum()?;
         while !self.finished && self.captured.is_none() {
             if let Some(now) = self.barrier_due.take() {
                 self.on_barrier_done(now)?;
@@ -352,11 +384,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 });
             };
             match ev {
-                Ev::NodeYield { node, gen } => self.on_node_yield(node, gen, time),
-                Ev::FragAtController(frag, src) => self.on_frag(frag, src, time),
+                Ev::NodeYield { node, gen } => self.on_node_yield(node, gen, time)?,
+                Ev::FragAtController(frag, src) => self.on_frag(frag, src, time)?,
                 Ev::BarrierDone => self.on_barrier_done(time)?,
             }
-            self.flush_staged();
         }
         if let Some(body) = self.captured.take() {
             return Ok(DetOutcome::Captured(Box::new(body)));
@@ -365,66 +396,74 @@ impl<'a, R: Recorder> Engine<'a, R> {
         Ok(DetOutcome::Finished(Box::new(result), rec))
     }
 
-    /// Starts the quantum `[q_start, q_end)`: every node leaves the edge, and
-    /// the events that produces are queued — unless the quantum is quiet
-    /// (see the module docs), in which case each node's yield is delivered
-    /// here, at its computed host time, and nothing is queued.
-    fn start_quantum(&mut self) {
+    /// Starts the quantum `[q_start, q_end)`. A quiet one (see the module
+    /// docs) is closed here, before any node moves; otherwise every node
+    /// leaves the edge and what that produces goes on the queue.
+    fn start_quantum(&mut self) -> Step {
+        let quiet = |n: &Node| n.quiet_to(self.q_len, self.q_end);
+        if self.in_flight_frags == 0 && self.nodes.iter().all(quiet) {
+            return self.close_quiet_quantum();
+        }
         for i in 0..self.nodes.len() {
-            self.advance_node(i);
+            self.advance_node(i)?;
             if self.finished {
-                return;
+                break;
             }
         }
-        let q_end = self.q_end;
-        let quiet = self.in_flight_frags == 0
-            && self
-                .nodes
-                .iter()
-                .all(|n| n.seg.is_some_and(|seg| seg.end_sim == q_end));
-        if !quiet {
-            self.flush_staged();
-            return;
-        }
-        self.staged.clear();
-        for i in 0..self.nodes.len() {
-            let node = &self.nodes[i];
-            let seg = node.seg.expect("every node left the edge in a segment");
-            self.on_node_yield(i, node.gen, seg.end_host);
-        }
+        Ok(())
     }
 
-    /// Queues the staged events in the order they were produced, which is
-    /// what keeps sequence numbers — the FIFO tie-break — a function of the
-    /// simulated history alone.
-    fn flush_staged(&mut self) {
-        for (at, ev) in self.staged.drain(..) {
-            self.queue.schedule(at, ev);
+    /// Closes a quiet quantum in one pass, leaving every node where the event
+    /// path would: at the edge and the barrier, at its segment's end host time.
+    fn close_quiet_quantum(&mut self) -> Step {
+        let q_len = self.q_len;
+        for i in 0..self.nodes.len() {
+            let idle = self.nodes[i].pending.is_none_or(|p| p.idle);
+            let end_host = self.end_host(i, q_len, idle)?;
+            let node = &mut self.nodes[i];
+            node.sim = self.q_end;
+            node.host = end_host;
+            node.at_barrier = true;
+            // A mid-op node still has work before the edge; a finished or
+            // parked one idled the whole quantum.
+            node.idle_from = None;
+            match &mut node.pending {
+                Some(p) if p.remaining > q_len => p.remaining -= q_len,
+                Some(_) => node.pending = None,
+                None => node.idle_from = Some(self.q_start),
+            }
+            self.barrier_latest = self.barrier_latest.max(end_host);
         }
+        self.barrier_arrived = self.nodes.len();
+        self.barrier_due = Some(self.barrier_done_at()?);
+        Ok(())
     }
 
     /// Drives node `i` forward from its anchored position until a segment
     /// is scheduled, the node parks at the barrier, or the run completes.
-    fn advance_node(&mut self, i: usize) {
+    fn advance_node(&mut self, i: usize) -> Step {
         loop {
             if self.finished {
-                return;
+                return Ok(());
             }
             if self.nodes[i].sim >= self.q_end {
                 debug_assert_eq!(self.nodes[i].sim, self.q_end, "node overshot quantum end");
-                self.enter_barrier(i);
-                return;
+                return self.enter_barrier(i);
             }
             if let Some(p) = self.nodes[i].pending {
                 let to_q = self.q_end - self.nodes[i].sim;
-                self.schedule_segment(i, SegKind::Op, p.remaining.min(to_q), p.idle);
-                return;
+                return self.schedule_segment(i, SegKind::Op, p.remaining.min(to_q), p.idle);
             }
             let now = self.nodes[i].sim;
-            let action = self.nodes[i].exec.next_action(now);
-            if !matches!(action, Action::Blocked) {
-                self.nodes[i].blocked_no_candidate = false;
+            let node = &mut self.nodes[i];
+            let action = node.exec.next_action(now);
+            node.blocked_no_candidate = action == Action::Blocked;
+            node.parked = match action {
+                Action::Blocked => Some(SimTime::MAX),
+                Action::WaitUntil(t) => Some(t),
+                _ => None,
             }
+            .map(|t| (t, node.exec.mailbox().completed_total()));
             match action {
                 Action::Advance { dur, ops: _, idle } => {
                     // Sampling (§7 future work): guest timing produced while
@@ -442,13 +481,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 Action::WaitUntil(t) => {
                     debug_assert!(t > now, "executor must consume past-ready messages");
                     let target = t.min(self.q_end);
-                    self.schedule_segment(i, SegKind::BlockedIdle, target - now, true);
-                    return;
+                    return self.schedule_segment(i, SegKind::BlockedIdle, target - now, true);
                 }
                 Action::Blocked => {
-                    self.nodes[i].blocked_no_candidate = true;
-                    self.schedule_segment(i, SegKind::BlockedIdle, self.q_end - now, true);
-                    return;
+                    return self.schedule_segment(i, SegKind::BlockedIdle, self.q_end - now, true);
                 }
                 Action::Finished => {
                     if !self.nodes[i].done {
@@ -457,13 +493,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         if self.n_finished == self.nodes.len() {
                             self.finished = true;
                             self.final_host = self.nodes[i].host;
-                            return;
+                            return Ok(());
                         }
                     }
                     // The guest OS keeps (idly) running until everyone is
                     // done; fast-forward to the quantum boundary.
-                    self.schedule_segment(i, SegKind::BlockedIdle, self.q_end - now, true);
-                    return;
+                    return self.schedule_segment(i, SegKind::BlockedIdle, self.q_end - now, true);
                 }
             }
         }
@@ -489,24 +524,42 @@ impl<'a, R: Recorder> Engine<'a, R> {
         });
     }
 
-    /// Schedules the next execution segment for node `i` (which must be
-    /// anchored) and hands off any fragments departing within it: stages
-    /// the segment's yield, then its departures.
-    fn schedule_segment(&mut self, i: usize, kind: SegKind, len: SimDuration, idle: bool) {
-        debug_assert!(!len.is_zero(), "zero-length segment scheduled");
-        let hop = self.cfg.controller_hop;
-        // Sampling divides the host cost of active guest execution while
-        // the node simulator is fast-forwarding.
-        let divisor = match (&self.cfg.sampling, idle) {
-            (Some(s), false) => s.host_divisor_at(self.nodes[i].sim),
-            _ => 1.0,
+    /// The host time at which node `i`, anchored, has simulated `len` more
+    /// of guest time: the one place a segment's host cost is computed.
+    /// Sampling divides the host cost of active guest execution while the
+    /// node simulator is fast-forwarding.
+    fn end_host(&self, i: usize, len: SimDuration, idle: bool) -> Result<HostTime, SimError> {
+        let node = &self.nodes[i];
+        let Some(cost) = node.speed.host_cost(len, idle) else {
+            return Err(self.overflow());
         };
+        let cost = match (&self.cfg.sampling, idle) {
+            (Some(s), false) => cost.div_f64(s.host_divisor_at(node.sim)),
+            _ => cost,
+        };
+        node.host.checked_add(cost).ok_or_else(|| self.overflow())
+    }
+
+    /// The error for a modelled host time past `u64::MAX` nanoseconds.
+    fn overflow(&self) -> SimError {
+        SimError::HostClockOverflow {
+            quanta: self.quanta,
+        }
+    }
+
+    /// Schedules the next execution segment for node `i` (which must be
+    /// anchored) and hands off any fragments departing within it: queues
+    /// the segment's yield, then its departures.
+    fn schedule_segment(&mut self, i: usize, kind: SegKind, len: SimDuration, idle: bool) -> Step {
+        debug_assert!(!len.is_zero(), "zero-length segment scheduled");
+        let end_host = self.end_host(i, len, idle)?;
+        let hop = self.cfg.controller_hop;
+        let quanta = self.quanta;
         let q_end = self.q_end;
         let node = &mut self.nodes[i];
         let start_sim = node.sim;
         let start_host = node.host;
         let end_sim = start_sim + len;
-        let end_host = start_host + node.speed.host_cost(len, idle).div_f64(divisor);
         // Virtual-time lag bookkeeping: an idle traversal that runs straight
         // to the quantum boundary starts (or restarts) the node's idle tail;
         // anything else means the node still has work before the edge.
@@ -524,22 +577,28 @@ impl<'a, R: Recorder> Engine<'a, R> {
             end_sim,
             end_host,
         });
-        self.staged.push((end_host, Ev::NodeYield { node: i, gen }));
+        self.queue
+            .schedule(end_host, Ev::NodeYield { node: i, gen });
         while let Some(front) = node.outgoing.front() {
             if front.departure > end_sim {
                 break;
             }
             let frag = node.outgoing.pop_front().expect("front vanished");
-            let dep_host = start_host + node.speed.host_cost(frag.departure - start_sim, idle);
+            let at_controller = node
+                .speed
+                .host_cost(frag.departure - start_sim, idle)
+                .and_then(|cost| start_host.checked_add(cost)?.checked_add(hop))
+                .ok_or(SimError::HostClockOverflow { quanta })?;
             self.in_flight_frags += 1;
-            self.staged
-                .push((dep_host + hop, Ev::FragAtController(frag, i)));
+            self.queue
+                .schedule(at_controller, Ev::FragAtController(frag, i));
         }
+        Ok(())
     }
 
-    fn on_node_yield(&mut self, i: usize, gen: u64, now: HostTime) {
+    fn on_node_yield(&mut self, i: usize, gen: u64, now: HostTime) -> Step {
         if self.nodes[i].gen != gen {
-            return; // cancelled by an interrupt
+            return Ok(()); // cancelled by an interrupt
         }
         let node = &mut self.nodes[i];
         let seg = node.seg.take().expect("yield without active segment");
@@ -557,10 +616,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 node.pending = None;
             }
         }
-        self.advance_node(i);
+        self.advance_node(i)
     }
 
-    fn enter_barrier(&mut self, i: usize) {
+    fn enter_barrier(&mut self, i: usize) -> Step {
         let node = &mut self.nodes[i];
         debug_assert!(!node.at_barrier, "node entered barrier twice");
         node.at_barrier = true;
@@ -570,16 +629,26 @@ impl<'a, R: Recorder> Engine<'a, R> {
         if self.barrier_arrived == self.nodes.len() {
             // Every node is parked, so only a fragment in flight can still
             // happen before the barrier completes.
-            let due = self.barrier_latest + self.cfg.barrier.cost(self.nodes.len());
+            let due = self.barrier_done_at()?;
             if self.in_flight_frags == 0 {
                 self.barrier_due = Some(due);
             } else {
-                self.staged.push((due, Ev::BarrierDone));
+                self.queue.schedule(due, Ev::BarrierDone);
             }
         }
+        Ok(())
     }
 
-    fn on_barrier_done(&mut self, now: HostTime) -> Result<(), SimError> {
+    /// When the barrier completes once every node has arrived: the latest
+    /// arrival plus the barrier's host cost.
+    fn barrier_done_at(&self) -> Result<HostTime, SimError> {
+        let cost = self.cfg.barrier.cost(self.nodes.len());
+        self.barrier_latest
+            .checked_add(cost)
+            .ok_or_else(|| self.overflow())
+    }
+
+    fn on_barrier_done(&mut self, now: HostTime) -> Step {
         let np = self.net.end_quantum();
         if R::ENABLED {
             self.scratch_waits.clear();
@@ -631,8 +700,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             self.captured = Some(self.capture(now));
             return Ok(());
         }
-        self.start_quantum();
-        Ok(())
+        self.start_quantum()
     }
 
     /// Serializes the full engine state at the quantum-edge cut point.
@@ -738,7 +806,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
 
     /// What this engine does with an arrival: compares it with where the
     /// receiver is at this host instant.
-    fn on_frag(&mut self, frag: FragSnap, src: usize, now: HostTime) {
+    fn on_frag(&mut self, frag: FragSnap, src: usize, now: HostTime) -> Step {
         self.in_flight_frags -= 1;
         let mut copies = std::mem::take(&mut self.fan_out);
         self.net
@@ -784,11 +852,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     node.host = now;
                     node.gen += 1; // invalidate the scheduled yield
                     node.seg = None;
-                    self.advance_node(j);
+                    self.advance_node(j)?;
                 }
             }
         }
         self.fan_out = copies;
+        Ok(())
     }
 
     fn into_result(mut self) -> (RunResult, R) {
@@ -850,6 +919,31 @@ mod tests {
     use aqs_core::SyncConfig;
     use aqs_node::{HostModel, ProgramBuilder, Rank, RegionId, Tag};
     use aqs_obs::{FlightRecorder, ObsConfig};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How often each quiet-check branch was taken on this thread:
+        /// mid-op, finished, parked on `Blocked`, parked on `WaitUntil`, and
+        /// a parked answer invalidated by a message completed since.
+        static QUIET_BRANCHES: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
+    }
+
+    /// Counts the branch [`Node::quiet_to`] just took.
+    pub(super) fn note_quiet_check(n: &Node, q_end: SimTime, quiet: bool) {
+        let branch = match (quiet, n.pending, n.done, n.parked) {
+            (true, Some(_), _, _) => 0,
+            (true, None, true, _) => 1,
+            (true, None, false, Some((SimTime::MAX, _))) => 2,
+            (true, None, false, Some(_)) => 3,
+            (false, None, false, Some((t, _))) if t >= q_end && n.outgoing.is_empty() => 4,
+            _ => return,
+        };
+        QUIET_BRANCHES.with(|c| {
+            let mut counts = c.get();
+            counts[branch] += 1;
+            c.set(counts);
+        });
+    }
 
     /// Test shorthand for an unrecorded deterministic run through `Sim`.
     fn run_cluster(programs: Vec<Program>, config: &ClusterConfig) -> RunResult {
@@ -1232,41 +1326,97 @@ mod tests {
         assert_eq!(null.total_quanta, result.total_quanta);
     }
 
-    /// A ring that alternates long computes (stretches of quiet quanta)
-    /// with small and multi-fragment sends and blocking receives; compute
-    /// lengths are skewed by rank so early finishers idle to the edge.
-    fn quiet_busy_ring(n: u32, rounds: u32) -> Vec<Program> {
-        (0..n)
-            .map(|r| {
-                let mut b = ProgramBuilder::new(Rank::new(r));
-                for k in 0..rounds {
-                    let bytes = if k % 2 == 0 { 64 } else { 25_000 };
-                    b = b
-                        .compute(260_000 + 26_000 * u64::from((r + k) % 4))
-                        .send(Rank::new((r + 1) % n), bytes, Tag::new(k))
-                        .recv(Some(Rank::new((r + n - 1) % n)), Tag::new(k));
-                }
-                b.compute(130_000).build()
-            })
-            .collect()
+    /// Appends `rounds` of a ring that alternates long computes (stretches
+    /// of quiet quanta) with small and multi-fragment sends and blocking
+    /// receives; compute lengths are skewed by rank so early finishers idle
+    /// to the edge.
+    fn ring_phase(b: ProgramBuilder, r: u32, n: u32, rounds: u32) -> ProgramBuilder {
+        (0..rounds).fold(b, |b, k| {
+            let bytes = if k % 2 == 0 { 64 } else { 25_000 };
+            b.compute(260_000 + 26_000 * u64::from((r + k) % 4))
+                .send(Rank::new((r + 1) % n), bytes, Tag::new(k))
+                .recv(Some(Rank::new((r + n - 1) % n)), Tag::new(k))
+        })
     }
 
-    /// `step_snapshot(cursor, 1)` over every quantum edge — cuts inside
-    /// quiet stretches and cuts with fragments in flight — reaches the
-    /// uninterrupted run, at n = 2 and n = 64 (the quiet test is O(n)).
+    /// Mid-op: after the ring, 500 µs of compute between a message rank 1
+    /// does not wait for yet (tag 101) and the one it does (tag 100).
+    fn long_compute_sender(n: u32) -> Program {
+        ring_phase(ProgramBuilder::new(Rank::new(0)), 0, n, 2)
+            .send(Rank::new(1), 64, Tag::new(101))
+            .compute(1_300_000)
+            .send(Rank::new(1), 25_000, Tag::new(100))
+            .build()
+    }
+
+    /// Parked: on `Blocked` for tag 100 while rank 0 computes; tag 101
+    /// completes for it meanwhile, which invalidates the parked answer;
+    /// then on `WaitUntil`, tag 100 having landed long before its arrival.
+    fn parked_receiver(n: u32) -> Program {
+        ring_phase(ProgramBuilder::new(Rank::new(1)), 1, n, 2)
+            .recv(Some(Rank::new(0)), Tag::new(100))
+            .recv(Some(Rank::new(0)), Tag::new(101))
+            .compute(26_000)
+            .build()
+    }
+
+    /// Finished: after the ring, a short compute and done while ranks 0
+    /// and 1 still run (at n = 2, rank 0 plays this part after its sends).
+    fn early_finisher(r: u32, n: u32) -> Program {
+        ring_phase(ProgramBuilder::new(Rank::new(r)), r, n, 2)
+            .compute(26_000 * u64::from(r))
+            .build()
+    }
+
+    /// A set that drives every branch of the quiet check, and the config
+    /// that makes it: a 20 ms controller hop keeps fragments in flight
+    /// across barriers and delivers them while their receiver sits at one,
+    /// and a 500 µs link latency puts arrivals quanta past that.
+    fn quiet_check_set(n: u32) -> (Vec<Program>, ClusterConfig) {
+        let mut programs = vec![long_compute_sender(n), parked_receiver(n)];
+        programs.extend((2..n).map(|r| early_finisher(r, n)));
+        let mut cfg = ClusterConfig::new(SyncConfig::fixed_micros(10)).with_seed(17);
+        cfg.controller_hop = aqs_time::HostDuration::from_millis(20);
+        cfg.nic = aqs_net::NicModel::new(10_000_000_000, SimDuration::from_micros(500), 9000);
+        (programs, cfg)
+    }
+
+    /// Every sample of a recorder, in a comparable form.
+    fn samples(fr: &FlightRecorder) -> Vec<String> {
+        fr.samples().map(|s| format!("{s:?}")).collect()
+    }
+
+    /// A deterministic run's whole result, in a comparable form.
+    fn det_result(report: &crate::sim::RunReport) -> String {
+        format!(
+            "{:?}",
+            report.detail.as_deterministic().expect("det detail")
+        )
+    }
+
+    /// The cache behind the quiet pass is not snapshotted, so a run resumed
+    /// at edge k takes the event path into quantum k where the uninterrupted
+    /// run takes the quiet pass. Unrecorded: `step_snapshot(cursor, 1)` over
+    /// every edge reaches the uninterrupted run. Recorded: resuming at every
+    /// edge reproduces the uninterrupted run's samples from that edge on,
+    /// per-node lanes included. At n = 2 and n = 8, with every quiet-check
+    /// branch taken.
     #[test]
     fn single_quantum_chunks_through_quiet_and_busy_quanta_resume_exactly() {
         use crate::sim::SnapshotStep;
-        // The `host_elapsed` literals are the all-events engine's (parent
-        // commit), so the uninterrupted run is pinned too, not only its
-        // agreement with the chunked one.
-        for (n, host_ns) in [(2, 146_241_059), (64, 1_089_407_528)] {
-            // A controller hop of several quanta of host time keeps
-            // fragments in flight across barriers.
-            let mut cfg = ClusterConfig::new(SyncConfig::fixed_micros(10)).with_seed(17);
-            cfg.controller_hop = aqs_time::HostDuration::from_millis(20);
-            let sim = Sim::new(quiet_busy_ring(n, 4)).config(cfg.clone());
-            let whole = run_cluster(quiet_busy_ring(n, 4), &cfg);
+        // The `host_elapsed` literals come from the engine before the quiet
+        // pre-check (which advanced every node and tested quietness after),
+        // so the uninterrupted run is pinned too, not only its agreement
+        // with the resumed ones.
+        for (n, host_ns) in [(2, 207_697_294), (8, 551_130_151)] {
+            QUIET_BRANCHES.with(|c| c.set([0; 5]));
+            let (programs, cfg) = quiet_check_set(n);
+            let sim = Sim::new(programs.clone()).config(cfg.clone());
+            let whole = run_cluster(programs, &cfg);
+            let recorded = sim.clone().record(ObsConfig::new()).run();
+            let whole_samples = samples(recorded.obs.as_ref().expect("recorder attached"));
+            let whole_result = det_result(&recorded);
+            assert_eq!(whole_result, format!("{whole:?}"), "n={n}");
             let (mut cursor, mut quiet_cuts, mut busy_cuts) = (None, 0u32, 0u32);
             let chunked = loop {
                 match sim.step_snapshot(cursor.as_ref(), 1).expect("chunk runs") {
@@ -1276,6 +1426,11 @@ mod tests {
                         } else {
                             busy_cuts += 1;
                         }
+                        let k = s.body.quanta as usize;
+                        let resumed = sim.clone().record(ObsConfig::new()).resume(&s).unwrap();
+                        let resumed_samples = samples(resumed.obs.as_ref().unwrap());
+                        assert_eq!(resumed_samples, whole_samples[k..], "n={n} k={k}");
+                        assert_eq!(det_result(&resumed), whole_result, "n={n} k={k}");
                         cursor = Some(s);
                     }
                     SnapshotStep::Finished(report) => break report,
@@ -1285,16 +1440,10 @@ mod tests {
                 quiet_cuts > 20 && busy_cuts > 0,
                 "n={n}: {quiet_cuts} quiet, {busy_cuts} busy"
             );
-            let chunked = chunked.detail.as_deterministic().expect("det detail");
+            let branches = QUIET_BRANCHES.with(Cell::get);
+            assert!(branches.iter().all(|&b| b > 0), "n={n}: {branches:?}");
             assert_eq!(whole.host_elapsed.as_nanos(), host_ns, "n={n}");
-            assert_eq!(chunked.sim_end, whole.sim_end, "n={n}");
-            assert_eq!(chunked.host_elapsed, whole.host_elapsed, "n={n}");
-            assert_eq!(chunked.total_quanta, whole.total_quanta, "n={n}");
-            assert_eq!(chunked.total_packets, whole.total_packets, "n={n}");
-            assert_eq!(chunked.stragglers, whole.stragglers, "n={n}");
-            for (c, w) in chunked.per_node.iter().zip(&whole.per_node) {
-                assert_eq!(c.finish_sim, w.finish_sim, "n={n}");
-            }
+            assert_eq!(det_result(&chunked), whole_result, "n={n}");
         }
     }
 

@@ -228,6 +228,13 @@ pub enum SimError {
         /// The quantum cap that was exhausted.
         max_quanta: u64,
     },
+    /// The deterministic engine's modelled host clock would pass `u64::MAX`
+    /// nanoseconds: a segment's cost, a fragment's hand-off or a barrier
+    /// completion lies beyond what a `HostTime` can hold.
+    HostClockOverflow {
+        /// Quanta completed before the overflow.
+        quanta: u64,
+    },
     /// An internal engine invariant failed. Always a bug, never a workload
     /// property — reported as an error (not a panic) so a resident server
     /// survives it.
@@ -358,6 +365,10 @@ impl fmt::Display for SimError {
                 "quantum cap exceeded: the {} engine ran {max_quanta} quanta without \
                  finishing — workload deadlock?",
                 engine.name()
+            ),
+            SimError::HostClockOverflow { quanta } => write!(
+                f,
+                "modelled host clock overflowed u64 nanoseconds after {quanta} quanta"
             ),
             SimError::EngineInvariant { detail } => {
                 write!(f, "engine invariant violated: {detail}")

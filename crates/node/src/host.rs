@@ -130,8 +130,9 @@ impl Default for HostModel {
 ///
 /// let mut speed = HostSpeed::new(HostModel::default(), Rng::substream(1, 0));
 /// speed.resample();
-/// let cost = speed.host_cost(SimDuration::from_micros(1), false);
+/// let cost = speed.host_cost(SimDuration::from_micros(1), false).unwrap();
 /// assert!(cost.as_nanos() > 0);
+/// assert!(speed.host_cost(SimDuration::MAX, false).is_none());
 /// ```
 #[derive(Clone, Debug)]
 pub struct HostSpeed {
@@ -165,16 +166,19 @@ impl HostSpeed {
         self.model.base_slowdown * self.jitter
     }
 
-    /// Host cost of simulating `sim` of guest time in the current quantum.
+    /// Host cost of simulating `sim` of guest time in the current quantum,
+    /// or `None` when it exceeds what a [`HostDuration`] can hold.
     ///
     /// `idle` marks guest-idle spans, which are fast-forwarded.
-    pub fn host_cost(&self, sim: SimDuration, idle: bool) -> HostDuration {
+    pub fn host_cost(&self, sim: SimDuration, idle: bool) -> Option<HostDuration> {
         let factor = if idle {
             self.slowdown() * self.model.idle_factor()
         } else {
             self.slowdown()
         };
-        HostDuration::from_nanos((sim.as_nanos() as f64 * factor).round() as u64)
+        let nanos = (sim.as_nanos() as f64 * factor).round();
+        // `u64::MAX as f64` is 2^64, itself out of range.
+        (nanos < u64::MAX as f64).then(|| HostDuration::from_nanos(nanos as u64))
     }
 
     /// The static model.
@@ -237,14 +241,14 @@ mod tests {
     fn active_cost_scales_by_slowdown() {
         let s = HostSpeed::new(HostModel::uniform(30.0, 0.02), Rng::substream(1, 0));
         let cost = s.host_cost(SimDuration::from_micros(1), false);
-        assert_eq!(cost, HostDuration::from_micros(30));
+        assert_eq!(cost, Some(HostDuration::from_micros(30)));
     }
 
     #[test]
     fn idle_cost_is_fast_forwarded() {
         let s = HostSpeed::new(HostModel::uniform(30.0, 0.02), Rng::substream(1, 0));
-        let active = s.host_cost(SimDuration::from_micros(100), false);
-        let idle = s.host_cost(SimDuration::from_micros(100), true);
+        let active = s.host_cost(SimDuration::from_micros(100), false).unwrap();
+        let idle = s.host_cost(SimDuration::from_micros(100), true).unwrap();
         assert_eq!(idle.as_nanos() * 50, active.as_nanos());
     }
 

@@ -3,10 +3,11 @@
 # perf/README.md "Comparing two commits".
 #
 #   scripts/perf_pairs.sh <parent-aqs-perf> <change-aqs-perf> \
-#       [--workload W] [--pairs N] [--seconds S] [--seed-base K]
+#       [--workload W] [--pairs N] [--seconds S] [--seed-base K] [--tsv PATH]
 #
 # Runs N pairs per workload, alternating which side goes first
-# (A B  B A  A B …), pair k on seed K + k, and prints every run. Then, per
+# (A B  B A  A B …), pair k on seed K + k, and prints every run (with --tsv,
+# also appends it to PATH as a tab-separated row, header first). Then, per
 # end-to-end metric: each side's median and quartiles, the pairs the change
 # won (ties count for neither side), and a verdict:
 #
@@ -35,6 +36,7 @@ workloads="burst_1k incast_256k rollback_mixed paper_sweep serve_jobs"
 pairs=10
 seconds=15
 seed_base=0
+tsv=
 # How far a median may worsen before it is a regression: the `bound` every
 # end-to-end metric carries in BENCHMARK.json.
 bound=0.25
@@ -45,6 +47,7 @@ while [ $# -gt 0 ]; do
         --pairs) pairs=$2 ;;
         --seconds) seconds=$2 ;;
         --seed-base) seed_base=$2 ;;
+        --tsv) tsv=$2 ;;
         *) usage ;;
     esac
     shift 2
@@ -54,6 +57,9 @@ for bin in "$parent" "$change"; do
 done
 
 metrics="wall_s packets_per_s setup_s peak_rss_mb"
+if [ -n "$tsv" ] && [ ! -s "$tsv" ]; then
+    echo "workload pair side seed $metrics failed_ops" | tr ' ' '\t' >"$tsv"
+fi
 
 # One run → "wall_s packets_per_s setup_s peak_rss_mb failed_ops".
 run_once() {
@@ -73,7 +79,9 @@ for w in $workloads; do
         if [ $((k % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
-            echo "$k $side $seed $(run_once "$bin" "$w" "$seed")" | tee -a "$runs"
+            run="$k $side $seed $(run_once "$bin" "$w" "$seed")"
+            echo "$run" | tee -a "$runs"
+            [ -z "$tsv" ] || echo "$w $run" | tr ' ' '\t' >>"$tsv"
         done
     done
     awk -v metrics="$metrics" -v bound="$bound" -v w="$w" '

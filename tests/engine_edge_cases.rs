@@ -366,3 +366,20 @@ fn huge_cascade_bound_neither_hangs_nor_trips_the_cap() {
         }
     }
 }
+
+/// A modelled host clock past `u64::MAX` ns is a typed error, not a panic.
+/// The 2-node allreduce's compute op is ≈ 3.5·10⁹ s of guest time and the
+/// fixed quantum (4·10⁹ s) takes it in one segment, whose host cost at the
+/// default 30× slowdown is beyond what a `HostDuration` holds: the run stops
+/// inside its first quantum. (With `fixed:1000000000` the same program used
+/// to panic in `HostTime + HostDuration` after ≈ 5.5·10⁵ quanta.)
+#[test]
+fn host_clock_overflow_is_a_typed_error() {
+    let spec = aqs::workloads::ml_allreduce(2, 1, 1, 1024, 9_000_000_000_000_000_000, 42);
+    let err = Sim::new(spec.programs)
+        .sync(SyncConfig::fixed_micros(4_000_000_000_000_000))
+        .try_run()
+        .unwrap_err();
+    assert_eq!(err, SimError::HostClockOverflow { quanta: 0 });
+    assert!(err.to_string().contains("host clock overflowed"), "{err}");
+}

@@ -14,14 +14,13 @@
 //! Usage: `fig9_scaleout [tiny|full]` (full is the figure scale).
 
 use aqs_bench::{
-    render_log_series, speedup_over_time, standard_config, with_housekeeping, write_tsv,
-    ProgressSeries, TrafficLog,
+    dyn_config, render_log_series, speedup_over_time, standard_config, with_housekeeping,
+    write_tsv, ProgressSeries, TrafficLog,
 };
 use aqs_cluster::{app_metric, ClusterConfig, EngineDetail, RunResult, Sim};
-use aqs_core::{AdaptiveConfig, SyncConfig};
+use aqs_core::SyncConfig;
 use aqs_metrics::{render_table, render_traffic_density};
 use aqs_obs::Recorder;
-use aqs_time::SimDuration;
 use aqs_workloads::{MetricKind, NasBench, Scale, Workload, WorkloadSpec};
 use std::time::Instant;
 
@@ -29,15 +28,6 @@ use std::time::Instant;
 struct PaperRow {
     accel: f64,
     accuracy: &'static str,
-}
-
-fn dyn_config(min_us: u64, max_us: u64, inc: f64) -> SyncConfig {
-    SyncConfig::Adaptive(AdaptiveConfig::new(
-        SimDuration::from_micros(min_us),
-        SimDuration::from_micros(max_us),
-        inc,
-        0.02,
-    ))
 }
 
 /// One deterministic run reporting to `rec`.

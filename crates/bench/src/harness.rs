@@ -1,7 +1,7 @@
 //! Experiment-to-text plumbing shared by the figure binaries.
 
 use aqs_cluster::{ClusterConfig, Experiment, ExperimentResult};
-use aqs_core::SyncConfig;
+use aqs_core::{AdaptiveConfig, SyncConfig};
 use aqs_metrics::{harmonic_mean, render_table};
 use aqs_node::CpuModel;
 use aqs_time::{HostTime, SimDuration, SimTime};
@@ -103,6 +103,18 @@ pub fn with_housekeeping(spec: WorkloadSpec) -> WorkloadSpec {
 /// The harness' standard base configuration for a given experiment seed.
 pub fn standard_config(seed: u64) -> ClusterConfig {
     ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed)
+}
+
+/// The §6 tables' adaptive configuration `dyn min:max`: Algorithm 1 between
+/// `min_us` and `max_us` µs, growing by `inc` per quiet quantum and
+/// shrinking by 0.02 on traffic.
+pub fn dyn_config(min_us: u64, max_us: u64, inc: f64) -> SyncConfig {
+    SyncConfig::Adaptive(AdaptiveConfig::new(
+        SimDuration::from_micros(min_us),
+        SimDuration::from_micros(max_us),
+        inc,
+        0.02,
+    ))
 }
 
 /// Runs one workload (with housekeeping traffic) through a sweep.

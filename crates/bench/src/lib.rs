@@ -11,7 +11,8 @@ pub mod harness;
 mod record;
 
 pub use harness::{
-    experiment_table, nas_aggregate, print_experiment, render_log_series, run_sweep, scale_arg,
-    speedup_over_time, standard_config, with_housekeeping, write_tsv, FigureRow, NasAggregate,
+    dyn_config, experiment_table, nas_aggregate, print_experiment, render_log_series, run_sweep,
+    scale_arg, speedup_over_time, standard_config, with_housekeeping, write_tsv, FigureRow,
+    NasAggregate,
 };
 pub use record::{ProgressSeries, TrafficLog};

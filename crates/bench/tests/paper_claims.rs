@@ -1,13 +1,15 @@
-//! DESIGN.md §4's shape sentences as tests, over exactly what `fig8_pareto`
-//! computes: the NAS aggregate and the NAMD sweep at 8 nodes, `Scale::Mini`,
-//! seed 42, every configuration of the paper's sweep. The checked-in
-//! `results/fig8_pareto.tsv` pins these numbers; the tests pin what the
-//! paper says about them, so a change that moves the numbers on purpose
-//! still has to keep the paper's shape.
+//! DESIGN.md §4's shape sentences as tests. Figure 8's two are over exactly
+//! what `fig8_pareto` computes: the NAS aggregate and the NAMD sweep at 8
+//! nodes, `Scale::Mini`, seed 42, every configuration of the paper's sweep.
+//! The §6 64-node table's three are over exactly what `fig9_scaleout`
+//! computes, at `Scale::Mini`. The checked-in `results/*.tsv` pin these
+//! numbers; the tests pin what the paper says about them, so a change that
+//! moves the numbers on purpose still has to keep the paper's shape.
 
-use aqs_bench::{nas_aggregate, run_sweep};
-use aqs_cluster::paper_sweep;
-use aqs_workloads::{Scale, Workload};
+use aqs_bench::{dyn_config, nas_aggregate, run_sweep, standard_config, with_housekeeping};
+use aqs_cluster::{app_metric, paper_sweep, RunResult, Sim};
+use aqs_core::SyncConfig;
+use aqs_workloads::{MetricKind, NasBench, Scale, Workload};
 use std::sync::OnceLock;
 
 /// One configuration's point on the Pareto plane.
@@ -98,4 +100,77 @@ fn no_fixed_quantum_dominates_an_adaptive_one() {
             }
         }
     }
+}
+
+/// One benchmark's §6 rows as `fig9_scaleout` runs them — 64 nodes,
+/// housekeeping traffic, seed 42 — at `Scale::Mini`: the 1 µs baseline,
+/// then fixed 100 µs, fixed 10 µs and the benchmark's dyn configuration.
+fn scaleout(workload: Workload, dyn_cfg: SyncConfig) -> [RunResult; 4] {
+    let spec = with_housekeeping(workload.build(64, 42));
+    let cfg = standard_config(42);
+    [
+        SyncConfig::ground_truth(),
+        SyncConfig::fixed_micros(100),
+        SyncConfig::fixed_micros(10),
+        dyn_cfg,
+    ]
+    .map(|sync| {
+        let report = Sim::new(spec.programs.clone())
+            .config(cfg.clone().with_sync(sync))
+            .run();
+        report
+            .detail
+            .as_deterministic()
+            .expect("deterministic engine")
+            .clone()
+    })
+}
+
+fn nas(bench: NasBench) -> Workload {
+    Workload::Nas {
+        bench,
+        scale: Scale::Mini,
+    }
+}
+
+/// "IS must show catastrophic exec-time dilation at Q = 100": the kernel's
+/// MOPS ratio m₀/m is at least 10× at Q = 100 µs and falls in the order
+/// Q = 100 > Q = 10 > dyn 1:100, which stays within 1 % of the baseline.
+#[test]
+fn is_exec_time_dilates_catastrophically_at_q100() {
+    let [base, q100, q10, dyn1] = scaleout(nas(NasBench::Is), dyn_config(1, 100, 1.03));
+    let m0 = app_metric(&base, MetricKind::Mops).value();
+    let ratio = |r: &RunResult| m0 / app_metric(r, MetricKind::Mops).value();
+    let (r100, r10, rdyn) = (ratio(&q100), ratio(&q10), ratio(&dyn1));
+    assert!(r100 >= 10.0, "Q=100 dilates only {r100:.2}x");
+    assert!(
+        r100 > r10 && r10 > rdyn,
+        "{r100:.2}x / {r10:.2}x / {rdyn:.2}x"
+    );
+    assert!((rdyn - 1.0).abs() < 0.01, "dyn 1:100 dilates {rdyn:.4}x");
+}
+
+/// "NAMD must cap adaptive speedup near the fixed-10 µs point": dyn 2:100
+/// is slower than Q = 10 µs, and more accurate.
+#[test]
+fn namd_adaptive_speedup_is_capped_by_fixed_10us() {
+    let workload = Workload::Namd { scale: Scale::Mini };
+    let [base, _, q10, dyn2] = scaleout(workload, dyn_config(2, 100, 1.05));
+    let m0 = app_metric(&base, MetricKind::KernelTime);
+    let error = |r: &RunResult| app_metric(r, MetricKind::KernelTime).error_vs(&m0);
+    let (s10, sdyn) = (q10.speedup_vs(&base), dyn2.speedup_vs(&base));
+    assert!(sdyn < s10, "dyn 2:100 {sdyn:.1}x >= Q=10 {s10:.1}x");
+    let (e10, edyn) = (error(&q10), error(&dyn2));
+    assert!(edyn < e10, "dyn 2:100 error {edyn} >= Q=10 error {e10}");
+}
+
+/// §6 EP row: speedups ordered Q = 100 > dyn 1:100 > Q = 10.
+#[test]
+fn ep_speedup_orders_q100_dyn_q10() {
+    let [base, q100, q10, dyn1] = scaleout(nas(NasBench::Ep), dyn_config(1, 100, 1.03));
+    let [s100, s10, sdyn] = [&q100, &q10, &dyn1].map(|r| r.speedup_vs(&base));
+    assert!(
+        s100 > sdyn && sdyn > s10,
+        "{s100:.1}x / {sdyn:.1}x / {s10:.1}x"
+    );
 }

@@ -34,6 +34,9 @@
 //! delivered *now* and the delay is recorded; when the receiver has already
 //! finished its quantum, delivery snaps to the next quantum start
 //! (Figure 3(d)).
+//!
+//! The engine uses one helper thread, for jitter draws only (`Feed`): every
+//! simulated decision is made on the engine's thread.
 
 use crate::config::ClusterConfig;
 use crate::result::{NodeResult, RunResult};
@@ -47,6 +50,15 @@ use aqs_obs::{QuantumObs, Recorder};
 use aqs_rng::Rng;
 use aqs_time::{HostTime, SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::{Scope, ScopedJoinHandle};
+
+/// Rounds of jitter a run draws before it starts its helper, and per helper
+/// block. It groups work; no result depends on it.
+pub(crate) const FEED_BLOCK: u64 = 1024;
+
+/// Blocks in circulation: one being read, up to two drawn ahead.
+const FEED_BUFFERS: usize = 3;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SegKind {
@@ -126,6 +138,117 @@ impl Node {
     }
 }
 
+/// Where a run's jitter comes from. A node's k-th draw (`HostSpeed::resample`
+/// on an RNG substream nothing else reads) depends on the seed, the node, its
+/// host model and k alone, so after a run's first `FEED_BLOCK` rounds a helper
+/// draws the odd-indexed nodes' ahead, on clones of their speeds. A capture
+/// run's helper stops at the edge and its streams go into the nodes.
+struct Feed<'s, 'e> {
+    scope: &'s Scope<'s, 'e>,
+    /// Rounds drawn in this run.
+    drawn: u64,
+    /// The round a capture run stops after; its helper draws no further.
+    capture_at: Option<u64>,
+    ahead: Option<Ahead<'s>>,
+}
+
+/// The engine's end of a helper: blocks of a value per odd-indexed node per round.
+struct Ahead<'s> {
+    full: Receiver<Vec<f64>>,
+    empty: SyncSender<Vec<f64>>,
+    block: Vec<f64>,
+    read: usize,
+    helper: ScopedJoinHandle<'s, Vec<HostSpeed>>,
+}
+
+impl Feed<'_, '_> {
+    /// Draws round `index`, every node's next jitter; after the run's first
+    /// block starts the helper, unless the run stops within one more: the
+    /// engine waits for the helper's first block, so it pays from its second.
+    fn draw<T>(&mut self, nodes: &mut [T], speed: fn(&mut T) -> &mut HostSpeed, index: u64) {
+        draw_round(nodes.iter_mut().map(speed), self.ahead.as_mut());
+        self.drawn += 1;
+        if self.drawn != FEED_BLOCK || self.capture_at.is_some_and(|c| c <= index + FEED_BLOCK) {
+            return;
+        }
+        let mut rounds = self.capture_at.map_or(u64::MAX, |c| c - index);
+        let mut speeds: Vec<_> = odd(nodes).map(|n| speed(n).clone()).collect();
+        let len = FEED_BLOCK as usize * speeds.len();
+        let (full_tx, full) = sync_channel(FEED_BUFFERS);
+        let (empty, empty_rx) = sync_channel(FEED_BUFFERS);
+        for _ in 1..FEED_BUFFERS {
+            let _ = empty.send(Vec::with_capacity(len));
+        }
+        #[cfg(test)]
+        tests::note_helper_spawn();
+        // Fills the blocks it is handed until `rounds` or the engine hangs up.
+        let helper = self.scope.spawn(move || {
+            for mut block in empty_rx.iter() {
+                let n = rounds.min(FEED_BLOCK);
+                block.clear();
+                for _ in 0..n {
+                    draw_round(speeds.iter_mut(), None);
+                    block.extend(speeds.iter().map(HostSpeed::jitter));
+                }
+                rounds -= n;
+                if n == 0 || full_tx.send(block).is_err() {
+                    break;
+                }
+            }
+            speeds
+        });
+        self.ahead = Some(Ahead {
+            full,
+            empty,
+            block: Vec::with_capacity(len),
+            read: 0,
+            helper,
+        });
+    }
+
+    /// Joins a capture run's helper and installs its streams, which stopped
+    /// where inline draws would have.
+    fn install<T>(&mut self, nodes: &mut [T], speed: fn(&mut T) -> &mut HostSpeed) {
+        if let Some(ahead) = self.ahead.take() {
+            drop((ahead.full, ahead.empty));
+            let streams = ahead.helper.join().expect("the helper panicked");
+            for (node, stream) in odd(nodes).zip(streams) {
+                *speed(node) = stream;
+            }
+        }
+    }
+}
+
+impl Ahead<'_> {
+    /// The next value drawn ahead; waits for the helper when it is behind.
+    fn next(&mut self) -> f64 {
+        if self.read == self.block.len() {
+            // Fails only once a capture run's helper is done.
+            let _ = self.empty.send(std::mem::take(&mut self.block));
+            self.block = self.full.recv().expect("no helper");
+            self.read = 0;
+        }
+        self.read += 1;
+        self.block[self.read - 1]
+    }
+}
+
+/// The odd-indexed nodes: the ones the helper draws for.
+fn odd<T>(nodes: &mut [T]) -> impl Iterator<Item = &mut T> {
+    nodes.iter_mut().skip(1).step_by(2)
+}
+
+/// Draws each speed's next jitter through `HostSpeed::resample`, but while a
+/// helper runs, the odd-indexed ones take theirs from it.
+fn draw_round<'n>(speeds: impl Iterator<Item = &'n mut HostSpeed>, mut a: Option<&mut Ahead>) {
+    for (i, speed) in speeds.enumerate() {
+        match a.as_deref_mut() {
+            Some(a) if i % 2 == 1 => speed.set_jitter(a.next()),
+            _ => speed.resample(),
+        }
+    }
+}
+
 /// What a step of the engine returns: nothing, or the error ending the run.
 type Step = Result<(), SimError>;
 
@@ -170,11 +293,6 @@ struct Engine<'a, R> {
     /// Scratch lanes for sample assembly, reused across quanta.
     scratch_waits: Vec<u64>,
     scratch_lags: Vec<u64>,
-    /// This engine was seeded from a snapshot (skip the initial resample —
-    /// the restored RNG streams already sit past their barrier draw).
-    resumed: bool,
-    /// Capture a snapshot after this many completed quanta, if set.
-    capture_at: Option<u64>,
     /// The captured state, once the capture point is reached.
     captured: Option<SnapshotBody>,
 }
@@ -203,17 +321,15 @@ pub(crate) fn run_cluster_det<R: Recorder>(
     for (i, p) in programs.iter().enumerate() {
         assert_eq!(p.rank().index(), i, "program {i} is for {}", p.rank());
     }
-    let mut engine = match resume {
+    let engine = match resume {
         None => Engine::new(programs, config, net, recorder),
         Some(body) => Engine::resumed(programs, config, net, recorder, body)?,
     };
-    engine.capture_at = capture_at;
-    engine.run()
+    engine.run(resume.is_none(), capture_at)
 }
 
 impl<'a, R: Recorder> Engine<'a, R> {
     fn new(programs: Vec<Program>, cfg: &'a ClusterConfig, net: NetworkController, rec: R) -> Self {
-        let n = programs.len();
         let nodes = programs
             .into_iter()
             .enumerate()
@@ -234,6 +350,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 idle_from: None,
             })
             .collect();
+        Self::assemble(cfg, nodes, net, rec)
+    }
+
+    /// An engine over `nodes` at time zero, the policy's first quantum ahead.
+    fn assemble(cfg: &'a ClusterConfig, nodes: Vec<Node>, net: NetworkController, rec: R) -> Self {
+        let n = nodes.len();
         let policy = cfg.sync.build();
         let q_len = policy.initial_quantum();
         Self {
@@ -258,8 +380,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             q_stragglers: StragglerStats::default(),
             scratch_waits: Vec::with_capacity(n),
             scratch_lags: Vec::with_capacity(n),
-            resumed: false,
-            capture_at: None,
             captured: None,
         }
     }
@@ -284,10 +404,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             )));
         }
         net.restore_counters(body.total_packets, body.stragglers.restore()?);
-        let mut policy = cfg.sync.build();
-        policy
-            .load_state(&body.policy_state)
-            .map_err(SimError::snapshot_format)?;
         let mut n_finished = 0;
         let mut nodes = Vec::with_capacity(n);
         for (i, (p, ns)) in programs.into_iter().zip(&body.nodes).enumerate() {
@@ -317,32 +433,16 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 idle_from: None,
             });
         }
-        let mut engine = Self {
-            cfg,
-            nodes,
-            net,
-            fan_out: Vec::new(),
-            queue: EventQueue::new(),
-            barrier_due: None,
-            policy,
-            q_len: body.q_len,
-            q_start: body.q_start,
-            q_end: body.q_start + body.q_len,
-            barrier_arrived: 0,
-            barrier_latest: HostTime::ZERO,
-            quanta: body.quanta,
-            in_flight_frags: 0,
-            n_finished,
-            finished: false,
-            final_host: HostTime::ZERO,
-            rec,
-            q_stragglers: StragglerStats::default(),
-            scratch_waits: Vec::with_capacity(n),
-            scratch_lags: Vec::with_capacity(n),
-            resumed: true,
-            capture_at: None,
-            captured: None,
-        };
+        let mut engine = Self::assemble(cfg, nodes, net, rec);
+        engine
+            .policy
+            .load_state(&body.policy_state)
+            .map_err(SimError::snapshot_format)?;
+        engine.q_len = body.q_len;
+        engine.q_start = body.q_start;
+        engine.q_end = body.q_start + body.q_len;
+        engine.quanta = body.quanta;
+        engine.n_finished = n_finished;
         // Re-schedule in-flight fragments FIRST (before any segment events):
         // they were scheduled before the cut in the uninterrupted run, so
         // re-creating them first reproduces the FIFO tie-break order.
@@ -362,38 +462,45 @@ impl<'a, R: Recorder> Engine<'a, R> {
         Ok(engine)
     }
 
-    fn run(mut self) -> Result<DetOutcome<R>, SimError> {
-        if !self.resumed {
-            for node in &mut self.nodes {
-                node.speed.resample();
-            }
-        }
-        self.start_quantum()?;
-        while !self.finished && self.captured.is_none() {
-            if let Some(now) = self.barrier_due.take() {
-                self.on_barrier_done(now)?;
-                continue;
-            }
-            let Some((time, ev)) = self.queue.pop() else {
-                return Err(SimError::EngineInvariant {
-                    detail: format!(
-                        "event queue drained with {} of {} programs unfinished",
-                        self.nodes.len() - self.n_finished,
-                        self.nodes.len()
-                    ),
-                });
+    /// Runs to the end or to quantum edge `capture_at`; only a `fresh` run draws round 0.
+    fn run(mut self, fresh: bool, capture_at: Option<u64>) -> Result<DetOutcome<R>, SimError> {
+        std::thread::scope(move |scope| {
+            let mut feed = Feed {
+                scope,
+                drawn: 0,
+                capture_at,
+                ahead: None,
             };
-            match ev {
-                Ev::NodeYield { node, gen } => self.on_node_yield(node, gen, time)?,
-                Ev::FragAtController(frag, src) => self.on_frag(frag, src, time)?,
-                Ev::BarrierDone => self.on_barrier_done(time)?,
+            if fresh {
+                feed.draw(&mut self.nodes, |n| &mut n.speed, self.quanta);
             }
-        }
-        if let Some(body) = self.captured.take() {
-            return Ok(DetOutcome::Captured(Box::new(body)));
-        }
-        let (result, rec) = self.into_result();
-        Ok(DetOutcome::Finished(Box::new(result), rec))
+            self.start_quantum()?;
+            while !self.finished && self.captured.is_none() {
+                if let Some(now) = self.barrier_due.take() {
+                    self.on_barrier_done(now, &mut feed)?;
+                    continue;
+                }
+                let Some((time, ev)) = self.queue.pop() else {
+                    return Err(SimError::EngineInvariant {
+                        detail: format!(
+                            "event queue drained with {} of {} programs unfinished",
+                            self.nodes.len() - self.n_finished,
+                            self.nodes.len()
+                        ),
+                    });
+                };
+                match ev {
+                    Ev::NodeYield { node, gen } => self.on_node_yield(node, gen, time)?,
+                    Ev::FragAtController(frag, src) => self.on_frag(frag, src, time)?,
+                    Ev::BarrierDone => self.on_barrier_done(time, &mut feed)?,
+                }
+            }
+            if let Some(body) = self.captured.take() {
+                return Ok(DetOutcome::Captured(Box::new(body)));
+            }
+            let (result, rec) = self.into_result();
+            Ok(DetOutcome::Finished(Box::new(result), rec))
+        })
     }
 
     /// Starts the quantum `[q_start, q_end)`. A quiet one (see the module
@@ -648,7 +755,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             .ok_or_else(|| self.overflow())
     }
 
-    fn on_barrier_done(&mut self, now: HostTime) -> Step {
+    fn on_barrier_done(&mut self, now: HostTime, feed: &mut Feed<'_, '_>) -> Step {
         let np = self.net.end_quantum();
         if R::ENABLED {
             self.scratch_waits.clear();
@@ -689,14 +796,15 @@ impl<'a, R: Recorder> Engine<'a, R> {
             node.at_barrier = false;
             node.host = now;
             node.idle_from = None;
-            node.speed.resample();
         }
+        feed.draw(&mut self.nodes, |n| &mut n.speed, self.quanta);
         // The cut point: every node sits exactly at the quantum edge
         // (`sim == q_start`), the policy has already chosen the next
         // quantum, and host speeds are freshly resampled. Capturing here
         // and never starting the quantum leaves the run resumable with
         // zero divergence.
-        if self.capture_at == Some(self.quanta) {
+        if feed.capture_at == Some(self.quanta) {
+            feed.install(&mut self.nodes, |n| &mut n.speed);
             self.captured = Some(self.capture(now));
             return Ok(());
         }
@@ -926,6 +1034,13 @@ mod tests {
         /// mid-op, finished, parked on `Blocked`, parked on `WaitUntil`, and
         /// a parked answer invalidated by a message completed since.
         static QUIET_BRANCHES: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
+        /// Helper threads started by runs on this thread.
+        static HELPERS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts a helper thread about to start.
+    pub(super) fn note_helper_spawn() {
+        HELPERS.with(|c| c.set(c.get() + 1));
     }
 
     /// Counts the branch [`Node::quiet_to`] just took.
@@ -1476,6 +1591,141 @@ mod tests {
         assert_eq!(edge.host_elapsed.as_nanos(), 8_341_212);
         assert_eq!(edge.sim_end, SimTime::from_micros(10));
         assert_eq!(edge.total_quanta, 10);
+    }
+
+    /// The feed draws what `resample` draws: node 1's jitter over
+    /// 3·`FEED_BLOCK` + 5 rounds equals a plain `resample` loop's, through
+    /// the first inline block and the helper's block boundaries, and a feed
+    /// bounded at a capture edge hands back the streams that loop reaches.
+    #[test]
+    fn the_feed_draws_what_an_inline_resample_loop_draws() {
+        let rounds = 3 * FEED_BLOCK + 5;
+        for edge in [None, Some(rounds - 1)] {
+            let fresh =
+                || [0, 1].map(|i| HostSpeed::new(HostModel::default(), Rng::substream(9, i)));
+            let (mut fed, mut inline) = (fresh(), fresh());
+            HELPERS.with(|c| c.set(0));
+            std::thread::scope(|scope| {
+                let mut feed = Feed {
+                    scope,
+                    drawn: 0,
+                    capture_at: edge,
+                    ahead: None,
+                };
+                for k in 0..rounds {
+                    feed.draw(&mut fed, |s| s, k);
+                    inline.iter_mut().for_each(HostSpeed::resample);
+                    assert_eq!(
+                        fed.each_ref().map(|s| s.jitter()),
+                        inline.each_ref().map(|s| s.jitter()),
+                        "round {k}"
+                    );
+                }
+                if edge.is_some() {
+                    feed.install(&mut fed, |s| s);
+                    assert_eq!(
+                        fed.each_ref().map(|s| s.export_state()),
+                        inline.each_ref().map(|s| s.export_state())
+                    );
+                }
+            });
+            assert_eq!(HELPERS.with(Cell::get), 1, "edge {edge:?}");
+        }
+    }
+
+    /// `rounds` of a ring long enough to outlast three feed blocks under
+    /// the 1 µs ground truth, at `n` nodes.
+    fn long_ring(n: u32, rounds: u32) -> Vec<Program> {
+        (0..n)
+            .map(|r| ring_phase(ProgramBuilder::new(Rank::new(r)), r, n, rounds).build())
+            .collect()
+    }
+
+    #[test]
+    fn a_run_shorter_than_a_block_starts_no_helper() {
+        let cfg = quick_config(SyncConfig::ground_truth());
+        for (rounds, helpers) in [(2, 0), (12, 1)] {
+            HELPERS.with(|c| c.set(0));
+            let result = run_cluster(long_ring(2, rounds), &cfg);
+            assert_eq!(
+                result.total_quanta >= FEED_BLOCK,
+                helpers == 1,
+                "{rounds} rounds"
+            );
+            assert_eq!(HELPERS.with(Cell::get), helpers, "{rounds} rounds");
+        }
+    }
+
+    /// Resuming at and around a block boundary is a differential between
+    /// the feed and inline draws. The reference snapshots come from
+    /// `step_snapshot` chunks shorter than a block, which never start a
+    /// helper; `snapshot_at(k)` starts one when it has more than a block to
+    /// draw, from k = 2·`FEED_BLOCK` on, and the uninterrupted and resumed
+    /// runs draw ahead throughout. At n = 2, 3 and 8, the two captures are
+    /// equal byte for byte, and resuming from each cut reproduces the
+    /// uninterrupted run, recorded and unrecorded.
+    #[test]
+    fn resuming_at_a_block_boundary_matches_inline_draws() {
+        use crate::sim::SnapshotStep;
+        let b = FEED_BLOCK;
+        let cuts = [b - 1, b, b + 1, 2 * b, 2 * b + 3, 3 * b - 1];
+        for n in [2, 3, 8] {
+            let sim = Sim::new(long_ring(n, 30)).config(quick_config(SyncConfig::ground_truth()));
+            let whole = sim.clone().run();
+            assert!(
+                whole.total_quanta > 3 * b,
+                "n={n}: {} quanta",
+                whole.total_quanta
+            );
+            let recorded = sim.clone().record(ObsConfig::new()).run();
+            let whole_samples = samples(recorded.obs.as_ref().expect("recorder attached"));
+            let whole_result = det_result(&whole);
+            assert_eq!(det_result(&recorded), whole_result, "n={n}");
+            let mut cursor = None;
+            for k in cuts {
+                HELPERS.with(|c| c.set(0));
+                loop {
+                    let at = cursor
+                        .as_ref()
+                        .map_or(0, |s: &crate::snapshot::SimSnapshot| s.quanta());
+                    if at == k {
+                        break;
+                    }
+                    match sim
+                        .step_snapshot(cursor.as_ref(), (k - at).min(b - 1))
+                        .unwrap()
+                    {
+                        SnapshotStep::Snapshot(s) => cursor = Some(s),
+                        SnapshotStep::Finished(_) => panic!("n={n}: finished before {k}"),
+                    }
+                }
+                assert_eq!(
+                    HELPERS.with(Cell::get),
+                    0,
+                    "n={n} k={k}: the reference drew inline"
+                );
+                let fed = sim.snapshot_at(k).expect("capturable cut");
+                assert_eq!(
+                    HELPERS.with(Cell::get),
+                    u64::from(k >= 2 * b),
+                    "n={n} k={k}"
+                );
+                let inline = cursor.as_ref().expect("reference snapshot");
+                assert!(
+                    fed.to_bytes() == inline.to_bytes(),
+                    "n={n} k={k}: snapshots differ"
+                );
+                assert_eq!(
+                    det_result(&sim.resume(&fed).unwrap()),
+                    whole_result,
+                    "n={n} k={k}"
+                );
+                let resumed = sim.clone().record(ObsConfig::new()).resume(&fed).unwrap();
+                assert_eq!(det_result(&resumed), whole_result, "n={n} k={k}");
+                let resumed_samples = samples(resumed.obs.as_ref().unwrap());
+                assert_eq!(resumed_samples, whole_samples[k as usize..], "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

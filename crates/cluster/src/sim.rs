@@ -1398,26 +1398,41 @@ mod tests {
         }
     }
 
+    /// Chunks of 3 quanta under an adaptive policy, and chunks of 1000 —
+    /// shorter than a jitter block, so every chunk draws inline — through
+    /// ground-truth runs that the uninterrupted engine feeds from its helper
+    /// for most of their length, at n = 2, 3 and 8.
     #[test]
     fn step_snapshot_chunks_reach_the_uninterrupted_outcome() {
-        let spec = ping_pong(2, 20, 2048);
-        let sim = Sim::new(spec.programs.clone()).sync(SyncConfig::paper_dyn1());
-        let full = sim.clone().run();
-        let mut cursor: Option<SimSnapshot> = None;
-        let mut chunks = 0u32;
-        let finished = loop {
-            match sim.step_snapshot(cursor.as_ref(), 3).expect("step") {
-                SnapshotStep::Snapshot(s) => {
-                    assert!(s.quanta() > cursor.as_ref().map_or(0, |c| c.quanta()));
-                    cursor = Some(s);
-                    chunks += 1;
-                    assert!(chunks < 10_000, "runaway chunk loop");
+        let cases = [
+            (ping_pong(2, 20, 2048), SyncConfig::paper_dyn1(), 3),
+            (burst(2, 4_200_000, 4096), SyncConfig::ground_truth(), 1000),
+            (burst(3, 4_200_000, 4096), SyncConfig::ground_truth(), 1000),
+            (burst(8, 4_200_000, 4096), SyncConfig::ground_truth(), 1000),
+        ];
+        for (spec, sync, chunk) in cases {
+            let sim = Sim::new(spec.programs.clone()).sync(sync);
+            let full = sim.clone().run();
+            let mut cursor: Option<SimSnapshot> = None;
+            let mut chunks = 0u32;
+            let finished = loop {
+                match sim.step_snapshot(cursor.as_ref(), chunk).expect("step") {
+                    SnapshotStep::Snapshot(s) => {
+                        assert!(s.quanta() > cursor.as_ref().map_or(0, |c| c.quanta()));
+                        cursor = Some(s);
+                        chunks += 1;
+                        assert!(chunks < 10_000, "runaway chunk loop");
+                    }
+                    SnapshotStep::Finished(report) => break report,
                 }
-                SnapshotStep::Finished(report) => break report,
+            };
+            let n = spec.programs.len();
+            assert!(chunks > 1, "n={n}: the workload must span several chunks");
+            if chunk == 1000 {
+                assert!(full.total_quanta > 3 * crate::engine::FEED_BLOCK, "n={n}");
             }
-        };
-        assert!(chunks > 1, "the workload must span several chunks");
-        assert_eq!(det_strong(&finished), det_strong(&full));
+            assert_eq!(det_strong(&finished), det_strong(&full), "n={n}");
+        }
     }
 
     #[test]

@@ -161,6 +161,18 @@ impl HostSpeed {
         self.jitter = (drift + white).exp();
     }
 
+    /// The current multiplicative jitter: what the last [`Self::resample`]
+    /// drew.
+    pub fn jitter(&self) -> f64 {
+        self.jitter
+    }
+
+    /// Installs a jitter that [`Self::resample`] drew on a clone of this
+    /// stream, leaving this one's RNG and drift where they are.
+    pub fn set_jitter(&mut self, jitter: f64) {
+        self.jitter = jitter;
+    }
+
     /// Current slowdown: host-ns per active sim-ns.
     pub fn slowdown(&self) -> f64 {
         self.model.base_slowdown * self.jitter
@@ -293,6 +305,26 @@ mod tests {
     #[should_panic(expected = "idle_factor")]
     fn bad_idle_factor_rejected() {
         let _ = HostModel::new(30.0, 0.0, 0.1, 0.5, 0.1);
+    }
+
+    /// What drawing ahead on another thread rests on: every `resample`
+    /// consumes exactly one Box–Muller pair (the drift's normal and the
+    /// white normal) and banks no spare deviate, so a node's k-th jitter
+    /// depends on nothing but its stream and k.
+    #[test]
+    fn resample_draws_one_box_muller_pair() {
+        for model in [HostModel::default(), HostModel::uniform(30.0, 0.02)] {
+            let mut s = HostSpeed::new(model, Rng::substream(3, 5));
+            for _ in 0..100 {
+                let mut words = Rng::from_state(s.export_state().rng).expect("valid state");
+                words.next_u64();
+                words.next_u64();
+                s.resample();
+                let after = s.export_state().rng;
+                assert_eq!(after.spare_normal, None);
+                assert_eq!(after.s, words.state().s);
+            }
+        }
     }
 
     #[test]

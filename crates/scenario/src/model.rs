@@ -241,6 +241,20 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A `*_us` key as a simulated duration; a value past what a 64-bit
+    /// nanosecond count holds is rejected, naming the key and its line.
+    fn micros(&self, key: &str) -> Result<Option<SimDuration>, SimError> {
+        let Some(us) = self.u64(key)? else {
+            return Ok(None);
+        };
+        let Some(d) = SimDuration::checked_from_micros(us) else {
+            let (what, line) = (self.what, self.item(key).expect("key just read").line);
+            let message = format!("{what} key `{key}` (line {line}): {us} µs overflows u64 ns");
+            return Err(verr(self.file, message));
+        };
+        Ok(Some(d))
+    }
+
     fn u32(&self, key: &str) -> Result<Option<u32>, SimError> {
         match self.u64(key)? {
             None => Ok(None),
@@ -553,10 +567,10 @@ impl Scenario {
                 Ok(Topology::Perfect)
             }
             "latency-matrix" => {
-                let us = r
-                    .u64("latency_us")?
+                let latency = r
+                    .micros("latency_us")?
                     .ok_or_else(|| verr(file, "the latency-matrix topology needs `latency_us`"))?;
-                if us == 0 {
+                if latency.is_zero() {
                     return Err(verr(file, "`latency_us` must be nonzero"));
                 }
                 for key in ["rack_size", "uplinks"] {
@@ -568,9 +582,7 @@ impl Scenario {
                         ));
                     }
                 }
-                Ok(Topology::LatencyMatrix {
-                    latency: SimDuration::from_micros(us),
-                })
+                Ok(Topology::LatencyMatrix { latency })
             }
             "fabric" => {
                 if let Some(item) = r.item("latency_us") {
@@ -643,8 +655,8 @@ impl Scenario {
             "spike_delay_us",
         ])?;
         let mut c = ChaosConfig::new(r.u64("seed")?.unwrap_or(default_seed));
-        if let Some(us) = r.u64("epoch_us")? {
-            c.epoch = SimDuration::from_micros(us);
+        if let Some(d) = r.micros("epoch_us")? {
+            c.epoch = d;
         }
         if let Some(p) = r.f64("link_flap")? {
             c.link_flap = p;
@@ -664,20 +676,20 @@ impl Scenario {
         if let Some(p) = r.f64("loss")? {
             c.loss = p;
         }
-        if let Some(us) = r.u64("retransmit_us")? {
-            c.retransmit = SimDuration::from_micros(us);
+        if let Some(d) = r.micros("retransmit_us")? {
+            c.retransmit = d;
         }
         if let Some(m) = r.u32("max_retransmits")? {
             c.max_retransmits = m;
         }
-        if let Some(us) = r.u64("jitter_us")? {
-            c.jitter = SimDuration::from_micros(us);
+        if let Some(d) = r.micros("jitter_us")? {
+            c.jitter = d;
         }
         if let Some(p) = r.f64("spike")? {
             c.spike = p;
         }
-        if let Some(us) = r.u64("spike_delay_us")? {
-            c.spike_delay = SimDuration::from_micros(us);
+        if let Some(d) = r.micros("spike_delay_us")? {
+            c.spike_delay = d;
         }
         Ok(c)
     }
@@ -933,6 +945,11 @@ retransmit_us = 100
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"torus\"\n[[phases]]\nworkload = \"burst\"", true, "unknown topology"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"latency-matrix\"\n[[phases]]\nworkload = \"burst\"", false, "needs `latency_us`"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"perfect\"\nlatency_us = 2\n[[phases]]\nworkload = \"burst\"", true, "does not apply"),
+            ("name = \"x\"\nnodes = 2\n[topology]\nkind = \"latency-matrix\"\nlatency_us = 18446744073709552\n[[phases]]\nworkload = \"burst\"", false, "[topology] key `latency_us` (line 5): 18446744073709552 µs overflows"),
+            ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nepoch_us = 18446744073709552", false, "[chaos] key `epoch_us` (line 6)"),
+            ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nretransmit_us = 18446744073709552", false, "[chaos] key `retransmit_us` (line 6)"),
+            ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\njitter_us = 18446744073709552", false, "[chaos] key `jitter_us` (line 6)"),
+            ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nspike_delay_us = 18446744073709552", false, "[chaos] key `spike_delay_us` (line 6)"),
             ("name = \"x\"\nnodes = -4\n[[phases]]\nworkload = \"burst\"", true, "non-negative"),
             ("name = 7\nnodes = 4\n[[phases]]\nworkload = \"burst\"", true, "expected a string"),
         ];

@@ -89,9 +89,19 @@ macro_rules! duration_type {
             /// Panics if the value overflows the nanosecond representation.
             #[inline]
             pub const fn from_micros(micros: u64) -> Self {
-                match micros.checked_mul(1_000) {
-                    Some(n) => Self(n),
+                match Self::checked_from_micros(micros) {
+                    Some(d) => d,
                     None => panic!("duration overflow in from_micros"),
+                }
+            }
+
+            /// Creates a duration from whole microseconds, or `None` if the
+            /// value overflows the nanosecond representation.
+            #[inline]
+            pub const fn checked_from_micros(micros: u64) -> Option<Self> {
+                match micros.checked_mul(1_000) {
+                    Some(n) => Some(Self(n)),
+                    None => None,
                 }
             }
 
@@ -676,6 +686,11 @@ mod tests {
             Some(SimDuration::from_nanos(2))
         );
         assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
+        assert_eq!(
+            SimDuration::checked_from_micros(u64::MAX / 1_000),
+            Some(SimDuration::from_nanos(u64::MAX / 1_000 * 1_000))
+        );
+        assert_eq!(SimDuration::checked_from_micros(u64::MAX / 1_000 + 1), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Two cargo features extend the harness into the engine crates (they are
 //! *forwarding* features — plain builds compile none of it):
 //!
-//! * `schedule-fuzz` arms randomized mailbox drain order and jittered
+//! * `schedule-fuzz` arms randomized batch delivery order and jittered
 //!   barrier arrivals in the sharded engine (`check_case_fuzzed`);
 //! * `fault-inject` compiles deliberate, runtime-armed faults used by the
 //!   mutation tests to prove the oracles actually detect bugs.

@@ -657,11 +657,11 @@ fn resume_guarded(
 }
 
 /// Runs the sharded engine `2 × rounds` times under the ground-truth
-/// quantum with the schedule-fuzz hooks armed (randomized mailbox drain
+/// quantum with the schedule-fuzz hooks armed (randomized batch delivery
 /// order, jittered barrier arrivals) and requires the outcome to stay
 /// bit-identical to the deterministic engine every time: `rounds` times
-/// with one worker per node (every barrier arrival and mailbox is its own
-/// thread), then `rounds` times rotating the worker count, so a schedule
+/// with one worker per node (every barrier arrival and hand-off slot is its
+/// own thread's), then `rounds` times rotating the worker count, so a schedule
 /// perturbation is compounded with a partition perturbation.
 #[cfg(feature = "schedule-fuzz")]
 pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result<(), String> {

@@ -30,7 +30,6 @@ impl Drop for Armed {
     fn drop(&mut self) {
         aqs_core::fault::disarm_all();
         aqs_cluster::fault::disarm_all();
-        aqs_sync::fault::disarm_all();
     }
 }
 
@@ -179,12 +178,11 @@ fn leader_np_skip_is_detected_in_the_sharded_engine() {
 fn mailbox_drop_is_detected_in_the_sharded_engine() {
     let _w = window();
     let _g = Armed;
-    // Every 5th mailbox push is dropped (the pooled push path must keep
-    // honoring the drop hook): a vanished fragment's receiver blocks
-    // forever and the sharded run spins quanta until the cap — caught as an
-    // engine panic (or, for tiny cases, as lost messages in the
-    // differential).
-    aqs_sync::fault::arm_mailbox_drop(5);
+    // Every 5th routed copy is dropped on its way to the receiving shard:
+    // a vanished fragment's receiver blocks forever and the sharded run
+    // spins quanta until the cap — caught as an engine panic (or, for tiny
+    // cases, as lost messages in the differential).
+    aqs_cluster::fault::arm(aqs_cluster::fault::Fault::RouteDrop);
     let opts = CheckOpts {
         sharded_optimistic: false,
         hybrid: false,

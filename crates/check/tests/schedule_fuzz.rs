@@ -1,7 +1,7 @@
 //! Schedule fuzzing: the sharded engine's functional outcomes must be
 //! independent of thread scheduling. The `schedule-fuzz` feature
-//! arms test-only perturbation hooks in `aqs-sync` — randomized mailbox
-//! drain order and jittered barrier arrivals — and the outcome under the
+//! arms test-only perturbation hooks in `aqs-sync` — randomized batch
+//! delivery order and jittered barrier arrivals — and the outcome under the
 //! safe quantum must stay bit-identical to the deterministic engine through
 //! every perturbed run: first with one worker per node, then rotating the
 //! worker count, so the partition itself is perturbed along with the

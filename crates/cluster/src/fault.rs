@@ -72,13 +72,28 @@ pub enum Fault {
     /// under `force_full_sweep`, which is exactly what makes it a
     /// realistic active-set regression.
     WakeRearmSkip = 11,
+    /// The sharded engine loses every 5th copy it routes, between the
+    /// sender's route and the receiver's delivery — the classic
+    /// lost-fragment bug. The receiver blocks forever, caught by the
+    /// quantum cap, or the run finishes short on messages (conservation).
+    RouteDrop = 12,
 }
 
 static ARMED: AtomicU64 = AtomicU64::new(0);
 
+/// Copies routed while [`Fault::RouteDrop`] is armed.
+static ROUTED: AtomicU64 = AtomicU64::new(0);
+
 /// Arms `fault` (replacing any previously armed one).
 pub fn arm(fault: Fault) {
+    ROUTED.store(0, Ordering::Relaxed);
     ARMED.store(fault as u64, Ordering::Release);
+}
+
+/// True for every 5th copy the process routes while [`Fault::RouteDrop`]
+/// is armed.
+pub(crate) fn route_drops_this_copy() -> bool {
+    armed(Fault::RouteDrop) && ROUTED.fetch_add(1, Ordering::Relaxed) % 5 == 4
 }
 
 /// Disarms every fault in this crate.

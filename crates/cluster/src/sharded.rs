@@ -10,12 +10,19 @@
 //! the quantum edge, and the quantum handshake is a hierarchical two-level
 //! [`TreeBarrier`] whose root leader runs the `QuantumPolicy`.
 //!
-//! Packets cross shards through one lock-free [`Mailbox`] per shard, with
-//! every hop allocation-free in steady state:
+//! Packets cross shards once per quantum, in batches, with every hop
+//! allocation-free in steady state:
 //!
-//! * pushes recycle nodes from the sending worker's [`MailboxPool`]; drains
-//!   recycle them into the receiving worker's pool;
-//! * the per-worker inbox scratch buffer keeps its capacity across quanta;
+//! * a worker routes each copy into its own batch for the receiving shard,
+//!   a vector no other thread touches: no atomic, no lock and no shared
+//!   cache line per packet;
+//! * before it arrives at the barrier, the worker publishes each non-empty
+//!   batch for another shard to that sender→receiver hand-off slot (one
+//!   brief mutex hold and one flag per pair with traffic); after the
+//!   barrier each worker takes its own batch directly and locks a peer's
+//!   slot only when its flag is set;
+//! * batches are swapped between workers, never freed, so their capacity
+//!   circulates and a warm run routes without allocating;
 //! * arrivals come from the shared [`Router`]: a `LatencyMatrix` lookup is
 //!   one indexed load from a dense nanosecond table, with no lock, no
 //!   trait object and no allocation per packet.
@@ -24,7 +31,10 @@
 //! against the receiver's live position (a race under unsafe quanta), this
 //! engine computes the effective delivery time at route time as
 //! `max(arrival, q_end)` of the sender's current quantum, and each shard
-//! drains its mailbox exactly once, at the quantum boundary. A packet that would arrive mid-quantum is a straggler
+//! takes its batches once, at the quantum boundary. Nothing reads a copy
+//! before the barrier that ends its sender's quantum, so handing it over
+//! then synchronizes nothing the barrier does not already order. A packet
+//! that would arrive mid-quantum is a straggler
 //! with delay `q_end − arrival` (always less than the quantum, hence within
 //! the policy's `maxQ` bound), deferred to the boundary. Consequences:
 //!
@@ -63,12 +73,12 @@ use crate::snapshot::{FragSnap, ResumeNode, ResumeSeed};
 use aqs_net::{LinkLoad, Router, StragglerStats};
 use aqs_node::{CpuModel, MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
-use aqs_sync::{ArrivalTimes, CachePadded, Mailbox, MailboxPool, PoolDepot, TreeBarrier};
+use aqs_sync::{ArrivalTimes, CachePadded, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Outcome of a sharded run.
@@ -88,10 +98,12 @@ pub struct ShardedRunResult {
     pub per_node: Vec<NodeResult>,
     /// Worker threads the run used (after clamping to the node count).
     pub workers: usize,
-    /// Heap allocations the pooled packet path performed, summed over
-    /// workers. This is pool warm-up only: it tracks the peak number of
-    /// packets in flight per worker, not the number routed, so in steady
-    /// state routing a packet allocates nothing.
+    /// Heap allocations the packet path performed, summed over workers: the
+    /// capacity growths of the per-shard batches copies are routed into and
+    /// handed over in. Batches are swapped between workers, never freed, so
+    /// this is warm-up only: it tracks the largest batch a quantum needs,
+    /// not the number of copies routed, and in steady state routing a
+    /// packet allocates nothing.
     pub pool_heap_allocs: u64,
     /// Node executions summed over all quanta (the active-set work metric).
     /// A full sweep executes every node every quantum, so this equals
@@ -110,6 +122,26 @@ struct ShardInFlight {
     meta: MessageMeta,
     frag_index: u32,
     arrival: SimTime,
+}
+
+impl ShardInFlight {
+    fn new(dst: usize, frag: &FragSnap, arrival: SimTime) -> Self {
+        Self {
+            dst: dst as u32,
+            meta: frag.meta,
+            frag_index: frag.frag_index,
+            arrival,
+        }
+    }
+}
+
+/// One sender→receiver hand-off slot: the sending worker fills it before
+/// the barrier, the receiving worker empties it after. `ready` lets the
+/// receiver pass an idle slot with one load instead of a lock.
+#[derive(Default)]
+struct HandOff {
+    ready: AtomicBool,
+    batch: Mutex<Vec<ShardInFlight>>,
 }
 
 /// Stop sentinel published through `q_end`.
@@ -164,15 +196,6 @@ struct ShardObsSlot {
     active: AtomicU64,
 }
 
-/// Floor for a worker pool's retain watermark (see
-/// [`MailboxPool::set_retain`]). Each quantum boundary sets the watermark
-/// to the worker's own routed-fragment count for that quantum, floored
-/// here: a worker keeps what it pushes — self-sufficient under balanced
-/// traffic, no depot round trips — while a net receiver (incast) donates
-/// its drain surplus to the depot within a couple of quanta instead of
-/// hoarding it while the sending workers fall back on the heap.
-const POOL_RETAIN_FLOOR: usize = 256;
-
 /// Per-worker accounting, entirely thread-private.
 struct WorkerCtx {
     /// This worker's index (= its shard, = its fabric slice).
@@ -183,8 +206,13 @@ struct WorkerCtx {
     run_stragglers: StragglerStats,
     /// Packets routed in the current quantum (the policy's `np` signal).
     quantum_packets: u64,
-    /// Free-list of mailbox nodes: pushes take from here, drains refill it.
-    pool: MailboxPool<ShardInFlight>,
+    /// Copies routed in the current quantum, one batch per receiving shard.
+    /// Only this worker touches them: `next_quantum` publishes the batches
+    /// for other shards, the next quantum's start delivers its own.
+    out: Vec<Vec<ShardInFlight>>,
+    /// Capacity growths of the batches this worker filled (see
+    /// [`ShardedRunResult::pool_heap_allocs`]).
+    heap_allocs: u64,
 }
 
 /// A shard's node simulators in struct-of-arrays layout.
@@ -261,10 +289,10 @@ impl ShardNodes {
 /// parked-with-a-deadline locals become due. Entirely worker-private.
 struct WakeWheel {
     /// Bitmap over local indices: bit set ⇒ the node executes this quantum.
-    /// Stable during the scan — same-quantum sends land in mailboxes that
-    /// drain at the *next* boundary, so executing a node never arms another;
-    /// a node that must run again next quantum re-arms its own bit, in a
-    /// word the scan has already taken.
+    /// Stable during the scan — same-quantum sends land in batches that are
+    /// delivered at the *next* boundary, so executing a node never arms
+    /// another; a node that must run again next quantum re-arms its own
+    /// bit, in a word the scan has already taken.
     ready_words: Vec<u64>,
     /// Scheduled polls as `(wake_ns, local)` min-entries. Every entry arms
     /// exactly one poll, in the first quantum whose edge lies beyond
@@ -272,7 +300,7 @@ struct WakeWheel {
     /// was superseded (the node already woke earlier and re-slept) arms a
     /// side-effect-free re-poll, which is harmless and — crucially —
     /// *deterministic*: the entry multiset is a pure function of the
-    /// simulated history, never of cross-worker drain timing, so the
+    /// simulated history, never of cross-worker hand-off timing, so the
     /// executed-node count is identical for every shard count.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
@@ -299,14 +327,11 @@ struct SharedSharded<R> {
     start: Instant,
     /// Shard (= worker) owning each global node index.
     shard_of: Vec<u32>,
-    /// Per-shard incoming fragment queues (lock-free MPSC).
-    mailboxes: Vec<Mailbox<ShardInFlight>>,
-    /// Shared overflow depot recirculating mailbox nodes between worker
-    /// pools. Incast traffic is directional — every drained node lands in
-    /// the receiver's pool — so without the depot the sending workers would
-    /// re-allocate every fragment at steady state while the receiver's
-    /// overflow was freed.
-    depot: Arc<PoolDepot<ShardInFlight>>,
+    /// Hand-off slots, `m × m`: slot `s * m + d` carries what worker `s`
+    /// routed to shard `d`. No worker publishes to the diagonal (it keeps
+    /// its own shard's copies); a resumed run's cut-in-flight copies reach
+    /// their shard through it.
+    handoff: Vec<CachePadded<HandOff>>,
     /// Per-shard packets routed this quantum; the leader sums these.
     np_slots: Vec<CachePadded<AtomicU64>>,
     /// Per-shard straggler deltas for the quantum (observability only).
@@ -337,8 +362,8 @@ impl<R: Recorder> SharedSharded<R> {
     /// the effective delivery time is `max(arrival, q_end)` — fully
     /// deterministic, no reads of receiver state, and the router is a pure
     /// function, so neither worker count nor routing order can change it —
-    /// and the copy goes into the mailbox of the shard that owns its
-    /// receiver.
+    /// and the copy goes into this worker's batch for the shard that owns
+    /// its receiver.
     #[inline]
     fn route(&self, ctx: &mut WorkerCtx, src: usize, frag: &FragSnap, q_end: SimTime) {
         let net = &self.net;
@@ -361,15 +386,14 @@ impl<R: Recorder> SharedSharded<R> {
             } else {
                 arrival
             };
-            self.mailboxes[self.shard_of[t] as usize].push_pooled(
-                ShardInFlight {
-                    dst: t as u32,
-                    meta: frag.meta,
-                    frag_index: frag.frag_index,
-                    arrival: eff,
-                },
-                &mut ctx.pool,
-            );
+            #[cfg(feature = "fault-inject")]
+            if crate::fault::route_drops_this_copy() {
+                // Armed bug: the copy is lost between sender and receiver.
+                return;
+            }
+            let batch = &mut ctx.out[self.shard_of[t] as usize];
+            ctx.heap_allocs += u64::from(batch.len() == batch.capacity());
+            batch.push(ShardInFlight::new(t, frag, eff));
         });
     }
 }
@@ -469,19 +493,17 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         }
     }
     let q_end0 = clock.q_end_nanos;
-    let mailboxes: Vec<Mailbox<ShardInFlight>> = (0..m).map(|_| Mailbox::new()).collect();
-    let mut inject_pool = MailboxPool::new();
+    let mut handoff: Vec<CachePadded<HandOff>> =
+        (0..m * m).map(|_| CachePadded::default()).collect();
     let (inject_count, inject_stragglers) = match resume {
         Some(s) => route_seed_frags(s, &net, |t, arrival, frag| {
-            mailboxes[shard_of[t] as usize].push_pooled(
-                ShardInFlight {
-                    dst: t as u32,
-                    meta: frag.meta,
-                    frag_index: frag.frag_index,
-                    arrival,
-                },
-                &mut inject_pool,
-            );
+            let d = shard_of[t] as usize;
+            let slot = &mut handoff[d * m + d];
+            *slot.ready.get_mut() = true;
+            slot.batch
+                .get_mut()
+                .expect("no worker has run yet")
+                .push(ShardInFlight::new(t, frag, arrival));
         })?,
         None => (0, StragglerStats::default()),
     };
@@ -506,8 +528,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         net,
         start,
         shard_of,
-        mailboxes,
-        depot: Arc::new(PoolDepot::new()),
+        handoff,
         np_slots: (0..m)
             .map(|_| CachePadded::new(AtomicU64::new(0)))
             .collect(),
@@ -593,8 +614,8 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 }
 
 /// What a worker returns: its nodes' results (in rank order), its
-/// run-total straggler tally, its packet pool's heap-allocation count, and
-/// the number of node executions it performed.
+/// run-total straggler tally, its batches' heap-allocation count, and the
+/// number of node executions it performed.
 type WorkerOutput = (Vec<NodeResult>, StragglerStats, u64, u64);
 
 /// Builds one shard (see [`ShardNodes::build`]) and runs it to completion.
@@ -633,15 +654,15 @@ fn worker_thread<R: Recorder>(
         }
     }
     let mut nodes = built?;
+    // One packet-count slot per worker.
+    let m = shared.np_slots.len();
     let mut ctx = WorkerCtx {
         w,
         stragglers: StragglerStats::default(),
         run_stragglers: StragglerStats::default(),
         quantum_packets: 0,
-        pool: MailboxPool::with_depot(
-            MailboxPool::<ShardInFlight>::DEFAULT_CAP,
-            Arc::clone(&shared.depot),
-        ),
+        out: vec![Vec::new(); m],
+        heap_allocs: 0,
     };
     let full_sweep = config.full_sweep;
     // Every node starts armed (a fresh run must poll everyone at least
@@ -653,46 +674,36 @@ fn worker_thread<R: Recorder>(
         wheel.arm_now(l);
     }
     let mut nodes_executed = 0u64;
-    // Reusable scratch: capacity persists across quanta.
+    // What a peer's slot held, swapped out under its lock; the emptied
+    // buffer goes back into a slot at the next take, so capacity
+    // circulates between the workers instead of being freed.
     let mut inbox: Vec<ShardInFlight> = Vec::new();
     let mut q_start = q_start0;
     let mut q_end = SimTime::from_nanos(shared.q_end.load(Ordering::Acquire));
     loop {
         let q_end_ns = q_end.as_nanos();
-        // Quantum boundary: drain this shard's mailbox once and deliver.
-        // Effective timestamps were fixed at route time, so delivery order
-        // within the batch is irrelevant (matching is timestamp-based).
-        shared.mailboxes[w].drain_into_pooled(&mut inbox, &mut ctx.pool);
-        for f in inbox.drain(..) {
-            let l = f.dst as usize - base;
-            nodes.execs[l].deliver_fragment(f.meta, f.frag_index, f.arrival);
-            if full_sweep {
-                continue;
-            }
-            // Re-arm the receiver in O(1): a delivery inside this quantum
-            // sets its ready bit directly, a future delivery schedules a
-            // poll through the heap. Strictness matters twice over: an
-            // event at exactly `q_end` belongs to the *next* quantum
-            // (execution covers `[q_start, q_end)`), and a fragment routed
-            // by a peer shard during this very quantum carries
-            // `eff >= q_end` — whether this drain races ahead of the peer's
-            // push (seeing it now) or picks it up a boundary later, the
-            // poll lands in the same quantum either way. The push is
-            // unconditional for the same reason: guarding it on the node's
-            // current wake would drop the entry exactly when the receiver
-            // is about to execute and re-park, making the poll schedule
-            // depend on drain timing.
-            let eff_ns = f.arrival.as_nanos();
-            if eff_ns < q_end_ns {
-                wheel.arm_now(l);
-            } else {
-                #[cfg(feature = "fault-inject")]
-                if crate::fault::armed(crate::fault::Fault::WakeRearmSkip) {
-                    // Armed bug: the delivery happened, but the wake wheel
-                    // forgets to re-arm the sleeper.
-                    continue;
-                }
-                wheel.heap.push(Reverse((eff_ns, l as u32)));
+        // Quantum boundary: take what was routed to this shard — the own
+        // batch directly, a peer's (or the diagonal's resume injection)
+        // only when its slot's flag is set — and deliver. Effective
+        // timestamps were fixed at route time, so delivery order is
+        // irrelevant (matching is timestamp-based).
+        deliver(
+            &mut ctx.out[w],
+            &mut nodes,
+            &mut wheel,
+            full_sweep,
+            q_end_ns,
+        );
+        for s in 0..m {
+            let slot = &shared.handoff[s * m + w];
+            // Acquire pairs with the publisher's Release store, after its
+            // unlock; the lock orders the batch itself.
+            if slot.ready.load(Ordering::Relaxed) && slot.ready.swap(false, Ordering::Acquire) {
+                std::mem::swap(
+                    &mut *slot.batch.lock().expect("hand-off slot poisoned"),
+                    &mut inbox,
+                );
+                deliver(&mut inbox, &mut nodes, &mut wheel, full_sweep, q_end_ns);
             }
         }
         let mut active = 0u64;
@@ -765,12 +776,60 @@ fn worker_thread<R: Recorder>(
     let results = (0..len)
         .map(|l| NodeResult::collect(&mut nodes.execs[l], nodes.sim[l].max(q_end)))
         .collect();
-    Ok((
-        results,
-        ctx.run_stragglers,
-        ctx.pool.heap_allocs(),
-        nodes_executed,
-    ))
+    Ok((results, ctx.run_stragglers, ctx.heap_allocs, nodes_executed))
+}
+
+/// Batches of two or more copies the schedule-fuzz hook shuffled, so a test
+/// can show the hook reaches the take path.
+#[cfg(all(test, feature = "schedule-fuzz"))]
+static SHUFFLED_BATCHES: AtomicU64 = AtomicU64::new(0);
+
+/// Delivers one taken batch to its receivers and re-arms each of them,
+/// leaving `batch` empty with its capacity kept.
+#[inline]
+fn deliver(
+    batch: &mut Vec<ShardInFlight>,
+    nodes: &mut ShardNodes,
+    wheel: &mut WakeWheel,
+    full_sweep: bool,
+    q_end_ns: u64,
+) {
+    #[cfg(feature = "schedule-fuzz")]
+    if aqs_sync::fuzz::shuffle_tail(batch, 0) {
+        #[cfg(test)]
+        SHUFFLED_BATCHES.fetch_add(1, Ordering::Relaxed);
+    }
+    for f in batch.drain(..) {
+        let l = f.dst as usize - nodes.base;
+        nodes.execs[l].deliver_fragment(f.meta, f.frag_index, f.arrival);
+        if full_sweep {
+            continue;
+        }
+        // Re-arm the receiver in O(1): a delivery inside this quantum sets
+        // its ready bit directly, a future delivery schedules a poll
+        // through the heap. Strictness matters twice over: an event at
+        // exactly `q_end` belongs to the *next* quantum (execution covers
+        // `[q_start, q_end)`), and a fragment a peer routed during this
+        // very quantum carries `eff >= q_end` — whether the peer published
+        // it before this take (seen now) or after (seen a boundary later),
+        // the poll lands in the same quantum either way. The push is
+        // unconditional for the same reason: guarding it on the node's
+        // current wake would drop the entry exactly when the receiver is
+        // about to execute and re-park, making the poll schedule depend on
+        // hand-off timing.
+        let eff_ns = f.arrival.as_nanos();
+        if eff_ns < q_end_ns {
+            wheel.arm_now(l);
+        } else {
+            #[cfg(feature = "fault-inject")]
+            if crate::fault::armed(crate::fault::Fault::WakeRearmSkip) {
+                // Armed bug: the delivery happened, but the wake wheel
+                // forgets to re-arm the sleeper.
+                continue;
+            }
+            wheel.heap.push(Reverse((eff_ns, l as u32)));
+        }
+    }
 }
 
 /// Advances one node to the quantum edge with the shared [`step_node`],
@@ -813,12 +872,28 @@ fn next_quantum<R: Recorder>(
     w: usize,
     active: u64,
 ) -> Option<SimTime> {
+    // Hand this quantum's batches for other shards over. The barrier
+    // arrival below orders each publication before every peer's next take.
+    let m = ctx.out.len();
+    for (d, batch) in ctx.out.iter_mut().enumerate() {
+        if d == w || batch.is_empty() {
+            continue;
+        }
+        let slot = &shared.handoff[w * m + d];
+        let mut held = slot.batch.lock().expect("hand-off slot poisoned");
+        if held.is_empty() {
+            // The usual case: the receiver took the last batch and left its
+            // emptied buffer here; trade this batch for it.
+            std::mem::swap(&mut *held, batch);
+        } else {
+            // The receiver has not taken the last quantum's batch yet.
+            ctx.heap_allocs += u64::from(held.capacity() - held.len() < batch.len());
+            held.append(batch);
+        }
+        drop(held);
+        slot.ready.store(true, Ordering::Release);
+    }
     shared.np_slots[w].store(ctx.quantum_packets, Ordering::Relaxed);
-    // Tune the pool's donation watermark to this worker's own push demand
-    // (floored): keep roughly one quantum's worth of sends local, donate
-    // drain surplus beyond that to the shared depot.
-    ctx.pool
-        .set_retain((ctx.quantum_packets as usize).max(POOL_RETAIN_FLOOR));
     ctx.quantum_packets = 0;
     if R::ENABLED {
         let slot = &shared.shard_obs[w];
@@ -1193,9 +1268,10 @@ mod tests {
 
     #[test]
     fn packet_path_reaches_an_allocation_free_steady_state() {
-        // Pool allocations track the peak number of packets in flight, not
-        // the number routed: 20× the rounds must not add a single
-        // allocation beyond the short run's warm-up.
+        // Batch allocations track the largest batch a quantum needs, not
+        // the number of copies routed: 20× the rounds must not add a single
+        // allocation beyond the short run's warm-up (6 when pinned: one
+        // growth per batch buffer a pair of workers circulates).
         let run = |rounds| {
             let spec = ping_pong(2, rounds, 64);
             run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2))
@@ -1207,9 +1283,10 @@ mod tests {
         assert!(long.pool_heap_allocs < long.total_packets / 10);
         // The same through the fat-tree fabric, transit math included: a
         // ring exchange over 128 racks crosses every uplink plane in both
-        // directions. Worker scheduling decides each worker's pool
-        // high-water mark, so 4× the rounds may add one warm-up allocation
-        // per worker; a per-packet regression would add thousands.
+        // directions. The second round already meets the busiest quantum
+        // (24 allocations after one round when pinned, 26 from the second
+        // on), so 4× the rounds add nothing; a per-packet regression would
+        // add thousands.
         let fabric_run = |rounds| {
             let n = 4096;
             let mut ring = MpiBuilder::new(n);
@@ -1224,14 +1301,14 @@ mod tests {
                 Some(2),
             )
         };
-        let short = fabric_run(1);
-        let long = fabric_run(4);
-        assert_eq!(short.total_packets, 2 * 4096);
+        let short = fabric_run(2);
+        let long = fabric_run(8);
+        assert_eq!(short.total_packets, 2 * 2 * 4096);
         assert_eq!(long.total_packets, 4 * short.total_packets);
-        let extra = long.pool_heap_allocs.saturating_sub(short.pool_heap_allocs);
-        assert!(
-            extra <= 2,
-            "steady-state fabric routing allocates: +{extra} pool allocations over +{} packets",
+        assert_eq!(
+            long.pool_heap_allocs,
+            short.pool_heap_allocs,
+            "steady-state fabric routing allocates over +{} packets",
             long.total_packets - short.total_packets
         );
     }
@@ -1259,25 +1336,27 @@ mod tests {
             "{} of {swept} sweep slots executed",
             short.nodes_executed
         );
-        // Warm-up tracks the peak in-flight working set, which drain timing
-        // moves by a few batches (524 when pinned, so 2× headroom); a
+        // Warm-up is the doublings of each batch buffer up to the largest
+        // batch a quantum needs (31–35 when pinned, so 2× headroom); a
         // per-packet regression overshoots by orders of magnitude.
         assert!(
-            short.pool_heap_allocs <= 1_048,
-            "pool warm-up footprint regressed: {} allocations",
+            short.pool_heap_allocs <= 70,
+            "batch warm-up footprint regressed: {} allocations",
             short.pool_heap_allocs
         );
-        // Incast is directional — every drained node lands in the
-        // receiver's pool — so only the depot's recirculation keeps the
-        // senders off the heap: 3× the waves re-route the same shape and
-        // may add drain-timing jitter (a constant per worker), never
-        // allocations in proportion to the packets.
+        // Incast is directional, but a receiver puts its emptied buffer back
+        // into the slot instead of freeing it, so the senders stay off the
+        // heap: 3× the waves re-route the same shape. Hand-off timing
+        // decides which buffer lands where and whether a late receiver
+        // finds two batches in one slot, which moves the count by a few
+        // either way (31–35 on both sides when pinned), never in
+        // proportion to the packets.
         let long = run(12);
         assert!(long.total_packets > short.total_packets);
         let extra = long.pool_heap_allocs.saturating_sub(short.pool_heap_allocs);
         assert!(
-            extra <= 128 * 2,
-            "steady-state incast routing allocates: +{extra} pool allocations over +{} packets",
+            extra <= 8,
+            "steady-state incast routing allocates: +{extra} batch allocations over +{} packets",
             long.total_packets - short.total_packets
         );
     }
@@ -1487,7 +1566,7 @@ mod tests {
         assert_eq!(l1.packets, l3.packets);
         let (hot, hot_bytes) = l1.hottest().expect("some link is hottest");
         assert!(hot < n_links && hot_bytes > 0);
-        // An unrecorded fabric run must not regress the pooled packet path.
+        // An unrecorded fabric run must not regress the batched packet path.
         let null = run_sharded_on(
             spec.programs.clone(),
             &cfg(SyncConfig::ground_truth()),
@@ -1611,6 +1690,64 @@ mod tests {
             let r = run_sharded(spec.programs.clone(), &config, Some(m));
             assert_eq!(observed(&r), reference, "workers={m}");
         }
+    }
+
+    #[test]
+    fn every_hand_off_slot_carries_traffic_at_every_worker_count() {
+        // An all-to-all puts a batch into every sender→receiver slot in the
+        // burst quantum, up to one worker per node (M = 16: all 240
+        // off-diagonal slots at once). Under the adaptive policy, the safe
+        // quantum and a quantum far above it (every copy a straggler),
+        // every M must match M = 1 and the full sweep.
+        let programs = burst(16, 50_000, 1024).programs;
+        for (sync, straggles) in [
+            (SyncConfig::paper_dyn2(), false),
+            (SyncConfig::ground_truth(), false),
+            (SyncConfig::fixed_micros(1000), true),
+        ] {
+            let run = |config: &ParallelConfig, m| {
+                observed(&run_sharded(programs.clone(), config, Some(m)))
+            };
+            let one = run(&cfg(sync.clone()), 1);
+            assert_eq!(one.1 .0 > 0, straggles, "{sync:?}");
+            assert_eq!(
+                run(&full_sweep(sync.clone()), 1),
+                one,
+                "{sync:?} full sweep"
+            );
+            for m in [2, 3, 4, 8, 16] {
+                assert_eq!(run(&cfg(sync.clone()), m), one, "{sync:?} workers={m}");
+            }
+            let (recorded, _) = run_sharded_impl(
+                programs.clone(),
+                &cfg(sync.clone()),
+                router(16, &SimSwitch::Perfect),
+                Some(3),
+                aqs_obs::FlightRecorder::new(16, aqs_obs::ObsConfig::new()),
+                None,
+            )
+            .expect("run succeeds");
+            assert_eq!(observed(&recorded), one, "{sync:?} recorded, workers=3");
+        }
+    }
+
+    #[cfg(feature = "schedule-fuzz")]
+    #[test]
+    fn armed_schedule_fuzz_shuffles_the_taken_batches() {
+        // An M = 2 all-to-all: the burst quantum hands each worker a batch
+        // of its own shard's copies and one of its peer's.
+        let programs = burst(8, 50_000, 1024).programs;
+        let config = cfg(SyncConfig::ground_truth());
+        let plain = observed(&run_sharded(programs.clone(), &config, Some(2)));
+        let before = SHUFFLED_BATCHES.load(Ordering::Relaxed);
+        aqs_sync::fuzz::arm(0x5EED);
+        let fuzzed = observed(&run_sharded(programs, &config, Some(2)));
+        aqs_sync::fuzz::disarm();
+        assert!(
+            SHUFFLED_BATCHES.load(Ordering::Relaxed) > before,
+            "no batch of two or more copies was shuffled"
+        );
+        assert_eq!(fuzzed, plain);
     }
 
     #[test]

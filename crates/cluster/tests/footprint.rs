@@ -78,12 +78,13 @@ fn sparse_sharded_run_stays_within_its_per_node_footprint() {
         "{allocations} allocations ({per_node:.3}/node), {bytes} bytes ({bytes_per_node:.1}/node)"
     );
     // Measured, debug and release alike (the counts move by a few dozen
-    // with how the two workers' packet pools warm up):
+    // with how the two workers' packet batches warm up):
     //
     //                                    allocations/node   bytes/node
     //   staged construction, SipHash
     //   maps, lag lanes always (PR 15)   3.507              1410
     //   built in place on the workers    2.136 - 2.140      567 - 571
+    //   per-quantum batch hand-off       2.104 - 2.105      563 - 566
     //
     // What is left per node: the executor (208 B), 25 B of scheduling
     // lanes, its result record, and two small vectors — the open `KERNEL`

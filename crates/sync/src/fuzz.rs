@@ -1,14 +1,14 @@
 //! Test-only schedule perturbation hooks (`schedule-fuzz` feature).
 //!
 //! The worker-pool engines' functional results must be independent of two
-//! sources of OS-level nondeterminism: the order in which a mailbox batch is
-//! drained, and the order in which threads arrive at the quantum barrier.
-//! This module lets a test *amplify* both far beyond what a quiet CI machine
-//! would ever produce, so schedule-dependent bugs surface in seconds instead
-//! of once a year:
+//! sources of OS-level nondeterminism: the order in which a batch of handed-
+//! over packets is delivered, and the order in which threads arrive at the
+//! quantum barrier. This module lets a test *amplify* both far beyond what a
+//! quiet CI machine would ever produce, so schedule-dependent bugs surface in
+//! seconds instead of once a year:
 //!
-//! * [`Mailbox::drain_into`](crate::Mailbox::drain_into) shuffles each newly
-//!   drained batch;
+//! * [`shuffle_tail`] shuffles a batch; the sharded engine calls it on each
+//!   batch it takes at a quantum boundary;
 //! * [`TreeBarrier::arrive`](crate::TreeBarrier::arrive) spins a
 //!   pseudo-random delay before arriving, perturbing arrival order and
 //!   leader election.
@@ -57,14 +57,14 @@ fn next() -> Option<u64> {
     Some(z ^ (z >> 31))
 }
 
-/// Fisher–Yates shuffle of `out[from..]` (the batch a drain just appended).
-/// No-op when disarmed.
-pub(crate) fn shuffle_tail<T>(out: &mut [T], from: usize) {
+/// Fisher–Yates shuffle of `out[from..]` (the batch just taken). No-op when
+/// disarmed. Returns whether it shuffled: armed, and two or more items.
+pub fn shuffle_tail<T>(out: &mut [T], from: usize) -> bool {
     let n = out.len() - from;
     if n < 2 {
-        return;
+        return false;
     }
-    let Some(mut r) = next() else { return };
+    let Some(mut r) = next() else { return false };
     let tail = &mut out[from..];
     for i in (1..n).rev() {
         // Cheap xorshift between swaps; quality is irrelevant here.
@@ -73,6 +73,7 @@ pub(crate) fn shuffle_tail<T>(out: &mut [T], from: usize) {
         r ^= r << 17;
         tail.swap(i, (r % (i as u64 + 1)) as usize);
     }
+    true
 }
 
 /// Spins for a pseudo-random short delay (0–few µs) to perturb barrier
@@ -98,7 +99,7 @@ mod tests {
     fn disarmed_hooks_do_nothing() {
         disarm();
         let mut v = vec![1, 2, 3, 4, 5];
-        shuffle_tail(&mut v, 0);
+        assert!(!shuffle_tail(&mut v, 0));
         assert_eq!(v, vec![1, 2, 3, 4, 5]);
         jitter(); // must not hang
     }
@@ -107,7 +108,8 @@ mod tests {
     fn armed_shuffle_permutes_only_the_tail() {
         arm(42);
         let mut v: Vec<u64> = (0..100).collect();
-        shuffle_tail(&mut v, 90);
+        assert!(shuffle_tail(&mut v, 90));
+        assert!(!shuffle_tail(&mut v, 99), "one item is not shuffled");
         assert_eq!(&v[..90], (0..90).collect::<Vec<u64>>().as_slice());
         let mut tail: Vec<u64> = v[90..].to_vec();
         tail.sort_unstable();

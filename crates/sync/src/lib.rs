@@ -3,15 +3,6 @@
 //! `aqs-cluster` forbids `unsafe`, so the primitives that need it live here,
 //! behind safe APIs sized exactly to the quantum-synchronous engine:
 //!
-//! * [`Mailbox`] — a multi-producer single-consumer intrusive list. Producers
-//!   push with a single compare-and-swap; the owning consumer detaches the
-//!   whole list with one atomic swap and drains it in push order. No mutex,
-//!   no allocation beyond one node per message — and with a [`MailboxPool`]
-//!   the nodes themselves are recycled, so a steady-state push/drain cycle
-//!   performs zero heap allocations. A [`PoolDepot`] shared by a group of
-//!   pools closes the loop for *directional* traffic (incast): a receiver's
-//!   overflow is donated to the depot in batches instead of freed, and a
-//!   starved sender refills from it before touching the heap.
 //! * [`TreeBarrier`] — an epoch-based (sense-reversing) barrier folded over
 //!   two levels (participants combine within fixed groups, group
 //!   representatives meet at the root), so wide barriers don't funnel every
@@ -19,8 +10,15 @@
 //!   the leader, gets exclusive `&mut` access to the barrier's leader state
 //!   (e.g. the quantum policy), and publishes the next epoch with a single
 //!   release store that doubles as the handshake for whatever the leader
-//!   wrote.
+//!   wrote. Every worker-pool engine meets at one per quantum or window.
 //! * [`CachePadded`] — pads per-thread hot counters to their own cache line.
+//! * [`Mailbox`] — a multi-producer single-consumer intrusive list. Producers
+//!   push with a single compare-and-swap; the owning consumer detaches the
+//!   whole list with one atomic swap and drains it in push order; with a
+//!   [`MailboxPool`] the nodes are recycled, so a steady push/drain cycle
+//!   performs zero heap allocations. No engine uses it: the sharded engine
+//!   hands packets over in per-quantum batches. It stays for the
+//!   benchmark's per-packet hand-off probes.
 //!
 //! Barrier waiters spin briefly before yielding; the spin budget is tunable via
 //! the `AQS_SPIN_BUDGET` environment variable (see [`spin_budget`]) and
@@ -34,13 +32,10 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 #[cfg(feature = "schedule-fuzz")]
 pub mod fuzz;
-
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 
 /// Pads (and aligns) a value to 128 bytes so neighbouring slots in a
 /// `Vec<CachePadded<_>>` never share a cache line (128 covers the spatial
@@ -161,11 +156,7 @@ pub struct MailboxPool<T> {
     free: *mut MailboxNode<T>,
     len: usize,
     cap: usize,
-    /// Spare nodes kept local when donating to the depot; surplus beyond
-    /// `2 × retain` is surrendered. See [`set_retain`](Self::set_retain).
-    retain: usize,
     allocs: u64,
-    depot: Option<Arc<PoolDepot<T>>>,
 }
 
 // SAFETY: the pool owns its free nodes exclusively (their values are
@@ -175,60 +166,14 @@ pub struct MailboxPool<T> {
 unsafe impl<T: Send> Send for MailboxPool<T> {}
 
 impl<T> MailboxPool<T> {
-    /// Default spare-node cap: comfortably above any per-quantum burst the
-    /// engines generate, small enough to be irrelevant memory-wise.
-    pub const DEFAULT_CAP: usize = 4096;
-
     /// A pool that retains at most `cap` spare nodes.
     pub fn with_capacity(cap: usize) -> Self {
         MailboxPool {
             free: ptr::null_mut(),
             len: 0,
             cap,
-            retain: cap / 2,
             allocs: 0,
-            depot: None,
         }
-    }
-
-    /// A pool that retains at most `cap` spare nodes and overflows into (and
-    /// refills from) `depot` instead of the heap. The initial retain
-    /// watermark is `cap / 2` (donation at `cap`, like plain overflow);
-    /// callers with a per-round demand signal should tighten it with
-    /// [`set_retain`](Self::set_retain).
-    ///
-    /// Attach every pool in a push/drain group to the same depot when the
-    /// traffic between them is directional: without one, each drain migrates
-    /// nodes into the receiver's pool for good, and the sender re-allocates
-    /// every message once its own free list runs dry.
-    pub fn with_depot(cap: usize, depot: Arc<PoolDepot<T>>) -> Self {
-        MailboxPool {
-            free: ptr::null_mut(),
-            len: 0,
-            cap,
-            retain: cap / 2,
-            allocs: 0,
-            depot: Some(depot),
-        }
-    }
-
-    /// Sets the retain watermark: with a depot attached, a release that
-    /// finds more than `2 × retain` spare nodes donates the surplus down to
-    /// `retain` (clamped to `cap / 2`).
-    ///
-    /// The right watermark is the caller's own push demand per round: a
-    /// pool that keeps what *it* pushes is self-sufficient under balanced
-    /// traffic (no depot round trips, no cross-thread timing races), while
-    /// a net *receiver* — whose drains exceed its pushes — surrenders the
-    /// surplus promptly instead of hoarding it up to `cap` while the
-    /// sending threads fall back to the heap.
-    pub fn set_retain(&mut self, retain: usize) {
-        self.retain = retain.min(self.cap / 2);
-    }
-
-    /// A pool with [`DEFAULT_CAP`](Self::DEFAULT_CAP) spare nodes.
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAP)
     }
 
     /// Spare nodes currently held.
@@ -247,24 +192,15 @@ impl<T> MailboxPool<T> {
         self.allocs
     }
 
-    /// Pops a spare node or allocates a fresh one (refilling from the depot
-    /// first when one is attached). The returned node's value is
-    /// uninitialized; `next` is unspecified.
+    /// Pops a spare node or allocates a fresh one. The returned node's value
+    /// is uninitialized; `next` is unspecified.
     fn acquire(&mut self) -> *mut MailboxNode<T> {
         if self.free.is_null() {
-            if let Some(depot) = &self.depot {
-                if let Some(seg) = depot.take_segment() {
-                    self.free = seg.head;
-                    self.len = seg.len;
-                }
-            }
-            if self.free.is_null() {
-                self.allocs += 1;
-                return Box::into_raw(Box::new(MailboxNode {
-                    value: MaybeUninit::uninit(),
-                    next: ptr::null_mut(),
-                }));
-            }
+            self.allocs += 1;
+            return Box::into_raw(Box::new(MailboxNode {
+                value: MaybeUninit::uninit(),
+                next: ptr::null_mut(),
+            }));
         }
         let node = self.free;
         // SAFETY: `free` nodes are exclusively ours; the chain is well formed.
@@ -273,8 +209,7 @@ impl<T> MailboxPool<T> {
         node
     }
 
-    /// Returns a value-less node to the free list; past the cap the surplus
-    /// is donated to the depot (when attached) or the node is freed.
+    /// Returns a value-less node to the free list, or frees it past the cap.
     ///
     /// # Safety
     ///
@@ -282,16 +217,7 @@ impl<T> MailboxPool<T> {
     /// mailbox drain), must not be reachable from any mailbox, and its value
     /// must already have been moved out or dropped.
     unsafe fn release(&mut self, node: *mut MailboxNode<T>) {
-        if self.depot.is_some() && self.len >= self.retain.saturating_mul(2).max(1) {
-            // Keep the head `retain` nodes (most recently recycled,
-            // cache-warm) and hand the tail to the depot in one batch; the
-            // walk to the cut point is O(retain) but amortized over the
-            // releases it took to cross the watermark — O(1) per release.
-            let depot = self.depot.clone().expect("checked above");
-            self.donate_tail(&depot, self.retain);
-        }
         if self.len >= self.cap {
-            // No depot (or a watermark pinned at the cap): free the node.
             // SAFETY: caller guarantees the node came from Box::into_raw
             // and holds no live value, so dropping the box frees just the
             // node.
@@ -302,39 +228,6 @@ impl<T> MailboxPool<T> {
         unsafe { (*node).next = self.free };
         self.free = node;
         self.len += 1;
-    }
-
-    /// Splits the free list after `keep` nodes and donates the tail to
-    /// `depot` as one segment. No-op when the list is not longer than `keep`.
-    fn donate_tail(&mut self, depot: &PoolDepot<T>, keep: usize) {
-        if self.len <= keep {
-            return;
-        }
-        let seg_len = self.len - keep;
-        let head = if keep == 0 {
-            let head = self.free;
-            self.free = ptr::null_mut();
-            head
-        } else {
-            let mut p = self.free;
-            for _ in 1..keep {
-                // SAFETY: the first `keep` nodes of our exclusively-owned
-                // free list are live; the chain is well formed.
-                p = unsafe { (*p).next };
-            }
-            // SAFETY: as above; cutting the chain after the `keep`-th node.
-            let head = unsafe { (*p).next };
-            unsafe { (*p).next = ptr::null_mut() };
-            head
-        };
-        self.len = keep;
-        depot.put_segment(DepotSegment { head, len: seg_len });
-    }
-}
-
-impl<T> Default for MailboxPool<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -350,155 +243,12 @@ impl<T> Drop for MailboxPool<T> {
     }
 }
 
-/// A batch of value-less nodes in depot custody: a null-terminated chain
-/// with its length, so hand-offs never walk it.
-struct DepotSegment<T> {
-    head: *mut MailboxNode<T>,
-    len: usize,
-}
-
-/// A shared overflow store that rebalances nodes between [`MailboxPool`]s.
-///
-/// Per-thread pools are allocation-free only while each thread's push and
-/// drain volumes balance. Under *directional* traffic — many senders
-/// converging on one receiver (incast) — every drained node lands in the
-/// receiver's pool, overflows its cap, and (without a depot) is freed, while
-/// the senders' pools run dry and re-allocate each message: a steady-state
-/// heap leak proportional to traffic. A depot shared by the group closes the
-/// cycle: overflow is donated in half-cap batches, and a pool whose free
-/// list runs dry refills from the depot before falling back to the heap.
-///
-/// All transfers are whole segments under one brief mutex hold — the lock
-/// sits on the overflow/starvation path only, never on the per-message hot
-/// path. The depot retains at most `cap` nodes; donations beyond that are
-/// freed, bounding idle memory exactly like the per-pool cap does.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use aqs_sync::{Mailbox, MailboxPool, PoolDepot};
-///
-/// let depot = Arc::new(PoolDepot::new());
-/// let mb = Mailbox::new();
-/// let mut sender = MailboxPool::with_depot(8, Arc::clone(&depot));
-/// let mut receiver = MailboxPool::with_depot(8, Arc::clone(&depot));
-/// for round in 0..100u32 {
-///     for i in 0..32 {
-///         mb.push_pooled(round * 32 + i, &mut sender);
-///     }
-///     let mut out = Vec::new();
-///     mb.drain_into_pooled(&mut out, &mut receiver);
-/// }
-/// // Every node the receiver overflowed came back through the depot: the
-/// // sender allocated only the warm-up working set, not 3200 nodes.
-/// assert!(sender.heap_allocs() < 100);
-/// ```
-pub struct PoolDepot<T> {
-    inner: Mutex<DepotInner<T>>,
-    cap: usize,
-}
-
-struct DepotInner<T> {
-    segments: Vec<DepotSegment<T>>,
-    len: usize,
-}
-
-// SAFETY: depot nodes hold no value (their `MaybeUninit` slots are vacant
-// between `release` and the next `push_pooled`), so the only state crossing
-// threads is the node allocations themselves, guarded by the mutex; the
-// `T: Send` bound mirrors `MailboxPool`'s, under which nodes are moved
-// between threads in the first place.
-unsafe impl<T: Send> Send for PoolDepot<T> {}
-unsafe impl<T: Send> Sync for PoolDepot<T> {}
-
-impl<T> PoolDepot<T> {
-    /// Default node cap: generous enough to recirculate a large incast
-    /// working set across a worker group, small enough to bound idle memory.
-    pub const DEFAULT_CAP: usize = 1 << 20;
-
-    /// A depot that retains at most `cap` nodes.
-    pub fn with_capacity(cap: usize) -> Self {
-        PoolDepot {
-            inner: Mutex::new(DepotInner {
-                segments: Vec::new(),
-                len: 0,
-            }),
-            cap,
-        }
-    }
-
-    /// A depot with [`DEFAULT_CAP`](Self::DEFAULT_CAP) nodes.
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAP)
-    }
-
-    /// Nodes currently in depot custody (takes the lock; diagnostic only).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("depot poisoned").len
-    }
-
-    /// True if the depot holds no node.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Accepts a donated segment, or frees it when the cap is reached.
-    fn put_segment(&self, seg: DepotSegment<T>) {
-        {
-            let mut inner = self.inner.lock().expect("depot poisoned");
-            if inner.len + seg.len <= self.cap {
-                inner.len += seg.len;
-                inner.segments.push(seg);
-                return;
-            }
-        }
-        // Over cap: free outside the lock.
-        free_chain(seg.head);
-    }
-
-    /// Hands out one whole segment, LIFO (the most recently donated nodes
-    /// are the most likely to still be cache-resident somewhere useful).
-    fn take_segment(&self) -> Option<DepotSegment<T>> {
-        let mut inner = self.inner.lock().expect("depot poisoned");
-        let seg = inner.segments.pop()?;
-        inner.len -= seg.len;
-        Some(seg)
-    }
-}
-
-impl<T> Default for PoolDepot<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Drop for PoolDepot<T> {
-    fn drop(&mut self) {
-        let inner = self.inner.get_mut().expect("depot poisoned");
-        for seg in inner.segments.drain(..) {
-            free_chain(seg.head);
-        }
-    }
-}
-
-/// Frees a null-terminated chain of value-less nodes.
-fn free_chain<T>(mut p: *mut MailboxNode<T>) {
-    while !p.is_null() {
-        // SAFETY: chain nodes are exclusively ours (detached from every pool
-        // and mailbox) and hold no value; each is visited exactly once.
-        let node = unsafe { Box::from_raw(p) };
-        p = node.next;
-    }
-}
-
 /// Lock-free multi-producer mailbox, drained wholesale by its owning thread.
 ///
 /// Producers CAS new nodes onto the head (a Treiber push); the consumer swaps
 /// the head to null and reverses the detached chain, recovering exact global
 /// push order (the linearization order of the CASes). Any thread may push;
-/// draining is safe from any single thread at a time — in the engine only
-/// the owning node thread drains.
+/// draining is safe from any single thread at a time.
 pub struct Mailbox<T> {
     head: AtomicPtr<MailboxNode<T>>,
 }
@@ -534,11 +284,6 @@ impl<T> Mailbox<T> {
     /// Pushes a value using a node from `pool` when one is available;
     /// lock-free, callable from any thread holding its own pool.
     pub fn push_pooled(&self, value: T, pool: &mut MailboxPool<T>) {
-        #[cfg(feature = "fault-inject")]
-        if fault::mailbox_should_drop() {
-            drop(value);
-            return;
-        }
         let node = pool.acquire();
         // SAFETY: `node` is not yet published, so writing its fields is
         // unsynchronized by construction; `acquire` hands us an exclusively
@@ -565,10 +310,6 @@ impl<T> Mailbox<T> {
 
     /// Detaches everything pushed so far and appends it to `out` in push
     /// order. One atomic swap; never blocks producers.
-    ///
-    /// With the `schedule-fuzz` feature enabled **and** `fuzz::arm`-ed, the
-    /// newly drained batch is shuffled before it is appended — consumers
-    /// must not depend on intra-batch order for correctness.
     pub fn drain_into(&self, out: &mut Vec<T>) {
         let mut pool = MailboxPool::with_capacity(0);
         self.drain_into_pooled(out, &mut pool);
@@ -577,8 +318,6 @@ impl<T> Mailbox<T> {
     /// [`drain_into`](Self::drain_into), recycling the drained nodes into
     /// `pool` (up to its cap) instead of freeing them.
     pub fn drain_into_pooled(&self, out: &mut Vec<T>, pool: &mut MailboxPool<T>) {
-        #[cfg(feature = "schedule-fuzz")]
-        let drained_from = out.len();
         // Acquire pairs with the Release CAS in `push_pooled`: after the swap
         // we own the whole detached chain and every node is fully written.
         let mut p = self.head.swap(ptr::null_mut(), Ordering::Acquire);
@@ -606,8 +345,6 @@ impl<T> Mailbox<T> {
                 p = next;
             }
         }
-        #[cfg(feature = "schedule-fuzz")]
-        fuzz::shuffle_tail(out, drained_from);
     }
 
     /// True if no message is pending (racy by nature; exact only when all
@@ -930,113 +667,6 @@ mod tests {
         assert_eq!(out.len(), 32);
         // Only `cap` nodes retained; the rest were freed on release.
         assert_eq!(pool.len(), 4);
-    }
-
-    #[test]
-    fn depot_recirculates_directional_overflow() {
-        // Incast in miniature: one pool only pushes, the other only drains.
-        // Without a depot the sender would allocate every message once its
-        // free list ran dry (the receiver's overflow would be freed); with a
-        // shared depot the sender's allocations stop at the warm-up set.
-        let depot = Arc::new(PoolDepot::new());
-        let mb = Mailbox::new();
-        let mut sender = MailboxPool::with_depot(16, Arc::clone(&depot));
-        let mut receiver = MailboxPool::with_depot(16, Arc::clone(&depot));
-        let mut out = Vec::new();
-        for round in 0..500u32 {
-            for i in 0..64 {
-                mb.push_pooled(round * 64 + i, &mut sender);
-            }
-            out.clear();
-            mb.drain_into_pooled(&mut out, &mut receiver);
-            assert_eq!(out.len(), 64);
-        }
-        // Warm-up covers one burst plus the batch-transfer slack (each
-        // donation keeps cap/2 nodes in the receiver, each refill moves one
-        // segment); 500 rounds × 64 messages would be 32k allocations
-        // without recirculation.
-        assert!(
-            sender.heap_allocs() <= 128,
-            "sender kept allocating despite the depot: {} allocs",
-            sender.heap_allocs()
-        );
-        assert_eq!(receiver.heap_allocs(), 0);
-        assert!(!depot.is_empty() || sender.len() + receiver.len() > 0);
-    }
-
-    #[test]
-    fn depot_cap_bounds_total_nodes() {
-        let depot = Arc::new(PoolDepot::with_capacity(8));
-        let mb = Mailbox::new();
-        let mut sender = MailboxPool::with_depot(4, Arc::clone(&depot));
-        let mut receiver = MailboxPool::with_depot(4, Arc::clone(&depot));
-        let mut out = Vec::new();
-        for _ in 0..100 {
-            for i in 0..32u32 {
-                mb.push_pooled(i, &mut sender);
-            }
-            out.clear();
-            mb.drain_into_pooled(&mut out, &mut receiver);
-        }
-        // Donations past the cap are freed, exactly like per-pool overflow.
-        assert!(depot.len() <= 8);
-        assert!(receiver.len() <= 4);
-    }
-
-    #[test]
-    fn depot_rebalances_across_threads() {
-        // Four producer threads, one consumer, a shared depot, with a round
-        // barrier standing in for the engines' quantum barrier: producers
-        // burst, everyone synchronizes, the consumer drains (overflowing
-        // into the depot), everyone synchronizes again. Steady state, each
-        // producer's burst refills entirely from the depot: allocations
-        // track the warm-up peak, not the message count.
-        const PRODUCERS: u64 = 4;
-        const ROUNDS: u64 = 200;
-        const BURST: u64 = 100;
-        let depot = Arc::new(PoolDepot::new());
-        let mb = Arc::new(Mailbox::new());
-        let round = Arc::new(std::sync::Barrier::new(PRODUCERS as usize + 1));
-        let handles: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let mb = Arc::clone(&mb);
-                let depot = Arc::clone(&depot);
-                let round = Arc::clone(&round);
-                thread::spawn(move || {
-                    let mut pool = MailboxPool::with_depot(64, depot);
-                    for r in 0..ROUNDS {
-                        for i in 0..BURST {
-                            mb.push_pooled((p * ROUNDS + r) * BURST + i, &mut pool);
-                        }
-                        round.wait(); // burst visible to the consumer
-                        round.wait(); // consumer done draining
-                    }
-                    pool.heap_allocs()
-                })
-            })
-            .collect();
-        let mut got = Vec::new();
-        let mut pool = MailboxPool::with_depot(64, Arc::clone(&depot));
-        for _ in 0..ROUNDS {
-            round.wait();
-            mb.drain_into_pooled(&mut got, &mut pool);
-            round.wait();
-        }
-        let producer_allocs: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(got.len() as u64, PRODUCERS * ROUNDS * BURST);
-        // No loss, no duplication — recirculated nodes carry fresh values.
-        let mut seen = vec![false; (PRODUCERS * ROUNDS * BURST) as usize];
-        for v in got {
-            assert!(!seen[v as usize], "duplicate message {v}");
-            seen[v as usize] = true;
-        }
-        // Warm-up is one all-producer burst plus batch-transfer slack;
-        // without the depot this would be ~80k allocations (every burst
-        // past the 64-node pool cap allocated fresh).
-        assert!(
-            producer_allocs <= PRODUCERS * BURST + 256,
-            "depot failed to recirculate: {producer_allocs} producer allocs"
-        );
     }
 
     #[test]

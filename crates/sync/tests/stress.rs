@@ -1,7 +1,7 @@
 //! Stress: N producers vs concurrent drains under thread churn.
 //!
-//! Replays the worker-pool engines' synchronization protocol in miniature and
-//! proves the two PR-1 primitives hold up in its known-thin spot — a thread
+//! Replays a quantum-synchronous message exchange in miniature and proves the
+//! mailbox and the tree barrier hold up in its known-thin spot — a thread
 //! that finishes its program mid-quantum but must keep meeting the barrier:
 //!
 //! * node threads with *different* program lengths exchange messages every

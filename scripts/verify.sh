@@ -40,6 +40,8 @@ cargo test -p aqs-cluster --test footprint -q
 echo "==> conformance harness: mutation + schedule-fuzz tiers"
 cargo test -p aqs-check --features fault-inject -q
 cargo test -p aqs-check --features schedule-fuzz -q
+# The sharded engine's own proof that the batch shuffle reaches its take path.
+cargo test -p aqs-cluster --features schedule-fuzz --lib -q
 
 # Differential smoke gate: 200 seeded cases through every engine with
 # invariant oracles, hard wall-clock budget. Failures are shrunk to minimal

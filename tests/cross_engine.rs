@@ -162,8 +162,9 @@ proptest! {
     }
 }
 
-/// The worker-pool engines' lock-free mailbox must never drop or duplicate a
-/// fragment, under concurrent producers racing a draining consumer.
+/// The lock-free mailbox (the benchmark's per-packet hand-off probe) must
+/// never drop or duplicate a message, under concurrent producers racing a
+/// draining consumer.
 #[test]
 fn mailbox_stress_no_drop_no_duplicate() {
     use aqs::sync::Mailbox;

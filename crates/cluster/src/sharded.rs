@@ -75,8 +75,6 @@ use aqs_node::{CpuModel, MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -294,7 +292,7 @@ struct WakeWheel {
     /// another; a node that must run again next quantum re-arms its own
     /// bit, in a word the scan has already taken.
     ready_words: Vec<u64>,
-    /// Scheduled polls as `(wake_ns, local)` min-entries. Every entry arms
+    /// Scheduled polls as `(wake_ns, local)` entries. Every entry arms
     /// exactly one poll, in the first quantum whose edge lies beyond
     /// `wake_ns` — unconditionally, with no staleness check. An entry that
     /// was superseded (the node already woke earlier and re-slept) arms a
@@ -302,20 +300,114 @@ struct WakeWheel {
     /// *deterministic*: the entry multiset is a pure function of the
     /// simulated history, never of cross-worker hand-off timing, so the
     /// executed-node count is identical for every shard count.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    queue: WakeQueue,
 }
 
 impl WakeWheel {
     fn new(len: usize) -> Self {
         Self {
             ready_words: vec![0u64; len.div_ceil(64)],
-            heap: BinaryHeap::new(),
+            queue: WakeQueue::new(),
         }
     }
 
     #[inline]
     fn arm_now(&mut self, l: usize) {
         self.ready_words[l >> 6] |= 1u64 << (l & 63);
+    }
+
+    /// Arms every scheduled poll due strictly before the edge `end`.
+    #[inline]
+    fn promote(&mut self, end: u64) {
+        let ready = &mut self.ready_words;
+        self.queue
+            .drain_before(end, |l| ready[l as usize >> 6] |= 1u64 << (l & 63));
+    }
+}
+
+/// The wake wheel's entries in a monotone bucket queue (a radix heap). The
+/// engine pushes no key before the edge of the last drain and drains exactly
+/// the keys strictly before an edge, so the queue never orders the keys one
+/// drain takes (DESIGN.md §3a). Bucket `i ≥ 1` holds the keys whose highest
+/// bit differing from `base` is bit `i − 1`, bucket 0 the keys equal to
+/// `base`. An entry only ever moves to a lower bucket, so it is touched at
+/// most 65 times however long it waits. Buckets are cleared, never freed:
+/// steady state allocates nothing.
+struct WakeQueue {
+    buckets: [Vec<(u64, u32)>; 65],
+    /// Bit `i` set ⇔ bucket `i` holds an entry.
+    occupied: u128,
+    /// At or below every key held and every key pushed later: the edge of
+    /// the last drain that split a bucket.
+    base: u64,
+}
+
+impl WakeQueue {
+    fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            base: 0,
+        }
+    }
+
+    /// Schedules a poll of local `l` at `t`, which must not lie before the
+    /// edge of an earlier drain.
+    #[inline]
+    fn push(&mut self, t: u64, l: u32) {
+        debug_assert!(
+            t >= self.base,
+            "wake {t} before the drained edge {}",
+            self.base
+        );
+        let i = 64 - (t ^ self.base).leading_zeros() as usize;
+        self.buckets[i].push((t, l));
+        self.occupied |= 1 << i;
+    }
+
+    /// Hands `arm` the local of every entry keyed strictly before `end` and
+    /// removes those entries, lowest bucket first. A bucket wholly before
+    /// the edge is armed in one sweep and the first bucket wholly after it
+    /// ends the drain. The bucket the edge falls inside is split in one
+    /// pass: what precedes the edge is armed, the rest is re-filed against
+    /// `base = end` into lower buckets (those keys share every bit from
+    /// `i − 1` up with `end`), and every higher bucket keeps its range. The
+    /// engine pushes nothing before `end` afterwards, so `base` never passes
+    /// a later push.
+    fn drain_before(&mut self, end: u64, mut arm: impl FnMut(u32)) {
+        while self.occupied != 0 {
+            let i = self.occupied.trailing_zeros() as usize;
+            let (lo, hi) = if i == 0 {
+                (self.base, self.base)
+            } else {
+                let low = u64::MAX >> (64 - i);
+                ((self.base & !low) | (1 << (i - 1)), self.base | low)
+            };
+            if lo >= end {
+                return;
+            }
+            let mut bucket = std::mem::take(&mut self.buckets[i]);
+            self.occupied &= !(1 << i);
+            if hi < end {
+                for &(_, l) in &bucket {
+                    arm(l);
+                }
+            } else {
+                self.base = end;
+                for &(t, l) in &bucket {
+                    if t < end {
+                        arm(l);
+                    } else {
+                        self.push(t, l);
+                    }
+                }
+            }
+            bucket.clear();
+            self.buckets[i] = bucket;
+            if hi >= end {
+                return;
+            }
+        }
     }
 }
 
@@ -718,16 +810,11 @@ fn worker_thread<R: Recorder>(
         } else {
             // Promote sleepers whose scheduled wake falls strictly inside
             // this quantum (a wake at exactly `q_end` is the next quantum's
-            // first instant). Every popped entry arms its node: a stale
-            // entry — the node already woke earlier and re-slept — arms a
-            // side-effect-free re-poll, identical under every shard count.
-            while let Some(&Reverse((t, l))) = wheel.heap.peek() {
-                if t >= q_end_ns {
-                    break;
-                }
-                wheel.heap.pop();
-                wheel.arm_now(l as usize);
-            }
+            // first instant), in one drain. Every due entry arms its node: a
+            // stale entry — the node already woke earlier and re-slept —
+            // arms a side-effect-free re-poll, identical under every shard
+            // count.
+            wheel.promote(q_end_ns);
             // Execute the active set in ascending local order (bit order =
             // rank order within the shard, matching the full sweep).
             for wi in 0..wheel.ready_words.len() {
@@ -745,14 +832,14 @@ fn worker_thread<R: Recorder>(
                     if ran.wake == q_end_ns {
                         // Runs again next quantum — the common case for a
                         // node mid-compute. An entry `(q_end, l)` would be
-                        // popped by the next promote whatever the next edge
-                        // is, so arm the bit now and spare the heap a push
-                        // and a pop per active node per quantum. The stored
+                        // drained by the next promote whatever the next edge
+                        // is, so arm the bit now and spare the queue a push
+                        // and a drain per active node per quantum. The stored
                         // word was cleared before its bits were walked, so
                         // the next quantum's scan is the first to see it.
                         wheel.arm_now(l);
                     } else if ran.wake != u64::MAX {
-                        wheel.heap.push(Reverse((ran.wake, l as u32)));
+                        wheel.queue.push(ran.wake, l as u32);
                     }
                     if R::ENABLED {
                         shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
@@ -807,7 +894,7 @@ fn deliver(
         }
         // Re-arm the receiver in O(1): a delivery inside this quantum sets
         // its ready bit directly, a future delivery schedules a poll
-        // through the heap. Strictness matters twice over: an event at
+        // through the queue. Strictness matters twice over: an event at
         // exactly `q_end` belongs to the *next* quantum (execution covers
         // `[q_start, q_end)`), and a fragment a peer routed during this
         // very quantum carries `eff >= q_end` — whether the peer published
@@ -827,7 +914,7 @@ fn deliver(
                 // forgets to re-arm the sleeper.
                 continue;
             }
-            wheel.heap.push(Reverse((eff_ns, l as u32)));
+            wheel.queue.push(eff_ns, l as u32);
         }
     }
 }
@@ -1729,6 +1816,80 @@ mod tests {
             .expect("run succeeds");
             assert_eq!(observed(&recorded), one, "{sync:?} recorded, workers=3");
         }
+    }
+
+    /// Drains `queue` and the heap `reference` before `edge` and asserts
+    /// that they armed the same locals and kept the same entries, each as a
+    /// multiset, and that the occupancy mask names the non-empty buckets.
+    fn drain_both(
+        queue: &mut WakeQueue,
+        reference: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+        edge: u64,
+    ) {
+        let mut armed = Vec::new();
+        queue.drain_before(edge, |l| armed.push(l));
+        let mut expected = Vec::new();
+        while reference.peek().is_some_and(|e| e.0 .0 < edge) {
+            expected.push(reference.pop().expect("peeked").0 .1);
+        }
+        armed.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(armed, expected, "armed before {edge}");
+        let mut kept: Vec<_> = queue.buckets.iter().flatten().copied().collect();
+        let mut left: Vec<_> = reference.iter().map(|e| e.0).collect();
+        kept.sort_unstable();
+        left.sort_unstable();
+        assert_eq!(kept, left, "kept past {edge}");
+        for (i, bucket) in queue.buckets.iter().enumerate() {
+            assert_eq!(
+                queue.occupied >> i & 1 == 1,
+                !bucket.is_empty(),
+                "bucket {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn wake_queue_drains_what_a_binary_heap_drains() {
+        // A seeded monotone schedule, as the engine makes one: every push at
+        // or after the last drain's edge. Edges creep by 1 ns, step by
+        // ordinary quanta and jump past 2^40; keys land on the edge, just
+        // past it, a few quanta out, up to 2^40 out and next to `u64::MAX`
+        // (bucket 64), each in a run of one to three equal keys.
+        let mut rng = aqs_rng::SplitMix64::new(0x26);
+        let mut queue = WakeQueue::new();
+        let mut reference = std::collections::BinaryHeap::new();
+        let mut edge = 0u64;
+        let mut top_bucket_used = false;
+        for _ in 0..2_000 {
+            for _ in 0..rng.next_u64() % 12 {
+                let r = rng.next_u64();
+                let t = match r % 32 {
+                    0..=7 => edge,
+                    8..=15 => edge + 1,
+                    16..=25 => edge + (r >> 8) % 4_096,
+                    26..=30 => edge + (r >> 24),
+                    _ => u64::MAX - 1 - (r >> 8) % 4,
+                };
+                for _ in 0..1 + (r >> 5) % 3 {
+                    let l = (rng.next_u64() % 1024) as u32;
+                    queue.push(t, l);
+                    reference.push(std::cmp::Reverse((t, l)));
+                }
+            }
+            top_bucket_used |= !queue.buckets[64].is_empty();
+            edge += match rng.next_u64() % 16 {
+                0..=3 => 1,
+                4 => (1 << 40) + rng.next_u64() % (1 << 40),
+                _ => 1 + rng.next_u64() % 2_000,
+            };
+            drain_both(&mut queue, &mut reference, edge);
+        }
+        assert!(top_bucket_used, "no key reached bucket 64");
+        // Split bucket 64 at an edge inside it, then take everything.
+        drain_both(&mut queue, &mut reference, u64::MAX - 2);
+        drain_both(&mut queue, &mut reference, u64::MAX);
+        assert!(reference.is_empty());
     }
 
     #[cfg(feature = "schedule-fuzz")]

@@ -85,6 +85,7 @@ fn sparse_sharded_run_stays_within_its_per_node_footprint() {
     //   maps, lag lanes always (PR 15)   3.507              1410
     //   built in place on the workers    2.136 - 2.140      567 - 571
     //   per-quantum batch hand-off       2.104 - 2.105      563 - 566
+    //   wake queue buckets, not a heap   2.111 - 2.112      571 - 574
     //
     // What is left per node: the executor (208 B), 25 B of scheduling
     // lanes, its result record, and two small vectors — the open `KERNEL`

@@ -360,6 +360,46 @@ fn unknown_jobs_and_malformed_requests_get_typed_rejections() {
 }
 
 #[test]
+fn a_deeply_nested_request_line_is_a_bad_request_not_an_abort() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, addr, journal) = start("deep-nesting", |_| {});
+    // Parsing recurses once per level: without a cap this line overflows
+    // the connection thread's stack, which aborts the whole server.
+    let stream = TcpStream::connect(&addr).expect("connects");
+    let mut writer = stream.try_clone().expect("clones");
+    let mut line = "[".repeat(1_000_000);
+    line.push('\n');
+    writer.write_all(line.as_bytes()).expect("request sent");
+    let mut reply = String::new();
+    let mut reader = BufReader::new(stream);
+    assert!(
+        reader.read_line(&mut reply).expect("reply read") > 0,
+        "closed"
+    );
+    let reply: Value = serde_json::from_str(&reply).expect("reply is JSON");
+    assert_eq!(get_bool(&reply, "ok"), Some(false), "{reply:?}");
+    let err = reply.get("error").expect("typed rejection");
+    assert_eq!(get_str(err, "kind"), Some("bad_request"));
+    let detail = get_str(err, "detail").expect("says why");
+    assert!(detail.contains("nesting deeper than 128"), "{detail}");
+    // The server lives on: a fresh connection is answered.
+    let r = request(
+        &addr,
+        &obj(vec![
+            ("op", Value::Str("status".to_string())),
+            ("job", Value::U64(1)),
+        ]),
+    )
+    .expect("status round-trips");
+    assert_eq!(
+        get_str(r.get("error").expect("no such job"), "kind"),
+        Some("unknown_job")
+    );
+    server.stop();
+    let _ = std::fs::remove_file(journal);
+}
+
+#[test]
 fn a_policy_no_engine_can_run_is_rejected_at_submit_on_a_connection_that_lives_on() {
     use std::io::{BufRead, BufReader, Write};
     let (server, addr, journal) = start("badpolicy", |_| {});

@@ -18,6 +18,9 @@
 #   unresolved  as unchanged, but a side's spread is wider than the bound
 #   WORSE       change's median worse than the parent's by more than the bound
 #
+# A run whose aqs-perf exits nonzero (it does when failed_ops > 0) is kept
+# like any other; after every pair and summary the script exits 1 naming it.
+#
 # Build the two executables from identical perf/ sources first (step 1):
 #   CARGO_TARGET_DIR=/root/scratch/a cargo build --release --offline \
 #       --manifest-path perf/Cargo.toml
@@ -70,6 +73,7 @@ run_once() {
         }'
 }
 
+failed_runs=
 for w in $workloads; do
     echo "== $w: $pairs pairs, --seconds $seconds, seeds $((seed_base + 1))..$((seed_base + pairs))"
     echo "pair side seed $metrics failed_ops"
@@ -79,7 +83,10 @@ for w in $workloads; do
         if [ $((k % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
-            run="$k $side $seed $(run_once "$bin" "$w" "$seed")"
+            status=0
+            out=$(run_once "$bin" "$w" "$seed") || status=$?
+            [ "$status" -eq 0 ] || failed_runs="$failed_runs $w/$k/$side"
+            run="$k $side $seed $out"
             echo "$run" | tee -a "$runs"
             [ -z "$tsv" ] || echo "$w $run" | tr ' ' '\t' >>"$tsv"
         done
@@ -130,3 +137,7 @@ for w in $workloads; do
         }' "$runs"
     rm -f "$runs"
 done
+if [ -n "$failed_runs" ]; then
+    echo "perf_pairs: failed runs (workload/pair/side):$failed_runs" >&2
+    exit 1
+fi

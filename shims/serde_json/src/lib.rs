@@ -153,15 +153,23 @@ fn render_string(s: &str, out: &mut String) {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array / object nesting the parser accepts, as in `serde_json`.
+/// Parsing recurses once per level, so without a cap one line of `[` can
+/// overflow the thread's stack, which aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -214,8 +222,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected character {:?} at byte {}",
@@ -223,6 +231,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing level
+    /// `MAX_DEPTH + 1`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -397,6 +420,21 @@ mod tests {
         let compact = to_string(&v).unwrap();
         let back2: Value = from_str(&compact).unwrap();
         assert_eq!(v, back2);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let arrays = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        let objects = |d: usize| "{\"k\":".repeat(d) + "1" + &"}".repeat(d);
+        for nest in [arrays, objects] {
+            assert!(from_str::<Value>(&nest(128)).is_ok());
+            let err = from_str::<Value>(&nest(129)).unwrap_err().to_string();
+            assert!(err.starts_with("nesting deeper than 128 at byte "), "{err}");
+        }
+        assert_eq!(
+            from_str::<Value>(&arrays(129)).unwrap_err().to_string(),
+            "nesting deeper than 128 at byte 128"
+        );
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! Entry points: [`check_case`] for one case, [`run_conformance`] for a
 //! campaign (also exposed as `aqs check` and the `conformance` binary).
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod gen;
 pub mod oracle;

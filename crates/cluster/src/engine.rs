@@ -367,13 +367,18 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 idle_from: None,
             })
             .collect();
-        Self::assemble(cfg, nodes, net, rec)
+        Self::assemble(cfg, nodes, net, rec, cfg.sync.build())
     }
 
     /// An engine over `nodes` at time zero, the policy's first quantum ahead.
-    fn assemble(cfg: &'a ClusterConfig, nodes: Vec<Node>, net: NetworkController, rec: R) -> Self {
+    fn assemble(
+        cfg: &'a ClusterConfig,
+        nodes: Vec<Node>,
+        net: NetworkController,
+        rec: R,
+        policy: Box<dyn QuantumPolicy>,
+    ) -> Self {
         let n = nodes.len();
-        let policy = cfg.sync.build();
         let q_len = policy.initial_quantum();
         Self {
             cfg,
@@ -414,18 +419,13 @@ impl<'a, R: Recorder> Engine<'a, R> {
         body: &SnapshotBody,
     ) -> Result<Self, SimError> {
         let n = programs.len();
-        if body.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                body.nodes.len()
-            )));
-        }
+        let mut policy = cfg.sync.build();
+        body.check(n, &mut *policy)?;
         net.restore_counters(body.total_packets, body.stragglers.restore()?);
         let mut n_finished = 0;
         let mut nodes = Vec::with_capacity(n);
         for (i, (p, ns)) in programs.into_iter().zip(&body.nodes).enumerate() {
-            let exec = NodeExecutor::from_state(p, cfg.cpu, ns.exec.clone())
-                .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?;
+            let exec = body.restore_exec(i, p, cfg.cpu)?;
             let speed = HostSpeed::from_state(cfg.host_for(i), ns.speed)
                 .ok_or_else(|| SimError::snapshot_format(format!("node {i}: invalid RNG state")))?;
             if ns.done {
@@ -450,11 +450,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 idle_from: None,
             });
         }
-        let mut engine = Self::assemble(cfg, nodes, net, rec);
-        engine
-            .policy
-            .load_state(&body.policy_state)
-            .map_err(SimError::snapshot_format)?;
+        let mut engine = Self::assemble(cfg, nodes, net, rec, policy);
         engine.q_len = body.q_len;
         engine.q_start = body.q_start;
         engine.q_end = body.q_start + body.q_len;
@@ -464,12 +460,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
         // they were scheduled before the cut in the uninterrupted run, so
         // re-creating them first reproduces the FIFO tie-break order.
         for f in &body.in_flight {
-            if f.src as usize >= n {
-                return Err(SimError::snapshot_format(format!(
-                    "in-flight fragment from node {} of {n}",
-                    f.src
-                )));
-            }
             engine.in_flight_frags += 1;
             engine.queue.schedule(
                 f.due_host,

@@ -16,9 +16,9 @@
 
 use crate::result::NodeResult;
 use crate::sim::{EngineKind, SimError};
-use crate::snapshot::{FragSnap, ResumeSeed};
+use crate::snapshot::{FragSnap, SnapshotBody};
 use aqs_core::{QuantumPolicy, SyncConfig};
-use aqs_net::{Destination, NicModel, Router, StragglerStats};
+use aqs_net::{NicModel, Router, StragglerStats};
 use aqs_node::{Action, CpuModel, MessageId, NodeExecutor, Program};
 use aqs_time::{SimDuration, SimTime};
 use std::time::{Duration, Instant};
@@ -106,11 +106,12 @@ impl QuantumClock {
     }
 }
 
-/// The shared prologue: checks the programs against the snapshot (when
-/// resuming), clamps the worker count to `[1, n]` (`None` = the host's
-/// available parallelism) and starts the clock — at time zero with the
-/// policy's initial quantum, or at the cut with the quantum the policy had
-/// already chosen there.
+/// The shared prologue: checks the snapshot against the programs and loads
+/// its policy state (when resuming, see [`SnapshotBody::check`]), clamps
+/// the worker count to `[1, n]` (`None` = the host's available
+/// parallelism) and starts the clock — at time zero with the policy's
+/// initial quantum, or at the cut with the quantum the policy had already
+/// chosen there.
 ///
 /// # Panics
 ///
@@ -120,7 +121,7 @@ pub(crate) fn start_run(
     programs: &[Program],
     config: &ParallelConfig,
     workers: Option<usize>,
-    resume: Option<&ResumeSeed>,
+    resume: Option<&SnapshotBody>,
 ) -> Result<(usize, QuantumClock), SimError> {
     assert!(programs.len() >= 2, "a cluster needs at least 2 nodes");
     for (i, p) in programs.iter().enumerate() {
@@ -136,14 +137,7 @@ pub(crate) fn start_run(
         policy,
     };
     if let Some(s) = resume {
-        if s.nodes.len() != n {
-            return Err(SimError::snapshot_format(format!(
-                "snapshot has {} nodes, simulation has {n}",
-                s.nodes.len()
-            )));
-        }
-        let loaded = clock.policy.load_state(&s.policy_state);
-        loaded.map_err(SimError::snapshot_format)?;
+        s.check(n, &mut *clock.policy)?;
         clock.quanta = s.quanta;
         clock.q_start_nanos = s.q_start.as_nanos();
         clock.q_end_nanos = (s.q_start + s.q_len).as_nanos();
@@ -280,43 +274,30 @@ pub(crate) fn busy_work(ns: f64) {
     }
 }
 
-/// Routes the snapshot's cut-in-flight fragments ahead of the first resumed
-/// quantum: every fan-out copy goes to `sink(dst, effective_arrival,
-/// fragment)`; returns how many copies were routed and the stragglers among
-/// them. The effective delivery time is `max(arrival, q_start)` — the *same*
-/// rule the uninterrupted run applied at route time, because every captured
-/// fragment departed during the quantum that ended at the cut, so the
-/// sender's `q_end` then equals the resumed run's `q_start` now. The
-/// straggler records this snapping produces are therefore bit-identical to
-/// the uninterrupted run's, for any policy.
+/// Routes the snapshot's cut-in-flight fragments
+/// ([`SnapshotBody::cut_frags`]) ahead of the first resumed quantum: every
+/// fan-out copy goes to `sink(dst, effective_arrival, fragment)`; returns
+/// the packet count and straggler statistics continued from the cut — the
+/// snapshot's totals plus the copies routed here. The effective delivery
+/// time is `max(arrival, q_start)` — the *same* rule the uninterrupted run
+/// applied at route time, because every captured fragment departed during
+/// the quantum that ended at the cut, so the sender's `q_end` then equals
+/// the resumed run's `q_start` now. The straggler records this snapping
+/// produces are therefore bit-identical to the uninterrupted run's, for any
+/// policy.
 pub(crate) fn route_seed_frags(
-    seed: &ResumeSeed,
+    body: &SnapshotBody,
     net: &Router,
     mut sink: impl FnMut(usize, SimTime, &FragSnap),
 ) -> Result<(u64, StragglerStats), SimError> {
-    let n = net.n_nodes();
-    let mut count = 0u64;
-    let mut stragglers = StragglerStats::default();
-    for pf in &seed.frags {
-        let src = pf.src as usize;
-        if src >= n {
-            return Err(SimError::snapshot_format(format!(
-                "in-flight fragment from node {src}, but the cluster has {n} nodes"
-            )));
-        }
-        if let Destination::Unicast(t) = pf.frag.dst {
-            if t.index() >= n {
-                return Err(SimError::snapshot_format(format!(
-                    "in-flight fragment for node {}, but the cluster has {n} nodes",
-                    t.index()
-                )));
-            }
-        }
-        let frag = &pf.frag;
+    let mut count = body.total_packets;
+    let mut stragglers = body.stragglers.restore()?;
+    let q_start = body.q_start;
+    for (src, frag) in body.cut_frags() {
         net.fan_out(src, frag.dst, frag.bytes, frag.departure, |t, arrival| {
-            let eff = if arrival < seed.q_start {
-                stragglers.record(seed.q_start - arrival);
-                seed.q_start
+            let eff = if arrival < q_start {
+                stragglers.record(q_start - arrival);
+                q_start
             } else {
                 arrival
             };

@@ -69,7 +69,7 @@ use crate::pool::{
 };
 use crate::result::NodeResult;
 use crate::sim::{EngineKind, SimError};
-use crate::snapshot::{FragSnap, ResumeNode, ResumeSeed};
+use crate::snapshot::{FragSnap, SnapshotBody};
 use aqs_net::{LinkLoad, Router, StragglerStats};
 use aqs_node::{CpuModel, MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
@@ -237,17 +237,17 @@ struct ShardNodes {
 impl ShardNodes {
     /// Builds the shard whose first node is global node `base`, straight
     /// into the lanes and on the worker that will run and drop them: fresh
-    /// executors at sim time zero, or — with `resume`, this shard's slice of
-    /// the snapshot's nodes — restored ones at the cut `q_start`. A node
-    /// state that fails validation is reported as `"node i: …"`.
+    /// executors at sim time zero, or — with `resume` — the snapshot's
+    /// nodes restored at its cut. A node state that fails validation is
+    /// reported as `"node i: …"`.
     fn build(
         base: usize,
         programs: Vec<Program>,
-        resume: Option<(&[ResumeNode], SimTime)>,
+        resume: Option<&SnapshotBody>,
         cpu: CpuModel,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, SimError> {
         let len = programs.len();
-        let Some((states, q_start)) = resume else {
+        let Some(body) = resume else {
             return Ok(Self {
                 base,
                 execs: programs
@@ -260,23 +260,18 @@ impl ShardNodes {
                 done_reported: vec![false; len],
             });
         };
-        let execs = programs
-            .into_iter()
-            .zip(states)
-            .enumerate()
-            .map(|(l, (p, ns))| {
-                NodeExecutor::from_state(p, cpu, ns.exec.clone())
-                    .map_err(|e| format!("node {}: {e}", base + l))
-            })
+        let execs = (programs.into_iter().enumerate())
+            .map(|(l, p)| body.restore_exec(base + l, p, cpu))
             .collect::<Result<Vec<_>, _>>()?;
+        let states = &body.nodes[base..base + len];
         Ok(Self {
             base,
             execs,
-            sim: vec![q_start; len],
+            sim: vec![body.q_start; len],
             msg_seq: states.iter().map(|ns| ns.msg_seq).collect(),
             pending_ns: states
                 .iter()
-                .map(|ns| ns.pending.map_or(0, |d| d.as_nanos()))
+                .map(|ns| ns.pending.map_or(0, |(d, _)| d.as_nanos()))
                 .collect(),
             done_reported: states.iter().map(|ns| ns.done).collect(),
         })
@@ -572,7 +567,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     net: Router,
     workers: Option<usize>,
     recorder: R,
-    resume: Option<&ResumeSeed>,
+    resume: Option<&SnapshotBody>,
 ) -> Result<(ShardedRunResult, R), SimError> {
     let (m, clock) = start_run(&programs, config, workers, resume)?;
     let n = programs.len();
@@ -587,7 +582,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     let q_end0 = clock.q_end_nanos;
     let mut handoff: Vec<CachePadded<HandOff>> =
         (0..m * m).map(|_| CachePadded::default()).collect();
-    let (inject_count, inject_stragglers) = match resume {
+    let (total_packets, mut stragglers) = match resume {
         Some(s) => route_seed_frags(s, &net, |t, arrival, frag| {
             let d = shard_of[t] as usize;
             let slot = &mut handoff[d * m + d];
@@ -608,7 +603,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     };
     let leader = LeaderState {
         clock,
-        total_packets: resume.map_or(0, |s| s.total_packets) + inject_count,
+        total_packets,
         rec: recorder,
         waits: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
         lags: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
@@ -656,15 +651,14 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         .collect();
     shards.push(programs);
     shards.reverse();
-    let joined: Result<Vec<WorkerOutput>, String> = std::thread::scope(|scope| {
+    let joined: Result<Vec<WorkerOutput>, SimError> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .into_iter()
             .zip(&ranges)
             .enumerate()
             .map(|(w, (shard, range))| {
                 let shared = &shared;
-                let restore = resume.map(|s| (&s.nodes[range.clone()], s.q_start));
-                scope.spawn(move || worker_thread(w, range.start, shard, restore, config, shared))
+                scope.spawn(move || worker_thread(w, range.start, shard, resume, config, shared))
             })
             .collect();
         // Shard order, so the error kept is the lowest failing node's.
@@ -673,12 +667,10 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
     });
-    let joined = joined.map_err(SimError::snapshot_format)?;
+    let joined = joined?;
     let wall = start.elapsed();
     // Shards are contiguous and joined in shard order, so flattening yields
     // rank order; the straggler merge is deterministic for the same reason.
-    let mut stragglers = resume.map_or_else(StragglerStats::default, |s| s.stragglers);
-    stragglers.merge(&inject_stragglers);
     let mut per_node = Vec::with_capacity(n);
     let mut pool_heap_allocs = 0;
     let mut nodes_executed = 0;
@@ -711,7 +703,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 type WorkerOutput = (Vec<NodeResult>, StragglerStats, u64, u64);
 
 /// Builds one shard (see [`ShardNodes::build`]) and runs it to completion.
-/// `Err` is this shard's lowest node that failed to restore from `restore`.
+/// `Err` is this shard's lowest node that failed to restore from `resume`.
 ///
 /// The active-set scheduler (the default) executes only nodes with a
 /// scheduled wake inside the quantum; a quantum where the whole shard is
@@ -723,14 +715,14 @@ fn worker_thread<R: Recorder>(
     w: usize,
     base: usize,
     programs: Vec<Program>,
-    restore: Option<(&[ResumeNode], SimTime)>,
+    resume: Option<&SnapshotBody>,
     config: &ParallelConfig,
     shared: &SharedSharded<R>,
-) -> Result<WorkerOutput, String> {
+) -> Result<WorkerOutput, SimError> {
     let len = programs.len();
-    let q_start0 = restore.map_or(SimTime::ZERO, |(_, q_start)| q_start);
-    let built = ShardNodes::build(base, programs, restore, config.cpu);
-    if restore.is_some() {
+    let q_start0 = resume.map_or(SimTime::ZERO, |s| s.q_start);
+    let built = ShardNodes::build(base, programs, resume, config.cpu);
+    if resume.is_some() {
         // Only a snapshot can fail to build, and any worker's slice of it
         // may: meet once so that either every worker enters the quantum
         // loop or none does (a worker that left alone would strand its

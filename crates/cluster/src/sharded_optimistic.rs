@@ -94,7 +94,7 @@ use crate::pool::{
 use crate::result::NodeResult;
 use crate::sharded::partition;
 use crate::sim::{EngineKind, SimError};
-use crate::snapshot::{FragSnap, ResumeSeed};
+use crate::snapshot::{FragSnap, SnapshotBody};
 use aqs_net::{NicModel, Router, StragglerStats};
 use aqs_node::{MessageMeta, NodeExecutor, Program};
 use aqs_obs::{QuantumObs, Recorder};
@@ -372,7 +372,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     workers: Option<usize>,
     opts: ShardedOptimisticOpts,
     recorder: R,
-    resume: Option<&ResumeSeed>,
+    resume: Option<&SnapshotBody>,
 ) -> Result<(ShardedOptimisticRunResult, R), SimError> {
     let (m, clock) = start_run(&programs, config, workers, resume)?;
     let n = programs.len();
@@ -387,8 +387,6 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         clock,
         rec: recorder,
         out: ShardedOptimisticRunResult {
-            total_packets: resume.map_or(0, |s| s.total_packets),
-            stragglers: resume.map_or_else(StragglerStats::default, |s| s.stragglers),
             workers: m,
             ..Default::default()
         },
@@ -420,15 +418,14 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         repeat_rounds: 0,
     };
     if let Some(s) = resume {
-        let (count, stragglers) = route_seed_frags(s, &net, |t, arrival, frag| {
-            leader.carried[t].push(Inbound {
-                arrival,
-                meta: frag.meta,
-                frag_index: frag.frag_index,
-            });
-        })?;
-        leader.out.total_packets += count;
-        leader.out.stragglers.merge(&stragglers);
+        (leader.out.total_packets, leader.out.stragglers) =
+            route_seed_frags(s, &net, |t, arrival, frag| {
+                leader.carried[t].push(Inbound {
+                    arrival,
+                    meta: frag.meta,
+                    frag_index: frag.frag_index,
+                });
+            })?;
     }
     // The first window opens like every later one (all shards optimistic):
     // injected arrivals inside it are the round-0 inbound sets, the rest
@@ -437,16 +434,12 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     let mut slots = Vec::with_capacity(n);
     for (i, program) in programs.into_iter().enumerate() {
         let state = match resume {
-            Some(s) => {
-                let ns = &s.nodes[i];
-                OptNodeState {
-                    exec: NodeExecutor::from_state(program, config.cpu, ns.exec.clone())
-                        .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))?,
-                    sim: s.q_start,
-                    pending_ns: ns.pending.map_or(0, |d| d.as_nanos()),
-                    msg_seq: ns.msg_seq,
-                }
-            }
+            Some(s) => OptNodeState {
+                exec: s.restore_exec(i, program, config.cpu)?,
+                sim: s.q_start,
+                pending_ns: s.nodes[i].pending.map_or(0, |(d, _)| d.as_nanos()),
+                msg_seq: s.nodes[i].msg_seq,
+            },
             None => OptNodeState {
                 exec: NodeExecutor::new(program, config.cpu),
                 sim: SimTime::ZERO,

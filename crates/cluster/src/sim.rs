@@ -71,7 +71,7 @@ use crate::sharded::{run_sharded_impl, ShardedRunResult};
 use crate::sharded_optimistic::{
     run_sharded_optimistic_impl, HybridPolicy, ShardedOptimisticOpts, ShardedOptimisticRunResult,
 };
-use crate::snapshot::{ResumeSeed, SimSnapshot, SnapshotBody};
+use crate::snapshot::{SimSnapshot, SnapshotBody};
 use aqs_core::SyncConfig;
 pub use aqs_net::SimSwitch;
 use aqs_net::{ChaosConfig, ChaosOverlay, NetError, NetworkController, StragglerStats};
@@ -871,10 +871,6 @@ impl Sim {
                 reason: "stateful models would serialize the packet path",
             });
         };
-        // The worker-pool engines resume from a routed seed (the cut's
-        // in-flight fragments plus restored node states); the deterministic
-        // engine above consumes the body directly.
-        let seed: Option<ResumeSeed> = resume.map(SnapshotBody::seed).transpose()?;
         let pcfg = ParallelConfig {
             sync: config.sync,
             cpu: config.cpu,
@@ -886,7 +882,7 @@ impl Sim {
         let (detail, rec) = match engine {
             EngineKind::Deterministic => unreachable!("returned above"),
             EngineKind::Sharded => {
-                let (r, rec) = run_sharded_impl(programs, &pcfg, net, shards, rec, seed.as_ref())?;
+                let (r, rec) = run_sharded_impl(programs, &pcfg, net, shards, rec, resume)?;
                 (EngineDetail::Sharded(Box::new(r)), rec)
             }
             EngineKind::ShardedOptimistic | EngineKind::Hybrid => {
@@ -894,15 +890,8 @@ impl Sim {
                     cascade_bound,
                     hybrid: (engine == EngineKind::Hybrid).then_some(hybrid_policy),
                 };
-                let (r, rec) = run_sharded_optimistic_impl(
-                    programs,
-                    &pcfg,
-                    net,
-                    shards,
-                    opts,
-                    rec,
-                    seed.as_ref(),
-                )?;
+                let (r, rec) =
+                    run_sharded_optimistic_impl(programs, &pcfg, net, shards, opts, rec, resume)?;
                 (EngineDetail::ShardedOptimistic(Box::new(r)), rec)
             }
         };
@@ -944,23 +933,13 @@ impl Sim {
     /// Everything [`Sim::try_run`] rejects, plus
     /// [`SimError::SnapshotQuantumUnreachable`] when the run finishes
     /// before `quantum` quanta complete and
-    /// [`SimError::SnapshotStatefulSwitch`] on a stateful switch.
+    /// [`SimError::SnapshotStatefulSwitch`] on a stateful switch. `quantum`
+    /// of zero is [`Sim::step_snapshot`]'s [`SimError::SnapshotFormat`]
+    /// configuration error, returned before anything runs.
     pub fn snapshot_at(&self, quantum: u64) -> Result<SimSnapshot, SimError> {
-        let net = self.validate_snapshottable()?;
-        let fingerprint = self.fingerprint();
-        match run_cluster_det(
-            self.programs.clone(),
-            &self.config,
-            net,
-            NullRecorder,
-            None,
-            Some(quantum),
-        )? {
-            DetOutcome::Captured(mut body) => {
-                body.fingerprint = fingerprint;
-                Ok(SimSnapshot { body: *body })
-            }
-            DetOutcome::Finished(r, _) => Err(SimError::SnapshotQuantumUnreachable {
+        match self.step_snapshot(None, quantum)? {
+            SnapshotStep::Snapshot(snap) => Ok(snap),
+            SnapshotStep::Finished(r) => Err(SimError::SnapshotQuantumUnreachable {
                 requested: quantum,
                 completed: r.total_quanta,
             }),
@@ -984,14 +963,21 @@ impl Sim {
     /// [`SimError::SnapshotStatefulSwitch`] on a stateful switch.
     pub fn resume(&self, snapshot: &SimSnapshot) -> Result<RunReport, SimError> {
         let net = self.validate_snapshottable()?;
-        let expected = self.fingerprint();
-        if snapshot.body.fingerprint != expected {
-            return Err(SimError::SnapshotSpecMismatch {
-                snapshot: snapshot.body.fingerprint,
-                sim: expected,
-            });
-        }
+        self.checked_fingerprint(Some(snapshot))?;
         self.clone().run_with(net, Some(&snapshot.body))
+    }
+
+    /// This builder's [`Sim::fingerprint`], after checking that `from` was
+    /// captured under it.
+    fn checked_fingerprint(&self, from: Option<&SimSnapshot>) -> Result<u64, SimError> {
+        let fingerprint = self.fingerprint();
+        match from {
+            Some(s) if s.body.fingerprint != fingerprint => Err(SimError::SnapshotSpecMismatch {
+                snapshot: s.body.fingerprint,
+                sim: fingerprint,
+            }),
+            _ => Ok(fingerprint),
+        }
     }
 
     /// Advances the simulation by at most `quanta` more quanta on the
@@ -1017,15 +1003,7 @@ impl Sim {
                 "step_snapshot needs a positive quantum budget",
             ));
         }
-        let fingerprint = self.fingerprint();
-        if let Some(s) = from {
-            if s.body.fingerprint != fingerprint {
-                return Err(SimError::SnapshotSpecMismatch {
-                    snapshot: s.body.fingerprint,
-                    sim: fingerprint,
-                });
-            }
-        }
+        let fingerprint = self.checked_fingerprint(from)?;
         let capture_at = from.map_or(0, |s| s.body.quanta) + quanta;
         match run_cluster_det(
             self.programs.clone(),
@@ -1395,6 +1373,109 @@ mod tests {
                 sim.run().simulated_outcome(),
                 "m={m}"
             );
+        }
+    }
+
+    #[test]
+    fn a_crafted_cut_fragment_is_a_typed_error_on_every_engine() {
+        use crate::snapshot::{FragSnap, InFlightSnap};
+        use aqs_net::{Destination, NodeId};
+        use aqs_node::Rank;
+        use aqs_workloads::{nas, Scale};
+        use std::time::Duration;
+        // A cut fragment whose fields disagree with the cluster passes every
+        // frame check (`to_bytes` re-stamps the checksum); restoring it must
+        // still be a typed error, not a panic or a worker stranded at the
+        // barrier.
+        let base = Sim::new(nas::cg(4, Scale::Mini).programs).sync(SyncConfig::paper_dyn1());
+        let good = (1..)
+            .map(|cut| base.snapshot_at(cut).expect("capturable cut"))
+            .find(|s| s.body.cut_frags().next().is_some())
+            .expect("some cut holds a fragment");
+        let src = good.body.cut_frags().next().expect("a cut fragment").0;
+        fn first(snap: &mut SimSnapshot) -> &mut FragSnap {
+            let body = &mut snap.body;
+            if !body.in_flight.is_empty() {
+                return &mut body.in_flight[0].frag;
+            }
+            let queued = body.nodes.iter_mut().find_map(|n| n.outgoing.first_mut());
+            queued.expect("a cut fragment")
+        }
+        type Craft<'a> = &'a dyn Fn(&mut SimSnapshot);
+        let cases: [(Craft, &str); 4] = [
+            (
+                &|s| first(s).frag_index = 1_000,
+                "cut fragment index 1000 of ",
+            ),
+            (
+                &|s| first(s).dst = Destination::Unicast(NodeId::new(99)),
+                "cut fragment for node 99, but the cluster has 4 nodes",
+            ),
+            (
+                &|s| first(s).meta.id.src = Rank::new((src as u32 + 1) % 4),
+                "carries a message id of node",
+            ),
+            (
+                &|s| {
+                    let frag = first(s).clone();
+                    let due_host = s.body.now_host;
+                    s.body.in_flight.insert(
+                        0,
+                        InFlightSnap {
+                            due_host,
+                            src: 99,
+                            frag,
+                        },
+                    );
+                },
+                "cut fragment from node 99, but the cluster has 4 nodes",
+            ),
+        ];
+        for (craft, expected) in cases {
+            let mut bad = good.clone();
+            craft(&mut bad);
+            let bad = SimSnapshot::from_bytes(&bad.to_bytes()).expect("frame checks pass");
+            for kind in [
+                EngineKind::Deterministic,
+                EngineKind::Sharded,
+                EngineKind::ShardedOptimistic,
+                EngineKind::Hybrid,
+            ] {
+                let sim = base.clone().engine(kind).shards(2);
+                let snap = bad.clone();
+                // A hang is one of the failures this guards against: bound it.
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let _ = tx.send(sim.resume(&snap).err());
+                });
+                let err = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{kind:?}: resume panicked or hung ({expected})"))
+                    .expect("a crafted fragment must not resume");
+                match err {
+                    SimError::SnapshotFormat { detail } => {
+                        assert!(detail.contains(expected), "{kind:?}: {detail}")
+                    }
+                    other => panic!("{kind:?}: {other:?}"),
+                }
+            }
+        }
+        // The uncrafted snapshot still resumes (dyn1 is not a safe quantum,
+        // so only the oracle's outcome is the uninterrupted one).
+        let resumed = base.resume(&good).expect("resume succeeds");
+        assert_eq!(det_strong(&resumed), det_strong(&base.clone().run()));
+        let sharded = base.clone().engine(EngineKind::Sharded).shards(2);
+        sharded.resume(&good).expect("resume succeeds");
+    }
+
+    #[test]
+    fn snapshot_at_zero_is_the_step_budget_error_before_anything_runs() {
+        let sim = Sim::new(ping_pong(2, 5, 64).programs).sync(SyncConfig::paper_dyn1());
+        match sim.snapshot_at(0).unwrap_err() {
+            SimError::SnapshotFormat { detail } => {
+                assert_eq!(detail, "step_snapshot needs a positive quantum budget")
+            }
+            other => panic!("{other:?}"),
         }
     }
 

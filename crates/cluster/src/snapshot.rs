@@ -9,12 +9,23 @@
 //! **bit-identical** to never having stopped: the deterministic engine
 //! reproduces the uninterrupted run exactly, and every parallel engine
 //! reproduces the uninterrupted functional outcome under a safe quantum.
+//! Every engine restores from the captured `SnapshotBody` itself, through
+//! its `check`, `restore_exec` and `cut_frags`.
 //!
 //! The wire format is a little-endian binary frame:
 //!
 //! ```text
 //! [magic "AQSSNAP1" | version u32 | payload_len u64 | checksum u64 | payload]
 //! ```
+//!
+//! The payload is the body, written by the one `Wire` impl per type. For
+//! a struct that impl is its `wire_struct!` field list, and **the list is
+//! the wire order**: the same list writes the fields and reads them back.
+//! The leaves: `u32` / `u64` little-endian, `f64` by its bits, a `bool` one
+//! 0/1 byte, times as `u64` nanoseconds, ranks, tags and regions as `u32`,
+//! an `Option` a 0/1 tag and then the value, a `Vec` a `u64` length and then
+//! the items, a destination `0` (broadcast) or `1` and then the port. A new
+//! field is one list entry plus a [`SNAPSHOT_VERSION`] bump.
 //!
 //! The checksum is FNV-1a over the payload; the payload opens with a
 //! *spec fingerprint* — a hash of the workload and configuration the
@@ -24,10 +35,11 @@
 //! streams even when the bytes themselves are plausible.
 
 use crate::sim::SimError;
+use aqs_core::QuantumPolicy;
 use aqs_net::{Destination, NicModel, NodeId, StragglerStats};
 use aqs_node::{
-    AssemblingState, ExecutorState, HostSpeedState, MailboxState, MessageId, MessageMeta, Rank,
-    ReadyState, RegionId, SendTarget, Tag,
+    AssemblingState, CpuModel, ExecutorState, HostSpeedState, MailboxState, MessageId, MessageMeta,
+    NodeExecutor, Program, Rank, ReadyState, RegionId, RegionRecord, SendTarget, Tag,
 };
 use aqs_obs::{Log2Histogram, LOG2_BUCKETS};
 use aqs_rng::{Rng, RngState};
@@ -203,92 +215,64 @@ pub(crate) struct SnapshotBody {
     pub in_flight: Vec<InFlightSnap>,
 }
 
-/// A captured fragment awaiting injection into a resumed parallel engine,
-/// together with its sender.
-#[derive(Clone, Debug)]
-pub(crate) struct PendingFrag {
-    /// Sending node.
-    pub src: u32,
-    /// The fragment (departure time, destination, size, metadata).
-    pub frag: FragSnap,
-}
-
-/// Per-node state a resumed *parallel* engine needs (the deterministic
-/// engine restores directly from [`NodeSnap`], which carries more).
-#[derive(Clone, Debug)]
-pub(crate) struct ResumeNode {
-    /// Executor state.
-    pub exec: ExecutorState,
-    /// Next outgoing message sequence number.
-    pub msg_seq: u64,
-    /// Remaining non-interruptible work cut at the quantum edge.
-    pub pending: Option<SimDuration>,
-    /// The program already finished at capture time.
-    pub done: bool,
-}
-
-/// Everything a parallel engine needs to resume from a quantum-edge
-/// snapshot: per-node state, policy state, run counters, and the set of
-/// fragments that were still travelling at the cut.
-#[derive(Clone, Debug)]
-pub(crate) struct ResumeSeed {
-    /// Simulated start of the first resumed quantum.
-    pub q_start: SimTime,
-    /// Length of the first resumed quantum (already chosen by the policy).
-    pub q_len: SimDuration,
-    /// The quantum policy's mutable state at the cut.
-    pub policy_state: Vec<u64>,
-    /// Completed quanta at the cut.
-    pub quanta: u64,
-    /// Packets delivered before the cut (excludes `frags`).
-    pub total_packets: u64,
-    /// Straggler statistics accumulated before the cut.
-    pub stragglers: StragglerStats,
-    /// Per-node executor / RNG / pending-work state.
-    pub nodes: Vec<ResumeNode>,
-    /// Fragments cut mid-travel: controller in-flight entries first (in
-    /// delivery order), then per-node NIC queues in node order. The
-    /// resuming engine routes and injects these before its first quantum.
-    pub frags: Vec<PendingFrag>,
-}
-
 impl SnapshotBody {
-    /// Folds the snapshot into the engine-agnostic resume seed used by the
-    /// worker-pool engines.
-    pub(crate) fn seed(&self) -> Result<ResumeSeed, SimError> {
-        let mut frags: Vec<PendingFrag> = self
-            .in_flight
-            .iter()
-            .map(|f| PendingFrag {
-                src: f.src,
-                frag: f.frag.clone(),
-            })
-            .collect();
-        for (i, n) in self.nodes.iter().enumerate() {
-            frags.extend(n.outgoing.iter().map(|f| PendingFrag {
-                src: i as u32,
-                frag: f.clone(),
-            }));
+    /// Checks the body against a simulation of `n` nodes before any engine
+    /// restores a node from it, then loads the captured policy state into
+    /// `policy`. Every cut fragment must come from a node of the cluster,
+    /// carry its sender's message id, go to a node of the cluster (or to
+    /// all), and have an index below its message's fragment count — a frame
+    /// that breaks one of these would otherwise panic or strand a restored
+    /// engine.
+    pub(crate) fn check(&self, n: usize, policy: &mut dyn QuantumPolicy) -> Result<(), SimError> {
+        if self.nodes.len() != n {
+            return Err(SimError::snapshot_format(format!(
+                "snapshot has {} nodes, simulation has {n}",
+                self.nodes.len()
+            )));
         }
-        Ok(ResumeSeed {
-            q_start: self.q_start,
-            q_len: self.q_len,
-            policy_state: self.policy_state.clone(),
-            quanta: self.quanta,
-            total_packets: self.total_packets,
-            stragglers: self.stragglers.restore()?,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| ResumeNode {
-                    exec: n.exec.clone(),
-                    msg_seq: n.msg_seq,
-                    pending: n.pending.map(|(rem, _idle)| rem),
-                    done: n.done,
-                })
-                .collect(),
-            frags,
-        })
+        for (src, f) in self.cut_frags() {
+            let dst = match f.dst {
+                Destination::Unicast(t) => Some(t.index()),
+                Destination::Broadcast => None,
+            };
+            let (index, count, id_src) = (f.frag_index, f.meta.frag_count, f.meta.id.src.index());
+            let fault = if src >= n {
+                format!("cut fragment from node {src}, but the cluster has {n} nodes")
+            } else if let Some(dst) = dst.filter(|&t| t >= n) {
+                format!("cut fragment for node {dst}, but the cluster has {n} nodes")
+            } else if index >= count {
+                format!("cut fragment index {index} of {count} from node {src}")
+            } else if id_src != src {
+                format!("cut fragment from node {src} carries a message id of node {id_src}")
+            } else {
+                continue;
+            };
+            return Err(SimError::snapshot_format(fault));
+        }
+        policy
+            .load_state(&self.policy_state)
+            .map_err(SimError::snapshot_format)
+    }
+
+    /// Node `i`'s executor, restored over its `program`.
+    pub(crate) fn restore_exec(
+        &self,
+        i: usize,
+        program: Program,
+        cpu: CpuModel,
+    ) -> Result<NodeExecutor, SimError> {
+        NodeExecutor::from_state(program, cpu, self.nodes[i].exec.clone())
+            .map_err(|e| SimError::snapshot_format(format!("node {i}: {e}")))
+    }
+
+    /// The fragments cut mid-travel, each with its sender: the ones in host
+    /// flight first (in delivery order), then every node's NIC queue in
+    /// node order.
+    pub(crate) fn cut_frags(&self) -> impl Iterator<Item = (usize, &FragSnap)> {
+        let in_flight = self.in_flight.iter().map(|f| (f.src as usize, &f.frag));
+        let queued = (self.nodes.iter().enumerate())
+            .flat_map(|(i, n)| n.outgoing.iter().map(move |f| (i, f)));
+        in_flight.chain(queued)
     }
 }
 
@@ -346,10 +330,8 @@ impl SimSnapshot {
             // (checksum passes) but describes a different simulation spec.
             body.fingerprint ^= 1;
         }
-        let mut payload = Enc::default();
-        body.encode(&mut payload);
-        #[allow(unused_mut)]
-        let mut payload = payload.buf;
+        let mut payload = Vec::new();
+        body.put(&mut payload);
         let checksum = fnv1a(&payload);
         #[cfg(feature = "fault-inject")]
         if crate::fault::armed(crate::fault::Fault::SnapshotChecksumFlip) {
@@ -411,7 +393,13 @@ impl SimSnapshot {
             });
         }
         let mut dec = Dec { b: payload, at: 0 };
-        let body = SnapshotBody::decode(&mut dec)?;
+        let body = SnapshotBody::get(&mut dec)?;
+        let n_hist = body.stragglers.hist_counts.len();
+        if n_hist != LOG2_BUCKETS {
+            return Err(SimError::snapshot_format(format!(
+                "straggler histogram has {n_hist} buckets, expected {LOG2_BUCKETS}"
+            )));
+        }
         if dec.at != payload.len() {
             return Err(SimError::snapshot_format(format!(
                 "{} trailing payload bytes",
@@ -432,407 +420,191 @@ impl SimSnapshot {
 // ---------------------------------------------------------------------------
 // Codec.
 
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+/// A type's wire form: `put` appends it to a payload, `get` reads it back.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError>;
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn boolean(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-    fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-}
-
+/// A payload being read.
 struct Dec<'a> {
     b: &'a [u8],
     at: usize,
 }
 
 impl Dec<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], SimError> {
-        if self.at + n > self.b.len() {
-            return Err(SimError::snapshot_format("payload truncated"));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], SimError> {
+        let bytes = (self.b.get(self.at..self.at + N))
+            .ok_or_else(|| SimError::snapshot_format("payload truncated"))?;
+        self.at += N;
+        Ok(bytes.try_into().expect("N bytes"))
     }
-    fn u8(&mut self) -> Result<u8, SimError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, SimError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SimError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn boolean(&mut self) -> Result<bool, SimError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(SimError::snapshot_format(format!("bad bool byte {v}"))),
+
+    /// One 0/1 byte: a `bool`, or the tag of an `Option`.
+    fn flag(&mut self, what: &str) -> Result<bool, SimError> {
+        match self.take()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [v] => Err(SimError::snapshot_format(format!("bad {what} {v}"))),
         }
     }
-    fn f64(&mut self) -> Result<f64, SimError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, SimError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            v => Err(SimError::snapshot_format(format!("bad option tag {v}"))),
-        }
-    }
-    fn len(&mut self) -> Result<usize, SimError> {
-        let v = self.u64()?;
-        // Cheap sanity bound: no list in a snapshot can have more elements
-        // than remaining payload bytes.
-        if v as usize > self.b.len() {
-            return Err(SimError::snapshot_format(format!("implausible length {v}")));
-        }
-        Ok(v as usize)
-    }
 }
 
-fn enc_meta(e: &mut Enc, m: &MessageMeta) {
-    e.u32(m.id.src.as_u32());
-    e.u64(m.id.seq);
-    e.u32(m.tag.as_u32());
-    e.u64(m.bytes);
-    e.u32(m.frag_count);
-}
-
-fn dec_meta(d: &mut Dec) -> Result<MessageMeta, SimError> {
-    Ok(MessageMeta {
-        id: MessageId {
-            src: Rank::new(d.u32()?),
-            seq: d.u64()?,
-        },
-        tag: Tag::new(d.u32()?),
-        bytes: d.u64()?,
-        frag_count: d.u32()?,
-    })
-}
-
-fn enc_frag(e: &mut Enc, f: &FragSnap) {
-    e.u64(f.departure.as_nanos());
-    match f.dst {
-        Destination::Broadcast => e.u8(0),
-        Destination::Unicast(r) => {
-            e.u8(1);
-            e.u32(r.as_u32());
-        }
-    }
-    e.u32(f.bytes);
-    enc_meta(e, &f.meta);
-    e.u32(f.frag_index);
-}
-
-fn dec_frag(d: &mut Dec) -> Result<FragSnap, SimError> {
-    Ok(FragSnap {
-        departure: SimTime::from_nanos(d.u64()?),
-        dst: match d.u8()? {
-            0 => Destination::Broadcast,
-            1 => Destination::Unicast(NodeId::new(d.u32()?)),
-            v => return Err(SimError::snapshot_format(format!("bad dst tag {v}"))),
-        },
-        bytes: d.u32()?,
-        meta: dec_meta(d)?,
-        frag_index: d.u32()?,
-    })
-}
-
-fn enc_mailbox(e: &mut Enc, m: &MailboxState) {
-    e.len(m.assembling.len());
-    for a in &m.assembling {
-        enc_meta(e, &a.meta);
-        e.len(a.received_mask.len());
-        for &b in &a.received_mask {
-            e.boolean(b);
-        }
-        e.u64(a.latest_arrival.as_nanos());
-    }
-    e.len(m.ready.len());
-    for r in &m.ready {
-        enc_meta(e, &r.meta);
-        e.u64(r.ready_at.as_nanos());
-    }
-    e.u64(m.completed_total);
-}
-
-fn dec_mailbox(d: &mut Dec) -> Result<MailboxState, SimError> {
-    let n_asm = d.len()?;
-    let mut assembling = Vec::with_capacity(n_asm);
-    for _ in 0..n_asm {
-        let meta = dec_meta(d)?;
-        let n_mask = d.len()?;
-        let mut received_mask = Vec::with_capacity(n_mask);
-        for _ in 0..n_mask {
-            received_mask.push(d.boolean()?);
-        }
-        assembling.push(AssemblingState {
-            meta,
-            received_mask,
-            latest_arrival: SimTime::from_nanos(d.u64()?),
-        });
-    }
-    let n_ready = d.len()?;
-    let mut ready = Vec::with_capacity(n_ready);
-    for _ in 0..n_ready {
-        ready.push(ReadyState {
-            meta: dec_meta(d)?,
-            ready_at: SimTime::from_nanos(d.u64()?),
-        });
-    }
-    Ok(MailboxState {
-        assembling,
-        ready,
-        completed_total: d.u64()?,
-    })
-}
-
-fn enc_exec(e: &mut Enc, x: &ExecutorState) {
-    e.u64(x.pc);
-    e.u64(x.ops_executed);
-    e.u64(x.messages_received);
-    e.u64(x.pending_overhead.as_nanos());
-    e.len(x.open_regions.len());
-    for &(r, t) in &x.open_regions {
-        e.u32(r.as_u32());
-        e.u64(t.as_nanos());
-    }
-    e.len(x.regions.len());
-    for r in &x.regions {
-        e.u32(r.region.as_u32());
-        e.u64(r.start.as_nanos());
-        e.u64(r.end.as_nanos());
-    }
-    e.opt_u64(x.finish_time.map(|t| t.as_nanos()));
-    enc_mailbox(e, &x.mailbox);
-}
-
-fn dec_exec(d: &mut Dec) -> Result<ExecutorState, SimError> {
-    let pc = d.u64()?;
-    let ops_executed = d.u64()?;
-    let messages_received = d.u64()?;
-    let pending_overhead = SimDuration::from_nanos(d.u64()?);
-    let n_open = d.len()?;
-    let mut open_regions = Vec::with_capacity(n_open);
-    for _ in 0..n_open {
-        open_regions.push((RegionId::new(d.u32()?), SimTime::from_nanos(d.u64()?)));
-    }
-    let n_reg = d.len()?;
-    let mut regions = Vec::with_capacity(n_reg);
-    for _ in 0..n_reg {
-        regions.push(aqs_node::RegionRecord {
-            region: RegionId::new(d.u32()?),
-            start: SimTime::from_nanos(d.u64()?),
-            end: SimTime::from_nanos(d.u64()?),
-        });
-    }
-    let finish_time = d.opt_u64()?.map(SimTime::from_nanos);
-    let mailbox = dec_mailbox(d)?;
-    Ok(ExecutorState {
-        pc,
-        ops_executed,
-        messages_received,
-        pending_overhead,
-        open_regions,
-        regions,
-        finish_time,
-        mailbox,
-    })
-}
-
-fn enc_speed(e: &mut Enc, s: &HostSpeedState) {
-    for w in s.rng.s {
-        e.u64(w);
-    }
-    match s.rng.spare_normal {
-        None => e.u8(0),
-        Some(v) => {
-            e.u8(1);
-            e.f64(v);
-        }
-    }
-    e.f64(s.drift_value);
-    e.f64(s.jitter);
-}
-
-fn dec_speed(d: &mut Dec) -> Result<HostSpeedState, SimError> {
-    let mut s = [0u64; 4];
-    for w in &mut s {
-        *w = d.u64()?;
-    }
-    let spare_normal = match d.u8()? {
-        0 => None,
-        1 => Some(d.f64()?),
-        v => return Err(SimError::snapshot_format(format!("bad spare tag {v}"))),
-    };
-    Ok(HostSpeedState {
-        rng: RngState { s, spare_normal },
-        drift_value: d.f64()?,
-        jitter: d.f64()?,
-    })
-}
-
-impl SnapshotBody {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.fingerprint);
-        e.u64(self.quanta);
-        e.u64(self.now_host.as_nanos());
-        e.u64(self.q_start.as_nanos());
-        e.u64(self.q_len.as_nanos());
-        e.len(self.policy_state.len());
-        for &w in &self.policy_state {
-            e.u64(w);
-        }
-        e.u64(self.total_packets);
-        e.u64(self.stragglers.count);
-        e.u64(self.stragglers.total.as_nanos());
-        e.u64(self.stragglers.max.as_nanos());
-        e.len(self.stragglers.hist_counts.len());
-        for &c in &self.stragglers.hist_counts {
-            e.u64(c);
-        }
-        e.u64(self.stragglers.hist_sum);
-        e.u64(self.stragglers.hist_max);
-        e.len(self.nodes.len());
-        for n in &self.nodes {
-            enc_exec(e, &n.exec);
-            enc_speed(e, &n.speed);
-            e.u64(n.rng_probe);
-            e.u64(n.msg_seq);
-            match n.pending {
-                None => e.u8(0),
-                Some((rem, idle)) => {
-                    e.u8(1);
-                    e.u64(rem.as_nanos());
-                    e.boolean(idle);
-                }
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
-            e.len(n.outgoing.len());
-            for f in &n.outgoing {
-                enc_frag(e, f);
+            fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+                Ok(<$t>::from_le_bytes(d.take()?))
             }
-            e.boolean(n.done);
-            e.boolean(n.blocked_no_candidate);
         }
-        e.len(self.in_flight.len());
-        for f in &self.in_flight {
-            e.u64(f.due_host.as_nanos());
-            e.u32(f.src);
-            enc_frag(e, &f.frag);
+    )*};
+}
+
+wire_int!(u32, u64);
+
+/// Leaves carried as another wire type: `Leaf: Raw = to_raw, from_raw;`.
+macro_rules! wire_as {
+    ($($t:ty: $raw:ty = $to:ident, $from:path;)*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                self.$to().put(out);
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+                <$raw>::get(d).map($from)
+            }
+        }
+    )*};
+}
+
+wire_as! {
+    f64: u64 = to_bits, f64::from_bits;
+    SimTime: u64 = as_nanos, SimTime::from_nanos;
+    SimDuration: u64 = as_nanos, SimDuration::from_nanos;
+    HostTime: u64 = as_nanos, HostTime::from_nanos;
+    Rank: u32 = as_u32, Rank::new;
+    Tag: u32 = as_u32, Tag::new;
+    RegionId: u32 = as_u32, RegionId::new;
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+        d.flag("bool byte")
+    }
+}
+
+impl Wire for [u64; 4] {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.iter().for_each(|w| w.put(out));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+        Ok([u64::get(d)?, u64::get(d)?, u64::get(d)?, u64::get(d)?])
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.is_some() as u8);
+        if let Some(v) = self {
+            v.put(out);
         }
     }
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+        Ok(if d.flag("option tag")? {
+            Some(T::get(d)?)
+        } else {
+            None
+        })
+    }
+}
 
-    fn decode(d: &mut Dec) -> Result<Self, SimError> {
-        let fingerprint = d.u64()?;
-        let quanta = d.u64()?;
-        let now_host = HostTime::from_nanos(d.u64()?);
-        let q_start = SimTime::from_nanos(d.u64()?);
-        let q_len = SimDuration::from_nanos(d.u64()?);
-        let n_pol = d.len()?;
-        let mut policy_state = Vec::with_capacity(n_pol);
-        for _ in 0..n_pol {
-            policy_state.push(d.u64()?);
-        }
-        let total_packets = d.u64()?;
-        let s_count = d.u64()?;
-        let s_total = SimDuration::from_nanos(d.u64()?);
-        let s_max = SimDuration::from_nanos(d.u64()?);
-        let n_hist = d.len()?;
-        if n_hist != LOG2_BUCKETS {
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        self.iter().for_each(|x| x.put(out));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+        let len = u64::get(d)?;
+        // No list can hold more items than the payload has bytes.
+        if len > d.b.len() as u64 {
             return Err(SimError::snapshot_format(format!(
-                "straggler histogram has {n_hist} buckets, expected {LOG2_BUCKETS}"
+                "implausible length {len}"
             )));
         }
-        let mut hist_counts = Vec::with_capacity(n_hist);
-        for _ in 0..n_hist {
-            hist_counts.push(d.u64()?);
-        }
-        let hist_sum = d.u64()?;
-        let hist_max = d.u64()?;
-        let n_nodes = d.len()?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let exec = dec_exec(d)?;
-            let speed = dec_speed(d)?;
-            let rng_probe = d.u64()?;
-            let msg_seq = d.u64()?;
-            let pending = match d.u8()? {
-                0 => None,
-                1 => Some((SimDuration::from_nanos(d.u64()?), d.boolean()?)),
-                v => return Err(SimError::snapshot_format(format!("bad pending tag {v}"))),
-            };
-            let n_out = d.len()?;
-            let mut outgoing = Vec::with_capacity(n_out);
-            for _ in 0..n_out {
-                outgoing.push(dec_frag(d)?);
+        (0..len).map(|_| T::get(d)).collect()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// A destination is an optional port: none is a broadcast.
+impl Wire for Destination {
+    fn put(&self, out: &mut Vec<u8>) {
+        let port = match self {
+            Destination::Broadcast => None,
+            Destination::Unicast(t) => Some(t.as_u32()),
+        };
+        port.put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+        let port = Option::<u32>::get(d)?;
+        Ok(port.map_or(Destination::Broadcast, |t| {
+            Destination::Unicast(NodeId::new(t))
+        }))
+    }
+}
+
+/// One field list per struct, in wire order: `put` writes the fields in the
+/// order listed, and `get` reads them back into a struct expression, whose
+/// fields Rust evaluates in the order written.
+macro_rules! wire_struct {
+    ($($t:ident { $($f:ident),* $(,)? })*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
             }
-            nodes.push(NodeSnap {
-                exec,
-                speed,
-                rng_probe,
-                msg_seq,
-                pending,
-                outgoing,
-                done: d.boolean()?,
-                blocked_no_candidate: d.boolean()?,
-            });
+            fn get(d: &mut Dec<'_>) -> Result<Self, SimError> {
+                Ok(Self { $($f: Wire::get(d)?),* })
+            }
         }
-        let n_fl = d.len()?;
-        let mut in_flight = Vec::with_capacity(n_fl);
-        for _ in 0..n_fl {
-            in_flight.push(InFlightSnap {
-                due_host: HostTime::from_nanos(d.u64()?),
-                src: d.u32()?,
-                frag: dec_frag(d)?,
-            });
-        }
-        Ok(Self {
-            fingerprint,
-            quanta,
-            now_host,
-            q_start,
-            q_len,
-            policy_state,
-            total_packets,
-            stragglers: StragglerSnap {
-                count: s_count,
-                total: s_total,
-                max: s_max,
-                hist_counts,
-                hist_sum,
-                hist_max,
-            },
-            nodes,
-            in_flight,
-        })
+    )*};
+}
+
+wire_struct! {
+    MessageId { src, seq }
+    MessageMeta { id, tag, bytes, frag_count }
+    FragSnap { departure, dst, bytes, meta, frag_index }
+    AssemblingState { meta, received_mask, latest_arrival }
+    ReadyState { meta, ready_at }
+    MailboxState { assembling, ready, completed_total }
+    RegionRecord { region, start, end }
+    ExecutorState {
+        pc, ops_executed, messages_received, pending_overhead,
+        open_regions, regions, finish_time, mailbox,
+    }
+    RngState { s, spare_normal }
+    HostSpeedState { rng, drift_value, jitter }
+    NodeSnap {
+        exec, speed, rng_probe, msg_seq, pending, outgoing, done, blocked_no_candidate,
+    }
+    InFlightSnap { due_host, src, frag }
+    StragglerSnap { count, total, max, hist_counts, hist_sum, hist_max }
+    SnapshotBody {
+        fingerprint, quanta, now_host, q_start, q_len, policy_state,
+        total_packets, stragglers, nodes, in_flight,
     }
 }
 
@@ -921,6 +693,144 @@ mod tests {
                 },
             }],
         }
+    }
+
+    /// `tiny_body` plus a second node and fragments that reach every branch
+    /// of the format: an assembling mask, ready entries, closed regions,
+    /// `finish_time: Some`, `spare_normal: Some`, pending work idle both
+    /// ways, broadcast and unicast destinations, two in-flight fragments
+    /// and a non-empty straggler histogram.
+    fn every_branch_body() -> SnapshotBody {
+        let mut body = tiny_body();
+        let mut rng = Rng::substream(7, 1);
+        let _ = rng.normal();
+        let state = rng.state();
+        assert!(state.spare_normal.is_some(), "the draw banks a deviate");
+        let meta = |seq, frag_count| MessageMeta {
+            id: MessageId {
+                src: Rank::new(1),
+                seq,
+            },
+            tag: Tag::new(5),
+            bytes: 3000,
+            frag_count,
+        };
+        let mut stragglers = StragglerStats::default();
+        for ns in [40, 7_000, 7_001] {
+            stragglers.record(SimDuration::from_nanos(ns));
+        }
+        body.stragglers = StragglerSnap::capture(&stragglers);
+        body.nodes.push(NodeSnap {
+            exec: ExecutorState {
+                pc: 9,
+                ops_executed: 1 << 40,
+                messages_received: 3,
+                pending_overhead: SimDuration::from_nanos(11),
+                open_regions: vec![],
+                regions: vec![RegionRecord {
+                    region: RegionId::new(2),
+                    start: SimTime::from_nanos(10),
+                    end: SimTime::from_nanos(90),
+                }],
+                finish_time: Some(SimTime::from_micros(7)),
+                mailbox: MailboxState {
+                    assembling: vec![AssemblingState {
+                        meta: meta(6, 3),
+                        received_mask: vec![true, false, true],
+                        latest_arrival: SimTime::from_nanos(600),
+                    }],
+                    ready: vec![
+                        ReadyState {
+                            meta: meta(4, 1),
+                            ready_at: SimTime::from_nanos(400),
+                        },
+                        ReadyState {
+                            meta: meta(5, 2),
+                            ready_at: SimTime::from_nanos(500),
+                        },
+                    ],
+                    completed_total: 5,
+                },
+            },
+            speed: HostSpeedState {
+                rng: state,
+                drift_value: -0.125,
+                jitter: 0.75,
+            },
+            rng_probe: Rng::from_state(state).unwrap().next_u64(),
+            msg_seq: 8,
+            pending: Some((SimDuration::from_nanos(5), true)),
+            outgoing: vec![FragSnap {
+                departure: SimTime::from_micros(5),
+                dst: Destination::Broadcast,
+                bytes: 1000,
+                meta: meta(7, 3),
+                frag_index: 2,
+            }],
+            done: true,
+            blocked_no_candidate: true,
+        });
+        body.in_flight.push(InFlightSnap {
+            due_host: HostTime::from_nanos(1_001),
+            src: 1,
+            frag: FragSnap {
+                departure: SimTime::from_micros(3),
+                dst: Destination::Unicast(NodeId::new(0)),
+                bytes: 1000,
+                meta: meta(7, 3),
+                frag_index: 1,
+            },
+        });
+        body
+    }
+
+    /// Real capture frames: the paper's five NAS kernels at four nodes plus
+    /// a multi-fragment ping-pong, under dyn1 and a fixed 100 µs quantum,
+    /// each cut at five points spread over its run.
+    fn real_frames() -> Vec<Vec<u8>> {
+        use crate::Sim;
+        use aqs_core::SyncConfig;
+        use aqs_workloads::{nas, ping_pong, Scale};
+        let mut specs = nas::all(4, Scale::Mini);
+        specs.push(ping_pong(2, 4, 20_000));
+        let mut frames = Vec::new();
+        for spec in &specs {
+            for sync in [SyncConfig::paper_dyn1(), SyncConfig::fixed_micros(100)] {
+                let sim = Sim::new(spec.programs.clone()).sync(sync);
+                let total = sim.clone().run().total_quanta;
+                for k in 1..=5 {
+                    let cut = (total * k / 6).max(1);
+                    let snap = sim.snapshot_at(cut).expect("capturable cut");
+                    frames.push(snap.to_bytes());
+                }
+            }
+        }
+        frames
+    }
+
+    /// The wire bytes are pinned: any change to field order, width or
+    /// tagging moves one of these hashes, and needs a version bump.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let pin = |frames: &[Vec<u8>]| {
+            let all = frames.concat();
+            (fnv1a(&all), all.len())
+        };
+        let tiny = SimSnapshot { body: tiny_body() }.to_bytes();
+        let every = SimSnapshot {
+            body: every_branch_body(),
+        };
+        let every_bytes = every.to_bytes();
+        assert_eq!(SimSnapshot::from_bytes(&every_bytes).unwrap(), every);
+        let real = real_frames();
+        assert_eq!(real.len(), 60);
+        assert_eq!(pin(&[tiny]), (0xde98_bbc5_1ce5_6746, 968), "tiny_body");
+        assert_eq!(
+            pin(&[every_bytes]),
+            (0xedfa_0427_4540_d4ec, 1_387),
+            "every_branch_body"
+        );
+        assert_eq!(pin(&real), (0xbd28_62e6_ee02_2180, 82_061), "real frames");
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! JSONL / CSV export of flight-recorder samples.
+//! JSONL export of flight-recorder samples — the recorder's one export.
 //!
 //! The JSONL schema (one object per line, one line per quantum in the ring,
 //! oldest first) is documented in the repository's EXPERIMENTS.md.
 
 use crate::flight::FlightRecorder;
 use serde_json::Value;
-use std::fmt::Write as _;
 
 fn sample_value(s: &crate::QuantumObs<'_>) -> Value {
     Value::Object(vec![
@@ -58,46 +57,6 @@ impl FlightRecorder {
             let line = serde_json::to_string(&summary).expect("summary serializes");
             out.push_str(&line);
             out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the ring as CSV with per-node lanes reduced to their max and
-    /// mean (full per-node detail is in the JSONL export).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "index,start_ns,len_ns,host_ns,packets,active_nodes,stragglers,max_straggler_delay_ns,\
-             max_barrier_wait_ns,mean_barrier_wait_ns,max_vt_lag_ns,mean_vt_lag_ns\n",
-        );
-        let reduce = |lane: &[u64]| -> (u64, f64) {
-            let max = lane.iter().copied().max().unwrap_or(0);
-            let mean = if lane.is_empty() {
-                0.0
-            } else {
-                lane.iter().sum::<u64>() as f64 / lane.len() as f64
-            };
-            (max, mean)
-        };
-        for s in self.samples() {
-            let (wmax, wmean) = reduce(s.barrier_wait_ns);
-            let (lmax, lmean) = reduce(s.vt_lag_ns);
-            writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{:.1},{},{:.1}",
-                s.index,
-                s.start.as_nanos(),
-                s.len.as_nanos(),
-                s.host_ns,
-                s.packets,
-                s.active_nodes,
-                s.stragglers,
-                s.max_straggler_delay.as_nanos(),
-                wmax,
-                wmean,
-                lmax,
-                lmean
-            )
-            .expect("string write cannot fail");
         }
         out
     }
@@ -178,16 +137,5 @@ mod tests {
             get("shard_rollbacks"),
             serde_json::Value::Array(vec![serde_json::Value::U64(1), serde_json::Value::U64(0)])
         );
-    }
-
-    #[test]
-    fn csv_has_header_and_reduced_lanes() {
-        let fr = recorded();
-        let csv = fr.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("index,start_ns,len_ns,host_ns,packets"));
-        assert!(lines[1].starts_with("0,0,1000,550000,7,"));
-        assert!(lines[1].contains(",40,20.0,900,450.0"));
     }
 }

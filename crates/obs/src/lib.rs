@@ -14,7 +14,7 @@
 //! * [`FlightRecorder`] — a preallocated ring buffer of the most recent
 //!   quanta (`(quantum_len, packets, stragglers, max_straggler_delay,
 //!   barrier_wait_ns per node, per-node virtual-time lag)`), plus
-//!   whole-run aggregate histograms, JSONL/CSV export and a terminal
+//!   whole-run aggregate histograms, a JSONL export and a terminal
 //!   summary renderer.
 //!
 //! # Examples

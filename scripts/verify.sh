@@ -8,6 +8,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one test gate under a wall-clock bound in seconds. A worker-pool test
+# that strands a peer at the barrier never exits; under the bound it fails
+# its gate by name instead of stalling CI. Each bound is at least 3x the
+# gate's measured time and never under 600 s (CHANGES.md lists both);
+# timeout signals the whole process group, test binaries included.
+bounded() {
+    local secs=$1 start=$SECONDS status=0
+    shift
+    timeout -k 30 "$secs" "$@" || status=$?
+    if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+        echo "verify: '$*' did not finish within ${secs}s (a hung test?)" >&2
+    fi
+    echo "    ($((SECONDS - start)) s of ${secs} s: $*)"
+    return "$status"
+}
+
 # Every script parses before anything runs: serve_smoke.sh and
 # check_results.sh would otherwise first be parsed minutes in, by the gates
 # that execute them, and perf_pairs.sh / loc.sh are never executed here.
@@ -25,23 +41,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
-cargo test -q
+bounded 600 cargo test -q
 
 echo "==> workspace tests"
-cargo test --workspace -q
+bounded 900 cargo test --workspace -q
 # The footprint gate by name: per-node allocation and byte bounds of a
 # 16k-node sharded run, counted by a test-only allocator.
-cargo test -p aqs-cluster --test footprint -q
+bounded 600 cargo test -p aqs-cluster --test footprint -q
 
 # The mutation tier (fault-inject) arms seeded faults — including the four
 # rollback-substrate faults: stale checkpoint restore, GVT from one shard,
 # skipped mailbox unwind, lossy hybrid mode switch — and proves each is
 # detected and shrunk.
 echo "==> conformance harness: mutation + schedule-fuzz tiers"
-cargo test -p aqs-check --features fault-inject -q
-cargo test -p aqs-check --features schedule-fuzz -q
+bounded 600 cargo test -p aqs-check --features fault-inject -q
+bounded 600 cargo test -p aqs-check --features schedule-fuzz -q
 # The sharded engine's own proof that the batch shuffle reaches its take path.
-cargo test -p aqs-cluster --features schedule-fuzz --lib -q
+bounded 600 cargo test -p aqs-cluster --features schedule-fuzz --lib -q
 
 # Differential smoke gate: 200 seeded cases through every engine with
 # invariant oracles, hard wall-clock budget. Failures are shrunk to minimal
@@ -100,6 +116,6 @@ cargo build --release -p aqs-bench --bins
 # seed-42 counters in perf/golden.json: a public-API removal or a changed
 # counter fails here, before the PR is measured.
 echo "==> benchmark build gate: perf/ against ../crates/* (path deps + golden.json pins)"
-cargo test --offline -q --manifest-path perf/Cargo.toml
+bounded 600 cargo test --offline -q --manifest-path perf/Cargo.toml
 
 echo "verify: OK"

@@ -7,7 +7,10 @@
 //! worker count, so the partition itself is perturbed along with the
 //! schedule. The rollback engines add a third hook: any worker may claim any
 //! node of a round's run list, a jitter precedes every claim, and a
-//! rollback-heavy run must not notice.
+//! rollback-heavy run must not notice. A round with no host work to share
+//! runs on the barrier leader alone, so those runs are fuzzed at zero host
+//! work (nearly every round alone) and at a token host work (every round
+//! with ops pooled).
 //!
 //! ```text
 //! cargo test -p aqs-check --features schedule-fuzz --test schedule_fuzz
@@ -84,7 +87,7 @@ fn scalars(d: &ShardedOptimisticRunResult) -> impl PartialEq + std::fmt::Debug {
         (d.sim_end, d.windows, d.total_packets, d.checkpoints),
         (d.rollbacks, d.wasted_sim, d.max_rollback_depth),
         (d.degraded_windows, d.conservative_windows, d.restore_rounds),
-        (d.stragglers, d.workers),
+        (d.stragglers, d.workers, d.inline_rounds),
     )
 }
 
@@ -98,38 +101,53 @@ fn rollback_rounds_do_not_depend_on_who_claims_which_node() {
     for (name, programs, window_us) in &cases {
         for kind in [EngineKind::ShardedOptimistic, EngineKind::Hybrid] {
             for m in [2, 3, 4] {
-                let run = || -> (RunReport, WindowLog) {
-                    Sim::new(programs.clone())
-                        .engine(kind)
-                        .sync(SyncConfig::fixed_micros(*window_us))
-                        .hybrid_policy(HybridPolicy {
-                            degrade_after: 1,
-                            recover_after: 4,
-                        })
-                        .shards(m)
-                        .run_with_recorder(WindowLog::default())
-                        .expect("a valid configuration")
-                };
-                let (plain, plain_log) = run();
-                let p = plain.detail.as_sharded_optimistic().expect("opt detail");
-                assert!(
-                    p.rollbacks > 0,
-                    "{name} {kind:?} M={m}: no rollback to fuzz"
-                );
-                for seed in 0..20u64 {
-                    aqs_sync::fuzz::arm(0xC1A1_4000 + seed);
-                    let (fuzzed, fuzzed_log) = run();
-                    aqs_sync::fuzz::disarm();
-                    let f = fuzzed.detail.as_sharded_optimistic().expect("opt detail");
-                    let ctx = format!("{name} {kind:?} M={m} fuzz seed {seed}");
-                    assert_eq!(
-                        fuzzed.simulated_outcome(),
-                        plain.simulated_outcome(),
-                        "{ctx}"
-                    );
-                    assert_eq!(scalars(f), scalars(p), "{ctx}");
-                    assert_eq!(fuzzed_log, plain_log, "{ctx}");
+                // Rounds the leader ran alone, at each host work.
+                let mut inline = [0; 2];
+                for (h, host_work) in [0.0, 1e-3].into_iter().enumerate() {
+                    let run = || -> (RunReport, WindowLog) {
+                        Sim::new(programs.clone())
+                            .engine(kind)
+                            .sync(SyncConfig::fixed_micros(*window_us))
+                            .hybrid_policy(HybridPolicy {
+                                degrade_after: 1,
+                                recover_after: 4,
+                            })
+                            .host_work_per_op(host_work)
+                            .shards(m)
+                            .run_with_recorder(WindowLog::default())
+                            .expect("a valid configuration")
+                    };
+                    let (plain, plain_log) = run();
+                    let p = plain.detail.as_sharded_optimistic().expect("opt detail");
+                    let ctx = format!("{name} {kind:?} M={m} host work {host_work}");
+                    assert!(p.rollbacks > 0, "{ctx}: no rollback to fuzz");
+                    inline[h] = p.inline_rounds;
+                    if h == 0 {
+                        // Every round after the first ran alone: at least
+                        // one per window, the first window's first excepted.
+                        assert!(p.inline_rounds >= p.windows - 1, "{ctx}: {p:?}");
+                    }
+                    for seed in 0..20u64 {
+                        aqs_sync::fuzz::arm(0xC1A1_4000 + seed);
+                        let (fuzzed, fuzzed_log) = run();
+                        aqs_sync::fuzz::disarm();
+                        let f = fuzzed.detail.as_sharded_optimistic().expect("opt detail");
+                        let ctx = format!("{ctx} fuzz seed {seed}");
+                        assert_eq!(
+                            fuzzed.simulated_outcome(),
+                            plain.simulated_outcome(),
+                            "{ctx}"
+                        );
+                        assert_eq!(scalars(f), scalars(p), "{ctx}");
+                        assert_eq!(fuzzed_log, plain_log, "{ctx}");
+                    }
                 }
+                // The same rounds at both host works; at 1e-3 the ones with
+                // ops to share were pooled. Ping-pong computes nothing, so
+                // only its first round is.
+                let pooled = inline[1] < inline[0];
+                let computes = programs.iter().any(|p| p.total_compute_ops() > 0);
+                assert_eq!(pooled, computes, "{name} {kind:?} M={m}: {inline:?}");
             }
         }
     }

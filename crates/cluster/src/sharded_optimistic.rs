@@ -14,10 +14,12 @@
 //! 1. **Execute** — the leader has left a *run list* for the round (every
 //!    node at a window's round 0, the dirty nodes of dirty shards on a
 //!    repeat), ordered longest-first by the op count of each node's
-//!    previous execution. All M workers drain it through one atomic cursor:
-//!    whoever claims a node restores/advances it to the window edge,
-//!    delivering the inbound fragment set the leader handed it and
-//!    capturing every send into the node's slot.
+//!    previous execution. Whoever claims a node through the list's one
+//!    atomic cursor restores/advances it to the window edge, delivering the
+//!    inbound fragment set the leader handed it and capturing every send
+//!    into the node's slot. All M workers drain the list only when the round
+//!    has host work to share; otherwise the leader drains it alone (see
+//!    "Who runs a node").
 //! 2. **Reduce** — the barrier leader (inside the barrier's exclusive
 //!    section) re-routes *all* current-window sends through the run's
 //!    [`Router`] and rebuilds each node's canonical sorted inbound set.
@@ -65,6 +67,21 @@
 //! count, cascade bound, freeze and hybrid mode — and a rollback that hits
 //! one shard is still work for the whole pool.
 //!
+//! The pool is woken only for host work. Once a round closes, the leader
+//! weighs the next one, still inside the barrier's exclusive section:
+//! `W = host_work_per_op × Σ last_ops` over its run list, the op count of
+//! each node's previous execution. If `W` is zero, or the list holds one
+//! node, the leader drains the list itself through the same cursor, closes
+//! that round too, and keeps going until a round has work to share or the
+//! run stops; only then are the other workers released. Zero is the one
+//! bound that needs no host constant: a round of bookkeeping alone never
+//! pays for a barrier and M cache-line hand-offs, at any M (a pool of two
+//! took two to three times as long as one on the 8-node scenario,
+//! EXPERIMENTS.md "Rollback-pool round budget"). `last_ops` is simulated history, so which
+//! rounds run alone — [`ShardedOptimisticRunResult::inline_rounds`] — is the
+//! same on every host and under every schedule. The first round of a run is
+//! always pooled: the workers start before any leader step.
+//!
 //! # Bit-identity under `Q ≤ T`
 //!
 //! When every window length is at most the minimum network latency, any
@@ -79,13 +96,13 @@
 //!
 //! The [`ShardedOptimisticRunResult`] holds whole-run totals only — windows,
 //! checkpoints, rollbacks, wasted simulated time, the deepest cascade,
-//! degraded and conservative shard-windows, restore rounds — and the per-node
-//! outcomes. The trajectory goes to the run's [`Recorder`], once per
-//! committed window: `record_quantum` (start, length, packets, stragglers,
-//! node executions) and then `record_shard_rollbacks` (each shard's
-//! checkpoints, rollbacks and wasted time). A shard's checkpoint lane is zero
-//! exactly in the windows it ran conservatively, so the lanes also show every
-//! mode switch.
+//! degraded and conservative shard-windows, restore rounds, rounds the
+//! leader ran alone — and the per-node outcomes. The trajectory goes to the
+//! run's [`Recorder`], once per committed window: `record_quantum` (start,
+//! length, packets, stragglers, node executions) and then
+//! `record_shard_rollbacks` (each shard's checkpoints, rollbacks and wasted
+//! time). A shard's checkpoint lane is zero exactly in the windows it ran
+//! conservatively, so the lanes also show every mode switch.
 
 use crate::pool::{
     finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
@@ -102,14 +119,16 @@ use aqs_sync::TreeBarrier;
 use aqs_time::{HostDuration, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Control word: stop the run.
-const CTRL_STOP: u64 = u64::MAX;
+/// Control word: a window opened; its round 0 checkpoints and runs nodes.
+const CTRL_OPEN: u8 = 0;
 /// Control word: repeat the current window (dirty shards re-execute).
-const CTRL_REPEAT: u64 = u64::MAX - 1;
+const CTRL_REPEAT: u8 = 1;
+/// Control word: stop the run.
+const CTRL_STOP: u8 = 2;
 
 /// Per-shard adaptive mode switching between conservative quantum sync and
 /// optimistic checkpoint/rollback — the paper's adaptive idea applied to
@@ -179,6 +198,10 @@ pub struct ShardedOptimisticRunResult {
     /// Serial restore rounds: over the committed windows, the sum of
     /// `⌈node re-executions / n⌉` (nodes restore in parallel).
     pub restore_rounds: u64,
+    /// Rounds the barrier leader ran alone because they had no host work to
+    /// share (see the [module docs](self)): a function of simulated history
+    /// and the run's host work per op, never of the schedule.
+    pub inline_rounds: u64,
     /// Per-node outcomes, in rank order.
     pub per_node: Vec<NodeResult>,
     /// Worker (= shard) count the run actually used.
@@ -218,13 +241,30 @@ struct Inbound {
 }
 
 /// Persistent per-node execution state — exactly what a checkpoint clones.
-#[derive(Clone)]
 struct OptNodeState {
     exec: NodeExecutor,
     sim: SimTime,
     /// Remainder (ns) of an op that did not fit in the previous window.
     pending_ns: u64,
     msg_seq: u64,
+}
+
+/// `clone_from` reuses the target executor's buffers: every window refreshes
+/// a checkpoint, and every rollback restores from one.
+impl Clone for OptNodeState {
+    fn clone(&self) -> Self {
+        Self {
+            exec: self.exec.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.exec.clone_from(&source.exec);
+        self.sim = source.sim;
+        self.pending_ns = source.pending_ns;
+        self.msg_seq = source.msg_seq;
+    }
 }
 
 /// One node, as its claimant and the barrier leader exchange it: locked by
@@ -271,10 +311,13 @@ struct SharedOpt<R> {
     /// Next unclaimed position of `run`. Relaxed: it only hands out indices;
     /// the barrier publishes the list, each slot's mutex the node behind it.
     cursor: AtomicUsize,
-    /// Next action: a window-end in sim ns, [`CTRL_REPEAT`], or
-    /// [`CTRL_STOP`]. Written by the leader inside the barrier's exclusive
-    /// section, ordered for workers by the epoch handshake.
-    control: AtomicU64,
+    /// Next action: [`CTRL_OPEN`], [`CTRL_REPEAT`] or [`CTRL_STOP`].
+    /// Written by the leader inside the barrier's exclusive section, ordered
+    /// for workers by the epoch handshake, like `window`.
+    control: AtomicU8,
+    /// Start and end of the window in progress, in sim ns. Published with
+    /// every round: a worker may have slept through the one that opened it.
+    window: [AtomicU64; 2],
     /// Deadlock/divergence guard, checked after the join.
     overflow: AtomicBool,
     /// When the workers were started: the origin of `wall` and of a recorded
@@ -377,7 +420,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     let (m, clock) = start_run(&programs, config, workers, resume)?;
     let n = programs.len();
     let ranges = partition(n, m);
-    let q_end0 = clock.q_end_nanos;
+    let (q_start0, q_end0) = (clock.q_start_nanos, clock.q_end_nanos);
     let engine = if opts.hybrid.is_some() {
         EngineKind::Hybrid
     } else {
@@ -468,7 +511,8 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         // Nothing has executed yet: the first round runs in rank order.
         run: RwLock::new((0..n as u32).collect()),
         cursor: AtomicUsize::new(0),
-        control: AtomicU64::new(q_end0),
+        control: AtomicU8::new(CTRL_OPEN),
+        window: [q_start0, q_end0].map(AtomicU64::new),
         overflow: AtomicBool::new(false),
         start: Instant::now(),
         barrier: TreeBarrier::new(m, leader),
@@ -496,38 +540,64 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     Ok((result, leader.rec))
 }
 
-/// One of the pool's M workers: drains each round's run list, then meets the
-/// others at the barrier, where the last to arrive runs [`leader_step`].
+/// One of the pool's M workers: drains each round it is woken for, then
+/// meets the others at the barrier, where the last to arrive [`lead`]s.
 fn worker_thread<R: Recorder>(w: usize, config: &ParallelConfig, shared: &SharedOpt<R>) {
-    let mut window_start = SimTime::ZERO;
-    let mut window_end = SimTime::ZERO;
-    loop {
-        let ctrl = shared.control.load(Ordering::Relaxed);
-        if ctrl == CTRL_STOP {
-            break;
-        }
-        let repeat = ctrl == CTRL_REPEAT;
-        if !repeat {
-            window_start = window_end;
-            window_end = SimTime::from_nanos(ctrl);
-        }
-        {
-            let run = shared.run.read().expect("run list poisoned");
-            let claim = || {
-                // Claim order must not matter; the fuzz tier perturbs it.
-                #[cfg(feature = "schedule-fuzz")]
-                aqs_sync::fuzz::jitter();
-                run.get(shared.cursor.fetch_add(1, Ordering::Relaxed))
-            };
-            while let Some(&g) = claim() {
-                let mut slot = shared.slots[g as usize].lock().expect("node slot poisoned");
-                let window = window_start..window_end;
-                run_claimed(&mut slot, repeat, window, config, shared.net.nic());
-            }
-        }
+    while drain_round(config, shared) {
         shared
             .barrier
-            .arrive(w, |leader| leader_step(shared, leader));
+            .arrive(w, |leader| lead(config, shared, leader));
+    }
+}
+
+/// Claims and runs nodes off the open round's run list until none is left;
+/// `false`, with nothing claimed, once the leader has stopped the run.
+fn drain_round<R>(config: &ParallelConfig, shared: &SharedOpt<R>) -> bool {
+    let ctrl = shared.control.load(Ordering::Relaxed);
+    if ctrl == CTRL_STOP {
+        return false;
+    }
+    let repeat = ctrl == CTRL_REPEAT;
+    let [start, end] = shared
+        .window
+        .each_ref()
+        .map(|w| SimTime::from_nanos(w.load(Ordering::Relaxed)));
+    let run = shared.run.read().expect("run list poisoned");
+    let claim = || {
+        // Claim order must not matter; the fuzz tier perturbs it.
+        #[cfg(feature = "schedule-fuzz")]
+        aqs_sync::fuzz::jitter();
+        run.get(shared.cursor.fetch_add(1, Ordering::Relaxed))
+    };
+    while let Some(&g) = claim() {
+        let mut slot = shared.slots[g as usize].lock().expect("node slot poisoned");
+        run_claimed(&mut slot, repeat, start..end, config, shared.net.nic());
+    }
+    true
+}
+
+/// The barrier leader's turn: close the round with [`leader_step`], then
+/// keep every next round that has no host work to share — draining it alone,
+/// with the pool still parked — until one has, or the run stops.
+fn lead<R: Recorder>(config: &ParallelConfig, shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
+    loop {
+        leader_step(shared, leader);
+        if shared.control.load(Ordering::Relaxed) == CTRL_STOP {
+            return;
+        }
+        {
+            // W = host_work_per_op × Σ last_ops over the run list; read off
+            // simulated history, so the choice is the same on every host, at
+            // every M and under every schedule.
+            let run = shared.run.read().expect("run list poisoned");
+            let work = config.host_work_per_op > 0.0
+                && run.iter().any(|&g| leader.last_ops[g as usize] > 0);
+            if work && run.len() > 1 {
+                return;
+            }
+        }
+        leader.out.inline_rounds += 1;
+        drain_round(config, shared);
     }
 }
 
@@ -541,8 +611,11 @@ fn run_claimed(
     nic: &NicModel,
 ) {
     if repeat {
-        let checkpoint = slot.checkpoint.clone();
-        slot.state = checkpoint.expect("only checkpointed nodes roll back");
+        let checkpoint = slot
+            .checkpoint
+            .as_ref()
+            .expect("only checkpointed nodes roll back");
+        slot.state.clone_from(checkpoint);
         slot.executed = true;
     } else {
         if !slot.conservative {
@@ -562,7 +635,12 @@ fn run_claimed(
                 slot.skip_next_refresh = refresh;
             }
             if refresh {
-                slot.checkpoint = Some(slot.state.clone());
+                // In place once the first checkpoint exists: the refresh
+                // reuses its mailbox table and vectors.
+                match &mut slot.checkpoint {
+                    Some(c) => c.clone_from(&slot.state),
+                    None => slot.checkpoint = Some(slot.state.clone()),
+                }
             }
         }
         // Active-set skip: a node whose own next wake lies at or beyond the
@@ -943,9 +1021,11 @@ fn commit_window<R: Recorder>(
     }
     order_longest_first(run, &leader.last_ops);
     shared.cursor.store(0, Ordering::Relaxed);
-    shared
-        .control
-        .store(leader.clock.q_end_nanos, Ordering::Relaxed);
+    let edges = [leader.clock.q_start_nanos, leader.clock.q_end_nanos];
+    for (w, edge) in shared.window.iter().zip(edges) {
+        w.store(edge, Ordering::Relaxed);
+    }
+    shared.control.store(CTRL_OPEN, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -1203,6 +1283,70 @@ mod tests {
             (136, 2, 1_767)
         );
         assert_eq!(opt.total_packets + hyb.total_packets, 18_560);
+    }
+
+    #[test]
+    fn inline_and_pooled_rounds_agree_bit_for_bit() {
+        // Host work 0 runs every round after the first on the leader alone;
+        // 1e-3 pools each round whose run list holds a node with ops. Either
+        // way the run is the same run, and which rounds ran alone is decided
+        // by simulated history only: in these cases every M runs the same
+        // rounds, so every M runs the same ones alone.
+        let pp = ping_pong(4, 25, 4096).programs;
+        let cases = [
+            (
+                "safe",
+                burst(5, 2_000, 1024).programs,
+                SyncConfig::ground_truth(),
+            ),
+            ("unsafe 50 µs", pp.clone(), SyncConfig::fixed_micros(50)),
+            ("unsafe 1 ms", pp, SyncConfig::fixed_micros(1000)),
+        ];
+        let scalars = |d: &ShardedOptimisticRunResult| {
+            (
+                (d.sim_end, d.windows, d.total_packets, d.checkpoints),
+                (d.rollbacks, d.wasted_sim, d.max_rollback_depth),
+                (d.degraded_windows, d.conservative_windows, d.restore_rounds),
+                (d.stragglers, d.workers),
+            )
+        };
+        for (name, programs, sync) in &cases {
+            for kind in [EngineKind::ShardedOptimistic, EngineKind::Hybrid] {
+                let mut inline = [Vec::new(), Vec::new()];
+                for m in [1, 2, 3, 4, 8] {
+                    let run = |host_work| {
+                        Sim::new(programs.clone())
+                            .engine(kind)
+                            .sync(sync.clone())
+                            .host_work_per_op(host_work)
+                            .shards(m)
+                            .run()
+                    };
+                    let (alone, pooled) = (run(0.0), run(1e-3));
+                    let ctx = format!("{name} {kind:?} M={m}");
+                    assert_eq!(
+                        alone.simulated_outcome(),
+                        pooled.simulated_outcome(),
+                        "{ctx}"
+                    );
+                    let a = alone.detail.as_sharded_optimistic().expect("opt detail");
+                    let p = pooled.detail.as_sharded_optimistic().expect("opt detail");
+                    assert_eq!(scalars(a), scalars(p), "{ctx}");
+                    assert!(a.inline_rounds >= a.windows - 1, "{ctx}: {a:?}");
+                    inline[0].push(a.inline_rounds);
+                    inline[1].push(p.inline_rounds);
+                }
+                let ctx = format!("{name} {kind:?}");
+                for counts in &inline {
+                    assert!(counts.iter().all(|&c| c == counts[0]), "{ctx}: {inline:?}");
+                }
+                // At 1e-3 the rounds with ops to share were pooled; ping-pong
+                // computes nothing, so only its first round is.
+                let pools = inline[1][0] < inline[0][0];
+                let computes = programs.iter().any(|p| p.total_compute_ops() > 0);
+                assert_eq!(pools, computes, "{ctx}: {inline:?}");
+            }
+        }
     }
 
     #[test]

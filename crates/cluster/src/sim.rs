@@ -1469,6 +1469,107 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_fragment_that_contradicts_the_partial_message_is_a_typed_error_on_every_engine() {
+        use crate::snapshot::{FragSnap, InFlightSnap};
+        use aqs_net::Destination;
+        use aqs_node::Tag;
+        use std::time::Duration;
+        // A multi-fragment ping-pong cut mid-message: the receiver holds part
+        // of a message and another fragment of it is cut in flight. Each
+        // fragment is valid on its own; against the receiver's partial
+        // message it would reach `deliver_fragment`'s asserts.
+        let base = Sim::new(ping_pong(2, 3, 64 * 1024).programs).sync(SyncConfig::ground_truth());
+        // (position in `cut_frags`, an index the receiver already holds)
+        let partial = |s: &SimSnapshot| {
+            s.body.cut_frags().enumerate().find_map(|(k, (_, f))| {
+                let Destination::Unicast(t) = f.dst else {
+                    return None;
+                };
+                let mailbox = &s.body.nodes[t.index()].exec.mailbox;
+                let held = mailbox.assembling.iter().find(|a| a.meta.id == f.meta.id)?;
+                Some((k, held.received_mask.iter().position(|&r| r)? as u32))
+            })
+        };
+        let (good, (k, held)) = (1..)
+            .map(|cut| base.snapshot_at(cut).expect("capturable cut"))
+            .find_map(|s| partial(&s).map(|p| (s, p)))
+            .expect("some cut splits a message");
+        fn frag(snap: &mut SimSnapshot, k: usize) -> &mut FragSnap {
+            let body = &mut snap.body;
+            let in_flight = body.in_flight.iter_mut().map(|f| &mut f.frag);
+            let queued = body.nodes.iter_mut().flat_map(|n| n.outgoing.iter_mut());
+            in_flight.chain(queued).nth(k).expect("a cut fragment")
+        }
+        type Craft<'a> = &'a dyn Fn(&mut SimSnapshot);
+        let cases: [(Craft, &str); 5] = [
+            (
+                &|s| frag(s, k).frag_index = held,
+                "is already in its partial message",
+            ),
+            (
+                &|s| frag(s, k).meta.frag_count += 1,
+                "contradicts its partial message",
+            ),
+            (
+                &|s| frag(s, k).meta.bytes += 1,
+                "contradicts its partial message",
+            ),
+            (
+                &|s| frag(s, k).meta.tag = Tag::new(77),
+                "contradicts its partial message",
+            ),
+            (
+                &|s| {
+                    let (src, frag) = s.body.cut_frags().nth(k).expect("a cut fragment");
+                    let (src, frag) = (src as u32, frag.clone());
+                    let due_host = s.body.now_host;
+                    s.body.in_flight.insert(
+                        0,
+                        InFlightSnap {
+                            due_host,
+                            src,
+                            frag,
+                        },
+                    );
+                },
+                "is cut twice",
+            ),
+        ];
+        for (craft, expected) in cases {
+            let mut bad = good.clone();
+            craft(&mut bad);
+            let bad = SimSnapshot::from_bytes(&bad.to_bytes()).expect("frame checks pass");
+            for kind in [
+                EngineKind::Deterministic,
+                EngineKind::Sharded,
+                EngineKind::ShardedOptimistic,
+                EngineKind::Hybrid,
+            ] {
+                let sim = base.clone().engine(kind).shards(2);
+                let snap = bad.clone();
+                // A hang is one of the failures this guards against: bound it.
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let _ = tx.send(sim.resume(&snap).err());
+                });
+                let err = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{kind:?}: resume panicked or hung ({expected})"))
+                    .expect("a contradicting fragment must not resume");
+                match err {
+                    SimError::SnapshotFormat { detail } => {
+                        assert!(detail.contains(expected), "{kind:?}: {detail}")
+                    }
+                    other => panic!("{kind:?}: {other:?}"),
+                }
+            }
+        }
+        // The uncrafted cut resumes to the uninterrupted outcome.
+        let resumed = base.resume(&good).expect("resume succeeds");
+        assert_eq!(det_strong(&resumed), det_strong(&base.clone().run()));
+    }
+
+    #[test]
     fn snapshot_at_zero_is_the_step_budget_error_before_anything_runs() {
         let sim = Sim::new(ping_pong(2, 5, 64).programs).sync(SyncConfig::paper_dyn1());
         match sim.snapshot_at(0).unwrap_err() {

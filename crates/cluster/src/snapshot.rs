@@ -44,6 +44,7 @@ use aqs_node::{
 use aqs_obs::{Log2Histogram, LOG2_BUCKETS};
 use aqs_rng::{Rng, RngState};
 use aqs_time::{HostTime, SimDuration, SimTime};
+use std::collections::HashSet;
 
 /// Wire-format magic, first 8 bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AQSSNAP1";
@@ -220,9 +221,11 @@ impl SnapshotBody {
     /// restores a node from it, then loads the captured policy state into
     /// `policy`. Every cut fragment must come from a node of the cluster,
     /// carry its sender's message id, go to a node of the cluster (or to
-    /// all), and have an index below its message's fragment count — a frame
-    /// that breaks one of these would otherwise panic or strand a restored
-    /// engine.
+    /// all), and have an index below its message's fragment count. A
+    /// unicast one must also fit its receiver's partial message of that id,
+    /// if there is one — same metadata, an index not yet received — and be
+    /// the only cut copy of its index. A frame that breaks one of these would
+    /// otherwise panic or strand a restored engine.
     pub(crate) fn check(&self, n: usize, policy: &mut dyn QuantumPolicy) -> Result<(), SimError> {
         if self.nodes.len() != n {
             return Err(SimError::snapshot_format(format!(
@@ -230,6 +233,7 @@ impl SnapshotBody {
                 self.nodes.len()
             )));
         }
+        let mut cut = HashSet::new();
         for (src, f) in self.cut_frags() {
             let dst = match f.dst {
                 Destination::Unicast(t) => Some(t.index()),
@@ -244,6 +248,8 @@ impl SnapshotBody {
                 format!("cut fragment index {index} of {count} from node {src}")
             } else if id_src != src {
                 format!("cut fragment from node {src} carries a message id of node {id_src}")
+            } else if let Some(fault) = dst.and_then(|t| self.misfit(t, f, &mut cut)) {
+                fault
             } else {
                 continue;
             };
@@ -252,6 +258,36 @@ impl SnapshotBody {
         policy
             .load_state(&self.policy_state)
             .map_err(SimError::snapshot_format)
+    }
+
+    /// Why unicast cut fragment `f` cannot be delivered to node `t` on top
+    /// of its captured mailbox and the cut fragments before it (recorded in
+    /// `cut`), if it cannot.
+    fn misfit(
+        &self,
+        t: usize,
+        f: &FragSnap,
+        cut: &mut HashSet<(usize, MessageId, u32)>,
+    ) -> Option<String> {
+        let (id, index) = (f.meta.id, f.frag_index);
+        if !cut.insert((t, id, index)) {
+            return Some(format!(
+                "cut fragment {index} of {id} for node {t} is cut twice"
+            ));
+        }
+        let assembling = &self.nodes[t].exec.mailbox.assembling;
+        let partial = assembling.iter().find(|a| a.meta.id == id)?;
+        if partial.meta != f.meta {
+            Some(format!(
+                "cut fragment of {id} for node {t} contradicts its partial message"
+            ))
+        } else if partial.received_mask.get(index as usize) == Some(&true) {
+            Some(format!(
+                "cut fragment {index} of {id} for node {t} is already in its partial message"
+            ))
+        } else {
+            None
+        }
     }
 
     /// Node `i`'s executor, restored over its `program`.

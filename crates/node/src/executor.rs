@@ -89,7 +89,7 @@ impl RegionRecord {
 /// assert!(matches!(exec.next_action(SimTime::ZERO), Action::Finished));
 /// assert!(exec.finished());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct NodeExecutor {
     program: Program,
     cpu: CpuModel,
@@ -104,6 +104,38 @@ pub struct NodeExecutor {
     open_regions: Vec<(RegionId, SimTime)>,
     regions: Vec<RegionRecord>,
     finish_time: Option<SimTime>,
+}
+
+/// `clone_from` reuses the target's mailbox and region buffers field by
+/// field: a rollback engine refreshes a node's checkpoint every window.
+impl Clone for NodeExecutor {
+    fn clone(&self) -> Self {
+        Self {
+            program: self.program.clone(),
+            cpu: self.cpu,
+            pc: self.pc,
+            mailbox: self.mailbox.clone(),
+            ops_executed: self.ops_executed,
+            messages_received: self.messages_received,
+            pending_overhead: self.pending_overhead,
+            open_regions: self.open_regions.clone(),
+            regions: self.regions.clone(),
+            finish_time: self.finish_time,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.program.clone_from(&source.program);
+        self.cpu = source.cpu;
+        self.pc = source.pc;
+        self.mailbox.clone_from(&source.mailbox);
+        self.ops_executed = source.ops_executed;
+        self.messages_received = source.messages_received;
+        self.pending_overhead = source.pending_overhead;
+        self.open_regions.clone_from(&source.open_regions);
+        self.regions.clone_from(&source.regions);
+        self.finish_time = source.finish_time;
+    }
 }
 
 impl NodeExecutor {
@@ -648,6 +680,72 @@ mod tests {
     #[test]
     fn executor_stays_within_its_footprint() {
         assert!(std::mem::size_of::<NodeExecutor>() <= 208);
+    }
+
+    /// Runs `e` from `t` until it blocks or finishes; the time reached.
+    fn run_until_parked(e: &mut NodeExecutor, mut t: SimTime) -> SimTime {
+        loop {
+            match e.next_action(t) {
+                Action::Advance { dur, .. } => t += dur,
+                Action::WaitUntil(at) => t = at,
+                _ => return t,
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_a_dirty_target_equals_a_plain_clone() {
+        let multi = |src, seq, frag_count| MessageMeta {
+            frag_count,
+            ..meta(src, seq, 0)
+        };
+        let (a, b, c) = (RegionId::new(1), RegionId::new(2), RegionId::new(3));
+        // Source: one closed and two open regions, two partial messages (an
+        // inline and a spilled fragment mask) and two ready ones.
+        let p = ProgramBuilder::new(Rank::new(0))
+            .region_start(a)
+            .compute(1000)
+            .region_end(a)
+            .region_start(b)
+            .region_start(c)
+            .compute(500)
+            .recv(Some(Rank::new(7)), Tag::new(9))
+            .build();
+        let mut source = NodeExecutor::new(p, cpu());
+        run_until_parked(&mut source, SimTime::from_micros(1));
+        source.deliver_fragment(multi(1, 0, 3), 1, SimTime::from_micros(4));
+        source.deliver_fragment(multi(2, 5, 100), 70, SimTime::from_micros(6));
+        source.deliver_fragment(meta(3, 0, 2), 0, SimTime::from_micros(2));
+        source.deliver_fragment(meta(4, 1, 2), 0, SimTime::from_micros(3));
+        // Target: another rank, three closed regions and one open, more
+        // partial messages and a longer ready list, all with other contents.
+        let mut t = ProgramBuilder::new(Rank::new(1));
+        for _ in 0..3 {
+            t = t.region_start(b).compute(10).region_end(b);
+        }
+        let t = t.region_start(a).recv(None, Tag::new(5)).build();
+        let mut target = NodeExecutor::new(t, cpu());
+        run_until_parked(&mut target, SimTime::ZERO);
+        for seq in 0..5 {
+            target.deliver_fragment(multi(6, seq, 2), 0, SimTime::from_micros(seq));
+            target.deliver_fragment(meta(5, seq, 1), 0, SimTime::from_micros(seq));
+        }
+        assert_ne!(target.export_state(), source.export_state());
+        target.clone_from(&source);
+        let plain = source.clone();
+        assert_eq!(target.rank(), plain.rank());
+        assert_eq!(target.export_state(), plain.export_state());
+        // The two copies behave alike from here: complete the partial
+        // messages, deliver the awaited one, and run both to the end.
+        for e in [&mut target, &mut source] {
+            for i in [0, 2] {
+                e.deliver_fragment(multi(1, 0, 3), i, SimTime::from_micros(5));
+            }
+            e.deliver_fragment(meta(7, 0, 9), 0, SimTime::from_micros(8));
+            run_until_parked(e, SimTime::from_micros(8));
+        }
+        assert!(target.finished());
+        assert_eq!(target.export_state(), source.export_state());
     }
 
     #[test]

@@ -158,12 +158,30 @@ pub enum MatchOutcome {
 /// let ready = mb.deliver_fragment(meta, 0, SimTime::from_micros(3));
 /// assert_eq!(ready, Some(SimTime::from_micros(3)));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Mailbox {
     /// Messages of two or more fragments that are still missing some.
     assembling: HashMap<MessageId, Assembling, BuildHasherDefault<IdHasher>>,
     ready: Vec<Ready>,
     completed_total: u64,
+}
+
+/// `clone_from` reuses the target's table and ready vector: a rollback
+/// engine refreshes a node's checkpoint every window.
+impl Clone for Mailbox {
+    fn clone(&self) -> Self {
+        Self {
+            assembling: self.assembling.clone(),
+            ready: self.ready.clone(),
+            completed_total: self.completed_total,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.assembling.clone_from(&source.assembling);
+        self.ready.clone_from(&source.ready);
+        self.completed_total = source.completed_total;
+    }
 }
 
 impl Mailbox {

@@ -95,6 +95,11 @@ for f in scenarios/malformed/*.toml; do
     fi
 done
 
+# The pool-ratio evidence tool still parses what `aqs scenario run` prints;
+# one run, no ratio asserted.
+echo "==> pool ratio smoke: m=2 / m=1 wall per engine"
+./scripts/pool_ratio.sh scenarios/hybrid_allreduce.toml --runs 1
+
 # The resident job server's fault envelope over real TCP: a healthy job
 # completes; a panicking job is retried then fails typed while the server
 # survives; a deadline-blowing job fails typed; an over-quota burst is shed

@@ -213,8 +213,8 @@ fn cmd_optimistic(flags: HashMap<String, String>) {
     }
     println!("  host time      : {host} with the paper's 30s checkpoints");
     println!(
-        "  windows        : {}   checkpoints: {}   rollbacks: {}   wasted sim: {}",
-        r.windows, r.checkpoints, r.rollbacks, r.wasted_sim
+        "  windows        : {}   checkpoints: {}   rollbacks: {}   inline rounds: {}   wasted sim: {}",
+        r.windows, r.checkpoints, r.rollbacks, r.inline_rounds, r.wasted_sim
     );
     println!(
         "  vs ground truth: {:.3}x",

@@ -112,7 +112,8 @@ impl JobSpec {
 /// panics are retried.
 #[derive(Clone, Debug)]
 pub enum JobError {
-    /// The watchdog cancelled the attempt past its deadline.
+    /// A case job's attempt outlived its deadline; the executor saw it at
+    /// the next chunk edge. Scenario jobs take no deadline.
     DeadlineExceeded {
         /// The configured deadline, in milliseconds.
         deadline_ms: u64,
@@ -237,9 +238,10 @@ pub fn scenario_outcome_value(report: &ScenarioReport) -> Value {
 /// Runs a case job to completion in `chunk_quanta` chunks, starting from
 /// `from` (the last journaled snapshot, or `None` for a fresh run).
 ///
-/// * `cancelled` is polled between chunks — the watchdog's deadline signal
-///   lands there, bounding how long past its deadline a job can run by one
-///   chunk.
+/// * `cancelled` is polled before every chunk — the server's closure reads
+///   the attempt's deadline and the shutdown flag there, so a job runs at
+///   most one chunk past either. A `true` ends the run with
+///   [`JobError::DeadlineExceeded`] carrying `deadline_ms`.
 /// * `checkpoint` persists each quantum-edge snapshot *before* execution
 ///   continues (write-ahead), and is handed the snapshot so the in-memory
 ///   job record can track it too.

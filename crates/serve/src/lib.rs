@@ -13,8 +13,12 @@
 //!   snapshot at every chunk edge (write-ahead, fsynced);
 //! * a panic in a job is caught, isolated, and retried with exponential
 //!   backoff — the server and every other job keep running;
-//! * a watchdog cancels attempts past their deadline at the next chunk
-//!   edge, producing a typed `deadline_exceeded` failure;
+//! * an attempt past its deadline stops at the next chunk edge, where the
+//!   executor reads the clock, producing a typed `deadline_exceeded`
+//!   failure;
+//! * one client cannot exhaust the server: connection handlers, request
+//!   line length and idle time are each bounded by a constant in
+//!   [`server`], answered with typed rejections;
 //! * after `kill -9`, startup replays the journal and resumes every
 //!   in-flight case job from its last intact snapshot — the resumed run
 //!   is bit-identical to an uninterrupted one, which the conformance

@@ -13,12 +13,21 @@
 //! * `submit` — enqueue a job. Fields: `tenant` (default `"default"`),
 //!   `deadline_ms` (default from server config), and either a case spec
 //!   (`workload`, `nodes`, `policy`, `seed`, `scale`, `inject_panic`) or
-//!   `scenario` (path to a scenario TOML).
+//!   `scenario` (path to a scenario TOML). A deadline is read between a
+//!   case job's quantum chunks; a scenario runs whole, so a `scenario`
+//!   submit that names `deadline_ms` is a `bad_request`.
 //! * `status` — one job's record (`job` field).
 //! * `wait` — block until the job is terminal, then return its record.
 //! * `list` — every job's summary.
-//! * `stats` — queue depth, state counts, per-tenant in-flight counts.
+//! * `stats` — state counts, per-tenant in-flight counts, and the live
+//!   connection handlers (`connections`) against their cap
+//!   (`max_connections`).
 //! * `shutdown` — stop accepting work and wind the server down.
+//!
+//! One request line holds at most 1 MiB; a longer one is a `bad_request`
+//! and closes the connection. A connection past the server's cap is
+//! answered with one `overloaded` line and closed, and one silent for 60 s
+//! is closed.
 
 use serde_json::Value;
 

@@ -355,6 +355,22 @@ fn unknown_jobs_and_malformed_requests_get_typed_rejections() {
         get_str(r.get("error").unwrap(), "kind"),
         Some("bad_request")
     );
+    // A scenario runs whole, with no chunk edge to read a deadline at.
+    let r = request(
+        &addr,
+        &obj(vec![
+            ("op", Value::Str("submit".to_string())),
+            ("scenario", Value::Str("scenarios/any.toml".to_string())),
+            ("deadline_ms", Value::U64(1_000)),
+        ]),
+    )
+    .unwrap();
+    let err = r.get("error").expect("typed rejection");
+    assert_eq!(get_str(err, "kind"), Some("bad_request"));
+    assert_eq!(
+        get_str(err, "detail"),
+        Some("deadline_ms bounds case jobs only")
+    );
     server.stop();
     let _ = std::fs::remove_file(journal);
 }
@@ -542,6 +558,74 @@ fn recovery_resumes_from_the_journaled_snapshot_bit_identically() {
     let record = r.get("job_record").unwrap();
     assert_eq!(get_str(record, "state"), Some("done"));
     assert_eq!(record.get("outcome"), Some(&outcome));
+    server.stop();
+    let _ = std::fs::remove_file(journal);
+}
+
+/// `stop()` reaches a running attempt at its next chunk edge, through the
+/// same check a deadline uses, and leaves the job unfinished in the
+/// journal: the next server resumes it as it would after a crash.
+#[test]
+fn a_job_running_at_stop_is_resumed_by_the_next_server() {
+    let case = aqs_serve::CaseJob {
+        workload: "cg".to_string(),
+        nodes: 4,
+        policy: "dyn1".to_string(),
+        seed: 5,
+        scale: "full".to_string(),
+        inject_panic: false,
+    };
+    // One-quantum chunks journal a snapshot per quantum: tens of thousands
+    // of appends, so the job is still running when `stop()` lands.
+    let (server, addr, journal) = start("stop-resume", |cfg| cfg.chunk_quanta = 1);
+    let submit = obj(vec![
+        ("op", Value::Str("submit".to_string())),
+        ("workload", Value::Str(case.workload.clone())),
+        ("nodes", Value::U64(case.nodes as u64)),
+        ("policy", Value::Str(case.policy.clone())),
+        ("seed", Value::U64(case.seed)),
+        ("scale", Value::Str(case.scale.clone())),
+        ("deadline_ms", Value::U64(0)),
+    ]);
+    let resp = request(&addr, &submit).expect("submit round-trips");
+    let job = get_u64(&resp, "job").expect("submit accepted");
+    // The journal grows past the submit record once the first chunk's
+    // snapshot is appended: the job is running, and has a cut to resume.
+    let submitted = std::fs::metadata(&journal).expect("journal").len();
+    let started = Instant::now();
+    while std::fs::metadata(&journal).expect("journal").len() == submitted {
+        assert!(started.elapsed() < Duration::from_secs(10), "job never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    must_return("Server::stop() with a job running", move || server.stop());
+
+    let (_, records) = aqs_serve::Journal::open(&journal).expect("journal reopens");
+    let of_job = |ev: &str| {
+        records
+            .iter()
+            .filter(|r| get_str(r, "ev") == Some(ev) && get_u64(r, "job") == Some(job))
+            .count()
+    };
+    assert_eq!(
+        of_job("done") + of_job("failed"),
+        0,
+        "stop finished the job"
+    );
+    assert!(of_job("snapshot") > 0, "no cut was journaled");
+
+    let server = Server::start(ServeConfig {
+        journal: journal.clone(),
+        ..Default::default()
+    })
+    .expect("restarts on the same journal");
+    let record = wait_for(&server.addr().to_string(), job);
+    assert_eq!(get_str(&record, "state"), Some("done"), "{record:?}");
+    let direct = aqs_serve::jobs::build_sim(&case).unwrap().run();
+    assert_eq!(
+        record.get("outcome"),
+        Some(&aqs_serve::jobs::outcome_value(&direct)),
+        "resumed run diverged from an uninterrupted one"
+    );
     server.stop();
     let _ = std::fs::remove_file(journal);
 }

@@ -1,16 +1,16 @@
-//! Lock-free synchronization primitives for the worker-pool cluster engines.
-//!
-//! `aqs-cluster` forbids `unsafe`, so the primitives that need it live here,
-//! behind safe APIs sized exactly to the quantum-synchronous engine:
+//! Lock-free synchronization primitives for the worker-pool cluster engines,
+//! sized exactly to the quantum-synchronous engine. Only the `Mailbox`
+//! section works through raw pointers:
 //!
 //! * [`TreeBarrier`] — an epoch-based (sense-reversing) barrier folded over
 //!   two levels (participants combine within fixed groups, group
 //!   representatives meet at the root), so wide barriers don't funnel every
 //!   arrival through one contended counter. The last thread to arrive becomes
-//!   the leader, gets exclusive `&mut` access to the barrier's leader state
-//!   (e.g. the quantum policy), and publishes the next epoch with a single
-//!   release store that doubles as the handshake for whatever the leader
-//!   wrote. Every worker-pool engine meets at one per quantum or window.
+//!   the leader, locks the barrier's leader state (e.g. the quantum policy)
+//!   — uncontended, since every other participant is parked — and
+//!   publishes the next epoch with a single release store that doubles as
+//!   the handshake for whatever the leader wrote. Every worker-pool engine
+//!   meets at one per quantum or window.
 //! * [`CachePadded`] — pads per-thread hot counters to their own cache line.
 //! * [`Mailbox`] — a multi-producer single-consumer intrusive list. Producers
 //!   push with a single compare-and-swap; the owning consumer detaches the
@@ -24,15 +24,15 @@
 //! the `AQS_SPIN_BUDGET` environment variable (see [`spin_budget`]) and
 //! defaults low on single-core hosts where spinning only delays the leader.
 //!
-//! Memory-ordering arguments are documented inline at each unsafe block.
+//! Memory-ordering arguments are documented inline at each atomic hand-off
+//! and each raw-pointer block.
 
 #![deny(missing_docs)]
 
-use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 #[cfg(feature = "schedule-fuzz")]
 pub mod fuzz;
@@ -399,7 +399,7 @@ impl ArrivalTimes<'_> {
 /// Participants are split into fixed contiguous groups. Each arrival combines
 /// on its group's counter; the last arriver of a group proceeds to the root
 /// counter; the last group representative at the root becomes the leader,
-/// runs the closure with exclusive `&mut` access to `S`, and publishes the
+/// locks `S` (uncontended) and runs the closure on it, and publishes the
 /// next epoch; the others wait for the epoch to advance. A single
 /// release-store of the epoch is the entire handshake: anything the leader
 /// wrote (to `S` or to outside atomics) is visible to every participant that
@@ -415,15 +415,10 @@ pub struct TreeBarrier<S> {
     root_count: CachePadded<AtomicUsize>,
     epoch: CachePadded<AtomicU64>,
     arrivals: Vec<CachePadded<AtomicU64>>,
-    state: UnsafeCell<S>,
+    /// Locked only by the round's leader, inside the exclusive section, so
+    /// the lock is never contended; it is what makes the barrier `Sync`.
+    state: Mutex<S>,
 }
-
-// SAFETY: `state` is only touched inside the leader closure, which the
-// barrier protocol runs on exactly one thread per epoch (the unique root
-// leader), with a release/acquire edge (the epoch store) between successive
-// leaders. That makes the UnsafeCell access exclusive, so the container is
-// Sync whenever S is Send.
-unsafe impl<S: Send> Sync for TreeBarrier<S> {}
 
 impl<S> TreeBarrier<S> {
     /// A barrier for `n` participants with a near-square group fan-in
@@ -456,7 +451,7 @@ impl<S> TreeBarrier<S> {
             arrivals: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            state: UnsafeCell::new(state),
+            state: Mutex::new(state),
         }
     }
 
@@ -465,9 +460,10 @@ impl<S> TreeBarrier<S> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Consumes the barrier and returns the leader state.
+    /// Consumes the barrier and returns the leader state (also after a
+    /// leader closure panicked).
     pub fn into_state(self) -> S {
-        self.state.into_inner()
+        self.state.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
     fn group_len(&self, g: usize) -> usize {
@@ -530,11 +526,11 @@ impl<S> TreeBarrier<S> {
         if self.group_counts[g].fetch_add(1, Ordering::AcqRel) + 1 == self.group_len(g)
             && self.root_count.fetch_add(1, Ordering::AcqRel) + 1 == self.n_groups
         {
-            // SAFETY: we are the last root arriver of this epoch, so every
-            // other participant is parked before the epoch check and none
-            // touches `state`; the previous leader's access happened-before
-            // ours via the epoch release/acquire edge.
-            leader(unsafe { &mut *self.state.get() });
+            // We are the last root arriver of this epoch: every other
+            // participant is parked before the epoch check, so the lock is
+            // free. A poisoned lock only means an earlier leader closure
+            // panicked; the state is still the one it left.
+            leader(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()));
             // Reset before the epoch bump: waiters re-enter arrive() only
             // after observing the new epoch, which orders these stores first.
             for c in &self.group_counts {
@@ -777,6 +773,20 @@ mod tests {
             }
             assert_eq!(barrier.epoch(), ROUNDS);
         }
+    }
+
+    #[test]
+    fn tree_barrier_state_outlives_a_panicking_leader() {
+        let barrier = TreeBarrier::new(1, vec![1u32]);
+        barrier.arrive(0, |state| state.push(2));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            barrier.arrive(0, |state| {
+                state.push(3);
+                panic!("leader closure fails");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(barrier.into_state(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -11,7 +11,12 @@
 #   6. that restarted server listens on 0.0.0.0:<port>, and `aqs job
 #      shutdown` must end the process within 2 s: the accept thread blocks
 #      in accept(2), and shutdown wakes it by connecting to the server's
-#      own address — over loopback when the bind address is a wildcard.
+#      own address — over loopback when the bind address is a wildcard;
+#   7. a fresh server holds 64 idle connections and one request line over
+#      the 1 MiB limit (answered with a typed bad_request) while 8
+#      concurrent `aqs submit --wait 1` all finish done; its thread count
+#      stays within workers + 2 + 128 (the connection cap), and `job stats`
+#      still answers.
 #
 # Artifacts (server logs + journal) land in $ARTIFACTS on failure.
 #
@@ -150,6 +155,51 @@ if [ "$RESUMED" != "$BASELINE" ]; then
 fi
 # 6. Idle server on a wildcard bind: shutdown → exit is prompt.
 stop_server 2
+
+# 7. Bounded clients on the real process.
+WORKERS=2
+MAX_TASKS=$((WORKERS + 2 + 128)) # workers, accept, main, connection cap
+BIND="$ADDR"
+rm -f "$JOURNAL"
+start_server "$ARTIFACTS/server-4.log" --workers "$WORKERS"
+HOST=${ADDR%:*}
+PORT=${ADDR##*:}
+tasks() { ls "/proc/$SERVER_PID/task" | wc -l; }
+IDLE=()
+for _ in $(seq 1 64); do
+    exec {fd}<>"/dev/tcp/$HOST/$PORT" || fail "idle connection refused"
+    IDLE+=("$fd")
+done
+exec {big}<>"/dev/tcp/$HOST/$PORT" || fail "oversized-line connection refused"
+# The server stops reading one byte past 1 MiB, answers, and closes; the
+# rest of this write fails (`tr` dies of SIGPIPE), which is the point.
+head -c $((1100 * 1024)) /dev/zero | tr '\0' '[' >&"$big" 2>/dev/null || true
+OUT=""
+read -r -t 5 OUT <&"$big" || true
+exec {big}>&-
+expect "oversized line" '"kind":"bad_request"' "$OUT"
+CLIENTS=()
+for i in $(seq 1 8); do
+    "$BIN" submit --addr "$ADDR" --workload pingpong --nodes 2 --seed "$i" \
+        --wait 1 >"$ARTIFACTS/concurrent-$i.out" 2>&1 &
+    CLIENTS+=($!)
+done
+MOST=$(tasks)
+for pid in "${CLIENTS[@]}"; do
+    wait "$pid" || true
+    n=$(tasks)
+    [ "$n" -le "$MOST" ] || MOST=$n
+done
+for i in $(seq 1 8); do
+    expect "concurrent job $i" '"state":"done"' "$(cat "$ARTIFACTS/concurrent-$i.out")"
+done
+[ "$MOST" -le "$MAX_TASKS" ] || fail "server ran $MOST threads (bound $MAX_TASKS)"
+OUT=$("$BIN" job stats --addr "$ADDR")
+expect "stats beside 64 idle connections" '"max_connections":128' "$OUT"
+echo "serve_smoke: 64 idle + oversized line + 8 concurrent jobs, at most $MOST server threads"
+# Idle clients still attached must not delay shutdown either.
+stop_server 2
+for fd in "${IDLE[@]}"; do exec {fd}>&-; done
 
 rm -rf "$ARTIFACTS"
 echo "serve_smoke: OK"

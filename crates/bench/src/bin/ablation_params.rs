@@ -5,12 +5,12 @@
 //! reaching the floor in 2–3 quanta). This sweep quantifies that guidance
 //! on a communication-sensitive workload: aggressive growth buys speed but
 //! loses accuracy; slow braking (large `dec`) loses accuracy without buying
-//! much speed.
+//! much speed. Both tables also go to `results/ablation_params.tsv`.
 //!
 //! Usage: `ablation_params [tiny|mini]`.
 
-use aqs_bench::{run_sweep, standard_config};
-use aqs_cluster::{run_workload, Experiment};
+use aqs_bench::{run_sweep, standard_config, write_tsv};
+use aqs_cluster::{ConfigOutcome, Experiment};
 use aqs_core::{AdaptiveConfig, SyncConfig};
 use aqs_metrics::render_table;
 use aqs_time::SimDuration;
@@ -36,6 +36,11 @@ fn main() {
         }
     }
     let result = Experiment::new(spec.clone(), standard_config(42), sweep).run();
+    let mut tsv: Vec<_> = result
+        .outcomes
+        .iter()
+        .map(|o| tsv_row("incdec", o))
+        .collect();
 
     println!("=== inc/dec ablation — NAMD, 8 nodes ===\n");
     let rows: Vec<Vec<String>> = result
@@ -96,7 +101,7 @@ fn main() {
         },
     ];
     let result = run_sweep(spec, 42, ext);
-    let _ = run_workload; // (re-exported for other bins)
+    tsv.extend(result.outcomes.iter().map(|o| tsv_row("extension", o)));
     let rows: Vec<Vec<String>> = result
         .outcomes
         .iter()
@@ -113,5 +118,26 @@ fn main() {
         "{}",
         render_table(&["policy", "speedup", "error", "stragglers"], &rows)
     );
+    let header = [
+        "table",
+        "config",
+        "speedup",
+        "error",
+        "stragglers",
+        "quanta",
+    ];
+    write_tsv("ablation_params", &header, &tsv);
     eprintln!("(ablation wall: {:.1?})", t0.elapsed());
+}
+
+/// One policy's row of `results/ablation_params.tsv`.
+fn tsv_row(table: &str, o: &ConfigOutcome) -> Vec<String> {
+    vec![
+        table.to_string(),
+        o.label.clone(),
+        format!("{:.6}", o.speedup),
+        format!("{:.6}", o.accuracy_error),
+        o.result.stragglers.count().to_string(),
+        o.result.total_quanta.to_string(),
+    ]
 }

@@ -14,7 +14,7 @@
 
 use crate::config::ClusterConfig;
 use crate::result::RunResult;
-use crate::sim::{EngineDetail, Sim};
+use crate::sim::{EngineDetail, Sim, SimError};
 use aqs_core::SyncConfig;
 use aqs_node::RegionId;
 use aqs_time::SimDuration;
@@ -90,9 +90,15 @@ pub fn app_metric(result: &RunResult, kind: MetricKind) -> AppMetric {
 /// As [`Sim::run`]: on an invalid program set or an engine error
 /// (deadlocked workload).
 pub fn run_workload(spec: &WorkloadSpec, config: &ClusterConfig) -> RunResult {
-    let report = Sim::new(spec.programs.clone()).config(config.clone()).run();
-    match report.detail {
-        EngineDetail::Deterministic(r) => *r,
+    try_run_workload(spec, config).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_workload`] for a workload from outside, such as a spec file:
+/// whatever [`Sim::try_run`] rejects is an error, not a panic.
+pub fn try_run_workload(spec: &WorkloadSpec, cfg: &ClusterConfig) -> Result<RunResult, SimError> {
+    let sim = Sim::new(spec.programs.clone()).config(cfg.clone());
+    match sim.try_run()?.detail {
+        EngineDetail::Deterministic(r) => Ok(*r),
         _ => unreachable!("`Sim` runs the deterministic engine by default"),
     }
 }

@@ -79,7 +79,8 @@ pub mod snapshot;
 
 pub use config::{BarrierCostModel, ClusterConfig};
 pub use experiment::{
-    app_metric, paper_sweep, run_workload, AppMetric, ConfigOutcome, Experiment, ExperimentResult,
+    app_metric, paper_sweep, run_workload, try_run_workload, AppMetric, ConfigOutcome, Experiment,
+    ExperimentResult,
 };
 pub use result::{NodeResult, RunResult};
 pub use sharded::ShardedRunResult;

@@ -47,8 +47,8 @@ pub(crate) struct ParallelConfig {
 }
 
 /// The shared epilogue: a run that exhausted its quantum cap is a typed
-/// error (the leader could only flag it — panicking inside the barrier would
-/// strand its peers); any other run ends when its last node does.
+/// error (the leader flags it; a panic inside the barrier would fail the
+/// run instead); any other run ends when its last node does.
 pub(crate) fn finish_run(
     overflowed: bool,
     engine: EngineKind,

@@ -651,23 +651,14 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         .collect();
     shards.push(programs);
     shards.reverse();
-    let joined: Result<Vec<WorkerOutput>, SimError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .zip(&ranges)
-            .enumerate()
-            .map(|(w, (shard, range))| {
-                let shared = &shared;
-                scope.spawn(move || worker_thread(w, range.start, shard, resume, config, shared))
-            })
-            .collect();
-        // Shard order, so the error kept is the lowest failing node's.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+    let bodies = shards.into_iter().zip(&ranges).enumerate();
+    let bodies = bodies.map(|(w, (shard, range))| {
+        let shared = &shared;
+        move || worker_thread(w, range.start, shard, resume, config, shared)
     });
-    let joined = joined?;
+    // Shard order, so the error kept is the lowest failing node's.
+    let joined = shared.barrier.run_participants(bodies.collect());
+    let joined = joined.into_iter().collect::<Result<Vec<_>, _>>()?;
     let wall = start.elapsed();
     // Shards are contiguous and joined in shard order, so flattening yields
     // rank order; the straggler merge is deterministic for the same reason.

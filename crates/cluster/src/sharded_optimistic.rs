@@ -517,12 +517,11 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         start: Instant::now(),
         barrier: TreeBarrier::new(m, leader),
     };
-    std::thread::scope(|scope| {
-        for w in 0..m {
-            let shared = &shared;
-            scope.spawn(move || worker_thread(w, config, shared));
-        }
+    let bodies = (0..m).map(|w| {
+        let shared = &shared;
+        move || worker_thread(w, config, shared)
     });
+    shared.barrier.run_participants(bodies.collect());
     let leader = shared.barrier.into_state();
     let mut result = leader.out;
     result.wall = shared.start.elapsed();
@@ -856,7 +855,7 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
         .saturating_mul(u64::from(shared.opts.cascade_bound) + 2)
         .saturating_add(8);
     if leader.repeat_rounds > guard {
-        // Cannot panic while peers wait on the barrier — flag and stop.
+        // A typed error, not a panic: flag and stop.
         shared.overflow.store(true, Ordering::Relaxed);
         shared.control.store(CTRL_STOP, Ordering::Relaxed);
     } else {
@@ -999,7 +998,7 @@ fn commit_window<R: Recorder>(
     match leader.clock.advance(all_done, routed) {
         Advance::Next => {}
         stop => {
-            // Cannot panic while peers wait on the barrier — flag and stop.
+            // A typed error, not a panic: flag and stop.
             let overflowed = matches!(stop, Advance::CapExceeded);
             shared.overflow.store(overflowed, Ordering::Relaxed);
             shared.control.store(CTRL_STOP, Ordering::Relaxed);

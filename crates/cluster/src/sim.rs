@@ -75,7 +75,7 @@ use crate::snapshot::{SimSnapshot, SnapshotBody};
 use aqs_core::SyncConfig;
 pub use aqs_net::SimSwitch;
 use aqs_net::{ChaosConfig, ChaosOverlay, NetError, NetworkController, StragglerStats};
-use aqs_node::Program;
+use aqs_node::{Op, Program, SendTarget};
 use aqs_obs::{FlightRecorder, NullRecorder, ObsConfig, Recorder};
 use aqs_time::{HostDuration, SimTime};
 use std::fmt;
@@ -197,6 +197,17 @@ pub enum SimError {
     /// [`Sim::host_work_per_op`] was given a negative or non-finite factor
     /// (carried as text).
     InvalidHostWork(String),
+    /// An op no engine can run: a send to a rank outside the cluster or to
+    /// the sender itself, or a timed region ended before it started or
+    /// started again while open.
+    InvalidOp {
+        /// The rank whose program holds the op.
+        rank: usize,
+        /// The op's index in that program.
+        op: usize,
+        /// What is wrong with it.
+        detail: String,
+    },
     /// A scenario file could not be parsed (see the `aqs-scenario` crate).
     ScenarioParse {
         /// Path of the scenario file.
@@ -308,6 +319,44 @@ impl From<NetError> for SimError {
     }
 }
 
+/// The program half of [`Sim::validate`], in one pass over the ops: program
+/// *i* is for rank *i*, each send names another rank of the cluster, and
+/// each timed region ends after it starts and starts only while closed.
+fn check_programs(programs: &[Program]) -> Result<(), SimError> {
+    let n = programs.len();
+    let mut open = Vec::new();
+    for (rank, program) in programs.iter().enumerate() {
+        if program.rank().index() != rank {
+            let (index, rank) = (rank, program.rank().as_u32());
+            return Err(SimError::RankMismatch { index, rank });
+        }
+        open.clear();
+        for (op, o) in program.ops().iter().enumerate() {
+            let detail = match *o {
+                Op::Send {
+                    dst: SendTarget::Rank(d),
+                    ..
+                } if d.index() >= n || d.index() == rank => {
+                    format!("sends to {d}, not to another of the cluster's {n} ranks")
+                }
+                Op::RegionStart(r) if open.contains(&r) => format!("starts {r} while it is open"),
+                Op::RegionEnd(r) if !open.contains(&r) => format!("ends {r} before it starts"),
+                Op::RegionStart(r) => {
+                    open.push(r);
+                    continue;
+                }
+                Op::RegionEnd(r) => {
+                    open.retain(|&x| x != r);
+                    continue;
+                }
+                _ => continue,
+            };
+            return Err(SimError::InvalidOp { rank, op, detail });
+        }
+    }
+    Ok(())
+}
+
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -318,6 +367,7 @@ impl fmt::Display for SimError {
                 write!(f, "program {index} is for rank {rank}, want rank {index}")
             }
             SimError::ZeroShards => write!(f, "a sharded run needs at least one worker"),
+            SimError::InvalidOp { rank, op, detail } => write!(f, "rank {rank}'s op {op} {detail}"),
             SimError::UnsupportedSwitch {
                 engine,
                 switch,
@@ -732,10 +782,10 @@ impl Sim {
     /// # Panics
     ///
     /// Panics with a [`SimError`]'s message on any configuration error
-    /// (fewer than two programs, program *i* not for rank *i*, zero shards,
-    /// an invalid host-work factor, an engine/switch combination the engine
-    /// does not support), or on the engine's own failure modes (deadlock,
-    /// quantum-cap overflow).
+    /// (fewer than two programs, program *i* not for rank *i*, an op no
+    /// engine can run, zero shards, an invalid host-work factor, an
+    /// engine/switch combination the engine does not support), or on the
+    /// engine's own failure modes (deadlock, quantum-cap overflow).
     pub fn run(self) -> RunReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -801,14 +851,6 @@ impl Sim {
     /// returns what the network half of the checks builds anyway: the run's
     /// one [`NetworkController`].
     fn validate(&self) -> Result<NetworkController, SimError> {
-        for (i, p) in self.programs.iter().enumerate() {
-            if p.rank().index() != i {
-                return Err(SimError::RankMismatch {
-                    index: i,
-                    rank: p.rank().as_u32(),
-                });
-            }
-        }
         if self.shards == Some(0) {
             return Err(SimError::ZeroShards);
         }
@@ -818,7 +860,9 @@ impl Sim {
         let chaos = self.chaos.map(ChaosOverlay::new).transpose();
         let chaos = chaos.map_err(SimError::InvalidChaos)?;
         let (n, nic) = (self.programs.len(), self.config.nic);
-        Ok(NetworkController::new(n, nic, &self.switch, chaos)?)
+        let net = NetworkController::new(n, nic, &self.switch, chaos)?;
+        check_programs(&self.programs)?;
+        Ok(net)
     }
 
     /// [`Sim::validate`] for the snapshot entry points, which a stateful

@@ -122,6 +122,20 @@ impl AdaptiveConfig {
     }
 }
 
+/// Algorithm 1's brake test, as what lets a quantum grow. The ablations probe
+/// §7's "broader kind of adaptive techniques" with two more: is the paper's
+/// hair-trigger necessary, does smoothing help or merely delay the brake?
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+enum Brake {
+    /// Grow while `np == 0`.
+    AnyPacket,
+    /// Grow while `np <= threshold`.
+    Above(u64),
+    /// Grow while `signal < 0.5`, where `signal ← α·np + (1−α)·signal`
+    /// starts at 0.
+    Ewma { alpha: f64, signal: f64 },
+}
+
 /// The paper's Algorithm 1 — "driving over speed bumps".
 ///
 /// State machine, verbatim from the paper:
@@ -135,7 +149,9 @@ impl AdaptiveConfig {
 /// ```
 ///
 /// where `np` is the number of network packets the controller routed during
-/// the quantum that just ended.
+/// the quantum that just ended. [`with_threshold`](Self::with_threshold)
+/// and [`with_ewma`](Self::with_ewma) change only the brake test
+/// (`np == 0`); the grow, shrink and clamp step is the same for all three.
 ///
 /// # Examples
 ///
@@ -143,13 +159,23 @@ impl AdaptiveConfig {
 /// use aqs_core::{AdaptiveConfig, AdaptiveQuantum, QuantumPolicy};
 /// use aqs_time::SimDuration;
 ///
-/// let mut p = AdaptiveQuantum::new(AdaptiveConfig::paper_dyn1());
+/// let cfg = AdaptiveConfig::paper_dyn1();
+/// let mut p = AdaptiveQuantum::new(cfg);
 /// assert_eq!(p.next_quantum(0), SimDuration::from_nanos(1030)); // ×1.03
 /// assert_eq!(p.next_quantum(4), SimDuration::from_micros(1));   // ×0.02, clamped
+///
+/// // Tolerating two packets, the quantum still grows on two:
+/// let mut t = AdaptiveQuantum::with_threshold(cfg, 2);
+/// assert_eq!(t.next_quantum(2), SimDuration::from_nanos(1030));
+/// // Smoothed with weight ½, a burst of 10 keeps braking once it is over:
+/// let mut e = AdaptiveQuantum::with_ewma(cfg, 0.5);
+/// e.next_quantum(10);
+/// assert_eq!(e.next_quantum(0), SimDuration::from_micros(1));
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveQuantum {
     config: AdaptiveConfig,
+    brake: Brake,
     /// Current quantum in (exact) nanoseconds as `f64`, so repeated small
     /// multiplications don't quantize to nothing; public reads round.
     current_ns: f64,
@@ -158,10 +184,37 @@ pub struct AdaptiveQuantum {
 }
 
 impl AdaptiveQuantum {
-    /// Creates the policy at its floor quantum.
+    /// Creates the paper's policy at its floor quantum.
     pub fn new(config: AdaptiveConfig) -> Self {
+        Self::with_brake(config, Brake::AnyPacket)
+    }
+
+    /// Algorithm 1 with a tolerance: brakes only when `np > threshold`
+    /// (ablation). Labelled `thr<threshold> inc:dec`.
+    pub fn with_threshold(config: AdaptiveConfig, threshold: u64) -> Self {
+        Self::with_brake(config, Brake::Above(threshold))
+    }
+
+    /// Algorithm 1 on an exponentially weighted moving average of `np`
+    /// (ablation): `s ← α·np + (1−α)·s` brakes once `s ≥ 0.5`. Large `α`
+    /// approaches the paper's behaviour; small `α` keeps the quantum low
+    /// long after a burst. Labelled `ewma<α> inc:dec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is outside `(0, 1]`.
+    pub fn with_ewma(config: AdaptiveConfig, alpha: f64) -> Self {
+        assert!(
+            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
+            "alpha must be in (0, 1], got {alpha}"
+        );
+        Self::with_brake(config, Brake::Ewma { alpha, signal: 0.0 })
+    }
+
+    fn with_brake(config: AdaptiveConfig, brake: Brake) -> Self {
         Self {
             config,
+            brake,
             current_ns: config.min_quantum.as_nanos() as f64,
             quiet_streak: 0,
             shrink_count: 0,
@@ -188,7 +241,7 @@ impl AdaptiveQuantum {
         SimDuration::from_nanos(self.current_ns.round() as u64)
     }
 
-    /// How many consecutive packet-free quanta the policy has seen.
+    /// How many consecutive quiet quanta the policy has seen.
     pub fn quiet_streak(&self) -> u64 {
         self.quiet_streak
     }
@@ -222,12 +275,18 @@ impl QuantumPolicy for AdaptiveQuantum {
     }
 
     fn next_quantum(&mut self, np: u64) -> SimDuration {
-        #[allow(unused_mut)]
-        let mut quiet = np == 0;
+        // The off-by-one fault undercounts by one: every brake lets a
+        // quantum with one packet too many grow.
         #[cfg(feature = "fault-inject")]
-        if crate::fault::armed(crate::fault::Fault::ShrinkOffByOne) {
-            quiet = np <= 1;
-        }
+        let np = np.saturating_sub(crate::fault::armed(crate::fault::Fault::ShrinkOffByOne).into());
+        let quiet = match &mut self.brake {
+            Brake::AnyPacket => np == 0,
+            Brake::Above(threshold) => np <= *threshold,
+            Brake::Ewma { alpha, signal } => {
+                *signal = *alpha * np as f64 + (1.0 - *alpha) * *signal;
+                *signal < 0.5
+            }
+        };
         if quiet {
             self.quiet_streak += 1;
             self.current_ns *= self.config.inc;
@@ -241,33 +300,43 @@ impl QuantumPolicy for AdaptiveQuantum {
     }
 
     fn label(&self) -> String {
-        format!("dyn {:.2}:{:.2}", self.config.inc, self.config.dec)
+        let brake = match self.brake {
+            Brake::AnyPacket => "dyn".to_string(),
+            Brake::Above(threshold) => format!("thr{threshold}"),
+            Brake::Ewma { alpha, .. } => format!("ewma{alpha:.2}"),
+        };
+        format!("{brake} {:.2}:{:.2}", self.config.inc, self.config.dec)
     }
 
-    fn reset(&mut self) {
-        self.current_ns = self.config.min_quantum.as_nanos() as f64;
-        self.quiet_streak = 0;
-        self.shrink_count = 0;
-    }
-
+    /// Three words — the quantum's bits, the quiet streak, the shrink
+    /// count — and the EWMA brake's signal bits as a fourth.
     fn save_state(&self) -> Vec<u64> {
-        vec![
+        let mut words = vec![
             self.current_ns.to_bits(),
             self.quiet_streak,
             self.shrink_count,
-        ]
+        ];
+        if let Brake::Ewma { signal, .. } = self.brake {
+            words.push(signal.to_bits());
+        }
+        words
     }
 
     fn load_state(&mut self, state: &[u64]) -> Result<(), String> {
-        let [current, quiet, shrinks] = state else {
+        let want = self.save_state().len();
+        if state.len() != want {
             return Err(format!(
-                "adaptive policy expects 3 state words, got {}",
+                "adaptive policy `{}` expects {want} state words, got {}",
+                self.label(),
                 state.len()
             ));
-        };
-        self.current_ns = f64::from_bits(*current);
-        self.quiet_streak = *quiet;
-        self.shrink_count = *shrinks;
+        }
+        self.current_ns = f64::from_bits(state[0]);
+        self.quiet_streak = state[1];
+        self.shrink_count = state[2];
+        if let Brake::Ewma { signal, .. } = &mut self.brake {
+            *signal = f64::from_bits(state[3]);
+        }
         Ok(())
     }
 }
@@ -339,18 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_floor() {
-        let mut p = AdaptiveQuantum::paper_dyn1();
-        for _ in 0..50 {
-            p.next_quantum(0);
-        }
-        p.reset();
-        assert_eq!(p.current(), SimDuration::from_micros(1));
-        assert_eq!(p.quiet_streak(), 0);
-        assert_eq!(p.shrink_count(), 0);
-    }
-
-    #[test]
     fn quanta_to_ceiling_matches_growth() {
         let cfg = AdaptiveConfig::paper_dyn1();
         let mut p = AdaptiveQuantum::new(cfg);
@@ -377,9 +434,88 @@ mod tests {
     }
 
     #[test]
-    fn label_mentions_both_factors() {
-        assert_eq!(AdaptiveQuantum::paper_dyn1().label(), "dyn 1.03:0.02");
-        assert_eq!(AdaptiveQuantum::paper_dyn2().label(), "dyn 1.05:0.02");
+    fn labels_name_the_brake_and_both_factors() {
+        let cfg = AdaptiveConfig::paper_dyn1();
+        for (policy, label) in [
+            (AdaptiveQuantum::paper_dyn1(), "dyn 1.03:0.02"),
+            (AdaptiveQuantum::paper_dyn2(), "dyn 1.05:0.02"),
+            (AdaptiveQuantum::with_threshold(cfg, 3), "thr3 1.03:0.02"),
+            (AdaptiveQuantum::with_ewma(cfg, 0.5), "ewma0.50 1.03:0.02"),
+            (AdaptiveQuantum::with_ewma(cfg, 0.125), "ewma0.12 1.03:0.02"),
+        ] {
+            assert_eq!(policy.label(), label);
+        }
+    }
+
+    /// The EWMA brake's smoothed packet count.
+    fn signal(p: &AdaptiveQuantum) -> f64 {
+        match p.brake {
+            Brake::Ewma { signal, .. } => signal,
+            _ => panic!("{} has no smoothed signal", p.label()),
+        }
+    }
+
+    #[test]
+    fn threshold_tolerates_light_traffic() {
+        let cfg = AdaptiveConfig::paper_dyn1();
+        for threshold in [1, 5] {
+            let mut p = AdaptiveQuantum::with_threshold(cfg, threshold);
+            let q1 = p.next_quantum(threshold);
+            let q2 = p.next_quantum(threshold);
+            assert!(q2 > q1, "np = {threshold} must not brake");
+            assert_eq!(p.shrink_count(), 0);
+            assert!(p.next_quantum(threshold + 1) < q2);
+        }
+    }
+
+    #[test]
+    fn ewma_decays_after_burst() {
+        let mut p = AdaptiveQuantum::with_ewma(AdaptiveConfig::paper_dyn1(), 0.25);
+        p.next_quantum(100);
+        let high = signal(&p);
+        for _ in 0..20 {
+            p.next_quantum(0);
+        }
+        assert!(signal(&p) < high * 0.01);
+    }
+
+    #[test]
+    fn ewma_alpha_one_tracks_np() {
+        let mut p = AdaptiveQuantum::with_ewma(AdaptiveConfig::paper_dyn1(), 1.0);
+        p.next_quantum(7);
+        assert!((signal(&p) - 7.0).abs() < 1e-12);
+        p.next_quantum(0);
+        assert!(signal(&p).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_brake_stays_in_bounds() {
+        let cfg = AdaptiveConfig::paper_dyn1();
+        for mut p in [
+            AdaptiveQuantum::new(cfg),
+            AdaptiveQuantum::with_threshold(cfg, 4),
+            AdaptiveQuantum::with_ewma(cfg, 0.5),
+        ] {
+            for i in 0..5000u64 {
+                let q = p.next_quantum(i % 11);
+                assert!(
+                    q >= cfg.min_quantum && q <= cfg.max_quantum,
+                    "{}",
+                    p.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_alpha_rejected() {
+        let cfg = AdaptiveConfig::paper_dyn1();
+        for alpha in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| AdaptiveQuantum::with_ewma(cfg, alpha));
+            let payload = built.expect_err("alpha outside (0, 1] must panic");
+            let message = payload.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains("alpha must be in (0, 1]"), "{message}");
+        }
     }
 
     #[test]
@@ -421,6 +557,23 @@ mod tests {
                     prop_assert!(q <= prev, "busy quantum must not grow");
                 }
                 prev = q;
+            }
+        }
+
+        /// A zero threshold and a weight-one EWMA are the paper's brake:
+        /// every quantum comes out bit for bit the same.
+        #[test]
+        fn paper_settings_of_every_brake_are_algorithm_1(
+            nps in prop::collection::vec(0u64..20, 0..501),
+        ) {
+            let cfg = AdaptiveConfig::paper_dyn2();
+            let mut paper = AdaptiveQuantum::new(cfg);
+            let mut threshold = AdaptiveQuantum::with_threshold(cfg, 0);
+            let mut ewma = AdaptiveQuantum::with_ewma(cfg, 1.0);
+            for np in nps {
+                let q = paper.next_quantum(np);
+                prop_assert_eq!(threshold.next_quantum(np), q);
+                prop_assert_eq!(ewma.next_quantum(np), q);
             }
         }
     }

@@ -20,9 +20,9 @@ pub enum Fault {
     /// The lower clamp bottoms out at `min_quantum / 2` — breaks the bounds
     /// invariant from below once traffic shrinks the quantum to the floor.
     QuantumClampLow = 2,
-    /// The grow/shrink test reads `np <= 1` instead of `np == 0`, so a
-    /// quantum that saw exactly one packet *grows* — breaks the paper's
-    /// shrink-on-packet direction invariant.
+    /// Every brake sees one packet fewer than the quantum routed (the paper's
+    /// reads `np <= 1`, not `np == 0`), so a one-packet quantum *grows* —
+    /// breaks the paper's shrink-on-packet direction invariant.
     ShrinkOffByOne = 3,
 }
 

@@ -67,8 +67,6 @@ impl QuantumPolicy for FixedQuantum {
             format!("{us}")
         }
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -82,8 +80,6 @@ mod tests {
         for np in [0, 1, 1000] {
             assert_eq!(p.next_quantum(np), SimDuration::from_micros(10));
         }
-        p.reset();
-        assert_eq!(p.next_quantum(5), SimDuration::from_micros(10));
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! factor (`dec ≈ 1/√(maxQ/minQ)`, so the floor is reached in 2–3 quanta)
 //! whenever packets appear — "driving over speed bumps".
 //!
-//! [`FixedQuantum`] provides the baselines the paper compares against, and
-//! [`ThresholdAdaptive`] / [`EwmaAdaptive`] are the natural extensions used
-//! by this repository's ablation benchmarks.
+//! [`FixedQuantum`] provides the baselines the paper compares against. The
+//! natural extensions this repository's ablation benchmarks use change only
+//! Algorithm 1's brake test, so they are settings of the same type:
+//! [`AdaptiveQuantum::with_threshold`] tolerates a few packets per quantum,
+//! [`AdaptiveQuantum::with_ewma`] brakes on a smoothed packet count.
 //!
 //! # Examples
 //!
@@ -47,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-mod ext;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod fixed;
@@ -55,7 +56,6 @@ mod policy;
 mod predictive;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveQuantum};
-pub use ext::{EwmaAdaptive, ThresholdAdaptive};
 pub use fixed::FixedQuantum;
 pub use policy::{QuantumPolicy, SyncConfig};
 pub use predictive::{PredictiveConfig, PredictiveQuantum};

@@ -1,7 +1,6 @@
 //! The policy trait and the serializable configuration enum.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveQuantum};
-use crate::ext::{EwmaAdaptive, ThresholdAdaptive};
 use crate::fixed::FixedQuantum;
 use crate::predictive::{PredictiveConfig, PredictiveQuantum};
 use aqs_time::SimDuration;
@@ -29,10 +28,6 @@ pub trait QuantumPolicy: fmt::Debug + Send {
     /// 100 µs quantum, `"dyn 1.03:0.02"` for the paper's first adaptive
     /// configuration).
     fn label(&self) -> String;
-
-    /// Restores the initial state, so one policy value can drive several
-    /// runs.
-    fn reset(&mut self);
 
     /// Serializes the policy's mutable state as opaque words, for a
     /// quantum-edge snapshot. Floating-point state is encoded via
@@ -81,14 +76,16 @@ pub enum SyncConfig {
     Fixed(SimDuration),
     /// The paper's Algorithm 1.
     Adaptive(AdaptiveConfig),
-    /// Shrink only when `np` exceeds a threshold (ablation).
+    /// Algorithm 1 braking only when `np` exceeds a threshold (ablation;
+    /// [`AdaptiveQuantum::with_threshold`]).
     Threshold {
         /// Underlying adaptive parameters.
         config: AdaptiveConfig,
         /// Minimum packet count that triggers a shrink.
         threshold: u64,
     },
-    /// EWMA-smoothed packet signal (ablation).
+    /// Algorithm 1 braking on an EWMA-smoothed packet signal (ablation;
+    /// [`AdaptiveQuantum::with_ewma`]).
     Ewma {
         /// Underlying adaptive parameters.
         config: AdaptiveConfig,
@@ -128,9 +125,11 @@ impl SyncConfig {
             SyncConfig::Fixed(q) => Box::new(FixedQuantum::new(*q)),
             SyncConfig::Adaptive(cfg) => Box::new(AdaptiveQuantum::new(*cfg)),
             SyncConfig::Threshold { config, threshold } => {
-                Box::new(ThresholdAdaptive::new(*config, *threshold))
+                Box::new(AdaptiveQuantum::with_threshold(*config, *threshold))
             }
-            SyncConfig::Ewma { config, alpha } => Box::new(EwmaAdaptive::new(*config, *alpha)),
+            SyncConfig::Ewma { config, alpha } => {
+                Box::new(AdaptiveQuantum::with_ewma(*config, *alpha))
+            }
             SyncConfig::Predictive(cfg) => Box::new(PredictiveQuantum::new(*cfg)),
         }
     }
@@ -322,6 +321,12 @@ mod tests {
                 config: AdaptiveConfig::paper_dyn2(),
                 alpha: 0.5,
             },
+            // A slow EWMA is still braking on the burst before the cut, so
+            // the resumed run must carry its fourth word, the signal.
+            SyncConfig::Ewma {
+                config: AdaptiveConfig::paper_dyn1(),
+                alpha: 0.125,
+            },
             SyncConfig::Predictive(PredictiveConfig::default_1_1000()),
         ];
         let traffic: Vec<u64> = (0..40).map(|i| [0, 0, 3, 0, 0, 0, 7, 0][i % 8]).collect();
@@ -346,11 +351,34 @@ mod tests {
 
     #[test]
     fn wrong_state_word_count_is_rejected() {
-        let mut p = SyncConfig::paper_dyn1().build();
-        assert!(p.load_state(&[1, 2]).is_err());
-        let mut f = SyncConfig::fixed_micros(1).build();
-        assert!(f.load_state(&[1]).is_err());
-        assert!(f.load_state(&[]).is_ok());
+        // (policy, its state word count): the EWMA brake adds its signal to
+        // the three words every adaptive brake saves.
+        let cases = [
+            (SyncConfig::fixed_micros(1), 0),
+            (SyncConfig::paper_dyn1(), 3),
+            (
+                SyncConfig::Threshold {
+                    config: AdaptiveConfig::paper_dyn1(),
+                    threshold: 2,
+                },
+                3,
+            ),
+            (
+                SyncConfig::Ewma {
+                    config: AdaptiveConfig::paper_dyn1(),
+                    alpha: 0.5,
+                },
+                4,
+            ),
+        ];
+        for (cfg, words) in cases {
+            let mut p = cfg.build();
+            assert_eq!(p.save_state().len(), words, "{cfg}");
+            for len in 0..6 {
+                let loaded = p.load_state(&vec![1; len]);
+                assert_eq!(loaded.is_ok(), len == words, "{cfg} given {len} words");
+            }
+        }
     }
 
     #[test]

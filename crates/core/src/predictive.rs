@@ -180,13 +180,6 @@ impl QuantumPolicy for PredictiveQuantum {
         format!("pred {:.2}:{:.2}", self.config.safety, self.config.alpha)
     }
 
-    fn reset(&mut self) {
-        self.current_ns = self.config.min_quantum.as_nanos() as f64;
-        self.predicted_gap_ns = None;
-        self.open_gap_ns = 0.0;
-        self.in_gap = false;
-    }
-
     fn save_state(&self) -> Vec<u64> {
         vec![
             self.current_ns.to_bits(),
@@ -296,19 +289,6 @@ mod tests {
             long.as_nanos() as f64 > short.as_nanos() as f64 * 1.5,
             "prediction failed to adapt: {short} → {long}"
         );
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut p = PredictiveQuantum::new(cfg());
-        p.next_quantum(1);
-        for _ in 0..100 {
-            p.next_quantum(0);
-        }
-        p.next_quantum(1);
-        assert!(p.predicted_gap().is_some());
-        p.reset();
-        assert_eq!(p.predicted_gap(), None);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!
 //! Every call is behind [`Recorder::ENABLED`], so what a hook costs when
 //! nobody listens is nothing.
+//!
+//! On the pool engines every hook runs in the barrier leader's exclusive
+//! section: [`Recorder`] says what a slow or panicking hook does there.
 
 use aqs_time::{SimDuration, SimTime};
 
@@ -70,6 +73,14 @@ pub struct QuantumObs<'a> {
 /// guarded by [`Recorder::ENABLED`], so a [`NullRecorder`] run
 /// monomorphizes to the exact unrecorded hot path — disabled telemetry
 /// costs nothing.
+///
+/// On the worker-pool engines every hook runs inside the barrier leader's
+/// exclusive section while every other worker waits: a slow hook stalls the
+/// whole pool, and a hook that panics fails the run with its own panic once
+/// the barrier has released the others. [`record_packet`](Self::record_packet)
+/// stays oracle-only: the pools route copies on the workers, concurrently,
+/// and a call per copy into the leader's `&mut` recorder would put a lock on
+/// the packet path, which `Sim::record` promises not to do.
 pub trait Recorder: Send + 'static {
     /// Whether this recorder captures anything. Engines skip assembling
     /// [`QuantumObs`] (and the per-thread signal publication feeding it)

@@ -393,6 +393,28 @@ impl ArrivalTimes<'_> {
     }
 }
 
+/// The epoch bit a panic sets: it wakes every waiter, and it stays, so they
+/// and every later arrival unwind (with a `PeerPanicked` payload).
+const POISONED: u64 = 1 << 63;
+
+struct PeerPanicked;
+
+/// Sets [`POISONED`] when dropped, i.e. when the code it guards unwinds.
+struct PoisonOnUnwind<'a>(&'a AtomicU64);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_or(POISONED, Ordering::Release);
+    }
+}
+
+/// Unwinds quietly (no panic hook: the peer already reported) if poisoned.
+fn unwind_if_poisoned(epoch: u64) {
+    if epoch & POISONED != 0 {
+        std::panic::resume_unwind(Box::new(PeerPanicked));
+    }
+}
+
 /// Hierarchical two-level epoch barrier with a leader phase.
 ///
 /// All `n` participants call [`arrive`](TreeBarrier::arrive) once per round.
@@ -457,7 +479,40 @@ impl<S> TreeBarrier<S> {
 
     /// Current epoch (rounds completed).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.epoch.load(Ordering::Acquire) & !POISONED
+    }
+
+    /// Runs one body per participant, each on a scoped thread, and returns
+    /// their results in order. A body that panics — before, between or
+    /// inside its arrivals — poisons the barrier, so the others unwind
+    /// instead of waiting for it, and its own payload is re-raised here.
+    pub fn run_participants<T: Send, F: FnOnce() -> T + Send>(&self, bodies: Vec<F>) -> Vec<T>
+    where
+        S: Send,
+    {
+        assert_eq!(bodies.len(), self.n, "one body per participant");
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let spawn = |body: F| scope.spawn(|| self.poison_on_unwind(body));
+            let handles: Vec<_> = bodies.into_iter().map(spawn).collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut out = Vec::with_capacity(self.n);
+        for result in joined {
+            match result {
+                Ok(value) => out.push(value),
+                Err(payload) if payload.is::<PeerPanicked>() => {}
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    }
+
+    /// Runs `f`, poisoning the barrier if it unwinds.
+    fn poison_on_unwind<R>(&self, f: impl FnOnce() -> R) -> R {
+        let guard = PoisonOnUnwind(&self.epoch);
+        let out = f();
+        std::mem::forget(guard);
+        out
     }
 
     /// Consumes the barrier and returns the leader state (also after a
@@ -511,12 +566,13 @@ impl<S> TreeBarrier<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `id >= n`.
+    /// Panics if `id >= n`, and unwinds if a panic poisoned the barrier.
     pub fn arrive<F: FnOnce(&mut S)>(&self, id: usize, leader: F) -> bool {
         assert!(id < self.n, "participant id out of range");
         #[cfg(feature = "schedule-fuzz")]
         fuzz::jitter();
         let epoch = self.epoch.load(Ordering::Acquire);
+        unwind_if_poisoned(epoch);
         let g = id / self.group_size;
         // AcqRel at both levels: a group's last arriver acquires every group
         // member's prior writes through the group counter's RMW chain and
@@ -529,8 +585,11 @@ impl<S> TreeBarrier<S> {
             // We are the last root arriver of this epoch: every other
             // participant is parked before the epoch check, so the lock is
             // free. A poisoned lock only means an earlier leader closure
-            // panicked; the state is still the one it left.
-            leader(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()));
+            // panicked; the state is still the one it left. If this one
+            // panics, poisoning the barrier releases the rest.
+            self.poison_on_unwind(|| {
+                leader(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()))
+            });
             // Reset before the epoch bump: waiters re-enter arrive() only
             // after observing the new epoch, which orders these stores first.
             for c in &self.group_counts {
@@ -545,6 +604,7 @@ impl<S> TreeBarrier<S> {
             // spinning would stall the leader for a whole timeslice. The
             // budget is tunable via AQS_SPIN_BUDGET (see `spin_budget`).
             spin_wait_for_epoch(&self.epoch, epoch);
+            unwind_if_poisoned(self.epoch.load(Ordering::Acquire));
             false
         }
     }
@@ -787,6 +847,38 @@ mod tests {
         }));
         assert!(panicked.is_err());
         assert_eq!(barrier.into_state(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_participant_panicking_before_it_arrives_releases_the_others() {
+        for (threads, group) in [(2, 2), (3, 2), (5, 2)] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            thread::spawn(move || {
+                let barrier = TreeBarrier::with_group_size(threads, group, 0u32);
+                let bodies = (0..threads).map(|id| {
+                    let barrier = &barrier;
+                    move || {
+                        barrier.arrive(id, |rounds| *rounds += 1);
+                        assert_ne!(id, threads - 1, "the last participant fails");
+                        barrier.arrive(id, |rounds| *rounds += 1);
+                    }
+                });
+                let bodies: Vec<_> = bodies.collect();
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    barrier.run_participants(bodies)
+                }));
+                let _ = tx.send((run.map(drop), barrier.into_state()));
+            });
+            let (run, rounds) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("the waiting participants were stranded");
+            let payload = run.expect_err("the panic is re-raised");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the original payload");
+            assert!(message.contains("the last participant fails"), "{message}");
+            assert_eq!(rounds, 1, "the second round never completed");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Reproduction pin (ROADMAP 4(d)): regenerate the figure data and compare it
-# byte for byte with the checked-in results/*.tsv.
+# Reproduction pin (ROADMAP 4(d)): regenerate the figure and ablation data
+# and compare it byte for byte with the checked-in results/*.tsv.
 #
-# The four figure binaries run from a temporary working directory (write_tsv
+# The four figure binaries and ablation_params (every policy kind, the
+# threshold and EWMA brakes included) run from a temporary working directory (write_tsv
 # writes results/ relative to the cwd), so the checked-in files are never
 # overwritten. Any difference fails with the first differing line. Files the
 # binaries write that are not checked in (fig9's two large traffic dumps) are
@@ -14,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ROOT="$PWD"
-BINS=(fig6_nas fig7_namd fig8_pareto fig9_scaleout)
+BINS=(fig6_nas fig7_namd fig8_pareto fig9_scaleout ablation_params)
 for bin in "${BINS[@]}"; do
     if [ ! -x "$ROOT/target/release/$bin" ]; then
         echo "check_results: target/release/$bin missing (cargo build --release -p aqs-bench --bins)" >&2

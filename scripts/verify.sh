@@ -109,10 +109,10 @@ echo "==> pool ratio smoke: m=2 / m=1 wall per engine"
 echo "==> job-server smoke gate: panic/deadline/quota envelope + SIGKILL resume"
 ./scripts/serve_smoke.sh 127.0.0.1:17171 serve-smoke-artifacts
 
-# The four figure binaries regenerate results/*.tsv in a temporary directory;
-# every checked-in file must come back byte for byte (the modelled host clock
-# is deterministic, so any difference is a change in simulated behaviour, not
-# noise).
+# The four figure binaries and ablation_params regenerate results/*.tsv in a
+# temporary directory; every checked-in file must come back byte for byte
+# (the modelled host clock is deterministic, so any difference is a change in
+# simulated behaviour, not noise).
 echo "==> reproduction pin: regenerated figure data vs checked-in results/*.tsv"
 cargo build --release -p aqs-bench --bins
 ./scripts/check_results.sh

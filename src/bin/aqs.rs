@@ -15,7 +15,8 @@
 //! ```
 
 use aqs::cluster::{
-    app_metric, paper_sweep, run_workload, ClusterConfig, EngineKind, Experiment, Sim,
+    app_metric, paper_sweep, run_workload, try_run_workload, ClusterConfig, EngineKind, Experiment,
+    Sim,
 };
 use aqs::core::SyncConfig;
 use aqs::metrics::render_table;
@@ -259,8 +260,14 @@ fn cmd_run_spec(flags: HashMap<String, String>) {
     let (_, seed) = nodes_and_seed(&flags);
     let policy: SyncConfig = parsed(flags.get("policy").map_or("dyn1", String::as_str));
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed);
-    let truth = run_workload(&spec, &base);
-    let run = run_workload(&spec, &base.clone().with_sync(policy));
+    let simulate = |config: &ClusterConfig| {
+        try_run_workload(&spec, config).unwrap_or_else(|e| {
+            eprintln!("{file}: {e}");
+            exit(1);
+        })
+    };
+    let truth = simulate(&base);
+    let run = simulate(&base.clone().with_sync(policy));
     let m = app_metric(&run, spec.metric);
     let m0 = app_metric(&truth, spec.metric);
     println!(

@@ -7,9 +7,9 @@ use aqs::cluster::{
 };
 use aqs::core::SyncConfig;
 use aqs::net::{LatencyMatrixSwitch, StoreAndForwardSwitch};
-use aqs::node::{HostModel, SamplingModel};
+use aqs::node::{HostModel, Op, Program, Rank, RegionId, SamplingModel, SendTarget};
 use aqs::time::SimDuration;
-use aqs::workloads::{burst, ping_pong, uniform_compute, MpiBuilder};
+use aqs::workloads::{burst, ping_pong, uniform_compute, MpiBuilder, WorkloadSpec};
 use proptest::prelude::*;
 
 fn base(seed: u64) -> ClusterConfig {
@@ -382,4 +382,109 @@ fn host_clock_overflow_is_a_typed_error() {
         .unwrap_err();
     assert_eq!(err, SimError::HostClockOverflow { quanta: 0 });
     assert!(err.to_string().contains("host clock overflowed"), "{err}");
+}
+
+/// Edits of the exported ping-pong spec (`aqs export-spec --workload
+/// pingpong --nodes 2`) that a hostile `aqs run-spec` file can hold, each
+/// with the typed error it must get. Every one used to panic.
+fn crafted_specs() -> Vec<(&'static str, WorkloadSpec, SimError)> {
+    let base = ping_pong(2, 5, 64);
+    let edit = |rank: usize, change: &dyn Fn(&mut Vec<Op>)| {
+        let mut spec = base.clone();
+        let mut ops = spec.programs[rank].ops().to_vec();
+        change(&mut ops);
+        spec.programs[rank] = Program::new(Rank::new(rank as u32), ops);
+        spec
+    };
+    let send_to = |dst: u32| {
+        move |ops: &mut Vec<Op>| {
+            let Op::Send { bytes, tag, .. } = ops[1] else {
+                panic!("rank 0's op 1 is its first send");
+            };
+            let dst = SendTarget::Rank(Rank::new(dst));
+            ops[1] = Op::Send { dst, bytes, tag };
+        }
+    };
+    let invalid_op = |rank, op, detail: &str| SimError::InvalidOp {
+        rank,
+        op,
+        detail: detail.to_string(),
+    };
+    let mut wrong_rank = base.clone();
+    let ops = wrong_rank.programs[1].ops().to_vec();
+    wrong_rank.programs[1] = Program::new(Rank::new(0), ops);
+    let mut one_program = base.clone();
+    one_program.programs.truncate(1);
+    vec![
+        (
+            "send to rank 99",
+            edit(0, &send_to(99)),
+            invalid_op(
+                0,
+                1,
+                "sends to rank99, not to another of the cluster's 2 ranks",
+            ),
+        ),
+        (
+            "send to itself",
+            edit(0, &send_to(0)),
+            invalid_op(
+                0,
+                1,
+                "sends to rank0, not to another of the cluster's 2 ranks",
+            ),
+        ),
+        (
+            "program for the wrong rank",
+            wrong_rank,
+            SimError::RankMismatch { index: 1, rank: 0 },
+        ),
+        ("one program", one_program, SimError::TooFewNodes { n: 1 }),
+        (
+            "region ended before its start",
+            edit(0, &|ops| ops.insert(0, Op::RegionEnd(RegionId::new(7)))),
+            invalid_op(0, 0, "ends region7 before it starts"),
+        ),
+        (
+            "region started while open",
+            edit(1, &|ops| ops.insert(0, Op::RegionStart(RegionId::KERNEL))),
+            invalid_op(1, 1, "starts region0 while it is open"),
+        ),
+    ]
+}
+
+#[test]
+fn a_crafted_spec_is_a_typed_error_on_every_engine_and_exit_1_from_run_spec() {
+    let dir = std::env::temp_dir().join(format!("aqs-crafted-specs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (what, spec, want) in crafted_specs() {
+        for engine in [
+            EngineKind::Deterministic,
+            EngineKind::Sharded,
+            EngineKind::ShardedOptimistic,
+            EngineKind::Hybrid,
+        ] {
+            let sim = Sim::new(spec.programs.clone()).engine(engine).shards(2);
+            let outcome = std::panic::catch_unwind(|| sim.try_run().map(|r| r.sim_end));
+            let err = outcome.expect("no panic").expect_err(what);
+            assert_eq!(err, want, "{what} on {engine:?}");
+        }
+        let file = dir.join("spec.json");
+        std::fs::write(
+            &file,
+            serde_json::to_string(&spec).expect("spec serializes"),
+        )
+        .unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+            .arg("run-spec")
+            .arg("--file")
+            .arg(&file)
+            .output()
+            .expect("aqs runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.contains(&want.to_string()), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir");
 }

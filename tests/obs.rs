@@ -215,3 +215,47 @@ fn resumed_samples_are_run_absolute_on_every_engine() {
         }
     }
 }
+
+/// Fails in `record_quantum` at quantum 3 — on a worker-pool engine, inside
+/// the barrier leader's exclusive section, while every peer waits.
+struct PanicsAtQuantum3;
+
+impl Recorder for PanicsAtQuantum3 {
+    const ENABLED: bool = true;
+
+    fn record_quantum(&mut self, obs: &QuantumObs<'_>) {
+        assert_ne!(obs.index, 3, "the recorder fails at quantum 3");
+    }
+}
+
+/// A hook that panics fails the run with its own message on every engine
+/// and worker count: the peers waiting at the barrier are released, not
+/// stranded. Each run gets a helper thread and 30 s.
+#[test]
+fn a_panicking_recorder_fails_the_run_on_every_engine() {
+    let spec = burst(8, 50_000, 1024);
+    for engine in ENGINES {
+        for m in [2, 3] {
+            let programs = spec.programs.clone();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    let sim = Sim::new(programs).engine(engine).shards(m);
+                    sim.run_with_recorder(PanicsAtQuantum3).map(|_| ())
+                });
+                let _ = tx.send(run);
+            });
+            let run = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{engine:?} m={m}: no return within 30 s"));
+            let payload = run.expect_err("the recorder's panic must fail the run");
+            let message = payload
+                .downcast_ref::<String>()
+                .unwrap_or_else(|| panic!("{engine:?} m={m}: not the recorder's payload"));
+            assert!(
+                message.contains("the recorder fails at quantum 3"),
+                "{engine:?} m={m}: {message}"
+            );
+        }
+    }
+}

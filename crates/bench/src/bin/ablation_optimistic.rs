@@ -25,7 +25,7 @@ use aqs_bench::{standard_config, with_housekeeping};
 use aqs_cluster::run_workload;
 use aqs_cluster::{EngineKind, Sim};
 use aqs_core::SyncConfig;
-use aqs_metrics::render_table;
+use aqs_obs::render_table;
 use aqs_time::HostDuration;
 use aqs_workloads::{NasBench, Scale, Workload};
 use std::time::Instant;

@@ -12,7 +12,7 @@
 use aqs_bench::{run_sweep, standard_config, write_tsv};
 use aqs_cluster::{ConfigOutcome, Experiment};
 use aqs_core::{AdaptiveConfig, SyncConfig};
-use aqs_metrics::render_table;
+use aqs_obs::render_table;
 use aqs_time::SimDuration;
 use aqs_workloads::{Scale, Workload};
 use std::time::Instant;

@@ -13,8 +13,8 @@
 use aqs_bench::{standard_config, with_housekeeping};
 use aqs_cluster::{app_metric, RunResult, Sim, SimSwitch};
 use aqs_core::SyncConfig;
-use aqs_metrics::render_table;
 use aqs_net::{LatencyMatrixSwitch, StoreAndForwardSwitch};
+use aqs_obs::render_table;
 use aqs_time::SimDuration;
 use aqs_workloads::{NasBench, Scale, Workload, WorkloadSpec};
 use std::time::Instant;

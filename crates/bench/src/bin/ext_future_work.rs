@@ -16,8 +16,8 @@
 use aqs_bench::{standard_config, with_housekeeping};
 use aqs_cluster::{app_metric, run_workload, ClusterConfig, RunResult};
 use aqs_core::{PredictiveConfig, SyncConfig};
-use aqs_metrics::render_table;
 use aqs_node::SamplingModel;
+use aqs_obs::render_table;
 use aqs_workloads::{NasBench, Scale, Workload, WorkloadSpec};
 use std::time::Instant;
 

@@ -11,7 +11,7 @@
 
 use aqs_bench::{nas_aggregate, print_experiment, write_tsv};
 use aqs_cluster::paper_sweep;
-use aqs_metrics::render_bar_chart;
+use aqs_obs::render_bar_chart;
 use aqs_workloads::Scale;
 use std::time::Instant;
 

@@ -7,7 +7,7 @@
 
 use aqs_bench::{print_experiment, run_sweep, write_tsv};
 use aqs_cluster::paper_sweep;
-use aqs_metrics::render_bar_chart;
+use aqs_obs::render_bar_chart;
 use aqs_workloads::{Scale, Workload};
 use std::time::Instant;
 

@@ -10,7 +10,7 @@
 
 use aqs_bench::{nas_aggregate, run_sweep, write_tsv};
 use aqs_cluster::paper_sweep;
-use aqs_metrics::{pareto_front, render_scatter_log_y, ParetoPoint};
+use aqs_obs::{pareto_front, render_scatter_log_y, ParetoPoint};
 use aqs_workloads::{Scale, Workload};
 use std::time::Instant;
 

@@ -19,8 +19,7 @@ use aqs_bench::{
 };
 use aqs_cluster::{app_metric, ClusterConfig, EngineDetail, RunResult, Sim};
 use aqs_core::SyncConfig;
-use aqs_metrics::{render_table, render_traffic_density};
-use aqs_obs::Recorder;
+use aqs_obs::{render_table, render_traffic_density, Recorder};
 use aqs_workloads::{MetricKind, NasBench, Scale, Workload, WorkloadSpec};
 use std::time::Instant;
 

@@ -13,8 +13,8 @@
 
 use aqs_cluster::{run_workload, ClusterConfig};
 use aqs_core::SyncConfig;
-use aqs_metrics::render_table;
 use aqs_node::HostModel;
+use aqs_obs::render_table;
 use aqs_time::HostDuration;
 use aqs_workloads::Workload;
 use std::time::Instant;

@@ -2,8 +2,8 @@
 
 use aqs_cluster::{ClusterConfig, Experiment, ExperimentResult};
 use aqs_core::{AdaptiveConfig, SyncConfig};
-use aqs_metrics::{harmonic_mean, render_table};
 use aqs_node::CpuModel;
+use aqs_obs::{harmonic_mean, render_table};
 use aqs_time::{HostTime, SimDuration, SimTime};
 use aqs_workloads::{with_background_traffic, Scale, WorkloadSpec};
 
@@ -19,55 +19,23 @@ pub fn scale_arg(default: Scale) -> Scale {
     })
 }
 
-/// One row of a figure's underlying data: a configuration's accuracy error
-/// and speedup.
-#[derive(Clone, Debug)]
-pub struct FigureRow {
-    /// Configuration label.
-    pub label: String,
-    /// Accuracy error vs. ground truth (fraction).
-    pub error: f64,
-    /// Speedup vs. ground truth.
-    pub speedup: f64,
-    /// Simulated execution ratio vs. ground truth.
-    pub sim_ratio: f64,
-    /// Straggler count.
-    pub stragglers: u64,
-    /// Quanta executed.
-    pub quanta: u64,
-}
-
-/// Extracts the rows of an experiment result.
-pub fn experiment_table(r: &ExperimentResult) -> Vec<FigureRow> {
-    r.outcomes
-        .iter()
-        .map(|o| FigureRow {
-            label: o.label.clone(),
-            error: o.accuracy_error,
-            speedup: o.speedup,
-            sim_ratio: o.sim_ratio,
-            stragglers: o.result.stragglers.count(),
-            quanta: o.result.total_quanta,
-        })
-        .collect()
-}
-
 /// Prints an experiment as an aligned table.
 pub fn print_experiment(r: &ExperimentResult) {
     println!(
         "== {} — {} nodes (baseline: {} in {}, {} quanta) ==",
         r.name, r.n_nodes, r.baseline_metric, r.baseline.host_elapsed, r.baseline.total_quanta
     );
-    let rows: Vec<Vec<String>> = experiment_table(r)
-        .into_iter()
-        .map(|row| {
+    let rows: Vec<Vec<String>> = r
+        .outcomes
+        .iter()
+        .map(|o| {
             vec![
-                row.label,
-                format!("{:.1}x", row.speedup),
-                format!("{:.2}%", row.error * 100.0),
-                format!("{:.2}x", row.sim_ratio),
-                row.stragglers.to_string(),
-                row.quanta.to_string(),
+                o.label.clone(),
+                format!("{:.1}x", o.speedup),
+                format!("{:.2}%", o.accuracy_error * 100.0),
+                format!("{:.2}x", o.sim_ratio),
+                o.result.stragglers.count().to_string(),
+                o.result.total_quanta.to_string(),
             ]
         })
         .collect();
@@ -177,7 +145,7 @@ pub fn nas_aggregate(
             .map(|r| r.outcomes[c].metric.value() / r.baseline_metric.value())
             .collect();
         let hmean = harmonic_mean(&rel).expect("five benchmarks");
-        errors.push(aqs_metrics::relative_error(hmean, 1.0));
+        errors.push(aqs_obs::relative_error(hmean, 1.0));
         let host: f64 = results
             .iter()
             .map(|r| r.outcomes[c].result.host_elapsed.as_secs_f64())

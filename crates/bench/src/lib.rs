@@ -11,8 +11,7 @@ pub mod harness;
 mod record;
 
 pub use harness::{
-    dyn_config, experiment_table, nas_aggregate, print_experiment, render_log_series, run_sweep,
-    scale_arg, speedup_over_time, standard_config, with_housekeeping, write_tsv, FigureRow,
-    NasAggregate,
+    dyn_config, nas_aggregate, print_experiment, render_log_series, run_sweep, scale_arg,
+    speedup_over_time, standard_config, with_housekeeping, write_tsv, NasAggregate,
 };
 pub use record::{ProgressSeries, TrafficLog};

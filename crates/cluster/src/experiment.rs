@@ -38,9 +38,9 @@ impl AppMetric {
     /// Panics if the two metrics are of different kinds.
     pub fn error_vs(&self, baseline: &AppMetric) -> f64 {
         match (self, baseline) {
-            (AppMetric::Mops(m), AppMetric::Mops(m0)) => aqs_metrics::relative_error(*m, *m0),
+            (AppMetric::Mops(m), AppMetric::Mops(m0)) => aqs_obs::relative_error(*m, *m0),
             (AppMetric::KernelTime(t), AppMetric::KernelTime(t0)) => {
-                aqs_metrics::relative_error(t.as_nanos() as f64, t0.as_nanos() as f64)
+                aqs_obs::relative_error(t.as_nanos() as f64, t0.as_nanos() as f64)
             }
             _ => panic!("cannot compare {self:?} against {baseline:?}"),
         }
@@ -68,18 +68,26 @@ impl fmt::Display for AppMetric {
 ///
 /// # Panics
 ///
-/// Panics if the run has no closed kernel region.
+/// Panics where [`try_app_metric`] returns `None`. Every built-in workload
+/// closes a kernel region that spans simulated time.
 pub fn app_metric(result: &RunResult, kind: MetricKind) -> AppMetric {
+    try_app_metric(result, kind).expect("workload must close a kernel region that spans time")
+}
+
+/// [`app_metric`] for a workload from outside, such as a spec file: `None`
+/// when the kernel region never closes or spans zero time, where there is
+/// no rate and no duration to compare with the ground truth.
+pub fn try_app_metric(result: &RunResult, kind: MetricKind) -> Option<AppMetric> {
     let span = result
         .region_span(RegionId::KERNEL)
-        .expect("workload must close its kernel region");
-    match kind {
+        .filter(|span| !span.is_zero())?;
+    Some(match kind {
         MetricKind::Mops => {
             let mops = result.total_ops() as f64 / span.as_secs_f64() / 1e6;
             AppMetric::Mops(mops)
         }
         MetricKind::KernelTime => AppMetric::KernelTime(span),
-    }
+    })
 }
 
 /// Runs one workload under one configuration on the deterministic engine
@@ -232,6 +240,27 @@ mod tests {
         }
         let t = app_metric(&result, MetricKind::KernelTime);
         assert!(matches!(t, AppMetric::KernelTime(d) if d >= SimDuration::from_micros(900)));
+    }
+
+    #[test]
+    fn an_untimed_kernel_has_no_metric() {
+        use aqs_node::{Op, Program};
+        let spec = uniform_compute(2, 1_000, 0.0);
+        let zero_span = [
+            Op::RegionStart(RegionId::KERNEL),
+            Op::RegionEnd(RegionId::KERNEL),
+        ];
+        for kernel in [&[][..], &zero_span[..]] {
+            let mut untimed = spec.clone();
+            for p in &mut untimed.programs {
+                let is_region = |op: &&Op| matches!(op, Op::RegionStart(_) | Op::RegionEnd(_));
+                let body = p.ops().iter().filter(|op| !is_region(op));
+                *p = Program::new(p.rank(), kernel.iter().chain(body).cloned().collect());
+            }
+            let result = run_workload(&untimed, &base());
+            assert_eq!(try_app_metric(&result, MetricKind::Mops), None);
+            assert_eq!(try_app_metric(&result, MetricKind::KernelTime), None);
+        }
     }
 
     #[test]

@@ -790,13 +790,14 @@ impl Sim {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation, returning configuration errors instead of
-    /// panicking on them. This is the primary entry point — [`Sim::run`]
-    /// is `try_run().unwrap()` in convenience clothing.
+    /// Runs the simulation, returning errors instead of panicking on them.
+    /// This is the primary entry point — [`Sim::run`] is
+    /// `try_run().unwrap()` in convenience clothing.
     ///
-    /// Engine-internal failure modes (deadlock, quantum-cap overflow) still
-    /// panic: they indicate a broken *workload*, discovered mid-run, not a
-    /// rejectable configuration.
+    /// A broken workload discovered mid-run is an error too, on every
+    /// engine: a deadlock is [`SimError::Deadlock`], running past the
+    /// quantum cap is [`SimError::QuantumCapExceeded`] and an overflowing
+    /// host clock is [`SimError::HostClockOverflow`].
     ///
     /// # Examples
     ///
@@ -961,7 +962,7 @@ impl Sim {
             spec.push('\x1f');
             spec.push_str(&part);
         }
-        crate::snapshot::fnv1a(spec.as_bytes())
+        aqs_rng::fnv1a(spec.as_bytes())
     }
 
     /// Captures a snapshot of this simulation's state at the edge of
@@ -1740,6 +1741,6 @@ mod tests {
             .seed(42);
         let bytes = sim.snapshot_at(2_000).expect("capturable cut").to_bytes();
         assert_eq!(bytes.len(), 2386);
-        assert_eq!(crate::snapshot::fnv1a(&bytes), 0x8372_f761_2995_21bd);
+        assert_eq!(aqs_rng::fnv1a(&bytes), 0x8372_f761_2995_21bd);
     }
 }

@@ -42,7 +42,7 @@ use aqs_node::{
     NodeExecutor, Program, Rank, ReadyState, RegionId, RegionRecord, SendTarget, Tag,
 };
 use aqs_obs::{Log2Histogram, LOG2_BUCKETS};
-use aqs_rng::{Rng, RngState};
+use aqs_rng::{fnv1a, Rng, RngState};
 use aqs_time::{HostTime, SimDuration, SimTime};
 use std::collections::HashSet;
 
@@ -58,17 +58,6 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AQSSNAP1";
 /// decode with [`SimError::SnapshotFormat`], which the job server answers by
 /// restarting the job from quantum 0.
 pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// FNV-1a 64-bit hash (used for both the payload checksum and the spec
-/// fingerprint).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// One NIC-serialized fragment (either still queued at its sender or in
 /// host flight towards the controller).

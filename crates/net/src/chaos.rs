@@ -67,17 +67,8 @@
 //! assert_eq!(arrival, t + nic.min_latency() + SimDuration::from_nanos(a));
 //! ```
 
+use aqs_rng::mix64;
 use aqs_time::SimDuration;
-
-/// splitmix64 finalizer (same mixer the fabric uses): fast, well mixed,
-/// pure — every chaos draw is one or two of these.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Domain-separation tags so the per-feature draws are independent streams.
 const TAG_FLAP: u64 = 0x464C_4150; // "FLAP"
@@ -301,13 +292,13 @@ impl ChaosOverlay {
     /// pre-scaled threshold by the callers.
     #[inline]
     fn draw(&self, tag: u64, entity: u64, epoch: u64) -> u64 {
-        mix(mix(self.cfg.seed ^ tag).wrapping_add(entity) ^ epoch.wrapping_mul(0x9E37)) >> 11
+        mix64(mix64(self.cfg.seed ^ tag).wrapping_add(entity) ^ epoch.wrapping_mul(0x9E37)) >> 11
     }
 
     /// The static partition group of a node.
     #[inline]
     fn group(&self, node: u32) -> u32 {
-        (mix(self.cfg.seed ^ TAG_GROUP ^ node as u64) % self.cfg.partition_groups as u64) as u32
+        (mix64(self.cfg.seed ^ TAG_GROUP ^ node as u64) % self.cfg.partition_groups as u64) as u32
     }
 
     /// True when an outage (flap, pause, or partition) holds `src → dst`
@@ -354,7 +345,7 @@ impl ChaosOverlay {
         // Loss: geometric retransmit chain, capped.
         if self.loss_thr > 0 {
             let flow = ((src as u64) << 32) | dst as u64;
-            let pkt = mix(flow ^ departure_nanos.wrapping_mul(0xB529_7A4D)) ^ bytes as u64;
+            let pkt = mix64(flow ^ departure_nanos.wrapping_mul(0xB529_7A4D)) ^ bytes as u64;
             let mut k = 0u32;
             while k < self.cfg.max_retransmits && self.draw(TAG_LOSS, pkt, k as u64) < self.loss_thr
             {
@@ -365,7 +356,7 @@ impl ChaosOverlay {
         // Jitter: uniform per-packet draw in [0, jitter].
         if self.jitter_nanos > 0 {
             let flow = ((src as u64) << 32) | dst as u64;
-            let pkt = mix(flow ^ departure_nanos.wrapping_mul(0xD127_3F0B)) ^ bytes as u64;
+            let pkt = mix64(flow ^ departure_nanos.wrapping_mul(0xD127_3F0B)) ^ bytes as u64;
             extra += self.draw(TAG_JITTER, pkt, 0) % (self.jitter_nanos + 1);
         }
         // Load spike: flat per-packet surcharge during spike epochs.

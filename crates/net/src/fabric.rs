@@ -39,6 +39,7 @@
 //! Observed per-link load ([`LinkLoad`]) is commutative-sum bookkeeping
 //! only and never feeds back into timing.
 
+use aqs_rng::mix64;
 use aqs_time::SimDuration;
 
 /// Configuration of a [`FatTreeFabric`].
@@ -157,17 +158,6 @@ impl LinkPath {
     pub fn links(&self) -> &[u32] {
         &self.links[..self.len as usize]
     }
-}
-
-/// splitmix64 finalizer — a fast, well-mixed hash used for both ECMP plane
-/// selection and background queue occupancy. Pure, so transit stays a
-/// function of its arguments alone.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Serialization time of `bytes` over a `bw_bps` link, in nanoseconds,
@@ -297,7 +287,7 @@ impl FatTreeFabric {
     /// The ECMP plane a `(src, dst)` flow is pinned to.
     #[inline]
     fn plane(&self, src: u32, dst: u32) -> u32 {
-        (mix(((src as u64) << 32) | dst as u64) % self.cfg.uplinks_per_rack as u64) as u32
+        (mix64(((src as u64) << 32) | dst as u64) % self.cfg.uplinks_per_rack as u64) as u32
     }
 
     /// The ordered links a packet from `src` to `dst` crosses.
@@ -330,7 +320,7 @@ impl FatTreeFabric {
         if self.cfg.max_queue_bytes == 0 {
             return 0;
         }
-        mix(mix(link as u64 + 1) ^ epoch) % (self.cfg.max_queue_bytes + 1)
+        mix64(mix64(link as u64 + 1) ^ epoch) % (self.cfg.max_queue_bytes + 1)
     }
 
     /// Transit delay in nanoseconds — the pure hot-path form.

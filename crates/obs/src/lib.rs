@@ -1,4 +1,4 @@
-//! Quantum-level observability for the aqs engines.
+//! Quantum-level observability and run reporting for the aqs engines.
 //!
 //! The paper's argument is carried by *per-quantum dynamics* — quantum
 //! length over time (the Figure 3 "speed bumps"), straggler counts and
@@ -16,6 +16,10 @@
 //!   barrier_wait_ns per node, per-node virtual-time lag)`), plus
 //!   whole-run aggregate histograms, a JSONL export and a terminal
 //!   summary renderer.
+//! * The paper's two axes and how the figures draw them:
+//!   [`relative_error`] (accuracy error vs. the 1 µs ground truth),
+//!   [`harmonic_mean`] (how NAS MOPS combine), [`pareto_front`] (Figure 8)
+//!   and the `render_*` text charts and tables the figure binaries print.
 //!
 //! # Examples
 //!
@@ -39,6 +43,16 @@
 //! assert_eq!(fr.total_packets(), 4);
 //! assert!(fr.to_jsonl().contains("\"packets\":4"));
 //! ```
+//!
+//! ```
+//! use aqs_obs::{harmonic_mean, relative_error};
+//!
+//! // The paper aggregates NAS MOPS with a harmonic mean.
+//! let mops = [400.0, 200.0];
+//! assert!((harmonic_mean(&mops).unwrap() - 266.666).abs() < 1e-2);
+//! // Accuracy error is relative to the 1 µs ground truth.
+//! assert!((relative_error(95.0, 100.0) - 0.05).abs() < 1e-12);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,9 +60,17 @@
 mod export;
 mod flight;
 mod hist;
+mod pareto;
 mod recorder;
 mod render;
+mod stats;
 
 pub use flight::{FlightRecorder, LinkLoadStats, ObsConfig, ShardRollbackStats};
 pub use hist::{Log2Histogram, LOG2_BUCKETS};
+pub use pareto::{pareto_front, ParetoPoint};
 pub use recorder::{NullRecorder, QuantumObs, Recorder};
+pub use render::{
+    render_bar_chart, render_histogram, render_scatter_log_y, render_series_log_y, render_table,
+    render_traffic_density,
+};
+pub use stats::{harmonic_mean, relative_error};

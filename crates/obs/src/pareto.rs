@@ -44,7 +44,7 @@ impl ParetoPoint {
 /// # Examples
 ///
 /// ```
-/// use aqs_metrics::{pareto_front, ParetoPoint};
+/// use aqs_obs::{pareto_front, ParetoPoint};
 ///
 /// let pts = vec![
 ///     ParetoPoint::new(0.01, 20.0, "dyn"),

@@ -13,7 +13,7 @@
 /// # Examples
 ///
 /// ```
-/// let h = aqs_metrics::harmonic_mean(&[2.0, 2.0]).unwrap();
+/// let h = aqs_obs::harmonic_mean(&[2.0, 2.0]).unwrap();
 /// assert!((h - 2.0).abs() < 1e-12);
 /// ```
 pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
@@ -39,7 +39,7 @@ pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
 /// ```
 /// // A benchmark reporting 15 s against a 10 s ground truth is 50 % off —
 /// // errors above 100 % are possible for time-based metrics (NAMD's 104 %).
-/// assert!((aqs_metrics::relative_error(20.4, 10.0) - 1.04).abs() < 1e-12);
+/// assert!((aqs_obs::relative_error(20.4, 10.0) - 1.04).abs() < 1e-12);
 /// ```
 pub fn relative_error(value: f64, baseline: f64) -> f64 {
     assert!(

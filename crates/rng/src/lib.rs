@@ -1,4 +1,5 @@
-//! Deterministic pseudo-random number generation for the aqs simulator.
+//! Deterministic pseudo-random number generation and hashing for the aqs
+//! simulator.
 //!
 //! Simulation experiments must be **bit-reproducible**: the same seed must
 //! produce the same run on every platform and with every dependency upgrade.
@@ -13,6 +14,10 @@
 //! simulator needs: uniform ranges, normal (Box–Muller), and log-normal (used
 //! for host-speed jitter), plus an [`Ar1`] autoregressive process used to
 //! model slowly drifting simulator speeds.
+//!
+//! Two hashes sit beside the generators, each written once: [`mix64`], the
+//! splitmix64 output function (the network's ECMP and chaos draws), and
+//! [`fnv1a`], the checksum of snapshot frames and journal records.
 //!
 //! # Examples
 //!
@@ -30,6 +35,46 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+/// SplitMix64's increment: the golden ratio as a 64-bit odd constant.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 output function: adds the golden gamma to `x` and
+/// finalizes it. Fast, well mixed and pure, so a draw keyed by it is a
+/// function of its key alone. [`SplitMix64::next_u64`] is this function of
+/// the generator's state.
+///
+/// # Examples
+///
+/// ```
+/// use aqs_rng::{mix64, SplitMix64};
+/// assert_eq!(mix64(7), SplitMix64::new(7).next_u64());
+/// ```
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a, 64-bit: the checksum of snapshot frames and journal records and
+/// the snapshot's spec fingerprint. Its values are on disk, so they never
+/// change.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(aqs_rng::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 /// SplitMix64 generator (Steele, Lea, Flood 2014).
 ///
@@ -61,11 +106,9 @@ impl SplitMix64 {
     /// Returns the next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = mix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        z
     }
 }
 

@@ -18,20 +18,11 @@
 //! truncates the file there, so a torn tail can never poison recovery —
 //! everything before it is intact by checksum.
 
+use aqs_rng::fnv1a;
 use serde_json::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a 64-bit, the frame checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// An append-only, checksummed record log (see module docs for framing).
 pub struct Journal {

@@ -1,7 +1,7 @@
 //! MPI-style multi-rank program construction.
 
 use aqs_node::{Op, Program, Rank, RegionId, SendTarget, Tag};
-use aqs_rng::SplitMix64;
+use aqs_rng::mix64;
 
 /// Builds one program per rank, with MPI collectives implemented out of
 /// point-to-point messages (LAM/MPI-style binomial trees, recursive
@@ -90,8 +90,8 @@ impl MpiBuilder {
             "spread must be in [0,1), got {spread}"
         );
         for r in 0..self.n {
-            let mut h = SplitMix64::new(salt.wrapping_mul(0x9E37).wrapping_add(r as u64));
-            let unit = (h.next_u64() >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+            let h = mix64(salt.wrapping_mul(0x9E37).wrapping_add(r as u64));
+            let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
             let factor = 1.0 + spread * (2.0 * unit - 1.0);
             self.compute(r, (base as f64 * factor).round() as u64);
         }

@@ -5,7 +5,7 @@
 
 use aqs::cluster::{paper_sweep, ClusterConfig, Experiment};
 use aqs::core::SyncConfig;
-use aqs::metrics::render_table;
+use aqs::obs::render_table;
 use aqs::workloads::{nas, Scale};
 
 fn main() {

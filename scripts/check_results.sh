@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Reproduction pin (ROADMAP 4(d)): regenerate the figure and ablation data
-# and compare it byte for byte with the checked-in results/*.tsv.
+# Reproduction pin (ROADMAP 4(d)): rerun the whole reproduction suite and
+# compare what it prints and writes byte for byte with what is checked in:
+# its stdout with repro_output.txt, and the figure and ablation data with
+# results/*.tsv (every policy kind, the threshold and EWMA brakes included).
 #
-# The four figure binaries and ablation_params (every policy kind, the
-# threshold and EWMA brakes included) run from a temporary working directory (write_tsv
-# writes results/ relative to the cwd), so the checked-in files are never
-# overwritten. Any difference fails with the first differing line. Files the
-# binaries write that are not checked in (fig9's two large traffic dumps) are
-# not compared. Needs the release bench binaries:
+# repro_all runs every figure, ablation and extension binary from a
+# temporary working directory (write_tsv writes results/ relative to the
+# cwd), so the checked-in files are never overwritten. Any difference fails
+# with the first differing lines. Files the binaries write that are not
+# checked in (fig9's two large traffic dumps) are not compared. Needs the
+# release bench binaries:
 #   cargo build --release -p aqs-bench --bins
 #
 #   ./scripts/check_results.sh
@@ -15,23 +17,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ROOT="$PWD"
-BINS=(fig6_nas fig7_namd fig8_pareto fig9_scaleout ablation_params)
-for bin in "${BINS[@]}"; do
-    if [ ! -x "$ROOT/target/release/$bin" ]; then
-        echo "check_results: target/release/$bin missing (cargo build --release -p aqs-bench --bins)" >&2
-        exit 2
-    fi
-done
+if [ ! -x "$ROOT/target/release/repro_all" ]; then
+    echo "check_results: target/release/repro_all missing (cargo build --release -p aqs-bench --bins)" >&2
+    exit 2
+fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
-for bin in "${BINS[@]}"; do
-    (cd "$WORK" && "$ROOT/target/release/$bin" >"$bin.out" 2>&1) || {
-        echo "check_results: $bin failed:" >&2
-        tail -n 20 "$WORK/$bin.out" >&2
-        exit 1
-    }
-done
+(cd "$WORK" && "$ROOT/target/release/repro_all" >repro_all.out 2>repro_all.err) || {
+    echo "check_results: repro_all failed:" >&2
+    tail -n 20 "$WORK/repro_all.err" >&2
+    exit 1
+}
 
 status=0
 for want in results/*.tsv; do
@@ -45,5 +42,10 @@ for want in results/*.tsv; do
         status=1
     fi
 done
-[ "$status" -eq 0 ] && echo "check_results: $(ls results/*.tsv | wc -l) files byte-identical"
+if ! cmp -s repro_output.txt "$WORK/repro_all.out"; then
+    echo "check_results: repro_all's stdout differs from repro_output.txt; first difference (checked-in <, regenerated >):" >&2
+    diff repro_output.txt "$WORK/repro_all.out" | head -n 4 >&2 || true
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "check_results: repro_output.txt and $(ls results/*.tsv | wc -l) files byte-identical"
 exit "$status"

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Line counts a simplicity PR quotes: per crate `src/` the total and the
 # non-test lines (every line of a file before its first `#[cfg(test)]`), the
-# same for the root package's `src/`, and the total Rust under
-# `crates src tests examples`. Run it on the parent and on the change.
+# same for the root package's `src/`, the total Rust under
+# `crates src tests examples`, and the number of workspace crates (the
+# directories `crates/*` with a `Cargo.toml`). Run it on the parent and on
+# the change.
 #
 #   ./scripts/loc.sh [repo-root]
 set -euo pipefail
@@ -30,3 +32,5 @@ done
 printf '%-22s %8d %9d\n' "crates/*/src + src" "$sum_total" "$sum_code"
 all=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 printf '%-22s %8d\n' "crates src tests examples" "$all"
+crates=$(find crates -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)
+printf '%-22s %8d\n' "workspace crates" "$crates"

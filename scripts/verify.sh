@@ -113,7 +113,7 @@ echo "==> job-server smoke gate: panic/deadline/quota envelope + SIGKILL resume"
 # temporary directory; every checked-in file must come back byte for byte
 # (the modelled host clock is deterministic, so any difference is a change in
 # simulated behaviour, not noise).
-echo "==> reproduction pin: regenerated figure data vs checked-in results/*.tsv"
+echo "==> reproduction pin: repro_all stdout and figure data vs repro_output.txt and results/*.tsv"
 cargo build --release -p aqs-bench --bins
 ./scripts/check_results.sh
 

@@ -15,11 +15,11 @@
 //! ```
 
 use aqs::cluster::{
-    app_metric, paper_sweep, run_workload, try_run_workload, ClusterConfig, EngineKind, Experiment,
-    Sim,
+    app_metric, paper_sweep, run_workload, try_app_metric, try_run_workload, ClusterConfig,
+    EngineKind, Experiment, RunResult, Sim,
 };
 use aqs::core::SyncConfig;
-use aqs::metrics::render_table;
+use aqs::obs::render_table;
 use aqs::time::HostDuration;
 use aqs::workloads::{Scale, Workload, WorkloadSpec};
 use std::collections::HashMap;
@@ -266,10 +266,18 @@ fn cmd_run_spec(flags: HashMap<String, String>) {
             exit(1);
         })
     };
+    let metric = |run: &RunResult| {
+        try_app_metric(run, spec.metric).unwrap_or_else(|| {
+            eprintln!(
+                "{file}: kernel region0 never closes or spans zero time, so there is no metric"
+            );
+            exit(1);
+        })
+    };
     let truth = simulate(&base);
     let run = simulate(&base.clone().with_sync(policy));
-    let m = app_metric(&run, spec.metric);
-    let m0 = app_metric(&truth, spec.metric);
+    let m = metric(&run);
+    let m0 = metric(&truth);
     println!(
         "{} ({} ranks) from {file}, policy {}",
         spec.name,

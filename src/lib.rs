@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`time`] | `aqs-time` | simulated/host time newtypes |
-//! | [`rng`] | `aqs-rng` | deterministic PRNG (xoshiro256**) |
+//! | [`rng`] | `aqs-rng` | deterministic PRNG (xoshiro256**) and hashing |
 //! | [`des`] | `aqs-des` | discrete-event kernel |
 //! | [`net`] | `aqs-net` | NIC/switch models, network controller |
 //! | [`node`] | `aqs-node` | node programs, executor, host-cost model |
@@ -24,7 +24,10 @@
 //! | [`workloads`] | `aqs-workloads` | NAS/NAMD-like benchmarks, MPI builder |
 //! | [`cluster`] | `aqs-cluster` | the cluster simulation engines |
 //! | [`sync`] | `aqs-sync` | lock-free primitives for the worker-pool engines |
-//! | [`metrics`] | `aqs-metrics` | statistics, Pareto fronts, rendering |
+//! | [`obs`] | `aqs-obs` | flight recorder, statistics, Pareto fronts, rendering |
+//! | [`check`] | `aqs-check` | conformance harness: every engine against the oracle |
+//! | [`scenario`] | `aqs-scenario` | TOML scenario files and their differential runner |
+//! | [`serve`] | `aqs-serve` | the resident job server and its journal |
 //!
 //! # Quick start
 //!
@@ -50,7 +53,6 @@ pub use aqs_check as check;
 pub use aqs_cluster as cluster;
 pub use aqs_core as core;
 pub use aqs_des as des;
-pub use aqs_metrics as metrics;
 pub use aqs_net as net;
 pub use aqs_node as node;
 pub use aqs_obs as obs;

@@ -488,3 +488,47 @@ fn a_crafted_spec_is_a_typed_error_on_every_engine_and_exit_1_from_run_spec() {
     }
     std::fs::remove_dir_all(&dir).expect("temp dir");
 }
+
+/// A spec that runs but has no kernel time to report: its kernel region is
+/// dropped, or closed at the instant it opens. `aqs run-spec` names the file
+/// and exits 1; it used to panic on both.
+#[test]
+fn a_spec_without_a_timed_kernel_region_exits_1_from_run_spec() {
+    let base = ping_pong(2, 5, 64);
+    let untimed = |kernel: &[Op]| {
+        let mut spec = base.clone();
+        for (rank, p) in spec.programs.iter_mut().enumerate() {
+            let is_region = |op: &&Op| matches!(op, Op::RegionStart(_) | Op::RegionEnd(_));
+            let body = p.ops().iter().filter(|op| !is_region(op));
+            let kernel = if rank == 0 { kernel } else { &[] };
+            *p = Program::new(p.rank(), kernel.iter().chain(body).cloned().collect());
+        }
+        spec
+    };
+    let zero_span = [
+        Op::RegionStart(RegionId::KERNEL),
+        Op::RegionEnd(RegionId::KERNEL),
+    ];
+    let dir = std::env::temp_dir().join(format!("aqs-untimed-specs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (what, spec) in [
+        ("no region", untimed(&[])),
+        ("zero span", untimed(&zero_span)),
+    ] {
+        let file = dir.join("spec.json");
+        let json = serde_json::to_string(&spec).expect("spec serializes");
+        std::fs::write(&file, json).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+            .arg("run-spec")
+            .arg("--file")
+            .arg(&file)
+            .output()
+            .expect("aqs runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        let prefix = format!("{}: ", file.display());
+        assert!(stderr.starts_with(&prefix), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir");
+}

@@ -5,8 +5,7 @@
 //!
 //! * **Differential** — under the ground-truth quantum (1 µs, the safe bound
 //!   for the paper's 1 µs minimum latency) no straggler can occur, so every
-//!   engine must produce a bit-identical [`aqs_cluster::SimulatedOutcome`].
-//!   Any
+//!   engine must produce a bit-identical [`SimulatedOutcome`]. Any
 //!   disagreement is a bug in one of them.
 //! * **Invariants** — properties that hold for *any* correct run, checked on
 //!   the policy runs where engines legitimately diverge from ground truth:
@@ -14,11 +13,18 @@
 //!   conservation, the straggler delay bound, and stragglers-vs-dilation
 //!   consistency.
 //!
+//! The deterministic engine is the oracle. The worker-pool runs every phase
+//! makes are one ordered list, `(engine, M)` for each enabled engine and
+//! worker count, and each phase is one loop over it: ground truth, resume
+//! from a mid-run snapshot, and the case's own policy.
+//!
 //! Engine panics (deadlock, quantum-cap overflow) are caught and reported as
 //! failures rather than aborting the whole campaign.
 
 use crate::gen::{CaseSpec, PolicySpec};
-use aqs_cluster::{ClusterConfig, EngineKind, RunReport, Sim, SimError, SimSnapshot};
+use aqs_cluster::{
+    ClusterConfig, EngineKind, RunReport, Sim, SimError, SimSnapshot, SimulatedOutcome,
+};
 use aqs_core::SyncConfig;
 use aqs_net::NicModel;
 use aqs_node::{Op, SendTarget};
@@ -100,6 +106,27 @@ pub fn check_case(case: &CaseSpec) -> Result<(), String> {
     check_case_with(case, &CheckOpts::default())
 }
 
+/// The worker-pool runs every phase of [`check_case_with`] makes, in order:
+/// the sharded engine at each of [`CheckOpts::sharded_counts`], then the
+/// sharded-optimistic and hybrid engines at each of
+/// [`CheckOpts::shard_counts`], each engine only if enabled.
+fn plan(opts: &CheckOpts, n: usize) -> Vec<(EngineKind, usize)> {
+    let sharded_counts = opts.sharded_counts(n);
+    [
+        (opts.sharded, EngineKind::Sharded, &sharded_counts),
+        (
+            opts.sharded_optimistic,
+            EngineKind::ShardedOptimistic,
+            &opts.shard_counts,
+        ),
+        (opts.hybrid, EngineKind::Hybrid, &opts.shard_counts),
+    ]
+    .into_iter()
+    .filter(|&(enabled, ..)| enabled)
+    .flat_map(|(_, kind, counts)| counts.iter().map(move |&m| (kind, m)))
+    .collect()
+}
+
 /// Checks one case; `Err` carries a human-readable description of the first
 /// violated oracle, prefixed with the failing run for context.
 pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> {
@@ -117,62 +144,28 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
     }
     conservation("det ground truth", &det_truth, exp_packets, exp_receives)?;
     let truth = det_truth.simulated_outcome();
-    let truth_end_ns = det_truth.sim_end.as_nanos();
     let (lo, hi) = case.policy.quantum_bounds();
     let cap = opts
         .quanta_cap
-        .unwrap_or_else(|| default_quanta_cap(truth_end_ns, exp_packets, hi));
+        .unwrap_or_else(|| default_quanta_cap(truth.sim_end.as_nanos(), exp_packets, hi));
+    let runs = plan(opts, case.n_nodes as usize);
+    // One pool run's builder. The cascade bound is read only by the
+    // rollback engines; the quantum cap is part of the spec fingerprint, so
+    // one deterministic snapshot resumes on every run of the plan.
+    let pool = |sync: SyncConfig, (kind, m): (EngineKind, usize)| {
+        sim_for(case, sync)
+            .engine(kind)
+            .shards(m)
+            .cascade_bound(opts.cascade_bound)
+            .max_quanta(cap)
+    };
 
-    let sharded_counts = opts.sharded_counts(case.n_nodes as usize);
-    if opts.sharded {
-        for &m in &sharded_counts {
-            let sh = run_guarded("sharded ground truth", || {
-                sim_for(case, SyncConfig::ground_truth())
-                    .engine(EngineKind::Sharded)
-                    .shards(m)
-                    .max_quanta(cap)
-                    .run()
-            })?;
-            if sh.simulated_outcome() != truth {
-                return Err(format!(
-                    "differential: sharded ground truth (M={m}) diverged from \
-                     deterministic (sim_end {} vs {}, packets {} vs {})",
-                    sh.sim_end.as_nanos(),
-                    truth_end_ns,
-                    sh.total_packets,
-                    truth.total_packets,
-                ));
-            }
-        }
-    }
-    for (enabled, kind) in [
-        (opts.sharded_optimistic, EngineKind::ShardedOptimistic),
-        (opts.hybrid, EngineKind::Hybrid),
-    ] {
-        if !enabled {
-            continue;
-        }
-        for &m in &opts.shard_counts {
-            let label = format!("{} ground truth (M={m})", kind.name());
-            let r = run_guarded(&label, || {
-                sim_for(case, SyncConfig::ground_truth())
-                    .engine(kind)
-                    .shards(m)
-                    .cascade_bound(opts.cascade_bound)
-                    .max_quanta(cap)
-                    .run()
-            })?;
-            if r.simulated_outcome() != truth {
-                return Err(format!(
-                    "differential: {label} diverged from deterministic \
-                     (sim_end {} vs {}, packets {} vs {})",
-                    r.sim_end.as_nanos(),
-                    truth_end_ns,
-                    r.total_packets,
-                    truth.total_packets,
-                ));
-            }
-            let d = r.detail.as_sharded_optimistic().expect("opt detail");
+    for &(kind, m) in &runs {
+        let label = format!("{} ground truth (M={m})", kind.name());
+        let r = run_guarded(&label, || pool(SyncConfig::ground_truth(), (kind, m)).run())?;
+        let what = format!("differential: {label} diverged from deterministic");
+        agree(&what, &r.simulated_outcome(), &truth)?;
+        if let Some(d) = r.detail.as_sharded_optimistic() {
             if d.rollbacks != 0 {
                 return Err(format!(
                     "{label}: safe quantum produced {} rollbacks (Q ≤ T forbids \
@@ -188,44 +181,75 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         // really roll back) and a cascade bound no 20-hop chain can reach.
         // It never degrades, so it must be exact.
         let label = "sharded-optimistic 20 µs windows (M=1)";
-        let opt = run_guarded(label, || {
-            sim_for(case, SyncConfig::fixed_micros(20))
-                .engine(EngineKind::ShardedOptimistic)
-                .shards(1)
+        let classic = (EngineKind::ShardedOptimistic, 1);
+        let r = run_guarded(label, || {
+            pool(SyncConfig::fixed_micros(20), classic)
                 .cascade_bound(256)
-                .max_quanta(cap)
                 .run()
         })?;
-        let d = opt.detail.as_sharded_optimistic().expect("opt detail");
-        if d.degraded_windows != 0 || opt.simulated_outcome() != truth {
+        let what = format!("differential: {label} diverged from deterministic");
+        agree(&what, &r.simulated_outcome(), &truth)?;
+        let d = r.detail.as_sharded_optimistic().expect("opt detail");
+        if d.degraded_windows != 0 {
             return Err(format!(
-                "differential: {label} diverged from deterministic \
-                 (sim_end {} vs {}, {} degraded windows)",
-                opt.sim_end.as_nanos(),
-                truth_end_ns,
-                d.degraded_windows,
+                "{label}: {} degraded windows, but no chain reaches the cascade bound",
+                d.degraded_windows
             ));
         }
     }
 
     // Phase A½: crash/resume conformance. Cut the ground-truth run at its
     // midpoint barrier, round-trip the snapshot through the wire codec, and
-    // resume on every enabled engine at every shard count.
-    if opts.resume {
-        check_resume_truth(case, opts, &det_truth, &truth, cap)?;
+    // resume the deterministic engine and every run of the plan from that
+    // one snapshot: under the safe quantum each must land on the
+    // uninterrupted outcome bit-for-bit. A run that fits in one quantum has
+    // no interior barrier to cut at.
+    if opts.resume && det_truth.total_quanta >= 2 {
+        let cut = det_truth.total_quanta / 2;
+        let capture = sim_for(case, SyncConfig::ground_truth()).max_quanta(cap);
+        let snap = wire_snapshot(&capture, cut, "ground-truth")?;
+        let det = resume_guarded("det ground-truth resume", || capture.resume(&snap))?;
+        agree(
+            &resumed("det ground-truth resume", cut),
+            &det.simulated_outcome(),
+            &truth,
+        )?;
+        for &(kind, m) in &runs {
+            let label = format!("{} ground-truth resume (M={m})", kind.name());
+            let r = resume_guarded(&label, || {
+                pool(SyncConfig::ground_truth(), (kind, m)).resume(&snap)
+            })?;
+            agree(&resumed(&label, cut), &r.simulated_outcome(), &truth)?;
+        }
     }
 
     // Phase B: the case's own policy, where dilation is allowed but must
     // obey the paper's invariants.
+    let recorded = || ObsConfig::new().with_ring_capacity(OBS_RING);
     let det_pol = run_guarded("det policy run", || {
         sim_for(case, case.policy.sync_config())
-            .record(ObsConfig::new().with_ring_capacity(OBS_RING))
+            .record(recorded())
             .run()
     })?;
     check_policy_run("det policy run", &det_pol, case, lo, hi)?;
     conservation("det policy run", &det_pol, exp_packets, exp_receives)?;
-    if opts.resume {
-        check_resume_policy(case, &det_pol)?;
+    if opts.resume && det_pol.total_quanta >= 2 {
+        // Even where engines legitimately dilate time, a deterministic run
+        // cut at a quantum edge and resumed must reproduce the uninterrupted
+        // policy run exactly (the snapshot carries the policy's state).
+        let cut = det_pol.total_quanta / 2;
+        let spec = sim_for(case, case.policy.sync_config());
+        let snap = wire_snapshot(&spec, cut, "policy")?;
+        let r = resume_guarded("det policy resume", || spec.resume(&snap))?;
+        let what = resumed("det policy resume", cut);
+        agree(&what, &r.simulated_outcome(), &det_pol.simulated_outcome())?;
+        if r.total_quanta != det_pol.total_quanta {
+            return Err(format!(
+                "det policy resume: {} total quanta, uninterrupted run had {} — the \
+                 resumed policy diverged even though the outcome agrees",
+                r.total_quanta, det_pol.total_quanta,
+            ));
+        }
     }
     // Stragglers-vs-dilation: dilation only ever happens by snapping a
     // delivery forward, which records a straggler. Zero stragglers ⟹ the
@@ -234,171 +258,140 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         return Err(format!(
             "det policy run: zero stragglers but sim_end {} != ground truth {}",
             det_pol.sim_end.as_nanos(),
-            truth_end_ns,
+            truth.sim_end.as_nanos(),
         ));
     }
 
-    if opts.sharded {
-        // The sharded engine is deterministic for *every* policy (deliveries
-        // are fixed at the sender's quantum edge), so policy-run outcomes
-        // must be bit-identical across M too.
-        let mut baseline: Option<(usize, aqs_cluster::SimulatedOutcome)> = None;
-        let mut active_exec: Option<u64> = None;
-        for &m in &sharded_counts {
-            let label = format!("sharded policy run (M={m})");
-            let sh_pol = run_guarded(&label, || {
-                sim_for(case, case.policy.sync_config())
-                    .engine(EngineKind::Sharded)
-                    .shards(m)
-                    .max_quanta(cap)
-                    .record(ObsConfig::new().with_ring_capacity(OBS_RING))
-                    .run()
-            })?;
-            check_policy_run(&label, &sh_pol, case, lo, hi)?;
-            conservation(&label, &sh_pol, exp_packets, exp_receives)?;
-            let executed = sh_pol
-                .detail
-                .as_sharded()
-                .ok_or_else(|| format!("{label}: report carries no sharded detail"))?
-                .nodes_executed;
-            let outcome = sh_pol.simulated_outcome();
-            match &baseline {
-                None => {
-                    baseline = Some((m, outcome));
-                    active_exec = Some(executed);
-                }
-                Some((m0, base)) => {
-                    if outcome != *base {
-                        return Err(format!(
-                            "{label}: outcome differs from M={m0} \
-                             (sim_end {} vs {})",
-                            outcome.sim_end.as_nanos(),
-                            base.sim_end.as_nanos(),
-                        ));
-                    }
-                    if executed != active_exec.expect("set with baseline") {
-                        return Err(format!(
-                            "{label}: active-set executed {executed} nodes, M={m0} \
-                             executed {} — the wake schedule depends on the \
-                             partition",
-                            active_exec.expect("set with baseline"),
-                        ));
-                    }
-                }
-            }
-        }
-        // Active-set oracle: force the legacy full sweep on the first
-        // worker count and require a bit-identical outcome. A node the
-        // worklist skipped in quantum k therefore observed no event in
-        // quantum k — if it could have acted (an executor step, a timer, a
-        // delivery), the full sweep would have taken it and the timelines
-        // would differ. The executed-node accounting is pinned both ways:
-        // the sweep runs everyone every quantum, the active set never runs
-        // more.
-        if let Some((m0, base)) = &baseline {
-            let label = format!("sharded full-sweep policy run (M={m0})");
-            let fs = run_guarded(&label, || {
-                sim_for(case, case.policy.sync_config())
-                    .engine(EngineKind::Sharded)
-                    .shards(*m0)
-                    .max_quanta(cap)
-                    .force_full_sweep(true)
-                    .run()
-            })?;
-            if fs.simulated_outcome() != *base {
-                return Err(format!(
-                    "active-set oracle: {label} diverged from the active-set run \
-                     (sim_end {} vs {}, packets {} vs {}) — a skipped node \
-                     observed an event in a skipped quantum",
-                    fs.sim_end.as_nanos(),
-                    base.sim_end.as_nanos(),
-                    fs.total_packets,
-                    base.total_packets,
-                ));
-            }
-            let d = fs
-                .detail
-                .as_sharded()
-                .ok_or_else(|| format!("{label}: report carries no sharded detail"))?;
-            let swept = case.n_nodes as u64 * fs.total_quanta;
-            if d.nodes_executed != swept {
-                return Err(format!(
-                    "{label}: full sweep executed {} nodes, expected n × quanta = {swept}",
-                    d.nodes_executed
-                ));
-            }
-            let active = active_exec.expect("set with baseline");
-            if active > d.nodes_executed {
-                return Err(format!(
-                    "active-set oracle: worklist executed {active} nodes, more than \
-                     the full sweep's {}",
-                    d.nodes_executed
-                ));
-            }
-        }
-    }
-
-    // Phase C: rollback-property tier. The sharded-optimistic and hybrid
-    // engines run the case's own policy, where windows above the safe bound
-    // legitimately roll back; the run must still obey the rollback
-    // invariants (depth within the cascade bound, recorded windows tiling
-    // the run, shard lanes summing to the totals) and — when it never
-    // degraded a shard — land on the ground-truth timeline exactly.
-    // Outcomes are *not* compared across M here: which shard degrades
-    // depends on the partition.
-    for (enabled, kind) in [
-        (opts.sharded_optimistic, EngineKind::ShardedOptimistic),
-        (opts.hybrid, EngineKind::Hybrid),
-    ] {
-        if !enabled {
-            continue;
-        }
-        let mut first: Option<(usize, aqs_cluster::SimulatedOutcome)> = None;
-        for &m in &opts.shard_counts {
+    // Phases B and C on the pool: every run of the plan under the case's
+    // policy, one engine at a time, each engine's runs followed by its
+    // full-sweep twin at its first worker count.
+    for group in runs.chunk_by(|a, b| a.0 == b.0) {
+        let (kind, m0) = group[0];
+        // The first worker count's outcome and executed-node count.
+        let mut first: Option<(SimulatedOutcome, u64)> = None;
+        for &(_, m) in group {
             let label = format!("{} policy run (M={m})", kind.name());
             let r = run_guarded(&label, || {
-                sim_for(case, case.policy.sync_config())
-                    .engine(kind)
-                    .shards(m)
-                    .cascade_bound(opts.cascade_bound)
-                    .max_quanta(cap)
-                    .record(ObsConfig::new().with_ring_capacity(OBS_RING))
+                pool(case.policy.sync_config(), (kind, m))
+                    .record(recorded())
                     .run()
             })?;
             check_policy_run(&label, &r, case, lo, hi)?;
             conservation(&label, &r, exp_packets, exp_receives)?;
-            check_rollback_run(&label, &r, opts.cascade_bound, &truth)?;
-            if first.is_none() {
-                first = Some((m, r.simulated_outcome()));
+            let executed = match kind {
+                EngineKind::Sharded => nodes_executed(&label, &r)?,
+                _ => {
+                    check_rollback_run(&label, &r, opts.cascade_bound, &truth)?;
+                    0
+                }
+            };
+            let outcome = r.simulated_outcome();
+            match &first {
+                None => first = Some((outcome, executed)),
+                // The sharded engine is deterministic for *every* policy
+                // (deliveries are fixed at the sender's quantum edge), so
+                // neither its outcome nor its wake schedule may depend on M.
+                // Rollback runs are not compared across M: which shard
+                // degrades depends on the partition.
+                Some((base, active)) if kind == EngineKind::Sharded => {
+                    agree(
+                        &format!("{label}: outcome differs from M={m0}"),
+                        &outcome,
+                        base,
+                    )?;
+                    if executed != *active {
+                        return Err(format!(
+                            "{label}: active-set executed {executed} nodes, M={m0} \
+                             executed {active} — the wake schedule depends on the \
+                             partition",
+                        ));
+                    }
+                }
+                Some(_) => {}
             }
         }
-        // Active-set oracle for the optimistic substrate: wake-based
-        // window skipping must be invisible next to the forced full sweep
-        // at the same worker count (same partition, same rollback
-        // trajectory).
-        if let Some((m0, base)) = &first {
-            let label = format!("{} full-sweep policy run (M={m0})", kind.name());
-            let fs = run_guarded(&label, || {
-                sim_for(case, case.policy.sync_config())
-                    .engine(kind)
-                    .shards(*m0)
-                    .cascade_bound(opts.cascade_bound)
-                    .max_quanta(cap)
-                    .force_full_sweep(true)
-                    .run()
-            })?;
-            if fs.simulated_outcome() != *base {
+        // Active-set oracle: force the full sweep at the first worker count
+        // (same partition, same rollback trajectory) and require a
+        // bit-identical outcome. A node the worklist skipped in quantum k
+        // therefore observed no event in quantum k — if it could have acted
+        // (an executor step, a timer, a delivery), the full sweep would have
+        // taken it and the timelines would differ.
+        let (base, active) = first.expect("a plan group holds at least one run");
+        let label = format!("{} full-sweep policy run (M={m0})", kind.name());
+        let fs = run_guarded(&label, || {
+            pool(case.policy.sync_config(), (kind, m0))
+                .force_full_sweep(true)
+                .run()
+        })?;
+        let what = format!(
+            "active-set oracle: {label} diverged from the active-set run — a \
+             skipped node observed an event while it was skipped"
+        );
+        agree(&what, &fs.simulated_outcome(), &base)?;
+        if kind == EngineKind::Sharded {
+            // The executed-node accounting is pinned both ways: the sweep
+            // runs everyone every quantum, the active set never runs more.
+            let swept = nodes_executed(&label, &fs)?;
+            let all = case.n_nodes as u64 * fs.total_quanta;
+            if swept != all {
                 return Err(format!(
-                    "active-set oracle: {label} diverged from the active-set run \
-                     (sim_end {} vs {}) — a skipped node observed an event in a \
-                     skipped window",
-                    fs.sim_end.as_nanos(),
-                    base.sim_end.as_nanos(),
+                    "{label}: full sweep executed {swept} nodes, expected n × quanta = {all}"
+                ));
+            }
+            if active > swept {
+                return Err(format!(
+                    "active-set oracle: worklist executed {active} nodes, more than \
+                     the full sweep's {swept}",
                 ));
             }
         }
     }
     Ok(())
+}
+
+/// `Ok` when `got` is `want`; otherwise `what`, followed by the fields that
+/// tell two outcomes apart at a glance. Every outcome comparison of the
+/// oracle reports through here.
+fn agree(what: &str, got: &SimulatedOutcome, want: &SimulatedOutcome) -> Result<(), String> {
+    if got == want {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} (sim_end {} vs {} ns, packets {} vs {}, received {} vs {})",
+        got.sim_end.as_nanos(),
+        want.sim_end.as_nanos(),
+        got.total_packets,
+        want.total_packets,
+        got.messages_received,
+        want.messages_received,
+    ))
+}
+
+/// What a resume that diverged from its uninterrupted run failed.
+fn resumed(label: &str, cut: u64) -> String {
+    format!(
+        "resume differential: {label} (cut at quantum {cut}) diverged from \
+         the uninterrupted run"
+    )
+}
+
+/// `spec`'s snapshot at the edge of quantum `cut`, round-tripped through the
+/// wire codec: what resumes is what a crashed process would reload.
+fn wire_snapshot(spec: &Sim, cut: u64, what: &str) -> Result<SimSnapshot, String> {
+    let snap = spec
+        .snapshot_at(cut)
+        .map_err(|e| format!("{what} snapshot at quantum {cut}: {e}"))?;
+    SimSnapshot::from_bytes(&snap.to_bytes())
+        .map_err(|e| format!("{what} snapshot wire round trip: {e}"))
+}
+
+/// The sharded result's executed-node count.
+fn nodes_executed(label: &str, report: &RunReport) -> Result<u64, String> {
+    report
+        .detail
+        .as_sharded()
+        .map(|d| d.nodes_executed)
+        .ok_or_else(|| format!("{label}: report carries no sharded detail"))
 }
 
 /// The rollback-property oracles on one sharded-optimistic or hybrid run:
@@ -413,7 +406,7 @@ fn check_rollback_run(
     label: &str,
     report: &RunReport,
     cascade_bound: u32,
-    truth: &aqs_cluster::SimulatedOutcome,
+    truth: &SimulatedOutcome,
 ) -> Result<(), String> {
     let d = report
         .detail
@@ -446,17 +439,13 @@ fn check_rollback_run(
             ));
         }
     }
-    if d.degraded_windows == 0
-        && report.stragglers.count() == 0
-        && report.simulated_outcome() != *truth
-    {
-        return Err(format!(
+    if d.degraded_windows == 0 && report.stragglers.count() == 0 {
+        let what = format!(
             "{label}: never degraded, never snapped, yet diverged from the \
-             ground-truth timeline (sim_end {} vs {} ns) — a committed event \
-             was rolled back or restored from a stale checkpoint",
-            report.sim_end.as_nanos(),
-            truth.sim_end.as_nanos(),
-        ));
+             ground-truth timeline — a committed event was rolled back or \
+             restored from a stale checkpoint"
+        );
+        agree(&what, &report.simulated_outcome(), truth)?;
     }
     Ok(())
 }
@@ -533,120 +522,6 @@ impl Recorder for WindowLog {
     }
 }
 
-/// The crash/resume oracle on the ground-truth run: capture a snapshot at
-/// the run's midpoint quantum edge, serialize and reparse it (so the wire
-/// codec sits on the tested path), then resume every enabled engine at
-/// every shard count from that one snapshot. Under the safe quantum a
-/// resumed run must be indistinguishable from the uninterrupted one, so
-/// each resume must land on `truth` bit-for-bit.
-///
-/// All builders here carry `max_quanta(cap)`, which is part of the spec
-/// fingerprint; the engine choice and shard count are deliberately not, so
-/// the single deterministic capture seeds every engine.
-fn check_resume_truth(
-    case: &CaseSpec,
-    opts: &CheckOpts,
-    det_truth: &RunReport,
-    truth: &aqs_cluster::SimulatedOutcome,
-    cap: u64,
-) -> Result<(), String> {
-    if det_truth.total_quanta < 2 {
-        // No interior barrier to cut at: the run fits in one quantum.
-        return Ok(());
-    }
-    let cut = det_truth.total_quanta / 2;
-    let capture = sim_for(case, SyncConfig::ground_truth()).max_quanta(cap);
-    let snap = capture
-        .snapshot_at(cut)
-        .map_err(|e| format!("ground-truth snapshot at quantum {cut}: {e}"))?;
-    let snap = SimSnapshot::from_bytes(&snap.to_bytes())
-        .map_err(|e| format!("ground-truth snapshot wire round trip: {e}"))?;
-
-    let det_res = resume_guarded("det ground-truth resume", || capture.resume(&snap))?;
-    resume_differential("det ground-truth resume", &det_res, truth, cut)?;
-
-    let sharded_counts = opts.sharded_counts(case.n_nodes as usize);
-    for (enabled, kind, counts) in [
-        (opts.sharded, EngineKind::Sharded, &sharded_counts),
-        (
-            opts.sharded_optimistic,
-            EngineKind::ShardedOptimistic,
-            &opts.shard_counts,
-        ),
-        (opts.hybrid, EngineKind::Hybrid, &opts.shard_counts),
-    ] {
-        if !enabled {
-            continue;
-        }
-        for &m in counts {
-            let label = format!("{} ground-truth resume (M={m})", kind.name());
-            let r = resume_guarded(&label, || {
-                sim_for(case, SyncConfig::ground_truth())
-                    .engine(kind)
-                    .shards(m)
-                    .cascade_bound(opts.cascade_bound)
-                    .max_quanta(cap)
-                    .resume(&snap)
-            })?;
-            resume_differential(&label, &r, truth, cut)?;
-        }
-    }
-    Ok(())
-}
-
-/// Strong deterministic resume equality under the case's *own* policy:
-/// even where engines legitimately dilate time, cutting the deterministic
-/// run at a quantum edge and resuming it must reproduce the uninterrupted
-/// policy run exactly (the snapshot carries the policy's adaptive state).
-fn check_resume_policy(case: &CaseSpec, det_pol: &RunReport) -> Result<(), String> {
-    if det_pol.total_quanta < 2 {
-        return Ok(());
-    }
-    let cut = det_pol.total_quanta / 2;
-    let spec = sim_for(case, case.policy.sync_config());
-    let snap = spec
-        .snapshot_at(cut)
-        .map_err(|e| format!("policy snapshot at quantum {cut}: {e}"))?;
-    let snap = SimSnapshot::from_bytes(&snap.to_bytes())
-        .map_err(|e| format!("policy snapshot wire round trip: {e}"))?;
-    let resumed = resume_guarded("det policy resume", || spec.resume(&snap))?;
-    let truth = det_pol.simulated_outcome();
-    resume_differential("det policy resume", &resumed, &truth, cut)?;
-    if resumed.total_quanta != det_pol.total_quanta {
-        return Err(format!(
-            "det policy resume: {} total quanta, uninterrupted run had {} — the \
-             resumed policy diverged even though the outcome agrees",
-            resumed.total_quanta, det_pol.total_quanta,
-        ));
-    }
-    Ok(())
-}
-
-/// Compares a resumed run's functional outcome against the uninterrupted
-/// truth, naming the cut point on failure.
-fn resume_differential(
-    label: &str,
-    resumed: &RunReport,
-    truth: &aqs_cluster::SimulatedOutcome,
-    cut: u64,
-) -> Result<(), String> {
-    let outcome = resumed.simulated_outcome();
-    if outcome != *truth {
-        return Err(format!(
-            "resume differential: {label} (cut at quantum {cut}) diverged from \
-             the uninterrupted run (sim_end {} vs {}, packets {} vs {}, \
-             received {} vs {})",
-            outcome.sim_end.as_nanos(),
-            truth.sim_end.as_nanos(),
-            outcome.total_packets,
-            truth.total_packets,
-            outcome.messages_received,
-            truth.messages_received,
-        ));
-    }
-    Ok(())
-}
-
 /// Runs a snapshot resume, converting both a panic and a typed engine error
 /// into an `Err` naming the run.
 fn resume_guarded(
@@ -687,15 +562,11 @@ pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result
                 .run()
         });
         aqs_sync::fuzz::disarm();
-        let fuzzed = result?;
-        if fuzzed.simulated_outcome() != truth {
-            return Err(format!(
-                "schedule fuzz round {round}: sharded (M={workers}) outcome \
-                 diverged under perturbed drain/arrival order (sim_end {} vs {})",
-                fuzzed.sim_end.as_nanos(),
-                truth.sim_end.as_nanos(),
-            ));
-        }
+        let what = format!(
+            "schedule fuzz round {round}: sharded (M={workers}) outcome diverged \
+             under perturbed drain/arrival order"
+        );
+        agree(&what, &result?.simulated_outcome(), &truth)?;
     }
     Ok(())
 }
@@ -890,6 +761,34 @@ mod tests {
             });
         }
         fr
+    }
+
+    #[test]
+    fn the_plan_is_every_enabled_engine_at_each_of_its_worker_counts_in_order() {
+        use EngineKind::{Hybrid, Sharded, ShardedOptimistic};
+        let at = |kind, ms: &[usize]| ms.iter().map(|&m| (kind, m)).collect::<Vec<_>>();
+        let opts = CheckOpts::default();
+        // Four nodes: no configured count reaches n, so the sharded engine
+        // also runs one worker per node.
+        let four = [
+            at(Sharded, &[1, 2, 3, 4]),
+            at(ShardedOptimistic, &[1, 2, 3]),
+            at(Hybrid, &[1, 2, 3]),
+        ];
+        assert_eq!(plan(&opts, 4), four.concat());
+        let two = [
+            at(Sharded, &[1, 2, 3]),
+            at(ShardedOptimistic, &[1, 2, 3]),
+            at(Hybrid, &[1, 2, 3]),
+        ];
+        assert_eq!(plan(&opts, 2), two.concat());
+        let det_only = CheckOpts {
+            sharded: false,
+            sharded_optimistic: false,
+            hybrid: false,
+            ..opts
+        };
+        assert_eq!(plan(&det_only, 4), []);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   restarts them from scratch; their determinism makes that safe.
 
 use crate::protocol::{get_bool, get_str, get_u64, obj};
+use crate::server::MAX_CASE_NODES;
 use aqs_cluster::{RunReport, Sim, SimSnapshot, SnapshotStep};
 use aqs_core::SyncConfig;
 use aqs_scenario::{ScenarioError, ScenarioReport};
@@ -200,8 +201,11 @@ pub fn build_sim(job: &CaseJob) -> Result<Sim, String> {
     let workload = Workload::parse(&job.workload)
         .ok_or_else(|| format!("unknown workload `{}`", job.workload))?;
     let scale: Scale = job.scale.parse()?;
-    if job.nodes == 0 {
-        return Err("a case job needs at least one node".to_string());
+    if !(2..=MAX_CASE_NODES).contains(&job.nodes) {
+        return Err(format!(
+            "a case job needs 2 to {MAX_CASE_NODES} nodes, not {}",
+            job.nodes
+        ));
     }
     let policy: SyncConfig = job.policy.parse()?;
     let spec = workload.with_scale(scale).build(job.nodes, job.seed);
@@ -323,16 +327,22 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected_at_submit_time() {
+        let text = |v: &str| Value::Str(v.to_string());
         for (k, v, needle) in [
-            ("workload", "no-such-workload", "no-such-workload"),
-            ("policy", "fixed:abc", "abc"),
-            ("scale", "huge", "huge"),
+            ("workload", text("no-such-workload"), "no-such-workload"),
+            ("policy", text("fixed:abc"), "abc"),
+            ("scale", text("huge"), "huge"),
+            // One node cannot run MPI; past the bound the cluster would not
+            // fit in memory.
+            ("nodes", Value::U64(1), "not 1"),
+            ("nodes", Value::U64(262_145), "not 262145"),
+            ("nodes", Value::U64(1_000_000_000_000), "not 1000000000000"),
         ] {
-            let mut fields = vec![("workload", Value::Str("pingpong".to_string()))];
+            let mut fields = vec![("workload", text("pingpong"))];
             if k != "workload" {
-                fields.push((k, Value::Str(v.to_string())));
+                fields.push((k, v));
             } else {
-                fields[0] = ("workload", Value::Str(v.to_string()));
+                fields[0] = ("workload", v);
             }
             let err = JobSpec::from_value(&obj(fields)).unwrap_err();
             assert!(

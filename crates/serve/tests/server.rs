@@ -371,6 +371,33 @@ fn unknown_jobs_and_malformed_requests_get_typed_rejections() {
         get_str(err, "detail"),
         Some("deadline_ms bounds case jobs only")
     );
+    // A cluster too large to allocate is refused before anything is built,
+    // and the server lives on: a fresh connection is answered.
+    let r = request(
+        &addr,
+        &obj(vec![
+            ("op", Value::Str("submit".to_string())),
+            ("workload", Value::Str("cg".to_string())),
+            ("nodes", Value::U64(1_000_000_000_000)),
+        ]),
+    )
+    .unwrap();
+    assert_eq!(
+        get_str(r.get("error").unwrap(), "kind"),
+        Some("bad_request")
+    );
+    let r = request(
+        &addr,
+        &obj(vec![
+            ("op", Value::Str("status".to_string())),
+            ("job", Value::U64(999)),
+        ]),
+    )
+    .unwrap();
+    assert_eq!(
+        get_str(r.get("error").unwrap(), "kind"),
+        Some("unknown_job")
+    );
     server.stop();
     let _ = std::fs::remove_file(journal);
 }

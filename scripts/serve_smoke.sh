@@ -17,6 +17,9 @@
 #      concurrent `aqs submit --wait 1` all finish done; its thread count
 #      stays within workers + 2 + 128 (the connection cap), and `job stats`
 #      still answers.
+#   8. that server answers `aqs submit --nodes 1` and `--nodes 10^12` with
+#      a typed bad_request (exit 1), and `job stats` still answers: one rank
+#      cannot run MPI and a trillion nodes cannot be allocated.
 #
 # Artifacts (server logs + journal) land in $ARTIFACTS on failure.
 #
@@ -197,6 +200,18 @@ done
 OUT=$("$BIN" job stats --addr "$ADDR")
 expect "stats beside 64 idle connections" '"max_connections":128' "$OUT"
 echo "serve_smoke: 64 idle + oversized line + 8 concurrent jobs, at most $MOST server threads"
+
+# 8. Node counts outside 2..=262144 are refused at submit, by the same
+# process that keeps serving.
+for nodes in 1 1000000000000; do
+    CODE=0
+    OUT=$("$BIN" submit --addr "$ADDR" --workload cg --nodes "$nodes" 2>&1) || CODE=$?
+    [ "$CODE" -eq 1 ] || fail "submit --nodes $nodes exited $CODE: $OUT"
+    expect "submit --nodes $nodes" '"kind":"bad_request"' "$OUT"
+done
+kill -0 "$SERVER_PID" 2>/dev/null || fail "a bad node count killed the server"
+OUT=$("$BIN" job stats --addr "$ADDR")
+expect "stats after bad node counts" '"ok":true' "$OUT"
 # Idle clients still attached must not delay shutdown either.
 stop_server 2
 for fd in "${IDLE[@]}"; do exec {fd}>&-; done

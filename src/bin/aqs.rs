@@ -100,6 +100,10 @@ fn nodes_and_seed(flags: &HashMap<String, String>) -> (usize, u64) {
         .get("nodes")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(8);
+    if n < 2 {
+        eprintln!("--nodes must be at least 2, got {n}");
+        usage();
+    }
     let seed: u64 = flags
         .get("seed")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))

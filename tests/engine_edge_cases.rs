@@ -532,3 +532,24 @@ fn a_spec_without_a_timed_kernel_region_exits_1_from_run_spec() {
     }
     std::fs::remove_dir_all(&dir).expect("temp dir");
 }
+
+/// One node cannot run an MPI workload: every subcommand that builds one
+/// from `--nodes` refuses fewer than two as a usage error (exit 2) instead
+/// of panicking in the workload builder.
+#[test]
+fn fewer_than_two_nodes_is_a_usage_error_on_every_workload_subcommand() {
+    let out_file = std::env::temp_dir().join(format!("aqs-one-node-{}.json", std::process::id()));
+    for cmd in ["run", "sweep", "optimistic", "export-spec"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+            .args([cmd, "--workload", "cg", "--nodes", "1", "--scale", "tiny"])
+            .arg("--out")
+            .arg(&out_file)
+            .output()
+            .expect("aqs runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains("--nodes"), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+    assert!(!out_file.exists(), "export-spec wrote a one-node spec");
+}

@@ -1,5 +1,8 @@
-//! Command-line front end shared by the `conformance` binary and the
-//! `aqs check` subcommand.
+//! Command-line front end of the `aqs check` subcommand. `--log` writes the
+//! JSONL run log (one object per case plus a summary line); `--artifacts`
+//! writes, per failure, the minimized `.case.json`, a ready-to-paste `.rs`
+//! regression test, and the flight recorder's per-quantum telemetry as
+//! `.obs.jsonl`.
 
 use crate::oracle::policy_run_jsonl;
 use crate::runner::{run_conformance, ConformanceOpts};

@@ -26,7 +26,7 @@
 //!   mutation tests to prove the oracles actually detect bugs.
 //!
 //! Entry points: [`check_case`] for one case, [`run_conformance`] for a
-//! campaign (also exposed as `aqs check` and the `conformance` binary).
+//! campaign (also exposed as `aqs check`).
 
 #![forbid(unsafe_code)]
 

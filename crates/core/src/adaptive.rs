@@ -2,7 +2,6 @@
 
 use crate::policy::QuantumPolicy;
 use aqs_time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the adaptive quantum algorithm.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((cfg.inc - 1.03).abs() < 1e-12);
 /// assert!((cfg.dec - 0.02).abs() < 1e-12);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptiveConfig {
     /// Quantum floor (the paper uses the safe bound, 1 µs).
     pub min_quantum: SimDuration,
@@ -125,7 +124,7 @@ impl AdaptiveConfig {
 /// Algorithm 1's brake test, as what lets a quantum grow. The ablations probe
 /// §7's "broader kind of adaptive techniques" with two more: is the paper's
 /// hair-trigger necessary, does smoothing help or merely delay the brake?
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Brake {
     /// Grow while `np == 0`.
     AnyPacket,
@@ -172,7 +171,7 @@ enum Brake {
 /// e.next_quantum(10);
 /// assert_eq!(e.next_quantum(0), SimDuration::from_micros(1));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AdaptiveQuantum {
     config: AdaptiveConfig,
     brake: Brake,

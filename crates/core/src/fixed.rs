@@ -2,7 +2,6 @@
 
 use crate::policy::QuantumPolicy;
 use aqs_time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Lock-step synchronization with a constant quantum — the conservative
 /// baseline the paper's adaptive technique is measured against.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.next_quantum(999), SimDuration::from_micros(100));
 /// assert_eq!(p.label(), "100");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FixedQuantum {
     quantum: SimDuration,
 }

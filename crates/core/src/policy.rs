@@ -4,7 +4,6 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveQuantum};
 use crate::fixed::FixedQuantum;
 use crate::predictive::{PredictiveConfig, PredictiveQuantum};
 use aqs_time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -70,7 +69,7 @@ pub trait QuantumPolicy: fmt::Debug + Send {
 /// assert_eq!(policy.initial_quantum(), SimDuration::from_micros(100));
 /// assert_eq!(policy.label(), "100");
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SyncConfig {
     /// Fixed quantum (the paper's baselines: 1, 10, 100, 1000 µs).
     Fixed(SimDuration),
@@ -379,13 +378,5 @@ mod tests {
                 assert_eq!(loaded.is_ok(), len == words, "{cfg} given {len} words");
             }
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let cfg = SyncConfig::paper_dyn2();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SyncConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
     }
 }

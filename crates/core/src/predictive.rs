@@ -19,10 +19,9 @@
 
 use crate::policy::QuantumPolicy;
 use aqs_time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the predictive policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PredictiveConfig {
     /// Quantum floor (also used while traffic is flowing).
     pub min_quantum: SimDuration,
@@ -103,7 +102,7 @@ impl PredictiveConfig {
 /// let jump = p.next_quantum(0);             // quiet again: predicted jump
 /// assert!(jump > SimDuration::from_micros(100));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PredictiveQuantum {
     config: PredictiveConfig,
     current_ns: f64,

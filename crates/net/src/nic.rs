@@ -1,7 +1,6 @@
 //! NIC timing model: serialization, minimum latency, MTU fragmentation.
 
 use aqs_time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Timing model of a node's network interface card.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// // …and a 25 kB message becomes three frames.
 /// assert_eq!(nic.fragment_sizes(25_000), vec![9000, 9000, 7000]);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NicModel {
     /// Link bandwidth in bits per second.
     bandwidth_bps: u64,

@@ -1,6 +1,5 @@
 //! Node-id and destination types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a simulated cluster node (and of its NIC's switch port).
@@ -16,10 +15,7 @@ use std::fmt;
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -56,7 +52,7 @@ impl fmt::Display for NodeId {
 
 /// Where a packet is headed: one port or all ports (broadcast/multicast are
 /// delivered to every node except the sender, as a link-layer switch would).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Destination {
     /// A single receiving node.
     Unicast(NodeId),

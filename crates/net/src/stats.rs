@@ -2,7 +2,6 @@
 
 use aqs_obs::Log2Histogram;
 use aqs_time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated straggler statistics.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.total_delay(), SimDuration::from_micros(4));
 /// assert_eq!(s.max_delay(), SimDuration::from_micros(3));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StragglerStats {
     count: u64,
     total_delay: SimDuration,

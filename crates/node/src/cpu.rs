@@ -1,7 +1,6 @@
 //! CPU timing model: abstract operations → simulated time.
 
 use aqs_time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A deliberately simple CPU timing model.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// // 2.6e9 ops/s → 2600 ops per µs.
 /// assert_eq!(cpu.compute_duration(2_600).as_nanos(), 1_000);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuModel {
     /// Core frequency in Hz.
     freq_hz: u64,

@@ -18,7 +18,6 @@
 
 use aqs_rng::{Ar1, Rng, RngState};
 use aqs_time::{HostDuration, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of the host cost model (shared by all nodes).
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let m = HostModel::default();
 /// assert!((m.base_slowdown() - 30.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostModel {
     /// Host nanoseconds per active simulated nanosecond (median).
     base_slowdown: f64,

@@ -2,14 +2,13 @@
 
 use crate::program::{Rank, Tag};
 use aqs_time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Globally unique message identity: sender rank + per-sender sequence
 /// number (assigned in send order, which encodes MPI's non-overtaking rule).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MessageId {
     /// Sending rank.
     pub src: Rank,
@@ -25,7 +24,7 @@ impl fmt::Display for MessageId {
 
 /// Message-level metadata carried by every fragment. Ordered by identity
 /// first, so sets of fragments sort canonically.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MessageMeta {
     /// Identity.
     pub id: MessageId,

@@ -23,7 +23,6 @@
 
 use aqs_rng::Rng;
 use aqs_time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Execution mode of a sampled node simulator at some simulated time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub enum SampleMode {
 /// assert_eq!(s.mode_at(SimTime::from_micros(50)), SampleMode::Detailed);
 /// assert_eq!(s.mode_at(SimTime::from_micros(500)), SampleMode::FastForward);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SamplingModel {
     /// Length of one detailed + fast-forward cycle.
     interval: SimDuration,

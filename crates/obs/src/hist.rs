@@ -1,7 +1,5 @@
 //! Fixed-bucket log2 histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: one for zero, one per power of two up to `2^63`.
 pub const LOG2_BUCKETS: usize = 65;
 
@@ -27,7 +25,7 @@ pub const LOG2_BUCKETS: usize = 65;
 /// assert_eq!(h.max(), 7);
 /// assert_eq!(h.bucket_count(Log2Histogram::bucket_of(5)), 2);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Log2Histogram {
     counts: [u64; LOG2_BUCKETS],
     n: u64,
@@ -223,15 +221,5 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.count(), 5);
-    }
-
-    #[test]
-    fn round_trips_through_serde() {
-        let mut h = Log2Histogram::new();
-        h.record(42);
-        h.record(0);
-        let json = serde_json::to_string(&h).unwrap();
-        let back: Log2Histogram = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
     }
 }

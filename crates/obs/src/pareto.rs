@@ -1,11 +1,9 @@
 //! Pareto-front extraction for the Figure 8 speed/accuracy scatter.
 
-use serde::{Deserialize, Serialize};
-
 /// One experiment in the speed/accuracy plane.
 ///
 /// `error` is minimized (x axis), `speedup` is maximized (log y axis).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ParetoPoint {
     /// Accuracy error vs. ground truth (fraction; minimized).
     pub error: f64,

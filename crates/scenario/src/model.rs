@@ -5,7 +5,7 @@
 //!
 //! ```toml
 //! name    = "allreduce-chaos"       # required
-//! nodes   = 8                        # required, >= 2
+//! nodes   = 8                        # required, 2 ..= MAX_NODES (262144)
 //! seed    = 42                       # default 42
 //! policy  = "truth"                  # truth | dyn1 | dyn2 | pred | fixed:<µs> | dyn:…
 //! engines = ["deterministic", "sharded"]   # | sharded-optimistic | hybrid
@@ -44,7 +44,7 @@ use aqs_core::SyncConfig;
 use aqs_net::{ChaosConfig, FabricConfig, LatencyMatrixSwitch};
 use aqs_node::{Op, Program, Tag};
 use aqs_time::SimDuration;
-use aqs_workloads::Workload;
+use aqs_workloads::{Workload, MAX_NODES};
 use std::path::Path;
 
 /// Tags of one phase must stay below this bound so phases can be remapped
@@ -466,10 +466,10 @@ impl Scenario {
         let nodes =
             root.u64("nodes")?
                 .ok_or_else(|| verr(file, "missing required key `nodes`"))? as usize;
-        if nodes < 2 {
+        if !(2..=MAX_NODES).contains(&nodes) {
             return Err(verr(
                 file,
-                format!("a cluster needs at least 2 nodes, got {nodes}"),
+                format!("a cluster needs at least 2 nodes and at most {MAX_NODES}, got {nodes}"),
             ));
         }
         let seed = root.u64("seed")?.unwrap_or(42);

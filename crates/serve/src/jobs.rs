@@ -13,11 +13,10 @@
 //!   restarts them from scratch; their determinism makes that safe.
 
 use crate::protocol::{get_bool, get_str, get_u64, obj};
-use crate::server::MAX_CASE_NODES;
 use aqs_cluster::{RunReport, Sim, SimSnapshot, SnapshotStep};
 use aqs_core::SyncConfig;
 use aqs_scenario::{ScenarioError, ScenarioReport};
-use aqs_workloads::{Scale, Workload};
+use aqs_workloads::{Scale, Workload, MAX_NODES};
 use serde_json::Value;
 
 /// A case job: one workload run with checkpointed execution.
@@ -201,9 +200,9 @@ pub fn build_sim(job: &CaseJob) -> Result<Sim, String> {
     let workload = Workload::parse(&job.workload)
         .ok_or_else(|| format!("unknown workload `{}`", job.workload))?;
     let scale: Scale = job.scale.parse()?;
-    if !(2..=MAX_CASE_NODES).contains(&job.nodes) {
+    if !(2..=MAX_NODES).contains(&job.nodes) {
         return Err(format!(
-            "a case job needs 2 to {MAX_CASE_NODES} nodes, not {}",
+            "a case job needs 2 to {MAX_NODES} nodes, not {}",
             job.nodes
         ));
     }

@@ -56,11 +56,6 @@ use std::time::{Duration, Instant};
 /// with one `overloaded` line and closed.
 pub const MAX_CONNECTIONS: usize = 128;
 
-/// Nodes one case job may ask for: the largest cluster any gate or
-/// benchmark builds (`incast_256k`). A `submit` asking for more, or for
-/// fewer than two, is answered `bad_request`.
-pub const MAX_CASE_NODES: usize = 262_144;
-
 /// Bytes one request line may hold, newline excluded. A longer line is
 /// answered `bad_request` and its connection closed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;

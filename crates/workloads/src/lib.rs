@@ -50,3 +50,9 @@ pub use mpi::MpiBuilder;
 pub use production::{gossip, ml_allreduce, parameter_server, rpc_fanout, rpc_incast};
 pub use spec::{MetricKind, Scale, WorkloadSpec};
 pub use workload::{NasBench, Workload};
+
+/// Nodes a cluster may have at most: the largest any gate or benchmark
+/// builds (`incast_256k`). The CLI's `--nodes`, a scenario file's `nodes`
+/// and a job server's case job each reject a larger count, which the
+/// builders would otherwise allocate per node until the process aborts.
+pub const MAX_NODES: usize = 262_144;

@@ -22,7 +22,7 @@ pub enum MetricKind {
 /// phenomena appear identically at shorter spans. `Mini` (the figures'
 /// scale) gives tens of milliseconds of simulated time per run; `Tiny` is
 /// for unit tests and CI.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Unit-test scale (≈ 1 ms simulated).
     Tiny,

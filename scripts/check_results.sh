@@ -4,29 +4,29 @@
 # its stdout with repro_output.txt, and the figure and ablation data with
 # results/*.tsv (every policy kind, the threshold and EWMA brakes included).
 #
-# repro_all runs every figure, ablation and extension binary from a
-# temporary working directory (write_tsv writes results/ relative to the
-# cwd), so the checked-in files are never overwritten. Any difference fails
-# with the first differing lines. Files the binaries write that are not
-# checked in (fig9's two large traffic dumps) are not compared. Needs the
-# release bench binaries:
-#   cargo build --release -p aqs-bench --bins
+# `aqs repro` runs every figure, ablation and extension at its default scale
+# from a temporary working directory (the figures write results/ relative to
+# the cwd), so the checked-in files are never overwritten. Any difference
+# fails with the first differing lines. Files it writes that are not checked
+# in (fig9's two large traffic dumps) are not compared. Needs the release
+# build:
+#   cargo build --release
 #
 #   ./scripts/check_results.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ROOT="$PWD"
-if [ ! -x "$ROOT/target/release/repro_all" ]; then
-    echo "check_results: target/release/repro_all missing (cargo build --release -p aqs-bench --bins)" >&2
+if [ ! -x "$ROOT/target/release/aqs" ]; then
+    echo "check_results: target/release/aqs missing (cargo build --release)" >&2
     exit 2
 fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
-(cd "$WORK" && "$ROOT/target/release/repro_all" >repro_all.out 2>repro_all.err) || {
-    echo "check_results: repro_all failed:" >&2
-    tail -n 20 "$WORK/repro_all.err" >&2
+(cd "$WORK" && "$ROOT/target/release/aqs" repro >repro.out 2>repro.err) || {
+    echo "check_results: aqs repro failed:" >&2
+    tail -n 20 "$WORK/repro.err" >&2
     exit 1
 }
 
@@ -42,9 +42,9 @@ for want in results/*.tsv; do
         status=1
     fi
 done
-if ! cmp -s repro_output.txt "$WORK/repro_all.out"; then
-    echo "check_results: repro_all's stdout differs from repro_output.txt; first difference (checked-in <, regenerated >):" >&2
-    diff repro_output.txt "$WORK/repro_all.out" | head -n 4 >&2 || true
+if ! cmp -s repro_output.txt "$WORK/repro.out"; then
+    echo "check_results: aqs repro's stdout differs from repro_output.txt; first difference (checked-in <, regenerated >):" >&2
+    diff repro_output.txt "$WORK/repro.out" | head -n 4 >&2 || true
     status=1
 fi
 [ "$status" -eq 0 ] && echo "check_results: repro_output.txt and $(ls results/*.tsv | wc -l) files byte-identical"

@@ -63,7 +63,7 @@ bounded 600 cargo test -p aqs-cluster --features schedule-fuzz --lib -q
 # invariant oracles, hard wall-clock budget. Failures are shrunk to minimal
 # reproducers and left beside the JSONL run log.
 echo "==> conformance smoke gate: 200 cases x every engine"
-cargo run --release -q -p aqs-check --bin conformance -- \
+cargo run --release -q --bin aqs -- check \
     --cases 200 --seed 0xA5 --time-budget 300 \
     --log conformance.log.jsonl --artifacts conformance-artifacts
 rm -f conformance.log.jsonl
@@ -74,7 +74,7 @@ rm -rf conformance-artifacts
 # windows tiling the run, shard lanes summing to the totals, exactness of
 # undegraded runs) across every configured shard count.
 echo "==> rollback-property smoke gate: 200 cases, sharded-optimistic + hybrid"
-cargo run --release -q -p aqs-check --bin conformance -- \
+cargo run --release -q --bin aqs -- check \
     --cases 200 --seed 0xB0117 --engines sharded-optimistic,hybrid \
     --time-budget 300 \
     --log rollback.log.jsonl --artifacts rollback-artifacts
@@ -109,12 +109,11 @@ echo "==> pool ratio smoke: m=2 / m=1 wall per engine"
 echo "==> job-server smoke gate: panic/deadline/quota envelope + SIGKILL resume"
 ./scripts/serve_smoke.sh 127.0.0.1:17171 serve-smoke-artifacts
 
-# The four figure binaries and ablation_params regenerate results/*.tsv in a
-# temporary directory; every checked-in file must come back byte for byte
-# (the modelled host clock is deterministic, so any difference is a change in
-# simulated behaviour, not noise).
-echo "==> reproduction pin: repro_all stdout and figure data vs repro_output.txt and results/*.tsv"
-cargo build --release -p aqs-bench --bins
+# `aqs repro` (built by the tier-1 gate) reruns the whole suite in a
+# temporary directory: its stdout and every checked-in results/*.tsv must
+# come back byte for byte (the modelled host clock is deterministic, so any
+# difference is a change in simulated behaviour, not noise).
+echo "==> reproduction pin: aqs repro stdout and figure data vs repro_output.txt and results/*.tsv"
 ./scripts/check_results.sh
 
 # The benchmark (perf/, its own workspace) builds against ../crates/* and pins

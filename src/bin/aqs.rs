@@ -7,6 +7,7 @@
 //! aqs export-spec --workload is --nodes 8 --out spec.json     # dump a workload as JSON
 //! aqs run-spec --file spec.json [--policy p] [--seed N]       # run a JSON workload
 //! aqs check [--cases N] [--seed S] [--engines …]               # conformance campaign
+//! aqs repro [all|<figure>] [tiny|mini|full]                   # the paper's figures
 //! aqs scenario run <file.toml>                                # multi-phase scenario + chaos
 //! aqs serve [--addr A] [--journal F] [--workers N]            # resident job server
 //! aqs submit --addr A --workload cg … [--wait 1]              # enqueue a job
@@ -21,7 +22,7 @@ use aqs::cluster::{
 use aqs::core::SyncConfig;
 use aqs::obs::render_table;
 use aqs::time::HostDuration;
-use aqs::workloads::{Scale, Workload, WorkloadSpec};
+use aqs::workloads::{Scale, Workload, WorkloadSpec, MAX_NODES};
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -35,6 +36,7 @@ fn usage() -> ! {
          aqs export-spec --workload <…> --nodes <n> --out <file> [--scale …]\n  \
          aqs run-spec --file <file> [--policy <p>] [--seed N]\n  \
          aqs check {}\n  \
+         aqs repro [all|<figure>] [tiny|mini|full]\n  \
          aqs scenario run <file.toml>\n  \
          aqs serve [--addr <host:port>] [--journal <file>] [--workers N] [--queue-cap N] \
          [--tenant-cap N] [--deadline-ms N] [--max-attempts N] [--chunk-quanta N]\n  \
@@ -100,8 +102,8 @@ fn nodes_and_seed(flags: &HashMap<String, String>) -> (usize, u64) {
         .get("nodes")
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(8);
-    if n < 2 {
-        eprintln!("--nodes must be at least 2, got {n}");
+    if !(2..=MAX_NODES).contains(&n) {
+        eprintln!("--nodes must be 2 to {MAX_NODES}, got {n}");
         usage();
     }
     let seed: u64 = flags
@@ -172,19 +174,17 @@ fn cmd_optimistic(flags: HashMap<String, String>) {
     let (n, seed) = nodes_and_seed(&flags);
     let scale = parse_scale(&flags);
     let spec = parse_workload(&flags, n, scale, seed);
-    let window: u64 = flags
-        .get("window-us")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(500);
-    if window == 0 {
-        eprintln!("--window-us must be positive");
+    // The window is a fixed quantum, so the policy grammar checks it: zero
+    // and a count of µs that overflows the nanosecond clock are rejected.
+    let window = flags.get("window-us").map_or("500", String::as_str);
+    let fixed: SyncConfig = format!("fixed:{window}").parse().unwrap_or_else(|e| {
+        eprintln!("--window-us {window}: {e}");
         usage();
-    }
+    });
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed);
     let truth = run_workload(&spec, &base);
     // The classic window-based optimistic engine: one shard, the window as
     // a fixed quantum, and a cascade bound the run should never reach.
-    let fixed = SyncConfig::fixed_micros(window);
     let report = Sim::new(spec.programs.clone())
         .engine(EngineKind::ShardedOptimistic)
         .config(base.clone())
@@ -484,6 +484,28 @@ fn cmd_job(rest: &[String]) {
     print_response(&resp);
 }
 
+/// `aqs repro [all|<figure>] [tiny|mini|full]` — the reproduction suite,
+/// or one figure of it. Both arguments are checked before anything runs;
+/// without a scale each figure runs at its own default.
+fn cmd_repro(rest: &[String]) {
+    let (name, scale) = match rest {
+        [] => ("all", None),
+        [name] => (name.as_str(), None),
+        [name, scale] => (name.as_str(), Some(parsed::<Scale>(scale))),
+        _ => usage(),
+    };
+    if name == "all" {
+        aqs::repro::run_all(scale);
+        return;
+    }
+    let Some(figure) = aqs::repro::FIGURES.iter().find(|f| f.name == name) else {
+        let names: Vec<&str> = aqs::repro::FIGURES.iter().map(|f| f.name).collect();
+        eprintln!("unknown figure `{name}` (all | {})", names.join(" | "));
+        usage();
+    };
+    figure.run(scale.unwrap_or(figure.scale));
+}
+
 fn cmd_policies() {
     println!("built-in synchronization policies:");
     println!("  truth                          fixed 1µs quantum (safe bound, ground truth)");
@@ -509,6 +531,11 @@ fn main() {
     // `job` takes a positional subcommand before its flags.
     if cmd == "job" {
         cmd_job(rest);
+        return;
+    }
+    // `repro` takes a positional figure and scale.
+    if cmd == "repro" {
+        cmd_repro(rest);
         return;
     }
     if cmd == "check" {

@@ -29,6 +29,10 @@
 //! | [`scenario`] | `aqs-scenario` | TOML scenario files and their differential runner |
 //! | [`serve`] | `aqs-serve` | the resident job server and its journal |
 //!
+//! and holds one module of its own, [`repro`]: the paper's figures and
+//! tables, this repository's ablations and extensions, run by
+//! `aqs repro`.
+//!
 //! # Quick start
 //!
 //! Run the paper's burst scenario under the ground truth and the adaptive
@@ -62,3 +66,5 @@ pub use aqs_serve as serve;
 pub use aqs_sync as sync;
 pub use aqs_time as time;
 pub use aqs_workloads as workloads;
+
+pub mod repro;

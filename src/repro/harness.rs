@@ -1,26 +1,14 @@
-//! Experiment-to-text plumbing shared by the figure binaries.
+//! Experiment-to-text plumbing shared by the figures.
 
-use aqs_cluster::{ClusterConfig, Experiment, ExperimentResult};
-use aqs_core::{AdaptiveConfig, SyncConfig};
-use aqs_node::CpuModel;
-use aqs_obs::{harmonic_mean, render_table};
-use aqs_time::{HostTime, SimDuration, SimTime};
-use aqs_workloads::{with_background_traffic, Scale, WorkloadSpec};
-
-/// The scale a figure binary runs at: its first argument
-/// (`tiny | mini | full`), or `default` without one. Anything else is a
-/// usage error (exit 2).
-pub fn scale_arg(default: Scale) -> Scale {
-    std::env::args().nth(1).map_or(default, |name| {
-        name.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        })
-    })
-}
+use crate::cluster::{ClusterConfig, Experiment, ExperimentResult};
+use crate::core::{AdaptiveConfig, SyncConfig};
+use crate::node::CpuModel;
+use crate::obs::{harmonic_mean, relative_error, render_table};
+use crate::time::{HostTime, SimDuration, SimTime};
+use crate::workloads::{nas, with_background_traffic, Scale, WorkloadSpec};
 
 /// Prints an experiment as an aligned table.
-pub fn print_experiment(r: &ExperimentResult) {
+pub(super) fn print_experiment(r: &ExperimentResult) {
     println!(
         "== {} — {} nodes (baseline: {} in {}, {} quanta) ==",
         r.name, r.n_nodes, r.baseline_metric, r.baseline.host_elapsed, r.baseline.total_quanta
@@ -113,14 +101,9 @@ pub struct NasAggregate {
 /// # Panics
 ///
 /// Panics if `sweep` is empty.
-pub fn nas_aggregate(
-    n: usize,
-    scale: aqs_workloads::Scale,
-    seed: u64,
-    sweep: Vec<SyncConfig>,
-) -> NasAggregate {
+pub fn nas_aggregate(n: usize, scale: Scale, seed: u64, sweep: Vec<SyncConfig>) -> NasAggregate {
     assert!(!sweep.is_empty(), "sweep must not be empty");
-    let results: Vec<ExperimentResult> = aqs_workloads::nas::all(n, scale)
+    let results: Vec<ExperimentResult> = nas::all(n, scale)
         .into_iter()
         .map(|spec| run_sweep(spec, seed, sweep.clone()))
         .collect();
@@ -145,7 +128,7 @@ pub fn nas_aggregate(
             .map(|r| r.outcomes[c].metric.value() / r.baseline_metric.value())
             .collect();
         let hmean = harmonic_mean(&rel).expect("five benchmarks");
-        errors.push(aqs_obs::relative_error(hmean, 1.0));
+        errors.push(relative_error(hmean, 1.0));
         let host: f64 = results
             .iter()
             .map(|r| r.outcomes[c].result.host_elapsed.as_secs_f64())
@@ -172,7 +155,7 @@ pub fn nas_aggregate(
 ///
 /// Panics if either progress series has fewer than two points or
 /// `windows == 0`.
-pub fn speedup_over_time(
+pub(super) fn speedup_over_time(
     baseline: &[(HostTime, SimTime)],
     config: &[(HostTime, SimTime)],
     windows: usize,
@@ -215,7 +198,7 @@ pub fn speedup_over_time(
 /// figures can be re-plotted with external tooling. Creates the directory
 /// on first use; failures are reported, not fatal (the ASCII output is the
 /// primary artifact).
-pub fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
+pub(super) fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     let dir = std::path::Path::new("results");
     let path = dir.join(format!("{name}.tsv"));
     let mut out = String::new();
@@ -233,7 +216,7 @@ pub fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Renders a log-y line of `(x, y)` pairs as a compact ASCII panel.
-pub fn render_log_series(series: &[(f64, f64)], rows: usize, label: &str) -> String {
+pub(super) fn render_log_series(series: &[(f64, f64)], rows: usize, label: &str) -> String {
     if series.is_empty() {
         return format!("{label}: (no data)\n");
     }

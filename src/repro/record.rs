@@ -1,12 +1,12 @@
 //! The two [`Recorder`]s behind Figure 9: a bounded `(host, sim)` progress
 //! series (the speed-up-over-time panels) and a packet log (the traffic
-//! panels). They live here because `fig9_scaleout` is their only user; it
-//! hands them to the deterministic engine through `Sim::run_with_recorder`.
+//! panels). They live here because Figure 9 is their only user; it hands
+//! them to the deterministic engine through `Sim::run_with_recorder`.
 //! (The rollback engines report no barrier lanes and no engine but the
 //! deterministic one reports packets, so that is the engine they are for.)
 
-use aqs_obs::{QuantumObs, Recorder};
-use aqs_time::{HostTime, SimTime};
+use crate::obs::{QuantumObs, Recorder};
+use crate::time::{HostTime, SimTime};
 
 /// `(host, sim)` checkpoints of a run, one offered per completed barrier,
 /// kept in bounded memory.
@@ -20,8 +20,8 @@ use aqs_time::{HostTime, SimTime};
 /// # Examples
 ///
 /// ```
-/// use aqs_bench::ProgressSeries;
-/// use aqs_time::{HostTime, SimTime};
+/// use aqs::repro::ProgressSeries;
+/// use aqs::time::{HostTime, SimTime};
 ///
 /// let mut r = ProgressSeries::new(64);
 /// for i in 0..10_000u64 {

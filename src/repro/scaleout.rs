@@ -11,17 +11,16 @@
 //!   (dyn 1:100 for EP/IS, dyn 2:100 for NAMD), with the paper's published
 //!   numbers alongside.
 //!
-//! Usage: `fig9_scaleout [tiny|full]` (full is the figure scale).
+//! `full` is the figure scale.
 
-use aqs_bench::{
-    dyn_config, render_log_series, speedup_over_time, standard_config, with_housekeeping,
-    write_tsv, ProgressSeries, TrafficLog,
+use super::harness::{
+    dyn_config, render_log_series, speedup_over_time, standard_config, with_housekeeping, write_tsv,
 };
-use aqs_cluster::{app_metric, ClusterConfig, EngineDetail, RunResult, Sim};
-use aqs_core::SyncConfig;
-use aqs_obs::{render_table, render_traffic_density, Recorder};
-use aqs_workloads::{MetricKind, NasBench, Scale, Workload, WorkloadSpec};
-use std::time::Instant;
+use super::record::{ProgressSeries, TrafficLog};
+use crate::cluster::{app_metric, ClusterConfig, EngineDetail, RunResult, Sim};
+use crate::core::SyncConfig;
+use crate::obs::{render_table, render_traffic_density, Recorder};
+use crate::workloads::{MetricKind, NasBench, Scale, Workload, WorkloadSpec};
 
 /// Paper-published table values for the three benchmarks.
 struct PaperRow {
@@ -41,7 +40,6 @@ fn run<R: Recorder>(spec: &WorkloadSpec, cfg: &ClusterConfig, rec: R) -> (RunRes
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scaleout(
     spec: WorkloadSpec,
     dyn_cfg: SyncConfig,
@@ -50,11 +48,9 @@ fn scaleout(
     accuracy_fn: impl Fn(&RunResult, &RunResult) -> String,
 ) {
     let name = spec.name.clone();
-    let metric_kind = spec.metric;
     let spec = with_housekeeping(spec);
     let cfg = standard_config(42);
     let progress = || ProgressSeries::new(4096);
-    let t0 = Instant::now();
     let (baseline, base_log) = run(&spec, &cfg, TrafficLog::new(progress()));
     let with_sync = |sync| run(&spec, &cfg.clone().with_sync(sync), progress());
     let f100 = with_sync(SyncConfig::fixed_micros(100));
@@ -118,7 +114,6 @@ fn scaleout(
     );
 
     // §6 table with the paper's numbers alongside.
-    let _ = metric_kind; // per-benchmark accuracy handled by accuracy_fn
     let rows: Vec<(String, &RunResult)> = vec![
         ("100".into(), &f100.0),
         ("10".into(), &f10.0),
@@ -152,11 +147,10 @@ fn scaleout(
             &table
         )
     );
-    eprintln!("({name} wall: {:.1?})", t0.elapsed());
 }
 
-fn main() {
-    let scale = aqs_bench::scale_arg(Scale::Full);
+/// Runs the study for EP, IS and NAMD at 64 nodes.
+pub(super) fn fig9_scaleout(scale: Scale) {
     let n = 64;
 
     // EP: accuracy = MOPS error.

@@ -6,8 +6,11 @@
 
 use aqs::cluster::{EngineKind, RunReport, Sim};
 use aqs::core::SyncConfig;
-use aqs::workloads::{burst, nas, ping_pong, MpiBuilder, Scale, WorkloadSpec};
+use aqs::workloads::{burst, nas, ping_pong, Scale, WorkloadSpec};
 use proptest::prelude::*;
+
+mod common;
+use common::random_workload;
 
 fn run(programs: Vec<aqs::node::Program>, engine: EngineKind, sync: SyncConfig) -> RunReport {
     Sim::new(programs)
@@ -103,27 +106,6 @@ fn lu_wavefront_engines_agree() {
     check_equivalence(nas::lu(4, Scale::Tiny));
 }
 
-/// A random but deadlock-free multi-rank program: a sequence of collective
-/// phases, each preceded by random (imbalanced) compute.
-fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Program> {
-    let mut m = MpiBuilder::new(n);
-    for &(sel, kops, bytes) in phases {
-        m.compute_all_imbalanced(kops as u64 * 1000 + 1, 0.1, sel as u64 + kops as u64);
-        let bytes = bytes as u64 + 1;
-        match sel % 5 {
-            0 => m.barrier(),
-            1 => m.allreduce(bytes, 50),
-            2 => m.alltoall(bytes),
-            3 => m.bcast(sel as usize % n, bytes),
-            _ => {
-                let dist = 1 + (sel as usize % (n - 1));
-                m.neighbor_exchange(&[dist], bytes);
-            }
-        }
-    }
-    m.build()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -136,7 +118,7 @@ proptest! {
         n in prop::sample::select(vec![2usize, 3, 4]),
         phases in prop::collection::vec((any::<u8>(), 0u32..80, 0u32..10_000), 1..4),
     ) {
-        let programs = random_workload(n, &phases);
+        let programs = random_workload(n, &phases, 0.1);
         let mk = |engine| {
             Sim::new(programs.clone())
                 .engine(engine)

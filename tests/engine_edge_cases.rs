@@ -9,8 +9,11 @@ use aqs::core::SyncConfig;
 use aqs::net::{LatencyMatrixSwitch, StoreAndForwardSwitch};
 use aqs::node::{HostModel, Op, Program, Rank, RegionId, SamplingModel, SendTarget};
 use aqs::time::SimDuration;
-use aqs::workloads::{burst, ping_pong, uniform_compute, MpiBuilder, WorkloadSpec};
+use aqs::workloads::{burst, ping_pong, uniform_compute, WorkloadSpec};
 use proptest::prelude::*;
+
+mod common;
+use common::random_workload;
 
 fn base(seed: u64) -> ClusterConfig {
     ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed)
@@ -205,27 +208,6 @@ fn a_stateful_switch_runs_but_cannot_be_snapshotted_or_resumed() {
     assert_eq!(whole.sim_end.as_nanos(), 11_276_438);
 }
 
-/// Same random-workload generator as `random_programs.rs`, reused here to
-/// pit the optimistic engine against the conservative ground truth.
-fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Program> {
-    let mut m = MpiBuilder::new(n);
-    for &(sel, kops, bytes) in phases {
-        m.compute_all_imbalanced(kops as u64 * 1000 + 1, 0.1, sel as u64 + kops as u64);
-        let bytes = bytes as u64 + 1;
-        match sel % 5 {
-            0 => m.barrier(),
-            1 => m.allreduce(bytes, 50),
-            2 => m.alltoall(bytes),
-            3 => m.bcast(sel as usize % n, bytes),
-            _ => {
-                let dist = 1 + (sel as usize % (n - 1));
-                m.neighbor_exchange(&[dist], bytes);
-            }
-        }
-    }
-    m.build()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -236,7 +218,7 @@ proptest! {
         n in prop::sample::select(vec![2usize, 3, 4]),
         phases in prop::collection::vec((any::<u8>(), 0u32..60, 0u32..8_000), 1..4),
     ) {
-        let programs = random_workload(n, &phases);
+        let programs = random_workload(n, &phases, 0.1);
         let conservative = det(programs.clone(), &base(7));
         // One shard, a fixed 40 µs free-run window, and a cascade bound no
         // 40-hop in-window chain can reach: the classic optimistic engine.
@@ -552,4 +534,49 @@ fn fewer_than_two_nodes_is_a_usage_error_on_every_workload_subcommand() {
         assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
     }
     assert!(!out_file.exists(), "export-spec wrote a one-node spec");
+}
+
+/// More nodes than `MAX_NODES` is a usage error (exit 2) before any
+/// per-node structure is built: `export-spec` writes no spec and `run`
+/// prints no report.
+#[test]
+fn more_than_max_nodes_is_a_usage_error() {
+    let out_file = std::env::temp_dir().join(format!("aqs-max-nodes-{}.json", std::process::id()));
+    let nodes = (aqs::workloads::MAX_NODES + 1).to_string();
+    for cmd in ["export-spec", "run"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+            .args([cmd, "--workload", "pingpong", "--nodes", &nodes])
+            .arg("--out")
+            .arg(&out_file)
+            .output()
+            .expect("aqs runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains("--nodes"), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} printed a report");
+    }
+    assert!(!out_file.exists(), "export-spec wrote an oversized spec");
+}
+
+/// An optimistic window whose microseconds overflow the nanosecond clock is
+/// a usage error naming `--window-us`, as `fixed:<µs>` is for a policy.
+#[test]
+fn an_overflowing_optimistic_window_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+        .args([
+            "optimistic",
+            "--workload",
+            "cg",
+            "--nodes",
+            "4",
+            "--scale",
+            "tiny",
+        ])
+        .args(["--window-us", "18446744073709551615"])
+        .output()
+        .expect("aqs runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--window-us"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

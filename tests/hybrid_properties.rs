@@ -15,30 +15,10 @@
 use aqs::check::WindowLog;
 use aqs::cluster::{EngineKind, HybridPolicy, RunReport, Sim};
 use aqs::core::SyncConfig;
-use aqs::workloads::MpiBuilder;
 use proptest::prelude::*;
 
-/// A random but deadlock-free multi-rank program: collective phases, each
-/// preceded by imbalanced compute (the imbalance is what makes quanta above
-/// the safe bound straggle).
-fn random_workload(n: usize, phases: &[(u8, u32, u32)]) -> Vec<aqs::node::Program> {
-    let mut m = MpiBuilder::new(n);
-    for &(sel, kops, bytes) in phases {
-        m.compute_all_imbalanced(kops as u64 * 1000 + 1, 0.3, sel as u64 + kops as u64);
-        let bytes = bytes as u64 + 1;
-        match sel % 5 {
-            0 => m.barrier(),
-            1 => m.allreduce(bytes, 50),
-            2 => m.alltoall(bytes),
-            3 => m.bcast(sel as usize % n, bytes),
-            _ => {
-                let dist = 1 + (sel as usize % (n - 1));
-                m.neighbor_exchange(&[dist], bytes);
-            }
-        }
-    }
-    m.build()
-}
+mod common;
+use common::random_workload;
 
 fn hybrid_sim(programs: Vec<aqs::node::Program>, sync: SyncConfig, shards: usize) -> Sim {
     Sim::new(programs)
@@ -68,7 +48,7 @@ proptest! {
         n in prop::sample::select(vec![2usize, 3, 4, 6]),
         phases in prop::collection::vec((any::<u8>(), 0u32..150, 0u32..16_000), 1..4),
     ) {
-        let programs = random_workload(n, &phases);
+        let programs = random_workload(n, &phases, 0.3);
         let det = Sim::new(programs.clone())
             .sync(SyncConfig::ground_truth())
             .seed(1)
@@ -93,7 +73,7 @@ proptest! {
         q_us in prop::sample::select(vec![50u64, 200, 1000]),
         shards in prop::sample::select(vec![1usize, 2, 3, 4]),
     ) {
-        let programs = random_workload(n, &phases);
+        let programs = random_workload(n, &phases, 0.3);
         let sync = SyncConfig::fixed_micros(q_us);
         let (a, log_a) = logged(hybrid_sim(programs.clone(), sync.clone(), shards));
         let (b, log_b) = logged(hybrid_sim(programs, sync, shards));
@@ -114,7 +94,7 @@ proptest! {
         phases in prop::collection::vec((any::<u8>(), 0u32..100, 0u32..8_000), 1..3),
         shards in prop::sample::select(vec![1usize, 2, 3]),
     ) {
-        let programs = random_workload(4, &phases);
+        let programs = random_workload(4, &phases, 0.3);
         let det = Sim::new(programs.clone())
             .sync(SyncConfig::ground_truth())
             .seed(1)

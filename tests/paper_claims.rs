@@ -1,15 +1,16 @@
 //! DESIGN.md §4's shape sentences as tests. Figure 8's two are over exactly
-//! what `fig8_pareto` computes: the NAS aggregate and the NAMD sweep at 8
-//! nodes, `Scale::Mini`, seed 42, every configuration of the paper's sweep.
-//! The §6 64-node table's three are over exactly what `fig9_scaleout`
-//! computes, at `Scale::Mini`. The checked-in `results/*.tsv` pin these
-//! numbers; the tests pin what the paper says about them, so a change that
-//! moves the numbers on purpose still has to keep the paper's shape.
+//! what `aqs repro fig8_pareto` computes: the NAS aggregate and the NAMD
+//! sweep at 8 nodes, `Scale::Mini`, seed 42, every configuration of the
+//! paper's sweep. The §6 64-node table's three are over exactly what
+//! `aqs repro fig9_scaleout` computes, at `Scale::Mini`. The checked-in
+//! `results/*.tsv` pin these numbers; the tests pin what the paper says
+//! about them, so a change that moves the numbers on purpose still has to
+//! keep the paper's shape.
 
-use aqs_bench::{dyn_config, nas_aggregate, run_sweep, standard_config, with_housekeeping};
-use aqs_cluster::{app_metric, paper_sweep, RunResult, Sim};
-use aqs_core::SyncConfig;
-use aqs_workloads::{MetricKind, NasBench, Scale, Workload};
+use aqs::cluster::{app_metric, paper_sweep, RunResult, Sim};
+use aqs::core::SyncConfig;
+use aqs::repro::{dyn_config, nas_aggregate, run_sweep, standard_config, with_housekeeping};
+use aqs::workloads::{MetricKind, NasBench, Scale, Workload};
 use std::sync::OnceLock;
 
 /// One configuration's point on the Pareto plane.

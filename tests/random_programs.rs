@@ -5,32 +5,10 @@
 use aqs::cluster::{RunReport, Sim};
 use aqs::core::{AdaptiveConfig, SyncConfig};
 use aqs::time::SimDuration;
-use aqs::workloads::MpiBuilder;
 use proptest::prelude::*;
 
-/// A random but deadlock-free multi-rank program: a sequence of collective
-/// phases, each preceded by random compute.
-fn random_workload(
-    n: usize,
-    phases: &[(u8, u32, u32)], // (collective selector, compute kilo-ops, bytes)
-) -> Vec<aqs::node::Program> {
-    let mut m = MpiBuilder::new(n);
-    for &(sel, kops, bytes) in phases {
-        m.compute_all_imbalanced(kops as u64 * 1000 + 1, 0.1, sel as u64 + kops as u64);
-        let bytes = bytes as u64 + 1;
-        match sel % 5 {
-            0 => m.barrier(),
-            1 => m.allreduce(bytes, 50),
-            2 => m.alltoall(bytes),
-            3 => m.bcast(sel as usize % n, bytes),
-            _ => {
-                let dist = 1 + (sel as usize % (n - 1));
-                m.neighbor_exchange(&[dist], bytes);
-            }
-        }
-    }
-    m.build()
-}
+mod common;
+use common::random_workload;
 
 fn det(programs: Vec<aqs::node::Program>, sync: SyncConfig, seed: u64) -> RunReport {
     Sim::new(programs).sync(sync).seed(seed).run()
@@ -61,7 +39,7 @@ proptest! {
         n in prop::sample::select(vec![2usize, 3, 4, 5, 8]),
         phases in prop::collection::vec((any::<u8>(), 0u32..200, 0u32..20_000), 1..5),
     ) {
-        let programs = random_workload(n, &phases);
+        let programs = random_workload(n, &phases, 0.1);
         let mut reference: Option<Vec<u64>> = None;
         for sync in policies() {
             let result = det(programs.clone(), sync, 99);
@@ -88,7 +66,7 @@ proptest! {
         phases in prop::collection::vec((any::<u8>(), 0u32..100, 0u32..40_000), 1..4),
         seed in any::<u64>(),
     ) {
-        let programs = random_workload(n, &phases);
+        let programs = random_workload(n, &phases, 0.1);
         let result = det(programs, SyncConfig::ground_truth(), seed);
         prop_assert_eq!(result.stragglers.count(), 0);
     }
@@ -100,7 +78,7 @@ proptest! {
         phases in prop::collection::vec((any::<u8>(), 0u32..100, 0u32..10_000), 1..4),
         q_us in prop::sample::select(vec![5u64, 50, 500]),
     ) {
-        let programs = random_workload(4, &phases);
+        let programs = random_workload(4, &phases, 0.1);
         let truth = det(programs.clone(), SyncConfig::ground_truth(), 1);
         let loose = det(programs, SyncConfig::fixed_micros(q_us), 1);
         prop_assert!(loose.sim_end >= truth.sim_end);

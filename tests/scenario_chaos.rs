@@ -116,7 +116,7 @@ fn every_malformed_scenario_is_rejected_with_a_typed_error() {
 }
 
 /// An engine name means the same thing in a scenario file and after
-/// `conformance --engines`: both parse it through `EngineKind`'s `FromStr`,
+/// `aqs check --engines`: both parse it through `EngineKind`'s `FromStr`,
 /// so they accept the same spellings and reject the rest with one message.
 #[test]
 fn engine_names_mean_the_same_in_a_scenario_file_and_on_the_conformance_command_line() {

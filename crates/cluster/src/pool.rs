@@ -2,11 +2,11 @@
 //! [`sharded_optimistic`](crate::sharded_optimistic)) share, and only that:
 //! the run configuration [`Sim`](crate::Sim) hands them, how a run starts
 //! (fresh or at a snapshot's cut) and ends, the leader's quantum clock, the
-//! step that runs one node to a quantum edge, and the routing of a
-//! snapshot's cut-in-flight fragments.
+//! one record a node is and the step that runs it to a quantum edge, and
+//! the routing of a snapshot's cut-in-flight fragments.
 //!
-//! The two kernels differ by design everywhere else — static SoA shards with
-//! a wake wheel and workers that route into mailboxes, against per-node
+//! The two kernels differ by design everywhere else — static shards with a
+//! wake wheel and workers that route into batches, against per-node
 //! slots claimed from a run list and a leader whose full re-route *is* the
 //! anti-message — each shape carrying a measured gain on its own workload
 //! (ROADMAP item 1).
@@ -146,18 +146,66 @@ pub(crate) fn start_run(
     Ok((workers.unwrap_or_else(host).clamp(1, n), clock))
 }
 
-/// One node's mutable lanes, wherever its engine keeps them (dense per-shard
-/// vectors, or the fields of a claimed slot).
-pub(crate) struct Lanes<'a> {
-    pub(crate) exec: &'a mut NodeExecutor,
+/// One node of a worker-pool run as one record: its executor and the
+/// scalars [`step_node`] advances beside it. The sharded engine keeps a
+/// shard's nodes as one vector of these; the rollback engine keeps one per
+/// node slot and clones it as the node's checkpoint.
+pub(crate) struct NodeState {
+    pub(crate) exec: NodeExecutor,
     /// Simulated position.
-    pub(crate) sim: &'a mut SimTime,
-    /// Send sequence counter.
-    pub(crate) msg_seq: &'a mut u64,
+    pub(crate) sim: SimTime,
     /// Remainder (ns) of an op that did not fit in the previous quantum;
     /// 0 means none ([`Action::Advance`] durations are never zero — the
     /// executor consumes zero-cost ops internally).
-    pub(crate) pending_ns: &'a mut u64,
+    pub(crate) pending_ns: u64,
+    /// Send sequence counter.
+    pub(crate) msg_seq: u64,
+}
+
+impl NodeState {
+    /// Node `i` at the start of a run: a fresh executor at sim time zero,
+    /// or — with `resume` — the snapshot's node restored at its cut (an
+    /// invalid node state is `"node i: …"`).
+    pub(crate) fn start(
+        i: usize,
+        program: Program,
+        cpu: CpuModel,
+        resume: Option<&SnapshotBody>,
+    ) -> Result<Self, SimError> {
+        let Some(body) = resume else {
+            return Ok(Self {
+                exec: NodeExecutor::new(program, cpu),
+                sim: SimTime::ZERO,
+                pending_ns: 0,
+                msg_seq: 0,
+            });
+        };
+        let node = &body.nodes[i];
+        Ok(Self {
+            exec: body.restore_exec(i, program, cpu)?,
+            sim: body.q_start,
+            pending_ns: node.pending.map_or(0, |(d, _)| d.as_nanos()),
+            msg_seq: node.msg_seq,
+        })
+    }
+}
+
+/// `clone_from` reuses the target executor's buffers: every window refreshes
+/// a checkpoint, and every rollback restores from one.
+impl Clone for NodeState {
+    fn clone(&self) -> Self {
+        Self {
+            exec: self.exec.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.exec.clone_from(&source.exec);
+        self.sim = source.sim;
+        self.pending_ns = source.pending_ns;
+        self.msg_seq = source.msg_seq;
+    }
 }
 
 /// What one execution of a node reports back.
@@ -179,22 +227,24 @@ pub(crate) struct Stepped {
 
 /// Runs one node from `q_start` to the quantum edge `q_end`, handing every
 /// fragment it sends to `send` (route it now, or capture it for the leader).
+/// The node is its one [`NodeState`] record, in a shard's vector or a
+/// claimed slot: an execution touches that record and nothing else per node.
 /// Sends complete atomically, ops pend across edges. There are no
 /// mid-quantum drains (deliveries are never consumable before the boundary
 /// by construction) and no position publication (nothing reads it).
 #[inline]
 pub(crate) fn step_node(
-    node: Lanes<'_>,
+    node: &mut NodeState,
     (q_start, q_end): (SimTime, SimTime),
     nic: &NicModel,
     host_work_per_op: f64,
     mut send: impl FnMut(FragSnap),
 ) -> Stepped {
-    let Lanes {
+    let NodeState {
         exec,
         sim,
-        msg_seq,
         pending_ns,
+        msg_seq,
     } = node;
     // Fast-forward a woken sleeper: a full sweep would have dragged `sim` to
     // every intervening quantum edge (`sim = max(sim, q_end)` below);

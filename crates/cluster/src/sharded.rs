@@ -64,14 +64,14 @@
 //! ```
 
 use crate::pool::{
-    finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
+    finish_run, route_seed_frags, start_run, step_node, Advance, NodeState, ParallelConfig,
     QuantumClock, Stepped,
 };
 use crate::result::NodeResult;
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, SnapshotBody};
 use aqs_net::{LinkLoad, Router, StragglerStats};
-use aqs_node::{CpuModel, MessageMeta, NodeExecutor, Program};
+use aqs_node::{CpuModel, MessageMeta, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
@@ -213,31 +213,28 @@ struct WorkerCtx {
     heap_allocs: u64,
 }
 
-/// A shard's node simulators in struct-of-arrays layout.
-///
-/// The hot per-quantum scalars (`sim`, `pending_ns`) live in dense parallel
-/// vectors so the active-set scan touches cache-linear memory; the
-/// executors — which carry the cold per-node state (program, mailbox,
-/// region records) out of line — are only dereferenced for nodes that
-/// actually execute. Local index `l` addresses every lane; the global
-/// node index is `base + l` (shards are contiguous).
+/// A shard's node simulators, one record per node: all of node `base + l`'s
+/// own state is record `l`, so a node that wakes cold touches one record,
+/// not a slot in each of several arrays. The
+/// active-set scan reads only the wake wheel's bitmap and no record of a
+/// node that does not run (shards are contiguous).
 struct ShardNodes {
     /// Global index of local node 0.
     base: usize,
-    execs: Vec<NodeExecutor>,
-    /// Per-node simulated position.
-    sim: Vec<SimTime>,
-    /// Per-node send sequence counter.
-    msg_seq: Vec<u64>,
-    /// Remainder (ns) of an op that did not fit in the previous quantum.
-    pending_ns: Vec<u64>,
-    done_reported: Vec<bool>,
+    nodes: Vec<ShardNode>,
+}
+
+/// One node of a shard: the record [`step_node`] advances, and whether the
+/// run's done count already holds the node's end.
+struct ShardNode {
+    state: NodeState,
+    done_reported: bool,
 }
 
 impl ShardNodes {
     /// Builds the shard whose first node is global node `base`, straight
-    /// into the lanes and on the worker that will run and drop them: fresh
-    /// executors at sim time zero, or — with `resume` — the snapshot's
+    /// into its records and on the worker that will run and drop them:
+    /// fresh nodes at sim time zero, or — with `resume` — the snapshot's
     /// nodes restored at its cut. A node state that fails validation is
     /// reported as `"node i: …"`.
     fn build(
@@ -246,35 +243,15 @@ impl ShardNodes {
         resume: Option<&SnapshotBody>,
         cpu: CpuModel,
     ) -> Result<Self, SimError> {
-        let len = programs.len();
-        let Some(body) = resume else {
-            return Ok(Self {
-                base,
-                execs: programs
-                    .into_iter()
-                    .map(|p| NodeExecutor::new(p, cpu))
-                    .collect(),
-                sim: vec![SimTime::ZERO; len],
-                msg_seq: vec![0; len],
-                pending_ns: vec![0; len],
-                done_reported: vec![false; len],
+        let mut nodes = Vec::with_capacity(programs.len());
+        for (l, program) in programs.into_iter().enumerate() {
+            let i = base + l;
+            nodes.push(ShardNode {
+                state: NodeState::start(i, program, cpu, resume)?,
+                done_reported: resume.is_some_and(|body| body.nodes[i].done),
             });
-        };
-        let execs = (programs.into_iter().enumerate())
-            .map(|(l, p)| body.restore_exec(base + l, p, cpu))
-            .collect::<Result<Vec<_>, _>>()?;
-        let states = &body.nodes[base..base + len];
-        Ok(Self {
-            base,
-            execs,
-            sim: vec![body.q_start; len],
-            msg_seq: states.iter().map(|ns| ns.msg_seq).collect(),
-            pending_ns: states
-                .iter()
-                .map(|ns| ns.pending.map_or(0, |(d, _)| d.as_nanos()))
-                .collect(),
-            done_reported: states.iter().map(|ns| ns.done).collect(),
-        })
+        }
+        Ok(Self { base, nodes })
     }
 }
 
@@ -840,11 +817,10 @@ fn worker_thread<R: Recorder>(
             None => break,
         }
     }
-    // A parked node's `sim` lane may lag the last quantum edge
-    // (fast-forwarding is lazy); the full sweep would have dragged it to the
-    // edge every quantum.
-    let results = (0..len)
-        .map(|l| NodeResult::collect(&mut nodes.execs[l], nodes.sim[l].max(q_end)))
+    // A parked node's `sim` may lag the last quantum edge (fast-forwarding
+    // is lazy); the full sweep would have dragged it to the edge.
+    let results = (nodes.nodes.iter_mut())
+        .map(|node| NodeResult::collect(&mut node.state.exec, node.state.sim.max(q_end)))
         .collect();
     Ok((results, ctx.run_stragglers, ctx.heap_allocs, nodes_executed))
 }
@@ -871,7 +847,8 @@ fn deliver(
     }
     for f in batch.drain(..) {
         let l = f.dst as usize - nodes.base;
-        nodes.execs[l].deliver_fragment(f.meta, f.frag_index, f.arrival);
+        let exec = &mut nodes.nodes[l].state.exec;
+        exec.deliver_fragment(f.meta, f.frag_index, f.arrival);
         if full_sweep {
             continue;
         }
@@ -916,18 +893,16 @@ fn advance_node<R: Recorder>(
     q_end: SimTime,
 ) -> Stepped {
     let src = nodes.base + l;
-    let lanes = Lanes {
-        exec: &mut nodes.execs[l],
-        sim: &mut nodes.sim[l],
-        msg_seq: &mut nodes.msg_seq[l],
-        pending_ns: &mut nodes.pending_ns[l],
-    };
+    let ShardNode {
+        state,
+        done_reported,
+    } = &mut nodes.nodes[l];
     let work = config.host_work_per_op;
-    let ran = step_node(lanes, (q_start, q_end), shared.net.nic(), work, |frag| {
+    let ran = step_node(state, (q_start, q_end), shared.net.nic(), work, |frag| {
         shared.route(ctx, src, &frag, q_end)
     });
-    if ran.finished && !nodes.done_reported[l] {
-        nodes.done_reported[l] = true;
+    if ran.finished && !*done_reported {
+        *done_reported = true;
         shared.done.fetch_add(1, Ordering::AcqRel);
     }
     ran

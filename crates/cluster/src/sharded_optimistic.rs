@@ -105,7 +105,7 @@
 //! conservatively, so the lanes also show every mode switch.
 
 use crate::pool::{
-    finish_run, route_seed_frags, start_run, step_node, Advance, Lanes, ParallelConfig,
+    finish_run, route_seed_frags, start_run, step_node, Advance, NodeState, ParallelConfig,
     QuantumClock, Stepped,
 };
 use crate::result::NodeResult;
@@ -113,7 +113,7 @@ use crate::sharded::partition;
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, SnapshotBody};
 use aqs_net::{NicModel, Router, StragglerStats};
-use aqs_node::{MessageMeta, NodeExecutor, Program};
+use aqs_node::{MessageMeta, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::TreeBarrier;
 use aqs_time::{HostDuration, SimDuration, SimTime};
@@ -240,42 +240,15 @@ struct Inbound {
     frag_index: u32,
 }
 
-/// Persistent per-node execution state — exactly what a checkpoint clones.
-struct OptNodeState {
-    exec: NodeExecutor,
-    sim: SimTime,
-    /// Remainder (ns) of an op that did not fit in the previous window.
-    pending_ns: u64,
-    msg_seq: u64,
-}
-
-/// `clone_from` reuses the target executor's buffers: every window refreshes
-/// a checkpoint, and every rollback restores from one.
-impl Clone for OptNodeState {
-    fn clone(&self) -> Self {
-        Self {
-            exec: self.exec.clone(),
-            ..*self
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.exec.clone_from(&source.exec);
-        self.sim = source.sim;
-        self.pending_ns = source.pending_ns;
-        self.msg_seq = source.msg_seq;
-    }
-}
-
 /// One node, as its claimant and the barrier leader exchange it: locked by
 /// the claimant for one execution and by the leader inside the barrier's
 /// exclusive section, while all workers are parked — always uncontended.
 struct NodeSlot {
-    state: OptNodeState,
+    state: NodeState,
     /// The node at the start of its latest optimistic window. One is enough:
     /// a window commits before the next opens, so a rollback only ever
     /// returns to the start of the window in progress.
-    checkpoint: Option<OptNodeState>,
+    checkpoint: Option<NodeState>,
     #[cfg(feature = "fault-inject")]
     skip_next_refresh: bool,
     /// Mode of the node's shard this window (the leader rewrites it when the
@@ -476,20 +449,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     leader.charge_checkpoints(&ranges);
     let mut slots = Vec::with_capacity(n);
     for (i, program) in programs.into_iter().enumerate() {
-        let state = match resume {
-            Some(s) => OptNodeState {
-                exec: s.restore_exec(i, program, config.cpu)?,
-                sim: s.q_start,
-                pending_ns: s.nodes[i].pending.map_or(0, |(d, _)| d.as_nanos()),
-                msg_seq: s.nodes[i].msg_seq,
-            },
-            None => OptNodeState {
-                exec: NodeExecutor::new(program, config.cpu),
-                sim: SimTime::ZERO,
-                pending_ns: 0,
-                msg_seq: 0,
-            },
-        };
+        let state = NodeState::start(i, program, config.cpu, resume)?;
         leader.open_node(i, q_end0);
         slots.push(Mutex::new(NodeSlot {
             state,
@@ -664,14 +624,8 @@ fn run_claimed(
     // cloned while it slept — to this window's start.
     let NodeSlot { state, sends, .. } = slot;
     sends.clear();
-    let lanes = Lanes {
-        exec: &mut state.exec,
-        sim: &mut state.sim,
-        msg_seq: &mut state.msg_seq,
-        pending_ns: &mut state.pending_ns,
-    };
     let work = config.host_work_per_op;
-    slot.ran = step_node(lanes, (window.start, window.end), nic, work, |frag| {
+    slot.ran = step_node(state, (window.start, window.end), nic, work, |frag| {
         sends.push(frag)
     });
 }

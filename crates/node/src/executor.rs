@@ -233,7 +233,7 @@ impl NodeExecutor {
                         self.open_regions.iter().all(|&(r, _)| r != region),
                         "{region} started twice without ending"
                     );
-                    self.open_regions.push((region, now));
+                    crate::push_first_exact(&mut self.open_regions, (region, now));
                 }
                 Op::RegionEnd(region) => {
                     self.pc += 1;
@@ -243,11 +243,14 @@ impl NodeExecutor {
                         .position(|&(r, _)| r == region)
                         .unwrap_or_else(|| panic!("{region} ended without starting"));
                     let (_, start) = self.open_regions.swap_remove(open);
-                    self.regions.push(RegionRecord {
-                        region,
-                        start,
-                        end: now,
-                    });
+                    crate::push_first_exact(
+                        &mut self.regions,
+                        RegionRecord {
+                            region,
+                            start,
+                            end: now,
+                        },
+                    );
                 }
             }
         }
@@ -489,6 +492,32 @@ mod tests {
         );
         assert_eq!(e.next_action(SimTime::from_micros(6)), Action::Finished);
         assert_eq!(e.messages_received(), 1);
+    }
+
+    /// A typical node of a big cluster opens one region, receives one
+    /// message and closes the region: each of its vectors holds one entry
+    /// and has room for exactly one.
+    #[test]
+    fn one_region_and_one_message_reserve_one_entry_each() {
+        let p = ProgramBuilder::new(Rank::new(0))
+            .region_start(RegionId::KERNEL)
+            .recv(Some(Rank::new(1)), Tag::new(3))
+            .region_end(RegionId::KERNEL)
+            .build();
+        let mut e = NodeExecutor::new(p, cpu());
+        assert_eq!(e.next_action(SimTime::ZERO), Action::Blocked);
+        assert_eq!(e.open_regions.capacity(), 1);
+        e.deliver_fragment(meta(1, 0, 3), 0, SimTime::from_micros(1));
+        assert!(matches!(
+            e.next_action(SimTime::from_micros(1)),
+            Action::Advance { .. }
+        ));
+        assert_eq!(e.next_action(SimTime::from_micros(3)), Action::Finished);
+        assert_eq!(e.messages_received(), 1);
+        assert_eq!(e.open_regions.capacity(), 1);
+        let closed = e.take_regions();
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed.capacity(), 1);
     }
 
     #[test]

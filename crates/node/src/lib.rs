@@ -52,3 +52,14 @@ pub use mailbox::{
 };
 pub use program::{Op, Program, ProgramBuilder, Rank, RegionId, SendTarget, Tag};
 pub use sampling::{SampleMode, SamplingModel};
+
+/// Appends `value`, reserving room for exactly one entry on the first push:
+/// a typical node holds one open region, one closed region record and one
+/// ready message, where `Vec`'s first growth reserves four.
+#[inline]
+fn push_first_exact<T>(v: &mut Vec<T>, value: T) {
+    if v.capacity() == 0 {
+        v.reserve_exact(1);
+    }
+    v.push(value);
+}

@@ -242,7 +242,7 @@ impl Mailbox {
             done.latest_arrival
         };
         self.completed_total += 1;
-        self.ready.push(Ready { meta, ready_at });
+        crate::push_first_exact(&mut self.ready, Ready { meta, ready_at });
         Some(ready_at)
     }
 
@@ -478,6 +478,16 @@ mod tests {
             mb.match_recv(Some(Rank::new(1)), Tag::new(7), SimTime::from_micros(2)),
             MatchOutcome::NoMatch
         );
+    }
+
+    #[test]
+    fn one_ready_message_reserves_one_entry() {
+        let mut mb = Mailbox::new();
+        mb.deliver_fragment(meta(1, 0, 7, 1), 0, SimTime::from_micros(1));
+        assert_eq!(mb.ready.capacity(), 1);
+        let out = mb.match_recv(Some(Rank::new(1)), Tag::new(7), SimTime::from_micros(2));
+        assert!(matches!(out, MatchOutcome::Matched(..)));
+        assert_eq!(mb.ready.capacity(), 1);
     }
 
     #[test]

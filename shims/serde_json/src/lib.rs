@@ -354,12 +354,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once,
+                    // checking only that run: both are ASCII, so it ends on
+                    // a code point boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..len.unwrap_or(rest.len())];
+                    out.push_str(
+                        std::str::from_utf8(run).map_err(|_| Error::new("invalid UTF-8"))?,
+                    );
+                    self.pos += run.len();
                 }
             }
         }
@@ -435,6 +439,14 @@ mod tests {
             from_str::<Value>(&arrays(129)).unwrap_err().to_string(),
             "nesting deeper than 128 at byte 128"
         );
+    }
+
+    #[test]
+    fn non_ascii_text_between_escapes_round_trips() {
+        let v = Value::Str("é\"€\\😀 x\n".to_string());
+        let text = to_string(&v).unwrap();
+        assert_eq!(from_str::<Value>(&text).unwrap(), v);
+        assert!(from_str::<Value>("\"é").is_err(), "unterminated");
     }
 
     #[test]

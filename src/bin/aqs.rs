@@ -261,6 +261,11 @@ fn cmd_run_spec(flags: HashMap<String, String>) {
         eprintln!("invalid workload spec: {e}");
         exit(1);
     });
+    let ranks = spec.n_ranks();
+    if ranks > MAX_NODES {
+        eprintln!("{file}: {ranks} ranks, more than MAX_NODES ({MAX_NODES})");
+        exit(1);
+    }
     let (_, seed) = nodes_and_seed(&flags);
     let policy: SyncConfig = parsed(flags.get("policy").map_or("dyn1", String::as_str));
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed);

@@ -580,3 +580,37 @@ fn an_overflowing_optimistic_window_is_a_usage_error() {
     assert!(stderr.contains("--window-us"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A spec file with more programs than `MAX_NODES` is refused like every
+/// other bad spec: `aqs run-spec` names the file and the bound and exits 1
+/// before any engine builds a node.
+#[test]
+fn a_spec_with_more_than_max_nodes_exits_1_from_run_spec() {
+    let n = aqs::workloads::MAX_NODES + 1;
+    let programs = (0..n as u32)
+        .map(|i| Program::new(Rank::new(i), Vec::new()))
+        .collect();
+    let spec = WorkloadSpec::new("oversized", programs, aqs::workloads::MetricKind::Mops);
+    let file = std::env::temp_dir().join(format!("aqs-oversized-{}.json", std::process::id()));
+    std::fs::write(
+        &file,
+        serde_json::to_string(&spec).expect("spec serializes"),
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+        .arg("run-spec")
+        .arg("--file")
+        .arg(&file)
+        .output()
+        .expect("aqs runs");
+    std::fs::remove_file(&file).expect("temp file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&file.display().to_string()), "{stderr}");
+    assert!(
+        stderr.contains(&aqs::workloads::MAX_NODES.to_string()),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "run-spec printed a report");
+}

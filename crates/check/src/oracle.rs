@@ -37,12 +37,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// skipped if one does).
 const OBS_RING: usize = 16_384;
 
+/// Host work per op that makes every round of a sharded run wake its worker
+/// pool. A conformance case is too small for a round to be worth sharing, so
+/// at no host work the barrier leader runs every round after the first
+/// inline; a run at this token host work drives the hand-off slots and the
+/// barrier across threads instead.
+const POOLED: f64 = 1e-3;
+
 /// Knobs for [`check_case_with`].
 #[derive(Clone, Debug)]
 pub struct CheckOpts {
     /// Run the sharded engine (differential + invariants + cross-M
-    /// identity), once per entry of
-    /// [`sharded_counts`](Self::sharded_counts).
+    /// identity), twice per entry of
+    /// [`sharded_counts`](Self::sharded_counts): with its small rounds run
+    /// inline, and pooled at a token host work per op.
     pub sharded: bool,
     /// Run the sharded-optimistic engine (differential + rollback-property
     /// invariants), once per entry of [`shard_counts`](Self::shard_counts),
@@ -106,25 +114,35 @@ pub fn check_case(case: &CaseSpec) -> Result<(), String> {
     check_case_with(case, &CheckOpts::default())
 }
 
-/// The worker-pool runs every phase of [`check_case_with`] makes, in order:
-/// the sharded engine at each of [`CheckOpts::sharded_counts`], then the
-/// sharded-optimistic and hybrid engines at each of
+/// The worker-pool runs every phase of [`check_case_with`] makes, in order,
+/// as `(engine, workers, host work per op)`: the sharded engine at each of
+/// [`CheckOpts::sharded_counts`], at no host work and then [`POOLED`], then
+/// the sharded-optimistic and hybrid engines at each of
 /// [`CheckOpts::shard_counts`], each engine only if enabled.
-fn plan(opts: &CheckOpts, n: usize) -> Vec<(EngineKind, usize)> {
+fn plan(opts: &CheckOpts, n: usize) -> Vec<(EngineKind, usize, f64)> {
     let sharded_counts = opts.sharded_counts(n);
     [
-        (opts.sharded, EngineKind::Sharded, &sharded_counts),
+        (opts.sharded, EngineKind::Sharded, &sharded_counts, 0.0),
+        (opts.sharded, EngineKind::Sharded, &sharded_counts, POOLED),
         (
             opts.sharded_optimistic,
             EngineKind::ShardedOptimistic,
             &opts.shard_counts,
+            0.0,
         ),
-        (opts.hybrid, EngineKind::Hybrid, &opts.shard_counts),
+        (opts.hybrid, EngineKind::Hybrid, &opts.shard_counts, 0.0),
     ]
     .into_iter()
     .filter(|&(enabled, ..)| enabled)
-    .flat_map(|(_, kind, counts)| counts.iter().map(move |&m| (kind, m)))
+    .flat_map(|(_, kind, counts, work)| counts.iter().map(move |&m| (kind, m, work)))
     .collect()
+}
+
+/// A pool run's name in a failure message, e.g. `sharded ground truth
+/// (M=2, pooled)`.
+fn label(kind: EngineKind, what: &str, m: usize, host_work: f64) -> String {
+    let pooled = if host_work > 0.0 { ", pooled" } else { "" };
+    format!("{} {what} (M={m}{pooled})", kind.name())
 }
 
 /// Checks one case; `Err` carries a human-readable description of the first
@@ -150,19 +168,22 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         .unwrap_or_else(|| default_quanta_cap(truth.sim_end.as_nanos(), exp_packets, hi));
     let runs = plan(opts, case.n_nodes as usize);
     // One pool run's builder. The cascade bound is read only by the
-    // rollback engines; the quantum cap is part of the spec fingerprint, so
-    // one deterministic snapshot resumes on every run of the plan.
-    let pool = |sync: SyncConfig, (kind, m): (EngineKind, usize)| {
+    // rollback engines; the quantum cap and the host work are part of the
+    // spec fingerprint, so one deterministic snapshot per host work resumes
+    // on every run of the plan.
+    let pool = |sync: SyncConfig, (kind, m, host_work): (EngineKind, usize, f64)| {
         sim_for(case, sync)
             .engine(kind)
             .shards(m)
+            .host_work_per_op(host_work)
             .cascade_bound(opts.cascade_bound)
             .max_quanta(cap)
     };
 
-    for &(kind, m) in &runs {
-        let label = format!("{} ground truth (M={m})", kind.name());
-        let r = run_guarded(&label, || pool(SyncConfig::ground_truth(), (kind, m)).run())?;
+    for &run in &runs {
+        let (kind, m, work) = run;
+        let label = label(kind, "ground truth", m, work);
+        let r = run_guarded(&label, || pool(SyncConfig::ground_truth(), run).run())?;
         let what = format!("differential: {label} diverged from deterministic");
         agree(&what, &r.simulated_outcome(), &truth)?;
         if let Some(d) = r.detail.as_sharded_optimistic() {
@@ -181,7 +202,7 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         // really roll back) and a cascade bound no 20-hop chain can reach.
         // It never degrades, so it must be exact.
         let label = "sharded-optimistic 20 µs windows (M=1)";
-        let classic = (EngineKind::ShardedOptimistic, 1);
+        let classic = (EngineKind::ShardedOptimistic, 1, 0.0);
         let r = run_guarded(label, || {
             pool(SyncConfig::fixed_micros(20), classic)
                 .cascade_bound(256)
@@ -201,23 +222,37 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
     // Phase A½: crash/resume conformance. Cut the ground-truth run at its
     // midpoint barrier, round-trip the snapshot through the wire codec, and
     // resume the deterministic engine and every run of the plan from that
-    // one snapshot: under the safe quantum each must land on the
-    // uninterrupted outcome bit-for-bit. A run that fits in one quantum has
+    // one snapshot (taken again at the pooled runs' host work): under the
+    // safe quantum each must land on the uninterrupted outcome bit-for-bit. A run that fits in one quantum has
     // no interior barrier to cut at.
     if opts.resume && det_truth.total_quanta >= 2 {
         let cut = det_truth.total_quanta / 2;
-        let capture = sim_for(case, SyncConfig::ground_truth()).max_quanta(cap);
-        let snap = wire_snapshot(&capture, cut, "ground-truth")?;
-        let det = resume_guarded("det ground-truth resume", || capture.resume(&snap))?;
+        let capture = |work| {
+            let spec = sim_for(case, SyncConfig::ground_truth())
+                .host_work_per_op(work)
+                .max_quanta(cap);
+            wire_snapshot(&spec, cut, "ground-truth").map(|snap| (spec, snap))
+        };
+        let (spec, snap) = capture(0.0)?;
+        let det = resume_guarded("det ground-truth resume", || spec.resume(&snap))?;
         agree(
             &resumed("det ground-truth resume", cut),
             &det.simulated_outcome(),
             &truth,
         )?;
-        for &(kind, m) in &runs {
-            let label = format!("{} ground-truth resume (M={m})", kind.name());
+        let pooled = match opts.sharded {
+            true => Some(capture(POOLED)?.1),
+            false => None,
+        };
+        for &run in &runs {
+            let (kind, m, work) = run;
+            let label = label(kind, "ground-truth resume", m, work);
+            let snap = match work > 0.0 {
+                true => pooled.as_ref().expect("only sharded runs are pooled"),
+                false => &snap,
+            };
             let r = resume_guarded(&label, || {
-                pool(SyncConfig::ground_truth(), (kind, m)).resume(&snap)
+                pool(SyncConfig::ground_truth(), run).resume(snap)
             })?;
             agree(&resumed(&label, cut), &r.simulated_outcome(), &truth)?;
         }
@@ -264,15 +299,16 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
 
     // Phases B and C on the pool: every run of the plan under the case's
     // policy, one engine at a time, each engine's runs followed by its
-    // full-sweep twin at its first worker count.
+    // full-sweep twin at its first run's worker count and host work.
     for group in runs.chunk_by(|a, b| a.0 == b.0) {
-        let (kind, m0) = group[0];
-        // The first worker count's outcome and executed-node count.
+        let (kind, m0, work0) = group[0];
+        // The first run's outcome and executed-node count.
         let mut first: Option<(SimulatedOutcome, u64)> = None;
-        for &(_, m) in group {
-            let label = format!("{} policy run (M={m})", kind.name());
+        for &run in group {
+            let (_, m, work) = run;
+            let label = label(kind, "policy run", m, work);
             let r = run_guarded(&label, || {
-                pool(case.policy.sync_config(), (kind, m))
+                pool(case.policy.sync_config(), run)
                     .record(recorded())
                     .run()
             })?;
@@ -317,9 +353,9 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         // (an executor step, a timer, a delivery), the full sweep would have
         // taken it and the timelines would differ.
         let (base, active) = first.expect("a plan group holds at least one run");
-        let label = format!("{} full-sweep policy run (M={m0})", kind.name());
+        let label = label(kind, "full-sweep policy run", m0, work0);
         let fs = run_guarded(&label, || {
-            pool(case.policy.sync_config(), (kind, m0))
+            pool(case.policy.sync_config(), group[0])
                 .force_full_sweep(true)
                 .run()
         })?;
@@ -531,13 +567,17 @@ fn resume_guarded(
     run_guarded(label, f)?.map_err(|e| format!("{label}: {e}"))
 }
 
-/// Runs the sharded engine `2 × rounds` times under the ground-truth
+/// Runs the sharded engine `3 × rounds` times under the ground-truth
 /// quantum with the schedule-fuzz hooks armed (randomized batch delivery
 /// order, jittered barrier arrivals) and requires the outcome to stay
 /// bit-identical to the deterministic engine every time: `rounds` times
 /// with one worker per node (every barrier arrival and hand-off slot is its
 /// own thread's), then `rounds` times rotating the worker count, so a schedule
-/// perturbation is compounded with a partition perturbation.
+/// perturbation is compounded with a partition perturbation. A case's rounds
+/// are too small to share, so these runs get a token host work per op
+/// ([`POOLED`]), which pools every round. The last `rounds` runs rotate the
+/// worker count again at no host work, where the barrier leader runs every
+/// round after the first inline.
 #[cfg(feature = "schedule-fuzz")]
 pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result<(), String> {
     let truth = run_guarded("det ground truth", || {
@@ -550,21 +590,25 @@ pub fn check_case_fuzzed(case: &CaseSpec, rounds: u64, fuzz_seed: u64) -> Result
         SimDuration::from_micros(1),
     );
     let truth = truth.simulated_outcome();
-    let per_node = (0..rounds).map(|r| (case.n_nodes as usize, r.wrapping_mul(0x9E37)));
-    let rotating = (0..rounds).map(|r| (1 + r as usize % 3, r.wrapping_mul(0xB5297)));
-    for (round, (workers, salt)) in per_node.chain(rotating).enumerate() {
+    let per_node = (0..rounds).map(|r| (case.n_nodes as usize, POOLED, r.wrapping_mul(0x9E37)));
+    let rotating =
+        |work| (0..rounds).map(move |r| (1 + r as usize % 3, work, r.wrapping_mul(0xB5297)));
+    let runs = per_node.chain(rotating(POOLED)).chain(rotating(0.0));
+    for (round, (workers, host_work, salt)) in runs.enumerate() {
         aqs_sync::fuzz::arm(fuzz_seed.wrapping_add(salt));
         let result = run_guarded("fuzzed sharded ground truth", || {
             sim_for(case, SyncConfig::ground_truth())
                 .engine(EngineKind::Sharded)
+                .host_work_per_op(host_work)
                 .shards(workers)
                 .max_quanta(cap)
                 .run()
         });
         aqs_sync::fuzz::disarm();
         let what = format!(
-            "schedule fuzz round {round}: sharded (M={workers}) outcome diverged \
-             under perturbed drain/arrival order"
+            "schedule fuzz round {round}: {} outcome diverged under perturbed \
+             drain/arrival order",
+            label(EngineKind::Sharded, "ground truth", workers, host_work)
         );
         agree(&what, &result?.simulated_outcome(), &truth)?;
     }
@@ -766,20 +810,22 @@ mod tests {
     #[test]
     fn the_plan_is_every_enabled_engine_at_each_of_its_worker_counts_in_order() {
         use EngineKind::{Hybrid, Sharded, ShardedOptimistic};
-        let at = |kind, ms: &[usize]| ms.iter().map(|&m| (kind, m)).collect::<Vec<_>>();
+        let at = |kind, ms: &[usize], work| ms.iter().map(|&m| (kind, m, work)).collect::<Vec<_>>();
         let opts = CheckOpts::default();
         // Four nodes: no configured count reaches n, so the sharded engine
-        // also runs one worker per node.
+        // also runs one worker per node, inline and then pooled.
         let four = [
-            at(Sharded, &[1, 2, 3, 4]),
-            at(ShardedOptimistic, &[1, 2, 3]),
-            at(Hybrid, &[1, 2, 3]),
+            at(Sharded, &[1, 2, 3, 4], 0.0),
+            at(Sharded, &[1, 2, 3, 4], POOLED),
+            at(ShardedOptimistic, &[1, 2, 3], 0.0),
+            at(Hybrid, &[1, 2, 3], 0.0),
         ];
         assert_eq!(plan(&opts, 4), four.concat());
         let two = [
-            at(Sharded, &[1, 2, 3]),
-            at(ShardedOptimistic, &[1, 2, 3]),
-            at(Hybrid, &[1, 2, 3]),
+            at(Sharded, &[1, 2, 3], 0.0),
+            at(Sharded, &[1, 2, 3], POOLED),
+            at(ShardedOptimistic, &[1, 2, 3], 0.0),
+            at(Hybrid, &[1, 2, 3], 0.0),
         ];
         assert_eq!(plan(&opts, 2), two.concat());
         let det_only = CheckOpts {

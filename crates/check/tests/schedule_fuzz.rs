@@ -5,9 +5,10 @@
 //! safe quantum must stay bit-identical to the deterministic engine through
 //! every perturbed run: first with one worker per node, then rotating the
 //! worker count, so the partition itself is perturbed along with the
-//! schedule. The rollback engines add a third hook: any worker may claim any
-//! node of a round's run list, a jitter precedes every claim, and a
-//! rollback-heavy run must not notice. A round with no host work to share
+//! schedule — every round pooled — and then rotating it again with the
+//! small rounds run inline on the barrier leader. The rollback engines add
+//! a third hook: any worker may claim any node of a round's run list, a
+//! jitter precedes every claim, and a rollback-heavy run must not notice. A round with no host work to share
 //! runs on the barrier leader alone, so those runs are fuzzed at zero host
 //! work (nearly every round alone) and at a token host work (every round
 //! with ops pooled).

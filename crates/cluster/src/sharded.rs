@@ -16,12 +16,12 @@
 //! * a worker routes each copy into its own batch for the receiving shard,
 //!   a vector no other thread touches: no atomic, no lock and no shared
 //!   cache line per packet;
-//! * before it arrives at the barrier, the worker publishes each non-empty
-//!   batch for another shard to that sender→receiver hand-off slot (one
-//!   brief mutex hold and one flag per pair with traffic); after the
-//!   barrier each worker takes its own batch directly and locks a peer's
-//!   slot only when its flag is set;
-//! * batches are swapped between workers, never freed, so their capacity
+//! * at the end of its quantum, a shard publishes each non-empty batch for
+//!   another shard to that sender→receiver hand-off slot (one brief mutex
+//!   hold and one flag per pair with traffic); at the start of the next, it
+//!   takes its own batch directly and locks a peer's slot only when its
+//!   flag is set;
+//! * batches are swapped between shards, never freed, so their capacity
 //!   circulates and a warm run routes without allocating;
 //! * arrivals come from the shared [`Router`]: a `LatencyMatrix` lookup is
 //!   one indexed load from a dense nanosecond table, with no lock, no
@@ -45,6 +45,33 @@
 //!   deterministic engine's bit for bit**: every arrival already lands at or
 //!   after the quantum edge, so `max(arrival, q_end) = arrival` and zero
 //!   stragglers occur.
+//!
+//! # Who runs a shard
+//!
+//! Any thread. A shard's whole state — its node records, wake wheel and
+//! packet-path accounting with its outbound batches — is parked between
+//! quanta in its slot of the run's shared state, behind a `Mutex` that is
+//! never contended: whoever runs the shard's quantum holds it, and no one
+//! else asks. A quantum of a shard is two functions whoever calls them:
+//! `take` delivers what the previous round routed to the shard, and
+//! `execute` promotes its due sleepers, runs its active set to the edge
+//! and publishes what it routed. In a *pooled* round each worker takes and
+//! executes its own shard and the M shards run at once.
+//!
+//! A round that is too small to share runs on one thread. When a round
+//! closes, the barrier leader, still inside the barrier's exclusive
+//! section, weighs the next one: unless the run has host work per op, or
+//! the round just closed executed at least `SHARE_MIN_NODES` (32) nodes in
+//! all shards, the leader runs the next round *inline* — it takes for every
+//! shard, then executes every shard in shard order, through the same
+//! functions and the same hand-off slots — closes it and weighs again, until
+//! a round is worth sharing or the run stops. Only then are the other
+//! workers released. Taking for every shard before executing any is what
+//! keeps an inline round's take to the previous round's batches, as a
+//! pooled round's is. The executed-node count is simulated history, so
+//! which rounds run inline ([`ShardedRunResult::inline_rounds`]) is the
+//! same at every M and on every host. The round that opens a run is always
+//! pooled: the workers start before any leader step.
 //!
 //! # Examples
 //!
@@ -110,7 +137,20 @@ pub struct ShardedRunResult {
     /// win on idle-heavy workloads. Deterministic: independent of the worker
     /// count and of thread scheduling.
     pub nodes_executed: u64,
+    /// Rounds the barrier leader ran inline, every shard in turn, while the
+    /// rest of the pool waited (see the [module docs](self)): a function of
+    /// simulated history, the same at every M and on every host.
+    pub inline_rounds: u64,
 }
+
+/// Nodes a round must have executed, summed over the shards, for the next
+/// round to wake the pool when the run has no host work per op. A pooled
+/// round pays one barrier round beyond its node work —
+/// `sync.barrier_round_ns`, 0.5–1.1 µs on a 2-vCPU host — and one node
+/// execution costs `cluster.ns_per_node_exec`, ≈ 31 ns on `burst_1k`:
+/// 1 µs ÷ 31 ns ≈ 32. Below that a round's whole node work is less than the
+/// barrier that would split it, so no pool of any size can win it back.
+const SHARE_MIN_NODES: u64 = 32;
 
 /// A fragment in flight to one receiver, addressed by global node index.
 /// `arrival` is already the effective (boundary-deferred) delivery time.
@@ -133,17 +173,22 @@ impl ShardInFlight {
     }
 }
 
-/// One sender→receiver hand-off slot: the sending worker fills it before
-/// the barrier, the receiving worker empties it after. `ready` lets the
-/// receiver pass an idle slot with one load instead of a lock.
+/// One sender→receiver hand-off slot: the sending shard fills it at the end
+/// of a round, the receiving shard empties it at the start of the next.
+/// `ready` lets the receiver pass an idle slot with one load instead of a
+/// lock.
 #[derive(Default)]
 struct HandOff {
     ready: AtomicBool,
     batch: Mutex<Vec<ShardInFlight>>,
 }
 
-/// Stop sentinel published through `q_end`.
-const Q_END_STOP: u64 = u64::MAX;
+/// A quantum as the leader opened it.
+#[derive(Clone, Copy)]
+struct Quantum {
+    start: SimTime,
+    end: SimTime,
+}
 
 /// State only the barrier leader touches, via `TreeBarrier::arrive` — no
 /// mutex: exclusivity comes from the barrier protocol itself.
@@ -151,6 +196,8 @@ struct LeaderState<R> {
     clock: QuantumClock,
     /// Packets routed over the whole run (sum of the per-shard slots).
     total_packets: u64,
+    /// Rounds run inline (see [`ShardedRunResult::inline_rounds`]).
+    inline_rounds: u64,
     /// Observability recorder. Leader-exclusive like the rest of this
     /// struct, so recording needs no lock and stays off the packet path.
     rec: R,
@@ -165,9 +212,9 @@ struct LeaderState<R> {
     shard_actives: Vec<u64>,
 }
 
-/// One worker's (= one fabric slice's) per-link load accumulator. Each
-/// worker writes only its own slot (relaxed adds — the slot is effectively
-/// thread-private during the quantum), and the barrier-root leader drains
+/// One shard's (= one fabric slice's) per-link load accumulator. Each
+/// shard writes only its own slot (relaxed adds — the slot is effectively
+/// private to the thread running the shard's quantum), and the leader drains
 /// every slot with `swap(0)` inside the barrier's exclusive section.
 /// Commutative sums only: the merged totals are independent of worker count
 /// and routing order.
@@ -185,19 +232,29 @@ impl LinkSlot {
     }
 }
 
-/// Per-shard observability publication (straggler delta for the quantum).
+/// What a shard publishes for the leader at the end of each quantum, on one
+/// cache line.
 #[derive(Default)]
-struct ShardObsSlot {
+struct ShardSlot {
+    /// Packets routed (the policy's `np` is their sum).
+    np: AtomicU64,
+    /// Nodes executed (active-set size): the leader weighs the next round
+    /// by their sum.
+    active: AtomicU64,
+    /// The shard's nodes whose program has finished, over the run: the run
+    /// is done when the sum is the node count.
+    done: AtomicU64,
+    /// Straggler delta (observability only).
     s_count: AtomicU64,
     s_max: AtomicU64,
-    /// Nodes this shard executed during the quantum (active-set size).
-    active: AtomicU64,
 }
 
-/// Per-worker accounting, entirely thread-private.
-struct WorkerCtx {
-    /// This worker's index (= its shard, = its fabric slice).
-    w: usize,
+/// A shard's packet-path accounting. Only the thread running the shard's
+/// quantum touches it.
+struct ShardCtx {
+    /// This shard's index (= its fabric slice, = the worker that runs it in
+    /// a pooled round).
+    s: usize,
     /// Stragglers recorded in the current quantum.
     stragglers: StragglerStats,
     /// Run-total straggler tally, returned at worker exit.
@@ -205,12 +262,21 @@ struct WorkerCtx {
     /// Packets routed in the current quantum (the policy's `np` signal).
     quantum_packets: u64,
     /// Copies routed in the current quantum, one batch per receiving shard.
-    /// Only this worker touches them: `next_quantum` publishes the batches
-    /// for other shards, the next quantum's start delivers its own.
+    /// The end of the quantum publishes the batches for other shards, the
+    /// next quantum's start delivers its own.
     out: Vec<Vec<ShardInFlight>>,
-    /// Capacity growths of the batches this worker filled (see
+    /// What a peer's slot held, swapped out under its lock; the emptied
+    /// buffer goes back into a slot at the next take, so capacity
+    /// circulates between the shards instead of being freed.
+    inbox: Vec<ShardInFlight>,
+    /// Capacity growths of the batches this shard filled (see
     /// [`ShardedRunResult::pool_heap_allocs`]).
     heap_allocs: u64,
+    /// Node executions over the run.
+    nodes_executed: u64,
+    /// The shard's nodes whose program has finished (see
+    /// [`ShardSlot::done`]).
+    done: u64,
 }
 
 /// A shard's node simulators, one record per node: all of node `base + l`'s
@@ -221,15 +287,19 @@ struct WorkerCtx {
 struct ShardNodes {
     /// Global index of local node 0.
     base: usize,
-    nodes: Vec<ShardNode>,
+    nodes: Vec<NodeState>,
+    /// Bit `l` set ⇔ the shard's done count already holds local node `l`'s
+    /// end.
+    done_reported: Vec<u64>,
 }
 
-/// One node of a shard: the record [`step_node`] advances, and whether the
-/// run's done count already holds the node's end.
-struct ShardNode {
-    state: NodeState,
-    done_reported: bool,
-}
+// A shard's per-node record is one `NodeState`, fields and nothing else: a
+// flag beside it would pad every record by a word (232 → 240 B), so per-node
+// flags go in bit sets.
+const _: () = assert!(
+    std::mem::size_of::<NodeState>()
+        == std::mem::size_of::<aqs_node::NodeExecutor>() + 3 * std::mem::size_of::<u64>()
+);
 
 impl ShardNodes {
     /// Builds the shard whose first node is global node `base`, straight
@@ -243,20 +313,65 @@ impl ShardNodes {
         resume: Option<&SnapshotBody>,
         cpu: CpuModel,
     ) -> Result<Self, SimError> {
-        let mut nodes = Vec::with_capacity(programs.len());
+        let len = programs.len();
+        let mut nodes = Vec::with_capacity(len);
+        let mut done_reported = vec![0u64; len.div_ceil(64)];
         for (l, program) in programs.into_iter().enumerate() {
             let i = base + l;
-            nodes.push(ShardNode {
-                state: NodeState::start(i, program, cpu, resume)?,
-                done_reported: resume.is_some_and(|body| body.nodes[i].done),
-            });
+            nodes.push(NodeState::start(i, program, cpu, resume)?);
+            if resume.is_some_and(|body| body.nodes[i].done) {
+                done_reported[l >> 6] |= 1 << (l & 63);
+            }
         }
-        Ok(Self { base, nodes })
+        Ok(Self {
+            base,
+            nodes,
+            done_reported,
+        })
+    }
+}
+
+/// One shard's whole state between quanta, parked in its
+/// [`SharedSharded::shards`] slot so any thread can run its next quantum.
+struct Shard {
+    nodes: ShardNodes,
+    wheel: WakeWheel,
+    ctx: ShardCtx,
+}
+
+impl Shard {
+    /// Shard `s` of `m`, over its built nodes. Every node starts armed (a
+    /// fresh run must poll everyone at least once; a resumed run re-polls
+    /// everyone on the first quantum, exactly as the pre-active-set engine
+    /// did). The wake wheel takes over from the first execution onward.
+    fn new(nodes: ShardNodes, s: usize, m: usize) -> Self {
+        let mut wheel = WakeWheel::new(nodes.nodes.len());
+        for l in 0..nodes.nodes.len() {
+            wheel.arm_now(l);
+        }
+        // A resumed run's finished nodes are counted from the start.
+        let done = nodes.done_reported.iter().map(|w| w.count_ones());
+        let done = done.map(u64::from).sum();
+        Self {
+            nodes,
+            wheel,
+            ctx: ShardCtx {
+                s,
+                stragglers: StragglerStats::default(),
+                run_stragglers: StragglerStats::default(),
+                quantum_packets: 0,
+                out: vec![Vec::new(); m],
+                inbox: Vec::new(),
+                heap_allocs: 0,
+                nodes_executed: 0,
+                done,
+            },
+        }
     }
 }
 
 /// Per-shard wake wheel: which locals run in the current quantum, and when
-/// parked-with-a-deadline locals become due. Entirely worker-private.
+/// parked-with-a-deadline locals become due. Part of the parked [`Shard`].
 struct WakeWheel {
     /// Bitmap over local indices: bit set ⇒ the node executes this quantum.
     /// Stable during the scan — same-quantum sends land in batches that are
@@ -383,23 +498,39 @@ impl WakeQueue {
     }
 }
 
+/// What the leader publishes for the next round, on a line of its own: it
+/// is written every round, and the fields around it are read on every
+/// packet.
+#[derive(Default)]
+struct RoundSlot {
+    /// The quantum the leader opened last, in sim ns: stored inside the
+    /// barrier's exclusive section, read after it. Unchanged by a stop, so
+    /// it then names the last round.
+    q_start: AtomicU64,
+    q_end: AtomicU64,
+    /// Set by the leader step that ends the run.
+    stop: AtomicBool,
+}
+
 /// Shared state across worker threads.
 struct SharedSharded<R> {
     /// The run's one routing core, shared read-only by every worker.
     net: Router,
     /// Wall-clock origin for barrier-wait timestamps.
     start: Instant,
-    /// Shard (= worker) owning each global node index.
+    /// Shard owning each global node index.
     shard_of: Vec<u32>,
-    /// Hand-off slots, `m × m`: slot `s * m + d` carries what worker `s`
-    /// routed to shard `d`. No worker publishes to the diagonal (it keeps
-    /// its own shard's copies); a resumed run's cut-in-flight copies reach
-    /// their shard through it.
+    /// Every shard's state between quanta (see "Who runs a shard" in the
+    /// module docs). `None` until the shard's worker has built and parked
+    /// it, and again once the worker has taken it back at the end.
+    shards: Vec<CachePadded<Mutex<Option<Shard>>>>,
+    /// Hand-off slots, `m × m`: slot `s * m + d` carries what shard `s`
+    /// routed to shard `d`. No shard publishes to the diagonal (it keeps its
+    /// own copies); a resumed run's cut-in-flight copies reach their shard
+    /// through it.
     handoff: Vec<CachePadded<HandOff>>,
-    /// Per-shard packets routed this quantum; the leader sums these.
-    np_slots: Vec<CachePadded<AtomicU64>>,
-    /// Per-shard straggler deltas for the quantum (observability only).
-    shard_obs: Vec<CachePadded<ShardObsSlot>>,
+    /// Per-shard publication for the quantum.
+    shard_slots: Vec<CachePadded<ShardSlot>>,
     /// Per-node idle-tail (vt lag) for the quantum, in sim ns. Empty unless
     /// the recorder is enabled: nothing else reads it, and at a cache line
     /// per node it is the largest allocation of a big unrecorded run.
@@ -408,10 +539,8 @@ struct SharedSharded<R> {
     /// the recording path compiled out) unless the switch is a fabric *and*
     /// the recorder is enabled.
     fabric_slots: Vec<LinkSlot>,
-    /// End of the current quantum in sim ns; `Q_END_STOP` means stop.
-    q_end: AtomicU64,
-    /// Number of nodes whose program has finished.
-    done: AtomicU64,
+    /// The quantum the leader opened last, and the stop.
+    round: CachePadded<RoundSlot>,
     /// Deadlock-guard flag (checked after join, where panicking is safe).
     overflow: AtomicBool,
     /// Set by a worker whose slice of a snapshot failed to restore; read by
@@ -421,23 +550,34 @@ struct SharedSharded<R> {
 }
 
 impl<R: Recorder> SharedSharded<R> {
+    /// The quantum the leader opened last.
+    fn quantum(&self) -> Quantum {
+        // Relaxed: stored before the barrier's epoch release, read after
+        // its acquire (or before the workers were spawned).
+        let at = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
+        Quantum {
+            start: SimTime::from_nanos(at(&self.round.q_start)),
+            end: SimTime::from_nanos(at(&self.round.q_end)),
+        }
+    }
+
     /// Routes one fragment sent by global node `src`, with `q_end` the
     /// sender's current quantum edge. What this engine does with an arrival:
     /// the effective delivery time is `max(arrival, q_end)` — fully
     /// deterministic, no reads of receiver state, and the router is a pure
     /// function, so neither worker count nor routing order can change it —
-    /// and the copy goes into this worker's batch for the shard that owns
-    /// its receiver.
+    /// and the copy goes into the sending shard's batch for the shard that
+    /// owns its receiver.
     #[inline]
-    fn route(&self, ctx: &mut WorkerCtx, src: usize, frag: &FragSnap, q_end: SimTime) {
+    fn route(&self, ctx: &mut ShardCtx, src: usize, frag: &FragSnap, q_end: SimTime) {
         let net = &self.net;
         net.fan_out(src, frag.dst, frag.bytes, frag.departure, |t, arrival| {
             ctx.quantum_packets += 1;
-            let slot = self.fabric_slots.get(ctx.w);
+            let slot = self.fabric_slots.get(ctx.s);
             if let (true, Some(slot), Some(fabric)) = (R::ENABLED, slot, net.fabric()) {
                 // Observation only (never feeds timing): bump this slice's
                 // counters along the packet's path. Relaxed is enough — the
-                // slot is written by this worker alone during the quantum
+                // slot is written by this shard alone during the quantum
                 // and drained by the leader inside the barrier.
                 for &link in fabric.path(src as u32, t as u32).links() {
                     slot.bytes[link as usize].fetch_add(frag.bytes as u64, Ordering::Relaxed);
@@ -556,7 +696,6 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             *slot = s as u32;
         }
     }
-    let q_end0 = clock.q_end_nanos;
     let mut handoff: Vec<CachePadded<HandOff>> =
         (0..m * m).map(|_| CachePadded::default()).collect();
     let (total_packets, mut stragglers) = match resume {
@@ -571,16 +710,17 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         })?,
         None => (0, StragglerStats::default()),
     };
-    let n_done = resume.map_or(0, |s| s.nodes.iter().filter(|ns| ns.done).count() as u64);
     // Fabric link-load slices exist only when there is something to record
     // them into; otherwise the whole path is a dead (compiled-out) branch.
     let n_links = match net.fabric() {
         Some(f) if R::ENABLED => f.n_links(),
         _ => 0,
     };
+    let (q_start, q_end) = (clock.q_start_nanos, clock.q_end_nanos);
     let leader = LeaderState {
         clock,
         total_packets,
+        inline_rounds: 0,
         rec: recorder,
         waits: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
         lags: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
@@ -592,13 +732,9 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         net,
         start,
         shard_of,
+        shards: (0..m).map(|_| CachePadded::default()).collect(),
         handoff,
-        np_slots: (0..m)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        shard_obs: (0..m)
-            .map(|_| CachePadded::new(ShardObsSlot::default()))
-            .collect(),
+        shard_slots: (0..m).map(|_| CachePadded::default()).collect(),
         // The lag sentinel: `u64::MAX` means "not executed this quantum".
         // Workers store a node's real lag when they execute it; the leader
         // swaps the sentinel back in each quantum and substitutes the full
@@ -612,8 +748,11 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         } else {
             Vec::new()
         },
-        q_end: AtomicU64::new(q_end0),
-        done: AtomicU64::new(n_done),
+        round: CachePadded::new(RoundSlot {
+            q_start: AtomicU64::new(q_start),
+            q_end: AtomicU64::new(q_end),
+            stop: AtomicBool::new(false),
+        }),
         overflow: AtomicBool::new(false),
         restore_failed: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
@@ -661,24 +800,20 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         workers: m,
         pool_heap_allocs,
         nodes_executed,
+        inline_rounds: leader.inline_rounds,
     };
     Ok((result, leader.rec))
 }
 
-/// What a worker returns: its nodes' results (in rank order), its
-/// run-total straggler tally, its batches' heap-allocation count, and the
-/// number of node executions it performed.
+/// What a worker returns for its shard: the nodes' results (in rank order),
+/// the run-total straggler tally, the batches' heap-allocation count, and
+/// the number of node executions.
 type WorkerOutput = (Vec<NodeResult>, StragglerStats, u64, u64);
 
-/// Builds one shard (see [`ShardNodes::build`]) and runs it to completion.
+/// Builds shard `w` (see [`ShardNodes::build`]), parks it, takes and
+/// executes its quantum in every pooled round, and takes it back when the
+/// run stops.
 /// `Err` is this shard's lowest node that failed to restore from `resume`.
-///
-/// The active-set scheduler (the default) executes only nodes with a
-/// scheduled wake inside the quantum; a quantum where the whole shard is
-/// parked touches no node memory at all and fast-forwards straight to the
-/// barrier. With [`ParallelConfig::full_sweep`] the worker executes every
-/// node every quantum — the legacy behavior, kept as the differential
-/// baseline the active set must match bit for bit.
 fn worker_thread<R: Recorder>(
     w: usize,
     base: usize,
@@ -687,8 +822,6 @@ fn worker_thread<R: Recorder>(
     config: &ParallelConfig,
     shared: &SharedSharded<R>,
 ) -> Result<WorkerOutput, SimError> {
-    let len = programs.len();
-    let q_start0 = resume.map_or(SimTime::ZERO, |s| s.q_start);
     let built = ShardNodes::build(base, programs, resume, config.cpu);
     if resume.is_some() {
         // Only a snapshot can fail to build, and any worker's slice of it
@@ -705,124 +838,152 @@ fn worker_thread<R: Recorder>(
             return built.map(|_| WorkerOutput::default());
         }
     }
-    let mut nodes = built?;
-    // One packet-count slot per worker.
-    let m = shared.np_slots.len();
-    let mut ctx = WorkerCtx {
-        w,
-        stragglers: StragglerStats::default(),
-        run_stragglers: StragglerStats::default(),
-        quantum_packets: 0,
-        out: vec![Vec::new(); m],
-        heap_allocs: 0,
-    };
-    let full_sweep = config.full_sweep;
-    // Every node starts armed (a fresh run must poll everyone at least
-    // once; a resumed run re-polls everyone on the first quantum, exactly
-    // as the pre-active-set engine did). The wake wheel takes over from
-    // the first execution onward.
-    let mut wheel = WakeWheel::new(len);
-    for l in 0..len {
-        wheel.arm_now(l);
-    }
-    let mut nodes_executed = 0u64;
-    // What a peer's slot held, swapped out under its lock; the emptied
-    // buffer goes back into a slot at the next take, so capacity
-    // circulates between the workers instead of being freed.
-    let mut inbox: Vec<ShardInFlight> = Vec::new();
-    let mut q_start = q_start0;
-    let mut q_end = SimTime::from_nanos(shared.q_end.load(Ordering::Acquire));
+    let shard = Shard::new(built?, w, shared.shards.len());
+    *shared.shards[w].lock().expect("shard poisoned") = Some(shard);
+    let mut q = shared.quantum();
     loop {
-        let q_end_ns = q_end.as_nanos();
-        // Quantum boundary: take what was routed to this shard — the own
-        // batch directly, a peer's (or the diagonal's resume injection)
-        // only when its slot's flag is set — and deliver. Effective
-        // timestamps were fixed at route time, so delivery order is
-        // irrelevant (matching is timestamp-based).
-        deliver(
-            &mut ctx.out[w],
-            &mut nodes,
-            &mut wheel,
-            full_sweep,
-            q_end_ns,
-        );
-        for s in 0..m {
-            let slot = &shared.handoff[s * m + w];
-            // Acquire pairs with the publisher's Release store, after its
-            // unlock; the lock orders the batch itself.
-            if slot.ready.load(Ordering::Relaxed) && slot.ready.swap(false, Ordering::Acquire) {
-                std::mem::swap(
-                    &mut *slot.batch.lock().expect("hand-off slot poisoned"),
-                    &mut inbox,
-                );
-                deliver(&mut inbox, &mut nodes, &mut wheel, full_sweep, q_end_ns);
-            }
-        }
-        let mut active = 0u64;
-        if full_sweep {
-            for l in 0..len {
-                let ran = advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
-                if R::ENABLED {
-                    shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
-                }
-            }
-            active = len as u64;
-        } else {
-            // Promote sleepers whose scheduled wake falls strictly inside
-            // this quantum (a wake at exactly `q_end` is the next quantum's
-            // first instant), in one drain. Every due entry arms its node: a
-            // stale entry — the node already woke earlier and re-slept —
-            // arms a side-effect-free re-poll, identical under every shard
-            // count.
-            wheel.promote(q_end_ns);
-            // Execute the active set in ascending local order (bit order =
-            // rank order within the shard, matching the full sweep).
-            for wi in 0..wheel.ready_words.len() {
-                let mut word = wheel.ready_words[wi];
-                if word == 0 {
-                    // Nearly every word of a sparse shard, every quantum:
-                    // read it, write nothing.
-                    continue;
-                }
-                wheel.ready_words[wi] = 0;
-                while word != 0 {
-                    let l = (wi << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let ran = advance_node(&mut nodes, l, shared, config, &mut ctx, q_start, q_end);
-                    if ran.wake == q_end_ns {
-                        // Runs again next quantum — the common case for a
-                        // node mid-compute. An entry `(q_end, l)` would be
-                        // drained by the next promote whatever the next edge
-                        // is, so arm the bit now and spare the queue a push
-                        // and a drain per active node per quantum. The stored
-                        // word was cleared before its bits were walked, so
-                        // the next quantum's scan is the first to see it.
-                        wheel.arm_now(l);
-                    } else if ran.wake != u64::MAX {
-                        wheel.queue.push(ran.wake, l as u32);
-                    }
-                    if R::ENABLED {
-                        shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
-                    }
-                    active += 1;
-                }
-            }
-        }
-        nodes_executed += active;
-        match next_quantum(shared, &mut ctx, w, active) {
-            Some(qe) => {
-                q_start = q_end;
-                q_end = qe;
-            }
+        let mut parked = shared.shards[w].lock().expect("shard poisoned");
+        let Shard { nodes, wheel, ctx } = parked.as_mut().expect("the shard was parked");
+        take(shared, config, nodes, wheel, ctx, q);
+        execute(shared, config, nodes, wheel, ctx, q);
+        drop(parked);
+        match meet(shared, config, w) {
+            Some(next) => q = next,
             None => break,
         }
     }
+    // The last round may have run inline: its edge is the one the leader
+    // opened last.
+    let q_end = shared.quantum().end;
+    let Shard { mut nodes, ctx, .. } = (shared.shards[w].lock().expect("shard poisoned"))
+        .take()
+        .expect("the shard was parked");
     // A parked node's `sim` may lag the last quantum edge (fast-forwarding
     // is lazy); the full sweep would have dragged it to the edge.
     let results = (nodes.nodes.iter_mut())
-        .map(|node| NodeResult::collect(&mut node.state.exec, node.state.sim.max(q_end)))
+        .map(|node| NodeResult::collect(&mut node.exec, node.sim.max(q_end)))
         .collect();
-    Ok((results, ctx.run_stragglers, ctx.heap_allocs, nodes_executed))
+    Ok((
+        results,
+        ctx.run_stragglers,
+        ctx.heap_allocs,
+        ctx.nodes_executed,
+    ))
+}
+
+/// The start of a shard's quantum, whoever runs it: delivers what the
+/// previous round routed to the shard — its own batch directly, a peer's
+/// (or the diagonal's resume injection) only when its slot's flag is set.
+/// Effective timestamps were fixed at route time, so delivery order is
+/// irrelevant (matching is timestamp-based). Inlined into both callers, as
+/// [`execute`] is.
+#[inline(always)]
+fn take<R: Recorder>(
+    shared: &SharedSharded<R>,
+    config: &ParallelConfig,
+    nodes: &mut ShardNodes,
+    wheel: &mut WakeWheel,
+    ctx: &mut ShardCtx,
+    q: Quantum,
+) {
+    let (s, m) = (ctx.s, ctx.out.len());
+    let full_sweep = config.full_sweep;
+    let q_end_ns = q.end.as_nanos();
+    deliver(&mut ctx.out[s], nodes, wheel, full_sweep, q_end_ns);
+    for from in 0..m {
+        let slot = &shared.handoff[from * m + s];
+        // Acquire pairs with the publisher's Release store, after its
+        // unlock; the lock orders the batch itself.
+        if slot.ready.load(Ordering::Relaxed) && slot.ready.swap(false, Ordering::Acquire) {
+            std::mem::swap(
+                &mut *slot.batch.lock().expect("hand-off slot poisoned"),
+                &mut ctx.inbox,
+            );
+            deliver(&mut ctx.inbox, nodes, wheel, full_sweep, q_end_ns);
+        }
+    }
+}
+
+/// The rest of a shard's quantum, after its [`take`]: promote its due
+/// sleepers, execute its active set to the edge, and publish what it
+/// routed. Its worker calls this in a pooled round; the leader calls it for
+/// every shard, in shard order, in an inline round.
+///
+/// The active-set scheduler (the default) executes only nodes with a
+/// scheduled wake inside the quantum; a quantum where the whole shard is
+/// parked touches no node memory at all. With [`ParallelConfig::full_sweep`]
+/// every node executes every quantum — the legacy behavior, kept as the
+/// differential baseline the active set must match bit for bit.
+///
+/// The shard comes as three borrows, not one `&mut Shard`: as separate
+/// parameters the compiler knows that stepping a node cannot touch the wake
+/// wheel, and keeps the scan's state in registers across the steps. It is
+/// inlined into both callers: called out of line, one worker's `burst_1k`
+/// run measured 2–6 % slower (EXPERIMENTS.md § "Sharded round budget").
+#[inline(always)]
+fn execute<R: Recorder>(
+    shared: &SharedSharded<R>,
+    config: &ParallelConfig,
+    nodes: &mut ShardNodes,
+    wheel: &mut WakeWheel,
+    ctx: &mut ShardCtx,
+    q: Quantum,
+) {
+    let full_sweep = config.full_sweep;
+    let q_end_ns = q.end.as_nanos();
+    let base = nodes.base;
+    let len = nodes.nodes.len();
+    let mut active = 0u64;
+    if full_sweep {
+        for l in 0..len {
+            let ran = advance_node(nodes, l, shared, config, ctx, q);
+            if R::ENABLED {
+                shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
+            }
+        }
+        active = len as u64;
+    } else {
+        // Promote sleepers whose scheduled wake falls strictly inside this
+        // quantum (a wake at exactly `q_end` is the next quantum's first
+        // instant), in one drain. Every due entry arms its node: a stale
+        // entry — the node already woke earlier and re-slept — arms a
+        // side-effect-free re-poll, identical under every shard count.
+        wheel.promote(q_end_ns);
+        // Execute the active set in ascending local order (bit order = rank
+        // order within the shard, matching the full sweep).
+        for wi in 0..wheel.ready_words.len() {
+            let mut word = wheel.ready_words[wi];
+            if word == 0 {
+                // Nearly every word of a sparse shard, every quantum: read
+                // it, write nothing.
+                continue;
+            }
+            wheel.ready_words[wi] = 0;
+            while word != 0 {
+                let l = (wi << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let ran = advance_node(nodes, l, shared, config, ctx, q);
+                if ran.wake == q_end_ns {
+                    // Runs again next quantum — the common case for a node
+                    // mid-compute. An entry `(q_end, l)` would be drained by
+                    // the next promote whatever the next edge is, so arm the
+                    // bit now and spare the queue a push and a drain per
+                    // active node per quantum. The stored word was cleared
+                    // before its bits were walked, so the next quantum's
+                    // scan is the first to see it.
+                    wheel.arm_now(l);
+                } else if ran.wake != u64::MAX {
+                    wheel.queue.push(ran.wake, l as u32);
+                }
+                if R::ENABLED {
+                    shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
+                }
+                active += 1;
+            }
+        }
+    }
+    ctx.nodes_executed += active;
+    publish(shared, ctx, active);
 }
 
 /// Batches of two or more copies the schedule-fuzz hook shuffled, so a test
@@ -847,8 +1008,9 @@ fn deliver(
     }
     for f in batch.drain(..) {
         let l = f.dst as usize - nodes.base;
-        let exec = &mut nodes.nodes[l].state.exec;
-        exec.deliver_fragment(f.meta, f.frag_index, f.arrival);
+        nodes.nodes[l]
+            .exec
+            .deliver_fragment(f.meta, f.frag_index, f.arrival);
         if full_sweep {
             continue;
         }
@@ -880,123 +1042,172 @@ fn deliver(
 }
 
 /// Advances one node to the quantum edge with the shared [`step_node`],
-/// routing every fragment it sends right away, and reports the program's end
-/// to the run's done count the first time it is seen.
+/// routing every fragment it sends right away, and counts the program's end
+/// into the shard's done count the first time it is seen.
 #[inline]
 fn advance_node<R: Recorder>(
     nodes: &mut ShardNodes,
     l: usize,
     shared: &SharedSharded<R>,
     config: &ParallelConfig,
-    ctx: &mut WorkerCtx,
-    q_start: SimTime,
-    q_end: SimTime,
+    ctx: &mut ShardCtx,
+    q: Quantum,
 ) -> Stepped {
     let src = nodes.base + l;
-    let ShardNode {
-        state,
-        done_reported,
-    } = &mut nodes.nodes[l];
     let work = config.host_work_per_op;
-    let ran = step_node(state, (q_start, q_end), shared.net.nic(), work, |frag| {
-        shared.route(ctx, src, &frag, q_end)
-    });
-    if ran.finished && !*done_reported {
-        *done_reported = true;
-        shared.done.fetch_add(1, Ordering::AcqRel);
+    let ran = step_node(
+        &mut nodes.nodes[l],
+        (q.start, q.end),
+        shared.net.nic(),
+        work,
+        |frag| shared.route(ctx, src, &frag, q.end),
+    );
+    if ran.finished {
+        let (word, bit) = (&mut nodes.done_reported[l >> 6], 1 << (l & 63));
+        if *word & bit == 0 {
+            *word |= bit;
+            ctx.done += 1;
+        }
     }
     ran
 }
 
-/// Meets the tree barrier; the root leader advances the policy and publishes
-/// `(q_end, stop)` through the epoch handshake. Returns the new quantum end,
-/// or `None` when the run is over.
-fn next_quantum<R: Recorder>(
-    shared: &SharedSharded<R>,
-    ctx: &mut WorkerCtx,
-    w: usize,
-    active: u64,
-) -> Option<SimTime> {
-    // Hand this quantum's batches for other shards over. The barrier
-    // arrival below orders each publication before every peer's next take.
+/// Ends shard `ctx.s`'s quantum: hands the batches it routed to other
+/// shards over, and publishes its packet count, node executions, done count
+/// and straggler delta for the leader. The barrier that closes the round orders
+/// each publication before every peer's next take.
+fn publish<R: Recorder>(shared: &SharedSharded<R>, ctx: &mut ShardCtx, active: u64) {
+    let s = ctx.s;
     let m = ctx.out.len();
     for (d, batch) in ctx.out.iter_mut().enumerate() {
-        if d == w || batch.is_empty() {
+        if d == s || batch.is_empty() {
             continue;
         }
-        let slot = &shared.handoff[w * m + d];
+        let slot = &shared.handoff[s * m + d];
         let mut held = slot.batch.lock().expect("hand-off slot poisoned");
         if held.is_empty() {
             // The usual case: the receiver took the last batch and left its
             // emptied buffer here; trade this batch for it.
             std::mem::swap(&mut *held, batch);
         } else {
-            // The receiver has not taken the last quantum's batch yet.
+            // In a pooled round, the receiver has not taken the last
+            // quantum's batch yet.
             ctx.heap_allocs += u64::from(held.capacity() - held.len() < batch.len());
             held.append(batch);
         }
         drop(held);
         slot.ready.store(true, Ordering::Release);
     }
-    shared.np_slots[w].store(ctx.quantum_packets, Ordering::Relaxed);
+    let slot = &shared.shard_slots[s];
+    slot.np.store(ctx.quantum_packets, Ordering::Relaxed);
     ctx.quantum_packets = 0;
+    slot.active.store(active, Ordering::Relaxed);
+    slot.done.store(ctx.done, Ordering::Relaxed);
     if R::ENABLED {
-        let slot = &shared.shard_obs[w];
         slot.s_count
             .store(ctx.stragglers.count(), Ordering::Relaxed);
         slot.s_max
             .store(ctx.stragglers.max_delay().as_nanos(), Ordering::Relaxed);
-        slot.active.store(active, Ordering::Relaxed);
     }
     if ctx.stragglers.count() > 0 {
         ctx.run_stragglers.merge(&ctx.stragglers);
         ctx.stragglers = StragglerStats::default();
     }
+}
+
+/// Meets the tree barrier, where the last to arrive [`lead`]s. Returns the
+/// quantum this worker runs next, or `None` when the run is over.
+fn meet<R: Recorder>(
+    shared: &SharedSharded<R>,
+    config: &ParallelConfig,
+    w: usize,
+) -> Option<Quantum> {
     if R::ENABLED {
         let now_ns = shared.start.elapsed().as_nanos() as u64;
         shared.barrier.arrive_timed(w, now_ns, |leader, ts| {
-            leader_step(shared, leader, Some(ts))
+            lead(shared, config, leader, Some(ts))
         });
     } else {
         shared
             .barrier
-            .arrive(w, |leader| leader_step(shared, leader, None));
+            .arrive(w, |leader| lead(shared, config, leader, None));
     }
     // Ordered after the leader's stores by the epoch acquire inside arrive.
-    let q_end = shared.q_end.load(Ordering::Relaxed);
-    if q_end == Q_END_STOP {
-        None
-    } else {
-        Some(SimTime::from_nanos(q_end))
+    (!shared.round.stop.load(Ordering::Relaxed)).then(|| shared.quantum())
+}
+
+/// The barrier leader's turn: close the round with [`leader_step`], then run
+/// every next round too small to share inline — each shard in turn, with
+/// the pool still parked — until one is worth sharing or the run stops.
+fn lead<R: Recorder>(
+    shared: &SharedSharded<R>,
+    config: &ParallelConfig,
+    leader: &mut LeaderState<R>,
+    mut ts: Option<ArrivalTimes<'_>>,
+) {
+    // Every shard, locked once for the whole inline stretch.
+    let mut held = Vec::new();
+    loop {
+        let executed = leader_step(shared, leader, ts.take());
+        // Simulated history only: the same choice at every M, on every host
+        // and under every schedule.
+        if shared.round.stop.load(Ordering::Relaxed)
+            || config.host_work_per_op > 0.0
+            || executed >= SHARE_MIN_NODES
+        {
+            return;
+        }
+        if held.is_empty() {
+            held.extend(
+                shared
+                    .shards
+                    .iter()
+                    .map(|s| s.lock().expect("shard poisoned")),
+            );
+        }
+        leader.inline_rounds += 1;
+        let q = shared.quantum();
+        // Every take before any execute: a shard executed first would
+        // publish this round's batches before its peers took the last ones.
+        for parked in &mut held {
+            let Shard { nodes, wheel, ctx } = parked.as_mut().expect("the shard was parked");
+            take(shared, config, nodes, wheel, ctx, q);
+        }
+        for parked in &mut held {
+            let Shard { nodes, wheel, ctx } = parked.as_mut().expect("the shard was parked");
+            execute(shared, config, nodes, wheel, ctx, q);
+        }
     }
 }
 
 /// The root leader's quantum-boundary work: record the observability sample
 /// (merging the per-shard slots into per-node lanes), then advance the
-/// policy and publish `(q_end, stop)`.
+/// policy and publish the next quantum, or the stop. `ts` holds the
+/// workers' barrier arrival stamps of a pooled round (recording only; an
+/// inline round has none). Returns the nodes the round executed.
 fn leader_step<R: Recorder>(
     shared: &SharedSharded<R>,
     leader: &mut LeaderState<R>,
     ts: Option<ArrivalTimes<'_>>,
-) {
-    let np: u64 = shared
-        .np_slots
-        .iter()
-        .map(|s| s.load(Ordering::Relaxed))
-        .sum();
+) -> u64 {
+    let slots = &shared.shard_slots;
+    let np: u64 = slots.iter().map(|s| s.np.load(Ordering::Relaxed)).sum();
+    let executed: u64 = slots.iter().map(|s| s.active.load(Ordering::Relaxed)).sum();
     if R::ENABLED {
-        let ts = ts.expect("recording enabled without timed arrival");
         // Worker arrival stamps, expanded to per-node lanes (every node in a
         // shard shares its worker's barrier wait) so the flight recorder's
-        // per-node layout holds for any M.
-        let latest = (0..ts.len()).map(|k| ts.get(k)).max().unwrap_or(0);
+        // per-node layout holds for any M. An inline round ends now, and no
+        // node's thread waited for another's.
+        let latest = match &ts {
+            Some(ts) => (0..ts.len()).map(|k| ts.get(k)).max().unwrap_or(0),
+            None => shared.start.elapsed().as_nanos() as u64,
+        };
         let q_len_nanos = leader.clock.q_end_nanos - leader.clock.q_start_nanos;
         leader.waits.clear();
         leader.lags.clear();
         for (node, &shard) in shared.shard_of.iter().enumerate() {
-            leader
-                .waits
-                .push(latest.saturating_sub(ts.get(shard as usize)));
+            let arrived = ts.as_ref().map_or(latest, |ts| ts.get(shard as usize));
+            leader.waits.push(latest.saturating_sub(arrived));
             // Swap the sentinel back in for next quantum. A node the active
             // set skipped (sentinel still present) idled through the whole
             // quantum: its lag is the full quantum length, exactly what the
@@ -1008,14 +1219,13 @@ fn leader_step<R: Recorder>(
         }
         let mut s_count = 0u64;
         let mut s_max = 0u64;
-        let mut active_total = 0u64;
         leader.shard_actives.clear();
-        for slot in &shared.shard_obs {
+        for slot in slots {
             s_count += slot.s_count.load(Ordering::Relaxed);
             s_max = s_max.max(slot.s_max.load(Ordering::Relaxed));
-            let a = slot.active.load(Ordering::Relaxed);
-            active_total += a;
-            leader.shard_actives.push(a);
+            leader
+                .shard_actives
+                .push(slot.active.load(Ordering::Relaxed));
         }
         leader.rec.record_quantum(&QuantumObs {
             index: leader.clock.quanta,
@@ -1024,7 +1234,7 @@ fn leader_step<R: Recorder>(
             // The last worker's arrival stamp is when the barrier completed.
             host_ns: latest,
             packets: np,
-            active_nodes: active_total,
+            active_nodes: executed,
             stragglers: s_count,
             max_straggler_delay: SimDuration::from_nanos(s_max),
             barrier_wait_ns: &leader.waits,
@@ -1053,24 +1263,35 @@ fn leader_step<R: Recorder>(
         }
     }
     leader.total_packets += np;
-    let all_done = shared.done.load(Ordering::Acquire) as usize == shared.shard_of.len();
+    let done: u64 = slots.iter().map(|s| s.done.load(Ordering::Relaxed)).sum();
+    let all_done = done as usize == shared.shard_of.len();
     #[allow(unused_mut)]
     let mut policy_np = np;
     #[cfg(feature = "fault-inject")]
     if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
         // Armable bug: the policy's view forgets shard 0's packets; the
         // recorded trace keeps the true np.
-        policy_np -= shared.np_slots[0].load(Ordering::Relaxed);
+        policy_np -= slots[0].np.load(Ordering::Relaxed);
     }
-    let q_end = match leader.clock.advance(all_done, policy_np) {
-        Advance::Next => leader.clock.q_end_nanos,
-        Advance::Stop => Q_END_STOP,
+    match leader.clock.advance(all_done, policy_np) {
+        Advance::Next => {
+            let clock = &leader.clock;
+            shared
+                .round
+                .q_start
+                .store(clock.q_start_nanos, Ordering::Relaxed);
+            shared
+                .round
+                .q_end
+                .store(clock.q_end_nanos, Ordering::Relaxed);
+        }
+        Advance::Stop => shared.round.stop.store(true, Ordering::Relaxed),
         Advance::CapExceeded => {
             shared.overflow.store(true, Ordering::Relaxed);
-            Q_END_STOP
+            shared.round.stop.store(true, Ordering::Relaxed);
         }
-    };
-    shared.q_end.store(q_end, Ordering::Relaxed);
+    }
+    executed
 }
 
 #[cfg(test)]
@@ -1107,6 +1328,23 @@ mod tests {
         ParallelConfig {
             full_sweep: true,
             ..cfg(sync)
+        }
+    }
+
+    /// `config` with a token host work per op, so that every round wakes
+    /// the pool: the twin that keeps a test of the hand-off across threads
+    /// pooled when its rounds are too small to share.
+    fn pooled(config: ParallelConfig) -> ParallelConfig {
+        ParallelConfig {
+            host_work_per_op: 1e-3,
+            ..config
+        }
+    }
+
+    /// Asserts that a run on a [`pooled`] configuration ran no round inline.
+    fn assert_stayed_pooled(config: &ParallelConfig, r: &ShardedRunResult, ctx: &str) {
+        if config.host_work_per_op > 0.0 {
+            assert_eq!(r.inline_rounds, 0, "{ctx}: the pooled twin ran inline");
         }
     }
 
@@ -1316,16 +1554,23 @@ mod tests {
         // Batch allocations track the largest batch a quantum needs, not
         // the number of copies routed: 20× the rounds must not add a single
         // allocation beyond the short run's warm-up (6 when pinned: one
-        // growth per batch buffer a pair of workers circulates).
-        let run = |rounds| {
-            let spec = ping_pong(2, rounds, 64);
-            run_sharded(spec.programs, &cfg(SyncConfig::ground_truth()), Some(2))
-        };
-        let short = run(10);
-        let long = run(200);
-        assert_eq!(long.total_packets, 400);
-        assert_eq!(long.pool_heap_allocs, short.pool_heap_allocs);
-        assert!(long.pool_heap_allocs < long.total_packets / 10);
+        // growth per batch buffer a pair of shards circulates). Two nodes
+        // never make a round worth sharing, so the plain run circulates the
+        // buffers inline and the pooled twin between two threads.
+        let plain = cfg(SyncConfig::ground_truth());
+        for config in [pooled(plain.clone()), plain] {
+            let run = |rounds| {
+                let spec = ping_pong(2, rounds, 64);
+                let r = run_sharded(spec.programs, &config, Some(2));
+                assert_stayed_pooled(&config, &r, &format!("{rounds} rounds"));
+                r
+            };
+            let short = run(10);
+            let long = run(200);
+            assert_eq!(long.total_packets, 400);
+            assert_eq!(long.pool_heap_allocs, short.pool_heap_allocs);
+            assert!(long.pool_heap_allocs < long.total_packets / 10);
+        }
         // The same through the fat-tree fabric, transit math included: a
         // ring exchange over 128 racks crosses every uplink plane in both
         // directions. The second round already meets the busiest quantum
@@ -1413,19 +1658,19 @@ mod tests {
             .config(ClusterConfig::new(SyncConfig::ground_truth()).with_seed(1))
             .run();
         let det = report.detail.as_deterministic().expect("det engine");
-        for m in 1..=5 {
-            let r = run_sharded(
-                spec.programs.clone(),
-                &cfg(SyncConfig::ground_truth()),
-                Some(m),
-            );
-            assert_eq!(r.sim_end, det.sim_end, "workers={m}");
-            assert_eq!(r.total_packets, det.total_packets, "workers={m}");
-            assert_eq!(r.stragglers.count(), 0, "workers={m}");
-            for (a, b) in r.per_node.iter().zip(det.per_node.iter()) {
-                assert_eq!(a.finish_sim, b.finish_sim, "workers={m}");
-                assert_eq!(a.messages_received, b.messages_received, "workers={m}");
-                assert_eq!(a.ops, b.ops, "workers={m}");
+        let plain = cfg(SyncConfig::ground_truth());
+        for config in [pooled(plain.clone()), plain] {
+            for m in 1..=5 {
+                let r = run_sharded(spec.programs.clone(), &config, Some(m));
+                assert_eq!(r.sim_end, det.sim_end, "workers={m}");
+                assert_eq!(r.total_packets, det.total_packets, "workers={m}");
+                assert_eq!(r.stragglers.count(), 0, "workers={m}");
+                for (a, b) in r.per_node.iter().zip(det.per_node.iter()) {
+                    assert_eq!(a.finish_sim, b.finish_sim, "workers={m}");
+                    assert_eq!(a.messages_received, b.messages_received, "workers={m}");
+                    assert_eq!(a.ops, b.ops, "workers={m}");
+                }
+                assert_stayed_pooled(&config, &r, &format!("workers={m}"));
             }
         }
     }
@@ -1441,27 +1686,27 @@ mod tests {
             Some(1),
         );
         assert!(reference.stragglers.count() > 0, "workload must straggle");
-        for m in 2..=4 {
-            let r = run_sharded(
-                spec.programs.clone(),
-                &cfg(SyncConfig::fixed_micros(1000)),
-                Some(m),
-            );
-            assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
-            assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
-            assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
-            assert_eq!(
-                r.stragglers.count(),
-                reference.stragglers.count(),
-                "workers={m}"
-            );
-            assert_eq!(
-                r.stragglers.total_delay(),
-                reference.stragglers.total_delay(),
-                "workers={m}"
-            );
-            for (a, b) in r.per_node.iter().zip(reference.per_node.iter()) {
-                assert_eq!(a.finish_sim, b.finish_sim, "workers={m}");
+        let plain = cfg(SyncConfig::fixed_micros(1000));
+        for config in [pooled(plain.clone()), plain] {
+            for m in 2..=4 {
+                let r = run_sharded(spec.programs.clone(), &config, Some(m));
+                assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
+                assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
+                assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
+                assert_eq!(
+                    r.stragglers.count(),
+                    reference.stragglers.count(),
+                    "workers={m}"
+                );
+                assert_eq!(
+                    r.stragglers.total_delay(),
+                    reference.stragglers.total_delay(),
+                    "workers={m}"
+                );
+                for (a, b) in r.per_node.iter().zip(reference.per_node.iter()) {
+                    assert_eq!(a.finish_sim, b.finish_sim, "workers={m}");
+                }
+                assert_stayed_pooled(&config, &r, &format!("workers={m}"));
             }
         }
     }
@@ -1563,22 +1808,27 @@ mod tests {
         // The stateful-looking fabric is epoch-keyed pure, so even under
         // unsafe quanta (stragglers present) the outcome is M-independent.
         let spec = ping_pong(6, 25, 4096);
-        let config = cfg(SyncConfig::fixed_micros(1000));
-        let run = |m| run_sharded_on(spec.programs.clone(), &config, &small_fabric(), Some(m));
-        let reference = run(1);
+        let plain = cfg(SyncConfig::fixed_micros(1000));
+        let run = |config: &ParallelConfig, m| {
+            run_sharded_on(spec.programs.clone(), config, &small_fabric(), Some(m))
+        };
+        let reference = run(&plain, 1);
         assert!(reference.stragglers.count() > 0, "workload must straggle");
-        for m in 2..=6 {
-            let r = run(m);
-            assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
-            assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
-            assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
-            assert_eq!(
-                r.stragglers.total_delay(),
-                reference.stragglers.total_delay(),
-                "workers={m}"
-            );
-            for (a, b) in r.per_node.iter().zip(reference.per_node.iter()) {
-                assert_eq!(a.finish_sim, b.finish_sim, "workers={m}");
+        for config in [pooled(plain.clone()), plain] {
+            for m in 2..=6 {
+                let r = run(&config, m);
+                assert_eq!(r.sim_end, reference.sim_end, "workers={m}");
+                assert_eq!(r.total_quanta, reference.total_quanta, "workers={m}");
+                assert_eq!(r.total_packets, reference.total_packets, "workers={m}");
+                assert_eq!(
+                    r.stragglers.total_delay(),
+                    reference.stragglers.total_delay(),
+                    "workers={m}"
+                );
+                for (a, b) in r.per_node.iter().zip(reference.per_node.iter()) {
+                    assert_eq!(a.finish_sim, b.finish_sim, "workers={m}");
+                }
+                assert_stayed_pooled(&config, &r, &format!("workers={m}"));
             }
         }
     }
@@ -1728,12 +1978,15 @@ mod tests {
         // stragglers occur: totals and per-node results still cannot depend
         // on how the nodes were sliced over workers.
         let spec = aqs_workloads::rpc_incast(64, 4, 3, 8, 2_048, 16_384, 20_000, 7);
-        let config = cfg(SyncConfig::fixed_micros(50));
-        let reference = observed(&run_sharded(spec.programs.clone(), &config, Some(1)));
+        let plain = cfg(SyncConfig::fixed_micros(50));
+        let reference = observed(&run_sharded(spec.programs.clone(), &plain, Some(1)));
         assert!(reference.1 .0 > 0, "workload must straggle");
-        for m in 2..=4 {
-            let r = run_sharded(spec.programs.clone(), &config, Some(m));
-            assert_eq!(observed(&r), reference, "workers={m}");
+        for config in [pooled(plain.clone()), plain] {
+            for m in 2..=4 {
+                let r = run_sharded(spec.programs.clone(), &config, Some(m));
+                assert_eq!(observed(&r), reference, "workers={m}");
+                assert_stayed_pooled(&config, &r, &format!("workers={m}"));
+            }
         }
     }
 
@@ -1743,7 +1996,9 @@ mod tests {
         // burst quantum, up to one worker per node (M = 16: all 240
         // off-diagonal slots at once). Under the adaptive policy, the safe
         // quantum and a quantum far above it (every copy a straggler),
-        // every M must match M = 1 and the full sweep.
+        // every M must match M = 1 and the full sweep. Sixteen nodes never
+        // make a round worth sharing, so the pooled twin carries the batches
+        // across threads and the plain run through the same slots inline.
         let programs = burst(16, 50_000, 1024).programs;
         for (sync, straggles) in [
             (SyncConfig::paper_dyn2(), false),
@@ -1751,7 +2006,9 @@ mod tests {
             (SyncConfig::fixed_micros(1000), true),
         ] {
             let run = |config: &ParallelConfig, m| {
-                observed(&run_sharded(programs.clone(), config, Some(m)))
+                let r = run_sharded(programs.clone(), config, Some(m));
+                assert_stayed_pooled(config, &r, &format!("{sync:?} workers={m}"));
+                observed(&r)
             };
             let one = run(&cfg(sync.clone()), 1);
             assert_eq!(one.1 .0 > 0, straggles, "{sync:?}");
@@ -1760,8 +2017,10 @@ mod tests {
                 one,
                 "{sync:?} full sweep"
             );
-            for m in [2, 3, 4, 8, 16] {
-                assert_eq!(run(&cfg(sync.clone()), m), one, "{sync:?} workers={m}");
+            for config in [pooled(cfg(sync.clone())), cfg(sync.clone())] {
+                for m in [2, 3, 4, 8, 16] {
+                    assert_eq!(run(&config, m), one, "{sync:?} workers={m}");
+                }
             }
             let (recorded, _) = run_sharded_impl(
                 programs.clone(),
@@ -1773,6 +2032,66 @@ mod tests {
             )
             .expect("run succeeds");
             assert_eq!(observed(&recorded), one, "{sync:?} recorded, workers=3");
+        }
+    }
+
+    #[test]
+    fn inline_and_pooled_rounds_agree_bit_for_bit() {
+        // At host work 0 a round after one that executed fewer than
+        // `SHARE_MIN_NODES` nodes runs inline; 1e-3 pools every round.
+        // Either way the run is the same run, and which rounds ran inline is
+        // decided by simulated history only, so every M runs the same ones
+        // inline.
+        let cases = [
+            (
+                "8-node all-to-all, unsafe",
+                burst(8, 50_000, 1024).programs,
+                SyncConfig::fixed_micros(1000),
+            ),
+            (
+                "8-node ping-pong, dyn2",
+                ping_pong(8, 25, 4096).programs,
+                SyncConfig::paper_dyn2(),
+            ),
+            (
+                "64-node incast, safe",
+                aqs_workloads::rpc_incast(64, 4, 3, 8, 2_048, 16_384, 20_000, 7).programs,
+                SyncConfig::ground_truth(),
+            ),
+            (
+                "64-node hub and sleepers, dyn1",
+                mostly_idle(64),
+                SyncConfig::paper_dyn1(),
+            ),
+        ];
+        for (name, programs, sync) in &cases {
+            let run = |host_work_per_op, m| {
+                let config = ParallelConfig {
+                    host_work_per_op,
+                    ..cfg(sync.clone())
+                };
+                run_sharded(programs.clone(), &config, Some(m))
+            };
+            let reference = run(0.0, 1);
+            let inline = reference.inline_rounds;
+            // Rounds after the first that were pooled.
+            let pooled = reference.total_quanta - 1 - inline;
+            if programs.len() == 8 {
+                // Eight nodes never make a round worth sharing.
+                assert_eq!(pooled, 0, "{name}");
+            } else {
+                // Sixty-four nodes do now and then, not in most rounds.
+                assert!(pooled > 0 && inline > pooled, "{name}: {inline} inline");
+            }
+            for host_work in [0.0, 1e-3] {
+                for m in 1..=4 {
+                    let r = run(host_work, m);
+                    let ctx = format!("{name}, host work {host_work}, M={m}");
+                    assert_eq!(observed(&r), observed(&reference), "{ctx}");
+                    let expected = if host_work > 0.0 { 0 } else { inline };
+                    assert_eq!(r.inline_rounds, expected, "{ctx}");
+                }
+            }
         }
     }
 
@@ -1855,18 +2174,22 @@ mod tests {
     fn armed_schedule_fuzz_shuffles_the_taken_batches() {
         // An M = 2 all-to-all: the burst quantum hands each worker a batch
         // of its own shard's copies and one of its peer's.
+        // The pooled twin jitters every round's barrier arrivals too.
         let programs = burst(8, 50_000, 1024).programs;
-        let config = cfg(SyncConfig::ground_truth());
-        let plain = observed(&run_sharded(programs.clone(), &config, Some(2)));
-        let before = SHUFFLED_BATCHES.load(Ordering::Relaxed);
-        aqs_sync::fuzz::arm(0x5EED);
-        let fuzzed = observed(&run_sharded(programs, &config, Some(2)));
-        aqs_sync::fuzz::disarm();
-        assert!(
-            SHUFFLED_BATCHES.load(Ordering::Relaxed) > before,
-            "no batch of two or more copies was shuffled"
-        );
-        assert_eq!(fuzzed, plain);
+        let inline = cfg(SyncConfig::ground_truth());
+        for config in [pooled(inline.clone()), inline] {
+            let plain = observed(&run_sharded(programs.clone(), &config, Some(2)));
+            let before = SHUFFLED_BATCHES.load(Ordering::Relaxed);
+            aqs_sync::fuzz::arm(0x5EED);
+            let fuzzed = run_sharded(programs.clone(), &config, Some(2));
+            aqs_sync::fuzz::disarm();
+            assert!(
+                SHUFFLED_BATCHES.load(Ordering::Relaxed) > before,
+                "no batch of two or more copies was shuffled"
+            );
+            assert_stayed_pooled(&config, &fuzzed, "fuzzed");
+            assert_eq!(observed(&fuzzed), plain);
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 #
 #   scripts/pool_ratio.sh <scenario.toml> [--runs N] [--aqs PATH]
 #
-# The wall times are the scenario report's (millisecond resolution); a run
-# whose m=1 wall reads 0.000 s has no ratio and prints `n/a`. --aqs picks
+# The wall times are the scenario report's (microsecond resolution); a run
+# whose m=1 wall reads 0 s has no ratio and prints `n/a`. --aqs picks
 # the binary (default: target/release/aqs, built first), so two builds can
 # be measured in alternation. Asserts nothing: a ratio is evidence, not a
 # gate.
@@ -71,7 +71,7 @@ done | awk -v scenario="$scenario" -v runs="$runs" '
     }
     END {
         printf "pool_ratio: %s, %d run(s), m=2 / m=1 wall\n", scenario, runs
-        printf "%-18s %4s %9s %9s %7s\n", "engine", "run", "m=1 s", "m=2 s", "ratio"
+        printf "%-18s %4s %10s %10s %7s\n", "engine", "run", "m=1 s", "m=2 s", "ratio"
         for (i = 1; i <= ne; i++) {
             e = engines[i]
             k = 0
@@ -85,7 +85,7 @@ done | awk -v scenario="$scenario" -v runs="$runs" '
                 } else {
                     shown = sprintf("%7s", "n/a")
                 }
-                printf "%-18s %4d %9.3f %9.3f %s\n", e, f[1], f[3], f[4], shown
+                printf "%-18s %4d %10.6f %10.6f %s\n", e, f[1], f[3], f[4], shown
             }
             if (k == 0) {
                 printf "%-18s no ratio (every m=1 wall read 0)\n", e

@@ -343,7 +343,7 @@ fn cmd_scenario(rest: &[String]) {
     );
     for run in &report.runs {
         println!(
-            "  run     : {:<16} quanta {:>8}  wall {:.3}s",
+            "  run     : {:<16} quanta {:>8}  wall {:.6}s",
             run.label,
             run.report.total_quanta,
             run.report.wall_clock.as_secs_f64()

@@ -40,8 +40,8 @@ const OBS_RING: usize = 16_384;
 /// Host work per op that makes every round of a sharded run wake its worker
 /// pool. A conformance case is too small for a round to be worth sharing, so
 /// at no host work the barrier leader runs every round after the first
-/// inline; a run at this token host work drives the hand-off slots and the
-/// barrier across threads instead.
+/// inline; a run at this token host work runs every shard on its own
+/// thread between the leader's hand-offs instead.
 const POOLED: f64 = 1e-3;
 
 /// Knobs for [`check_case_with`].
@@ -571,8 +571,8 @@ fn resume_guarded(
 /// quantum with the schedule-fuzz hooks armed (randomized batch delivery
 /// order, jittered barrier arrivals) and requires the outcome to stay
 /// bit-identical to the deterministic engine every time: `rounds` times
-/// with one worker per node (every barrier arrival and hand-off slot is its
-/// own thread's), then `rounds` times rotating the worker count, so a schedule
+/// with one worker per node (every barrier arrival and every shard's batch
+/// is its own thread's), then `rounds` times rotating the worker count, so a schedule
 /// perturbation is compounded with a partition perturbation. A case's rounds
 /// are too small to share, so these runs get a token host work per op
 /// ([`POOLED`]), which pools every round. The last `rounds` runs rotate the

@@ -13,14 +13,13 @@
 //! Packets cross shards once per quantum, in batches, with every hop
 //! allocation-free in steady state:
 //!
-//! * a worker routes each copy into its own batch for the receiving shard,
+//! * a shard routes each copy into its own batch for the receiving shard,
 //!   a vector no other thread touches: no atomic, no lock and no shared
 //!   cache line per packet;
-//! * at the end of its quantum, a shard publishes each non-empty batch for
-//!   another shard to that sender→receiver hand-off slot (one brief mutex
-//!   hold and one flag per pair with traffic); at the start of the next, it
-//!   takes its own batch directly and locks a peer's slot only when its
-//!   flag is set;
+//! * at the barrier that closes the quantum, the leader swaps each
+//!   non-empty batch with the receiving shard's inbox slot for that
+//!   sender; at the start of the next quantum, a shard delivers its own
+//!   batch and its inbox, touching no other shard's state;
 //! * batches are swapped between shards, never freed, so their capacity
 //!   circulates and a warm run routes without allocating;
 //! * arrivals come from the shared [`Router`]: a `LatencyMatrix` lookup is
@@ -49,29 +48,33 @@
 //! # Who runs a shard
 //!
 //! Any thread. A shard's whole state — its node records, wake wheel and
-//! packet-path accounting with its outbound batches — is parked between
-//! quanta in its slot of the run's shared state, behind a `Mutex` that is
-//! never contended: whoever runs the shard's quantum holds it, and no one
-//! else asks. A quantum of a shard is two functions whoever calls them:
-//! `take` delivers what the previous round routed to the shard, and
-//! `execute` promotes its due sleepers, runs its active set to the edge
-//! and publishes what it routed. In a *pooled* round each worker takes and
-//! executes its own shard and the M shards run at once.
+//! packet-path accounting with its batches, its round's counts and the
+//! quantum it runs next — is parked between quanta in its slot of the
+//! run's shared state, behind a `Mutex` that is never contended. The parked
+//! shard is the only thing that carries a round between threads:
+//!
+//! * whoever runs the shard's quantum holds its lock: `take` delivers what
+//!   the previous round routed to the shard, and `execute` promotes its due
+//!   sleepers, runs its active set to the edge and leaves its counts in its
+//!   context. In a *pooled* round each worker runs its own shard, and the M
+//!   shards run at once;
+//! * the barrier leader, inside the barrier's exclusive section with every
+//!   worker parked, locks every shard once, reads their counts, swaps the
+//!   batches over and writes the next quantum, or the stop, into each.
 //!
 //! A round that is too small to share runs on one thread. When a round
-//! closes, the barrier leader, still inside the barrier's exclusive
-//! section, weighs the next one: unless the run has host work per op, or
-//! the round just closed executed at least `SHARE_MIN_NODES` (32) nodes in
-//! all shards, the leader runs the next round *inline* — it takes for every
-//! shard, then executes every shard in shard order, through the same
-//! functions and the same hand-off slots — closes it and weighs again, until
-//! a round is worth sharing or the run stops. Only then are the other
-//! workers released. Taking for every shard before executing any is what
-//! keeps an inline round's take to the previous round's batches, as a
-//! pooled round's is. The executed-node count is simulated history, so
-//! which rounds run inline ([`ShardedRunResult::inline_rounds`]) is the
-//! same at every M and on every host. The round that opens a run is always
-//! pooled: the workers start before any leader step.
+//! closes, the leader weighs the next one: unless the run has host work per
+//! op, or the round just closed executed at least `SHARE_MIN_NODES` (32)
+//! nodes in all shards, it runs the next round *inline* — `take` and
+//! `execute` for every shard in shard order, the same body a worker runs —
+//! closes it and weighs again, until a round is worth sharing or the run
+//! stops. Only then are the other workers released. Batches change hands
+//! only in the leader's step, so a shard executed first cannot reach a
+//! peer's take in the same round. The executed-node count is simulated
+//! history, so which rounds run inline
+//! ([`ShardedRunResult::inline_rounds`]) is the same at every M and on
+//! every host. The round that opens a run is always pooled: the workers
+//! start before any leader step.
 //!
 //! # Examples
 //!
@@ -102,8 +105,8 @@ use aqs_node::{CpuModel, MessageMeta, Program};
 use aqs_obs::{QuantumObs, Recorder};
 use aqs_sync::{ArrivalTimes, CachePadded, TreeBarrier};
 use aqs_time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Outcome of a sharded run.
@@ -125,10 +128,11 @@ pub struct ShardedRunResult {
     pub workers: usize,
     /// Heap allocations the packet path performed, summed over workers: the
     /// capacity growths of the per-shard batches copies are routed into and
-    /// handed over in. Batches are swapped between workers, never freed, so
-    /// this is warm-up only: it tracks the largest batch a quantum needs,
-    /// not the number of copies routed, and in steady state routing a
-    /// packet allocates nothing.
+    /// handed over in. Batches are swapped between shards at the barrier,
+    /// never freed, so this is warm-up only: it tracks the largest batch a
+    /// quantum needs, not the number of copies routed, and in steady state
+    /// routing a packet allocates nothing. A function of simulated history
+    /// at a given worker count.
     pub pool_heap_allocs: u64,
     /// Node executions summed over all quanta (the active-set work metric).
     /// A full sweep executes every node every quantum, so this equals
@@ -173,18 +177,8 @@ impl ShardInFlight {
     }
 }
 
-/// One sender→receiver hand-off slot: the sending shard fills it at the end
-/// of a round, the receiving shard empties it at the start of the next.
-/// `ready` lets the receiver pass an idle slot with one load instead of a
-/// lock.
-#[derive(Default)]
-struct HandOff {
-    ready: AtomicBool,
-    batch: Mutex<Vec<ShardInFlight>>,
-}
-
 /// A quantum as the leader opened it.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Quantum {
     start: SimTime,
     end: SimTime,
@@ -194,10 +188,13 @@ struct Quantum {
 /// mutex: exclusivity comes from the barrier protocol itself.
 struct LeaderState<R> {
     clock: QuantumClock,
-    /// Packets routed over the whole run (sum of the per-shard slots).
+    /// Packets routed over the whole run (sum of the shards' counts).
     total_packets: u64,
     /// Rounds run inline (see [`ShardedRunResult::inline_rounds`]).
     inline_rounds: u64,
+    /// Set by the leader step that hit the quantum cap (deadlock guard),
+    /// read after the join, where failing is safe.
+    overflow: bool,
     /// Observability recorder. Leader-exclusive like the rest of this
     /// struct, so recording needs no lock and stays off the packet path.
     rec: R,
@@ -212,71 +209,94 @@ struct LeaderState<R> {
     shard_actives: Vec<u64>,
 }
 
-/// One shard's (= one fabric slice's) per-link load accumulator. Each
-/// shard writes only its own slot (relaxed adds — the slot is effectively
-/// private to the thread running the shard's quantum), and the leader drains
-/// every slot with `swap(0)` inside the barrier's exclusive section.
-/// Commutative sums only: the merged totals are independent of worker count
-/// and routing order.
-struct LinkSlot {
-    bytes: Vec<AtomicU64>,
-    packets: Vec<AtomicU64>,
-}
-
-impl LinkSlot {
-    fn new(n_links: usize) -> Self {
-        Self {
-            bytes: (0..n_links).map(|_| AtomicU64::new(0)).collect(),
-            packets: (0..n_links).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-/// What a shard publishes for the leader at the end of each quantum, on one
-/// cache line.
+/// What the leader reads and writes of a shard every round (the round's
+/// counts, the next quantum, the stop), on one line with the lock word.
 #[derive(Default)]
-struct ShardSlot {
-    /// Packets routed (the policy's `np` is their sum).
-    np: AtomicU64,
-    /// Nodes executed (active-set size): the leader weighs the next round
-    /// by their sum.
-    active: AtomicU64,
+struct Round {
+    /// The quantum the shard runs next. Unchanged by the stop, so it then
+    /// names the last round.
+    q: Quantum,
+    /// Set by the leader step that ends the run.
+    stop: bool,
+    /// Packets routed this round (the policy's `np` is their sum).
+    packets: u64,
+    /// Nodes executed this round (active-set size): the leader weighs the
+    /// next round by their sum.
+    executed: u64,
     /// The shard's nodes whose program has finished, over the run: the run
     /// is done when the sum is the node count.
-    done: AtomicU64,
-    /// Straggler delta (observability only).
-    s_count: AtomicU64,
-    s_max: AtomicU64,
+    done: u64,
 }
 
 /// A shard's packet-path accounting. Only the thread running the shard's
-/// quantum touches it.
+/// quantum touches it, and the leader between rounds.
+#[repr(C)]
 struct ShardCtx {
+    round: Round,
     /// This shard's index (= its fabric slice, = the worker that runs it in
     /// a pooled round).
     s: usize,
-    /// Stragglers recorded in the current quantum.
+    /// Stragglers routed in the current quantum: the leader reads them when
+    /// recording, and the next take folds them into `run_stragglers`.
     stragglers: StragglerStats,
     /// Run-total straggler tally, returned at worker exit.
     run_stragglers: StragglerStats,
-    /// Packets routed in the current quantum (the policy's `np` signal).
-    quantum_packets: u64,
     /// Copies routed in the current quantum, one batch per receiving shard.
-    /// The end of the quantum publishes the batches for other shards, the
-    /// next quantum's start delivers its own.
+    /// The shard delivers its own batch at the next quantum's start; the
+    /// leader swaps every other non-empty one into its receiver's `inbox`.
     out: Vec<Vec<ShardInFlight>>,
-    /// What a peer's slot held, swapped out under its lock; the emptied
-    /// buffer goes back into a slot at the next take, so capacity
-    /// circulates between the shards instead of being freed.
-    inbox: Vec<ShardInFlight>,
+    /// What each shard routed here last round, by sender, swapped in by
+    /// the leader. The next take delivers and empties them, and the next
+    /// swap hands the emptied buffer back to the sender, so capacity
+    /// circulates between the shards instead of being freed. A resumed
+    /// run's cut copies start in the shard's own slot.
+    inbox: Vec<Vec<ShardInFlight>>,
     /// Capacity growths of the batches this shard filled (see
     /// [`ShardedRunResult::pool_heap_allocs`]).
     heap_allocs: u64,
     /// Node executions over the run.
     nodes_executed: u64,
-    /// The shard's nodes whose program has finished (see
-    /// [`ShardSlot::done`]).
-    done: u64,
+    /// Per-local idle tail (vt lag) of the quantum, in sim ns, with
+    /// `u64::MAX` for a node that did not execute. Empty unless the run is
+    /// recorded: nothing else reads it.
+    lags: Vec<u64>,
+    /// The links this shard's copies crossed this quantum. Empty unless the
+    /// switch is a fabric and the run is recorded.
+    links: LinkLoad,
+}
+
+impl ShardCtx {
+    /// Shard `s` of `m`, over `len` nodes, opening at `q`; `recorded` sizes
+    /// the lag lanes, `n_links` the link load.
+    fn new(s: usize, m: usize, len: usize, q: Quantum, recorded: bool, n_links: usize) -> Self {
+        Self {
+            round: Round {
+                q,
+                ..Round::default()
+            },
+            s,
+            stragglers: StragglerStats::default(),
+            run_stragglers: StragglerStats::default(),
+            out: vec![Vec::new(); m],
+            inbox: vec![Vec::new(); m],
+            heap_allocs: 0,
+            nodes_executed: 0,
+            lags: if recorded {
+                vec![u64::MAX; len]
+            } else {
+                Vec::new()
+            },
+            links: LinkLoad::new(n_links),
+        }
+    }
+
+    /// Folds the last quantum's stragglers into the run's tally.
+    fn fold_stragglers(&mut self) {
+        if self.stragglers.count() > 0 {
+            self.run_stragglers.merge(&self.stragglers);
+            self.stragglers = StragglerStats::default();
+        }
+    }
 }
 
 /// A shard's node simulators, one record per node: all of node `base + l`'s
@@ -333,43 +353,35 @@ impl ShardNodes {
 
 /// One shard's whole state between quanta, parked in its
 /// [`SharedSharded::shards`] slot so any thread can run its next quantum.
+/// `repr(C)` with the round first: locking a shard brings its round in.
+#[repr(C)]
 struct Shard {
+    ctx: ShardCtx,
     nodes: ShardNodes,
     wheel: WakeWheel,
-    ctx: ShardCtx,
 }
 
 impl Shard {
-    /// Shard `s` of `m`, over its built nodes. Every node starts armed (a
-    /// fresh run must poll everyone at least once; a resumed run re-polls
-    /// everyone on the first quantum, exactly as the pre-active-set engine
-    /// did). The wake wheel takes over from the first execution onward.
-    fn new(nodes: ShardNodes, s: usize, m: usize) -> Self {
+    /// A shard over its built nodes. Every node starts armed (a fresh run
+    /// must poll everyone at least once; a resumed run re-polls everyone on
+    /// the first quantum, exactly as the pre-active-set engine did). The
+    /// wake wheel takes over from the first execution onward.
+    fn new(nodes: ShardNodes, mut ctx: ShardCtx) -> Self {
         let mut wheel = WakeWheel::new(nodes.nodes.len());
         for l in 0..nodes.nodes.len() {
             wheel.arm_now(l);
         }
         // A resumed run's finished nodes are counted from the start.
         let done = nodes.done_reported.iter().map(|w| w.count_ones());
-        let done = done.map(u64::from).sum();
-        Self {
-            nodes,
-            wheel,
-            ctx: ShardCtx {
-                s,
-                stragglers: StragglerStats::default(),
-                run_stragglers: StragglerStats::default(),
-                quantum_packets: 0,
-                out: vec![Vec::new(); m],
-                inbox: Vec::new(),
-                heap_allocs: 0,
-                nodes_executed: 0,
-                done,
-            },
-        }
+        ctx.round.done = done.map(u64::from).sum();
+        Self { nodes, wheel, ctx }
     }
 }
 
+/// The parked shard behind a held lock.
+fn parked(slot: &mut Option<Shard>) -> &mut Shard {
+    slot.as_mut().expect("the shard was parked")
+}
 /// Per-shard wake wheel: which locals run in the current quantum, and when
 /// parked-with-a-deadline locals become due. Part of the parked [`Shard`].
 struct WakeWheel {
@@ -498,20 +510,6 @@ impl WakeQueue {
     }
 }
 
-/// What the leader publishes for the next round, on a line of its own: it
-/// is written every round, and the fields around it are read on every
-/// packet.
-#[derive(Default)]
-struct RoundSlot {
-    /// The quantum the leader opened last, in sim ns: stored inside the
-    /// barrier's exclusive section, read after it. Unchanged by a stop, so
-    /// it then names the last round.
-    q_start: AtomicU64,
-    q_end: AtomicU64,
-    /// Set by the leader step that ends the run.
-    stop: AtomicBool,
-}
-
 /// Shared state across worker threads.
 struct SharedSharded<R> {
     /// The run's one routing core, shared read-only by every worker.
@@ -524,25 +522,6 @@ struct SharedSharded<R> {
     /// module docs). `None` until the shard's worker has built and parked
     /// it, and again once the worker has taken it back at the end.
     shards: Vec<CachePadded<Mutex<Option<Shard>>>>,
-    /// Hand-off slots, `m × m`: slot `s * m + d` carries what shard `s`
-    /// routed to shard `d`. No shard publishes to the diagonal (it keeps its
-    /// own copies); a resumed run's cut-in-flight copies reach their shard
-    /// through it.
-    handoff: Vec<CachePadded<HandOff>>,
-    /// Per-shard publication for the quantum.
-    shard_slots: Vec<CachePadded<ShardSlot>>,
-    /// Per-node idle-tail (vt lag) for the quantum, in sim ns. Empty unless
-    /// the recorder is enabled: nothing else reads it, and at a cache line
-    /// per node it is the largest allocation of a big unrecorded run.
-    lag_slots: Vec<CachePadded<AtomicU64>>,
-    /// Per-worker fabric link-load slices, sized `m × n_links`. Empty (and
-    /// the recording path compiled out) unless the switch is a fabric *and*
-    /// the recorder is enabled.
-    fabric_slots: Vec<LinkSlot>,
-    /// The quantum the leader opened last, and the stop.
-    round: CachePadded<RoundSlot>,
-    /// Deadlock-guard flag (checked after join, where panicking is safe).
-    overflow: AtomicBool,
     /// Set by a worker whose slice of a snapshot failed to restore; read by
     /// every worker after the restore round, before the first quantum.
     restore_failed: AtomicBool,
@@ -550,17 +529,6 @@ struct SharedSharded<R> {
 }
 
 impl<R: Recorder> SharedSharded<R> {
-    /// The quantum the leader opened last.
-    fn quantum(&self) -> Quantum {
-        // Relaxed: stored before the barrier's epoch release, read after
-        // its acquire (or before the workers were spawned).
-        let at = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
-        Quantum {
-            start: SimTime::from_nanos(at(&self.round.q_start)),
-            end: SimTime::from_nanos(at(&self.round.q_end)),
-        }
-    }
-
     /// Routes one fragment sent by global node `src`, with `q_end` the
     /// sender's current quantum edge. What this engine does with an arrival:
     /// the effective delivery time is `max(arrival, q_end)` — fully
@@ -572,16 +540,12 @@ impl<R: Recorder> SharedSharded<R> {
     fn route(&self, ctx: &mut ShardCtx, src: usize, frag: &FragSnap, q_end: SimTime) {
         let net = &self.net;
         net.fan_out(src, frag.dst, frag.bytes, frag.departure, |t, arrival| {
-            ctx.quantum_packets += 1;
-            let slot = self.fabric_slots.get(ctx.s);
-            if let (true, Some(slot), Some(fabric)) = (R::ENABLED, slot, net.fabric()) {
-                // Observation only (never feeds timing): bump this slice's
-                // counters along the packet's path. Relaxed is enough — the
-                // slot is written by this shard alone during the quantum
-                // and drained by the leader inside the barrier.
+            ctx.round.packets += 1;
+            if let (true, Some(fabric)) = (R::ENABLED, net.fabric()) {
+                // Observation only (never feeds timing): count the packet
+                // on every link of its path, in this shard's own slice.
                 for &link in fabric.path(src as u32, t as u32).links() {
-                    slot.bytes[link as usize].fetch_add(frag.bytes as u64, Ordering::Relaxed);
-                    slot.packets[link as usize].fetch_add(1, Ordering::Relaxed);
+                    ctx.links.record(link, frag.bytes as u64);
                 }
             }
             let eff = if arrival < q_end {
@@ -696,31 +660,31 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
             *slot = s as u32;
         }
     }
-    let mut handoff: Vec<CachePadded<HandOff>> =
-        (0..m * m).map(|_| CachePadded::default()).collect();
-    let (total_packets, mut stragglers) = match resume {
-        Some(s) => route_seed_frags(s, &net, |t, arrival, frag| {
-            let d = shard_of[t] as usize;
-            let slot = &mut handoff[d * m + d];
-            *slot.ready.get_mut() = true;
-            slot.batch
-                .get_mut()
-                .expect("no worker has run yet")
-                .push(ShardInFlight::new(t, frag, arrival));
-        })?,
-        None => (0, StragglerStats::default()),
-    };
     // Fabric link-load slices exist only when there is something to record
     // them into; otherwise the whole path is a dead (compiled-out) branch.
     let n_links = match net.fabric() {
         Some(f) if R::ENABLED => f.n_links(),
         _ => 0,
     };
-    let (q_start, q_end) = (clock.q_start_nanos, clock.q_end_nanos);
+    let q = Quantum {
+        start: SimTime::from_nanos(clock.q_start_nanos),
+        end: SimTime::from_nanos(clock.q_end_nanos),
+    };
+    let mut ctxs: Vec<ShardCtx> = (ranges.iter().enumerate())
+        .map(|(s, range)| ShardCtx::new(s, m, range.len(), q, R::ENABLED, n_links))
+        .collect();
+    let (total_packets, mut stragglers) = match resume {
+        Some(s) => route_seed_frags(s, &net, |t, arrival, frag| {
+            let d = shard_of[t] as usize;
+            ctxs[d].inbox[d].push(ShardInFlight::new(t, frag, arrival));
+        })?,
+        None => (0, StragglerStats::default()),
+    };
     let leader = LeaderState {
         clock,
         total_packets,
         inline_rounds: 0,
+        overflow: false,
         rec: recorder,
         waits: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
         lags: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
@@ -733,27 +697,6 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         start,
         shard_of,
         shards: (0..m).map(|_| CachePadded::default()).collect(),
-        handoff,
-        shard_slots: (0..m).map(|_| CachePadded::default()).collect(),
-        // The lag sentinel: `u64::MAX` means "not executed this quantum".
-        // Workers store a node's real lag when they execute it; the leader
-        // swaps the sentinel back in each quantum and substitutes the full
-        // quantum length for skipped nodes — exactly the lag the full sweep
-        // computes for a node it re-polls while parked.
-        lag_slots: (0..if R::ENABLED { n } else { 0 })
-            .map(|_| CachePadded::new(AtomicU64::new(u64::MAX)))
-            .collect(),
-        fabric_slots: if n_links > 0 {
-            (0..m).map(|_| LinkSlot::new(n_links)).collect()
-        } else {
-            Vec::new()
-        },
-        round: CachePadded::new(RoundSlot {
-            q_start: AtomicU64::new(q_start),
-            q_end: AtomicU64::new(q_end),
-            stop: AtomicBool::new(false),
-        }),
-        overflow: AtomicBool::new(false),
         restore_failed: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
     };
@@ -767,10 +710,10 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         .collect();
     shards.push(programs);
     shards.reverse();
-    let bodies = shards.into_iter().zip(&ranges).enumerate();
-    let bodies = bodies.map(|(w, (shard, range))| {
+    let bodies = shards.into_iter().zip(ctxs).zip(&ranges).enumerate();
+    let bodies = bodies.map(|(w, ((shard, ctx), range))| {
         let shared = &shared;
-        move || worker_thread(w, range.start, shard, resume, config, shared)
+        move || worker_thread(w, range.start, shard, ctx, resume, config, shared)
     });
     // Shard order, so the error kept is the lowest failing node's.
     let joined = shared.barrier.run_participants(bodies.collect());
@@ -787,9 +730,8 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         pool_heap_allocs += worker_allocs;
         nodes_executed += worker_executed;
     }
-    let overflowed = shared.overflow.load(Ordering::Acquire);
-    let sim_end = finish_run(overflowed, EngineKind::Sharded, config, &per_node)?;
     let leader = shared.barrier.into_state();
+    let sim_end = finish_run(leader.overflow, EngineKind::Sharded, config, &per_node)?;
     let result = ShardedRunResult {
         wall,
         sim_end,
@@ -810,14 +752,18 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 /// the number of node executions.
 type WorkerOutput = (Vec<NodeResult>, StragglerStats, u64, u64);
 
-/// Builds shard `w` (see [`ShardNodes::build`]), parks it, takes and
-/// executes its quantum in every pooled round, and takes it back when the
+/// The shards the barrier leader holds, in shard order.
+type Held<'a> = Vec<MutexGuard<'a, Option<Shard>>>;
+
+/// Builds shard `w` (see [`ShardNodes::build`]) around its context, parks
+/// it, runs its quantum in every pooled round, and takes it back when the
 /// run stops.
 /// `Err` is this shard's lowest node that failed to restore from `resume`.
 fn worker_thread<R: Recorder>(
     w: usize,
     base: usize,
     programs: Vec<Program>,
+    ctx: ShardCtx,
     resume: Option<&SnapshotBody>,
     config: &ParallelConfig,
     shared: &SharedSharded<R>,
@@ -838,26 +784,25 @@ fn worker_thread<R: Recorder>(
             return built.map(|_| WorkerOutput::default());
         }
     }
-    let shard = Shard::new(built?, w, shared.shards.len());
-    *shared.shards[w].lock().expect("shard poisoned") = Some(shard);
-    let mut q = shared.quantum();
-    loop {
-        let mut parked = shared.shards[w].lock().expect("shard poisoned");
-        let Shard { nodes, wheel, ctx } = parked.as_mut().expect("the shard was parked");
-        take(shared, config, nodes, wheel, ctx, q);
-        execute(shared, config, nodes, wheel, ctx, q);
-        drop(parked);
-        match meet(shared, config, w) {
-            Some(next) => q = next,
-            None => break,
+    *shared.shards[w].lock().expect("shard poisoned") = Some(Shard::new(built?, ctx));
+    // The locks this worker holds when it leads, kept between rounds so
+    // that leading allocates nothing.
+    let mut held = Held::with_capacity(shared.shards.len());
+    let Shard {
+        mut nodes, mut ctx, ..
+    } = loop {
+        let mut slot = shared.shards[w].lock().expect("shard poisoned");
+        let shard = parked(&mut slot);
+        if shard.ctx.round.stop {
+            break slot.take().expect("the shard was parked");
         }
-    }
-    // The last round may have run inline: its edge is the one the leader
-    // opened last.
-    let q_end = shared.quantum().end;
-    let Shard { mut nodes, ctx, .. } = (shared.shards[w].lock().expect("shard poisoned"))
-        .take()
-        .expect("the shard was parked");
+        run_quantum(shared, config, shard);
+        drop(slot);
+        meet(shared, config, w, &mut held);
+    };
+    ctx.fold_stragglers();
+    // The stop leaves the last round's quantum in place.
+    let q_end = ctx.round.q.end;
     // A parked node's `sim` may lag the last quantum edge (fast-forwarding
     // is lazy); the full sweep would have dragged it to the edge.
     let results = (nodes.nodes.iter_mut())
@@ -871,43 +816,43 @@ fn worker_thread<R: Recorder>(
     ))
 }
 
-/// The start of a shard's quantum, whoever runs it: delivers what the
-/// previous round routed to the shard — its own batch directly, a peer's
-/// (or the diagonal's resume injection) only when its slot's flag is set.
-/// Effective timestamps were fixed at route time, so delivery order is
-/// irrelevant (matching is timestamp-based). Inlined into both callers, as
-/// [`execute`] is.
+/// One quantum of one shard, whoever runs it: [`take`], then [`execute`].
+/// A worker runs it for its own shard in a pooled round, the leader for
+/// every shard in an inline round.
 #[inline(always)]
-fn take<R: Recorder>(
-    shared: &SharedSharded<R>,
+fn run_quantum<R: Recorder>(shared: &SharedSharded<R>, config: &ParallelConfig, shard: &mut Shard) {
+    let Shard { nodes, wheel, ctx } = shard;
+    take(config, nodes, wheel, ctx);
+    execute(shared, config, nodes, wheel, ctx);
+}
+
+/// The start of a shard's quantum: closes the last round's counts and
+/// delivers what the previous round routed to the shard — its own batch,
+/// and what the leader swapped into its inbox. Effective timestamps were
+/// fixed at route time, so delivery order is irrelevant (matching is
+/// timestamp-based).
+#[inline(always)]
+fn take(
     config: &ParallelConfig,
     nodes: &mut ShardNodes,
     wheel: &mut WakeWheel,
     ctx: &mut ShardCtx,
-    q: Quantum,
 ) {
-    let (s, m) = (ctx.s, ctx.out.len());
     let full_sweep = config.full_sweep;
-    let q_end_ns = q.end.as_nanos();
-    deliver(&mut ctx.out[s], nodes, wheel, full_sweep, q_end_ns);
-    for from in 0..m {
-        let slot = &shared.handoff[from * m + s];
-        // Acquire pairs with the publisher's Release store, after its
-        // unlock; the lock orders the batch itself.
-        if slot.ready.load(Ordering::Relaxed) && slot.ready.swap(false, Ordering::Acquire) {
-            std::mem::swap(
-                &mut *slot.batch.lock().expect("hand-off slot poisoned"),
-                &mut ctx.inbox,
-            );
-            deliver(&mut ctx.inbox, nodes, wheel, full_sweep, q_end_ns);
+    let q_end_ns = ctx.round.q.end.as_nanos();
+    ctx.round.packets = 0;
+    ctx.fold_stragglers();
+    let own = std::iter::once(&mut ctx.out[ctx.s]);
+    for batch in own.chain(&mut ctx.inbox) {
+        if !batch.is_empty() {
+            deliver(batch, nodes, wheel, full_sweep, q_end_ns);
         }
     }
 }
 
 /// The rest of a shard's quantum, after its [`take`]: promote its due
-/// sleepers, execute its active set to the edge, and publish what it
-/// routed. Its worker calls this in a pooled round; the leader calls it for
-/// every shard, in shard order, in an inline round.
+/// sleepers, execute its active set to the edge, and leave the round's
+/// node count in the shard's context for the leader.
 ///
 /// The active-set scheduler (the default) executes only nodes with a
 /// scheduled wake inside the quantum; a quantum where the whole shard is
@@ -918,7 +863,7 @@ fn take<R: Recorder>(
 /// The shard comes as three borrows, not one `&mut Shard`: as separate
 /// parameters the compiler knows that stepping a node cannot touch the wake
 /// wheel, and keeps the scan's state in registers across the steps. It is
-/// inlined into both callers: called out of line, one worker's `burst_1k`
+/// inlined into its callers: called out of line, one worker's `burst_1k`
 /// run measured 2–6 % slower (EXPERIMENTS.md § "Sharded round budget").
 #[inline(always)]
 fn execute<R: Recorder>(
@@ -927,18 +872,17 @@ fn execute<R: Recorder>(
     nodes: &mut ShardNodes,
     wheel: &mut WakeWheel,
     ctx: &mut ShardCtx,
-    q: Quantum,
 ) {
+    let q = ctx.round.q;
     let full_sweep = config.full_sweep;
     let q_end_ns = q.end.as_nanos();
-    let base = nodes.base;
     let len = nodes.nodes.len();
     let mut active = 0u64;
     if full_sweep {
         for l in 0..len {
             let ran = advance_node(nodes, l, shared, config, ctx, q);
             if R::ENABLED {
-                shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
+                ctx.lags[l] = ran.lag_ns;
             }
         }
         active = len as u64;
@@ -976,20 +920,20 @@ fn execute<R: Recorder>(
                     wheel.queue.push(ran.wake, l as u32);
                 }
                 if R::ENABLED {
-                    shared.lag_slots[base + l].store(ran.lag_ns, Ordering::Relaxed);
+                    ctx.lags[l] = ran.lag_ns;
                 }
                 active += 1;
             }
         }
     }
+    ctx.round.executed = active;
     ctx.nodes_executed += active;
-    publish(shared, ctx, active);
 }
 
 /// Batches of two or more copies the schedule-fuzz hook shuffled, so a test
 /// can show the hook reaches the take path.
 #[cfg(all(test, feature = "schedule-fuzz"))]
-static SHUFFLED_BATCHES: AtomicU64 = AtomicU64::new(0);
+static SHUFFLED_BATCHES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Delivers one taken batch to its receivers and re-arms each of them,
 /// leaving `batch` empty with its capacity kept.
@@ -1016,16 +960,11 @@ fn deliver(
         }
         // Re-arm the receiver in O(1): a delivery inside this quantum sets
         // its ready bit directly, a future delivery schedules a poll
-        // through the queue. Strictness matters twice over: an event at
-        // exactly `q_end` belongs to the *next* quantum (execution covers
-        // `[q_start, q_end)`), and a fragment a peer routed during this
-        // very quantum carries `eff >= q_end` — whether the peer published
-        // it before this take (seen now) or after (seen a boundary later),
-        // the poll lands in the same quantum either way. The push is
-        // unconditional for the same reason: guarding it on the node's
-        // current wake would drop the entry exactly when the receiver is
-        // about to execute and re-park, making the poll schedule depend on
-        // hand-off timing.
+        // through the queue. Strictly: an event at exactly `q_end` belongs
+        // to the *next* quantum (execution covers `[q_start, q_end)`). The
+        // push is unconditional, like every wake-wheel entry: guarding it
+        // on the node's current wake would drop the entry exactly when the
+        // receiver is about to execute and re-park.
         let eff_ns = f.arrival.as_nanos();
         if eff_ns < q_end_ns {
             wheel.arm_now(l);
@@ -1066,204 +1005,87 @@ fn advance_node<R: Recorder>(
         let (word, bit) = (&mut nodes.done_reported[l >> 6], 1 << (l & 63));
         if *word & bit == 0 {
             *word |= bit;
-            ctx.done += 1;
+            ctx.round.done += 1;
         }
     }
     ran
 }
 
-/// Ends shard `ctx.s`'s quantum: hands the batches it routed to other
-/// shards over, and publishes its packet count, node executions, done count
-/// and straggler delta for the leader. The barrier that closes the round orders
-/// each publication before every peer's next take.
-fn publish<R: Recorder>(shared: &SharedSharded<R>, ctx: &mut ShardCtx, active: u64) {
-    let s = ctx.s;
-    let m = ctx.out.len();
-    for (d, batch) in ctx.out.iter_mut().enumerate() {
-        if d == s || batch.is_empty() {
-            continue;
-        }
-        let slot = &shared.handoff[s * m + d];
-        let mut held = slot.batch.lock().expect("hand-off slot poisoned");
-        if held.is_empty() {
-            // The usual case: the receiver took the last batch and left its
-            // emptied buffer here; trade this batch for it.
-            std::mem::swap(&mut *held, batch);
-        } else {
-            // In a pooled round, the receiver has not taken the last
-            // quantum's batch yet.
-            ctx.heap_allocs += u64::from(held.capacity() - held.len() < batch.len());
-            held.append(batch);
-        }
-        drop(held);
-        slot.ready.store(true, Ordering::Release);
-    }
-    let slot = &shared.shard_slots[s];
-    slot.np.store(ctx.quantum_packets, Ordering::Relaxed);
-    ctx.quantum_packets = 0;
-    slot.active.store(active, Ordering::Relaxed);
-    slot.done.store(ctx.done, Ordering::Relaxed);
-    if R::ENABLED {
-        slot.s_count
-            .store(ctx.stragglers.count(), Ordering::Relaxed);
-        slot.s_max
-            .store(ctx.stragglers.max_delay().as_nanos(), Ordering::Relaxed);
-    }
-    if ctx.stragglers.count() > 0 {
-        ctx.run_stragglers.merge(&ctx.stragglers);
-        ctx.stragglers = StragglerStats::default();
-    }
-}
-
-/// Meets the tree barrier, where the last to arrive [`lead`]s. Returns the
-/// quantum this worker runs next, or `None` when the run is over.
-fn meet<R: Recorder>(
-    shared: &SharedSharded<R>,
+/// Meets the tree barrier, where the last to arrive [`lead`]s, holding the
+/// shards in `held`.
+fn meet<'a, R: Recorder>(
+    shared: &'a SharedSharded<R>,
     config: &ParallelConfig,
     w: usize,
-) -> Option<Quantum> {
+    held: &mut Held<'a>,
+) {
     if R::ENABLED {
         let now_ns = shared.start.elapsed().as_nanos() as u64;
         shared.barrier.arrive_timed(w, now_ns, |leader, ts| {
-            lead(shared, config, leader, Some(ts))
+            lead(shared, config, leader, held, Some(ts))
         });
     } else {
         shared
             .barrier
-            .arrive(w, |leader| lead(shared, config, leader, None));
+            .arrive(w, |leader| lead(shared, config, leader, held, None));
     }
-    // Ordered after the leader's stores by the epoch acquire inside arrive.
-    (!shared.round.stop.load(Ordering::Relaxed)).then(|| shared.quantum())
 }
 
-/// The barrier leader's turn: close the round with [`leader_step`], then run
-/// every next round too small to share inline — each shard in turn, with
-/// the pool still parked — until one is worth sharing or the run stops.
-fn lead<R: Recorder>(
-    shared: &SharedSharded<R>,
+/// The barrier leader's turn: lock every shard, close the round with
+/// [`leader_step`], then run every next round too small to share inline —
+/// each shard in turn, with the pool still parked — until one is worth
+/// sharing or the run stops.
+fn lead<'a, R: Recorder>(
+    shared: &'a SharedSharded<R>,
     config: &ParallelConfig,
     leader: &mut LeaderState<R>,
+    held: &mut Held<'a>,
     mut ts: Option<ArrivalTimes<'_>>,
 ) {
-    // Every shard, locked once for the whole inline stretch.
-    let mut held = Vec::new();
-    loop {
-        let executed = leader_step(shared, leader, ts.take());
+    held.extend(
+        shared
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard poisoned")),
+    );
+    while let Some(executed) = leader_step(shared, leader, held, ts.take()) {
         // Simulated history only: the same choice at every M, on every host
         // and under every schedule.
-        if shared.round.stop.load(Ordering::Relaxed)
-            || config.host_work_per_op > 0.0
-            || executed >= SHARE_MIN_NODES
-        {
-            return;
-        }
-        if held.is_empty() {
-            held.extend(
-                shared
-                    .shards
-                    .iter()
-                    .map(|s| s.lock().expect("shard poisoned")),
-            );
+        if config.host_work_per_op > 0.0 || executed >= SHARE_MIN_NODES {
+            break;
         }
         leader.inline_rounds += 1;
-        let q = shared.quantum();
-        // Every take before any execute: a shard executed first would
-        // publish this round's batches before its peers took the last ones.
-        for parked in &mut held {
-            let Shard { nodes, wheel, ctx } = parked.as_mut().expect("the shard was parked");
-            take(shared, config, nodes, wheel, ctx, q);
-        }
-        for parked in &mut held {
-            let Shard { nodes, wheel, ctx } = parked.as_mut().expect("the shard was parked");
-            execute(shared, config, nodes, wheel, ctx, q);
+        for slot in held.iter_mut() {
+            run_quantum(shared, config, parked(slot));
         }
     }
+    held.clear();
 }
 
-/// The root leader's quantum-boundary work: record the observability sample
-/// (merging the per-shard slots into per-node lanes), then advance the
-/// policy and publish the next quantum, or the stop. `ts` holds the
-/// workers' barrier arrival stamps of a pooled round (recording only; an
-/// inline round has none). Returns the nodes the round executed.
+/// The root leader's quantum-boundary work, on the held shards: read their
+/// counts, record the observability sample, hand the batches over, then
+/// advance the policy and write the next quantum, or the stop, into every
+/// shard. `ts` holds the workers' barrier arrival stamps of a pooled round
+/// (recording only; an inline round has none). Returns the nodes the round
+/// executed, or `None` when the run stops.
 fn leader_step<R: Recorder>(
     shared: &SharedSharded<R>,
     leader: &mut LeaderState<R>,
+    held: &mut Held<'_>,
     ts: Option<ArrivalTimes<'_>>,
-) -> u64 {
-    let slots = &shared.shard_slots;
-    let np: u64 = slots.iter().map(|s| s.np.load(Ordering::Relaxed)).sum();
-    let executed: u64 = slots.iter().map(|s| s.active.load(Ordering::Relaxed)).sum();
-    if R::ENABLED {
-        // Worker arrival stamps, expanded to per-node lanes (every node in a
-        // shard shares its worker's barrier wait) so the flight recorder's
-        // per-node layout holds for any M. An inline round ends now, and no
-        // node's thread waited for another's.
-        let latest = match &ts {
-            Some(ts) => (0..ts.len()).map(|k| ts.get(k)).max().unwrap_or(0),
-            None => shared.start.elapsed().as_nanos() as u64,
-        };
-        let q_len_nanos = leader.clock.q_end_nanos - leader.clock.q_start_nanos;
-        leader.waits.clear();
-        leader.lags.clear();
-        for (node, &shard) in shared.shard_of.iter().enumerate() {
-            let arrived = ts.as_ref().map_or(latest, |ts| ts.get(shard as usize));
-            leader.waits.push(latest.saturating_sub(arrived));
-            // Swap the sentinel back in for next quantum. A node the active
-            // set skipped (sentinel still present) idled through the whole
-            // quantum: its lag is the full quantum length, exactly what the
-            // full sweep computes when it re-polls a parked node.
-            let lag = shared.lag_slots[node].swap(u64::MAX, Ordering::Relaxed);
-            leader
-                .lags
-                .push(if lag == u64::MAX { q_len_nanos } else { lag });
-        }
-        let mut s_count = 0u64;
-        let mut s_max = 0u64;
-        leader.shard_actives.clear();
-        for slot in slots {
-            s_count += slot.s_count.load(Ordering::Relaxed);
-            s_max = s_max.max(slot.s_max.load(Ordering::Relaxed));
-            leader
-                .shard_actives
-                .push(slot.active.load(Ordering::Relaxed));
-        }
-        leader.rec.record_quantum(&QuantumObs {
-            index: leader.clock.quanta,
-            start: SimTime::from_nanos(leader.clock.q_start_nanos),
-            len: SimDuration::from_nanos(q_len_nanos),
-            // The last worker's arrival stamp is when the barrier completed.
-            host_ns: latest,
-            packets: np,
-            active_nodes: executed,
-            stragglers: s_count,
-            max_straggler_delay: SimDuration::from_nanos(s_max),
-            barrier_wait_ns: &leader.waits,
-            vt_lag_ns: &leader.lags,
-        });
-        leader.rec.record_shard_activity(&leader.shard_actives);
-        if !shared.fabric_slots.is_empty() {
-            // Drain every slice's per-link counters into the merge scratch.
-            // Safe: the leader runs inside the barrier's exclusive section,
-            // all workers parked. swap(0) leaves the slots ready for the
-            // next quantum, and the sums are commutative, so the merged
-            // totals are independent of M and of routing order.
-            leader.link_load.clear();
-            for slot in &shared.fabric_slots {
-                for link in 0..leader.link_load.n_links() {
-                    leader.link_load.add(
-                        link,
-                        slot.bytes[link].swap(0, Ordering::Relaxed),
-                        slot.packets[link].swap(0, Ordering::Relaxed),
-                    );
-                }
-            }
-            leader
-                .rec
-                .record_link_load(leader.link_load.bytes(), leader.link_load.packets());
-        }
+) -> Option<u64> {
+    let (mut np, mut executed, mut done) = (0, 0, 0);
+    for slot in held.iter_mut() {
+        let round = &parked(slot).ctx.round;
+        np += round.packets;
+        executed += round.executed;
+        done += round.done;
     }
+    if R::ENABLED {
+        record(shared, leader, held, ts, np, executed);
+    }
+    hand_off(held);
     leader.total_packets += np;
-    let done: u64 = slots.iter().map(|s| s.done.load(Ordering::Relaxed)).sum();
     let all_done = done as usize == shared.shard_of.len();
     #[allow(unused_mut)]
     let mut policy_np = np;
@@ -1271,27 +1093,120 @@ fn leader_step<R: Recorder>(
     if crate::fault::armed(crate::fault::Fault::LeaderNpSkip) {
         // Armable bug: the policy's view forgets shard 0's packets; the
         // recorded trace keeps the true np.
-        policy_np -= slots[0].np.load(Ordering::Relaxed);
+        policy_np -= parked(&mut held[0]).ctx.round.packets;
     }
-    match leader.clock.advance(all_done, policy_np) {
-        Advance::Next => {
-            let clock = &leader.clock;
-            shared
-                .round
-                .q_start
-                .store(clock.q_start_nanos, Ordering::Relaxed);
-            shared
-                .round
-                .q_end
-                .store(clock.q_end_nanos, Ordering::Relaxed);
-        }
-        Advance::Stop => shared.round.stop.store(true, Ordering::Relaxed),
+    let next = match leader.clock.advance(all_done, policy_np) {
+        Advance::Next => Some(Quantum {
+            start: SimTime::from_nanos(leader.clock.q_start_nanos),
+            end: SimTime::from_nanos(leader.clock.q_end_nanos),
+        }),
+        Advance::Stop => None,
         Advance::CapExceeded => {
-            shared.overflow.store(true, Ordering::Relaxed);
-            shared.round.stop.store(true, Ordering::Relaxed);
+            leader.overflow = true;
+            None
+        }
+    };
+    for slot in held.iter_mut() {
+        let round = &mut parked(slot).ctx.round;
+        match next {
+            Some(q) => round.q = q,
+            None => round.stop = true,
         }
     }
-    executed
+    next.map(|_| executed)
+}
+
+/// Hands every batch a shard routed to a peer over: swaps it with the
+/// peer's inbox slot for the sender, which the peer's last take emptied, so
+/// the sender gets that buffer back. A shard that routed nothing is passed
+/// over on its round line alone, and a pair with no traffic without
+/// touching the receiver: a quiet round moves no batch line between cores.
+fn hand_off(held: &mut Held<'_>) {
+    let m = held.len();
+    for s in 0..m {
+        if parked(&mut held[s]).ctx.round.packets == 0 {
+            continue;
+        }
+        for d in (0..m).filter(|&d| d != s) {
+            if parked(&mut held[s]).ctx.out[d].is_empty() {
+                continue;
+            }
+            let [from, to] = held.get_disjoint_mut([s, d]).expect("s ≠ d, both < m");
+            let inbox = &mut parked(to).ctx.inbox[s];
+            debug_assert!(inbox.is_empty(), "shard {d} did not take from {s}");
+            std::mem::swap(&mut parked(from).ctx.out[d], inbox);
+        }
+    }
+}
+
+/// Records the closing round's observability sample: per-node barrier
+/// waits and idle tails (every node in a shard shares its worker's
+/// barrier wait, so the flight recorder's per-node layout holds for any
+/// M), the round's stragglers, each shard's executions and, on a fabric,
+/// the links the round's copies crossed. Re-arms each shard's lag lane and
+/// link load for the next round.
+fn record<R: Recorder>(
+    shared: &SharedSharded<R>,
+    leader: &mut LeaderState<R>,
+    held: &mut Held<'_>,
+    ts: Option<ArrivalTimes<'_>>,
+    np: u64,
+    executed: u64,
+) {
+    // An inline round ends now, and no node's thread waited for another's.
+    let latest = match &ts {
+        Some(ts) => (0..ts.len()).map(|k| ts.get(k)).max().unwrap_or(0),
+        None => shared.start.elapsed().as_nanos() as u64,
+    };
+    let q_len_nanos = leader.clock.q_end_nanos - leader.clock.q_start_nanos;
+    leader.waits.clear();
+    leader.lags.clear();
+    leader.shard_actives.clear();
+    leader.link_load.clear();
+    let (mut s_count, mut s_max) = (0, SimDuration::ZERO);
+    for (s, slot) in held.iter_mut().enumerate() {
+        let ctx = &mut parked(slot).ctx;
+        let arrived = ts.as_ref().map_or(latest, |ts| ts.get(s));
+        for lag in &mut ctx.lags {
+            leader.waits.push(latest.saturating_sub(arrived));
+            // A node the active set skipped (lag still `u64::MAX`) idled
+            // through the whole quantum: its lag is the full quantum
+            // length, exactly what the full sweep computes when it re-polls
+            // a parked node.
+            let lag = std::mem::replace(lag, u64::MAX);
+            leader
+                .lags
+                .push(if lag == u64::MAX { q_len_nanos } else { lag });
+        }
+        s_count += ctx.stragglers.count();
+        s_max = s_max.max(ctx.stragglers.max_delay());
+        leader.shard_actives.push(ctx.round.executed);
+        if !leader.link_load.is_empty() {
+            // Commutative sums: the merged totals are independent of M and
+            // of routing order.
+            leader.link_load.merge(&ctx.links);
+            ctx.links.clear();
+        }
+    }
+    leader.rec.record_quantum(&QuantumObs {
+        index: leader.clock.quanta,
+        start: SimTime::from_nanos(leader.clock.q_start_nanos),
+        len: SimDuration::from_nanos(q_len_nanos),
+        // The last worker's arrival stamp is when the barrier completed.
+        host_ns: latest,
+        packets: np,
+        active_nodes: executed,
+        stragglers: s_count,
+        max_straggler_delay: s_max,
+        barrier_wait_ns: &leader.waits,
+        vt_lag_ns: &leader.lags,
+    });
+    leader.rec.record_shard_activity(&leader.shard_actives);
+    if !leader.link_load.is_empty() {
+        leader
+            .rec
+            .record_link_load(leader.link_load.bytes(), leader.link_load.packets());
+    }
 }
 
 #[cfg(test)]
@@ -1553,10 +1468,11 @@ mod tests {
     fn packet_path_reaches_an_allocation_free_steady_state() {
         // Batch allocations track the largest batch a quantum needs, not
         // the number of copies routed: 20× the rounds must not add a single
-        // allocation beyond the short run's warm-up (6 when pinned: one
-        // growth per batch buffer a pair of shards circulates). Two nodes
-        // never make a round worth sharing, so the plain run circulates the
-        // buffers inline and the pooled twin between two threads.
+        // allocation beyond the short run's warm-up (4 when pinned: one
+        // growth for each of the two buffers a direction circulates). Two
+        // nodes never make a round worth sharing, so the plain run
+        // circulates the buffers inline and the pooled twin between two
+        // threads.
         let plain = cfg(SyncConfig::ground_truth());
         for config in [pooled(plain.clone()), plain] {
             let run = |rounds| {
@@ -1573,10 +1489,10 @@ mod tests {
         }
         // The same through the fat-tree fabric, transit math included: a
         // ring exchange over 128 racks crosses every uplink plane in both
-        // directions. The second round already meets the busiest quantum
-        // (24 allocations after one round when pinned, 26 from the second
-        // on), so 4× the rounds add nothing; a per-packet regression would
-        // add thousands.
+        // directions. The first round already meets the busiest quantum
+        // (24 allocations after one, two or eight rounds when pinned), so
+        // 4× the rounds add nothing; a per-packet regression would add
+        // thousands.
         let fabric_run = |rounds| {
             let n = 4096;
             let mut ring = MpiBuilder::new(n);
@@ -1627,26 +1543,27 @@ mod tests {
             short.nodes_executed
         );
         // Warm-up is the doublings of each batch buffer up to the largest
-        // batch a quantum needs (31–35 when pinned, so 2× headroom); a
+        // batch a quantum needs (22 when pinned, so 2× headroom); a
         // per-packet regression overshoots by orders of magnitude.
         assert!(
-            short.pool_heap_allocs <= 70,
+            short.pool_heap_allocs <= 44,
             "batch warm-up footprint regressed: {} allocations",
             short.pool_heap_allocs
         );
-        // Incast is directional, but a receiver puts its emptied buffer back
-        // into the slot instead of freeing it, so the senders stay off the
-        // heap: 3× the waves re-route the same shape. Hand-off timing
-        // decides which buffer lands where and whether a late receiver
-        // finds two batches in one slot, which moves the count by a few
-        // either way (31–35 on both sides when pinned), never in
-        // proportion to the packets.
+        // The hand-off happens at the barrier, so which buffer lands where
+        // is simulated history too: a second identical run counts the same.
+        let again = run(4);
+        assert_eq!(again.pool_heap_allocs, short.pool_heap_allocs);
+        // Incast is directional, but the leader hands a receiver's emptied
+        // buffer back to the sender instead of freeing it, so the senders
+        // stay off the heap: 3× the waves re-route the same shape and
+        // allocate nothing more (22 on both sides when pinned).
         let long = run(12);
         assert!(long.total_packets > short.total_packets);
-        let extra = long.pool_heap_allocs.saturating_sub(short.pool_heap_allocs);
-        assert!(
-            extra <= 8,
-            "steady-state incast routing allocates: +{extra} batch allocations over +{} packets",
+        assert_eq!(
+            long.pool_heap_allocs,
+            short.pool_heap_allocs,
+            "steady-state incast routing allocates over +{} packets",
             long.total_packets - short.total_packets
         );
     }
@@ -1992,13 +1909,14 @@ mod tests {
 
     #[test]
     fn every_hand_off_slot_carries_traffic_at_every_worker_count() {
-        // An all-to-all puts a batch into every sender→receiver slot in the
-        // burst quantum, up to one worker per node (M = 16: all 240
-        // off-diagonal slots at once). Under the adaptive policy, the safe
-        // quantum and a quantum far above it (every copy a straggler),
-        // every M must match M = 1 and the full sweep. Sixteen nodes never
-        // make a round worth sharing, so the pooled twin carries the batches
-        // across threads and the plain run through the same slots inline.
+        // An all-to-all routes a batch from every shard to every other in
+        // the burst quantum, so the leader swaps every sender→receiver pair,
+        // up to one worker per node (M = 16: all 240 off-diagonal swaps at
+        // once). Under the adaptive policy, the safe quantum and a quantum
+        // far above it (every copy a straggler), every M must match M = 1
+        // and the full sweep. Sixteen nodes never make a round worth
+        // sharing, so the pooled twin runs the shards between the swaps on
+        // their own threads and the plain run inline.
         let programs = burst(16, 50_000, 1024).programs;
         for (sync, straggles) in [
             (SyncConfig::paper_dyn2(), false),
@@ -2041,7 +1959,7 @@ mod tests {
         // `SHARE_MIN_NODES` nodes runs inline; 1e-3 pools every round.
         // Either way the run is the same run, and which rounds ran inline is
         // decided by simulated history only, so every M runs the same ones
-        // inline.
+        // inline and circulates the same batch buffers.
         let cases = [
             (
                 "8-node all-to-all, unsafe",
@@ -2083,14 +2001,21 @@ mod tests {
                 // Sixty-four nodes do now and then, not in most rounds.
                 assert!(pooled > 0 && inline > pooled, "{name}: {inline} inline");
             }
-            for host_work in [0.0, 1e-3] {
-                for m in 1..=4 {
+            for m in 1..=4 {
+                let runs = [0.0, 1e-3].map(|host_work| {
                     let r = run(host_work, m);
                     let ctx = format!("{name}, host work {host_work}, M={m}");
                     assert_eq!(observed(&r), observed(&reference), "{ctx}");
                     let expected = if host_work > 0.0 { 0 } else { inline };
                     assert_eq!(r.inline_rounds, expected, "{ctx}");
-                }
+                    r
+                });
+                // Batches change hands at the barrier either way, so the
+                // buffers circulate alike: the same warm-up at a given M.
+                assert_eq!(
+                    runs[0].pool_heap_allocs, runs[1].pool_heap_allocs,
+                    "{name}, M={m}"
+                );
             }
         }
     }
@@ -2172,8 +2097,8 @@ mod tests {
     #[cfg(feature = "schedule-fuzz")]
     #[test]
     fn armed_schedule_fuzz_shuffles_the_taken_batches() {
-        // An M = 2 all-to-all: the burst quantum hands each worker a batch
-        // of its own shard's copies and one of its peer's.
+        // An M = 2 all-to-all: the burst quantum hands each shard a batch
+        // of its own copies and one of its peer's.
         // The pooled twin jitters every round's barrier arrivals too.
         let programs = burst(8, 50_000, 1024).programs;
         let inline = cfg(SyncConfig::ground_truth());
@@ -2190,6 +2115,23 @@ mod tests {
             assert_stayed_pooled(&config, &fuzzed, "fuzzed");
             assert_eq!(observed(&fuzzed), plain);
         }
+    }
+
+    #[test]
+    fn the_round_shares_the_parked_shards_first_cache_line() {
+        // The leader locks a shard and reads and writes its round every
+        // round: both must sit on the slot's first line (the slot is
+        // line-aligned, and the lock word precedes the data).
+        let programs = vec![ProgramBuilder::new(Rank::new(0)).compute(10).build()];
+        let nodes = ShardNodes::build(0, programs, None, aqs_node::CpuModel::default());
+        let ctx = ShardCtx::new(0, 1, 1, Quantum::default(), false, 0);
+        let slot: CachePadded<Mutex<Option<Shard>>> = CachePadded::default();
+        let mut guard = slot.lock().expect("fresh lock");
+        *guard = Some(Shard::new(nodes.expect("valid program"), ctx));
+        let start = &*slot as *const Mutex<Option<Shard>> as usize;
+        let round = &parked(&mut guard).ctx.round as *const Round as usize;
+        assert_eq!(start % 64, 0);
+        assert!(round - start + std::mem::size_of::<Round>() <= 64);
     }
 
     #[test]

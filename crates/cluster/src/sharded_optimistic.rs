@@ -119,16 +119,30 @@ use aqs_sync::TreeBarrier;
 use aqs_time::{HostDuration, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Control word: a window opened; its round 0 checkpoints and runs nodes.
-const CTRL_OPEN: u8 = 0;
-/// Control word: repeat the current window (dirty shards re-execute).
-const CTRL_REPEAT: u8 = 1;
-/// Control word: stop the run.
-const CTRL_STOP: u8 = 2;
+/// What the next round does.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Control {
+    /// A window opened; its round 0 checkpoints and runs nodes.
+    Open,
+    /// Repeat the current window (dirty shards re-execute).
+    Repeat,
+    /// Stop the run.
+    Stop,
+}
+
+/// The round the leader opened: what workers read, under one lock.
+struct Round {
+    /// The nodes to execute, longest-first.
+    run: Vec<u32>,
+    control: Control,
+    /// The window in progress. Written with every round: a worker may have
+    /// slept through the one that opened it.
+    window: Range<SimTime>,
+}
 
 /// Per-shard adaptive mode switching between conservative quantum sync and
 /// optimistic checkpoint/rollback — the paper's adaptive idea applied to
@@ -278,21 +292,13 @@ struct SharedOpt<R> {
     opts: ShardedOptimisticOpts,
     ranges: Vec<Range<usize>>,
     slots: Vec<Mutex<NodeSlot>>,
-    /// The nodes to execute this round, longest-first. The leader rewrites
-    /// it inside the barrier's exclusive section; workers only read it.
-    run: RwLock<Vec<u32>>,
-    /// Next unclaimed position of `run`. Relaxed: it only hands out indices;
-    /// the barrier publishes the list, each slot's mutex the node behind it.
+    /// The round in progress. The leader rewrites it inside the barrier's
+    /// exclusive section; workers only read it.
+    round: RwLock<Round>,
+    /// Next unclaimed position of the round's run list. Relaxed: it only
+    /// hands out indices; the barrier publishes the list, each slot's mutex
+    /// the node behind it.
     cursor: AtomicUsize,
-    /// Next action: [`CTRL_OPEN`], [`CTRL_REPEAT`] or [`CTRL_STOP`].
-    /// Written by the leader inside the barrier's exclusive section, ordered
-    /// for workers by the epoch handshake, like `window`.
-    control: AtomicU8,
-    /// Start and end of the window in progress, in sim ns. Published with
-    /// every round: a worker may have slept through the one that opened it.
-    window: [AtomicU64; 2],
-    /// Deadlock/divergence guard, checked after the join.
-    overflow: AtomicBool,
     /// When the workers were started: the origin of `wall` and of a recorded
     /// window's `host_ns`.
     start: Instant,
@@ -305,6 +311,8 @@ struct OptLeader<R> {
     /// The window in progress; its `quanta` are the committed windows.
     clock: QuantumClock,
     rec: R,
+    /// Deadlock/divergence guard, checked after the join.
+    overflow: bool,
     /// The run's counters, accumulated in place; `wall`,
     /// `sim_end`, `windows` and `per_node` are filled in after the join.
     out: ShardedOptimisticRunResult,
@@ -402,6 +410,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     let mut leader = OptLeader {
         clock,
         rec: recorder,
+        overflow: false,
         out: ShardedOptimisticRunResult {
             workers: m,
             ..Default::default()
@@ -468,12 +477,13 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
         opts,
         ranges,
         slots,
-        // Nothing has executed yet: the first round runs in rank order.
-        run: RwLock::new((0..n as u32).collect()),
+        round: RwLock::new(Round {
+            // Nothing has executed yet: the first round runs in rank order.
+            run: (0..n as u32).collect(),
+            control: Control::Open,
+            window: SimTime::from_nanos(q_start0)..SimTime::from_nanos(q_end0),
+        }),
         cursor: AtomicUsize::new(0),
-        control: AtomicU8::new(CTRL_OPEN),
-        window: [q_start0, q_end0].map(AtomicU64::new),
-        overflow: AtomicBool::new(false),
         start: Instant::now(),
         barrier: TreeBarrier::new(m, leader),
     };
@@ -494,8 +504,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             NodeResult::collect(&mut s.exec, s.sim)
         })
         .collect();
-    let overflowed = shared.overflow.load(Ordering::Acquire);
-    result.sim_end = finish_run(overflowed, engine, config, &result.per_node)?;
+    result.sim_end = finish_run(leader.overflow, engine, config, &result.per_node)?;
     Ok((result, leader.rec))
 }
 
@@ -512,25 +521,21 @@ fn worker_thread<R: Recorder>(w: usize, config: &ParallelConfig, shared: &Shared
 /// Claims and runs nodes off the open round's run list until none is left;
 /// `false`, with nothing claimed, once the leader has stopped the run.
 fn drain_round<R>(config: &ParallelConfig, shared: &SharedOpt<R>) -> bool {
-    let ctrl = shared.control.load(Ordering::Relaxed);
-    if ctrl == CTRL_STOP {
+    let round = shared.round.read().expect("round poisoned");
+    if round.control == Control::Stop {
         return false;
     }
-    let repeat = ctrl == CTRL_REPEAT;
-    let [start, end] = shared
-        .window
-        .each_ref()
-        .map(|w| SimTime::from_nanos(w.load(Ordering::Relaxed)));
-    let run = shared.run.read().expect("run list poisoned");
+    let repeat = round.control == Control::Repeat;
     let claim = || {
         // Claim order must not matter; the fuzz tier perturbs it.
         #[cfg(feature = "schedule-fuzz")]
         aqs_sync::fuzz::jitter();
-        run.get(shared.cursor.fetch_add(1, Ordering::Relaxed))
+        round.run.get(shared.cursor.fetch_add(1, Ordering::Relaxed))
     };
     while let Some(&g) = claim() {
         let mut slot = shared.slots[g as usize].lock().expect("node slot poisoned");
-        run_claimed(&mut slot, repeat, start..end, config, shared.net.nic());
+        let window = round.window.clone();
+        run_claimed(&mut slot, repeat, window, config, shared.net.nic());
     }
     true
 }
@@ -541,14 +546,15 @@ fn drain_round<R>(config: &ParallelConfig, shared: &SharedOpt<R>) -> bool {
 fn lead<R: Recorder>(config: &ParallelConfig, shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     loop {
         leader_step(shared, leader);
-        if shared.control.load(Ordering::Relaxed) == CTRL_STOP {
-            return;
-        }
         {
+            let round = shared.round.read().expect("round poisoned");
+            if round.control == Control::Stop {
+                return;
+            }
             // W = host_work_per_op × Σ last_ops over the run list; read off
             // simulated history, so the choice is the same on every host, at
             // every M and under every schedule.
-            let run = shared.run.read().expect("run list poisoned");
+            let run = &round.run;
             let work = config.host_work_per_op > 0.0
                 && run.iter().any(|&g| leader.last_ops[g as usize] > 0);
             if work && run.len() > 1 {
@@ -671,10 +677,10 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     let n = shared.slots.len();
     let m = shared.ranges.len();
     let window_end = leader.clock.q_end_nanos;
-    let mut run = shared.run.write().expect("run list poisoned");
+    let mut round = shared.round.write().expect("round poisoned");
     // 1. Pull sends and done flags of every node that ran this round. A
     // node the active-set skip left alone sent nothing and keeps its flag.
-    for &g in run.iter() {
+    for &g in &round.run {
         let g = g as usize;
         let mut slot = shared.slots[g].lock().expect("node slot poisoned");
         if !slot.executed {
@@ -771,12 +777,13 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
         gvt_val = leader.lvts[0];
     }
     if gvt_val >= window_end {
-        commit_window(shared, leader, &mut run, routed);
+        commit_window(shared, leader, &mut round, routed);
         return;
     }
     // 5. Roll back: the changed nodes of the offending shards restore and
     // re-execute — they are the next round's whole run list.
     let window_len = SimDuration::from_nanos(window_end - leader.clock.q_start_nanos);
+    let run = &mut round.run;
     run.clear();
     for (s, span) in &leader.dirty {
         leader.reexecs[*s] += 1;
@@ -799,7 +806,7 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
             leader.window_reexec_nodes += 1;
         }
     }
-    order_longest_first(&mut run, &leader.last_ops);
+    order_longest_first(run, &leader.last_ops);
     shared.cursor.store(0, Ordering::Relaxed);
     leader.repeat_rounds += 1;
     // Every repeat round raises some shard's `reexecs` and a shard stops at
@@ -808,20 +815,20 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     let guard = (m as u64)
         .saturating_mul(u64::from(shared.opts.cascade_bound) + 2)
         .saturating_add(8);
-    if leader.repeat_rounds > guard {
-        // A typed error, not a panic: flag and stop.
-        shared.overflow.store(true, Ordering::Relaxed);
-        shared.control.store(CTRL_STOP, Ordering::Relaxed);
+    // A typed error, not a panic: flag and stop.
+    leader.overflow = leader.repeat_rounds > guard;
+    round.control = if leader.overflow {
+        Control::Stop
     } else {
-        shared.control.store(CTRL_REPEAT, Ordering::Relaxed);
-    }
+        Control::Repeat
+    };
 }
 
 /// Commits the current window and opens the next one (or stops the run).
 fn commit_window<R: Recorder>(
     shared: &SharedOpt<R>,
     leader: &mut OptLeader<R>,
-    run: &mut Vec<u32>,
+    round: &mut Round,
     routed: u64,
 ) {
     let n = shared.slots.len();
@@ -953,9 +960,8 @@ fn commit_window<R: Recorder>(
         Advance::Next => {}
         stop => {
             // A typed error, not a panic: flag and stop.
-            let overflowed = matches!(stop, Advance::CapExceeded);
-            shared.overflow.store(overflowed, Ordering::Relaxed);
-            shared.control.store(CTRL_STOP, Ordering::Relaxed);
+            leader.overflow = matches!(stop, Advance::CapExceeded);
+            round.control = Control::Stop;
             return;
         }
     }
@@ -968,17 +974,16 @@ fn commit_window<R: Recorder>(
     }
     leader.charge_checkpoints(&shared.ranges);
     // A list no repeat round shrank still names every node: re-sort in place.
+    let run = &mut round.run;
     if run.len() < n {
         run.clear();
         run.extend(0..n as u32);
     }
     order_longest_first(run, &leader.last_ops);
     shared.cursor.store(0, Ordering::Relaxed);
-    let edges = [leader.clock.q_start_nanos, leader.clock.q_end_nanos];
-    for (w, edge) in shared.window.iter().zip(edges) {
-        w.store(edge, Ordering::Relaxed);
-    }
-    shared.control.store(CTRL_OPEN, Ordering::Relaxed);
+    let (start, end) = (leader.clock.q_start_nanos, leader.clock.q_end_nanos);
+    round.window = SimTime::from_nanos(start)..SimTime::from_nanos(end);
+    round.control = Control::Open;
 }
 
 #[cfg(test)]

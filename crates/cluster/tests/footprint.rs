@@ -77,8 +77,9 @@ fn sparse_sharded_run_stays_within_its_per_node_footprint() {
     println!(
         "{allocations} allocations ({per_node:.3}/node), {bytes} bytes ({bytes_per_node:.1}/node)"
     );
-    // Measured, debug and release alike (the counts move by a few dozen
-    // with how the two workers' packet batches warm up):
+    // Measured, debug and release alike (until the leader swapped the
+    // batches, the counts moved by a few dozen with how the two workers'
+    // packet batches warmed up; since, they are exact):
     //
     //                                    allocations/node   bytes/node
     //   staged construction, SipHash
@@ -88,12 +89,14 @@ fn sparse_sharded_run_stays_within_its_per_node_footprint() {
     //   wake queue buckets, not a heap   2.111 - 2.112      571 - 574
     //   one record per node, vectors
     //   sized one on the first push      2.115 - 2.116      448 - 452
+    //   batches swapped by the barrier
+    //   leader, no hand-off slots        2.115              439.9
     //
-    // What is left per node: its 240-byte record (the 208-byte executor,
-    // its scalars and done flag), its result record, and two one-entry
-    // vectors — the open `KERNEL` region, then its closed record — plus a
-    // one-entry ready list for each node a request reaches. The bounds are
-    // the measured values plus 15 %.
+    // What is left per node: its 232-byte record (the 208-byte executor
+    // and its three scalars; the done flags are a bit set), its result
+    // record, and two one-entry vectors — the open `KERNEL` region, then
+    // its closed record — plus a one-entry ready list for each node a
+    // request reaches. The bounds are the measured values plus 15 %.
     assert!(per_node <= 2.43, "{per_node:.3} allocations per node");
     assert!(
         bytes_per_node <= 519.0,

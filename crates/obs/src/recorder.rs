@@ -54,8 +54,13 @@ pub struct QuantumObs<'a> {
     pub host_ns: u64,
     /// Packets routed during the quantum (the policy's `np` signal).
     pub packets: u64,
-    /// Nodes that actually executed during the quantum (the active set).
-    /// Engines without active-set scheduling report the full node count.
+    /// Node executions the quantum cost, which each engine counts its own
+    /// way: the deterministic engine (the oracle) reports the node count
+    /// `n` every quantum; `Sharded` reports its active set, the nodes with
+    /// a wake inside the quantum; the rollback engines (`ShardedOptimistic`,
+    /// `Hybrid`) report every execution charged to the window, so
+    /// re-executions after a rollback count again and the value can exceed
+    /// `n`.
     pub active_nodes: u64,
     /// Stragglers recorded during the quantum.
     pub stragglers: u64,

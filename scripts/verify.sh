@@ -35,6 +35,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+# The feature-gated code the mutation and schedule-fuzz tiers build.
+cargo clippy -p aqs-cluster -p aqs-check --all-targets --features aqs-cluster/fault-inject,aqs-check/fault-inject -- -D warnings
+cargo clippy -p aqs-cluster -p aqs-check --all-targets --features aqs-cluster/schedule-fuzz,aqs-check/schedule-fuzz -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

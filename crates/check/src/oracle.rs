@@ -302,8 +302,8 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
     // full-sweep twin at its first run's worker count and host work.
     for group in runs.chunk_by(|a, b| a.0 == b.0) {
         let (kind, m0, work0) = group[0];
-        // The first run's outcome and executed-node count.
-        let mut first: Option<(SimulatedOutcome, u64)> = None;
+        // The first run's outcome and executed-node and step counts.
+        let mut first: Option<(SimulatedOutcome, (u64, u64))> = None;
         for &run in group {
             let (_, m, work) = run;
             let label = label(kind, "policy run", m, work);
@@ -315,10 +315,10 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
             check_policy_run(&label, &r, case, lo, hi)?;
             conservation(&label, &r, exp_packets, exp_receives)?;
             let executed = match kind {
-                EngineKind::Sharded => nodes_executed(&label, &r)?,
+                EngineKind::Sharded => node_counts(&label, &r)?,
                 _ => {
                     check_rollback_run(&label, &r, opts.cascade_bound, &truth)?;
-                    0
+                    (0, 0)
                 }
             };
             let outcome = r.simulated_outcome();
@@ -335,11 +335,20 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
                         &outcome,
                         base,
                     )?;
-                    if executed != *active {
+                    if executed.0 != active.0 {
                         return Err(format!(
-                            "{label}: active-set executed {executed} nodes, M={m0} \
-                             executed {active} — the wake schedule depends on the \
+                            "{label}: active-set executed {} nodes, M={m0} \
+                             executed {} — the wake schedule depends on the \
                              partition",
+                            executed.0, active.0,
+                        ));
+                    }
+                    if executed.1 != active.1 {
+                        return Err(format!(
+                            "{label}: active-set stepped {} nodes, M={m0} \
+                             stepped {} — which nodes sleep inside an op \
+                             depends on the partition",
+                            executed.1, active.1,
                         ));
                     }
                 }
@@ -366,8 +375,16 @@ pub fn check_case_with(case: &CaseSpec, opts: &CheckOpts) -> Result<(), String> 
         agree(&what, &fs.simulated_outcome(), &base)?;
         if kind == EngineKind::Sharded {
             // The executed-node accounting is pinned both ways: the sweep
-            // runs everyone every quantum, the active set never runs more.
-            let swept = nodes_executed(&label, &fs)?;
+            // runs everyone every quantum, the active set never runs more,
+            // and never steps more nodes than it counts executed.
+            let (active, stepped) = active;
+            if stepped > active {
+                return Err(format!(
+                    "active-set oracle: worklist stepped {stepped} nodes, more than \
+                     the {active} it executed",
+                ));
+            }
+            let (swept, _) = node_counts(&label, &fs)?;
             let all = case.n_nodes as u64 * fs.total_quanta;
             if swept != all {
                 return Err(format!(
@@ -421,12 +438,12 @@ fn wire_snapshot(spec: &Sim, cut: u64, what: &str) -> Result<SimSnapshot, String
         .map_err(|e| format!("{what} snapshot wire round trip: {e}"))
 }
 
-/// The sharded result's executed-node count.
-fn nodes_executed(label: &str, report: &RunReport) -> Result<u64, String> {
+/// The sharded result's executed-node and node-step counts.
+fn node_counts(label: &str, report: &RunReport) -> Result<(u64, u64), String> {
     report
         .detail
         .as_sharded()
-        .map(|d| d.nodes_executed)
+        .map(|d| (d.nodes_executed, d.nodes_stepped))
         .ok_or_else(|| format!("{label}: report carries no sharded detail"))
 }
 

@@ -219,6 +219,10 @@ pub(crate) struct Stepped {
     /// wait deadline of a timed sleeper, or `u64::MAX` to park it until a
     /// delivery re-arms it (blocked or finished).
     pub(crate) wake: u64,
+    /// What is left of the op the node is inside at the edge, in sim ns
+    /// (0 when none): the sharded engine lets a node whose op outlasts the
+    /// next quantum sleep until the op ends.
+    pub(crate) pending_ns: u64,
     /// Operations the execution started — what it cost the host.
     pub(crate) ops: u64,
     /// The program has finished (now or in an earlier execution).
@@ -247,11 +251,20 @@ pub(crate) fn step_node(
         msg_seq,
     } = node;
     // Fast-forward a woken sleeper: a full sweep would have dragged `sim` to
-    // every intervening quantum edge (`sim = max(sim, q_end)` below);
-    // skipping those quanta and taking one `max` against the current quantum
-    // start lands in the identical state, because a parked node's re-polls
-    // are side-effect-free and skipped time is idle by construction.
+    // every intervening quantum edge (`sim = max(sim, q_end)` below) and,
+    // for a node asleep inside an op, taken each skipped quantum off the
+    // op's remainder. Skipping those quanta and moving once to the current
+    // quantum start lands in the identical state: a parked node's re-polls
+    // are side-effect-free, skipped idle time is idle by construction, and
+    // the op keeps its end, `sim + pending_ns`, which the sleep never
+    // reaches before it is stepped again.
     if *sim < q_start {
+        let skipped = (q_start - *sim).as_nanos();
+        debug_assert!(
+            *pending_ns == 0 || *pending_ns >= skipped,
+            "slept {skipped} ns past the end of its op"
+        );
+        *pending_ns = pending_ns.saturating_sub(skipped);
         *sim = q_start;
     }
     let mut out = Stepped {
@@ -302,6 +315,7 @@ pub(crate) fn step_node(
         }
     }
     *sim = (*sim).max(q_end);
+    out.pending_ns = *pending_ns;
     out.finished = exec.finished();
     out
 }

@@ -4,11 +4,12 @@
 //! simulated node. That stops scaling long before cluster sizes — at 256+
 //! nodes the host drowns in oversubscription and scheduler churn instead of
 //! exercising Algorithm 1. This engine decouples logical processes from OS
-//! threads: the N node simulators are partitioned into M contiguous shards
-//! (M defaulting to the host's available parallelism; `shards(n)` is the
-//! paper's thread-per-node shape), each worker advances its whole shard to
-//! the quantum edge, and the quantum handshake is a hierarchical two-level
-//! [`TreeBarrier`] whose root leader runs the `QuantumPolicy`.
+//! threads: the N node simulators are dealt round-robin to M shards, node
+//! i to shard i mod M (`Deal`; M defaults to the host's available
+//! parallelism, and `shards(n)` is the paper's thread-per-node shape), each
+//! worker advances its whole shard to the quantum edge, and the quantum
+//! handshake is a hierarchical two-level [`TreeBarrier`] whose root leader
+//! runs the `QuantumPolicy`.
 //!
 //! Packets cross shards once per quantum, in batches, with every hop
 //! allocation-free in steady state:
@@ -76,6 +77,31 @@
 //! every host. The round that opens a run is always pooled: the workers
 //! start before any leader step.
 //!
+//! # A node inside a long op sleeps
+//!
+//! A node that parks at the edge inside an op with at least two quanta of
+//! it left — `pending_ns ≥ 2 ×` the quantum it just ran — sleeps until the
+//! op ends: `execute` files a wake at `q_end + pending_ns` in the shard's
+//! wake queue instead of re-arming the node for the next quantum. Whatever
+//! steps it next, that wake or a delivery that arms it sooner, finds it
+//! behind the quantum start, and `step_node`'s fast-forward takes the
+//! skipped time off the op, so the op keeps its end and the node reaches
+//! the state a step per quantum would have left. Asleep, the node is busy,
+//! not idle: it counts as executed in every quantum it sleeps through,
+//! with lag 0, as the skipped step would have. So
+//! [`ShardedRunResult::nodes_executed`], the per-round count the inline
+//! rule weighs and the recorded activity and lag lanes are those of a
+//! step per quantum, and [`ShardedRunResult::nodes_stepped`] counts the
+//! steps taken.
+//!
+//! The bound is two quanta because a sleep costs a queue push and a drain
+//! and must save a step to pay for them. A one-quantum bound parks every
+//! receive overhead (2 µs) that spans a ≈ 1 µs quantum: on `burst_1k` it
+//! parked 959 488 times to skip 970 752 steps and ran slower. With two,
+//! `burst_1k` skips 61 440 of its 3 809 280 node-quanta and
+//! `incast_256k` 2 077 244 of its 4 140 412 (seed 42, EXPERIMENTS.md
+//! § "Busy sleep").
+//!
 //! # Examples
 //!
 //! ```
@@ -134,13 +160,20 @@ pub struct ShardedRunResult {
     /// routing a packet allocates nothing. A function of simulated history
     /// at a given worker count.
     pub pool_heap_allocs: u64,
-    /// Node executions summed over all quanta (the active-set work metric).
-    /// A full sweep executes every node every quantum, so this equals
-    /// `n × total_quanta`; the active-set scheduler executes only nodes with
-    /// a wake inside the quantum, so the ratio of the two is the structural
-    /// win on idle-heavy workloads. Deterministic: independent of the worker
-    /// count and of thread scheduling.
+    /// Active node-quanta summed over all quanta (the active-set work
+    /// metric): a node counts in a quantum if it is stepped in it, or if it
+    /// is asleep inside an op the whole quantum (see the [module
+    /// docs](self)). A full sweep executes every node every quantum, so
+    /// this equals `n × total_quanta`; the active-set scheduler executes
+    /// only nodes with a wake inside the quantum or an op spanning it, so
+    /// the ratio of the two is the structural win on idle-heavy workloads.
+    /// Deterministic: independent of the worker count and of thread
+    /// scheduling.
     pub nodes_executed: u64,
+    /// Node steps summed over all quanta: `nodes_executed` less the
+    /// quanta nodes slept through inside an op. Equal to `nodes_executed`
+    /// under a full sweep; deterministic like it.
+    pub nodes_stepped: u64,
     /// Rounds the barrier leader ran inline, every shard in turn, while the
     /// rest of the pool waited (see the [module docs](self)): a function of
     /// simulated history, the same at every M and on every host.
@@ -156,8 +189,9 @@ pub struct ShardedRunResult {
 /// barrier that would split it, so no pool of any size can win it back.
 const SHARE_MIN_NODES: u64 = 32;
 
-/// A fragment in flight to one receiver, addressed by global node index.
-/// `arrival` is already the effective (boundary-deferred) delivery time.
+/// A fragment in flight to one receiver, addressed by its local index in
+/// the receiving shard. `arrival` is already the effective
+/// (boundary-deferred) delivery time.
 #[derive(Clone, Copy, Debug)]
 struct ShardInFlight {
     dst: u32,
@@ -167,9 +201,9 @@ struct ShardInFlight {
 }
 
 impl ShardInFlight {
-    fn new(dst: usize, frag: &FragSnap, arrival: SimTime) -> Self {
+    fn new(local: usize, frag: &FragSnap, arrival: SimTime) -> Self {
         Self {
-            dst: dst as u32,
+            dst: local as u32,
             meta: frag.meta,
             frag_index: frag.frag_index,
             arrival,
@@ -198,7 +232,8 @@ struct LeaderState<R> {
     /// Observability recorder. Leader-exclusive like the rest of this
     /// struct, so recording needs no lock and stays off the packet path.
     rec: R,
-    /// Scratch lanes for sample assembly, reused across quanta.
+    /// Scratch lanes for sample assembly, one slot per node in rank order,
+    /// reused across quanta.
     waits: Vec<u64>,
     lags: Vec<u64>,
     /// Per-link load merge scratch (fabric switch with recording enabled;
@@ -220,8 +255,8 @@ struct Round {
     stop: bool,
     /// Packets routed this round (the policy's `np` is their sum).
     packets: u64,
-    /// Nodes executed this round (active-set size): the leader weighs the
-    /// next round by their sum.
+    /// Nodes executed this round (stepped, or asleep inside an op): the
+    /// leader weighs the next round by their sum.
     executed: u64,
     /// The shard's nodes whose program has finished, over the run: the run
     /// is done when the sum is the node count.
@@ -254,8 +289,11 @@ struct ShardCtx {
     /// Capacity growths of the batches this shard filled (see
     /// [`ShardedRunResult::pool_heap_allocs`]).
     heap_allocs: u64,
-    /// Node executions over the run.
+    /// Active node-quanta over the run (see
+    /// [`ShardedRunResult::nodes_executed`]).
     nodes_executed: u64,
+    /// Node steps over the run (see [`ShardedRunResult::nodes_stepped`]).
+    nodes_stepped: u64,
     /// Per-local idle tail (vt lag) of the quantum, in sim ns, with
     /// `u64::MAX` for a node that did not execute. Empty unless the run is
     /// recorded: nothing else reads it.
@@ -281,6 +319,7 @@ impl ShardCtx {
             inbox: vec![Vec::new(); m],
             heap_allocs: 0,
             nodes_executed: 0,
+            nodes_stepped: 0,
             lags: if recorded {
                 vec![u64::MAX; len]
             } else {
@@ -299,15 +338,17 @@ impl ShardCtx {
     }
 }
 
-/// A shard's node simulators, one record per node: all of node `base + l`'s
-/// own state is record `l`, so a node that wakes cold touches one record,
-/// not a slot in each of several arrays. The
-/// active-set scan reads only the wake wheel's bitmap and no record of a
-/// node that does not run (shards are contiguous).
+/// A shard's node simulators, one record per node: all of global node
+/// `s + l·m`'s own state is record `l` of shard `s` (see [`Deal`]), so a
+/// node that wakes cold touches one record, not a slot in each of several
+/// arrays. The active-set scan reads only the wake wheel's bitmap and no
+/// record of a node that does not run.
 struct ShardNodes {
-    /// Global index of local node 0.
-    base: usize,
-    nodes: Vec<NodeState>,
+    /// Where the shard's nodes sit in the cluster.
+    deal: Deal,
+    /// This shard's index.
+    s: usize,
+    nodes: NodeRecords,
     /// Bit `l` set ⇔ the shard's done count already holds local node `l`'s
     /// end.
     done_reported: Vec<u64>,
@@ -321,30 +362,94 @@ const _: () = assert!(
         == std::mem::size_of::<aqs_node::NodeExecutor>() + 3 * std::mem::size_of::<u64>()
 );
 
+/// A shard's node records in blocks of [`NodeRecords::BLOCK`] nodes
+/// (≈ 0.95 MB), record `l` at `blocks[l / BLOCK][l % BLOCK]`. In one
+/// vector, each shard of a 262 144-node run dealt to two workers is a
+/// single 30 MB allocation, under glibc's 32 MiB ceiling for mapping one
+/// apart: once a run has freed one, the next run's records come from the
+/// allocator's arena heaps, and a benchmark process that keeps the last
+/// report grew its peak by ≈ 44 MB (EXPERIMENTS.md § "Busy sleep"). Blocks
+/// of one size are reused whole.
+struct NodeRecords {
+    blocks: Vec<Vec<NodeState>>,
+    len: usize,
+}
+
+impl NodeRecords {
+    /// Records per block: a power of two.
+    const BLOCK: usize = 1 << 12;
+
+    /// Room for `len` records, allocated block by block as they are pushed.
+    fn new(len: usize) -> Self {
+        Self {
+            blocks: Vec::with_capacity(len.div_ceil(Self::BLOCK)),
+            len: 0,
+        }
+    }
+
+    /// Appends a record; `total` is the shard's final record count, which
+    /// sizes the last block exactly.
+    fn push(&mut self, node: NodeState, total: usize) {
+        if self.len.is_multiple_of(Self::BLOCK) {
+            let room = (total - self.len).min(Self::BLOCK);
+            self.blocks.push(Vec::with_capacity(room));
+        }
+        self.blocks.last_mut().expect("a block").push(node);
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut NodeState> {
+        self.blocks.iter_mut().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for NodeRecords {
+    type Output = NodeState;
+
+    #[inline]
+    fn index(&self, l: usize) -> &NodeState {
+        &self.blocks[l / Self::BLOCK][l % Self::BLOCK]
+    }
+}
+
+impl std::ops::IndexMut<usize> for NodeRecords {
+    #[inline]
+    fn index_mut(&mut self, l: usize) -> &mut NodeState {
+        &mut self.blocks[l / Self::BLOCK][l % Self::BLOCK]
+    }
+}
+
 impl ShardNodes {
-    /// Builds the shard whose first node is global node `base`, straight
-    /// into its records and on the worker that will run and drop them:
-    /// fresh nodes at sim time zero, or — with `resume` — the snapshot's
-    /// nodes restored at its cut. A node state that fails validation is
-    /// reported as `"node i: …"`.
+    /// Builds shard `s` of `deal` from its programs, in local order,
+    /// straight into its records and on the worker that will run and drop
+    /// them: fresh nodes at sim time zero, or — with `resume` — the
+    /// snapshot's nodes restored at its cut. A node state that fails
+    /// validation is reported as `"node i: …"`, with `i` beside it.
     fn build(
-        base: usize,
+        deal: Deal,
+        s: usize,
         programs: Vec<Program>,
         resume: Option<&SnapshotBody>,
         cpu: CpuModel,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, (usize, SimError)> {
         let len = programs.len();
-        let mut nodes = Vec::with_capacity(len);
+        let mut nodes = NodeRecords::new(len);
         let mut done_reported = vec![0u64; len.div_ceil(64)];
         for (l, program) in programs.into_iter().enumerate() {
-            let i = base + l;
-            nodes.push(NodeState::start(i, program, cpu, resume)?);
+            let i = deal.global(s, l);
+            let node = NodeState::start(i, program, cpu, resume).map_err(|e| (i, e))?;
+            nodes.push(node, len);
             if resume.is_some_and(|body| body.nodes[i].done) {
                 done_reported[l >> 6] |= 1 << (l & 63);
             }
         }
         Ok(Self {
-            base,
+            deal,
+            s,
             nodes,
             done_reported,
         })
@@ -382,8 +487,17 @@ impl Shard {
 fn parked(slot: &mut Option<Shard>) -> &mut Shard {
     slot.as_mut().expect("the shard was parked")
 }
-/// Per-shard wake wheel: which locals run in the current quantum, and when
-/// parked-with-a-deadline locals become due. Part of the parked [`Shard`].
+/// Per-shard wake wheel: which locals run in the current quantum, when
+/// parked-with-a-deadline locals become due, and which locals sleep inside
+/// an op. Part of the parked [`Shard`].
+///
+/// A local parked at the edge with at least two quanta of its op left is
+/// not re-armed for the next quantum: its wake is the op's end, and its
+/// busy bit counts it as executed until then. Two quanta, not one, because
+/// the sleep's push and drain must buy at least one skipped step: at one,
+/// `burst_1k` parks 959 488 times to skip 970 752 steps; at two, it parks
+/// 2 048 times to skip 61 440, and `incast_256k` 256 371 times to skip
+/// 2 077 244 (seed 42).
 struct WakeWheel {
     /// Bitmap over local indices: bit set ⇒ the node executes this quantum.
     /// Stable during the scan — same-quantum sends land in batches that are
@@ -398,8 +512,18 @@ struct WakeWheel {
     /// side-effect-free re-poll, which is harmless and — crucially —
     /// *deterministic*: the entry multiset is a pure function of the
     /// simulated history, never of cross-worker hand-off timing, so the
-    /// executed-node count is identical for every shard count.
+    /// executed-node count is identical for every shard count. A busy
+    /// sleeper's entry is its op's end, which no earlier step moves: a
+    /// node woken before it by a delivery and put back to sleep files a
+    /// second entry at the same key, and the two arm one poll.
     queue: WakeQueue,
+    /// Bitmap over local indices: bit set ⇔ the node is asleep inside an
+    /// op (see [`WakeWheel::sleep_busy`]). A node asleep inside an op is
+    /// busy, not idle: it counts as executed in every quantum it sleeps
+    /// through, with lag 0, exactly as if it had been stepped.
+    busy_words: Vec<u64>,
+    /// Set bits of `busy_words`.
+    asleep: u64,
 }
 
 impl WakeWheel {
@@ -407,12 +531,41 @@ impl WakeWheel {
         Self {
             ready_words: vec![0u64; len.div_ceil(64)],
             queue: WakeQueue::new(),
+            busy_words: vec![0u64; len.div_ceil(64)],
+            asleep: 0,
         }
     }
 
     #[inline]
     fn arm_now(&mut self, l: usize) {
         self.ready_words[l >> 6] |= 1u64 << (l & 63);
+    }
+
+    /// Puts local `l`, parked mid-op at an edge, to sleep until its op
+    /// ends at `end_ns`, instead of stepping it through every quantum in
+    /// between only to shorten the op's remainder.
+    #[inline]
+    fn sleep_busy(&mut self, l: usize, end_ns: u64) {
+        self.queue.push(end_ns, l as u32);
+        self.busy_words[l >> 6] |= 1u64 << (l & 63);
+        self.asleep += 1;
+    }
+
+    /// Wakes local `l` from a busy sleep, if it is in one; `true` if it
+    /// was.
+    #[inline]
+    fn wake_busy(&mut self, l: usize) -> bool {
+        let (word, bit) = (&mut self.busy_words[l >> 6], 1u64 << (l & 63));
+        let was = *word & bit != 0;
+        *word &= !bit;
+        self.asleep -= u64::from(was);
+        was
+    }
+
+    /// `true` if local `l` is asleep inside an op.
+    #[inline]
+    fn is_busy(&self, l: usize) -> bool {
+        self.busy_words[l >> 6] & (1u64 << (l & 63)) != 0
     }
 
     /// Arms every scheduled poll due strictly before the edge `end`.
@@ -516,8 +669,10 @@ struct SharedSharded<R> {
     net: Router,
     /// Wall-clock origin for barrier-wait timestamps.
     start: Instant,
-    /// Shard owning each global node index.
-    shard_of: Vec<u32>,
+    /// Which shard holds each node.
+    deal: Deal,
+    /// Nodes in the cluster.
+    n: usize,
     /// Every shard's state between quanta (see "Who runs a shard" in the
     /// module docs). `None` until the shard's worker has built and parked
     /// it, and again once the worker has taken it back at the end.
@@ -559,15 +714,17 @@ impl<R: Recorder> SharedSharded<R> {
                 // Armed bug: the copy is lost between sender and receiver.
                 return;
             }
-            let batch = &mut ctx.out[self.shard_of[t] as usize];
+            let (d, l) = self.deal.place(t);
+            let batch = &mut ctx.out[d];
             ctx.heap_allocs += u64::from(batch.len() == batch.capacity());
-            batch.push(ShardInFlight::new(t, frag, eff));
+            batch.push(ShardInFlight::new(l, frag, eff));
         });
     }
 }
 
 /// Balanced contiguous partition of `n` nodes over `m` shards: the first
-/// `n % m` shards get one extra node.
+/// `n % m` shards get one extra node. The rollback engine's shards, which
+/// are rollback domains only, are these.
 pub(crate) fn partition(n: usize, m: usize) -> Vec<std::ops::Range<usize>> {
     let base = n / m;
     let rem = n % m;
@@ -581,52 +738,34 @@ pub(crate) fn partition(n: usize, m: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Contiguous partition of `weights.len()` nodes over `m` shards that
-/// balances *expected-active* work instead of node count.
-///
-/// The weight is each node's program length (op count) — a cheap static
-/// proxy for how often the node is hot: on idle-heavy workloads the
-/// sleepers are the short single-`recv` programs, so an op-count split
-/// hands shards with many sleepers proportionally more nodes and keeps the
-/// per-quantum active-set scan balanced across workers. The split is the
-/// greedy cumulative-weight quantile cut, clamped so every shard keeps at
-/// least one node.
-///
-/// Two properties matter more than the balance itself:
-///
-/// * **Stability**: the split is a pure function of `(weights, m)`, so a
-///   resumed run and a rerun partition identically and cross-M identity
-///   artifacts stay byte-reproducible.
-/// * **Uniform weights reproduce [`partition`] exactly** (remainder-first,
-///   the historical layout), pinning every artifact produced before
-///   weighting existed.
-pub(crate) fn partition_weighted(weights: &[u64], m: usize) -> Vec<std::ops::Range<usize>> {
-    let n = weights.len();
-    // Clamp to ≥ 1 so zero-weight (empty-program) nodes still consume
-    // quantile room — coverage of 0..n must never depend on the weights.
-    let weight = |i: usize| weights[i].max(1);
-    if (1..n).all(|i| weight(i) == weight(0)) {
-        return partition(n, m);
+/// The sharded engine's partition: nodes are dealt to the `m` shards like
+/// cards, node `i` to shard `i mod m` as its local node `i / m`. A workload
+/// whose hot nodes sit together in rank order — the fronts of an incast,
+/// the first ranks of a collective — spreads them over every shard, and
+/// every shard holds `⌈n / m⌉` or `⌊n / m⌋` nodes. The deal is a pure
+/// function of `(n, m)`, so a rerun and a resumed run partition alike.
+#[derive(Clone, Copy)]
+struct Deal {
+    m: usize,
+}
+
+impl Deal {
+    /// The shard and local index of global node `i`.
+    #[inline]
+    fn place(self, i: usize) -> (usize, usize) {
+        (i % self.m, i / self.m)
     }
-    let total: u64 = (0..n).map(weight).sum();
-    let mut ranges = Vec::with_capacity(m);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for s in 0..m {
-        // Cumulative weight the end of shard s aims for; the clamp leaves
-        // one node for each of the m-1-s shards still to come.
-        let target = (u128::from(total) * (s as u128 + 1) / m as u128) as u64;
-        let max_end = n - (m - 1 - s);
-        let mut end = start + 1;
-        acc += weight(start);
-        while end < max_end && acc < target {
-            acc += weight(end);
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
+
+    /// The global index of shard `s`'s local node `l`.
+    #[inline]
+    fn global(self, s: usize, l: usize) -> usize {
+        s + l * self.m
     }
-    ranges
+
+    /// How many of `n` nodes shard `s` holds.
+    fn len(self, n: usize, s: usize) -> usize {
+        (n + self.m - 1 - s) / self.m
+    }
 }
 
 /// Sharded engine entry point with an explicit [`Recorder`]; the unified
@@ -652,14 +791,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
 ) -> Result<(ShardedRunResult, R), SimError> {
     let (m, clock) = start_run(&programs, config, workers, resume)?;
     let n = programs.len();
-    let weights: Vec<u64> = programs.iter().map(|p| p.ops().len() as u64).collect();
-    let ranges = partition_weighted(&weights, m);
-    let mut shard_of = vec![0u32; n];
-    for (s, range) in ranges.iter().enumerate() {
-        for slot in &mut shard_of[range.clone()] {
-            *slot = s as u32;
-        }
-    }
+    let deal = Deal { m };
     // Fabric link-load slices exist only when there is something to record
     // them into; otherwise the whole path is a dead (compiled-out) branch.
     let n_links = match net.fabric() {
@@ -670,13 +802,13 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         start: SimTime::from_nanos(clock.q_start_nanos),
         end: SimTime::from_nanos(clock.q_end_nanos),
     };
-    let mut ctxs: Vec<ShardCtx> = (ranges.iter().enumerate())
-        .map(|(s, range)| ShardCtx::new(s, m, range.len(), q, R::ENABLED, n_links))
+    let mut ctxs: Vec<ShardCtx> = (0..m)
+        .map(|s| ShardCtx::new(s, m, deal.len(n, s), q, R::ENABLED, n_links))
         .collect();
     let (total_packets, mut stragglers) = match resume {
         Some(s) => route_seed_frags(s, &net, |t, arrival, frag| {
-            let d = shard_of[t] as usize;
-            ctxs[d].inbox[d].push(ShardInFlight::new(t, frag, arrival));
+            let (d, l) = deal.place(t);
+            ctxs[d].inbox[d].push(ShardInFlight::new(l, frag, arrival));
         })?,
         None => (0, StragglerStats::default()),
     };
@@ -686,8 +818,8 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         inline_rounds: 0,
         overflow: false,
         rec: recorder,
-        waits: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
-        lags: Vec::with_capacity(if R::ENABLED { n } else { 0 }),
+        waits: vec![0; if R::ENABLED { n } else { 0 }],
+        lags: vec![0; if R::ENABLED { n } else { 0 }],
         link_load: LinkLoad::new(n_links),
         shard_actives: Vec::with_capacity(m),
     };
@@ -695,41 +827,50 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
     let shared = SharedSharded {
         net,
         start,
-        shard_of,
+        deal,
+        n,
         shards: (0..m).map(|_| CachePadded::default()).collect(),
         restore_failed: AtomicBool::new(false),
         barrier: TreeBarrier::new(m, leader),
     };
-    // Each worker owns its contiguous run of programs: peel the shards off
-    // the tail (one flat copy per shard), so that no per-node work is left
-    // on this thread and every executor is built by the worker that runs it.
-    let mut shards: Vec<Vec<Program>> = ranges[1..]
-        .iter()
-        .rev()
-        .map(|range| programs.split_off(range.start))
+    // Deal the programs out, a move of one handle each: shard 0's stay in
+    // `programs` (program i is rank i's), so only the other shards' hands
+    // are allocated. Every executor is built by the worker that runs it.
+    let mut shards: Vec<Vec<Program>> = (0..m)
+        .map(|s| Vec::with_capacity(if s == 0 { 0 } else { deal.len(n, s) }))
         .collect();
-    shards.push(programs);
-    shards.reverse();
-    let bodies = shards.into_iter().zip(ctxs).zip(&ranges).enumerate();
-    let bodies = bodies.map(|(w, ((shard, ctx), range))| {
-        let shared = &shared;
-        move || worker_thread(w, range.start, shard, ctx, resume, config, shared)
-    });
-    // Shard order, so the error kept is the lowest failing node's.
-    let joined = shared.barrier.run_participants(bodies.collect());
-    let joined = joined.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let wall = start.elapsed();
-    // Shards are contiguous and joined in shard order, so flattening yields
-    // rank order; the straggler merge is deterministic for the same reason.
-    let mut per_node = Vec::with_capacity(n);
-    let mut pool_heap_allocs = 0;
-    let mut nodes_executed = 0;
-    for (nodes, worker_stragglers, worker_allocs, worker_executed) in joined {
-        stragglers.merge(&worker_stragglers);
-        per_node.extend(nodes);
-        pool_heap_allocs += worker_allocs;
-        nodes_executed += worker_executed;
+    let shard = |p: &Program| deal.place(p.rank().index()).0;
+    for program in programs.extract_if(.., |p| shard(p) != 0) {
+        shards[shard(&program)].push(program);
     }
+    shards[0] = programs;
+    let bodies = shards.into_iter().zip(ctxs).enumerate();
+    let bodies = bodies.map(|(w, (shard, ctx))| {
+        let shared = &shared;
+        move || worker_thread(w, shard, ctx, resume, config, shared)
+    });
+    let joined = shared.barrier.run_participants(bodies.collect());
+    let wall = start.elapsed();
+    // A snapshot that fails to restore names its lowest bad node.
+    let failed = joined.iter().filter_map(|r| r.as_ref().err());
+    if let Some((_, e)) = failed.min_by_key(|(i, _)| *i) {
+        return Err(e.clone());
+    }
+    let joined = joined.into_iter().flatten();
+    // Shards are joined in shard order, so the straggler merge is
+    // deterministic; the per-node results are dealt back into rank order.
+    let (mut pool_heap_allocs, mut nodes_executed, mut nodes_stepped) = (0, 0, 0);
+    let mut dealt = Vec::with_capacity(m);
+    for out in joined {
+        stragglers.merge(&out.stragglers);
+        dealt.push(out.per_node.into_iter());
+        pool_heap_allocs += out.heap_allocs;
+        nodes_executed += out.nodes_executed;
+        nodes_stepped += out.nodes_stepped;
+    }
+    let per_node: Vec<NodeResult> = (0..n)
+        .map(|i| dealt[deal.place(i).0].next().expect("one result per node"))
+        .collect();
     let leader = shared.barrier.into_state();
     let sim_end = finish_run(leader.overflow, EngineKind::Sharded, config, &per_node)?;
     let result = ShardedRunResult {
@@ -742,15 +883,26 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         workers: m,
         pool_heap_allocs,
         nodes_executed,
+        nodes_stepped,
         inline_rounds: leader.inline_rounds,
     };
     Ok((result, leader.rec))
 }
 
-/// What a worker returns for its shard: the nodes' results (in rank order),
-/// the run-total straggler tally, the batches' heap-allocation count, and
-/// the number of node executions.
-type WorkerOutput = (Vec<NodeResult>, StragglerStats, u64, u64);
+/// What a worker returns for its shard.
+#[derive(Default)]
+struct WorkerOutput {
+    /// The shard's nodes' results, in local order.
+    per_node: Vec<NodeResult>,
+    /// The run-total straggler tally.
+    stragglers: StragglerStats,
+    /// The batches' heap-allocation count.
+    heap_allocs: u64,
+    /// Active node-quanta.
+    nodes_executed: u64,
+    /// Node steps.
+    nodes_stepped: u64,
+}
 
 /// The shards the barrier leader holds, in shard order.
 type Held<'a> = Vec<MutexGuard<'a, Option<Shard>>>;
@@ -758,17 +910,17 @@ type Held<'a> = Vec<MutexGuard<'a, Option<Shard>>>;
 /// Builds shard `w` (see [`ShardNodes::build`]) around its context, parks
 /// it, runs its quantum in every pooled round, and takes it back when the
 /// run stops.
-/// `Err` is this shard's lowest node that failed to restore from `resume`.
+/// `Err` is this shard's lowest node that failed to restore from `resume`,
+/// with its global index.
 fn worker_thread<R: Recorder>(
     w: usize,
-    base: usize,
     programs: Vec<Program>,
     ctx: ShardCtx,
     resume: Option<&SnapshotBody>,
     config: &ParallelConfig,
     shared: &SharedSharded<R>,
-) -> Result<WorkerOutput, SimError> {
-    let built = ShardNodes::build(base, programs, resume, config.cpu);
+) -> Result<WorkerOutput, (usize, SimError)> {
+    let built = ShardNodes::build(shared.deal, w, programs, resume, config.cpu);
     if resume.is_some() {
         // Only a snapshot can fail to build, and any worker's slice of it
         // may: meet once so that either every worker enters the quantum
@@ -805,15 +957,18 @@ fn worker_thread<R: Recorder>(
     let q_end = ctx.round.q.end;
     // A parked node's `sim` may lag the last quantum edge (fast-forwarding
     // is lazy); the full sweep would have dragged it to the edge.
-    let results = (nodes.nodes.iter_mut())
-        .map(|node| NodeResult::collect(&mut node.exec, node.sim.max(q_end)))
-        .collect();
-    Ok((
-        results,
-        ctx.run_stragglers,
-        ctx.heap_allocs,
-        ctx.nodes_executed,
-    ))
+    let mut results = Vec::with_capacity(nodes.nodes.len());
+    results.extend(
+        (nodes.nodes.iter_mut())
+            .map(|node| NodeResult::collect(&mut node.exec, node.sim.max(q_end))),
+    );
+    Ok(WorkerOutput {
+        per_node: results,
+        stragglers: ctx.run_stragglers,
+        heap_allocs: ctx.heap_allocs,
+        nodes_executed: ctx.nodes_executed,
+        nodes_stepped: ctx.nodes_stepped,
+    })
 }
 
 /// One quantum of one shard, whoever runs it: [`take`], then [`execute`].
@@ -855,10 +1010,12 @@ fn take(
 /// node count in the shard's context for the leader.
 ///
 /// The active-set scheduler (the default) executes only nodes with a
-/// scheduled wake inside the quantum; a quantum where the whole shard is
-/// parked touches no node memory at all. With [`ParallelConfig::full_sweep`]
-/// every node executes every quantum — the legacy behavior, kept as the
-/// differential baseline the active set must match bit for bit.
+/// scheduled wake inside the quantum, and counts the nodes asleep inside an
+/// op as executed without touching them (see the [module docs](self)); a
+/// quantum where the whole shard is parked touches no node memory at all.
+/// With [`ParallelConfig::full_sweep`] every node executes every quantum —
+/// the legacy behavior, kept as the differential baseline the active set
+/// must match bit for bit.
 ///
 /// The shard comes as three borrows, not one `&mut Shard`: as separate
 /// parameters the compiler knows that stepping a node cannot touch the wake
@@ -876,6 +1033,9 @@ fn execute<R: Recorder>(
     let q = ctx.round.q;
     let full_sweep = config.full_sweep;
     let q_end_ns = q.end.as_nanos();
+    // A node parked mid-op with this much of its op left sleeps until the
+    // op ends (see the module docs).
+    let sleep_min = (q_end_ns - q.start.as_nanos()).saturating_mul(2);
     let len = nodes.nodes.len();
     let mut active = 0u64;
     if full_sweep {
@@ -886,6 +1046,7 @@ fn execute<R: Recorder>(
             }
         }
         active = len as u64;
+        ctx.nodes_stepped += active;
     } else {
         // Promote sleepers whose scheduled wake falls strictly inside this
         // quantum (a wake at exactly `q_end` is the next quantum's first
@@ -893,6 +1054,10 @@ fn execute<R: Recorder>(
         // entry — the node already woke earlier and re-slept — arms a
         // side-effect-free re-poll, identical under every shard count.
         wheel.promote(q_end_ns);
+        // Nodes asleep inside an op as the quantum opens: each counts as
+        // executed in this quantum, once, whether or not it is stepped.
+        let asleep = wheel.asleep;
+        let mut woken = 0;
         // Execute the active set in ascending local order (bit order = rank
         // order within the shard, matching the full sweep).
         for wi in 0..wheel.ready_words.len() {
@@ -907,7 +1072,13 @@ fn execute<R: Recorder>(
                 let l = (wi << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let ran = advance_node(nodes, l, shared, config, ctx, q);
-                if ran.wake == q_end_ns {
+                woken += u64::from(wheel.wake_busy(l));
+                if ran.wake == q_end_ns && ran.pending_ns >= sleep_min {
+                    // Mid-op past the next quantum edge: sleep until the op
+                    // ends. A shorter remainder is stepped on: its sleep
+                    // would only trade the next step for a queue push.
+                    wheel.sleep_busy(l, q_end_ns.saturating_add(ran.pending_ns));
+                } else if ran.wake == q_end_ns {
                     // Runs again next quantum — the common case for a node
                     // mid-compute. An entry `(q_end, l)` would be drained by
                     // the next promote whatever the next edge is, so arm the
@@ -925,6 +1096,8 @@ fn execute<R: Recorder>(
                 active += 1;
             }
         }
+        ctx.nodes_stepped += active;
+        active += asleep - woken;
     }
     ctx.round.executed = active;
     ctx.nodes_executed += active;
@@ -951,7 +1124,7 @@ fn deliver(
         SHUFFLED_BATCHES.fetch_add(1, Ordering::Relaxed);
     }
     for f in batch.drain(..) {
-        let l = f.dst as usize - nodes.base;
+        let l = f.dst as usize;
         nodes.nodes[l]
             .exec
             .deliver_fragment(f.meta, f.frag_index, f.arrival);
@@ -992,7 +1165,7 @@ fn advance_node<R: Recorder>(
     ctx: &mut ShardCtx,
     q: Quantum,
 ) -> Stepped {
-    let src = nodes.base + l;
+    let src = nodes.deal.global(nodes.s, l);
     let work = config.host_work_per_op;
     let ran = step_node(
         &mut nodes.nodes[l],
@@ -1086,7 +1259,7 @@ fn leader_step<R: Recorder>(
     }
     hand_off(held);
     leader.total_packets += np;
-    let all_done = done as usize == shared.shard_of.len();
+    let all_done = done as usize == shared.n;
     #[allow(unused_mut)]
     let mut policy_np = np;
     #[cfg(feature = "fault-inject")]
@@ -1159,24 +1332,26 @@ fn record<R: Recorder>(
         None => shared.start.elapsed().as_nanos() as u64,
     };
     let q_len_nanos = leader.clock.q_end_nanos - leader.clock.q_start_nanos;
-    leader.waits.clear();
-    leader.lags.clear();
     leader.shard_actives.clear();
     leader.link_load.clear();
     let (mut s_count, mut s_max) = (0, SimDuration::ZERO);
     for (s, slot) in held.iter_mut().enumerate() {
-        let ctx = &mut parked(slot).ctx;
+        let Shard { ctx, wheel, nodes } = parked(slot);
         let arrived = ts.as_ref().map_or(latest, |ts| ts.get(s));
-        for lag in &mut ctx.lags {
-            leader.waits.push(latest.saturating_sub(arrived));
+        for (l, lag) in ctx.lags.iter_mut().enumerate() {
+            let i = nodes.deal.global(s, l);
+            leader.waits[i] = latest.saturating_sub(arrived);
             // A node the active set skipped (lag still `u64::MAX`) idled
-            // through the whole quantum: its lag is the full quantum
+            // through the whole quantum — its lag is the full quantum
             // length, exactly what the full sweep computes when it re-polls
-            // a parked node.
-            let lag = std::mem::replace(lag, u64::MAX);
-            leader
-                .lags
-                .push(if lag == u64::MAX { q_len_nanos } else { lag });
+            // a parked node — unless it slept inside an op, busy to the
+            // edge like the step the full sweep takes.
+            let lag = match std::mem::replace(lag, u64::MAX) {
+                u64::MAX if wheel.is_busy(l) => 0,
+                u64::MAX => q_len_nanos,
+                lag => lag,
+            };
+            leader.lags[i] = lag;
         }
         s_count += ctx.stragglers.count();
         s_max = s_max.max(ctx.stragglers.max_delay());
@@ -1220,13 +1395,16 @@ mod tests {
     use aqs_obs::NullRecorder;
     use aqs_workloads::{burst, ping_pong, MpiBuilder};
 
-    /// The paper-default CPU model, no busy-work.
+    /// The paper-default CPU model, no busy-work, and a quantum cap near
+    /// what these tests need (the longest run, `adaptive_policy_reduces_quanta`'s
+    /// ground truth, takes 1 542 quanta): a copy the hand-off loses strands
+    /// its receivers, and the run fails at the cap in milliseconds.
     fn cfg(sync: SyncConfig) -> ParallelConfig {
         ParallelConfig {
             sync,
             cpu: aqs_node::CpuModel::default(),
             host_work_per_op: 0.0,
-            max_quanta: 20_000_000,
+            max_quanta: 4_000,
             full_sweep: false,
         }
     }
@@ -1303,20 +1481,35 @@ mod tests {
     }
 
     #[test]
-    fn weighted_partition_is_stable_and_balances_op_weight() {
-        // Uniform weights must reproduce the historical remainder-first
-        // split exactly — the pin that keeps pre-weighting artifacts valid.
-        assert_eq!(partition_weighted(&[3; 10], 4), partition(10, 4));
-        assert_eq!(partition_weighted(&[0; 6], 4), partition(6, 4));
-        // Pinned non-uniform split: heavy programs at both ends, the m = 2
-        // cut lands at the cumulative-weight midpoint (13 | 13), not the
-        // node-count midpoint.
-        let w = [10, 1, 1, 1, 1, 1, 1, 10];
-        assert_eq!(partition_weighted(&w, 2), vec![0..4, 4..8]);
-        // Extreme skew still leaves every shard at least one node, and
-        // coverage/contiguity hold.
-        let ranges = partition_weighted(&[100, 0, 0, 0], 4);
-        assert_eq!(ranges, vec![0..1, 1..2, 2..3, 3..4]);
+    fn dealt_partition_covers_every_node_once_in_rank_order() {
+        for n in [2usize, 5, 7, 64, 65] {
+            for m in 1..=n.min(9) {
+                let deal = Deal { m };
+                let lens: Vec<usize> = (0..m).map(|s| deal.len(n, s)).collect();
+                assert_eq!(lens.iter().sum::<usize>(), n, "n={n} m={m}");
+                assert!(lens.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
+                // Walking the shards' locals in rank order visits every node
+                // once, and `place` inverts `global`.
+                let mut seen = vec![false; n];
+                for (s, &len) in lens.iter().enumerate() {
+                    for l in 0..len {
+                        let i = deal.global(s, l);
+                        assert!(!seen[i], "node {i} dealt twice");
+                        seen[i] = true;
+                        assert_eq!(deal.place(i), (s, l));
+                    }
+                }
+                assert!(seen.iter().all(|&x| x));
+            }
+        }
+        // The results come back in rank order: each node reports its own
+        // rank, at every worker count.
+        let programs = burst(7, 50_000, 1024).programs;
+        for m in 1..=7 {
+            let r = run_sharded(programs.clone(), &cfg(SyncConfig::ground_truth()), Some(m));
+            let ranks: Vec<usize> = r.per_node.iter().map(|p| p.rank.index()).collect();
+            assert_eq!(ranks, (0..7).collect::<Vec<_>>(), "workers={m}");
+        }
     }
 
     /// Hub-and-sleepers workload: rank 0 computes then broadcasts; every
@@ -1337,22 +1530,69 @@ mod tests {
         programs
     }
 
+    /// A receiver busy through a long op while its peers' messages land:
+    /// rank 0 computes for 200 µs, then takes one message from every other
+    /// rank and answers each; rank r sends after 10·r µs of its own
+    /// compute, so every delivery reaches rank 0 inside its op.
+    fn busy_receiver(n: usize) -> Vec<Program> {
+        let mut hub = ProgramBuilder::new(Rank::new(0)).compute(520_000);
+        for r in 1..n as u32 {
+            hub = hub.recv(Some(Rank::new(r)), Tag::new(0));
+        }
+        for r in 1..n as u32 {
+            hub = hub.send(Rank::new(r), 64, Tag::new(1));
+        }
+        let mut programs = vec![hub.build()];
+        for r in 1..n as u32 {
+            programs.push(
+                ProgramBuilder::new(Rank::new(r))
+                    .compute(26_000 * u64::from(r))
+                    .send(Rank::new(0), 1024, Tag::new(0))
+                    .recv(Some(Rank::new(0)), Tag::new(1))
+                    .build(),
+            );
+        }
+        programs
+    }
+
     #[test]
     fn active_set_matches_full_sweep_bit_for_bit() {
         // The active-set scheduler is an optimization, not a semantics
         // change: for safe and unsafe quanta, idle-heavy and chatty
         // workloads, every observable of the run must equal the legacy
-        // full-sweep path's, for every worker count.
-        let cases: Vec<(Vec<Program>, SyncConfig)> = vec![
-            (mostly_idle(16), SyncConfig::ground_truth()),
-            (mostly_idle(16), SyncConfig::paper_dyn1()),
+        // full-sweep path's, for every worker count. Where a case pins
+        // `nodes_executed`, the pin is the count of the scheduler that
+        // stepped every node inside an op in every quantum: a node asleep
+        // inside its op counts exactly as that step did, and the run
+        // must have slept.
+        let cases: Vec<(Vec<Program>, SyncConfig, Option<u64>)> = vec![
+            (mostly_idle(16), SyncConfig::ground_truth(), None),
+            (mostly_idle(16), SyncConfig::paper_dyn1(), None),
             (
                 ping_pong(4, 25, 4096).programs,
                 SyncConfig::fixed_micros(1000),
+                None,
             ),
-            (burst(5, 50_000, 1024).programs, SyncConfig::paper_dyn2()),
+            (
+                burst(5, 50_000, 1024).programs,
+                SyncConfig::paper_dyn2(),
+                None,
+            ),
+            // Deliveries wake rank 0 inside its op and it sleeps again,
+            // under a fixed quantum and under quanta that grow while it
+            // sleeps.
+            (
+                busy_receiver(6),
+                SyncConfig::fixed_micros(5),
+                Some(BUSY_FIXED_EXECUTED),
+            ),
+            (
+                busy_receiver(6),
+                SyncConfig::paper_dyn1(),
+                Some(BUSY_DYN1_EXECUTED),
+            ),
         ];
-        for (programs, sync) in cases {
+        for (programs, sync, pinned) in cases {
             let full = run_sharded(programs.clone(), &full_sweep(sync.clone()), Some(2));
             for m in 1..=4 {
                 let r = run_sharded(programs.clone(), &cfg(sync.clone()), Some(m));
@@ -1376,6 +1616,103 @@ mod tests {
                     r.nodes_executed,
                     full.nodes_executed
                 );
+                assert!(r.nodes_stepped <= r.nodes_executed, "workers={m}");
+                if let Some(executed) = pinned {
+                    assert_eq!(r.nodes_executed, executed, "{sync:?} workers={m}");
+                    assert!(
+                        r.nodes_stepped < r.nodes_executed,
+                        "{sync:?} workers={m}: no node slept inside its op"
+                    );
+                }
+            }
+        }
+        // A run resumed at a cut inside rank 0's op: the restored node
+        // sleeps from its first quantum on.
+        let base = Sim::new(busy_receiver(6))
+            .engine(crate::sim::EngineKind::Sharded)
+            .sync(SyncConfig::fixed_micros(5));
+        let snap = base.snapshot_at(10).expect("capturable cut");
+        assert!(
+            snap.body.nodes[0].pending.is_some(),
+            "the cut is not mid-op"
+        );
+        let resume = |sim: Sim| {
+            let report = sim.resume(&snap).expect("resumes");
+            report
+                .detail
+                .as_sharded()
+                .expect("the sharded engine ran")
+                .clone()
+        };
+        let full = observed(&resume(base.clone().shards(2).force_full_sweep(true)));
+        for m in 1..=4 {
+            let r = resume(base.clone().shards(m));
+            let got = observed(&r);
+            assert_eq!(
+                (&got.0, &got.1, &got.2),
+                (&full.0, &full.1, &full.2),
+                "m={m}"
+            );
+            assert_eq!(
+                r.nodes_executed, BUSY_RESUMED_EXECUTED,
+                "resumed, workers={m}"
+            );
+            assert!(r.nodes_stepped < r.nodes_executed, "resumed, workers={m}");
+        }
+    }
+
+    /// `nodes_executed` of [`busy_receiver`]`(6)` under `fixed_micros(5)`,
+    /// under `paper_dyn1`, and resumed at the fixed run's quantum 10, as the
+    /// scheduler that stepped every busy node every quantum counted them.
+    const BUSY_FIXED_EXECUTED: u64 = 83;
+    const BUSY_DYN1_EXECUTED: u64 = 255;
+    const BUSY_RESUMED_EXECUTED: u64 = 43;
+
+    #[test]
+    fn a_busy_sleepers_recorded_lanes_match_the_full_sweeps() {
+        use aqs_obs::ObsConfig;
+        // Every quantum rank 0 sleeps through inside its op is recorded as
+        // the full sweep's step records it: lag 0. Every other lag is the
+        // full sweep's too, a node busy for any part of a quantum is among
+        // the quantum's active nodes, and the active nodes per quantum are
+        // those of the scheduler that stepped every busy node every quantum
+        // (pinned: all six while the peers compute, one fewer as each peer
+        // sends and blocks, rank 0 alone to the end of its op, then the
+        // five answers).
+        let pinned: Vec<u64> = [(6, 10), (5, 9), (4, 9), (3, 9), (2, 9), (1, 59), (5, 2)]
+            .iter()
+            .flat_map(|&(active, quanta)| std::iter::repeat_n(active, quanta))
+            .collect();
+        let sim = Sim::new(busy_receiver(6))
+            .engine(crate::sim::EngineKind::Sharded)
+            .sync(SyncConfig::paper_dyn1())
+            .record(ObsConfig::new().with_ring_capacity(4096));
+        let run = |sim: Sim| {
+            let report = sim.run();
+            let r = report
+                .detail
+                .as_sharded()
+                .expect("the sharded engine ran")
+                .clone();
+            (r, report.obs.expect("recorder attached"))
+        };
+        let (full, swept) = run(sim.clone().shards(2).force_full_sweep(true));
+        for m in 1..=3 {
+            let (r, fr) = run(sim.clone().shards(m));
+            assert!(r.nodes_stepped < r.nodes_executed, "workers={m}");
+            assert_eq!(
+                fr.ring_len() as u64,
+                full.total_quanta,
+                "the ring holds every quantum"
+            );
+            let active: Vec<u64> = fr.samples().map(|q| q.active_nodes).collect();
+            assert_eq!(active, pinned, "workers={m}");
+            for (a, b) in fr.samples().zip(swept.samples()) {
+                let ctx = format!("workers={m}, quantum {}", a.index);
+                assert_eq!((a.index, a.len), (b.index, b.len), "{ctx}");
+                assert_eq!(a.vt_lag_ns, b.vt_lag_ns, "{ctx}");
+                let busy = b.vt_lag_ns.iter().filter(|&&lag| lag < b.len.as_nanos());
+                assert!(a.active_nodes >= busy.count() as u64, "{ctx}");
             }
         }
     }
@@ -1390,6 +1727,7 @@ mod tests {
         );
         // The full sweep executes every node every quantum, by definition.
         assert_eq!(full.nodes_executed, 32 * full.total_quanta);
+        assert_eq!(full.nodes_stepped, full.nodes_executed);
         let reference = run_sharded(programs.clone(), &cfg(SyncConfig::ground_truth()), Some(1));
         assert!(
             reference.nodes_executed < full.nodes_executed / 4,
@@ -1534,6 +1872,9 @@ mod tests {
         // arming rules exactly: change the number only for an intentional
         // scheduler change.
         assert_eq!(short.nodes_executed, 26_742);
+        // The steps taken: the rest of those node-quanta were slept through
+        // inside an op (each backend's 19 µs compute spans four quanta).
+        assert_eq!(short.nodes_stepped, 12_755);
         // ...and the active set must be active: a silent fall-back to full
         // sweeps would survive a re-pinned count, not this bound.
         let swept = 1024 * short.total_quanta;
@@ -2123,11 +2464,13 @@ mod tests {
         // round: both must sit on the slot's first line (the slot is
         // line-aligned, and the lock word precedes the data).
         let programs = vec![ProgramBuilder::new(Rank::new(0)).compute(10).build()];
-        let nodes = ShardNodes::build(0, programs, None, aqs_node::CpuModel::default());
+        let deal = Deal { m: 1 };
+        let nodes = ShardNodes::build(deal, 0, programs, None, aqs_node::CpuModel::default());
         let ctx = ShardCtx::new(0, 1, 1, Quantum::default(), false, 0);
         let slot: CachePadded<Mutex<Option<Shard>>> = CachePadded::default();
         let mut guard = slot.lock().expect("fresh lock");
-        *guard = Some(Shard::new(nodes.expect("valid program"), ctx));
+        let nodes = nodes.unwrap_or_else(|(_, e)| panic!("{e}"));
+        *guard = Some(Shard::new(nodes, ctx));
         let start = &*slot as *const Mutex<Option<Shard>> as usize;
         let round = &parked(&mut guard).ctx.round as *const Round as usize;
         assert_eq!(start % 64, 0);

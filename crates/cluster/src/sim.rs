@@ -319,42 +319,55 @@ impl From<NetError> for SimError {
     }
 }
 
-/// The program half of [`Sim::validate`], in one pass over the ops: program
-/// *i* is for rank *i*, each send names another rank of the cluster, and
-/// each timed region ends after it starts and starts only while closed.
+/// The program half of [`Sim::validate`], in one pass over the programs:
+/// program *i* is for rank *i*, each send names another rank of the
+/// cluster, and each timed region ends after it starts and starts only
+/// while closed. The ops were summarised as each program was built
+/// ([`Program::is_valid_for`]); only a program the summary rejects is
+/// read op by op, to name its first bad op.
 fn check_programs(programs: &[Program]) -> Result<(), SimError> {
     let n = programs.len();
-    let mut open = Vec::new();
     for (rank, program) in programs.iter().enumerate() {
         if program.rank().index() != rank {
             let (index, rank) = (rank, program.rank().as_u32());
             return Err(SimError::RankMismatch { index, rank });
         }
-        open.clear();
-        for (op, o) in program.ops().iter().enumerate() {
-            let detail = match *o {
-                Op::Send {
-                    dst: SendTarget::Rank(d),
-                    ..
-                } if d.index() >= n || d.index() == rank => {
-                    format!("sends to {d}, not to another of the cluster's {n} ranks")
-                }
-                Op::RegionStart(r) if open.contains(&r) => format!("starts {r} while it is open"),
-                Op::RegionEnd(r) if !open.contains(&r) => format!("ends {r} before it starts"),
-                Op::RegionStart(r) => {
-                    open.push(r);
-                    continue;
-                }
-                Op::RegionEnd(r) => {
-                    open.retain(|&x| x != r);
-                    continue;
-                }
-                _ => continue,
-            };
-            return Err(SimError::InvalidOp { rank, op, detail });
+        if !program.is_valid_for(n) {
+            if let Some(e) = first_invalid_op(rank, program, n) {
+                return Err(e);
+            }
         }
     }
     Ok(())
+}
+
+/// The first op of rank `rank`'s `program` that cannot run in an `n`-node
+/// cluster, as a [`SimError::InvalidOp`].
+fn first_invalid_op(rank: usize, program: &Program, n: usize) -> Option<SimError> {
+    let mut open = Vec::new();
+    for (op, o) in program.ops().iter().enumerate() {
+        let detail = match *o {
+            Op::Send {
+                dst: SendTarget::Rank(d),
+                ..
+            } if d.index() >= n || d.index() == rank => {
+                format!("sends to {d}, not to another of the cluster's {n} ranks")
+            }
+            Op::RegionStart(r) if open.contains(&r) => format!("starts {r} while it is open"),
+            Op::RegionEnd(r) if !open.contains(&r) => format!("ends {r} before it starts"),
+            Op::RegionStart(r) => {
+                open.push(r);
+                continue;
+            }
+            Op::RegionEnd(r) => {
+                open.retain(|&x| x != r);
+                continue;
+            }
+            _ => continue,
+        };
+        return Some(SimError::InvalidOp { rank, op, detail });
+    }
+    None
 }
 
 impl fmt::Display for SimError {

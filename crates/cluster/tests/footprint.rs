@@ -91,6 +91,8 @@ fn sparse_sharded_run_stays_within_its_per_node_footprint() {
     //   sized one on the first push      2.115 - 2.116      448 - 452
     //   batches swapped by the barrier
     //   leader, no hand-off slots        2.115              439.9
+    //   nodes dealt round-robin, records
+    //   in blocks, busy sleepers         2.117              431.7
     //
     // What is left per node: its 232-byte record (the 208-byte executor
     // and its three scalars; the done flags are a bit set), its result

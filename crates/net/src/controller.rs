@@ -297,9 +297,10 @@ impl NetworkController {
     ///
     /// # Panics
     ///
-    /// Panics if `src` (or a unicast destination) is out of range, or if a
-    /// unicast destination equals the sender — a switch never hairpins a
-    /// frame back to its ingress port.
+    /// In a debug build, panics if `src` (or a unicast destination) is out
+    /// of range, or if a unicast destination equals the sender — a switch
+    /// never hairpins a frame back to its ingress port. `Sim` rejects a
+    /// program that would do either before it runs.
     pub fn route(
         &mut self,
         src: usize,
@@ -309,10 +310,11 @@ impl NetworkController {
         mut sink: impl FnMut(usize, SimTime),
     ) {
         let from = NodeId::new(src as u32);
-        assert!(src < self.router.n, "source {from} out of range");
+        // Programs are validated before any engine routes a frame.
+        debug_assert!(src < self.router.n, "source {from} out of range");
         if let Destination::Unicast(d) = dst {
-            assert!(d.index() < self.router.n, "destination {d} out of range");
-            assert!(d != from, "node {from} sent a frame to itself");
+            debug_assert!(d.index() < self.router.n, "destination {d} out of range");
+            debug_assert!(d != from, "node {from} sent a frame to itself");
         }
         self.router
             .fan_out(src, dst, bytes, departure, |t, arrival| {
@@ -536,18 +538,21 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "sent a frame to itself")]
     fn self_send_rejected() {
         copies(&mut ctl(2), 1, unicast(1), 64, SimTime::ZERO);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "destination n9 out of range")]
     fn bad_destination_rejected() {
         copies(&mut ctl(2), 0, unicast(9), 64, SimTime::ZERO);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "source n2 out of range")]
     fn bad_source_rejected() {
         copies(&mut ctl(2), 2, Destination::Broadcast, 64, SimTime::ZERO);

@@ -227,9 +227,11 @@ impl NodeExecutor {
                     MatchOutcome::ReadyAt(t) => return Action::WaitUntil(t),
                     MatchOutcome::NoMatch => return Action::Blocked,
                 },
+                // A program is checked against both faults before it runs
+                // (`Program::is_valid_for`), so they are debug checks here.
                 Op::RegionStart(region) => {
                     self.pc += 1;
-                    assert!(
+                    debug_assert!(
                         self.open_regions.iter().all(|&(r, _)| r != region),
                         "{region} started twice without ending"
                     );
@@ -237,11 +239,9 @@ impl NodeExecutor {
                 }
                 Op::RegionEnd(region) => {
                     self.pc += 1;
-                    let open = self
-                        .open_regions
-                        .iter()
-                        .position(|&(r, _)| r == region)
-                        .unwrap_or_else(|| panic!("{region} ended without starting"));
+                    let open = self.open_regions.iter().position(|&(r, _)| r == region);
+                    debug_assert!(open.is_some(), "{region} ended without starting");
+                    let Some(open) = open else { continue };
                     let (_, start) = self.open_regions.swap_remove(open);
                     crate::push_first_exact(
                         &mut self.regions,
@@ -584,6 +584,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "ended without starting")]
     fn unbalanced_region_end_panics() {
         let p = ProgramBuilder::new(Rank::new(0))
@@ -594,6 +595,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "started twice")]
     fn double_region_start_panics() {
         let p = ProgramBuilder::new(Rank::new(0))

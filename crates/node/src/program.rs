@@ -189,19 +189,110 @@ pub enum Op {
 /// The op stream is immutable once built and shared: cloning a program (an
 /// engine's per-window checkpoint, a `Sim` input clone) copies a pointer,
 /// not the ops.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every way to make a program — [`Program::new`], [`ProgramBuilder`] and
+/// deserialization — also records, as the ops go in, what validating it
+/// against a cluster needs ([`Program::is_valid_for`]): the largest rank it
+/// sends to, whether it sends to itself, and whether its timed regions
+/// balance. The record is neither printed by `Debug` nor serialized.
+#[derive(Clone, PartialEq, Eq, Serialize)]
 pub struct Program {
     rank: Rank,
     ops: Arc<[Op]>,
+    #[serde(skip)]
+    summary: Summary,
+}
+
+/// What validation needs of a program's ops, in the word beside the rank
+/// (a program stays three words, and so does every executor's copy).
+/// The low 30 bits are one past the largest unicast destination, 0 when
+/// there is none, saturating at [`Summary::SEND_BOUND`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Summary(u32);
+
+impl Summary {
+    /// An op sends to the program's own rank.
+    const SELF_SEND: u32 = 1 << 31;
+    /// A region starts while it is open or ends while it is closed.
+    const BAD_REGION: u32 = 1 << 30;
+    /// Mask and saturation value of the send bound.
+    const SEND_BOUND: u32 = Self::BAD_REGION - 1;
+}
+
+/// Gathers a [`Summary`] one op at a time.
+#[derive(Clone, Debug)]
+struct Summarizer {
+    rank: Rank,
+    summary: Summary,
+    /// Regions started and not yet ended.
+    open: Vec<RegionId>,
+}
+
+impl Summarizer {
+    fn new(rank: Rank) -> Self {
+        Self {
+            rank,
+            summary: Summary::default(),
+            open: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, op: &Op) {
+        let word = &mut self.summary.0;
+        match *op {
+            Op::Send {
+                dst: SendTarget::Rank(d),
+                ..
+            } => {
+                if d == self.rank {
+                    *word |= Summary::SELF_SEND;
+                }
+                let bound = d.as_u32().saturating_add(1).min(Summary::SEND_BOUND);
+                if bound > *word & Summary::SEND_BOUND {
+                    *word = (*word & !Summary::SEND_BOUND) | bound;
+                }
+            }
+            Op::RegionStart(r) if self.open.contains(&r) => *word |= Summary::BAD_REGION,
+            Op::RegionStart(r) => self.open.push(r),
+            Op::RegionEnd(r) => match self.open.iter().position(|&x| x == r) {
+                Some(k) => {
+                    self.open.swap_remove(k);
+                }
+                None => *word |= Summary::BAD_REGION,
+            },
+            _ => {}
+        }
+    }
 }
 
 impl Program {
     /// Creates a program directly from parts.
     pub fn new(rank: Rank, ops: Vec<Op>) -> Self {
+        let mut summarizer = Summarizer::new(rank);
+        for op in &ops {
+            summarizer.push(op);
+        }
         Self {
             rank,
             ops: ops.into(),
+            summary: summarizer.summary,
         }
+    }
+
+    /// `true` if, as far as its ops go, the program can run as one rank of
+    /// an `n`-node cluster: every unicast send names another rank below
+    /// `n`, and each timed region starts only while closed and ends only
+    /// while open. Constant time: the ops were summarised as they went in.
+    /// A `false` for a cluster of more than 2³⁰ − 2 nodes may be spurious;
+    /// the op-by-op check decides then.
+    #[inline]
+    pub fn is_valid_for(&self, n: usize) -> bool {
+        let word = self.summary.0;
+        let bound = word & Summary::SEND_BOUND;
+        word & (Summary::SELF_SEND | Summary::BAD_REGION) == 0
+            && bound < Summary::SEND_BOUND
+            && bound as usize <= n
     }
 
     /// The rank this program implements.
@@ -257,6 +348,26 @@ impl Program {
     }
 }
 
+/// Prints the rank and the ops, exactly as a derived `Debug` of the two
+/// would: `Sim::fingerprint` hashes this text.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("rank", &self.rank)
+            .field("ops", &self.ops)
+            .finish()
+    }
+}
+
+/// Reads the serialized rank and ops and summarises them like
+/// [`Program::new`].
+impl Deserialize for Program {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let ops: Vec<Op> = serde::field(v, "ops")?;
+        Ok(Program::new(serde::field(v, "rank")?, ops))
+    }
+}
+
 /// Incremental builder for [`Program`]s.
 ///
 /// All methods take and return `self`, so loops can be written by
@@ -278,6 +389,7 @@ impl Program {
 pub struct ProgramBuilder {
     rank: Rank,
     ops: Vec<Op>,
+    summarizer: Summarizer,
 }
 
 impl ProgramBuilder {
@@ -286,19 +398,18 @@ impl ProgramBuilder {
         Self {
             rank,
             ops: Vec::new(),
+            summarizer: Summarizer::new(rank),
         }
     }
 
     /// Appends a compute op.
-    pub fn compute(mut self, ops: u64) -> Self {
-        self.ops.push(Op::Compute { ops });
-        self
+    pub fn compute(self, ops: u64) -> Self {
+        self.push(Op::Compute { ops })
     }
 
     /// Appends an idle op.
-    pub fn idle(mut self, dur: SimDuration) -> Self {
-        self.ops.push(Op::Idle { dur });
-        self
+    pub fn idle(self, dur: SimDuration) -> Self {
+        self.push(Op::Idle { dur })
     }
 
     /// Appends a unicast send.
@@ -306,24 +417,22 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics if `dst` equals the program's own rank.
-    pub fn send(mut self, dst: Rank, bytes: u64, tag: Tag) -> Self {
+    pub fn send(self, dst: Rank, bytes: u64, tag: Tag) -> Self {
         assert!(dst != self.rank, "{} cannot send to itself", self.rank);
-        self.ops.push(Op::Send {
+        self.push(Op::Send {
             dst: SendTarget::Rank(dst),
             bytes,
             tag,
-        });
-        self
+        })
     }
 
     /// Appends a broadcast send.
-    pub fn send_all(mut self, bytes: u64, tag: Tag) -> Self {
-        self.ops.push(Op::Send {
+    pub fn send_all(self, bytes: u64, tag: Tag) -> Self {
+        self.push(Op::Send {
             dst: SendTarget::All,
             bytes,
             tag,
-        });
-        self
+        })
     }
 
     /// Appends a blocking receive.
@@ -331,35 +440,37 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics if `src` equals the program's own rank.
-    pub fn recv(mut self, src: Option<Rank>, tag: Tag) -> Self {
+    pub fn recv(self, src: Option<Rank>, tag: Tag) -> Self {
         if let Some(s) = src {
             assert!(s != self.rank, "{} cannot receive from itself", self.rank);
         }
-        self.ops.push(Op::Recv { src, tag });
-        self
+        self.push(Op::Recv { src, tag })
     }
 
     /// Appends a region-start marker.
-    pub fn region_start(mut self, region: RegionId) -> Self {
-        self.ops.push(Op::RegionStart(region));
-        self
+    pub fn region_start(self, region: RegionId) -> Self {
+        self.push(Op::RegionStart(region))
     }
 
     /// Appends a region-end marker.
-    pub fn region_end(mut self, region: RegionId) -> Self {
-        self.ops.push(Op::RegionEnd(region));
-        self
+    pub fn region_end(self, region: RegionId) -> Self {
+        self.push(Op::RegionEnd(region))
     }
 
     /// Appends a raw op.
     pub fn push(mut self, op: Op) -> Self {
+        self.summarizer.push(&op);
         self.ops.push(op);
         self
     }
 
-    /// Finishes the program.
+    /// Finishes the program, with the summary its ops built up.
     pub fn build(self) -> Program {
-        Program::new(self.rank, self.ops)
+        Program {
+            rank: self.rank,
+            ops: self.ops.into(),
+            summary: self.summarizer.summary,
+        }
     }
 }
 
@@ -452,6 +563,67 @@ mod tests {
         assert_eq!(v.get("rank"), Some(&Rank::new(2).to_value()));
         assert_eq!(v.get("ops"), Some(&ops.to_value()));
         assert_eq!(Program::from_value(&v).unwrap(), p);
+    }
+
+    #[test]
+    fn the_summary_is_built_however_the_program_is_made() {
+        let send = |r: u32| Op::Send {
+            dst: SendTarget::Rank(Rank::new(r)),
+            bytes: 64,
+            tag: Tag::new(0),
+        };
+        let ops = vec![
+            Op::RegionStart(RegionId::KERNEL),
+            send(5),
+            send(2),
+            Op::Send {
+                dst: SendTarget::All,
+                bytes: 64,
+                tag: Tag::new(0),
+            },
+            Op::RegionEnd(RegionId::KERNEL),
+        ];
+        let new = Program::new(Rank::new(0), ops.clone());
+        let built = (ops.iter())
+            .fold(ProgramBuilder::new(Rank::new(0)), |b, &op| b.push(op))
+            .build();
+        let read = Program::from_value(&new.to_value()).unwrap();
+        for p in [&new, &built, &read] {
+            assert!(!p.is_valid_for(5), "rank5 is not among 5 ranks");
+            assert!(p.is_valid_for(6));
+        }
+        assert_eq!(built, new);
+        assert_eq!(read, new);
+        let invalid = [
+            Program::new(Rank::new(2), vec![send(2)]),
+            Program::new(Rank::new(0), vec![Op::RegionEnd(RegionId::KERNEL)]),
+            Program::new(
+                Rank::new(0),
+                vec![
+                    Op::RegionStart(RegionId::KERNEL),
+                    Op::RegionStart(RegionId::KERNEL),
+                ],
+            ),
+            // A rank past the summary's range is never called valid.
+            Program::new(Rank::new(0), vec![send(u32::MAX)]),
+        ];
+        for p in &invalid {
+            assert!(!p.is_valid_for(usize::MAX), "{p:?}");
+        }
+        assert!(Program::new(Rank::new(0), vec![]).is_valid_for(2));
+    }
+
+    #[test]
+    fn debug_prints_the_rank_and_ops_and_a_program_stays_three_words() {
+        let p = Program::new(Rank::new(1), vec![Op::Compute { ops: 3 }]);
+        assert_eq!(
+            format!("{p:?}"),
+            "Program { rank: Rank(1), ops: [Compute { ops: 3 }] }"
+        );
+        assert_eq!(
+            std::mem::size_of::<Program>(),
+            3 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

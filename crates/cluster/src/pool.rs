@@ -46,23 +46,37 @@ pub(crate) struct ParallelConfig {
     pub(crate) full_sweep: bool,
 }
 
-/// The shared epilogue: a run that exhausted its quantum cap is a typed
-/// error (the leader flags it; a panic inside the barrier would fail the
-/// run instead); any other run ends when its last node does.
+/// Why a barrier leader stopped a run before its nodes finished. The leader
+/// only flags it: a panic inside the barrier would fail the run instead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Abort {
+    /// The quantum cap (deadlock guard) is exhausted.
+    QuantumCap,
+    /// A quantum edge, or a sum of simulated time the result reports, would
+    /// pass `u64::MAX` nanoseconds.
+    SimTimeOverflow,
+}
+
+/// The shared epilogue: a run the leader aborted after `quanta` quanta is
+/// a typed error; any other run ends when its last node does.
 pub(crate) fn finish_run(
-    overflowed: bool,
+    abort: Option<Abort>,
     engine: EngineKind,
     config: &ParallelConfig,
+    quanta: u64,
     per_node: &[NodeResult],
 ) -> Result<SimTime, SimError> {
-    if overflowed {
-        return Err(SimError::QuantumCapExceeded {
+    match abort {
+        Some(Abort::QuantumCap) => Err(SimError::QuantumCapExceeded {
             engine,
             max_quanta: config.max_quanta,
-        });
+        }),
+        Some(Abort::SimTimeOverflow) => Err(SimError::SimTimeOverflow { engine, quanta }),
+        None => {
+            let finishes = per_node.iter().map(|r| r.finish_sim);
+            Ok(finishes.max().expect("at least two nodes"))
+        }
     }
-    let finishes = per_node.iter().map(|r| r.finish_sim);
-    Ok(finishes.max().expect("at least two nodes"))
 }
 
 /// The barrier leader's view of simulated time: the policy, the quantum in
@@ -82,8 +96,8 @@ pub(crate) struct QuantumClock {
 pub(crate) enum Advance {
     /// Every program finished.
     Stop,
-    /// The quantum cap is exhausted: flag the overflow and stop.
-    CapExceeded,
+    /// The run cannot go on: flag why and stop.
+    Abort(Abort),
     /// The next quantum is open; the clock's `q_end_nanos` is its edge.
     Next,
 }
@@ -97,11 +111,14 @@ impl QuantumClock {
             return Advance::Stop;
         }
         if self.quanta > self.max_quanta {
-            return Advance::CapExceeded;
+            return Advance::Abort(Abort::QuantumCap);
         }
         let next = self.policy.next_quantum(np);
+        let Some(end) = self.q_end_nanos.checked_add(next.as_nanos()) else {
+            return Advance::Abort(Abort::SimTimeOverflow);
+        };
         self.q_start_nanos = self.q_end_nanos;
-        self.q_end_nanos += next.as_nanos();
+        self.q_end_nanos = end;
         Advance::Next
     }
 }

@@ -120,7 +120,7 @@
 //! ```
 
 use crate::pool::{
-    finish_run, route_seed_frags, start_run, step_node, Advance, NodeState, ParallelConfig,
+    finish_run, route_seed_frags, start_run, step_node, Abort, Advance, NodeState, ParallelConfig,
     QuantumClock, Stepped,
 };
 use crate::result::NodeResult;
@@ -226,9 +226,9 @@ struct LeaderState<R> {
     total_packets: u64,
     /// Rounds run inline (see [`ShardedRunResult::inline_rounds`]).
     inline_rounds: u64,
-    /// Set by the leader step that hit the quantum cap (deadlock guard),
-    /// read after the join, where failing is safe.
-    overflow: bool,
+    /// Set by the leader step that stopped the run early, read after the
+    /// join, where failing is safe.
+    abort: Option<Abort>,
     /// Observability recorder. Leader-exclusive like the rest of this
     /// struct, so recording needs no lock and stays off the packet path.
     rec: R,
@@ -722,22 +722,6 @@ impl<R: Recorder> SharedSharded<R> {
     }
 }
 
-/// Balanced contiguous partition of `n` nodes over `m` shards: the first
-/// `n % m` shards get one extra node. The rollback engine's shards, which
-/// are rollback domains only, are these.
-pub(crate) fn partition(n: usize, m: usize) -> Vec<std::ops::Range<usize>> {
-    let base = n / m;
-    let rem = n % m;
-    let mut ranges = Vec::with_capacity(m);
-    let mut start = 0;
-    for s in 0..m {
-        let len = base + usize::from(s < rem);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 /// The sharded engine's partition: nodes are dealt to the `m` shards like
 /// cards, node `i` to shard `i mod m` as its local node `i / m`. A workload
 /// whose hot nodes sit together in rank order — the fronts of an incast,
@@ -816,7 +800,7 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         clock,
         total_packets,
         inline_rounds: 0,
-        overflow: false,
+        abort: None,
         rec: recorder,
         waits: vec![0; if R::ENABLED { n } else { 0 }],
         lags: vec![0; if R::ENABLED { n } else { 0 }],
@@ -872,7 +856,8 @@ pub(crate) fn run_sharded_impl<R: Recorder>(
         .map(|i| dealt[deal.place(i).0].next().expect("one result per node"))
         .collect();
     let leader = shared.barrier.into_state();
-    let sim_end = finish_run(leader.overflow, EngineKind::Sharded, config, &per_node)?;
+    let quanta = leader.clock.quanta;
+    let sim_end = finish_run(leader.abort, EngineKind::Sharded, config, quanta, &per_node)?;
     let result = ShardedRunResult {
         wall,
         sim_end,
@@ -1274,8 +1259,8 @@ fn leader_step<R: Recorder>(
             end: SimTime::from_nanos(leader.clock.q_end_nanos),
         }),
         Advance::Stop => None,
-        Advance::CapExceeded => {
-            leader.overflow = true;
+        Advance::Abort(why) => {
+            leader.abort = Some(why);
             None
         }
     };
@@ -1460,23 +1445,6 @@ mod tests {
         match run_sharded_impl(programs, config, net, workers, NullRecorder, None) {
             Ok((r, _)) => r,
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    #[test]
-    fn partition_is_balanced_and_covers() {
-        for n in [2usize, 5, 7, 64] {
-            for m in 1..=n.min(9) {
-                let ranges = partition(n, m);
-                assert_eq!(ranges.len(), m);
-                assert_eq!(ranges.first().unwrap().start, 0);
-                assert_eq!(ranges.last().unwrap().end, n);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                    assert!(w[0].len() >= w[1].len());
-                    assert!(w[0].len() - w[1].len() <= 1);
-                }
-            }
         }
     }
 

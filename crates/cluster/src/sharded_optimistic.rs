@@ -105,11 +105,10 @@
 //! conservatively, so the lanes also show every mode switch.
 
 use crate::pool::{
-    finish_run, route_seed_frags, start_run, step_node, Advance, NodeState, ParallelConfig,
+    finish_run, route_seed_frags, start_run, step_node, Abort, Advance, NodeState, ParallelConfig,
     QuantumClock, Stepped,
 };
 use crate::result::NodeResult;
-use crate::sharded::partition;
 use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, SnapshotBody};
 use aqs_net::{NicModel, Router, StragglerStats};
@@ -311,8 +310,9 @@ struct OptLeader<R> {
     /// The window in progress; its `quanta` are the committed windows.
     clock: QuantumClock,
     rec: R,
-    /// Deadlock/divergence guard, checked after the join.
-    overflow: bool,
+    /// Why the leader stopped the run early (deadlock/divergence guard,
+    /// simulated-time overflow), checked after the join.
+    abort: Option<Abort>,
     /// The run's counters, accumulated in place; `wall`,
     /// `sim_end`, `windows` and `per_node` are filled in after the join.
     out: ShardedOptimisticRunResult,
@@ -357,6 +357,22 @@ struct OptLeader<R> {
     shard_actives: Vec<u64>,
     window_reexec_nodes: u64,
     repeat_rounds: u64,
+}
+
+/// Balanced contiguous partition of `n` nodes over `m` shards: the first
+/// `n % m` shards get one extra node. This engine's shards, which are
+/// rollback domains only, are these.
+fn partition(n: usize, m: usize) -> Vec<Range<usize>> {
+    let base = n / m;
+    let rem = n % m;
+    let mut ranges = Vec::with_capacity(m);
+    let mut start = 0;
+    for s in 0..m {
+        let len = base + usize::from(s < rem);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    ranges
 }
 
 /// Earliest arrival involved in the first divergence between two sorted
@@ -410,7 +426,7 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
     let mut leader = OptLeader {
         clock,
         rec: recorder,
-        overflow: false,
+        abort: None,
         out: ShardedOptimisticRunResult {
             workers: m,
             ..Default::default()
@@ -504,7 +520,8 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             NodeResult::collect(&mut s.exec, s.sim)
         })
         .collect();
-    result.sim_end = finish_run(leader.overflow, engine, config, &result.per_node)?;
+    let quanta = leader.clock.quanta;
+    result.sim_end = finish_run(leader.abort, engine, config, quanta, &result.per_node)?;
     Ok((result, leader.rec))
 }
 
@@ -800,9 +817,16 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
             std::mem::swap(&mut leader.used[i], &mut leader.new_sets[i]);
             run.push(i as u32);
             leader.out.rollbacks += 1;
-            leader.out.wasted_sim += window_len;
             leader.shard_rb[*s] += 1;
-            leader.shard_waste[*s] += window_len.as_nanos();
+            // A shard's waste this window is a part of the run's, so the
+            // run's sum is the one that can pass `u64::MAX` ns first.
+            match leader.out.wasted_sim.checked_add(window_len) {
+                Some(total) => {
+                    leader.out.wasted_sim = total;
+                    leader.shard_waste[*s] += window_len.as_nanos();
+                }
+                None => leader.abort = Some(Abort::SimTimeOverflow),
+            }
             leader.window_reexec_nodes += 1;
         }
     }
@@ -816,8 +840,10 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
         .saturating_mul(u64::from(shared.opts.cascade_bound) + 2)
         .saturating_add(8);
     // A typed error, not a panic: flag and stop.
-    leader.overflow = leader.repeat_rounds > guard;
-    round.control = if leader.overflow {
+    if leader.repeat_rounds > guard {
+        leader.abort.get_or_insert(Abort::QuantumCap);
+    }
+    round.control = if leader.abort.is_some() {
         Control::Stop
     } else {
         Control::Repeat
@@ -960,7 +986,9 @@ fn commit_window<R: Recorder>(
         Advance::Next => {}
         stop => {
             // A typed error, not a panic: flag and stop.
-            leader.overflow = matches!(stop, Advance::CapExceeded);
+            if let Advance::Abort(why) = stop {
+                leader.abort = Some(why);
+            }
             round.control = Control::Stop;
             return;
         }
@@ -996,6 +1024,23 @@ mod tests {
     use aqs_node::{ProgramBuilder, Rank, Tag};
     use aqs_obs::ObsConfig;
     use aqs_workloads::{burst, ping_pong, MpiBuilder};
+
+    #[test]
+    fn partition_is_balanced_and_covers() {
+        for n in [2usize, 5, 7, 64] {
+            for m in 1..=n.min(9) {
+                let ranges = partition(n, m);
+                assert_eq!(ranges.len(), m);
+                assert_eq!(ranges.first().unwrap().start, 0);
+                assert_eq!(ranges.last().unwrap().end, n);
+                for w in ranges.windows(2) {
+                    assert_eq!(w[0].end, w[1].start);
+                    assert!(w[0].len() >= w[1].len());
+                    assert!(w[0].len() - w[1].len() <= 1);
+                }
+            }
+        }
+    }
 
     fn ground_truth_report(programs: Vec<Program>) -> crate::sim::RunReport {
         Sim::new(programs)

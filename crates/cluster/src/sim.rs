@@ -239,6 +239,15 @@ pub enum SimError {
         /// The quantum cap that was exhausted.
         max_quanta: u64,
     },
+    /// A worker-pool engine's simulated clock would pass `u64::MAX`
+    /// nanoseconds: the next quantum edge, or the wasted simulated time a
+    /// rollback engine reports, lies beyond what a `SimTime` can hold.
+    SimTimeOverflow {
+        /// The engine whose clock overflowed.
+        engine: EngineKind,
+        /// Quanta completed before the overflow.
+        quanta: u64,
+    },
     /// The deterministic engine's modelled host clock would pass `u64::MAX`
     /// nanoseconds: a segment's cost, a fragment's hand-off or a barrier
     /// completion lies beyond what a `HostTime` can hold.
@@ -427,6 +436,11 @@ impl fmt::Display for SimError {
                 f,
                 "quantum cap exceeded: the {} engine ran {max_quanta} quanta without \
                  finishing — workload deadlock?",
+                engine.name()
+            ),
+            SimError::SimTimeOverflow { engine, quanta } => write!(
+                f,
+                "simulated time overflowed u64 nanoseconds on the {} engine after {quanta} quanta",
                 engine.name()
             ),
             SimError::HostClockOverflow { quanta } => write!(
@@ -809,8 +823,9 @@ impl Sim {
     ///
     /// A broken workload discovered mid-run is an error too, on every
     /// engine: a deadlock is [`SimError::Deadlock`], running past the
-    /// quantum cap is [`SimError::QuantumCapExceeded`] and an overflowing
-    /// host clock is [`SimError::HostClockOverflow`].
+    /// quantum cap is [`SimError::QuantumCapExceeded`], an overflowing
+    /// host clock is [`SimError::HostClockOverflow`] and a worker-pool
+    /// quantum edge past `u64::MAX` ns is [`SimError::SimTimeOverflow`].
     ///
     /// # Examples
     ///

@@ -162,12 +162,6 @@ impl ChaosConfig {
         }
     }
 
-    /// Returns the config with the given epoch width.
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
     /// Returns the config with per-epoch link flaps of probability `p`.
     pub fn with_link_flap(mut self, p: f64) -> Self {
         self.link_flap = p;
@@ -204,16 +198,6 @@ impl ChaosConfig {
         self
     }
 
-    /// True when every fault is disabled (the overlay would be a no-op).
-    pub fn is_inert(&self) -> bool {
-        self.link_flap == 0.0
-            && self.pause == 0.0
-            && self.partition == 0.0
-            && self.loss == 0.0
-            && self.jitter.is_zero()
-            && self.spike == 0.0
-    }
-
     /// Checks the configuration, returning a human-readable reason when it
     /// cannot drive a working overlay.
     pub fn validate(&self) -> Result<(), String> {
@@ -247,21 +231,17 @@ impl ChaosConfig {
     }
 }
 
-/// The compiled chaos middleware: thresholds pre-scaled to integers,
-/// durations to nanoseconds. Cheap to clone, safe to share across worker
-/// threads — it holds no mutable state at all.
+/// The compiled chaos middleware: the configuration plus its probabilities
+/// pre-scaled to integer thresholds. Cheap to clone, safe to share across
+/// worker threads — it holds no mutable state at all.
 #[derive(Clone, Debug)]
 pub struct ChaosOverlay {
     cfg: ChaosConfig,
-    epoch_nanos: u64,
     flap_thr: u64,
     pause_thr: u64,
     part_thr: u64,
     loss_thr: u64,
     spike_thr: u64,
-    retransmit_nanos: u64,
-    jitter_nanos: u64,
-    spike_nanos: u64,
 }
 
 impl ChaosOverlay {
@@ -271,21 +251,12 @@ impl ChaosOverlay {
         cfg.validate()?;
         Ok(Self {
             cfg,
-            epoch_nanos: cfg.epoch.as_nanos(),
             flap_thr: scale_prob(cfg.link_flap),
             pause_thr: scale_prob(cfg.pause),
             part_thr: scale_prob(cfg.partition),
             loss_thr: scale_prob(cfg.loss),
             spike_thr: scale_prob(cfg.spike),
-            retransmit_nanos: cfg.retransmit.as_nanos(),
-            jitter_nanos: cfg.jitter.as_nanos(),
-            spike_nanos: cfg.spike_delay.as_nanos(),
         })
-    }
-
-    /// The configuration this overlay was compiled from.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
     }
 
     /// One 53-bit draw for `(tag, entity, epoch)`, compared against a
@@ -328,7 +299,8 @@ impl ChaosOverlay {
     /// engine under any routing order.
     #[inline]
     pub fn extra_nanos(&self, src: u32, dst: u32, bytes: u32, departure_nanos: u64) -> u64 {
-        let e0 = departure_nanos / self.epoch_nanos;
+        let epoch = self.cfg.epoch.as_nanos();
+        let e0 = departure_nanos / epoch;
         let mut extra = 0u64;
         // Outages: hold the packet until the first epoch with the link up,
         // both nodes running, and no partition between them (bounded scan).
@@ -339,7 +311,7 @@ impl ChaosOverlay {
                 e += 1;
             }
             if e > e0 {
-                extra += e * self.epoch_nanos - departure_nanos;
+                extra += e * epoch - departure_nanos;
             }
         }
         // Loss: geometric retransmit chain, capped.
@@ -351,17 +323,18 @@ impl ChaosOverlay {
             {
                 k += 1;
             }
-            extra += k as u64 * self.retransmit_nanos;
+            extra += k as u64 * self.cfg.retransmit.as_nanos();
         }
         // Jitter: uniform per-packet draw in [0, jitter].
-        if self.jitter_nanos > 0 {
+        let jitter = self.cfg.jitter.as_nanos();
+        if jitter > 0 {
             let flow = ((src as u64) << 32) | dst as u64;
             let pkt = mix64(flow ^ departure_nanos.wrapping_mul(0xD127_3F0B)) ^ bytes as u64;
-            extra += self.draw(TAG_JITTER, pkt, 0) % (self.jitter_nanos + 1);
+            extra += self.draw(TAG_JITTER, pkt, 0) % (jitter + 1);
         }
         // Load spike: flat per-packet surcharge during spike epochs.
         if self.spike_thr > 0 && self.draw(TAG_SPIKE, 0, e0) < self.spike_thr {
-            extra += self.spike_nanos;
+            extra += self.cfg.spike_delay.as_nanos();
         }
         extra
     }
@@ -378,7 +351,6 @@ mod tests {
     #[test]
     fn inert_config_adds_nothing() {
         let o = overlay(ChaosConfig::new(1));
-        assert!(o.config().is_inert());
         for t in [0u64, 1, 999, 1_000_000] {
             assert_eq!(o.extra_nanos(0, 1, 9000, t), 0);
         }
@@ -413,9 +385,10 @@ mod tests {
 
     #[test]
     fn flap_holds_until_the_link_recovers() {
-        let cfg = ChaosConfig::new(3)
-            .with_link_flap(0.5)
-            .with_epoch(SimDuration::from_micros(10));
+        let cfg = ChaosConfig {
+            epoch: SimDuration::from_micros(10),
+            ..ChaosConfig::new(3).with_link_flap(0.5)
+        };
         let o = overlay(cfg);
         let e = cfg.epoch.as_nanos();
         // Find an epoch where the src link is down; the packet must be
@@ -435,9 +408,10 @@ mod tests {
 
     #[test]
     fn partition_only_delays_cross_group_traffic() {
-        let cfg = ChaosConfig::new(5)
-            .with_partition(0.5, 2)
-            .with_epoch(SimDuration::from_micros(10));
+        let cfg = ChaosConfig {
+            epoch: SimDuration::from_micros(10),
+            ..ChaosConfig::new(5).with_partition(0.5, 2)
+        };
         let o = overlay(cfg);
         // Find two nodes in the same group and two in different groups.
         let g: Vec<u32> = (0..8).map(|n| o.group(n)).collect();
@@ -489,10 +463,11 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(ChaosConfig::new(0)
-            .with_epoch(SimDuration::ZERO)
-            .validate()
-            .is_err());
+        let zero_epoch = ChaosConfig {
+            epoch: SimDuration::ZERO,
+            ..ChaosConfig::new(0)
+        };
+        assert!(zero_epoch.validate().is_err());
         assert!(ChaosConfig::new(0).with_link_flap(1.0).validate().is_err());
         assert!(ChaosConfig::new(0)
             .with_partition(0.1, 1)

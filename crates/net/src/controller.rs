@@ -26,7 +26,7 @@ use crate::fabric::FatTreeFabric;
 use crate::nic::NicModel;
 use crate::packet::{Destination, NodeId};
 use crate::stats::StragglerStats;
-use crate::switch::{SimSwitch, StoreAndForwardSwitch};
+use crate::switch::{LatencyMatrixSwitch, SimSwitch, StoreAndForwardSwitch};
 use aqs_time::{SimDuration, SimTime};
 use std::fmt;
 
@@ -75,9 +75,10 @@ enum Transit {
     /// Zero. Also the pure part of a store-and-forward switch, whose queues
     /// the controller owns.
     Perfect,
-    /// Dense `n × n` row-major nanoseconds: one indexed load per packet.
-    Dense(Vec<u64>),
-    /// The fat-tree fabric, a pure SoA computation.
+    /// The switch's own table, shared and read in place: one indexed load
+    /// per packet.
+    Matrix(LatencyMatrixSwitch),
+    /// The fat-tree fabric: arithmetic on the node ids, no table.
     Fabric(FatTreeFabric),
 }
 
@@ -143,7 +144,7 @@ impl Router {
         let (s, d, at) = (src as u32, dst as u32, departure.as_nanos());
         let transit = match &self.transit {
             Transit::Perfect => 0,
-            Transit::Dense(nanos) => nanos[src * self.n + dst],
+            Transit::Matrix(m) => m.at(src, dst).as_nanos(),
             Transit::Fabric(f) => f.transit_nanos(s, d, bytes, at),
         };
         let extra = match &self.chaos {
@@ -248,9 +249,7 @@ impl NetworkController {
                         nodes: n_nodes,
                     });
                 }
-                let ids = || (0..n_nodes as u32).map(NodeId::new);
-                let row = |src| ids().map(move |dst| m.latency(src, dst).as_nanos());
-                Transit::Dense(ids().flat_map(row).collect())
+                Transit::Matrix(m.clone())
             }
             SimSwitch::StoreAndForward(queues) => {
                 egress = Some(queues.clone());

@@ -7,8 +7,9 @@
 //! clusters: *topology*. This module adds the first structured switch
 //! ([`SimSwitch::Fabric`](crate::SimSwitch::Fabric)) — a two-tier fat-tree
 //! with per-link bandwidth, background queue occupancy, and deterministic
-//! ECMP-style uplink hashing — sized struct-of-arrays so 64k-node clusters
-//! fit in memory.
+//! ECMP-style uplink hashing. It stores no per-node state: a node's rack
+//! and every link id are arithmetic on the node id, so a 256k-node fabric
+//! is a handful of integers.
 //!
 //! # Topology
 //!
@@ -23,6 +24,9 @@
 //!   (cross rack), with the plane `u` picked by a flow-pinned hash of
 //!   `(src, dst)` — deterministic ECMP.
 //!
+//! Edges run at the NIC's 10 Gb/s with 300 ns per hop, uplinks and
+//! downlinks at 40 Gb/s with 600 ns per hop.
+//!
 //! # Determinism: open-loop congestion
 //!
 //! Parallel engines route packets in worker- and race-dependent order, so
@@ -30,9 +34,9 @@
 //! [`StoreAndForwardSwitch`](crate::StoreAndForwardSwitch)'s egress busy
 //! times) silently breaks the sharded engine's bit-identical-for-every-M
 //! guarantee. The fabric instead models congestion *open loop*: each link
-//! carries a pseudo-random background queue occupancy drawn by hashing
-//! `(link, departure_epoch)`, where the epoch is the packet's departure
-//! time quantized to [`FabricConfig::queue_epoch`]. Transit is a **pure
+//! carries a pseudo-random background queue occupancy of up to two jumbo
+//! frames, drawn by hashing `(link, departure_epoch)`, where the epoch is
+//! the packet's departure time quantized to 4 µs. Transit is a **pure
 //! function of `(src, dst, bytes, departure)`** — strictly stronger than
 //! keying to the sender's quantum edge — so identical call *sets* produce
 //! identical delays regardless of call order, worker count, or engine.
@@ -40,9 +44,25 @@
 //! only and never feeds back into timing.
 
 use aqs_rng::mix64;
-use aqs_time::SimDuration;
 
-/// Configuration of a [`FatTreeFabric`].
+/// Bandwidth of an edge (node-to-ToR) link, bits per second: the NIC's
+/// ([`NicModel::paper_default`](crate::NicModel::paper_default)).
+const EDGE_BW_BPS: u64 = 10_000_000_000;
+/// Bandwidth of an uplink or downlink (ToR-to-spine) link, bits per second.
+const UPLINK_BW_BPS: u64 = 40_000_000_000;
+/// Propagation latency of one edge hop, nanoseconds.
+const EDGE_LATENCY_NANOS: u64 = 300;
+/// Propagation latency of one uplink or downlink hop, nanoseconds.
+const UPLINK_LATENCY_NANOS: u64 = 600;
+/// Width of the congestion epoch, nanoseconds: departures inside the same
+/// epoch see the same background queue occupancy on a given link.
+const QUEUE_EPOCH_NANOS: u64 = 4_000;
+/// Upper bound on the background queue occupancy drawn per
+/// `(link, epoch)`, bytes: two jumbo frames.
+const MAX_QUEUE_BYTES: u64 = 18_000;
+
+/// Configuration of a [`FatTreeFabric`]: its shape. The link speeds and
+/// the congestion model are the same for every fabric.
 ///
 /// # Examples
 ///
@@ -58,40 +78,14 @@ pub struct FabricConfig {
     pub rack_size: u32,
     /// Uplink planes per rack (ECMP width). Must be at least 1.
     pub uplinks_per_rack: u32,
-    /// Bandwidth of an edge (node-to-ToR) link, bits per second.
-    pub edge_bw_bps: u64,
-    /// Bandwidth of an uplink/downlink (ToR-to-spine) link, bits per second.
-    pub uplink_bw_bps: u64,
-    /// Propagation latency of one edge hop.
-    pub edge_latency: SimDuration,
-    /// Propagation latency of one uplink/downlink hop.
-    pub uplink_latency: SimDuration,
-    /// Width of the congestion epoch: departures inside the same epoch see
-    /// the same background queue occupancy on a given link. Must be
-    /// nonzero.
-    pub queue_epoch: SimDuration,
-    /// Upper bound on the background queue occupancy drawn per
-    /// `(link, epoch)`, in bytes. Zero disables modeled congestion.
-    pub max_queue_bytes: u64,
 }
 
 impl FabricConfig {
-    /// The default two-tier fat tree: 32-node racks, 4 ECMP uplink planes,
-    /// 10 Gb/s edges (matching [`NicModel::paper_default`]), 40 Gb/s
-    /// uplinks, and a few-microsecond congestion epoch with up to two
-    /// jumbo frames of background queue per link.
-    ///
-    /// [`NicModel::paper_default`]: crate::NicModel::paper_default
+    /// The default two-tier fat tree: 32-node racks, 4 ECMP uplink planes.
     pub fn fat_tree() -> Self {
         Self {
             rack_size: 32,
             uplinks_per_rack: 4,
-            edge_bw_bps: 10_000_000_000,
-            uplink_bw_bps: 40_000_000_000,
-            edge_latency: SimDuration::from_nanos(300),
-            uplink_latency: SimDuration::from_nanos(600),
-            queue_epoch: SimDuration::from_micros(4),
-            max_queue_bytes: 18_000,
         }
     }
 
@@ -107,18 +101,6 @@ impl FabricConfig {
         self
     }
 
-    /// Returns the config with the given background-queue bound in bytes.
-    pub fn with_max_queue_bytes(mut self, bytes: u64) -> Self {
-        self.max_queue_bytes = bytes;
-        self
-    }
-
-    /// Returns the config with the given congestion epoch width.
-    pub fn with_queue_epoch(mut self, epoch: SimDuration) -> Self {
-        self.queue_epoch = epoch;
-        self
-    }
-
     /// Checks the configuration, returning a human-readable reason when it
     /// cannot describe a working fabric.
     pub fn validate(&self) -> Result<(), String> {
@@ -127,12 +109,6 @@ impl FabricConfig {
         }
         if self.uplinks_per_rack == 0 {
             return Err("uplinks_per_rack must be at least 1".into());
-        }
-        if self.edge_bw_bps == 0 || self.uplink_bw_bps == 0 {
-            return Err("link bandwidths must be nonzero".into());
-        }
-        if self.queue_epoch.is_zero() {
-            return Err("queue_epoch must be nonzero".into());
         }
         Ok(())
     }
@@ -170,11 +146,17 @@ fn ser_nanos(bytes: u64, bw_bps: u64) -> u64 {
     bits.div_ceil(bw_bps as u128) as u64
 }
 
+/// Background queue occupancy (bytes) of `link` during `epoch` — a pure
+/// hash draw in `0..=MAX_QUEUE_BYTES`.
+#[inline]
+fn queue_bytes(link: u32, epoch: u64) -> u64 {
+    mix64(mix64(link as u64 + 1) ^ epoch) % (MAX_QUEUE_BYTES + 1)
+}
+
 /// A two-tier fat-tree fabric: the first structured switch model.
 ///
-/// Per-node state is packed struct-of-arrays — one `u32` rack id per node,
-/// no dense n×n tables — so the model stays a few hundred kilobytes even
-/// at 64k nodes. Transit is a pure function of
+/// Four integers: no per-node state and no n×n tables, so building one
+/// allocates nothing at any node count. Transit is a pure function of
 /// `(src, dst, bytes, departure)`, which makes the model safe for *every* engine:
 /// deterministic and sharded runs all produce bit-identical timelines, for
 /// every worker count.
@@ -195,13 +177,10 @@ fn ser_nanos(bytes: u64, bw_bps: u64) -> u64 {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FatTreeFabric {
-    cfg: FabricConfig,
     n_nodes: u32,
     n_racks: u32,
-    /// Rack id per node — the only per-node state, packed SoA.
-    rack_of: Vec<u32>,
-    /// `queue_epoch` in nanoseconds, hoisted out of the hot path.
-    epoch_nanos: u64,
+    rack_size: u32,
+    planes: u32,
 }
 
 impl FatTreeFabric {
@@ -217,20 +196,12 @@ impl FatTreeFabric {
         }
         assert!(n_nodes > 0, "a fabric needs at least one node");
         let n = u32::try_from(n_nodes).expect("node count fits in u32");
-        let n_racks = n.div_ceil(cfg.rack_size);
-        let rack_of = (0..n).map(|i| i / cfg.rack_size).collect();
         Self {
-            cfg,
             n_nodes: n,
-            n_racks,
-            rack_of,
-            epoch_nanos: cfg.queue_epoch.as_nanos(),
+            n_racks: n.div_ceil(cfg.rack_size),
+            rack_size: cfg.rack_size,
+            planes: cfg.uplinks_per_rack,
         }
-    }
-
-    /// The configuration this fabric was built from.
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
     }
 
     /// Number of nodes attached to the fabric.
@@ -243,62 +214,41 @@ impl FatTreeFabric {
         self.n_racks as usize
     }
 
-    /// The rack a node lives in.
-    #[inline]
-    pub fn rack_of(&self, node: u32) -> u32 {
-        self.rack_of[node as usize]
-    }
-
     /// Total number of modeled links. Link ids are dense:
     /// `0..n_nodes` are edge links (one per node), then one uplink and one
     /// downlink per `(rack, plane)` pair.
     pub fn n_links(&self) -> usize {
-        (self.n_nodes + 2 * self.n_racks * self.cfg.uplinks_per_rack) as usize
+        (self.n_nodes + 2 * self.n_racks * self.planes) as usize
     }
 
     #[inline]
     fn uplink(&self, rack: u32, plane: u32) -> u32 {
-        self.n_nodes + rack * self.cfg.uplinks_per_rack + plane
+        self.n_nodes + rack * self.planes + plane
     }
 
     #[inline]
     fn downlink(&self, rack: u32, plane: u32) -> u32 {
-        self.n_nodes
-            + self.n_racks * self.cfg.uplinks_per_rack
-            + rack * self.cfg.uplinks_per_rack
-            + plane
-    }
-
-    /// Human-readable label for a link id, for reports and diagnostics.
-    pub fn link_label(&self, link: u32) -> String {
-        let u = self.cfg.uplinks_per_rack;
-        if link < self.n_nodes {
-            return format!("edge:n{link}");
-        }
-        let rel = link - self.n_nodes;
-        if rel < self.n_racks * u {
-            format!("up:r{}/{}", rel / u, rel % u)
-        } else {
-            let rel = rel - self.n_racks * u;
-            format!("down:r{}/{}", rel / u, rel % u)
-        }
+        self.n_nodes + (self.n_racks + rack) * self.planes + plane
     }
 
     /// The ECMP plane a `(src, dst)` flow is pinned to.
     #[inline]
     fn plane(&self, src: u32, dst: u32) -> u32 {
-        (mix64(((src as u64) << 32) | dst as u64) % self.cfg.uplinks_per_rack as u64) as u32
+        (mix64(((src as u64) << 32) | dst as u64) % self.planes as u64) as u32
     }
 
     /// The ordered links a packet from `src` to `dst` crosses.
     ///
-    /// # Panics
-    ///
-    /// Panics when either node id is out of range.
+    /// Both ids must be below [`Self::n_nodes`], as every frame the router
+    /// prices is (`Sim` rejects a program that sends elsewhere); a debug
+    /// build checks it.
     #[inline]
     pub fn path(&self, src: u32, dst: u32) -> LinkPath {
-        let rs = self.rack_of[src as usize];
-        let rd = self.rack_of[dst as usize];
+        debug_assert!(
+            src < self.n_nodes && dst < self.n_nodes,
+            "node id out of range"
+        );
+        let (rs, rd) = (src / self.rack_size, dst / self.rack_size);
         if rs == rd {
             LinkPath {
                 links: [src, dst, 0, 0],
@@ -313,17 +263,8 @@ impl FatTreeFabric {
         }
     }
 
-    /// Background queue occupancy (bytes) of `link` during `epoch` — a
-    /// pure hash draw in `0..=max_queue_bytes`.
-    #[inline]
-    fn queue_bytes(&self, link: u32, epoch: u64) -> u64 {
-        if self.cfg.max_queue_bytes == 0 {
-            return 0;
-        }
-        mix64(mix64(link as u64 + 1) ^ epoch) % (self.cfg.max_queue_bytes + 1)
-    }
-
-    /// Transit delay in nanoseconds — the pure hot-path form.
+    /// Transit delay in nanoseconds — the pure hot-path form — of the links
+    /// [`Self::path`] returns.
     ///
     /// Depends only on `(src, dst, bytes, departure_nanos)`: propagation
     /// over each hop, store-and-forward re-serialization at the uplink and
@@ -333,25 +274,26 @@ impl FatTreeFabric {
     /// charges.
     #[inline]
     pub fn transit_nanos(&self, src: u32, dst: u32, bytes: u32, departure_nanos: u64) -> u64 {
-        let cfg = &self.cfg;
-        let epoch = departure_nanos / self.epoch_nanos;
-        let rs = self.rack_of[src as usize];
-        let rd = self.rack_of[dst as usize];
-        let edge = cfg.edge_latency.as_nanos() * 2
-            + ser_nanos(bytes as u64, cfg.edge_bw_bps)
-            + ser_nanos(self.queue_bytes(dst, epoch), cfg.edge_bw_bps);
-        if rs == rd {
-            return edge;
+        let epoch = departure_nanos / QUEUE_EPOCH_NANOS;
+        let bytes = bytes as u64;
+        let edge = |dst_edge| {
+            EDGE_LATENCY_NANOS * 2
+                + ser_nanos(bytes, EDGE_BW_BPS)
+                + ser_nanos(queue_bytes(dst_edge, epoch), EDGE_BW_BPS)
+        };
+        match *self.path(src, dst).links() {
+            [_, dst_edge] => edge(dst_edge),
+            [_, up, down, dst_edge] => {
+                edge(dst_edge)
+                    + UPLINK_LATENCY_NANOS * 2
+                    + ser_nanos(bytes, UPLINK_BW_BPS)
+                    + ser_nanos(
+                        queue_bytes(up, epoch) + queue_bytes(down, epoch),
+                        UPLINK_BW_BPS,
+                    )
+            }
+            _ => unreachable!("a path crosses two or four links"),
         }
-        let u = self.plane(src, dst);
-        let up = self.uplink(rs, u);
-        let down = self.downlink(rd, u);
-        edge + cfg.uplink_latency.as_nanos() * 2
-            + ser_nanos(bytes as u64, cfg.uplink_bw_bps)
-            + ser_nanos(
-                self.queue_bytes(up, epoch) + self.queue_bytes(down, epoch),
-                cfg.uplink_bw_bps,
-            )
     }
 }
 
@@ -441,19 +383,69 @@ mod tests {
         FatTreeFabric::new(cfg, 10)
     }
 
+    /// `(src, dst, bytes, departure, transit, path)`, computed once and
+    /// pinned: a change to the link constants, the plane hash, the queue
+    /// draw or the link numbering shows here as a changed number.
+    type Pinned = (u32, u32, u32, u64, u64, &'static [u32]);
+
+    #[test]
+    fn transit_and_paths_are_pinned() {
+        // Same rack, both sides of the 4 µs epoch edge, a 0-byte frame,
+        // then the same for cross-rack pairs, then departures around 2^40.
+        let fat_tree: [Pinned; 10] = [
+            (0, 1, 1500, 0, 14666, &[0, 1]),
+            (31, 2, 9000, 3_999, 20948, &[31, 2]),
+            (31, 2, 9000, 4_000, 16264, &[31, 2]),
+            (2, 30, 0, 12_345, 9472, &[2, 30]),
+            (0, 40, 1500, 0, 7558, &[0, 130, 150, 40]),
+            (127, 32, 9000, 7_999, 19007, &[127, 142, 150, 32]),
+            (127, 32, 9000, 8_000, 22185, &[127, 142, 150, 32]),
+            (64, 100, 0, 123_456_789, 13798, &[64, 137, 157, 100]),
+            (90, 14, 9000, (1 << 40) - 1, 14026, &[90, 137, 145, 14]),
+            (14, 90, 9000, 1 << 40, 24538, &[14, 130, 154, 90]),
+        ];
+        let rack4_planes2: [Pinned; 10] = [
+            (0, 1, 1500, 0, 14666, &[0, 1]),
+            (3, 2, 9000, 3_999, 20948, &[3, 2]),
+            (3, 2, 9000, 4_000, 16264, &[3, 2]),
+            (2, 1, 0, 12_345, 7008, &[2, 1]),
+            (0, 5, 1500, 0, 15644, &[0, 10, 18, 5]),
+            (9, 4, 9000, 7_999, 27778, &[9, 14, 18, 4]),
+            (9, 4, 9000, 8_000, 15463, &[9, 14, 18, 4]),
+            (5, 8, 0, 123_456_789, 17758, &[5, 12, 20, 8]),
+            (7, 1, 9000, (1 << 40) - 1, 28121, &[7, 12, 16, 1]),
+            (1, 7, 9000, 1 << 40, 14577, &[1, 11, 19, 7]),
+        ];
+        for (f, table) in [
+            (FatTreeFabric::new(FabricConfig::fat_tree(), 128), fat_tree),
+            (small(), rack4_planes2),
+        ] {
+            for (src, dst, bytes, at, transit, links) in table {
+                assert_eq!(
+                    f.transit_nanos(src, dst, bytes, at),
+                    transit,
+                    "{src}->{dst} {bytes} B at {at}"
+                );
+                assert_eq!(f.path(src, dst).links(), links, "{src}->{dst}");
+            }
+        }
+    }
+
     #[test]
     fn racks_and_links_are_sized_from_the_config() {
         let f = small();
         assert_eq!(f.n_racks(), 3); // 4 + 4 + 2 nodes
-        assert_eq!(f.rack_of(0), 0);
-        assert_eq!(f.rack_of(5), 1);
-        assert_eq!(f.rack_of(9), 2);
+                                    // The last rack holds the two nodes left over.
+        assert_eq!(f.path(8, 9).links().len(), 2);
+        assert_eq!(f.path(7, 8).links().len(), 4);
         // 10 edges + 3 racks * 2 planes * (uplink + downlink).
         assert_eq!(f.n_links(), 10 + 12);
+        // Four integers at any node count: nothing is stored per node.
+        assert_eq!(size_of::<FatTreeFabric>(), 16);
     }
 
     #[test]
-    fn link_ids_are_dense_and_labeled() {
+    fn link_ids_are_dense() {
         let f = small();
         let mut seen = vec![false; f.n_links()];
         for src in 0..10u32 {
@@ -469,9 +461,6 @@ mod tests {
         // Every edge link is used; uplink planes may miss some (hash), but
         // all ids must be in range (indexing above would have panicked).
         assert!(seen[..10].iter().all(|&s| s));
-        assert_eq!(f.link_label(0), "edge:n0");
-        assert_eq!(f.link_label(10), "up:r0/0");
-        assert_eq!(f.link_label(16), "down:r0/0");
     }
 
     #[test]
@@ -503,7 +492,7 @@ mod tests {
     #[test]
     fn congestion_varies_by_epoch_but_not_within_one() {
         let f = small();
-        let e = f.config().queue_epoch.as_nanos();
+        let e = QUEUE_EPOCH_NANOS;
         // Same epoch, different instants: identical.
         assert_eq!(
             f.transit_nanos(0, 1, 64, 0),
@@ -515,17 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_max_queue_disables_congestion() {
-        let cfg = FabricConfig::fat_tree().with_max_queue_bytes(0);
-        let f = FatTreeFabric::new(cfg, 64);
-        let e = cfg.queue_epoch.as_nanos();
-        assert_eq!(
-            f.transit_nanos(0, 40, 512, 0),
-            f.transit_nanos(0, 40, 512, 9 * e)
-        );
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         assert!(FabricConfig::fat_tree()
             .with_rack_size(0)
@@ -533,10 +511,6 @@ mod tests {
             .is_err());
         assert!(FabricConfig::fat_tree()
             .with_uplinks_per_rack(0)
-            .validate()
-            .is_err());
-        assert!(FabricConfig::fat_tree()
-            .with_queue_epoch(SimDuration::ZERO)
             .validate()
             .is_err());
     }

@@ -119,15 +119,6 @@ impl NicModel {
             .collect()
     }
 
-    /// Total NIC occupancy for sending a whole message: the sum of frame
-    /// serialization delays (frames leave back-to-back).
-    pub fn message_serialization_delay(&self, message_bytes: u64) -> SimDuration {
-        self.fragment_sizes(message_bytes)
-            .into_iter()
-            .map(|b| self.serialization_delay(b))
-            .sum()
-    }
-
     /// Earliest possible arrival of a frame leaving the sender's NIC at
     /// `departure`, before any switch delay.
     pub fn earliest_arrival(&self, departure: SimTime) -> SimTime {
@@ -179,13 +170,6 @@ mod tests {
     fn zero_byte_message_is_one_min_frame() {
         let nic = NicModel::paper_default();
         assert_eq!(nic.fragment_sizes(0), vec![64]);
-    }
-
-    #[test]
-    fn message_serialization_sums_fragments() {
-        let nic = NicModel::paper_default();
-        let d = nic.message_serialization_delay(18_000);
-        assert_eq!(d, SimDuration::from_nanos(14_400));
     }
 
     #[test]

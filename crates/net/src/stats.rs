@@ -58,15 +58,6 @@ impl StragglerStats {
         self.max_delay
     }
 
-    /// Mean delivery delay, or zero if no stragglers occurred.
-    pub fn mean_delay(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_delay / self.count
-        }
-    }
-
     /// Base-2 histogram of individual delivery delays in nanoseconds.
     ///
     /// The scalar accessors summarize the tail poorly (one pathological
@@ -114,13 +105,11 @@ mod tests {
     fn straggler_stats_accumulate() {
         let mut s = StragglerStats::default();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.mean_delay(), SimDuration::ZERO);
         s.record(SimDuration::from_micros(2));
         s.record(SimDuration::from_micros(4));
         assert_eq!(s.count(), 2);
         assert_eq!(s.total_delay(), SimDuration::from_micros(6));
         assert_eq!(s.max_delay(), SimDuration::from_micros(4));
-        assert_eq!(s.mean_delay(), SimDuration::from_micros(3));
     }
 
     #[test]

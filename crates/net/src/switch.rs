@@ -22,6 +22,7 @@
 use crate::fabric::FabricConfig;
 use crate::packet::NodeId;
 use aqs_time::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Which switch a simulation runs on.
 #[derive(Clone, Debug, Default)]
@@ -144,18 +145,16 @@ impl StoreAndForwardSwitch {
 #[derive(Clone, Debug)]
 pub struct LatencyMatrixSwitch {
     n: usize,
-    latencies: Vec<SimDuration>,
+    /// Row-major `n × n`, shared: a clone of the switch, and the router
+    /// built from it, read this one table.
+    latencies: Arc<[SimDuration]>,
 }
 
 impl LatencyMatrixSwitch {
     /// Builds an `n`-port matrix by evaluating `f` for every ordered pair.
     pub fn from_fn(n: usize, f: impl Fn(NodeId, NodeId) -> SimDuration) -> Self {
-        let mut latencies = Vec::with_capacity(n * n);
-        for a in 0..n {
-            for b in 0..n {
-                latencies.push(f(NodeId::new(a as u32), NodeId::new(b as u32)));
-            }
-        }
+        let id = |i: usize| NodeId::new(i as u32);
+        let latencies = (0..n * n).map(|i| f(id(i / n), id(i % n))).collect();
         Self { n, latencies }
     }
 
@@ -179,7 +178,14 @@ impl LatencyMatrixSwitch {
             src.index() < self.n && dst.index() < self.n,
             "node id out of range"
         );
-        self.latencies[src.index() * self.n + dst.index()]
+        self.at(src.index(), dst.index())
+    }
+
+    /// Latency for a pair of in-range port indices, without the range
+    /// check: the router's hot path, behind the controller's checks.
+    #[inline]
+    pub(crate) fn at(&self, src: usize, dst: usize) -> SimDuration {
+        self.latencies[src * self.n + dst]
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! [topology]                         # optional; default perfect switch
 //! kind       = "fabric"              # perfect | latency-matrix | fabric
-//! latency_us = 2                     # latency-matrix only
+//! latency_us = 2                     # latency-matrix only (≤ 11 585 nodes)
 //! rack_size  = 4                     # fabric only
 //! uplinks    = 2                     # fabric only
 //!
@@ -54,6 +54,11 @@ const TAG_SPAN: u32 = 1 << 22;
 /// Hard cap on phases: keeps every remapped tag below
 /// [`u32::MAX`] (reserved for background traffic).
 const MAX_PHASES: usize = 256;
+
+/// Hard cap on a latency-matrix topology's table (`nodes²` latencies of
+/// 8 bytes): 1 GiB, 11 585 nodes. A failed allocation aborts the process,
+/// which no caller can catch, so a larger table is refused at parse.
+const MAX_MATRIX_BYTES: u64 = 1 << 30;
 
 /// The network topology a scenario runs on.
 #[derive(Clone, Debug, PartialEq)]
@@ -501,7 +506,7 @@ impl Scenario {
 
         let topology = match doc.tables.get("topology") {
             None => Topology::Perfect,
-            Some(t) => Self::parse_topology(t, file)?,
+            Some(t) => Self::parse_topology(t, file, nodes)?,
         };
 
         let empty = Vec::new();
@@ -549,7 +554,7 @@ impl Scenario {
         })
     }
 
-    fn parse_topology(t: &Table, file: &str) -> Result<Topology, SimError> {
+    fn parse_topology(t: &Table, file: &str, nodes: usize) -> Result<Topology, SimError> {
         let r = Reader::new(t, file, "[topology]");
         r.reject_unknown(&["kind", "latency_us", "rack_size", "uplinks"])?;
         let kind = r.str("kind")?.unwrap_or("perfect");
@@ -572,6 +577,19 @@ impl Scenario {
                     .ok_or_else(|| verr(file, "the latency-matrix topology needs `latency_us`"))?;
                 if latency.is_zero() {
                     return Err(verr(file, "`latency_us` must be nonzero"));
+                }
+                let bytes = (nodes as u64).pow(2) * size_of::<SimDuration>() as u64;
+                if bytes > MAX_MATRIX_BYTES {
+                    return Err(verr(
+                        file,
+                        format!(
+                            "`nodes` = {nodes} is too many for the latency-matrix topology \
+                             ([topology], line {}): its table would take {bytes} bytes, more \
+                             than {} GiB",
+                            t.line,
+                            MAX_MATRIX_BYTES >> 30
+                        ),
+                    ));
                 }
                 for key in ["rack_size", "uplinks"] {
                     if let Some(item) = r.item(key) {
@@ -945,6 +963,7 @@ retransmit_us = 100
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"torus\"\n[[phases]]\nworkload = \"burst\"", true, "unknown topology"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"latency-matrix\"\n[[phases]]\nworkload = \"burst\"", false, "needs `latency_us`"),
             ("name = \"x\"\nnodes = 4\n[topology]\nkind = \"perfect\"\nlatency_us = 2\n[[phases]]\nworkload = \"burst\"", true, "does not apply"),
+            ("name = \"x\"\nnodes = 11586\n[topology]\nkind = \"latency-matrix\"\nlatency_us = 2\n[[phases]]\nworkload = \"burst\"", false, "`nodes` = 11586 is too many for the latency-matrix topology ([topology], line 3)"),
             ("name = \"x\"\nnodes = 2\n[topology]\nkind = \"latency-matrix\"\nlatency_us = 18446744073709552\n[[phases]]\nworkload = \"burst\"", false, "[topology] key `latency_us` (line 5): 18446744073709552 µs overflows"),
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nepoch_us = 18446744073709552", false, "[chaos] key `epoch_us` (line 6)"),
             ("name = \"x\"\nnodes = 4\n[[phases]]\nworkload = \"burst\"\n[chaos]\nretransmit_us = 18446744073709552", false, "[chaos] key `retransmit_us` (line 6)"),
@@ -963,6 +982,15 @@ retransmit_us = 100
                 _ => panic!("{src:?}: wrong error kind {err:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_largest_latency_matrix_fits_in_one_gib() {
+        // 11 585² × 8 B ≤ 1 GiB; `rejection_suite` refuses 11 586.
+        let src = "name = \"x\"\nnodes = 11585\n[topology]\nkind = \"latency-matrix\"\n\
+                   latency_us = 2\n[[phases]]\nworkload = \"burst\"";
+        let ok = Scenario::from_str(src, "<test>").expect("the table fits");
+        assert_eq!(ok.nodes, 11_585);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use aqs::cluster::{
     app_metric, paper_sweep, run_workload, try_app_metric, try_run_workload, ClusterConfig,
-    EngineKind, Experiment, RunResult, Sim,
+    EngineKind, Experiment, RunResult, Sim, SimError,
 };
 use aqs::core::SyncConfig;
 use aqs::obs::render_table;
@@ -182,7 +182,11 @@ fn cmd_optimistic(flags: HashMap<String, String>) {
         usage();
     });
     let base = ClusterConfig::new(SyncConfig::ground_truth()).with_seed(seed);
-    let truth = run_workload(&spec, &base);
+    let failed = |e: SimError| -> ! {
+        eprintln!("{}: {e}", spec.name);
+        exit(1);
+    };
+    let truth = try_run_workload(&spec, &base).unwrap_or_else(|e| failed(e));
     // The classic window-based optimistic engine: one shard, the window as
     // a fixed quantum, and a cascade bound the run should never reach.
     let report = Sim::new(spec.programs.clone())
@@ -191,7 +195,8 @@ fn cmd_optimistic(flags: HashMap<String, String>) {
         .sync(fixed.clone())
         .shards(1)
         .cascade_bound(256)
-        .run();
+        .try_run()
+        .unwrap_or_else(|e| failed(e));
     let r = report
         .detail
         .as_sharded_optimistic()
@@ -199,7 +204,9 @@ fn cmd_optimistic(flags: HashMap<String, String>) {
     // The paper's 30 s full-system checkpoint and restore, on top of the
     // modelled cost of executing the workload at this window length.
     let state = HostDuration::from_secs(30);
-    let execution = run_workload(&spec, &base.with_sync(fixed)).host_elapsed;
+    let execution = try_run_workload(&spec, &base.with_sync(fixed))
+        .unwrap_or_else(|e| failed(e))
+        .host_elapsed;
     let host = r.modelled_host_time(state, state, execution);
     println!(
         "{} on {n} nodes, optimistic engine (window {}µs)",

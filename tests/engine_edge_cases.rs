@@ -366,6 +366,45 @@ fn host_clock_overflow_is_a_typed_error() {
     assert!(err.to_string().contains("host clock overflowed"), "{err}");
 }
 
+/// A 4·10¹⁸ ns quantum puts the fifth edge past `u64::MAX` ns, and each
+/// rollback of such a window adds 4·10¹⁸ ns of wasted time: on every
+/// worker-pool engine that is a typed error naming the engine, not a
+/// wrapped clock (which reported a finished run) or a panic, and `aqs
+/// optimistic` exits 1 with it.
+#[test]
+fn a_quantum_edge_past_the_clock_is_a_typed_error_on_the_pool_engines() {
+    let spec = ping_pong(2, 10, 64);
+    let huge = SyncConfig::fixed_micros(4_000_000_000_000_000);
+    let runs = [
+        (EngineKind::Sharded, 1, 4),
+        (EngineKind::Sharded, 2, 4),
+        (EngineKind::ShardedOptimistic, 1, 0),
+        (EngineKind::Hybrid, 1, 0),
+    ];
+    for (engine, m, quanta) in runs {
+        let err = Sim::new(spec.programs.clone())
+            .engine(engine)
+            .shards(m)
+            .sync(huge.clone())
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SimTimeOverflow { engine, quanta },
+            "{engine:?} m={m}"
+        );
+        assert!(err.to_string().contains(engine.name()), "{err}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqs"))
+        .args(["optimistic", "--workload", "pingpong", "--nodes", "2"])
+        .args(["--window-us", "4000000000000000"])
+        .output()
+        .expect("aqs runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("simulated time overflowed"), "{stderr}");
+}
+
 /// Edits of the exported ping-pong spec (`aqs export-spec --workload
 /// pingpong --nodes 2`) that a hostile `aqs run-spec` file can hold, each
 /// with the typed error it must get. Every one used to panic.

@@ -358,3 +358,15 @@ fn hybrid_switch_drop_is_detected_and_shrunk() {
     };
     detect_and_shrink("hybrid-switch-drop", &opts, 200);
 }
+
+#[test]
+fn rollback_free_wide_is_detected_and_shrunk() {
+    let _w = window();
+    let _g = Armed;
+    // Windows up to 2·T skip the checkpoint and the reduce, so a copy that
+    // lands inside such a window is carried past its edge and delivered
+    // behind the receiver's clock. A run with no rollback and no snap must
+    // reproduce the ground-truth timeline: the exactness oracle fires.
+    aqs_cluster::fault::arm(aqs_cluster::fault::Fault::RollbackFreeWide);
+    detect_and_shrink("rollback-free-wide", &rollback_only(), 200);
+}

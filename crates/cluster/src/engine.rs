@@ -41,7 +41,7 @@
 
 use crate::config::ClusterConfig;
 use crate::result::{NodeResult, RunResult};
-use crate::sim::SimError;
+use crate::sim::{EngineKind, SimError};
 use crate::snapshot::{FragSnap, InFlightSnap, NodeSnap, SnapshotBody, StragglerSnap};
 use aqs_core::QuantumPolicy;
 use aqs_des::EventQueue;
@@ -238,6 +238,15 @@ impl Ahead<'_> {
         }
         self.read += 1;
         self.block[self.read - 1]
+    }
+}
+
+/// The error for a quantum edge past `u64::MAX` simulated nanoseconds,
+/// after `quanta` completed barriers.
+fn edge_overflow(quanta: u64) -> SimError {
+    SimError::SimTimeOverflow {
+        engine: EngineKind::Deterministic,
+        quanta,
     }
 }
 
@@ -453,7 +462,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let mut engine = Self::assemble(cfg, nodes, net, rec, policy);
         engine.q_len = body.q_len;
         engine.q_start = body.q_start;
-        engine.q_end = body.q_start + body.q_len;
+        let edge = body.q_start.checked_add(body.q_len);
+        engine.q_end = edge.ok_or_else(|| edge_overflow(body.quanta))?;
         engine.quanta = body.quanta;
         engine.n_finished = n_finished;
         // Re-schedule in-flight fragments FIRST (before any segment events):
@@ -796,7 +806,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
         self.check_deadlock(np)?;
         self.q_len = self.policy.next_quantum(np);
         self.q_start = self.q_end;
-        self.q_end = self.q_start + self.q_len;
+        let quanta = self.quanta;
+        self.q_end = self
+            .q_start
+            .checked_add(self.q_len)
+            .ok_or_else(|| edge_overflow(quanta))?;
         self.barrier_arrived = 0;
         self.barrier_latest = HostTime::ZERO;
         for node in &mut self.nodes {

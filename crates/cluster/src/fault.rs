@@ -77,6 +77,13 @@ pub enum Fault {
     /// lost-fragment bug. The receiver blocks forever, caught by the
     /// quantum cap, or the run finishes short on messages (conservation).
     RouteDrop = 12,
+    /// The rollback engines treat every window up to twice the network's
+    /// minimum latency as rollback-free: such a window skips its checkpoint
+    /// and its reduce, so a copy landing inside it is carried to the next
+    /// window and delivered behind the receiver's clock. Detected by the
+    /// exactness oracle (a run with no rollback and no snap must reproduce
+    /// the ground-truth timeline) and the cross-engine differential.
+    RollbackFreeWide = 13,
 }
 
 static ARMED: AtomicU64 = AtomicU64::new(0);

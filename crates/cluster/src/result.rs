@@ -61,7 +61,12 @@ pub struct RunResult {
     pub stragglers: StragglerStats,
     /// Total packets routed by the controller.
     pub total_packets: u64,
-    /// Number of quanta executed.
+    /// Completed barriers: the quantum in which the last node finishes
+    /// ends without one and is not counted, so a worker-pool engine's count
+    /// of the same run ([`ShardedRunResult::total_quanta`], which counts
+    /// that stop round) reads one more.
+    ///
+    /// [`ShardedRunResult::total_quanta`]: crate::ShardedRunResult::total_quanta
     pub total_quanta: u64,
 }
 

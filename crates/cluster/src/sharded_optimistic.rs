@@ -84,13 +84,21 @@
 //!
 //! # Bit-identity under `Q ≤ T`
 //!
-//! When every window length is at most the minimum network latency, any
-//! fragment sent inside a window arrives at or after the window edge
-//! (`arrival ≥ departure + T > window_start + Q = window_end`). Rebuilt
-//! inbound sets then never differ from the delivered ones: zero rollbacks,
-//! zero snaps, every delivery at its exact arrival — the committed timeline
-//! is bit-identical to the deterministic engine for every worker count and
-//! for both the pure and hybrid engines.
+//! A window no longer than the minimum network latency T cannot roll back:
+//! any fragment sent inside it arrives at or after its edge
+//! (`arrival ≥ departure + T ≥ window_start + Q = window_end`), so no
+//! inbound set can change — zero rollbacks, zero snaps, every delivery at
+//! its exact arrival. When every window is that short the committed
+//! timeline is bit-identical to the deterministic engine for every worker
+//! count and for both the pure and hybrid engines.
+//!
+//! Such a window runs none of the rollback machinery. The leader decides
+//! the bit once, when it opens the window (`rollback_free`), and publishes
+//! it in the round beside the window. No worker clones a checkpoint, and
+//! the leader routes every send straight to its receiver's carried list
+//! and commits: no inbound set is rebuilt, sorted or compared, no GVT is
+//! taken, no late fragment is looked for. Mode switches, the clock and the
+//! recorder run as in any other window.
 //!
 //! # What a run reports
 //!
@@ -101,8 +109,11 @@
 //! run's [`Recorder`], once per committed window: `record_quantum` (start,
 //! length, packets, stragglers, node executions) and then
 //! `record_shard_rollbacks` (each shard's checkpoints, rollbacks and wasted
-//! time). A shard's checkpoint lane is zero exactly in the windows it ran
-//! conservatively, so the lanes also show every mode switch.
+//! time). Checkpoints are the model's: one per node of every optimistic
+//! shard in every window, rollback-free windows included, where the engine
+//! elides the clone nothing could read. A shard's checkpoint lane is
+//! therefore zero exactly in the windows it ran conservatively, so the
+//! lanes also show every mode switch.
 
 use crate::pool::{
     finish_run, route_seed_frags, start_run, step_node, Abort, Advance, NodeState, ParallelConfig,
@@ -141,6 +152,10 @@ struct Round {
     /// The window in progress. Written with every round: a worker may have
     /// slept through the one that opened it.
     window: Range<SimTime>,
+    /// [`rollback_free`] of `window`, decided once when the leader opened
+    /// it: the one bit worker and leader both read to skip the checkpoint
+    /// and the reduce, so they cannot disagree about whether one exists.
+    rollback_free: bool,
 }
 
 /// Per-shard adaptive mode switching between conservative quantum sync and
@@ -186,12 +201,23 @@ pub struct ShardedOptimisticRunResult {
     pub wall: Duration,
     /// Simulated completion time (max across nodes).
     pub sim_end: SimTime,
-    /// Committed windows.
+    /// Committed windows, the one in which the last node finished included
+    /// — counted like [`ShardedRunResult::total_quanta`]. The deterministic
+    /// engine's [`RunResult::total_quanta`] counts completed barriers only,
+    /// so it reads one less on the same run.
+    ///
+    /// [`ShardedRunResult::total_quanta`]: crate::ShardedRunResult::total_quanta
+    /// [`RunResult::total_quanta`]: crate::RunResult::total_quanta
     pub windows: u64,
     /// Packets routed (counted at commit, once per fan-out copy — the same
     /// route-time count the conservative engines report).
     pub total_packets: u64,
-    /// Node-state checkpoints taken (conservative-mode shards skip them).
+    /// Node-state checkpoints the model charges: one per node of every
+    /// optimistic shard in every window (conservative-mode shards skip
+    /// them) — what [`modelled_host_time`](Self::modelled_host_time) bills.
+    /// The engine elides the clone where nothing could ever read it, in a
+    /// rollback-free window (see the [module docs](self)), and counts it
+    /// all the same.
     pub checkpoints: u64,
     /// Node re-executions (each restores one node from its shard's
     /// window-start checkpoint and replays the window).
@@ -375,6 +401,24 @@ fn partition(n: usize, m: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// Whether `window` can roll back at all: not when it is no longer than
+/// the network's minimum latency T. Every arrival is the NIC's earliest
+/// arrival after the departure plus non-negative transit and chaos delays,
+/// and every send of a window departs at or after its start, so each copy
+/// lands at or past the edge (`arrival ≥ start + T ≥ end`): no inbound set
+/// can change and the window commits as it first ran.
+fn rollback_free(window: &Range<SimTime>, nic: &NicModel) -> bool {
+    #[allow(unused_mut)]
+    let mut bound = nic.min_latency();
+    #[cfg(feature = "fault-inject")]
+    if crate::fault::armed(crate::fault::Fault::RollbackFreeWide) {
+        // Armable bug: windows up to 2·T skip the rollback machinery, so a
+        // copy that lands inside one is never seen by the reduce.
+        bound = SimDuration::from_nanos(bound.as_nanos().saturating_mul(2));
+    }
+    window.end - window.start <= bound
+}
+
 /// Earliest arrival involved in the first divergence between two sorted
 /// inbound sets — the shard's local virtual time when it must roll back.
 fn divergence_nanos(a: &[Inbound], b: &[Inbound]) -> u64 {
@@ -488,17 +532,19 @@ pub(crate) fn run_sharded_optimistic_impl<R: Recorder>(
             ran: Stepped::default(),
         }));
     }
+    let window = SimTime::from_nanos(q_start0)..SimTime::from_nanos(q_end0);
     let shared = SharedOpt {
-        net,
-        opts,
-        ranges,
-        slots,
         round: RwLock::new(Round {
             // Nothing has executed yet: the first round runs in rank order.
             run: (0..n as u32).collect(),
             control: Control::Open,
-            window: SimTime::from_nanos(q_start0)..SimTime::from_nanos(q_end0),
+            rollback_free: rollback_free(&window, net.nic()),
+            window,
         }),
+        net,
+        opts,
+        ranges,
+        slots,
         cursor: AtomicUsize::new(0),
         start: Instant::now(),
         barrier: TreeBarrier::new(m, leader),
@@ -542,7 +588,6 @@ fn drain_round<R>(config: &ParallelConfig, shared: &SharedOpt<R>) -> bool {
     if round.control == Control::Stop {
         return false;
     }
-    let repeat = round.control == Control::Repeat;
     let claim = || {
         // Claim order must not matter; the fuzz tier perturbs it.
         #[cfg(feature = "schedule-fuzz")]
@@ -551,8 +596,7 @@ fn drain_round<R>(config: &ParallelConfig, shared: &SharedOpt<R>) -> bool {
     };
     while let Some(&g) = claim() {
         let mut slot = shared.slots[g as usize].lock().expect("node slot poisoned");
-        let window = round.window.clone();
-        run_claimed(&mut slot, repeat, window, config, shared.net.nic());
+        run_claimed(&mut slot, &round, config, shared.net.nic());
     }
     true
 }
@@ -585,14 +629,10 @@ fn lead<R: Recorder>(config: &ParallelConfig, shared: &SharedOpt<R>, leader: &mu
 
 /// What a claim obliges its worker to do with the node: checkpoint it at a
 /// window's round 0, restore it on a repeat, and run it to the window edge.
-fn run_claimed(
-    slot: &mut NodeSlot,
-    repeat: bool,
-    window: Range<SimTime>,
-    config: &ParallelConfig,
-    nic: &NicModel,
-) {
-    if repeat {
+fn run_claimed(slot: &mut NodeSlot, round: &Round, config: &ParallelConfig, nic: &NicModel) {
+    let window = &round.window;
+    if round.control == Control::Repeat {
+        debug_assert!(!round.rollback_free, "a rollback-free window repeated");
         let checkpoint = slot
             .checkpoint
             .as_ref()
@@ -600,12 +640,13 @@ fn run_claimed(
         slot.state.clone_from(checkpoint);
         slot.executed = true;
     } else {
-        if !slot.conservative {
+        if !(slot.conservative || round.rollback_free) {
             // Copy-on-advance: snapshot the node at the window start;
-            // conservative shards never roll back and skip the clone. The
-            // clone is deliberately eager (it precedes the active-set skip
-            // below): the checkpoint accounting and the restore path both
-            // assume an optimistic window snapshots every node of the shard.
+            // conservative shards never roll back and skip the clone, and so
+            // does every node of a rollback-free window. The clone is
+            // deliberately eager (it precedes the active-set skip below): the
+            // restore path assumes a window that can roll back snapshots
+            // every node of an optimistic shard.
             #[allow(unused_mut)]
             let mut refresh = true;
             #[cfg(feature = "fault-inject")]
@@ -675,8 +716,59 @@ impl<R: Recorder> OptLeader<R> {
         self.base[i].clone_from(inside);
     }
 
+    /// Closes the reduce of a window that could roll back: late fragments
+    /// into conservative or frozen shards are snapped to the window `edge` —
+    /// the conservative engine's straggler rule — and every node's arrivals
+    /// at or past the edge join its carried list. Fragments whose arrival
+    /// merely shifted earlier were already delivered at the later time; they
+    /// are recorded as stragglers but not re-delivered. Returns the window's
+    /// stragglers.
+    fn carry_arrivals(&mut self, ranges: &[Range<usize>], edge: SimTime) -> StragglerStats {
+        let mut stragglers = StragglerStats::default();
+        for (s, range) in ranges.iter().enumerate() {
+            if !(self.conservative[s] || self.frozen[s]) {
+                continue;
+            }
+            for i in range.clone() {
+                if self.new_sets[i] == self.used[i] {
+                    continue;
+                }
+                self.used_at.clear();
+                let delivered = self.used[i].iter();
+                self.used_at
+                    .extend(delivered.map(|e| (inbound_key(e), e.arrival.as_nanos())));
+                self.used_at.sort_unstable();
+                for e in &self.new_sets[i] {
+                    let key = inbound_key(e);
+                    match self.used_at.binary_search_by_key(&key, |&(k, _)| k) {
+                        Err(_) => {
+                            stragglers.record(edge - e.arrival);
+                            self.snaps_in[s] += 1;
+                            self.carried[i].push(Inbound {
+                                arrival: edge,
+                                ..e.clone()
+                            });
+                        }
+                        Ok(at) if self.used_at[at].1 != e.arrival.as_nanos() => {
+                            let shift = self.used_at[at].1.abs_diff(e.arrival.as_nanos());
+                            stragglers.record(SimDuration::from_nanos(shift));
+                            self.snaps_in[s] += 1;
+                        }
+                        Ok(_) => {}
+                    }
+                }
+            }
+        }
+        for (carried, future) in self.carried.iter_mut().zip(&mut self.future) {
+            carried.append(future);
+        }
+        stragglers
+    }
+
     /// Charges the opening window's checkpoints: one per node of every
-    /// optimistic shard, cloned by whoever claims the node at round 0.
+    /// optimistic shard, cloned by whoever claims the node at round 0 — or,
+    /// in a rollback-free window, charged and elided (see
+    /// [`ShardedOptimisticRunResult::checkpoints`]).
     fn charge_checkpoints(&mut self, ranges: &[Range<usize>]) {
         for (s, range) in ranges.iter().enumerate() {
             if !self.conservative[s] {
@@ -715,10 +807,15 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
     // 2. Re-route every current-window send and rebuild the canonical
     // sorted inbound sets (base ∪ in-window arrivals) — what this engine
     // does with an arrival; fragments landing at or past the edge go to the
-    // future list for the commit path.
-    for i in 0..n {
-        leader.new_sets[i].clone_from(&leader.base[i]);
-        leader.future[i].clear();
+    // future list for the commit path. In a rollback-free window every copy
+    // lands at or past the edge: nothing inbound can change, so each goes
+    // straight to the carried list and the window commits as it ran.
+    let free = round.rollback_free;
+    if !free {
+        for i in 0..n {
+            leader.new_sets[i].clone_from(&leader.base[i]);
+            leader.future[i].clear();
+        }
     }
     let mut routed: u64 = 0;
     let net = &shared.net;
@@ -726,7 +823,13 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
         for f in &leader.sends[src] {
             net.fan_out(src, f.dst, f.bytes, f.departure, |t, arrival| {
                 routed += 1;
-                let set = if arrival.as_nanos() < window_end {
+                let set = if free {
+                    debug_assert!(
+                        arrival.as_nanos() >= window_end,
+                        "a rollback-free window routed a copy inside it"
+                    );
+                    &mut leader.carried[t]
+                } else if arrival.as_nanos() < window_end {
                     &mut leader.new_sets[t]
                 } else {
                     &mut leader.future[t]
@@ -738,6 +841,10 @@ fn leader_step<R: Recorder>(shared: &SharedOpt<R>, leader: &mut OptLeader<R>) {
                 });
             });
         }
+    }
+    if free {
+        commit_window(shared, leader, &mut round, routed);
+        return;
     }
     for set in &mut leader.new_sets {
         set.sort();
@@ -860,50 +967,13 @@ fn commit_window<R: Recorder>(
     let n = shared.slots.len();
     let window_end = leader.clock.q_end_nanos;
     let window_len = window_end - leader.clock.q_start_nanos;
-    let edge = SimTime::from_nanos(window_end);
-    // Late fragments into conservative or frozen shards are snapped to the
-    // window edge — the conservative engine's straggler rule. Fragments
-    // whose arrival merely shifted earlier were already delivered at the
-    // later time; they are recorded as stragglers but not re-delivered.
-    let mut window_stragglers = StragglerStats::default();
-    for (s, range) in shared.ranges.iter().enumerate() {
-        if !(leader.conservative[s] || leader.frozen[s]) {
-            continue;
-        }
-        for i in range.clone() {
-            if leader.new_sets[i] == leader.used[i] {
-                continue;
-            }
-            leader.used_at.clear();
-            let delivered = leader.used[i].iter();
-            leader
-                .used_at
-                .extend(delivered.map(|e| (inbound_key(e), e.arrival.as_nanos())));
-            leader.used_at.sort_unstable();
-            for e in &leader.new_sets[i] {
-                let key = inbound_key(e);
-                match leader.used_at.binary_search_by_key(&key, |&(k, _)| k) {
-                    Err(_) => {
-                        window_stragglers.record(edge - e.arrival);
-                        leader.snaps_in[s] += 1;
-                        leader.carried[i].push(Inbound {
-                            arrival: edge,
-                            ..e.clone()
-                        });
-                    }
-                    Ok(at) if leader.used_at[at].1 != e.arrival.as_nanos() => {
-                        let shift = leader.used_at[at].1.abs_diff(e.arrival.as_nanos());
-                        window_stragglers.record(SimDuration::from_nanos(shift));
-                        leader.snaps_in[s] += 1;
-                    }
-                    Ok(_) => {}
-                }
-            }
-        }
-    }
-    for i in 0..n {
-        leader.carried[i].append(&mut leader.future[i]);
-    }
+    // A rollback-free window has no late fragment to snap, and its reduce
+    // already carried every copy.
+    let window_stragglers = if round.rollback_free {
+        StragglerStats::default()
+    } else {
+        leader.carry_arrivals(&shared.ranges, SimTime::from_nanos(window_end))
+    };
     leader.out.total_packets += routed;
     if R::ENABLED {
         leader.rec.record_quantum(&QuantumObs {
@@ -1011,6 +1081,7 @@ fn commit_window<R: Recorder>(
     shared.cursor.store(0, Ordering::Relaxed);
     let (start, end) = (leader.clock.q_start_nanos, leader.clock.q_end_nanos);
     round.window = SimTime::from_nanos(start)..SimTime::from_nanos(end);
+    round.rollback_free = rollback_free(&round.window, shared.net.nic());
     round.control = Control::Open;
 }
 
@@ -1020,7 +1091,7 @@ mod tests {
     use crate::config::ClusterConfig;
     use crate::sim::{EngineKind, Sim, SimSwitch};
     use aqs_core::SyncConfig;
-    use aqs_net::LatencyMatrixSwitch;
+    use aqs_net::{ChaosConfig, FabricConfig, LatencyMatrixSwitch};
     use aqs_node::{ProgramBuilder, Rank, Tag};
     use aqs_obs::ObsConfig;
     use aqs_workloads::{burst, ping_pong, MpiBuilder};
@@ -1070,6 +1141,76 @@ mod tests {
                 // Every window checkpoints every node (all shards stay
                 // optimistic when nothing ever rolls back).
                 assert_eq!(d.checkpoints, 5 * d.windows, "workers={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_of_exactly_t_is_rollback_free_and_one_ns_longer_is_not() {
+        let window =
+            |start: u64, len: u64| SimTime::from_nanos(start)..SimTime::from_nanos(start + len);
+        let slow = NicModel::new(1_000_000_000, SimDuration::from_nanos(2_500), 1500);
+        for nic in [NicModel::paper_default(), slow] {
+            let t = nic.min_latency().as_nanos();
+            for start in [0, 1, 7_777_777] {
+                assert!(rollback_free(&window(start, 1), &nic));
+                assert!(rollback_free(&window(start, t), &nic), "T = {t}");
+                assert!(!rollback_free(&window(start, t + 1), &nic), "T = {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn rollback_free_windows_match_the_oracle_on_every_switch() {
+        // Every ground-truth window is exactly T long, so every one takes
+        // the rollback-free path, whose debug assertion checks that each
+        // routed copy lands at or past the edge.
+        let n = 6;
+        let mut b = MpiBuilder::new(n);
+        b.compute_all_imbalanced(3_000, 0.5, 7);
+        b.allreduce(2_048, 16);
+        b.alltoall(700);
+        b.bcast(2, 20_000);
+        let programs = b.build();
+        let matrix = LatencyMatrixSwitch::from_fn(n, |a, b| {
+            SimDuration::from_nanos(400 * ((a.index() + b.index()) % 3) as u64)
+        });
+        let chaos = ChaosConfig::new(5)
+            .with_link_flap(0.1)
+            .with_loss(0.2, SimDuration::from_micros(20))
+            .with_jitter(SimDuration::from_micros(3))
+            .with_spike(0.1, SimDuration::from_micros(9));
+        let cases = [
+            ("perfect", SimSwitch::Perfect, None),
+            ("matrix", SimSwitch::LatencyMatrix(matrix), None),
+            (
+                "fat tree",
+                SimSwitch::Fabric(FabricConfig::fat_tree()),
+                None,
+            ),
+            ("chaos", SimSwitch::Perfect, Some(chaos)),
+        ];
+        for (name, switch, chaos) in cases {
+            let sim = |engine| {
+                let mut sim = Sim::new(programs.clone())
+                    .engine(engine)
+                    .sync(SyncConfig::ground_truth())
+                    .switch(switch.clone());
+                if let Some(c) = chaos {
+                    sim = sim.chaos(c);
+                }
+                sim
+            };
+            let det = sim(EngineKind::Deterministic).run();
+            for kind in [EngineKind::ShardedOptimistic, EngineKind::Hybrid] {
+                for m in 1..=3 {
+                    let r = sim(kind).shards(m).run();
+                    let ctx = format!("{name} {kind:?} M={m}");
+                    assert_eq!(r.simulated_outcome(), det.simulated_outcome(), "{ctx}");
+                    let d = r.detail.as_sharded_optimistic().expect("opt detail");
+                    assert_eq!(d.rollbacks, 0, "{ctx}");
+                    assert_eq!(d.checkpoints, n as u64 * d.windows, "{ctx}");
+                }
             }
         }
     }

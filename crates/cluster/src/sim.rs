@@ -239,9 +239,9 @@ pub enum SimError {
         /// The quantum cap that was exhausted.
         max_quanta: u64,
     },
-    /// A worker-pool engine's simulated clock would pass `u64::MAX`
-    /// nanoseconds: the next quantum edge, or the wasted simulated time a
-    /// rollback engine reports, lies beyond what a `SimTime` can hold.
+    /// An engine's simulated clock would pass `u64::MAX` nanoseconds: the
+    /// next quantum edge, or the wasted simulated time a rollback engine
+    /// reports, lies beyond what a `SimTime` can hold.
     SimTimeOverflow {
         /// The engine whose clock overflowed.
         engine: EngineKind,
@@ -594,8 +594,11 @@ pub struct RunReport {
     pub messages_received: u64,
     /// Straggler statistics.
     pub stragglers: StragglerStats,
-    /// Quanta executed (committed windows, for the sharded-optimistic and
-    /// hybrid engines).
+    /// Quanta executed, as the engine counts them. The deterministic
+    /// engine counts completed barriers; the worker-pool engines count
+    /// every round the clock advanced past — committed windows for the
+    /// rollback engines — including the one in which the last node
+    /// finished, so on the same run they read one more.
     pub total_quanta: u64,
     /// Wall-clock — modelled or real depending on the engine.
     pub wall_clock: WallClock,
@@ -824,8 +827,8 @@ impl Sim {
     /// A broken workload discovered mid-run is an error too, on every
     /// engine: a deadlock is [`SimError::Deadlock`], running past the
     /// quantum cap is [`SimError::QuantumCapExceeded`], an overflowing
-    /// host clock is [`SimError::HostClockOverflow`] and a worker-pool
-    /// quantum edge past `u64::MAX` ns is [`SimError::SimTimeOverflow`].
+    /// host clock is [`SimError::HostClockOverflow`] and a quantum edge
+    /// past `u64::MAX` ns is [`SimError::SimTimeOverflow`].
     ///
     /// # Examples
     ///

@@ -18,6 +18,10 @@
 #   unresolved  as unchanged, but a side's spread is wider than the bound
 #   WORSE       change's median worse than the parent's by more than the bound
 #
+# A cell whose verdict is neither gain nor WORSE, but where the change won at
+# most 20 % of the pairs, is marked "behind" after its verdict; after the
+# last table the script lists every such cell.
+#
 # A run whose aqs-perf exits nonzero (it does when failed_ops > 0) is kept
 # like any other; after every pair and summary the script exits 1 naming it.
 #
@@ -74,6 +78,7 @@ run_once() {
 }
 
 failed_runs=
+behind=$(mktemp)
 for w in $workloads; do
     echo "== $w: $pairs pairs, --seconds $seconds, seeds $((seed_base + 1))..$((seed_base + pairs))"
     echo "pair side seed $metrics failed_ops"
@@ -91,7 +96,7 @@ for w in $workloads; do
             [ -z "$tsv" ] || echo "$w $run" | tr ' ' '\t' >>"$tsv"
         done
     done
-    awk -v metrics="$metrics" -v bound="$bound" -v w="$w" '
+    awk -v metrics="$metrics" -v bound="$bound" -v w="$w" -v behind="$behind" '
         function sorted(src, n, dst,    i, j, t) {
             for (i = 1; i <= n; i++) dst[i] = src[i]
             for (i = 2; i <= n; i++) {
@@ -127,9 +132,14 @@ for w in $workloads; do
                 else if (-delta > bound * pm) verdict = "WORSE"
                 else if (!clear && (p3 - p1 > bound * pm || c3 - c1 > bound * cm)) verdict = "unresolved"
                 else verdict = "unchanged"
-                printf "%s %s %.6g [%.6g %.6g] %.6g [%.6g %.6g] %+.1f%% %d/%d %s\n", \
+                trails = verdict != "gain" && verdict != "WORSE" && won <= 0.2 * n
+                printf "%s %s %.6g [%.6g %.6g] %.6g [%.6g %.6g] %+.1f%% %d/%d %s%s\n", \
                     w, name[c - 3], pm, p1, p3, cm, c1, c3, \
-                    pm ? 100 * (cm - pm) / pm : 0, won, n, verdict
+                    pm ? 100 * (cm - pm) / pm : 0, won, n, verdict, trails ? " behind" : ""
+                if (trails) {
+                    printf "  %s %s: change ahead in %d/%d pairs, %s\n", \
+                        w, name[c - 3], won, n, verdict >>behind
+                }
             }
             failed = 0
             for (k = 1; k <= n; k++) failed += val["parent", 8, k] + val["change", 8, k]
@@ -137,6 +147,11 @@ for w in $workloads; do
         }' "$runs"
     rm -f "$runs"
 done
+if [ -s "$behind" ]; then
+    echo "== cells where the change is behind (ahead in <= 20 % of the pairs)"
+    cat "$behind"
+fi
+rm -f "$behind"
 if [ -n "$failed_runs" ]; then
     echo "perf_pairs: failed runs (workload/pair/side):$failed_runs" >&2
     exit 1

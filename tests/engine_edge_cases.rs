@@ -405,6 +405,34 @@ fn a_quantum_edge_past_the_clock_is_a_typed_error_on_the_pool_engines() {
     assert!(stderr.contains("simulated time overflowed"), "{stderr}");
 }
 
+/// Two ranks idling 18·10¹⁸ ns each under a 4·10¹⁸ ns quantum: neither is
+/// done at the fourth edge, and the fifth lies past `u64::MAX` ns. Every
+/// engine, the oracle included, stops there with the same typed error.
+#[test]
+fn a_quantum_edge_past_the_clock_is_a_typed_error_on_every_engine() {
+    let idle = |r| {
+        let dur = SimDuration::from_nanos(18_000_000_000_000_000_000);
+        Program::new(Rank::new(r), vec![Op::Idle { dur }])
+    };
+    for engine in [
+        EngineKind::Deterministic,
+        EngineKind::Sharded,
+        EngineKind::ShardedOptimistic,
+        EngineKind::Hybrid,
+    ] {
+        let err = Sim::new(vec![idle(0), idle(1)])
+            .engine(engine)
+            .sync(SyncConfig::fixed_micros(4_000_000_000_000_000))
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SimTimeOverflow { engine, quanta: 4 },
+            "{engine:?}"
+        );
+    }
+}
+
 /// Edits of the exported ping-pong spec (`aqs export-spec --workload
 /// pingpong --nodes 2`) that a hostile `aqs run-spec` file can hold, each
 /// with the typed error it must get. Every one used to panic.
